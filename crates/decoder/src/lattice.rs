@@ -24,18 +24,21 @@
 //! search: recording never changes decode output, stats, or the trace
 //! event stream.
 //!
-//! The post-pass ([`WordLattice::build`]) works in two semirings through
-//! the [`Semiring`] trait: tropical (min, +) for the exact
+//! The post-pass ([`WordLattice::build`]) first sweeps the tape backward
+//! from the final tokens, keeping only the records that can reach one
+//! (a fraction of a percent of a large-vocabulary tape), and then works
+//! on that slice in two semirings through the [`Semiring`] trait: tropical (min, +) for the exact
 //! forward/backward Viterbi scores that drive lattice-beam pruning, and
 //! log (-log-sum-exp, +) for the forward/backward occupation scores that
 //! yield arc posteriors — per-word confidence.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::hash::BuildHasherDefault;
 
 use unfold_lm::WordId;
 use unfold_wfst::{LogWeight, Semiring, TropicalWeight};
 
-use crate::search::TokenStore;
+use crate::search::{DetHasher, TokenMap, TokenStore};
 use crate::sources::AmSource;
 
 /// Bytes one lattice entry occupies in the compact representation
@@ -56,18 +59,52 @@ struct Entry {
 }
 
 /// One raw record on the expansion tape: the search relaxed an arc from
-/// the token keyed `src_key` (in population `src_pop`) into the token
-/// keyed `dst_key` (in population `dst_pop`), carrying `word` (0 for
-/// none), arriving with path cost `dst_cost`.
+/// the token keyed `src_key` into the token keyed `dst_key`, carrying
+/// `word` (0 for none), arriving with path cost `dst_cost`. Which
+/// populations the two tokens belong to is not stored: it follows from
+/// the [`PopSegment`] the record sits in.
 #[derive(Debug, Clone, Copy)]
 struct TapeArc {
-    src_pop: u32,
-    dst_pop: u32,
     src_key: u64,
     dst_key: u64,
     word: WordId,
     dst_cost: f32,
 }
+
+const _: () = assert!(std::mem::size_of::<TapeArc>() == 24);
+
+/// Where one population's records sit on the tape. Both kernels tape
+/// every emitting relaxation of a frame before its closure starts, so
+/// a population `p` is two runs: `start..eps` are emitting records
+/// (source in `p - 1`, destination in `p`), and `eps..` up to the next
+/// segment's `start` are closure records (both ends in `p`).
+#[derive(Debug, Clone, Copy, Default)]
+struct PopSegment {
+    start: usize,
+    eps: usize,
+}
+
+/// A kept tape record with its populations made explicit.
+#[derive(Debug, Clone, Copy)]
+struct SliceArc {
+    src: (u32, u64),
+    dst: (u32, u64),
+    word: WordId,
+    dst_cost: f32,
+}
+
+impl TapeArc {
+    fn placed(&self, src_pop: u32, dst_pop: u32) -> SliceArc {
+        SliceArc {
+            src: (src_pop, self.src_key),
+            dst: (dst_pop, self.dst_key),
+            word: self.word,
+            dst_cost: self.dst_cost,
+        }
+    }
+}
+
+type KeySet = HashSet<u64, BuildHasherDefault<DetHasher>>;
 
 /// Append-only word lattice backpointer store, plus (when recording is
 /// enabled) the raw expansion tape a [`WordLattice`] is built from.
@@ -83,6 +120,9 @@ pub struct Lattice {
     start_key: u64,
     /// Raw expansion records, in the order the search attempted them.
     tape: Vec<TapeArc>,
+    /// One segment per population while recording (`cur_pop + 1` of
+    /// them), indexed by population.
+    segments: Vec<PopSegment>,
 }
 
 impl Lattice {
@@ -107,15 +147,24 @@ impl Lattice {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.tape.clear();
+        self.segments.clear();
         self.recording = false;
         self.cur_pop = 0;
         self.start_key = 0;
     }
 
-    /// Enables or disables the expansion tape. Contents-neutral for the
-    /// search itself.
+    /// Enables or disables the expansion tape, before the seed token is
+    /// recorded. Contents-neutral for the search itself.
     pub(crate) fn set_recording(&mut self, on: bool) {
+        debug_assert!(
+            self.tape.is_empty() && self.cur_pop == 0,
+            "tape switched mid-decode"
+        );
         self.recording = on;
+        self.segments.clear();
+        if on {
+            self.segments.push(PopSegment::default());
+        }
     }
 
     /// Whether the expansion tape is being recorded.
@@ -134,6 +183,10 @@ impl Lattice {
     /// of every frame expansion.
     pub(crate) fn advance_pop(&mut self) {
         self.cur_pop += 1;
+        if self.recording {
+            let at = self.tape.len();
+            self.segments.push(PopSegment { start: at, eps: at });
+        }
     }
 
     /// Records an emitting relaxation: an arc from `src_key` in the
@@ -143,13 +196,14 @@ impl Lattice {
         if self.recording {
             debug_assert!(self.cur_pop >= 1, "emitting arc before any frame");
             self.tape.push(TapeArc {
-                src_pop: self.cur_pop - 1,
-                dst_pop: self.cur_pop,
                 src_key,
                 dst_key,
                 word,
                 dst_cost,
             });
+            let seg = &mut self.segments[self.cur_pop as usize];
+            debug_assert_eq!(seg.eps + 1, self.tape.len(), "emit taped after closure");
+            seg.eps = self.tape.len();
         }
     }
 
@@ -159,14 +213,69 @@ impl Lattice {
     pub(crate) fn record_eps(&mut self, src_key: u64, dst_key: u64, word: WordId, dst_cost: f32) {
         if self.recording {
             self.tape.push(TapeArc {
-                src_pop: self.cur_pop,
-                dst_pop: self.cur_pop,
                 src_key,
                 dst_key,
                 word,
                 dst_cost,
             });
         }
+    }
+
+    /// The co-reachable slice of the tape: every token that some chain
+    /// of taped relaxations connects to a key in `finals` (a token of
+    /// the last population), plus the seed token, as `(population,
+    /// key)` nodes, and every record whose destination is such a
+    /// token. Any record's source is then such a token too, so the
+    /// node set is closed under predecessors and each kept node keeps
+    /// *all* of its incoming records.
+    ///
+    /// Populations are walked last to first with one small key set of
+    /// live tokens. Closure records are rescanned until a pass adds
+    /// nothing: a relaxation that did not improve its destination is
+    /// taped after the destination's own expansion, so a single
+    /// reverse scan can meet it before its destination is known to be
+    /// live.
+    fn coreachable(&self, finals: impl Iterator<Item = u64>) -> (Vec<(u32, u64)>, Vec<SliceArc>) {
+        let mut nodes: Vec<(u32, u64)> = Vec::new();
+        let mut arcs: Vec<SliceArc> = Vec::new();
+        let mut alive = KeySet::default();
+        let mut alive_prev = KeySet::default();
+        alive.extend(finals);
+        for p in (0..self.segments.len()).rev() {
+            let seg = self.segments[p];
+            let end = self
+                .segments
+                .get(p + 1)
+                .map_or(self.tape.len(), |s| s.start);
+            let pop = p as u32;
+            if p == 0 {
+                alive.insert(self.start_key);
+            }
+            let mark = arcs.len();
+            loop {
+                // Only the pass that adds nothing saw the final set.
+                arcs.truncate(mark);
+                let mut grew = false;
+                for a in self.tape[seg.eps..end].iter().rev() {
+                    if alive.contains(&a.dst_key) {
+                        arcs.push(a.placed(pop, pop));
+                        grew |= alive.insert(a.src_key);
+                    }
+                }
+                if !grew {
+                    break;
+                }
+            }
+            for a in &self.tape[seg.start..seg.eps] {
+                if alive.contains(&a.dst_key) {
+                    arcs.push(a.placed(pop - 1, pop));
+                    alive_prev.insert(a.src_key);
+                }
+            }
+            nodes.extend(alive.drain().map(|k| (pop, k)));
+            std::mem::swap(&mut alive, &mut alive_prev);
+        }
+        (nodes, arcs)
     }
 
     /// Appends a word recognized at `frame`, preceded by `prev`
@@ -312,6 +421,16 @@ impl WordLattice {
 
     /// Builds the pruned word lattice from a recorded expansion tape and
     /// the search's final token population.
+    ///
+    /// Only the co-reachable slice of the tape ([`Lattice::coreachable`])
+    /// is ever numbered, sorted or scored. That loses nothing: a token
+    /// outside the slice reaches no final, so its backward cost is
+    /// infinite and the lattice beam drops it whatever its forward
+    /// cost; and because the slice is closed under predecessors, every
+    /// kept node still sees all of its incoming records (same forward
+    /// cost) and smallest-index Kahn visits the kept nodes in the same
+    /// relative order as it would inside the full tape graph (same
+    /// log-semiring accumulation order, so the same posterior bits).
     pub(crate) fn build<A: AmSource + ?Sized>(
         am: &A,
         tape: &Lattice,
@@ -331,48 +450,47 @@ impl WordLattice {
         }
 
         // Node universe, canonically ordered by (population, key).
-        let mut ids: BTreeMap<(u32, u64), u32> = BTreeMap::new();
-        ids.insert((0, tape.start_key), 0);
-        for a in &tape.tape {
-            ids.insert((a.src_pop, a.src_key), 0);
-            ids.insert((a.dst_pop, a.dst_key), 0);
-        }
-        for &(k, _) in &final_keys {
-            ids.insert((t_final, k), 0);
-        }
-        let mut node_meta: Vec<(u32, u64)> = Vec::with_capacity(ids.len());
-        for (i, ((pop, key), v)) in ids.iter_mut().enumerate() {
-            *v = i as u32;
-            node_meta.push((*pop, *key));
-        }
+        let (mut node_meta, slice) = tape.coreachable(final_keys.iter().map(|&(k, _)| k));
+        node_meta.sort_unstable();
         let n = node_meta.len();
-        let start = ids[&(0, tape.start_key)];
+        let id = |node: (u32, u64)| -> u32 {
+            node_meta
+                .binary_search(&node)
+                .expect("every slice endpoint is a slice node") as u32
+        };
+        let start = id((0, tape.start_key));
+        let final_ids: Vec<(u32, f32)> = final_keys
+            .iter()
+            .map(|&(k, fw)| (id((t_final, k)), fw))
+            .collect();
 
         // Canonical arc list: sorted, then deduplicated to the cheapest
         // record per (src, dst, word). Duplicates arise whenever the
         // closure re-expands an improved token; the minimum is exactly
         // the settled source cost plus the arc cost, so the surviving
         // record is independent of the order the search emitted them in.
-        let mut raw: Vec<TapeArc> = tape.tape.clone();
-        raw.sort_by(|a, b| {
-            (a.src_pop, a.src_key, a.dst_pop, a.dst_key, a.word)
-                .cmp(&(b.src_pop, b.src_key, b.dst_pop, b.dst_key, b.word))
+        struct RawArc {
+            from: u32,
+            to: u32,
+            word: WordId,
+            dst_cost: f32,
+        }
+        let mut raw: Vec<RawArc> = slice
+            .iter()
+            .map(|a| RawArc {
+                from: id(a.src),
+                to: id(a.dst),
+                word: a.word,
+                dst_cost: a.dst_cost,
+            })
+            .collect();
+        raw.sort_unstable_by(|a, b| {
+            (a.from, a.to, a.word)
+                .cmp(&(b.from, b.to, b.word))
                 .then(a.dst_cost.total_cmp(&b.dst_cost))
         });
         raw.dedup_by(|next, kept| {
-            (
-                next.src_pop,
-                next.src_key,
-                next.dst_pop,
-                next.dst_key,
-                next.word,
-            ) == (
-                kept.src_pop,
-                kept.src_key,
-                kept.dst_pop,
-                kept.dst_key,
-                kept.word,
-            )
+            (next.from, next.to, next.word) == (kept.from, kept.to, kept.word)
         });
 
         // Exact tropical forward: a node's cost is the cheapest recorded
@@ -382,11 +500,10 @@ impl WordLattice {
         let mut fv = vec![f32::INFINITY; n];
         fv[start as usize] = 0.0;
         for a in &raw {
-            let d = ids[&(a.dst_pop, a.dst_key)] as usize;
-            let c = TropicalWeight::from_cost(a.dst_cost)
+            let d = a.to as usize;
+            fv[d] = TropicalWeight::from_cost(a.dst_cost)
                 .plus(TropicalWeight::from_cost(fv[d]))
                 .value();
-            fv[d] = c;
         }
 
         // Provisional arcs with weight w = dst_cost - forward(src); the
@@ -402,13 +519,11 @@ impl WordLattice {
         }
         let mut parcs: Vec<PArc> = Vec::with_capacity(raw.len());
         for a in &raw {
-            let s = ids[&(a.src_pop, a.src_key)];
-            let d = ids[&(a.dst_pop, a.dst_key)];
-            let w = a.dst_cost - fv[s as usize];
-            if s != d && w.is_finite() {
+            let w = a.dst_cost - fv[a.from as usize];
+            if a.from != a.to && w.is_finite() {
                 parcs.push(PArc {
-                    from: s,
-                    to: d,
+                    from: a.from,
+                    to: a.to,
                     word: a.word,
                     w,
                 });
@@ -436,7 +551,7 @@ impl WordLattice {
             for a in &parcs {
                 indeg[a.to as usize] += 1;
             }
-            let mut heap = std::collections::BinaryHeap::new();
+            let mut heap = BinaryHeap::new();
             for (i, &d) in indeg.iter().enumerate() {
                 if d == 0 {
                     heap.push(std::cmp::Reverse(i as u32));
@@ -466,8 +581,8 @@ impl WordLattice {
         // Tropical backward over the provisional lattice (reverse
         // topological, exact on a DAG).
         let mut bv = vec![f32::INFINITY; n];
-        for &(k, fw) in &final_keys {
-            let d = ids[&(t_final, k)] as usize;
+        for &(d, fw) in &final_ids {
+            let d = d as usize;
             bv[d] = TropicalWeight::from_cost(fw)
                 .plus(TropicalWeight::from_cost(bv[d]))
                 .value();
@@ -486,8 +601,8 @@ impl WordLattice {
         // Best complete cost: minimum over finals of forward + final
         // weight (the same fold the search's finish step performs).
         let mut best = TropicalWeight::zero();
-        for &(k, fw) in &final_keys {
-            let d = ids[&(t_final, k)] as usize;
+        for &(d, fw) in &final_ids {
+            let d = d as usize;
             best = TropicalWeight::from_cost(fv[d])
                 .times(TropicalWeight::from_cost(fw))
                 .plus(best);
@@ -515,10 +630,9 @@ impl WordLattice {
             keep_node[parcs[i].from as usize] = true;
             keep_node[parcs[i].to as usize] = true;
         }
-        for &(k, fw) in &final_keys {
-            let d = ids[&(t_final, k)] as usize;
-            if fv[d] + fw <= bound {
-                keep_node[d] = true;
+        for &(d, fw) in &final_ids {
+            if fv[d as usize] + fw <= bound {
+                keep_node[d as usize] = true;
             }
         }
 
@@ -551,13 +665,12 @@ impl WordLattice {
                 }
             })
             .collect();
-        let finals: Vec<(u32, f32)> = final_keys
+        let mut finals: Vec<(u32, f32)> = final_ids
             .iter()
-            .filter_map(|&(k, fw)| {
-                let d = ids[&(t_final, k)] as usize;
-                (keep_node[d] && fv[d] + fw <= bound).then(|| (remap[d], fw))
-            })
+            .filter(|&&(d, fw)| fv[d as usize] + fw <= bound)
+            .map(|&(d, fw)| (remap[d as usize], fw))
             .collect();
+        finals.sort_by_key(|&(d, _)| d);
         let m = nodes.len();
         let mut arc_start = vec![0u32; m + 1];
         for a in &arcs {
@@ -570,11 +683,7 @@ impl WordLattice {
             nodes,
             arcs,
             arc_start,
-            finals: {
-                let mut f = finals;
-                f.sort_by_key(|&(d, _)| d);
-                f
-            },
+            finals,
             start: remap[start as usize],
             best_cost,
             num_frames: t_final,
@@ -819,6 +928,11 @@ impl WordLattice {
     /// sequence or a better cost) — without this, time-alignment
     /// variants of one word sequence crowd out genuinely different
     /// sequences and the search degenerates.
+    ///
+    /// Heap items carry no vectors. A word prefix is an id in a
+    /// parent-pointer trie (`(parent prefix, word) -> prefix`), so equal
+    /// prefixes have equal ids; an arc path is a parent chain that is
+    /// only walked for the paths returned.
     fn explore_arcs(
         &self,
         max_paths: usize,
@@ -827,14 +941,18 @@ impl WordLattice {
         per_node_cap: usize,
     ) -> (Vec<(Vec<u32>, f64)>, bool) {
         const SUPER_FINAL: u32 = u32::MAX;
+        /// The empty prefix, and the parent of a one-arc path.
+        const ROOT: u32 = 0;
         #[derive(Debug)]
         struct Item {
             est: f64,
             seq: u64,
             node: u32,
             g: f64,
-            arcs: Vec<u32>,
-            words: Vec<WordId>,
+            /// Index into `steps` of the last arc taken.
+            path: u32,
+            /// Id of the word sequence so far.
+            prefix: u32,
         }
         impl PartialEq for Item {
             fn eq(&self, o: &Self) -> bool {
@@ -861,23 +979,27 @@ impl WordLattice {
         for &(d, fw) in &self.finals {
             final_weight[d as usize] = final_weight[d as usize].min(fw);
         }
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<Item>> =
-            std::collections::BinaryHeap::new();
+        let mut heap: BinaryHeap<std::cmp::Reverse<Item>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut pops = vec![0usize; self.nodes.len()];
-        let mut seen: std::collections::BTreeSet<Vec<WordId>> = std::collections::BTreeSet::new();
+        // `(parent step, arc)` per path extension; entry ROOT is the
+        // empty path's placeholder.
+        let mut steps: Vec<(u32, u32)> = vec![(ROOT, 0)];
+        // Prefix trie: ids are dense from ROOT, `emitted[id]` marks
+        // word sequences already returned.
+        let mut prefix_ids: TokenMap<(u32, WordId), u32> = TokenMap::default();
+        let mut emitted = vec![false];
         // Best g per (node, word prefix): the alignment-merge table.
-        let mut best_prefix: std::collections::BTreeMap<(u32, Vec<WordId>), f64> =
-            std::collections::BTreeMap::new();
+        let mut best_prefix: TokenMap<(u32, u32), f64> = TokenMap::default();
         let start_est = f64::from(self.nodes[self.start as usize].backward);
-        best_prefix.insert((self.start, Vec::new()), 0.0);
+        best_prefix.insert((self.start, ROOT), 0.0);
         heap.push(std::cmp::Reverse(Item {
             est: start_est,
             seq,
             node: self.start,
             g: 0.0,
-            arcs: Vec::new(),
-            words: Vec::new(),
+            path: ROOT,
+            prefix: ROOT,
         }));
         let mut total_pops = 0usize;
         while let Some(std::cmp::Reverse(item)) = heap.pop() {
@@ -889,8 +1011,16 @@ impl WordLattice {
                 return (out, false);
             }
             if item.node == SUPER_FINAL {
-                if seen.insert(item.words) {
-                    out.push((item.arcs, item.g));
+                if !std::mem::replace(&mut emitted[item.prefix as usize], true) {
+                    let mut arcs = Vec::new();
+                    let mut at = item.path;
+                    while at != ROOT {
+                        let (parent, arc) = steps[at as usize];
+                        arcs.push(arc);
+                        at = parent;
+                    }
+                    arcs.reverse();
+                    out.push((arcs, item.g));
                     if out.len() >= max_paths {
                         return (out, true);
                     }
@@ -900,7 +1030,7 @@ impl WordLattice {
             // A cheaper path already reached this node with this word
             // prefix: this one is a dominated alignment variant.
             if best_prefix
-                .get(&(item.node, item.words.clone()))
+                .get(&(item.node, item.prefix))
                 .is_some_and(|&g0| g0 < item.g)
             {
                 continue;
@@ -919,8 +1049,8 @@ impl WordLattice {
                     seq,
                     node: SUPER_FINAL,
                     g,
-                    arcs: item.arcs.clone(),
-                    words: item.words.clone(),
+                    path: item.path,
+                    prefix: item.prefix,
                 }));
             }
             let (lo, hi) = self.out_range(item.node);
@@ -930,26 +1060,29 @@ impl WordLattice {
                 if est > cost_bound {
                     continue;
                 }
-                let mut words = item.words.clone();
-                if a.word != 0 {
-                    words.push(a.word);
-                }
-                match best_prefix.get(&(a.to, words.clone())) {
+                let prefix = if a.word == 0 {
+                    item.prefix
+                } else {
+                    *prefix_ids.entry((item.prefix, a.word)).or_insert_with(|| {
+                        emitted.push(false);
+                        (emitted.len() - 1) as u32
+                    })
+                };
+                match best_prefix.get(&(a.to, prefix)) {
                     Some(&g0) if g0 <= g => continue, // dominated
                     _ => {
-                        best_prefix.insert((a.to, words.clone()), g);
+                        best_prefix.insert((a.to, prefix), g);
                     }
                 }
-                let mut arcs = item.arcs.clone();
-                arcs.push((lo + off) as u32);
+                steps.push((item.path, (lo + off) as u32));
                 seq += 1;
                 heap.push(std::cmp::Reverse(Item {
                     est,
                     seq,
                     node: a.to,
                     g,
-                    arcs,
-                    words,
+                    path: (steps.len() - 1) as u32,
+                    prefix,
                 }));
             }
         }
@@ -1038,13 +1171,14 @@ mod tests {
         l.record_emit(42, 7, 3, 1.0);
         l.record_eps(7, 9, 0, 1.5);
         assert_eq!(l.tape.len(), 2);
-        assert_eq!(l.tape[0].src_pop, 0);
-        assert_eq!(l.tape[0].dst_pop, 1);
-        assert_eq!(l.tape[1].src_pop, 1);
-        assert_eq!(l.tape[1].dst_pop, 1);
+        // Populations are implied by the segments: population 0 taped
+        // nothing, population 1 one emitting then one closure record.
+        let segs: Vec<(usize, usize)> = l.segments.iter().map(|s| (s.start, s.eps)).collect();
+        assert_eq!(segs, vec![(0, 0), (0, 1)]);
         // clear() drops the tape and switches recording back off.
         l.clear();
         assert!(l.tape.is_empty());
+        assert!(l.segments.is_empty());
         assert!(!l.is_recording());
         assert_eq!(l.cur_pop, 0);
     }
@@ -1071,27 +1205,96 @@ mod tests {
         (u64::from(am) << 32) | u64::from(lm)
     }
 
-    /// Hand-built diamond: start splits into two one-frame hypotheses
-    /// (words 1 and 2) that rejoin at a shared final token.
-    fn diamond(beam: f32) -> WordLattice {
+    /// A recording tape seeded at `key(0, 0)`.
+    fn seeded_tape() -> Lattice {
         let mut tape = Lattice::new();
         tape.set_recording(true);
         tape.record_start(key(0, 0));
+        tape
+    }
+
+    /// Builds with `finals` as the whole last population.
+    fn build_with_finals(tape: &Lattice, finals: &[u64], beam: f32) -> WordLattice {
+        let mut last = TokenStore::default();
+        for &k in finals {
+            // The builder reads only the keys.
+            last.insert(
+                k,
+                crate::search::Token {
+                    cost: 0.0,
+                    lat: LATTICE_ROOT,
+                },
+            );
+        }
+        WordLattice::build(&AllFinal, tape, &last, beam)
+    }
+
+    /// Hand-built diamond: start splits into two one-frame hypotheses
+    /// (words 1 and 2) that rejoin at a shared final token. With
+    /// `dead_end`, a third and cheapest branch (word 3) runs alongside
+    /// into a token that is not in the last population.
+    fn diamond_tape(dead_end: bool) -> Lattice {
+        let mut tape = seeded_tape();
         tape.advance_pop();
         tape.record_emit(key(0, 0), key(1, 1), 1, 1.0);
         tape.record_emit(key(0, 0), key(2, 2), 2, 3.0);
+        if dead_end {
+            tape.record_emit(key(0, 0), key(4, 4), 3, 0.5);
+            tape.record_eps(key(4, 4), key(5, 5), 0, 0.75);
+        }
         tape.advance_pop();
         tape.record_emit(key(1, 1), key(3, 3), 0, 2.0);
         tape.record_emit(key(2, 2), key(3, 3), 0, 4.0);
-        let mut finals = TokenStore::default();
-        finals.insert(
-            key(3, 3),
-            crate::search::Token {
-                cost: 2.0,
-                lat: LATTICE_ROOT,
-            },
-        );
-        WordLattice::build(&AllFinal, &tape, &finals, beam)
+        if dead_end {
+            tape.record_emit(key(5, 5), key(6, 6), 0, 1.0);
+        }
+        tape
+    }
+
+    fn diamond(beam: f32) -> WordLattice {
+        build_with_finals(&diamond_tape(false), &[key(3, 3)], beam)
+    }
+
+    #[test]
+    fn dead_end_branch_never_reaches_the_lattice() {
+        let plain = diamond(10.0);
+        let lat = build_with_finals(&diamond_tape(true), &[key(3, 3)], 10.0);
+        assert_eq!(lat.num_nodes(), plain.num_nodes());
+        assert_eq!(lat.num_arcs(), plain.num_arcs());
+        assert!(lat.bit_identical(&plain));
+        for dead in [key(4, 4), key(5, 5), key(6, 6)] {
+            assert!(lat.nodes().iter().all(|n| n.key != dead));
+        }
+        // Not even as working state: the slice the builder numbers and
+        // sorts is the two-branch diamond's.
+        let (nodes, arcs) = diamond_tape(true).coreachable([key(3, 3)].into_iter());
+        assert_eq!((nodes.len(), arcs.len()), (4, 4));
+    }
+
+    #[test]
+    fn late_non_improving_relaxation_is_found_by_the_fixpoint() {
+        // One frame: A (word 1) and A' (word 2) are emitted, then the
+        // closure runs A -> B, B -> C and only afterwards A' -> B,
+        // which does not improve B and so is taped after B's own
+        // expansion. Scanning the closure backward once meets A' -> B
+        // before B -> C has shown B to be live.
+        let (a, a2, b, c) = (key(1, 0), key(2, 0), key(3, 0), key(4, 0));
+        let mut tape = seeded_tape();
+        tape.advance_pop();
+        tape.record_emit(key(0, 0), a, 1, 1.0);
+        tape.record_emit(key(0, 0), a2, 2, 1.25);
+        tape.record_eps(a, b, 0, 1.5);
+        tape.record_eps(b, c, 0, 2.0);
+        tape.record_eps(a2, b, 0, 1.75);
+        let lat = build_with_finals(&tape, &[c], 1.0);
+        assert_eq!(lat.best_cost(), 2.0);
+        assert!(lat.nodes().iter().any(|n| n.key == a2), "A' was dropped");
+        assert_eq!((lat.num_nodes(), lat.num_arcs()), (5, 5));
+        assert_eq!(lat.nbest(5), vec![(vec![1], 2.0), (vec![2], 2.25)]);
+        // Outside the beam it goes, like any other costly branch.
+        let tight = build_with_finals(&tape, &[c], 0.125);
+        assert!(tight.nodes().iter().all(|n| n.key != a2));
+        assert_eq!(tight.nbest(5), vec![(vec![1], 2.0)]);
     }
 
     #[test]
@@ -1169,6 +1372,157 @@ mod tests {
     #[should_panic(expected = "n must be > 0")]
     fn nbest_zero_panics() {
         diamond(10.0).nbest(0);
+    }
+
+    type Node = (u32, u64);
+    /// What the builder is compared on: nodes with forward/backward
+    /// bits, arcs by endpoint with weight bits, final nodes.
+    type Summary = (
+        Vec<(Node, u32, u32)>,
+        Vec<(Node, Node, WordId, u32)>,
+        Vec<Node>,
+    );
+
+    /// The lattice the slow way, over *all* records: every endpoint is
+    /// a node, forward is the cheapest record into it, backward is
+    /// relaxed over every arc until nothing moves, then the beam rule.
+    /// All finals weigh 0, as under [`AllFinal`].
+    fn brute_force(
+        recs: &[(Node, Node, WordId, f32)],
+        start: Node,
+        finals: &[Node],
+        beam: f32,
+    ) -> Summary {
+        const INF: f32 = f32::INFINITY;
+        let mut fv: BTreeMap<Node, f32> = finals.iter().map(|&f| (f, INF)).collect();
+        fv.insert(start, 0.0);
+        let mut cheapest: BTreeMap<(Node, Node, WordId), f32> = BTreeMap::new();
+        for &(s, d, word, cost) in recs {
+            fv.entry(s).or_insert(INF);
+            let f = fv.entry(d).or_insert(INF);
+            *f = f.min(cost);
+            let c = cheapest.entry((s, d, word)).or_insert(INF);
+            *c = c.min(cost);
+        }
+        let arcs: Vec<(Node, Node, WordId, f32)> = cheapest
+            .iter()
+            .map(|(&(s, d, word), &cost)| (s, d, word, cost - fv[&s]))
+            .filter(|&(s, d, _, w)| s != d && w.is_finite())
+            .collect();
+        let mut bv: BTreeMap<Node, f32> = fv.keys().map(|&k| (k, INF)).collect();
+        for f in finals {
+            bv.insert(*f, 0.0);
+        }
+        loop {
+            let mut moved = false;
+            for &(s, d, _, w) in &arcs {
+                let through = w + bv[&d];
+                if through < bv[&s] {
+                    bv.insert(s, through);
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+        let bound = finals.iter().map(|f| fv[f]).fold(INF, f32::min) + beam;
+        if !bound.is_finite() {
+            return Summary::default();
+        }
+        let arcs: Vec<_> = arcs
+            .into_iter()
+            .filter(|&(s, d, _, w)| fv[&s] + w + bv[&d] <= bound)
+            .collect();
+        let finals: Vec<Node> = finals.iter().copied().filter(|f| fv[f] <= bound).collect();
+        let mut nodes: std::collections::BTreeSet<Node> =
+            arcs.iter().flat_map(|&(s, d, ..)| [s, d]).collect();
+        nodes.insert(start);
+        nodes.extend(&finals);
+        (
+            nodes
+                .iter()
+                .map(|n| (*n, fv[n].to_bits(), bv[n].to_bits()))
+                .collect(),
+            arcs.iter()
+                .map(|&(s, d, word, w)| (s, d, word, w.to_bits()))
+                .collect(),
+            finals,
+        )
+    }
+
+    fn summarize(lat: &WordLattice) -> Summary {
+        let at = |i: u32| {
+            let n = &lat.nodes()[i as usize];
+            (n.frame, n.key)
+        };
+        (
+            lat.nodes()
+                .iter()
+                .map(|n| ((n.frame, n.key), n.forward.to_bits(), n.backward.to_bits()))
+                .collect(),
+            lat.arcs()
+                .iter()
+                .map(|a| (at(a.from), at(a.to), a.word, a.weight.to_bits()))
+                .collect(),
+            lat.finals().iter().map(|&(d, _)| at(d)).collect(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random small tapes (five keys a population, costs on a
+        /// quarter grid so ties are common, closure records in taping
+        /// order so late non-improving relaxations are too): the
+        /// builder agrees with [`brute_force`] on nodes, arcs, finals
+        /// and every tropical bit.
+        #[test]
+        fn builder_matches_brute_force_on_random_tapes(
+            pops in 1u32..5,
+            raw in proptest::collection::vec((proptest::any::<u32>(), 0u32..4, 1u32..24), 0..48),
+            final_mask in 1u32..32,
+            beam_quarters in 0u32..16,
+        ) {
+            // (population, closure?, src, dst) out of one word; closure
+            // records run low key to high so populations stay acyclic.
+            let recs: Vec<(u32, bool, u64, u64, WordId, f32)> = raw
+                .iter()
+                .filter_map(|&(r, word, quarters)| {
+                    let pop = r % (pops + 1);
+                    let eps = pop == 0 || (r >> 8) % 2 == 0;
+                    let (s, d) = (u64::from((r >> 12) % 5), u64::from((r >> 16) % 5));
+                    let (s, d) = if eps { (s.min(d), s.max(d)) } else { (s, d) };
+                    (!eps || s != d)
+                        .then(|| (pop, eps, key(s as u32, 0), key(d as u32, 0), word, quarters as f32 * 0.25))
+                })
+                .collect();
+            let mut tape = seeded_tape();
+            let mut flat = Vec::new();
+            for pop in 0..=pops {
+                if pop > 0 {
+                    tape.advance_pop();
+                }
+                for &(_, _, s, d, word, cost) in recs.iter().filter(|r| r.0 == pop && !r.1) {
+                    tape.record_emit(s, d, word, cost);
+                    flat.push(((pop - 1, s), (pop, d), word, cost));
+                }
+                for &(_, _, s, d, word, cost) in recs.iter().filter(|r| r.0 == pop && r.1) {
+                    tape.record_eps(s, d, word, cost);
+                    flat.push(((pop, s), (pop, d), word, cost));
+                }
+            }
+            let final_keys: Vec<u64> = (0..5u32)
+                .filter(|k| final_mask >> k & 1 == 1)
+                .map(|k| key(k, 0))
+                .collect();
+            let final_nodes: Vec<Node> = final_keys.iter().map(|&k| (pops, k)).collect();
+            let beam = beam_quarters as f32 * 0.25;
+
+            let lat = build_with_finals(&tape, &final_keys, beam);
+            let want = brute_force(&flat, (0, key(0, 0)), &final_nodes, beam);
+            proptest::prop_assert_eq!(summarize(&lat), want);
+        }
     }
 
     #[test]

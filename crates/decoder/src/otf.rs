@@ -150,26 +150,14 @@ impl OtfDecoder {
     ) -> (DecodeResult, WordLattice) {
         let mut stats = DecodeStats::default();
         self.run(am, lm, scores, scratch, sink, &mut stats, true);
-        let res = finish(
+        finish_lattice(
             am,
             &scratch.session.cur,
             &scratch.session.lattice,
             stats,
+            self.config.lattice_beam,
             sink,
-        );
-        sink.stage_enter(DecodeStage::Lattice);
-        let lattice = if res.is_complete() {
-            WordLattice::build(
-                am,
-                &scratch.session.lattice,
-                &scratch.session.cur,
-                self.config.lattice_beam,
-            )
-        } else {
-            WordLattice::empty()
-        };
-        sink.stage_exit(DecodeStage::Lattice);
-        (res, lattice)
+        )
     }
 
     /// Decodes one utterance by composing `am` and `lm` on demand.
@@ -782,6 +770,30 @@ pub(crate) fn finish<A: AmSource + ?Sized>(
         cost: best_cost,
         stats,
     }
+}
+
+/// [`finish`], then the exact word lattice off the recorded expansion
+/// tape (empty for an incomplete decode), with the build attributed to
+/// its own [`DecodeStage::Lattice`] span. Shared by
+/// [`OtfDecoder::decode_lattice_with`] and
+/// [`crate::streaming::StreamSession::finalize_lattice`].
+pub(crate) fn finish_lattice<A: AmSource + ?Sized>(
+    am: &A,
+    tokens: &TokenStore,
+    lattice: &Lattice,
+    stats: DecodeStats,
+    lattice_beam: f32,
+    sink: &mut dyn TraceSink,
+) -> (DecodeResult, WordLattice) {
+    let res = finish(am, tokens, lattice, stats, sink);
+    sink.stage_enter(DecodeStage::Lattice);
+    let word_lattice = if res.is_complete() {
+        WordLattice::build(am, lattice, tokens, lattice_beam)
+    } else {
+        WordLattice::empty()
+    };
+    sink.stage_exit(DecodeStage::Lattice);
+    (res, word_lattice)
 }
 
 #[cfg(test)]

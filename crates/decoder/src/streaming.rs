@@ -249,7 +249,9 @@ impl StreamSession {
     /// Finishes the decode and also builds the exact word lattice from
     /// the recorded expansion tape (pruned to
     /// [`DecodeConfig::lattice_beam`]). The [`DecodeResult`] is
-    /// bit-identical to [`StreamSession::finalize`].
+    /// bit-identical to [`StreamSession::finalize`]; the build is a
+    /// second [`crate::trace::DecodeStage::Lattice`] span on `sink`,
+    /// after the backtrace's, as in [`crate::OtfDecoder::decode_lattice`].
     ///
     /// # Panics
     /// Panics unless [`StreamSession::enable_lattice`] armed recording
@@ -263,18 +265,14 @@ impl StreamSession {
             self.record_lattice,
             "StreamSession::finalize_lattice: enable_lattice() before seed()"
         );
-        let res = otf::finish(am, &self.state.cur, &self.state.lattice, self.stats, sink);
-        let lattice = if res.is_complete() {
-            WordLattice::build(
-                am,
-                &self.state.lattice,
-                &self.state.cur,
-                self.config.lattice_beam,
-            )
-        } else {
-            WordLattice::empty()
-        };
-        (res, lattice)
+        otf::finish_lattice(
+            am,
+            &self.state.cur,
+            &self.state.lattice,
+            self.stats,
+            self.config.lattice_beam,
+            sink,
+        )
     }
 }
 
@@ -567,6 +565,49 @@ mod tests {
         assert_eq!(batch_sink.am_arc_fetches, stream_sink.am_arc_fetches);
         assert_eq!(batch_sink.lm_arc_fetches, stream_sink.lm_arc_fetches);
         assert_eq!(batch_sink.token_bytes, stream_sink.token_bytes);
+    }
+
+    #[test]
+    fn streamed_lattice_build_is_a_lattice_stage_span() {
+        use crate::record::{TraceEvent, TraceRecorder};
+        let (lex, am, lm) = setup();
+        let utt = synthesize_utterance(
+            &[1, 2],
+            &lex,
+            HmmTopology::Kaldi3State,
+            &NoiseModel::clean(),
+            9,
+        );
+        let cfg = DecodeConfig::default();
+        let mut batch_sink = TraceRecorder::new();
+        let (_, batch) =
+            OtfDecoder::new(cfg).decode_lattice(&am, &lm, &utt.scores, &mut batch_sink);
+
+        let mut stream_sink = TraceRecorder::new();
+        let mut work = WorkScratch::new();
+        work.begin(&cfg);
+        let mut session = StreamSession::new(cfg);
+        session.enable_lattice();
+        session.seed(&am, &lm, &mut work, &mut stream_sink);
+        for t in 0..utt.scores.num_frames() {
+            session.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut stream_sink);
+        }
+        let (_, streamed) = session.finalize_lattice(&am, &mut stream_sink);
+        assert!(!streamed.is_empty() && streamed.bit_identical(&batch));
+
+        // The stream ends backtrace span, then build span: a stage
+        // clock bills the build to `lattice` exactly as in batch.
+        let lattice = crate::trace::DecodeStage::Lattice;
+        assert_eq!(
+            stream_sink.events()[stream_sink.len() - 4..],
+            [
+                TraceEvent::StageEnter(lattice),
+                TraceEvent::StageExit(lattice),
+                TraceEvent::StageEnter(lattice),
+                TraceEvent::StageExit(lattice),
+            ]
+        );
+        assert_eq!(stream_sink.events(), batch_sink.events());
     }
 
     #[test]
