@@ -27,21 +27,46 @@ fn gauss(rng: &mut SmallRng) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * core::f32::consts::PI * u2).cos()
 }
 
+/// Mixtures scored together: a PDF's mixtures are split into groups of
+/// `LANES`, and the group's Gaussians advance through the feature
+/// dimensions side by side, one per lane.
+const LANES: usize = 8;
+
 /// A diagonal-covariance GMM acoustic model: one mixture per PDF.
 #[derive(Debug, Clone)]
 pub struct GmmModel {
     num_pdfs: usize,
     dim: usize,
     mixtures: usize,
-    /// Means, `[pdf][mix][dim]` flattened.
-    means: Vec<f32>,
-    /// Variances (diagonal), same layout.
-    vars: Vec<f32>,
+    /// Means, `[pdf][group][dim][lane]`: mixture `m` of a PDF is lane
+    /// `m % LANES` of group `m / LANES`. Lanes past the last mixture
+    /// hold mean 0.
+    means: Vec<[f32; LANES]>,
+    /// Variances (diagonal), same layout. Lanes past the last mixture
+    /// hold variance 1, so they divide like any other lane.
+    vars: Vec<[f32; LANES]>,
     /// Log mixture weights, `[pdf][mix]` flattened.
     log_mix_w: Vec<f32>,
     /// Per-(pdf, mix) Gaussian normalizer:
     /// `-0.5 * (dim*ln(2π) + Σ ln var)`.
     gconst: Vec<f32>,
+}
+
+/// `Σ_d (feat[d] - mean[d])² / var[d]` for the eight Gaussians of one
+/// group at once. Each lane accumulates over `d` ascending with its own
+/// subtract, multiply, divide and add, so it holds exactly what a
+/// one-Gaussian loop computes; written over fixed-width cells so the
+/// lanes compile to packed arithmetic.
+#[inline]
+fn quad_lanes(feat: &[f32], means: &[[f32; LANES]], vars: &[[f32; LANES]]) -> [f32; LANES] {
+    let mut quad = [0.0f32; LANES];
+    for ((&f, mean), var) in feat.iter().zip(means).zip(vars) {
+        for lane in 0..LANES {
+            let diff = f - mean[lane];
+            quad[lane] += diff * diff / var[lane];
+        }
+    }
+    quad
 }
 
 impl GmmModel {
@@ -66,40 +91,39 @@ impl GmmModel {
         );
         assert!(separation > 0.0, "synthesize: separation must be positive");
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut means = Vec::with_capacity(num_pdfs * mixtures * dim);
-        let mut vars = Vec::with_capacity(num_pdfs * mixtures * dim);
-        let mut log_mix_w = Vec::with_capacity(num_pdfs * mixtures);
-        for _ in 0..num_pdfs {
-            let centre: Vec<f32> = (0..dim).map(|_| separation * gauss(&mut rng)).collect();
-            let mut raw_w = Vec::with_capacity(mixtures);
-            for _ in 0..mixtures {
-                for &c in &centre {
-                    means.push(c + 0.3 * gauss(&mut rng));
-                    vars.push(rng.gen_range(0.6..1.4));
-                }
-                raw_w.push(rng.gen_range(0.5f32..1.5));
-            }
-            let total: f32 = raw_w.iter().sum();
-            for w in raw_w {
-                log_mix_w.push((w / total).ln());
-            }
-        }
+        let cells = num_pdfs * mixtures.div_ceil(LANES) * dim;
         let mut model = GmmModel {
             num_pdfs,
             dim,
             mixtures,
-            means,
-            vars,
-            log_mix_w,
-            gconst: Vec::new(),
+            means: vec![[0.0; LANES]; cells],
+            vars: vec![[1.0; LANES]; cells],
+            log_mix_w: Vec::with_capacity(num_pdfs * mixtures),
+            gconst: Vec::with_capacity(num_pdfs * mixtures),
         };
-        model.gconst = (0..num_pdfs * mixtures)
-            .map(|pm| {
-                let lo = pm * model.dim;
-                let sum_ln_var: f32 = model.vars[lo..lo + model.dim].iter().map(|v| v.ln()).sum();
-                -0.5 * (model.dim as f32 * (2.0 * core::f32::consts::PI).ln() + sum_ln_var)
-            })
-            .collect();
+        for pdf in 0..num_pdfs {
+            let centre: Vec<f32> = (0..dim).map(|_| separation * gauss(&mut rng)).collect();
+            let mut raw_w = Vec::with_capacity(mixtures);
+            for mix in 0..mixtures {
+                let (cell, lane) = model.cell(pdf, mix);
+                for (d, &c) in centre.iter().enumerate() {
+                    model.means[cell + d][lane] = c + 0.3 * gauss(&mut rng);
+                    model.vars[cell + d][lane] = rng.gen_range(0.6..1.4);
+                }
+                raw_w.push(rng.gen_range(0.5f32..1.5));
+                let sum_ln_var: f32 = model.vars[cell..cell + dim]
+                    .iter()
+                    .map(|v| v[lane].ln())
+                    .sum();
+                model
+                    .gconst
+                    .push(-0.5 * (dim as f32 * (2.0 * core::f32::consts::PI).ln() + sum_ln_var));
+            }
+            let total: f32 = raw_w.iter().sum();
+            for w in raw_w {
+                model.log_mix_w.push((w / total).ln());
+            }
+        }
         model
     }
 
@@ -113,20 +137,30 @@ impl GmmModel {
         self.dim
     }
 
-    /// Parameter bytes (means + variances + weights, 32-bit).
+    /// Parameter bytes (means + variances + weights, 32-bit; padding
+    /// lanes are storage, not parameters, and are not counted).
     pub fn params_bytes(&self) -> u64 {
-        ((self.means.len() + self.vars.len() + self.log_mix_w.len()) * 4) as u64
+        (self.num_pdfs * self.mixtures * (2 * self.dim + 1) * 4) as u64
     }
 
-    /// Arithmetic operations to score one frame against all PDFs
-    /// (measured from the evaluation loop: ~4 ops per dimension per
-    /// Gaussian plus the log-sum-exp).
+    /// Arithmetic operations to score one frame against all PDFs: each
+    /// Gaussian is evaluated once, 4 ops per dimension (subtract,
+    /// square, divide, accumulate) plus ~8 for its share of the
+    /// log-sum-exp. The unit tests count the kernel's trips against
+    /// this figure.
     pub fn flops_per_frame(&self) -> u64 {
         (self.num_pdfs * self.mixtures * (4 * self.dim + 8)) as u64
     }
 
-    fn block(&self, pdf: PdfId, mix: usize) -> usize {
-        ((pdf as usize - 1) * self.mixtures + mix) * self.dim
+    /// Mixture groups per PDF.
+    fn groups(&self) -> usize {
+        self.mixtures.div_ceil(LANES)
+    }
+
+    /// Where mixture `mix` of the `pdf`-th PDF (0-based) lives: the
+    /// index of its group's first `[dim]` cell, and its lane.
+    fn cell(&self, pdf: usize, mix: usize) -> (usize, usize) {
+        ((pdf * self.groups() + mix / LANES) * self.dim, mix % LANES)
     }
 
     /// Samples a feature vector from `pdf`'s mixture.
@@ -150,21 +184,10 @@ impl GmmModel {
                 break;
             }
         }
-        let lo = self.block(pdf, mix);
-        (0..self.dim)
-            .map(|d| self.means[lo + d] + self.vars[lo + d].sqrt() * gauss(rng))
+        let (cell, lane) = self.cell(pdf as usize - 1, mix);
+        (cell..cell + self.dim)
+            .map(|c| self.means[c][lane] + self.vars[c][lane].sqrt() * gauss(rng))
             .collect()
-    }
-
-    /// Log-likelihood of `feat` under one (pdf, mixture) Gaussian.
-    fn log_gaussian(&self, pdf: PdfId, mix: usize, feat: &[f32]) -> f32 {
-        let lo = self.block(pdf, mix);
-        let mut quad = 0.0f32;
-        for (d, &f) in feat.iter().enumerate().take(self.dim) {
-            let diff = f - self.means[lo + d];
-            quad += diff * diff / self.vars[lo + d];
-        }
-        self.gconst[(pdf as usize - 1) * self.mixtures + mix] - 0.5 * quad
     }
 
     /// Scores `feat` against every PDF; returns *costs* (negative
@@ -180,28 +203,54 @@ impl GmmModel {
 
     /// [`GmmModel::frame_costs`] into a caller-owned buffer (cleared and
     /// refilled), so a streaming scorer reuses one allocation per row.
+    /// Nothing else is allocated: the per-PDF log-likelihoods are staged
+    /// in `out` past the row and cut off before returning.
     ///
     /// # Panics
     /// Panics if `feat` has the wrong dimensionality.
     pub fn frame_costs_into(&self, feat: &[f32], out: &mut Vec<f32>) {
         assert_eq!(feat.len(), self.dim, "frame_costs: dimension mismatch");
         out.clear();
-        out.reserve(self.num_pdfs);
-        for pdf in 1..=self.num_pdfs as PdfId {
-            // log-sum-exp over mixtures.
-            let wbase = (pdf as usize - 1) * self.mixtures;
+        out.resize(self.num_pdfs + self.groups() * LANES, 0.0);
+        let (costs, ll) = out.split_at_mut(self.num_pdfs);
+        for (pdf, cost) in costs.iter_mut().enumerate() {
+            // Each Gaussian's weighted log-likelihood, once.
+            let wbase = pdf * self.mixtures;
+            for (group, ll) in ll.chunks_exact_mut(LANES).enumerate() {
+                let (cell, _) = self.cell(pdf, group * LANES);
+                let quad = quad_lanes(
+                    feat,
+                    &self.means[cell..cell + self.dim],
+                    &self.vars[cell..cell + self.dim],
+                );
+                // Padding lanes have no weight or normalizer: the zip
+                // stops at the last real mixture.
+                let lo = wbase + group * LANES;
+                let hi = (lo + LANES).min(wbase + self.mixtures);
+                #[cfg(test)]
+                tests::count_trips((hi - lo) * self.dim);
+                for (((ll, &q), &w), &gconst) in ll
+                    .iter_mut()
+                    .zip(&quad)
+                    .zip(&self.log_mix_w[lo..hi])
+                    .zip(&self.gconst[lo..hi])
+                {
+                    *ll = w + (gconst - 0.5 * q);
+                }
+            }
+            // log-sum-exp over mixtures, in mixture order.
+            let ll = &ll[..self.mixtures];
             let mut max = f32::NEG_INFINITY;
-            for m in 0..self.mixtures {
-                let ll = self.log_mix_w[wbase + m] + self.log_gaussian(pdf, m, feat);
-                max = max.max(ll);
+            for &l in ll {
+                max = max.max(l);
             }
             let mut sum = 0.0f32;
-            for m in 0..self.mixtures {
-                let ll = self.log_mix_w[wbase + m] + self.log_gaussian(pdf, m, feat);
-                sum += (ll - max).exp();
+            for &l in ll {
+                sum += (l - max).exp();
             }
-            out.push(-(max + sum.ln()));
+            *cost = -(max + sum.ln());
         }
+        out.truncate(self.num_pdfs);
     }
 }
 
@@ -246,9 +295,11 @@ pub fn synthesize_utterance_gmm(
         }
     }
     let mut flat = Vec::with_capacity(alignment.len() * gmm.num_pdfs());
+    let mut row = Vec::new();
     for &pdf in &alignment {
         let feat = gmm.sample_frame(pdf, &mut rng);
-        flat.extend(gmm.frame_costs(&feat));
+        gmm.frame_costs_into(&feat, &mut row);
+        flat.extend_from_slice(&row);
     }
     let scores = AcousticScores::from_flat(flat, gmm.num_pdfs());
     Utterance {
@@ -262,8 +313,151 @@ pub fn synthesize_utterance_gmm(
 mod tests {
     use super::*;
 
+    thread_local! {
+        /// (Gaussian, dimension) inner-loop trips on this thread, fed by
+        /// the kernel and by [`log_gaussian`].
+        static TRIPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    pub(super) fn count_trips(n: usize) {
+        TRIPS.with(|t| t.set(t.get() + n));
+    }
+
+    fn trips_of(f: impl FnOnce()) -> usize {
+        TRIPS.with(|t| t.set(0));
+        f();
+        TRIPS.with(|t| t.get())
+    }
+
+    /// The scalar kernel this module used to score with, kept as the
+    /// reference the lane kernel must match bit for bit: log-likelihood
+    /// of `feat` under one (pdf, mixture) Gaussian, one serial add chain
+    /// over the dimensions.
+    fn log_gaussian(m: &GmmModel, pdf: PdfId, mix: usize, feat: &[f32]) -> f32 {
+        let (cell, lane) = m.cell(pdf as usize - 1, mix);
+        count_trips(m.dim);
+        let mut quad = 0.0f32;
+        for (d, &f) in feat.iter().enumerate().take(m.dim) {
+            let diff = f - m.means[cell + d][lane];
+            quad += diff * diff / m.vars[cell + d][lane];
+        }
+        m.gconst[(pdf as usize - 1) * m.mixtures + mix] - 0.5 * quad
+    }
+
+    /// ... and its log-sum-exp, which evaluated every Gaussian twice:
+    /// once for the max, once for the sum.
+    fn reference_frame_costs(m: &GmmModel, feat: &[f32]) -> Vec<f32> {
+        let mut out = Vec::with_capacity(m.num_pdfs);
+        for pdf in 1..=m.num_pdfs as PdfId {
+            let wbase = (pdf as usize - 1) * m.mixtures;
+            let mut max = f32::NEG_INFINITY;
+            for mix in 0..m.mixtures {
+                let ll = m.log_mix_w[wbase + mix] + log_gaussian(m, pdf, mix, feat);
+                max = max.max(ll);
+            }
+            let mut sum = 0.0f32;
+            for mix in 0..m.mixtures {
+                let ll = m.log_mix_w[wbase + mix] + log_gaussian(m, pdf, mix, feat);
+                sum += (ll - max).exp();
+            }
+            out.push(-(max + sum.ln()));
+        }
+        out
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|c| c.to_bits()).collect()
+    }
+
     fn model(separation: f32) -> GmmModel {
         GmmModel::synthesize(60, 12, 2, separation, 7)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Random shapes (mixture counts on both sides of one and two
+        /// full groups), separations and off-model features: every row
+        /// of the lane kernel equals the scalar reference's bit for bit.
+        #[test]
+        fn kernel_matches_the_scalar_reference_bitwise(
+            num_pdfs in 1usize..12,
+            dim in 1usize..48,
+            mixtures in 1usize..20,
+            separation in 0.05f32..8.0,
+            seed in proptest::any::<u64>(),
+            noise in 0.0f32..4.0,
+        ) {
+            let m = GmmModel::synthesize(num_pdfs, dim, mixtures, separation, seed);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xFEA7);
+            let mut row = vec![f32::NAN; 3]; // stale contents must not leak
+            for t in 0..8 {
+                let mut feat = m.sample_frame((t % num_pdfs) as PdfId + 1, &mut rng);
+                for x in &mut feat {
+                    *x += noise * gauss(&mut rng);
+                }
+                m.frame_costs_into(&feat, &mut row);
+                proptest::prop_assert_eq!(bits(&row), bits(&reference_frame_costs(&m, &feat)));
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_where_every_mixture_underflows() {
+        // Far from every mean `quad` overflows to +inf, each
+        // log-likelihood is -inf and the row is NaN: the same NaN.
+        let m = GmmModel::synthesize(5, 7, 11, 1.0, 3);
+        for scale in [1e3f32, 1e18, 1e30] {
+            let feat = vec![scale; 7];
+            assert_eq!(
+                bits(&m.frame_costs(&feat)),
+                bits(&reference_frame_costs(&m, &feat)),
+                "scale {scale}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_evaluates_each_gaussian_once_and_the_reference_twice() {
+        // 11 mixtures: one full group and one with five padding lanes,
+        // which are computed but are not Gaussians of the model.
+        let m = GmmModel::synthesize(9, 13, 11, 1.0, 5);
+        let feat = vec![0.25; 13];
+        let gaussian_dims = 9 * 11 * 13;
+        assert_eq!(trips_of(|| drop(m.frame_costs(&feat))), gaussian_dims);
+        assert_eq!(
+            trips_of(|| drop(reference_frame_costs(&m, &feat))),
+            2 * gaussian_dims
+        );
+        // `flops_per_frame` bills 4 ops per trip plus 8 per Gaussian.
+        assert_eq!(m.flops_per_frame(), (4 * gaussian_dims + 8 * 9 * 11) as u64);
+    }
+
+    #[test]
+    fn scoring_into_a_warm_buffer_does_not_reallocate() {
+        let m = GmmModel::synthesize(105, 39, 11, 0.1, 1);
+        let mut rng = SmallRng::seed_from_u64(8);
+        let mut row = Vec::new();
+        m.frame_costs_into(&m.sample_frame(1, &mut rng), &mut row);
+        let (ptr, cap) = (row.as_ptr(), row.capacity());
+        for pdf in 1..=20 {
+            m.frame_costs_into(&m.sample_frame(pdf, &mut rng), &mut row);
+            assert_eq!(row.len(), 105);
+            assert_eq!((row.as_ptr(), row.capacity()), (ptr, cap));
+        }
+    }
+
+    #[test]
+    fn padding_lanes_are_inert_and_not_billed() {
+        let m = GmmModel::synthesize(4, 6, 3, 1.0, 2);
+        assert_eq!(m.params_bytes(), (4 * 3 * (2 * 6 + 1) * 4) as u64);
+        for pdf in 0..4 {
+            let (cell, _) = m.cell(pdf, 0);
+            for c in cell..cell + 6 {
+                assert_eq!(m.means[c][3..], [0.0; LANES - 3]);
+                assert_eq!(m.vars[c][3..], [1.0; LANES - 3]);
+            }
+        }
     }
 
     #[test]
@@ -324,7 +518,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let feat = m.sample_frame(2, &mut rng);
         let costs = m.frame_costs(&feat);
-        let direct = -(m.log_mix_w[1] + m.log_gaussian(2, 0, &feat));
+        let direct = -(m.log_mix_w[1] + log_gaussian(&m, 2, 0, &feat));
         assert!((costs[1] - direct).abs() < 1e-4);
         // log weight of a single mixture is ln(1) = 0.
         assert!(m.log_mix_w[1].abs() < 1e-6);

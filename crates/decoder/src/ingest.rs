@@ -83,6 +83,12 @@ pub enum ScoreError {
         /// Width the frame actually had.
         got: usize,
     },
+    /// A feature frame carries NaN or ±inf. Scored, it would turn into
+    /// NaN costs that the search compares and accumulates like numbers.
+    NonFinite {
+        /// Index of the first offending value in the frame.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ScoreError {
@@ -99,6 +105,9 @@ impl std::fmt::Display for ScoreError {
                     f,
                     "frame width mismatch: scorer expects {expected}, got {got}"
                 )
+            }
+            ScoreError::NonFinite { index } => {
+                write!(f, "feature frame is not finite at index {index}")
             }
         }
     }
@@ -121,7 +130,9 @@ impl std::error::Error for ScoreError {}
 ///
 /// Implementations must also never panic on malformed input: width
 /// checks return [`ScoreError::WidthMismatch`], missing capabilities
-/// return [`ScoreError::FeaturesUnsupported`].
+/// return [`ScoreError::FeaturesUnsupported`], and a frontend that does
+/// arithmetic on features refuses NaN and ±inf with
+/// [`ScoreError::NonFinite`].
 ///
 /// (`Debug` is a supertrait so scorer handles can sit inside
 /// `#[derive(Debug)]` scheduler state; derive it.)
@@ -235,6 +246,9 @@ impl AcousticScorer for GmmScorer {
                         got: feat.len(),
                     });
                 }
+                if let Some(index) = feat.iter().position(|v| !v.is_finite()) {
+                    return Err(ScoreError::NonFinite { index });
+                }
                 self.model.frame_costs_into(feat, out);
                 Ok(())
             }
@@ -326,6 +340,28 @@ mod tests {
             s.score_into(&FrameInput::Features(vec![0.0]), &mut out),
             Err(ScoreError::WidthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn gmm_scorer_refuses_non_finite_features() {
+        let s = GmmScorer::new(Arc::new(GmmModel::synthesize(6, 4, 2, 2.5, 77)));
+        let mut out = Vec::new();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut feat = vec![0.5; 4];
+            feat[2] = bad;
+            assert_eq!(
+                s.score_into(&FrameInput::Features(feat), &mut out),
+                Err(ScoreError::NonFinite { index: 2 })
+            );
+        }
+        // The largest finite value is a feature like any other, and a
+        // precomputed row is the client's to vouch for.
+        assert!(s
+            .score_into(&FrameInput::Features(vec![f32::MAX; 4]), &mut out)
+            .is_ok());
+        assert!(s
+            .score_into(&FrameInput::Scores(vec![f32::INFINITY; 6]), &mut out)
+            .is_ok());
     }
 
     #[test]

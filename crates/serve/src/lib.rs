@@ -196,8 +196,9 @@ pub enum ServeError {
     /// The last registered LM cannot be retired — a server always has a
     /// default model.
     LastModel(String),
-    /// The acoustic scorer refused a frame (wrong width, or features
-    /// pushed at a server with no acoustic frontend).
+    /// The acoustic scorer refused a frame (wrong width, NaN or ±inf in
+    /// a feature frame, or features pushed at a server with no acoustic
+    /// frontend).
     Score(SessionId, unfold_decoder::ScoreError),
 }
 

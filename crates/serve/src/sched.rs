@@ -77,9 +77,10 @@ pub struct ServeStats {
     pub frames_dropped: u64,
     /// Leases lost to a panicking worker.
     pub worker_panics: u64,
-    /// Frames that passed through the acoustic scoring stage (every
-    /// frame, in pipelined mode; scorer-evaluated frames only, in
-    /// lockstep mode — precomputed rows skip the scorer there).
+    /// Frames that passed through the acoustic scorer: every frame in
+    /// pipelined mode; in lockstep mode every frame while a scorer is
+    /// bound (precomputed rows are width-checked and copied through it
+    /// like feature frames are scored) and none while there is not.
     pub frames_scored: u64,
     /// Scoring-stage leases served (each one batches frames across
     /// sessions into a single scorer call).
@@ -819,7 +820,8 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
     /// # Errors
     /// Everything [`ServeCore::push_frame`] returns, plus
     /// [`ServeError::Score`] when inline scoring refuses the frame
-    /// (feature frames with no scorer bound, or a width mismatch).
+    /// (feature frames with no scorer bound, a width mismatch, or a
+    /// feature that is not finite).
     pub fn ingest_frame(
         &mut self,
         id: SessionId,

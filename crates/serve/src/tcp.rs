@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use unfold_decoder::{AmSource, LmSource};
+use unfold_decoder::{AmSource, FrameInput, LmSource};
 
 use crate::server::ServeHandle;
 use crate::wire::{read_client, write_server, ClientMsg, ServerMsg};
@@ -121,6 +121,38 @@ fn reject_to_msg(e: ServeError) -> ServerMsg {
     }
 }
 
+/// Answers one chunk of frames, legacy score rows and `FramesV2` alike:
+/// pushes each frame in order and stops at the first one refused (those
+/// before it stay admitted; the reply carries the refusal).
+fn ingest_chunk<A, L>(
+    handle: &ServeHandle<A, L>,
+    session: Option<SessionId>,
+    frames: impl Iterator<Item = FrameInput>,
+) -> ServerMsg
+where
+    A: AmSource + Send + Sync + 'static + ?Sized,
+    L: LmSource + Send + Sync + 'static + ?Sized,
+{
+    let Some(id) = session else {
+        return ServerMsg::Error {
+            msg: "no open session on this connection".into(),
+        };
+    };
+    for frame in frames {
+        if let Err(e) = handle.ingest_frame(id, frame) {
+            return reject_to_msg(e);
+        }
+    }
+    // Closed loop: answer once this chunk has cleared scoring and
+    // search, so the partial reflects it and the client paces itself
+    // to the server.
+    handle.wait_drained(id, DRAIN_TIMEOUT);
+    match handle.stable_partial(id) {
+        Ok(words) => ServerMsg::Partial { words },
+        Err(e) => reject_to_msg(e),
+    }
+}
+
 /// Runs one connection to completion. Client disconnection
 /// mid-session is fine: the session is left to the idle-timeout sweep.
 fn serve_connection<A, L>(stream: TcpStream, handle: &ServeHandle<A, L>) -> io::Result<()>
@@ -167,61 +199,10 @@ where
                 Ok(_) => ServerMsg::Ack,
                 Err(e) => reject_to_msg(e),
             },
-            ClientMsg::Frames(rows) => match session {
-                None => ServerMsg::Error {
-                    msg: "no open session on this connection".into(),
-                },
-                Some(id) => {
-                    let mut err = None;
-                    for row in &rows {
-                        if let Err(e) = handle.push_frame(id, row) {
-                            err = Some(e);
-                            break;
-                        }
-                    }
-                    match err {
-                        Some(e) => reject_to_msg(e),
-                        None => {
-                            // Closed loop: answer once this batch has
-                            // actually been decoded, so the partial
-                            // reflects it and the client paces itself
-                            // to the server.
-                            handle.wait_drained(id, DRAIN_TIMEOUT);
-                            match handle.stable_partial(id) {
-                                Ok(words) => ServerMsg::Partial { words },
-                                Err(e) => reject_to_msg(e),
-                            }
-                        }
-                    }
-                }
-            },
-            ClientMsg::FramesV2(frames) => match session {
-                None => ServerMsg::Error {
-                    msg: "no open session on this connection".into(),
-                },
-                Some(id) => {
-                    let mut err = None;
-                    for frame in frames {
-                        if let Err(e) = handle.ingest_frame(id, frame) {
-                            err = Some(e);
-                            break;
-                        }
-                    }
-                    match err {
-                        Some(e) => reject_to_msg(e),
-                        None => {
-                            // Same closed loop as legacy Frames: answer
-                            // once the batch has cleared *both* stages,
-                            // so the partial reflects it.
-                            handle.wait_drained(id, DRAIN_TIMEOUT);
-                            match handle.stable_partial(id) {
-                                Ok(words) => ServerMsg::Partial { words },
-                                Err(e) => reject_to_msg(e),
-                            }
-                        }
-                    }
-                }
-            },
+            ClientMsg::Frames(rows) => {
+                ingest_chunk(handle, session, rows.into_iter().map(FrameInput::Scores))
+            }
+            ClientMsg::FramesV2(frames) => ingest_chunk(handle, session, frames.into_iter()),
             ClientMsg::Finish => match session.take() {
                 None => ServerMsg::Error {
                     msg: "no open session on this connection".into(),
@@ -435,6 +416,134 @@ mod tests {
         };
         assert_eq!(words, alone.words);
         assert_eq!(cost.to_bits(), alone.cost.to_bits());
+        front.stop();
+        server.shutdown();
+    }
+
+    /// A feature frame carrying NaN or ±inf is refused with a typed
+    /// error at the bad frame: the chunk's earlier frames stay admitted,
+    /// its later ones are never looked at, the connection and session
+    /// keep working, and the ledger counts exactly the admitted frames.
+    #[test]
+    fn non_finite_feature_chunk_is_refused_and_the_connection_stays_usable() {
+        use unfold_am::GmmModel;
+        use unfold_decoder::{GmmScorer, SessionIngest};
+
+        let (lex, am, lm) = setup();
+        let probe = synthesize_utterance(
+            &[3],
+            &lex,
+            HmmTopology::Kaldi3State,
+            &NoiseModel::clean(),
+            1,
+        );
+        let model = Arc::new(GmmModel::synthesize(
+            probe.scores.frame(0).len(),
+            8,
+            2,
+            3.0,
+            41,
+        ));
+        let server = Server::start_multi_with_scorer(
+            ServeConfig {
+                workers: 1,
+                olt_entries: 0,
+                ..Default::default()
+            },
+            am,
+            vec![(crate::sched::DEFAULT_LM.to_string(), lm)],
+            Some(Arc::new(GmmScorer::new(Arc::clone(&model)))),
+        );
+        let handle = server.handle();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let front = TcpFront::start(listener, server.handle()).unwrap();
+        let stream = TcpStream::connect(front.local_addr()).unwrap();
+        let mut rd = R::new(stream.try_clone().unwrap());
+        let mut wr = W::new(stream);
+        write_client(
+            &mut wr,
+            &ClientMsg::Open {
+                lm: None,
+                bias: None,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            read_server(&mut rd).unwrap(),
+            Some(ServerMsg::Opened { .. })
+        ));
+
+        let good = |t: usize| -> FrameInput {
+            FrameInput::Features(
+                (0..model.dim())
+                    .map(|d| ((t * 31 + d * 7) % 13) as f32 * 0.25 - 1.5)
+                    .collect(),
+            )
+        };
+        let mut send = |frames: Vec<FrameInput>| {
+            write_client(&mut wr, &ClientMsg::FramesV2(frames)).unwrap();
+            read_server(&mut rd).unwrap().unwrap()
+        };
+        assert!(matches!(
+            send((0..6).map(good).collect()),
+            ServerMsg::Partial { .. }
+        ));
+        for (round, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            let mut poisoned = good(99).into_values();
+            poisoned[5] = bad;
+            let admitted = 6 + 2 * round;
+            let reply = send(vec![
+                good(admitted),
+                good(admitted + 1),
+                FrameInput::Features(poisoned),
+                good(98),
+            ]);
+            let ServerMsg::Error { msg } = reply else {
+                panic!("expected Error, got {reply:?}");
+            };
+            assert!(msg.contains("not finite at index 5"), "{msg}");
+            assert_eq!(handle.stats().frames_accepted, admitted as u64 + 2);
+        }
+        assert!(matches!(
+            send((12..16).map(good).collect()),
+            ServerMsg::Partial { .. }
+        ));
+        write_client(&mut wr, &ClientMsg::Finish).unwrap();
+        let reply = read_server(&mut rd).unwrap().unwrap();
+        let ServerMsg::Final {
+            words,
+            cost,
+            frames,
+        } = reply
+        else {
+            panic!("expected Final, got {reply:?}");
+        };
+        assert_eq!(frames, 16);
+
+        // The session decoded exactly the sixteen finite frames.
+        let id = handle.open().expect("admit");
+        let mut bound = handle.bind(id);
+        for t in 0..16 {
+            bound.ingest(good(t)).expect("ingest");
+        }
+        bound.finish().expect("finish");
+        let direct = handle
+            .wait_result(id, DRAIN_TIMEOUT)
+            .expect("known")
+            .expect("no timeout");
+        assert_eq!(words, direct.words);
+        assert_eq!(cost.to_bits(), direct.cost.to_bits());
+
+        // Ledger: every accepted frame was decoded, none is queued, in
+        // flight or dropped, and no refused frame was counted as scored.
+        let stats = handle.stats();
+        assert_eq!(stats.frames_accepted, 32);
+        assert_eq!(stats.frames_decoded, 32);
+        assert_eq!(stats.frames_scored, 32);
+        assert_eq!(stats.frames_dropped, 0);
         front.stop();
         server.shutdown();
     }
