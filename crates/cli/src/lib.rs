@@ -48,7 +48,7 @@ use unfold_compress::{load_am, load_lm, save_am, save_lm, Bundle};
 use unfold_decoder::{wer, DecodeConfig, MetricsSink, NullSink, OtfDecoder, TraceSink, WerReport};
 use unfold_serve::{
     run_bias_compare, run_loadgen, run_saturation_sweep, saturation_ladder, BiasCompare, ClientMsg,
-    LoadgenConfig, PipelineCompare, ServeConfig, Server, ServerMsg, TcpFront,
+    LoadgenConfig, ServeConfig, Server, ServerMsg, TcpFront,
 };
 use unfold_sim::AcceleratorConfig;
 
@@ -90,11 +90,6 @@ commands:
            [--workers N] [--capacity N]     ... decode threads (0 = all cores) and
            [--quantum N] [--deadline-ms N]      session slots / scheduler knobs
            [--idle-timeout-ms N] [--olt N]      runs until a client sends Shutdown
-           [--scoring-workers N]            ... enable the two-stage pipeline: N
-                                                threads batch acoustic scoring
-                                                across sessions, the rest search
-           [--scorer-batch N] [--search-lag N]  frames per scoring call / max
-                                                frames search may trail scoring
   loadgen  --task <name>                    closed-loop load test against `serve`
            --addr <ip:port> | --port N | --port-file <file>
            [--sessions N] [--concurrency N]
@@ -111,12 +106,6 @@ commands:
            [--saturate-max N]                   concurrency 1,2,4..N (default 4x
                                                 --concurrency) and record the
                                                 sessions-vs-p99/deadline-miss curve
-           [--compare-pipeline]             ... self-hosted A/B: run the same
-           [--workers N]                        saturation ladder against a
-           [--scoring-workers N]                lockstep and a pipelined server
-           [--scorer-batch N] [--search-lag N]  with equal thread budgets (no
-                                                --addr needed) and record both
-                                                curves + knees in the report
            [--out <file>] [--shutdown]      ... report path (default
                                                 BENCH_serve.json), stop the server
   stats    --addr <ip:port> | --port N | --port-file <file>
@@ -810,23 +799,13 @@ fn cmd_serve(args: &[String]) -> Result<String, Error> {
     let port = flags.usize_or("port", 0)?;
     let port = u16::try_from(port)
         .map_err(|_| Error::Usage(format!("--port {port} is not a TCP port")))?;
-    // Pipeline knobs ride on the base decode config so every session
-    // inherits them; the builder's range checks turn bad flag values
-    // into typed config errors (exit 1) rather than panics.
-    let base = DecodeConfig::builder()
-        .scorer_batch(flags.usize_or("scorer-batch", 8)?)
-        .max_search_lag(flags.usize_or("search-lag", 4)?)
-        .build()?;
-    let scoring_workers = flags.usize_or("scoring-workers", 0)?;
     let config = ServeConfig {
         workers: resolve_jobs(flags.usize_or("workers", 2)?),
-        scoring_workers,
         capacity: flags.usize_or("capacity", 32)?,
         quantum_frames: flags.usize_or("quantum", 16)?,
         deadline_ms: flags.usize_or("deadline-ms", 500)? as u64,
         idle_timeout_ms: flags.usize_or("idle-timeout-ms", 10_000)? as u64,
         olt_entries: flags.usize_or("olt", 1_024)?,
-        base,
         ..Default::default()
     };
     // All origins funnel through the Models facade, so the server hosts
@@ -864,14 +843,9 @@ fn cmd_serve(args: &[String]) -> Result<String, Error> {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "serve: {} on {addr} (LMs: {}{}) — shut down",
+        "serve: {} on {addr} (LMs: {}) — shut down",
         spec.name,
-        lm_names.join(", "),
-        if scoring_workers > 0 {
-            format!("; pipelined, {scoring_workers} scoring workers")
-        } else {
-            String::new()
-        }
+        lm_names.join(", ")
     );
     s.push_str(&handle.obs_markdown());
     Ok(s)
@@ -902,83 +876,10 @@ fn loadgen_addr(flags: &Flags) -> Result<SocketAddr, Error> {
     Ok(SocketAddr::from(([127, 0, 0, 1], port)))
 }
 
-/// Self-hosted lockstep-vs-pipelined comparison: starts two in-process
-/// servers from the same models with equal total thread budgets —
-/// lockstep spends every thread on search (`scoring_workers == 0`),
-/// pipelined splits them into search and scoring stages — walks the
-/// same saturation ladder against each, and returns the pipelined
-/// server's main-run report plus the comparison block for
-/// `BENCH_serve.json`.
-fn run_pipeline_compare(
-    system: &System,
-    utts: &[Vec<Vec<f32>>],
-    cfg: &LoadgenConfig,
-    ladder: &[usize],
-    total_workers: usize,
-    scoring_workers: usize,
-    base: DecodeConfig,
-) -> Result<(unfold_serve::LoadgenReport, PipelineCompare), Error> {
-    let models = Models::from_system(system);
-    let am: Arc<AmModel> = Arc::new(models.am().clone());
-    let lms: Vec<(String, Arc<LmModel>)> = models
-        .lm_names()
-        .iter()
-        .map(|&name| {
-            let lm = models.lm(name).expect("listed name resolves");
-            (name.to_string(), Arc::new(lm.clone()))
-        })
-        .collect();
-    let start = |scoring: usize| -> Result<(Server<AmModel, LmModel>, TcpFront), Error> {
-        let config = ServeConfig {
-            workers: total_workers - scoring,
-            scoring_workers: scoring,
-            base,
-            ..Default::default()
-        };
-        let server = Server::start_multi(config, am.clone(), lms.clone());
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let front = TcpFront::start(listener, server.handle())?;
-        Ok((server, front))
-    };
-    // The sweep's last rung sends Shutdown, which is what unblocks each
-    // front's accept loop.
-    let sweep_cfg = LoadgenConfig {
-        shutdown_after: true,
-        scrape_every_ms: 0,
-        ..cfg.clone()
-    };
-
-    let (lockstep_srv, lockstep_front) = start(0)?;
-    let lockstep = run_saturation_sweep(lockstep_front.local_addr(), utts, &sweep_cfg, ladder)?;
-    lockstep_front.join();
-    lockstep_srv.shutdown();
-
-    let (pipelined_srv, pipelined_front) = start(scoring_workers)?;
-    let main_cfg = LoadgenConfig {
-        shutdown_after: false,
-        ..cfg.clone()
-    };
-    let report = run_loadgen(pipelined_front.local_addr(), utts, &main_cfg)?;
-    let pipelined = run_saturation_sweep(pipelined_front.local_addr(), utts, &sweep_cfg, ladder)?;
-    pipelined_front.join();
-    pipelined_srv.shutdown();
-
-    Ok((
-        report,
-        PipelineCompare {
-            lockstep,
-            pipelined,
-            lockstep_cores: total_workers,
-            pipelined_cores: total_workers,
-            modeled_scoring: Vec::new(),
-        },
-    ))
-}
-
 fn cmd_loadgen(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &["shutdown", "saturate", "compare-pipeline"])?;
+    let flags = Flags::parse(args, &["shutdown", "saturate"])?;
     let spec = task_by_name(flags.require("task")?)?;
-    let compare_pipeline = flags.has("compare-pipeline");
+    let addr = loadgen_addr(&flags)?;
     let saturate = flags.has("saturate");
     let cfg = LoadgenConfig {
         sessions: flags.usize_or("sessions", 16)?,
@@ -1007,82 +908,28 @@ fn cmd_loadgen(args: &[String]) -> Result<String, Error> {
                 .collect()
         })
         .collect();
-    let mut s = String::new();
-    let mut bias: Option<BiasCompare> = None;
-    let mut sweep = Vec::new();
-    let mut pipeline: Option<PipelineCompare> = None;
-    let report = if compare_pipeline {
-        // Self-hosted A/B: no external server; both servers get the
-        // same total thread budget so the knee comparison is per-core.
-        let max = flags.usize_or("saturate-max", cfg.concurrency.max(1) * 4)?;
-        let total = resolve_jobs(flags.usize_or("workers", 4)?);
-        let scoring = flags.usize_or("scoring-workers", (total / 2).max(1))?;
-        if scoring == 0 || scoring >= total {
-            return Err(Error::Usage(format!(
-                "--scoring-workers {scoring} must be in 1..{total} (--workers)"
-            )));
-        }
-        let base = DecodeConfig::builder()
-            .scorer_batch(flags.usize_or("scorer-batch", 8)?)
-            .max_search_lag(flags.usize_or("search-lag", 4)?)
-            .build()?;
-        let (report, mut compare) = run_pipeline_compare(
-            &system,
-            &utts,
-            &cfg,
-            &saturation_ladder(max),
-            total,
-            scoring,
-            base,
-        )?;
-        // The analytic amortization curve gives the measured knees
-        // context: how much a scoring batch should save per frame.
-        const LAUNCH_OVERHEAD_US: f64 = 25.0;
-        compare.modeled_scoring = [1usize, 2, 4, 8, 16, 32]
-            .iter()
-            .map(|&b| {
-                (
-                    b,
-                    unfold_sim::modeled_us_per_frame(
-                        &unfold_sim::GpuModel::default(),
-                        &spec.backend,
-                        LAUNCH_OVERHEAD_US,
-                        b,
-                    ),
-                )
-            })
-            .collect();
-        let _ = writeln!(s, "loadgen: {} self-hosted pipeline compare", spec.name);
-        pipeline = Some(compare);
-        report
+    // With biased users requested, run an unbiased control pass first at
+    // the same load, so the report carries the marginal cost of
+    // personalization (latency and RSS) rather than absolute numbers.
+    let (report, bias): (_, Option<BiasCompare>) = if cfg.bias_users > 0 {
+        let (report, compare) = run_bias_compare(addr, &utts, &cfg)?;
+        (report, Some(compare))
     } else {
-        let addr = loadgen_addr(&flags)?;
-        let _ = writeln!(s, "loadgen: {} against {addr}", spec.name);
-        // With biased users requested, run an unbiased control pass
-        // first at the same load, so the report carries the marginal
-        // cost of personalization (latency and RSS) rather than
-        // absolute numbers.
-        let report = if cfg.bias_users > 0 {
-            let (report, compare) = run_bias_compare(addr, &utts, &cfg)?;
-            bias = Some(compare);
-            report
-        } else {
-            run_loadgen(addr, &utts, &cfg)?
-        };
-        if saturate {
-            let max = flags.usize_or("saturate-max", cfg.concurrency.max(1) * 4)?;
-            let base = LoadgenConfig {
-                shutdown_after: flags.has("shutdown"),
-                ..cfg.clone()
-            };
-            sweep = run_saturation_sweep(addr, &utts, &base, &saturation_ladder(max))?;
-        }
-        report
+        (run_loadgen(addr, &utts, &cfg)?, None)
     };
-    std::fs::write(
-        out,
-        report.to_json_full(&sweep, bias.as_ref(), pipeline.as_ref()),
-    )?;
+    let sweep = if saturate {
+        let max = flags.usize_or("saturate-max", cfg.concurrency.max(1) * 4)?;
+        let base = LoadgenConfig {
+            shutdown_after: flags.has("shutdown"),
+            ..cfg.clone()
+        };
+        run_saturation_sweep(addr, &utts, &base, &saturation_ladder(max))?
+    } else {
+        Vec::new()
+    };
+    std::fs::write(out, report.to_json_document(&sweep, bias.as_ref()))?;
+    let mut s = String::new();
+    let _ = writeln!(s, "loadgen: {} against {addr}", spec.name);
     let _ = writeln!(
         s,
         "sessions: {} requested, {} completed, {} rejected, {} errors ({:.2}/s)",
@@ -1146,20 +993,6 @@ fn cmd_loadgen(args: &[String]) -> Result<String, Error> {
             p.p99_final_ms,
             p.deadline_miss_delta
         );
-    }
-    if let Some(pc) = &pipeline {
-        for (label, knee) in [
-            ("lockstep ", pc.lockstep_knee()),
-            ("pipelined", pc.pipelined_knee()),
-        ] {
-            if let Some(k) = knee {
-                let _ = writeln!(
-                    s,
-                    "{label} knee: c={:>3}  {:.2} sessions/s  {:.3} sessions/core-s",
-                    k.concurrency, k.sessions_per_sec, k.sessions_per_core_sec
-                );
-            }
-        }
     }
     if let Some(path) = flags.get("flight-out") {
         std::fs::write(path, &report.flight_jsonl)?;
@@ -1744,14 +1577,6 @@ mod tests {
                 &pf,
                 "--workers",
                 "2",
-                // Two-stage pipeline on, so the roundtrip exercises
-                // scoring-stage gauges and the wire path end to end.
-                "--scoring-workers",
-                "1",
-                "--scorer-batch",
-                "4",
-                "--search-lag",
-                "2",
             ]))
         });
         // Wait (bounded) for serve to publish its ephemeral port.
@@ -1767,16 +1592,13 @@ mod tests {
         let stats = run(&sv(&["stats", "--port-file", port_file.to_str().unwrap()])).unwrap();
         assert!(stats.contains("serve.sessions_opened"), "in:\n{stats}");
         assert!(stats.contains("serve.frames_accepted"), "in:\n{stats}");
-        // The pipeline's queue-depth and stage-occupancy gauges are in
-        // the table from the start, and NaN gauges render as a dash.
-        for gauge in [
-            "serve.queue_raw_frames",
-            "serve.queue_scored_frames",
-            "serve.stage_scoring_occupancy",
-            "serve.stage_search_occupancy",
-        ] {
-            assert!(stats.contains(gauge), "missing {gauge} in:\n{stats}");
-        }
+        // The occupancy gauge is in the table from the start, and NaN
+        // gauges (`serve.olt_hit_rate` before any probe) render as a
+        // dash.
+        assert!(
+            stats.contains("serve.stage_search_occupancy"),
+            "in:\n{stats}"
+        );
         assert!(
             !stats.contains("NaN"),
             "NaN leaked into the table:\n{stats}"
@@ -1841,9 +1663,7 @@ mod tests {
             "\"serve.deadline_misses\"",
             "\"saturation\": [",
             "\"deadline_miss_delta\"",
-            // The pipelined server scored every accepted frame.
             "\"serve.frames_scored\"",
-            "\"serve.score_batches\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
@@ -1863,65 +1683,6 @@ mod tests {
         let served = server.join().unwrap().unwrap();
         assert!(served.contains("shut down"), "in:\n{served}");
         assert!(served.contains("serve.finals"), "in:\n{served}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn loadgen_compare_pipeline_is_self_hosted_and_reports_knees() {
-        let dir = std::env::temp_dir().join(format!("unfold-pipe-cli-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_serve.json");
-        // No --addr/--port: the compare starts its own pair of servers.
-        let report = run(&sv(&[
-            "loadgen",
-            "--task",
-            "tiny",
-            "--compare-pipeline",
-            "--sessions",
-            "2",
-            "--concurrency",
-            "1",
-            "--utterances",
-            "1",
-            "--saturate-max",
-            "2",
-            "--workers",
-            "2",
-            "--scoring-workers",
-            "1",
-            "--out",
-            out.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(report.contains("pipeline compare"), "in:\n{report}");
-        assert!(report.contains("lockstep  knee:"), "in:\n{report}");
-        assert!(report.contains("pipelined knee:"), "in:\n{report}");
-
-        let json = std::fs::read_to_string(&out).unwrap();
-        for key in [
-            "\"pipeline\": {",
-            "\"lockstep_cores\": 2",
-            "\"pipelined_cores\": 2",
-            "\"lockstep_knee\"",
-            "\"pipelined_knee\"",
-            "\"sessions_per_core_sec\"",
-            "\"modeled_scoring_us_per_frame\": [{\"batch\": 1,",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        // A bad split is a usage error, not a hang.
-        let err = run(&sv(&[
-            "loadgen",
-            "--task",
-            "tiny",
-            "--compare-pipeline",
-            "--workers",
-            "2",
-            "--scoring-workers",
-            "2",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, Error::Usage(_)), "{err:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -80,28 +80,7 @@ pub struct DecodeConfig {
     /// the lattice enabled); plain 1-best decoding ignores it entirely,
     /// so it can never perturb search output.
     pub lattice_beam: f32,
-    /// Upper bound on how many frames the pipelined scoring stage may
-    /// batch into one acoustic-scorer call (across sessions, in the
-    /// serve scheduler). Scoring is a pure per-frame function, so the
-    /// batch size never changes decode output — only amortization of
-    /// per-call overhead. Must be in `1..=MAX_SCORER_BATCH`. Ignored by
-    /// lockstep (non-pipelined) decoding.
-    pub scorer_batch: usize,
-    /// How many scored-but-not-yet-searched frames a pipelined session
-    /// may hold (the SPSC scored-frame queue depth). 0 means strictly
-    /// synchronous hand-off (the search stage consumes each frame
-    /// before the next is scored); larger values let scoring run ahead.
-    /// Search always consumes frames in push order, so the lag bound
-    /// never changes decode output. Must be `<= MAX_SEARCH_LAG`.
-    /// Ignored by lockstep (non-pipelined) decoding.
-    pub max_search_lag: usize,
 }
-
-/// Largest accepted [`DecodeConfig::scorer_batch`].
-pub const MAX_SCORER_BATCH: usize = 4_096;
-
-/// Largest accepted [`DecodeConfig::max_search_lag`].
-pub const MAX_SEARCH_LAG: usize = 4_096;
 
 impl Default for DecodeConfig {
     fn default() -> Self {
@@ -113,8 +92,6 @@ impl Default for DecodeConfig {
             bias_cache_entries: 256,
             kernel: DecodeKernel::default(),
             lattice_beam: 8.0,
-            scorer_batch: 8,
-            max_search_lag: 4,
         }
     }
 }
@@ -154,14 +131,6 @@ pub enum ConfigError {
     /// Lattice beam must be finite and strictly positive (a zero or
     /// negative lattice beam would prune the Viterbi path itself).
     BadLatticeBeam(f32),
-    /// `scorer_batch` of zero would starve the scoring stage.
-    ZeroScorerBatch,
-    /// `scorer_batch` above [`MAX_SCORER_BATCH`] (an unbounded batch
-    /// defeats the bounded-queue memory argument).
-    ScorerBatchTooLarge(usize),
-    /// `max_search_lag` above [`MAX_SEARCH_LAG`] (an unbounded lag
-    /// defeats the bounded-queue memory argument).
-    SearchLagTooLarge(usize),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -179,13 +148,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadLatticeBeam(b) => {
                 write!(f, "lattice_beam must be finite and > 0, got {b}")
-            }
-            ConfigError::ZeroScorerBatch => write!(f, "scorer_batch must be > 0"),
-            ConfigError::ScorerBatchTooLarge(n) => {
-                write!(f, "scorer_batch must be <= {MAX_SCORER_BATCH}, got {n}")
-            }
-            ConfigError::SearchLagTooLarge(n) => {
-                write!(f, "max_search_lag must be <= {MAX_SEARCH_LAG}, got {n}")
             }
         }
     }
@@ -245,20 +207,6 @@ impl DecodeConfigBuilder {
         self
     }
 
-    /// Scoring-stage batch cap for pipelined decoding (must be in
-    /// `1..=`[`MAX_SCORER_BATCH`]).
-    pub fn scorer_batch(mut self, frames: usize) -> Self {
-        self.cfg.scorer_batch = frames;
-        self
-    }
-
-    /// Scored-frame queue depth for pipelined decoding (0 = strictly
-    /// synchronous; must be `<=` [`MAX_SEARCH_LAG`]).
-    pub fn max_search_lag(mut self, frames: usize) -> Self {
-        self.cfg.max_search_lag = frames;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -279,15 +227,6 @@ impl DecodeConfigBuilder {
         }
         if !c.lattice_beam.is_finite() || c.lattice_beam <= 0.0 {
             return Err(ConfigError::BadLatticeBeam(c.lattice_beam));
-        }
-        if c.scorer_batch == 0 {
-            return Err(ConfigError::ZeroScorerBatch);
-        }
-        if c.scorer_batch > MAX_SCORER_BATCH {
-            return Err(ConfigError::ScorerBatchTooLarge(c.scorer_batch));
-        }
-        if c.max_search_lag > MAX_SEARCH_LAG {
-            return Err(ConfigError::SearchLagTooLarge(c.max_search_lag));
         }
         Ok(c)
     }
@@ -459,49 +398,6 @@ mod tests {
             .is_ok());
         // OLT 0 = disabled is valid.
         assert!(DecodeConfig::builder().olt_entries(0).build().is_ok());
-    }
-
-    #[test]
-    fn builder_validates_pipeline_knobs() {
-        let c = DecodeConfig::builder()
-            .scorer_batch(32)
-            .max_search_lag(0)
-            .build()
-            .unwrap();
-        assert_eq!(c.scorer_batch, 32);
-        assert_eq!(c.max_search_lag, 0);
-        // Edge of the accepted ranges.
-        assert!(DecodeConfig::builder()
-            .scorer_batch(MAX_SCORER_BATCH)
-            .max_search_lag(MAX_SEARCH_LAG)
-            .build()
-            .is_ok());
-        assert_eq!(
-            DecodeConfig::builder().scorer_batch(0).build(),
-            Err(ConfigError::ZeroScorerBatch)
-        );
-        assert_eq!(
-            DecodeConfig::builder()
-                .scorer_batch(MAX_SCORER_BATCH + 1)
-                .build(),
-            Err(ConfigError::ScorerBatchTooLarge(MAX_SCORER_BATCH + 1))
-        );
-        assert_eq!(
-            DecodeConfig::builder()
-                .max_search_lag(MAX_SEARCH_LAG + 1)
-                .build(),
-            Err(ConfigError::SearchLagTooLarge(MAX_SEARCH_LAG + 1))
-        );
-        // Every new error renders a message naming the field.
-        assert!(ConfigError::ZeroScorerBatch
-            .to_string()
-            .contains("scorer_batch"));
-        assert!(ConfigError::ScorerBatchTooLarge(9_999)
-            .to_string()
-            .contains("9999"));
-        assert!(ConfigError::SearchLagTooLarge(9_999)
-            .to_string()
-            .contains("max_search_lag"));
     }
 
     #[test]

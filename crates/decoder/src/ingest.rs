@@ -1,29 +1,14 @@
 //! The unified frame-ingest surface.
 //!
-//! Before this module the codebase grew three divergent ways to hand a
-//! frame to a decoder: `OtfStream::push_frame(costs)` took a borrowed
-//! score row, `StreamSession::push_frame` took the same row plus the
-//! models and a scratch, and the serve wire protocol shipped raw score
-//! rows in its own `Frames` message. None of them could carry anything
-//! *other* than precomputed scores, which blocked the paper's §5.2
-//! batch pipeline: the GPU scores features for batch *i+1* while the
-//! accelerator searches batch *i*, so the serving layer must accept
-//! **features** and own the scoring step.
-//!
-//! [`FrameInput`] is the one currency all ingest paths now speak — a
-//! frame is either a precomputed score row or a raw feature vector.
-//! [`AcousticScorer`] turns either into a score row: the scoring stage
-//! of the pipelined scheduler batches calls to it across sessions, and
-//! because scoring is a *pure per-frame function* (no state carried
-//! between frames), neither the batch size nor the stage boundary can
-//! change what the search stage sees — the foundation of the
-//! pipelined-equals-lockstep bit-identity guarantee pinned by the
-//! `pipeline-identity` verify check.
-//!
-//! [`SessionIngest`] is the trait every session-shaped ingest surface
-//! implements ([`crate::OtfStream`] here, the serve handle's bound
-//! session in `unfold-serve`), so callers generic over "somewhere to
-//! push frames" stop caring which layer they talk to.
+//! [`FrameInput`] is the one currency every ingest path speaks
+//! ([`crate::StreamSession::ingest_frame`],
+//! [`crate::OtfStream::ingest_with`], the serve layer's
+//! `ingest_frame`, the `FramesV2` wire message): a frame is either a
+//! precomputed score row or a raw feature vector. [`AcousticScorer`]
+//! turns either into a score row. Scoring is a *pure per-frame
+//! function* (no state carried between frames), so one scorer can be
+//! shared by any number of interleaved sessions without changing what
+//! any of them decodes.
 
 use std::sync::Arc;
 use unfold_am::GmmModel;
@@ -37,7 +22,7 @@ pub enum FrameInput {
     /// A precomputed score row: `scores[pdf - 1]` is the acoustic cost
     /// (negative log-likelihood) of PDF `pdf` on this frame.
     Scores(Vec<f32>),
-    /// A raw feature vector; the scoring stage derives the score row.
+    /// A raw feature vector; an [`AcousticScorer`] derives the score row.
     Features(Vec<f32>),
 }
 
@@ -121,12 +106,12 @@ impl std::error::Error for ScoreError {}
 ///
 /// An implementation must be a **pure per-frame function**: the row
 /// written for a frame depends only on that frame's contents, never on
-/// call order, batch grouping, or frames scored before it. The
-/// pipelined scheduler relies on this to batch scoring across sessions
-/// while keeping search output bit-identical to lockstep decoding —
-/// a stateful scorer would break the `pipeline-identity` guarantee.
-/// (Accumulating *telemetry* — modeled busy time, frame counts — is
-/// fine; the rows themselves must be history-free.)
+/// call order or frames scored before it. The serve layer shares one
+/// scorer across every interleaved session and relies on this to keep
+/// each session's output bit-identical to a standalone decode — a
+/// stateful scorer leaks one session's frames into another's rows.
+/// (Accumulating *telemetry* — busy time, frame counts — is fine; the
+/// rows themselves must be history-free.)
 ///
 /// Implementations must also never panic on malformed input: width
 /// checks return [`ScoreError::WidthMismatch`], missing capabilities
@@ -143,22 +128,6 @@ pub trait AcousticScorer: Send + Sync + std::fmt::Debug {
     /// Scores one frame into `out` (cleared and refilled with exactly
     /// [`AcousticScorer::num_pdfs`] costs).
     fn score_into(&self, frame: &FrameInput, out: &mut Vec<f32>) -> Result<(), ScoreError>;
-
-    /// Scores a batch of frames. The default loops [`score_into`]
-    /// (scoring is per-frame pure, so this is always correct);
-    /// implementations override it only to amortize per-call overhead,
-    /// never to change the rows.
-    ///
-    /// [`score_into`]: AcousticScorer::score_into
-    fn score_batch(&self, frames: &[FrameInput]) -> Result<Vec<Vec<f32>>, ScoreError> {
-        let mut rows = Vec::with_capacity(frames.len());
-        for frame in frames {
-            let mut row = Vec::new();
-            self.score_into(frame, &mut row)?;
-            rows.push(row);
-        }
-        Ok(rows)
-    }
 }
 
 /// The passthrough scorer: accepts precomputed score rows of a fixed
@@ -256,19 +225,6 @@ impl AcousticScorer for GmmScorer {
     }
 }
 
-/// A session-shaped surface frames flow into. Implemented by
-/// [`crate::OtfStream`] (single-session, models pinned) and by the
-/// serve layer's bound session handle; generic producers (the wire
-/// front-end, load generators, tests) push [`FrameInput`]s without
-/// caring which layer sits underneath.
-pub trait SessionIngest {
-    /// Why a frame was refused (queue full, scoring failure, …).
-    type Error: std::error::Error;
-
-    /// Consumes one frame.
-    fn ingest(&mut self, frame: FrameInput) -> Result<(), Self::Error>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,23 +254,6 @@ mod tests {
             s.score_into(&FrameInput::Features(vec![1.0, 2.0, 3.0]), &mut out),
             Err(ScoreError::FeaturesUnsupported)
         );
-    }
-
-    #[test]
-    fn default_batch_equals_per_frame_scoring() {
-        let s = PrecomputedScorer::new(2);
-        let frames = vec![
-            FrameInput::Scores(vec![1.0, 2.0]),
-            FrameInput::Scores(vec![3.0, 4.0]),
-        ];
-        let rows = s.score_batch(&frames).unwrap();
-        assert_eq!(rows, vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        // A bad frame anywhere fails the whole batch with the typed error.
-        let bad = vec![
-            FrameInput::Scores(vec![1.0, 2.0]),
-            FrameInput::Features(vec![0.0]),
-        ];
-        assert_eq!(s.score_batch(&bad), Err(ScoreError::FeaturesUnsupported));
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod lattice;
 pub mod metrics;
 pub mod olt;
 pub mod otf;
-pub mod pipeline;
 pub mod record;
 pub mod scratch;
 pub(crate) mod search;
@@ -56,17 +55,13 @@ pub mod wer;
 
 pub use config::{
     ConfigError, DecodeConfig, DecodeConfigBuilder, DecodeKernel, DecodeResult, DecodeStats,
-    MAX_SCORER_BATCH, MAX_SEARCH_LAG,
 };
 pub use full::FullyComposedDecoder;
-pub use ingest::{
-    AcousticScorer, FrameInput, GmmScorer, PrecomputedScorer, ScoreError, SessionIngest,
-};
+pub use ingest::{AcousticScorer, FrameInput, GmmScorer, PrecomputedScorer, ScoreError};
 pub use lattice::{Lattice, LatticeArc, LatticeNode, WordHyp, WordLattice};
 pub use metrics::{MetricsSink, TeeSink};
 pub use olt::SoftOlt;
 pub use otf::OtfDecoder;
-pub use pipeline::decode_pipelined;
 pub use record::{TraceEvent, TraceRecorder};
 pub use scratch::{validate_models, DecodeScratch, SessionScratch, WorkScratch};
 pub use sources::{

@@ -25,7 +25,7 @@
 //! paper asserts.
 
 use crate::config::{DecodeConfig, DecodeResult, DecodeStats};
-use crate::ingest::{AcousticScorer, FrameInput, ScoreError, SessionIngest};
+use crate::ingest::{AcousticScorer, FrameInput, ScoreError};
 use crate::lattice::WordLattice;
 use crate::otf;
 use crate::scratch::{SessionScratch, WorkScratch};
@@ -294,7 +294,7 @@ pub struct OtfStream<'a, A: AmSource + ?Sized, L: LmSource + ?Sized> {
 impl<'a, A: AmSource + ?Sized, L: LmSource + ?Sized> OtfStream<'a, A, L> {
     /// Starts a decode: seeds the start token and runs the initial
     /// non-emitting closure. The stream has no acoustic frontend, so
-    /// [`SessionIngest::ingest`] accepts only precomputed score rows;
+    /// [`OtfStream::ingest_with`] accepts only precomputed score rows;
     /// use [`OtfStream::with_scorer`] to accept feature frames too.
     pub fn new(config: DecodeConfig, am: &'a A, lm: &'a L, sink: &mut dyn TraceSink) -> Self {
         let mut work = WorkScratch::new();
@@ -325,8 +325,7 @@ impl<'a, A: AmSource + ?Sized, L: LmSource + ?Sized> OtfStream<'a, A, L> {
     }
 
     /// The underlying [`StreamSession`] — the single home of the
-    /// partial-result, stable-prefix, and stats logic the deprecated
-    /// forwarding accessors used to duplicate.
+    /// partial-result, stable-prefix, and stats logic.
     pub fn session(&self) -> &StreamSession {
         &self.session
     }
@@ -351,8 +350,7 @@ impl<'a, A: AmSource + ?Sized, L: LmSource + ?Sized> OtfStream<'a, A, L> {
     }
 
     /// Consumes one [`FrameInput`], emitting trace events to `sink`.
-    /// Equivalent to the [`SessionIngest`] impl but with an explicit
-    /// sink. Feature frames require [`OtfStream::with_scorer`];
+    /// Feature frames require [`OtfStream::with_scorer`];
     /// precomputed rows always work and take the exact
     /// [`OtfStream::push_frame`] path.
     ///
@@ -379,27 +377,6 @@ impl<'a, A: AmSource + ?Sized, L: LmSource + ?Sized> OtfStream<'a, A, L> {
         }
     }
 
-    /// The best word sequence decodable *right now*; forwarded
-    /// verbatim from the session.
-    #[deprecated(note = "use `session().partial_result()`")]
-    pub fn partial_result(&self) -> Vec<unfold_lm::WordId> {
-        self.session.partial_result()
-    }
-
-    /// The longest word prefix shared by all live hypotheses; forwarded
-    /// verbatim from the session.
-    #[deprecated(note = "use `session().partial_stable_prefix()`")]
-    pub fn partial_stable_prefix(&self) -> Vec<unfold_lm::WordId> {
-        self.session.partial_stable_prefix()
-    }
-
-    /// Search statistics accumulated so far; forwarded verbatim from
-    /// the session.
-    #[deprecated(note = "use `session().stats()`")]
-    pub fn stats(&self) -> &DecodeStats {
-        self.session.stats()
-    }
-
     /// Finishes the decode and returns the result.
     pub fn finish(self) -> DecodeResult {
         self.finish_with(&mut crate::trace::NullSink)
@@ -410,14 +387,6 @@ impl<'a, A: AmSource + ?Sized, L: LmSource + ?Sized> OtfStream<'a, A, L> {
     /// get a complete stage profile).
     pub fn finish_with(self, sink: &mut dyn TraceSink) -> DecodeResult {
         self.session.finalize(self.am, sink)
-    }
-}
-
-impl<A: AmSource + ?Sized, L: LmSource + ?Sized> SessionIngest for OtfStream<'_, A, L> {
-    type Error = ScoreError;
-
-    fn ingest(&mut self, frame: FrameInput) -> Result<(), Self::Error> {
-        self.ingest_with(&frame, &mut crate::trace::NullSink)
     }
 }
 
@@ -743,14 +712,15 @@ mod tests {
         let cfg = DecodeConfig::default();
         let batch = OtfDecoder::new(cfg).decode(&am, &lm, &utt.scores, &mut NullSink);
 
-        // Through the SessionIngest trait on OtfStream (no scorer).
+        // Through OtfStream::ingest_with (no scorer).
         let mut stream = OtfStream::new(cfg, &am, &lm, &mut NullSink);
         for t in 0..utt.scores.num_frames() {
-            crate::ingest::SessionIngest::ingest(
-                &mut stream,
-                FrameInput::Scores(utt.scores.frame(t).to_vec()),
-            )
-            .unwrap();
+            stream
+                .ingest_with(
+                    &FrameInput::Scores(utt.scores.frame(t).to_vec()),
+                    &mut NullSink,
+                )
+                .unwrap();
         }
         let streamed = stream.finish();
         assert_eq!(batch.words, streamed.words);
@@ -836,29 +806,6 @@ mod tests {
             Err(ScoreError::FeaturesUnsupported)
         );
         assert_eq!(stream.frames_pushed(), before);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_accessors_still_forward_to_the_session() {
-        let (lex, am, lm) = setup();
-        let utt = synthesize_utterance(
-            &[7, 11],
-            &lex,
-            HmmTopology::Kaldi3State,
-            &NoiseModel::default(),
-            3,
-        );
-        let mut stream = OtfStream::new(DecodeConfig::default(), &am, &lm, &mut NullSink);
-        for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut NullSink);
-        }
-        assert_eq!(stream.partial_result(), stream.session().partial_result());
-        assert_eq!(
-            stream.partial_stable_prefix(),
-            stream.session().partial_stable_prefix()
-        );
-        assert_eq!(stream.stats(), stream.session().stats());
     }
 
     #[test]

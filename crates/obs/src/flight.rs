@@ -41,9 +41,6 @@ pub enum FlightKind {
     Final,
     /// A worker panicked mid-lease. **Trigger**: freezes the dump.
     WorkerPanic,
-    /// Scoring-stage batch leased; `slack_ms` = sessions in the batch,
-    /// `value` = frames in the batch.
-    ScoreBatch,
 }
 
 impl FlightKind {
@@ -58,7 +55,6 @@ impl FlightKind {
             FlightKind::Evict => "evict",
             FlightKind::Final => "final",
             FlightKind::WorkerPanic => "worker_panic",
-            FlightKind::ScoreBatch => "score_batch",
         }
     }
 
@@ -73,7 +69,6 @@ impl FlightKind {
             "evict" => FlightKind::Evict,
             "final" => FlightKind::Final,
             "worker_panic" => FlightKind::WorkerPanic,
-            "score_batch" => FlightKind::ScoreBatch,
             _ => return None,
         })
     }

@@ -49,18 +49,17 @@ pub mod wire;
 
 pub use loadgen::{
     run_bias_compare, run_loadgen, run_saturation_sweep, saturation_ladder, sweep_knee,
-    BiasCompare, KneePoint, LatencyMs, LoadgenConfig, LoadgenReport, PipelineCompare,
-    SaturationPoint,
+    BiasCompare, KneePoint, LatencyMs, LoadgenConfig, LoadgenReport, SaturationPoint,
 };
-pub use sched::{Lease, ScoreLease, ServeCore, ServeStats, DEFAULT_LM};
-pub use server::{BoundSession, ServeHandle, Server};
+pub use sched::{Lease, ServeCore, ServeStats, DEFAULT_LM};
+pub use server::{ServeHandle, Server};
 pub use session::{SessionId, SessionPhase, SessionView};
 pub use tcp::TcpFront;
 pub use wire::{ClientMsg, ServerMsg};
 
 // The decoder's unified frame-ingest vocabulary, re-exported so serve
 // callers need not depend on `unfold-decoder` directly.
-pub use unfold_decoder::{AcousticScorer, FrameInput, ScoreError, SessionIngest};
+pub use unfold_decoder::{AcousticScorer, FrameInput, ScoreError};
 
 use unfold_decoder::DecodeConfig;
 
@@ -79,18 +78,13 @@ pub struct ServeConfig {
     /// Maximum concurrent sessions (table slots). Admission beyond this
     /// is refused with [`RejectReason::AtCapacity`].
     pub capacity: usize,
-    /// Worker threads in the threaded [`Server`] (min 1). With the
-    /// pipeline enabled these run the *search* stage only.
+    /// Worker threads in the threaded [`Server`] (min 1).
     pub workers: usize,
-    /// Scoring-stage worker threads. 0 (the default) disables the
-    /// two-stage pipeline: frames are scored inline at ingest and the
-    /// server behaves exactly as before. Non-zero splits workers into
-    /// scoring and search roles: ingest lands frames in per-session
-    /// raw queues, scoring workers batch them (across sessions, up to
-    /// [`DecodeConfig::scorer_batch`] frames per call) through the
-    /// server's [`unfold_decoder::AcousticScorer`], and search
-    /// consumes the scored rows at most
-    /// [`DecodeConfig::max_search_lag`] frames behind.
+    // Vestige: nothing reads this field. It exists only because the
+    // frozen harness writes `scoring_workers: 0` in a `ServeConfig`
+    // struct literal (benchmark/src/api.rs), and goes when a
+    // `benchmark` PR drops that line.
+    #[doc(hidden)]
     pub scoring_workers: usize,
     /// Frames a worker decodes per lease before requeueing the session
     /// — the scheduling quantum.

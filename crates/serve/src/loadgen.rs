@@ -213,19 +213,6 @@ impl LoadgenReport {
         sweep: &[SaturationPoint],
         bias: Option<&BiasCompare>,
     ) -> String {
-        self.to_json_full(sweep, bias, None)
-    }
-
-    /// The widest document: saturation sweep, bias A/B block, and the
-    /// lockstep-vs-pipelined comparison (see [`PipelineCompare`]). Every
-    /// optional part is omitted when absent, so the narrower
-    /// serializers' output is byte-identical to before they existed.
-    pub fn to_json_full(
-        &self,
-        sweep: &[SaturationPoint],
-        bias: Option<&BiasCompare>,
-        pipeline: Option<&PipelineCompare>,
-    ) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!(
             "  \"sessions_requested\": {},\n",
@@ -270,9 +257,6 @@ impl LoadgenReport {
                 ));
             }
             out.push_str("  ],\n");
-        }
-        if let Some(pc) = pipeline {
-            out.push_str(&pc.to_json_block());
         }
         if let Some(b) = bias {
             out.push_str(&format!(
@@ -729,8 +713,7 @@ pub fn run_saturation_sweep(
     Ok(points)
 }
 
-/// One saturation rung as a JSON object (shared by the main
-/// `"saturation"` array and the pipeline-comparison sweeps).
+/// One saturation rung as a JSON object.
 fn point_json(p: &SaturationPoint) -> String {
     format!(
         "{{\"sessions\": {}, \"concurrency\": {}, \"completed\": {}, \"rejected\": {}, \"errors\": {}, \"sessions_per_sec\": {}, \"p99_first_partial_ms\": {}, \"p99_final_ms\": {}, \"deadline_miss_delta\": {}, \"vm_rss_kb\": {}}}",
@@ -750,15 +733,15 @@ fn point_json(p: &SaturationPoint) -> String {
 /// The knee of a saturation curve: the rung where completed-session
 /// throughput peaks. Past it, added concurrency buys latency and
 /// deadline misses, not throughput — so "sessions per core at the knee"
-/// is the capacity number the lockstep/pipelined comparison reports.
+/// is the capacity number to compare two server configurations by.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KneePoint {
     /// Client concurrency at the peak rung.
     pub concurrency: usize,
     /// Peak completed-session throughput, sessions/s.
     pub sessions_per_sec: f64,
-    /// The same throughput normalized by server threads (search +
-    /// scoring), the capacity axis of the comparison.
+    /// The same throughput normalized by server threads, the capacity
+    /// axis of a comparison.
     pub sessions_per_core_sec: f64,
 }
 
@@ -781,88 +764,6 @@ pub fn sweep_knee(sweep: &[SaturationPoint], cores: usize) -> Option<KneePoint> 
             sessions_per_sec: p.sessions_per_sec,
             sessions_per_core_sec: p.sessions_per_sec / cores as f64,
         })
-}
-
-/// The lockstep-vs-pipelined block of `BENCH_serve.json`: the same
-/// saturation ladder run against two servers — one with the two-stage
-/// pipeline off (`scoring_workers == 0`, frames scored inline at
-/// ingest) and one with it on — plus the analytic batched-scoring
-/// amortization curve from `unfold-sim` for context. The headline
-/// comparison is sessions-per-core at each curve's knee: the pipelined
-/// server spends extra threads on scoring, so it only wins where
-/// batching actually amortizes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineCompare {
-    /// Sweep against the lockstep server.
-    pub lockstep: Vec<SaturationPoint>,
-    /// Sweep against the pipelined server (same ladder, same load).
-    pub pipelined: Vec<SaturationPoint>,
-    /// Lockstep server threads (search workers).
-    pub lockstep_cores: usize,
-    /// Pipelined server threads (search + scoring workers).
-    pub pipelined_cores: usize,
-    /// Modeled scoring cost per frame at increasing batch sizes:
-    /// `(batch, µs/frame)` pairs from
-    /// `unfold_sim::modeled_us_per_frame`. Empty when the caller has no
-    /// model to offer.
-    pub modeled_scoring: Vec<(usize, f64)>,
-}
-
-impl PipelineCompare {
-    /// Knee of the lockstep sweep (per lockstep core).
-    pub fn lockstep_knee(&self) -> Option<KneePoint> {
-        sweep_knee(&self.lockstep, self.lockstep_cores)
-    }
-
-    /// Knee of the pipelined sweep (per pipelined core).
-    pub fn pipelined_knee(&self) -> Option<KneePoint> {
-        sweep_knee(&self.pipelined, self.pipelined_cores)
-    }
-
-    /// The `"pipeline": {...},` JSON block `to_json_full` embeds.
-    fn to_json_block(&self) -> String {
-        let mut out = String::from("  \"pipeline\": {\n");
-        out.push_str(&format!(
-            "    \"lockstep_cores\": {},\n    \"pipelined_cores\": {},\n",
-            self.lockstep_cores, self.pipelined_cores
-        ));
-        for (key, sweep) in [("lockstep", &self.lockstep), ("pipelined", &self.pipelined)] {
-            out.push_str(&format!("    \"{key}\": [\n"));
-            for (i, p) in sweep.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {}{}\n",
-                    point_json(p),
-                    if i + 1 < sweep.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ],\n");
-        }
-        for (key, knee) in [
-            ("lockstep_knee", self.lockstep_knee()),
-            ("pipelined_knee", self.pipelined_knee()),
-        ] {
-            if let Some(k) = knee {
-                out.push_str(&format!(
-                    "    \"{key}\": {{\"concurrency\": {}, \"sessions_per_sec\": {}, \"sessions_per_core_sec\": {}}},\n",
-                    k.concurrency,
-                    num(k.sessions_per_sec),
-                    num(k.sessions_per_core_sec)
-                ));
-            }
-        }
-        out.push_str("    \"modeled_scoring_us_per_frame\": [");
-        for (i, (batch, us)) in self.modeled_scoring.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"batch\": {batch}, \"us_per_frame\": {}}}",
-                num(*us)
-            ));
-        }
-        out.push_str("]\n  },\n");
-        out
-    }
 }
 
 /// The personalized-bias A/B block of `BENCH_serve.json`: an unbiased
@@ -1243,45 +1144,5 @@ mod tests {
         assert_eq!(knee.sessions_per_core_sec, 3.0);
         assert_eq!(sweep_knee(&[], 3), None);
         assert_eq!(sweep_knee(&sweep, 0), None);
-    }
-
-    #[test]
-    fn pipeline_compare_block_serializes_with_knees() {
-        let compare = PipelineCompare {
-            lockstep: vec![rung(1, 4.0), rung(2, 6.0)],
-            pipelined: vec![rung(1, 4.5), rung(2, 9.0)],
-            lockstep_cores: 3,
-            pipelined_cores: 3,
-            modeled_scoring: vec![(1, 40.0), (8, 10.0)],
-        };
-        let report = LoadgenReport {
-            sessions_requested: 0,
-            sessions_completed: 0,
-            sessions_rejected: 0,
-            errors: 0,
-            first_partial_ms: LatencyMs::from_us(&unfold_obs::LogHistogram::new().summary()),
-            final_ms: LatencyMs::from_us(&unfold_obs::LogHistogram::new().summary()),
-            elapsed_ms: 1.0,
-            sessions_per_sec: 0.0,
-            scrapes: 0,
-            scrape_failures: 0,
-            reconciled: true,
-            server_session_spans: 0,
-            flight_jsonl: String::new(),
-            server: Vec::new(),
-        };
-        let json = report.to_json_full(&[], None, Some(&compare));
-        for key in [
-            "\"pipeline\": {",
-            "\"lockstep_cores\": 3",
-            "\"lockstep_knee\": {\"concurrency\": 2, \"sessions_per_sec\": 6",
-            "\"pipelined_knee\": {\"concurrency\": 2, \"sessions_per_sec\": 9",
-            "\"sessions_per_core_sec\": 3",
-            "\"modeled_scoring_us_per_frame\": [{\"batch\": 1, \"us_per_frame\": 40}",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        // The narrower serializers are untouched by the new block.
-        assert!(!report.to_json_document(&[], None).contains("\"pipeline\""));
     }
 }

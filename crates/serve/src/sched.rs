@@ -29,7 +29,7 @@
 //! worker runs which quantum cannot affect transcripts.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use unfold_bias::{BiasedLm, BiasingFst};
@@ -72,23 +72,15 @@ pub struct ServeStats {
     /// Sessions finalized.
     pub finals: u64,
     /// Accepted frames discarded undecoded (eviction of a session with
-    /// queued audio, a lease lost to a worker panic, or a scoring
-    /// batch refused by the acoustic scorer).
+    /// queued audio, or a lease lost to a worker panic).
     pub frames_dropped: u64,
     /// Leases lost to a panicking worker.
     pub worker_panics: u64,
-    /// Frames that passed through the acoustic scorer: every frame in
-    /// pipelined mode; in lockstep mode every frame while a scorer is
-    /// bound (precomputed rows are width-checked and copied through it
-    /// like feature frames are scored) and none while there is not.
+    /// Frames that passed through the acoustic scorer: every frame
+    /// while a scorer is bound (precomputed rows are width-checked and
+    /// copied through it like feature frames are scored) and none while
+    /// there is not.
     pub frames_scored: u64,
-    /// Scoring-stage leases served (each one batches frames across
-    /// sessions into a single scorer call).
-    pub score_batches: u64,
-    /// Times the scoring stage found a session's scored queue full and
-    /// parked it until search drained a slot — the bounded-lag
-    /// backpressure actually engaging.
-    pub scoring_stalls: u64,
 }
 
 /// Name under which a single-LM server registers its model; also the
@@ -239,59 +231,6 @@ impl<L: LmSource + ?Sized> Lease<L> {
     }
 }
 
-/// A claim on one scoring-stage batch: raw frames drained from one or
-/// more sessions' raw queues, in drain order, to be pushed through the
-/// server's [`AcousticScorer`] as a single batched call. Obtained from
-/// [`ServeCore::lease_score_batch`]; must be returned via
-/// [`ServeCore::complete_score_batch`] (each contributing session stays
-/// score-leased until then — the SPSC discipline that keeps scored rows
-/// landing in push order).
-#[derive(Debug)]
-pub struct ScoreLease {
-    /// `(session, frames contributed)`, in drain order.
-    parts: Vec<(SessionId, usize)>,
-    /// The drained frames, concatenated part by part.
-    frames: Vec<FrameInput>,
-}
-
-impl ScoreLease {
-    /// Total frames in the batch.
-    pub fn num_frames(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Sessions contributing to the batch, in drain order.
-    pub fn sessions(&self) -> impl Iterator<Item = SessionId> + '_ {
-        self.parts.iter().map(|&(id, _)| id)
-    }
-
-    /// The batched frames, in drain order.
-    pub fn frames(&self) -> &[FrameInput] {
-        &self.frames
-    }
-
-    /// Scores the batch: one `score_batch` call when a scorer is bound,
-    /// a verbatim passthrough of precomputed rows when none is
-    /// (`scorer = None`; feature frames are then refused). Call with no
-    /// lock held — this is the scoring stage's decode-equivalent.
-    ///
-    /// # Errors
-    /// The first [`ScoreError`] the scorer returns.
-    pub fn run(&self, scorer: Option<&dyn AcousticScorer>) -> Result<Vec<Vec<f32>>, ScoreError> {
-        match scorer {
-            Some(s) => s.score_batch(&self.frames),
-            None => self
-                .frames
-                .iter()
-                .map(|f| match f {
-                    FrameInput::Scores(v) => Ok(v.clone()),
-                    FrameInput::Features(_) => Err(ScoreError::FeaturesUnsupported),
-                })
-                .collect(),
-        }
-    }
-}
-
 /// One model-registry entry: a named LM plus its generation stamp —
 /// unique for the core's whole lifetime, never reused. Workers key
 /// their per-LM OLT memo by the stamp, so a model added after a retire
@@ -344,18 +283,14 @@ pub struct ServeCore<A: AmSource + ?Sized, L: LmSource + ?Sized> {
     /// Min-heap of `(deadline_ms, seq, session)`; stale entries are
     /// skipped on pop (see module docs).
     ready: BinaryHeap<Reverse<(u64, u64, SessionId)>>,
-    /// FIFO of sessions with raw frames awaiting the scoring stage.
-    /// Entries can go stale (evicted, drained, leased meanwhile) and
-    /// are skipped on pop, like the search ready-heap's.
-    score_ready: VecDeque<SessionId>,
-    /// The acoustic scorer the scoring stage (or lockstep ingest of
-    /// feature frames) runs. `None` = passthrough: precomputed score
-    /// rows are forwarded verbatim and feature frames are refused.
+    /// The acoustic scorer ingest runs every frame through. `None` =
+    /// passthrough: precomputed score rows are forwarded verbatim and
+    /// feature frames are refused.
     scorer: Option<Arc<dyn AcousticScorer>>,
-    /// Stage-occupancy gauges `(scoring, search)`, set by the threaded
+    /// The `serve.stage_search_occupancy` gauge, set by the threaded
     /// server from its workers' busy clocks; NaN (the deterministic
     /// core has no wall time) renders as `-` in the stats table.
-    stage_occupancy: (f64, f64),
+    search_occupancy: f64,
     next_id: SessionId,
     next_seq: u64,
     /// Total queued frames across sessions (the backlog bound).
@@ -416,8 +351,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             "serve.frames_dropped",
             "serve.worker_panics",
             "serve.frames_scored",
-            "serve.score_batches",
-            "serve.scoring_stalls",
         ] {
             obs.counter(name);
         }
@@ -426,9 +359,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             "serve.frames_inflight",
             "serve.olt_hit_rate",
             "serve.vm_rss_kb",
-            "serve.queue_raw_frames",
-            "serve.queue_scored_frames",
-            "serve.stage_scoring_occupancy",
             "serve.stage_search_occupancy",
         ] {
             obs.gauge(name);
@@ -443,7 +373,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             "serve.session_words",
             "serve.active_sessions",
             "serve.pressure_milli",
-            "serve.score_batch_frames",
         ] {
             obs.histogram(name);
         }
@@ -473,9 +402,8 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             next_lm_gen,
             sessions: HashMap::new(),
             ready: BinaryHeap::new(),
-            score_ready: VecDeque::new(),
             scorer: None,
-            stage_occupancy: (f64::NAN, f64::NAN),
+            search_occupancy: f64::NAN,
             next_id: 1,
             next_seq: 0,
             backlog: 0,
@@ -496,34 +424,19 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         &self.config
     }
 
-    /// Whether the two-stage scoring → search pipeline is enabled
-    /// (`scoring_workers > 0`). Lockstep cores score at ingest and
-    /// never populate the raw queues.
-    pub fn pipelined(&self) -> bool {
-        self.config.scoring_workers > 0
-    }
-
-    /// Binds the acoustic scorer frames are scored through — the
-    /// scoring stage's model in pipelined mode, the inline ingest
-    /// scorer in lockstep mode. Unset (the default), precomputed score
-    /// rows pass through verbatim and feature frames are refused.
+    /// Binds the acoustic scorer every ingested frame is scored
+    /// through. Unset (the default), precomputed score rows pass
+    /// through verbatim and feature frames are refused.
     pub fn set_scorer(&mut self, scorer: Arc<dyn AcousticScorer>) {
         self.scorer = Some(scorer);
     }
 
-    /// A clone of the bound acoustic scorer handle, if any — what a
-    /// scoring worker captures once at spawn so [`ScoreLease::run`]
-    /// needs no lock.
-    pub fn scorer(&self) -> Option<Arc<dyn AcousticScorer>> {
-        self.scorer.clone()
-    }
-
-    /// Sets the stage-occupancy gauges (busy fraction in `[0, 1]` per
-    /// stage over the scrape interval). The threaded server computes
-    /// these from its workers' busy clocks; the deterministic core has
-    /// no wall time, so they stay NaN until set.
-    pub fn set_stage_occupancy(&mut self, scoring: f64, search: f64) {
-        self.stage_occupancy = (scoring, search);
+    /// Sets the `serve.stage_search_occupancy` gauge (the workers' busy
+    /// fraction in `[0, 1]` over the server's lifetime). The threaded
+    /// server computes it from its workers' busy clocks; the
+    /// deterministic core has no wall time, so it stays NaN until set.
+    pub fn set_stage_occupancy(&mut self, search: f64) {
+        self.search_occupancy = search;
     }
 
     /// Clones of the shared AM and *default* LM handles (for decoding
@@ -798,10 +711,8 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         let mut buf = self.row_pool.pop().unwrap_or_default();
         buf.clear();
         buf.extend_from_slice(row);
-        if self.pipelined() {
-            self.admit_raw(id, FrameInput::Scores(buf), now_ms)
-        } else if self.scorer.is_none() {
-            // Passthrough lockstep: the row IS the scored row.
+        if self.scorer.is_none() {
+            // Passthrough: the row IS the scored row.
             self.admit_row(id, buf, now_ms)
         } else {
             self.ingest_scored_inline(id, &FrameInput::Scores(buf), now_ms)
@@ -809,13 +720,10 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
     }
 
     /// The unified frame-ingest surface: accepts either precomputed
-    /// score rows or raw feature frames. In lockstep mode
-    /// (`scoring_workers == 0`) the frame is scored inline — through
-    /// the bound [`AcousticScorer`], or verbatim passthrough for score
-    /// rows when none is bound — and lands directly in the session's
-    /// scored queue, exactly like [`ServeCore::push_frame`]. In
-    /// pipelined mode it lands in the session's raw queue and the
-    /// scoring stage picks it up asynchronously.
+    /// score rows or raw feature frames. The frame is scored inline —
+    /// through the bound [`AcousticScorer`], or verbatim passthrough
+    /// for score rows when none is bound — and lands in the session's
+    /// queue, exactly like [`ServeCore::push_frame`].
     ///
     /// # Errors
     /// Everything [`ServeCore::push_frame`] returns, plus
@@ -834,15 +742,11 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
                 .record(FlightKind::RejectOverload, now_ms, id, 0.0, 1.0);
             return Err(ServeError::Rejected(RejectReason::Overloaded));
         }
-        if self.pipelined() {
-            self.admit_raw(id, frame, now_ms)
-        } else {
-            self.ingest_scored_inline(id, &frame, now_ms)
-        }
+        self.ingest_scored_inline(id, &frame, now_ms)
     }
 
-    /// Lockstep ingest: score `frame` now (scorer or passthrough) and
-    /// admit the row to the scored queue.
+    /// Scores `frame` now (scorer or passthrough) and admits the row
+    /// to the session's queue.
     fn ingest_scored_inline(
         &mut self,
         id: SessionId,
@@ -871,7 +775,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
     }
 
     /// Admission tail shared by every ingest surface: phase and
-    /// queue-bound checks, then the scored queue. `buf` is an owned,
+    /// queue-bound checks, then the session's queue. `buf` is an owned,
     /// already-scored row (recycled on refusal).
     fn admit_row(&mut self, id: SessionId, buf: Vec<f32>, now_ms: u64) -> Result<(), ServeError> {
         let queue_cap = self.config.session_queue_frames;
@@ -884,7 +788,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             self.recycle(std::iter::once(buf));
             return Err(ServeError::Finished(id));
         }
-        if s.queue.len() + s.raw.len() >= queue_cap {
+        if s.queue.len() >= queue_cap {
             self.stats.frames_rejected += 1;
             self.recycle(std::iter::once(buf));
             return Err(ServeError::QueueFull(id));
@@ -894,37 +798,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         self.stats.frames_accepted += 1;
         self.backlog += 1;
         self.arm(id, now_ms);
-        Ok(())
-    }
-
-    /// Pipelined admission: same checks as [`ServeCore::admit_row`]
-    /// (the per-session bound covers raw + scored together, so
-    /// backpressure is independent of where frames sit in the
-    /// pipeline), landing in the raw queue and arming the scoring
-    /// stage instead of search.
-    fn admit_raw(
-        &mut self,
-        id: SessionId,
-        frame: FrameInput,
-        now_ms: u64,
-    ) -> Result<(), ServeError> {
-        let queue_cap = self.config.session_queue_frames;
-        let Some(s) = self.sessions.get_mut(&id) else {
-            return Err(ServeError::UnknownSession(id));
-        };
-        s.last_activity_ms = now_ms;
-        if s.phase != SessionPhase::Open {
-            return Err(ServeError::Finished(id));
-        }
-        if s.queue.len() + s.raw.len() >= queue_cap {
-            self.stats.frames_rejected += 1;
-            return Err(ServeError::QueueFull(id));
-        }
-        s.raw.push_back(frame);
-        s.frames_accepted += 1;
-        self.stats.frames_accepted += 1;
-        self.backlog += 1;
-        self.score_arm(id);
         Ok(())
     }
 
@@ -960,7 +833,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             .iter()
             .filter(|(_, s)| {
                 !s.leased
-                    && !s.score_leased
                     && now_ms.saturating_sub(s.last_activity_ms) >= self.config.idle_timeout_ms
             })
             .map(|(&id, _)| id)
@@ -968,11 +840,10 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         expired.sort_unstable();
         for &id in &expired {
             if let Some(s) = self.sessions.remove(&id) {
-                let dropped = (s.queue.len() + s.raw.len()) as u64;
-                self.backlog -= s.queue.len() + s.raw.len();
+                let dropped = s.queue.len() as u64;
+                self.backlog -= s.queue.len();
                 self.stats.frames_dropped += dropped;
                 self.recycle(s.queue);
-                self.recycle(recyclable_raw(s.raw));
                 self.stats.evicted_idle += 1;
                 if s.wait_span != 0 {
                     self.spans.close(s.wait_span, now_ms);
@@ -1016,18 +887,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             s.leased = true;
             let take = quantum.min(s.queue.len());
             let frames: Vec<Vec<f32>> = s.queue.drain(..take).collect();
-            // Never finalize while frames still sit in (or are out
-            // with) the scoring stage — they are part of the utterance.
-            let finalize = s.phase == SessionPhase::Finishing
-                && s.queue.is_empty()
-                && s.raw.is_empty()
-                && !s.score_leased;
-            // Search just freed scored-queue slots: a session the
-            // scoring stage parked on a full queue can score again.
-            let unstall = s.score_stalled;
-            if unstall {
-                s.score_stalled = false;
-            }
+            let finalize = s.phase == SessionPhase::Finishing && s.queue.is_empty();
             let decode = s.decode.take().expect("unleased session owns its state");
             let lm = Arc::clone(&s.lm);
             let lm_gen = s.lm_gen;
@@ -1037,9 +897,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             let wait = std::mem::take(&mut s.wait_span);
             if wait != 0 {
                 self.spans.close(wait, now_ms);
-            }
-            if unstall {
-                self.score_arm(id);
             }
             self.backlog -= take;
             self.inflight += take as u64;
@@ -1153,159 +1010,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         }
     }
 
-    /// Claims a scoring-stage batch: drains raw frames from score-ready
-    /// sessions (FIFO) into one [`ScoreLease`], up to
-    /// [`DecodeConfig::scorer_batch`](unfold_decoder::DecodeConfig)
-    /// frames across sessions. Per session, at most
-    /// `max(max_search_lag, 1)` minus the scored-queue depth frames are
-    /// taken — the bounded lag; a session whose scored queue is full is
-    /// parked stalled (a `scoring_stalls` tick) until search drains a
-    /// slot. Returns `None` when nothing is scoreable (or in lockstep
-    /// mode, where the scoring stage does not exist).
-    pub fn lease_score_batch(&mut self, now_ms: u64) -> Option<ScoreLease> {
-        if !self.pipelined() {
-            return None;
-        }
-        let budget = self.config.base.scorer_batch.max(1);
-        let lag_cap = self.config.base.max_search_lag.max(1);
-        let mut parts: Vec<(SessionId, usize)> = Vec::new();
-        let mut frames: Vec<FrameInput> = Vec::new();
-        while frames.len() < budget {
-            let Some(id) = self.score_ready.pop_front() else {
-                break;
-            };
-            let Some(s) = self.sessions.get_mut(&id) else {
-                continue; // evicted; stale entry
-            };
-            if !s.scoreable() {
-                continue; // drained, leased, or stalled since; stale
-            }
-            let free = lag_cap.saturating_sub(s.queue.len());
-            if free == 0 {
-                s.score_stalled = true;
-                self.stats.scoring_stalls += 1;
-                continue;
-            }
-            let take = free.min(s.raw.len()).min(budget - frames.len());
-            s.score_leased = true;
-            frames.extend(s.raw.drain(..take));
-            parts.push((id, take));
-        }
-        if frames.is_empty() {
-            return None;
-        }
-        let n = frames.len();
-        self.backlog -= n;
-        self.inflight += n as u64;
-        self.stats.score_batches += 1;
-        self.obs
-            .histogram("serve.score_batch_frames")
-            .record(n as u64);
-        self.flight.record(
-            FlightKind::ScoreBatch,
-            now_ms,
-            parts[0].0,
-            parts.len() as f64,
-            n as f64,
-        );
-        Some(ScoreLease { parts, frames })
-    }
-
-    /// Returns a ran scoring lease: lands the scored rows at the tail
-    /// of each contributing session's scored queue — in drain order,
-    /// which with the one-outstanding-lease-per-session rule keeps
-    /// every session's rows in push order — clears the score leases,
-    /// re-arms scoring where raw frames remain, and arms search. On
-    /// `Err` the whole batch's frames are dropped (with
-    /// `frames_dropped` accounting); the sessions survive, minus those
-    /// frames.
-    pub fn complete_score_batch(
-        &mut self,
-        lease: ScoreLease,
-        rows: Result<Vec<Vec<f32>>, ScoreError>,
-        now_ms: u64,
-    ) {
-        let ScoreLease { parts, frames } = lease;
-        let total = frames.len() as u64;
-        self.inflight -= total;
-        // Recycle the raw frames' row buffers — in steady state the
-        // pipeline cycles buffers instead of allocating.
-        self.recycle(frames.into_iter().filter_map(|f| match f {
-            FrameInput::Scores(v) => Some(v),
-            FrameInput::Features(_) => None,
-        }));
-        match rows {
-            Ok(rows) => {
-                assert_eq!(
-                    rows.len() as u64,
-                    total,
-                    "scorer must return one row per frame"
-                );
-                self.stats.frames_scored += total;
-                let mut rows = rows.into_iter();
-                for (id, n) in parts {
-                    let landed = {
-                        let Some(s) = self.sessions.get_mut(&id) else {
-                            // Evicted mid-lease: its rows are lost.
-                            for _ in 0..n {
-                                drop(rows.next());
-                            }
-                            self.stats.frames_dropped += n as u64;
-                            continue;
-                        };
-                        s.score_leased = false;
-                        for row in rows.by_ref().take(n) {
-                            s.queue.push_back(row);
-                        }
-                        n
-                    };
-                    self.backlog += landed;
-                    self.score_arm(id);
-                    self.arm(id, now_ms);
-                }
-            }
-            Err(_) => {
-                // The scorer refused the batch; every frame in it is
-                // gone. Release the leases so the sessions (and any
-                // later, well-formed frames) keep moving.
-                self.stats.frames_dropped += total;
-                for (id, _) in parts {
-                    if let Some(s) = self.sessions.get_mut(&id) {
-                        s.score_leased = false;
-                    }
-                    self.score_arm(id);
-                    self.arm(id, now_ms);
-                }
-            }
-        }
-    }
-
-    /// One deterministic pipeline turn: at most one scoring batch
-    /// (leased, run, completed inline), then one search quantum via
-    /// [`ServeCore::step`]. Returns the session the *search* stage
-    /// advanced; `while core.step_pipelined(..).is_some()` drains a
-    /// pipelined core completely, since every scored batch arms search.
-    pub fn step_pipelined(&mut self, work: &mut WorkScratch, now_ms: u64) -> Option<SessionId> {
-        if let Some(lease) = self.lease_score_batch(now_ms) {
-            let scorer = self.scorer.clone();
-            let rows = lease.run(scorer.as_deref());
-            self.complete_score_batch(lease, rows, now_ms);
-        }
-        self.step(work, now_ms)
-    }
-
-    /// Arms `id` in the scoring stage's ready FIFO if it is scoreable
-    /// and not already queued (the FIFO is short — bounded by the
-    /// session table — so the linear dedup scan is cheap).
-    fn score_arm(&mut self, id: SessionId) {
-        let Some(s) = self.sessions.get(&id) else {
-            return;
-        };
-        if s.scoreable() && !self.score_ready.contains(&id) {
-            self.score_ready.push_back(id);
-        }
-    }
-
     /// Abandons a lease whose worker panicked mid-quantum: the decode
     /// state and the leased frames went down with the worker's stack,
     /// so the session cannot continue — record the panic (a flight
@@ -1318,11 +1022,10 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         self.spans
             .close_with(lease_span, now_ms, &[("panicked", 1.0)]);
         if let Some(s) = self.sessions.remove(&id) {
-            let queued = (s.queue.len() + s.raw.len()) as u64;
+            let queued = s.queue.len() as u64;
             self.stats.frames_dropped += queued;
-            self.backlog -= s.queue.len() + s.raw.len();
+            self.backlog -= s.queue.len();
             self.recycle(s.queue);
-            self.recycle(recyclable_raw(s.raw));
             if s.wait_span != 0 {
                 self.spans.close(s.wait_span, now_ms);
             }
@@ -1387,10 +1090,9 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             None => Err(ServeError::UnknownSession(id)),
             Some(s) if s.phase == SessionPhase::Closed => {
                 let s = self.sessions.remove(&id).expect("present");
-                self.backlog -= s.queue.len() + s.raw.len();
-                self.stats.frames_dropped += (s.queue.len() + s.raw.len()) as u64;
+                self.backlog -= s.queue.len();
+                self.stats.frames_dropped += s.queue.len() as u64;
                 self.recycle(s.queue);
-                self.recycle(recyclable_raw(s.raw));
                 // Collection has no logical timestamp of its own: the
                 // root span ends at the session's latest client or
                 // scheduler activity, so it never closes before its
@@ -1534,8 +1236,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             ("serve.frames_dropped", self.stats.frames_dropped),
             ("serve.worker_panics", self.stats.worker_panics),
             ("serve.frames_scored", self.stats.frames_scored),
-            ("serve.score_batches", self.stats.score_batches),
-            ("serve.scoring_stalls", self.stats.scoring_stalls),
         ];
         for (name, v) in counters {
             let c = self.obs.counter(name);
@@ -1562,27 +1262,10 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         self.obs
             .gauge("serve.vm_rss_kb")
             .set(read_vm_rss_kb().map_or(f64::NAN, |kb| kb as f64));
-        let raw: usize = self.sessions.values().map(|s| s.raw.len()).sum();
-        self.obs.gauge("serve.queue_raw_frames").set(raw as f64);
-        self.obs
-            .gauge("serve.queue_scored_frames")
-            .set((self.backlog - raw) as f64);
-        self.obs
-            .gauge("serve.stage_scoring_occupancy")
-            .set(self.stage_occupancy.0);
         self.obs
             .gauge("serve.stage_search_occupancy")
-            .set(self.stage_occupancy.1);
+            .set(self.search_occupancy);
     }
-}
-
-/// The reusable row buffers inside a drained raw queue (feature frames
-/// carry no score row to recycle).
-fn recyclable_raw(raw: VecDeque<FrameInput>) -> impl Iterator<Item = Vec<f32>> {
-    raw.into_iter().filter_map(|f| match f {
-        FrameInput::Scores(v) => Some(v),
-        FrameInput::Features(_) => None,
-    })
 }
 
 /// This process's resident set size in KiB, from `/proc/self/status`
@@ -2453,288 +2136,52 @@ mod tests {
         assert!(trace.contains("\"olt_hit_rate\""));
     }
 
-    use unfold_am::GmmModel;
-    use unfold_decoder::{DecodeKernel, FrameInput, GmmScorer, PrecomputedScorer, ScoreError};
+    use unfold_am::{AcousticScores, GmmModel};
+    use unfold_decoder::{FrameInput, GmmScorer, PrecomputedScorer, ScoreError};
 
-    fn ingest_all(core: &mut ServeCore<Wfst, Wfst>, id: SessionId, u: &Utterance, now: u64) {
-        for t in 0..u.scores.num_frames() {
-            core.ingest_frame(id, FrameInput::Scores(u.scores.frame(t).to_vec()), now)
-                .expect("ingest");
-        }
-    }
-
-    /// The tentpole acceptance grid: pipelined decode through the
-    /// two-stage core is bit-identical to a standalone lockstep decode
-    /// — words, cost bits, and full search statistics — across both
-    /// frame kernels, search lags {0, 2, 8}, and {1, 8} concurrent
-    /// sessions.
+    /// Feature frames flow through the unified ingest, are scored at
+    /// ingest by the bound scorer, and decode bit-identically (words,
+    /// cost bits, full search statistics) to a standalone `decode()` of
+    /// the rows `GmmModel::frame_costs` computes up front; without a
+    /// scorer they are refused with a typed error, not a panic.
     #[test]
-    fn pipelined_core_matches_lockstep_across_kernels_lags_and_sessions() {
-        let (lex, am, lm) = setup();
-        let word_seqs: [&[u32]; 8] = [
-            &[3, 9, 17],
-            &[7, 11, 4],
-            &[1, 2, 3],
-            &[22, 5],
-            &[14, 30, 8, 2],
-            &[40, 6, 19],
-            &[9, 9, 27],
-            &[33, 12],
-        ];
-        let utts: Vec<Utterance> = word_seqs
-            .iter()
-            .enumerate()
-            .map(|(i, w)| utt(&lex, w, 5 + i as u64))
-            .collect();
-        let width = utts[0].scores.frame(0).len();
-        for kernel in [DecodeKernel::Legacy, DecodeKernel::Soa] {
-            for lag in [0usize, 2, 8] {
-                for sessions in [1usize, 8] {
-                    let base = DecodeConfig::builder()
-                        .kernel(kernel)
-                        .max_search_lag(lag)
-                        .scorer_batch(5) // deliberately coprime with the quantum
-                        .build()
-                        .expect("valid config");
-                    let tag = format!("kernel {kernel:?} lag {lag} sessions {sessions}");
-                    let standalone: Vec<_> = utts[..sessions]
-                        .iter()
-                        .map(|u| OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink))
-                        .collect();
-                    let config = ServeConfig {
-                        quantum_frames: 8,
-                        scoring_workers: 1,
-                        olt_entries: 0,
-                        base,
-                        ..Default::default()
-                    };
-                    let mut core = core_with(&am, &lm, config);
-                    core.set_scorer(Arc::new(PrecomputedScorer::new(width)));
-                    let ids: Vec<SessionId> = (0..sessions)
-                        .map(|_| core.open(0).expect("admit"))
-                        .collect();
-                    for (id, u) in ids.iter().zip(&utts) {
-                        ingest_all(&mut core, *id, u, 0);
-                        core.finish(*id, 0).expect("finish");
-                    }
-                    let mut work = WorkScratch::new();
-                    work.configure_olt(0);
-                    while core.step_pipelined(&mut work, 0).is_some() {}
-                    for ((id, u), alone) in ids.iter().zip(&utts).zip(&standalone) {
-                        let served = core.take_result(*id).expect("known").expect("closed");
-                        assert_eq!(served.words, alone.words, "{tag} utt {:?}", u.words);
-                        assert_eq!(served.cost.to_bits(), alone.cost.to_bits(), "{tag}");
-                        assert_eq!(served.stats, alone.stats, "{tag}");
-                    }
-                    let st = core.stats();
-                    assert_eq!(st.frames_scored, st.frames_accepted, "{tag}");
-                    assert!(st.score_batches > 0, "{tag}");
-                    assert_eq!(st.frames_accepted, st.frames_decoded, "{tag}");
-                    assert_eq!(core.backlog_frames(), 0, "{tag}");
-                }
-            }
-        }
-    }
-
-    /// Satellite: the per-session bound covers raw + scored together,
-    /// so backpressure engages no matter where frames sit in the
-    /// pipeline — and both ingest surfaces feed the same bound.
-    #[test]
-    fn pipelined_queue_bound_counts_raw_and_scored_together() {
-        let (lex, am, lm) = setup();
-        let u = utt(&lex, &[3, 9], 1);
-        let width = u.scores.frame(0).len();
-        let config = ServeConfig {
-            session_queue_frames: 2,
-            scoring_workers: 1,
-            olt_entries: 0,
-            ..Default::default()
-        };
-        let mut core = core_with(&am, &lm, config);
-        core.set_scorer(Arc::new(PrecomputedScorer::new(width)));
-        let id = core.open(0).unwrap();
-        core.ingest_frame(id, FrameInput::Scores(u.scores.frame(0).to_vec()), 0)
-            .unwrap();
-        // The legacy surface routes into the same raw queue.
-        core.push_frame(id, u.scores.frame(1), 0).unwrap();
-        let v = core.view(id).unwrap();
-        assert_eq!((v.queued_raw, v.queued_scored, v.queued), (2, 0, 2));
-        assert_eq!(
-            core.ingest_frame(id, FrameInput::Scores(u.scores.frame(2).to_vec()), 0),
-            Err(ServeError::QueueFull(id))
-        );
-        // Scoring moves frames across the stage boundary; the combined
-        // bound still holds.
-        let sl = core.lease_score_batch(0).expect("scoreable");
-        let rows = sl.run(core.scorer().as_deref());
-        core.complete_score_batch(sl, rows, 0);
-        let v = core.view(id).unwrap();
-        assert_eq!((v.queued_raw, v.queued_scored), (0, 2));
-        assert_eq!(
-            core.push_frame(id, u.scores.frame(2), 0),
-            Err(ServeError::QueueFull(id))
-        );
-        assert_eq!(core.stats().frames_rejected, 2);
-        // The session still completes cleanly.
-        core.finish(id, 0).unwrap();
-        let mut work = WorkScratch::new();
-        work.configure_olt(0);
-        while core.step_pipelined(&mut work, 0).is_some() {}
-        assert!(core.take_result(id).unwrap().is_some());
-    }
-
-    /// Satellite: a full scored queue parks the session (a
-    /// `scoring_stalls` tick) instead of spinning or overfilling, and
-    /// search draining a slot resumes scoring — the bounded-lag
-    /// backpressure loop.
-    #[test]
-    fn full_scored_queue_stalls_scoring_until_search_drains() {
-        let (lex, am, lm) = setup();
-        let u = utt(&lex, &[3, 9, 17], 5);
-        let width = u.scores.frame(0).len();
-        let base = DecodeConfig::builder()
-            .max_search_lag(1)
-            .scorer_batch(4)
-            .build()
-            .expect("valid config");
-        let alone = OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink);
-        let config = ServeConfig {
-            quantum_frames: 1,
-            scoring_workers: 1,
-            olt_entries: 0,
-            base,
-            ..Default::default()
-        };
-        let mut core = core_with(&am, &lm, config);
-        core.set_scorer(Arc::new(PrecomputedScorer::new(width)));
-        let id = core.open(0).unwrap();
-        ingest_all(&mut core, id, &u, 0);
-        core.finish(id, 0).unwrap();
-
-        // Lag 1: the first batch can stage exactly one frame…
-        let sl = core.lease_score_batch(0).expect("scoreable");
-        assert_eq!(sl.num_frames(), 1, "lag bound caps the batch");
-        let rows = sl.run(core.scorer().as_deref());
-        core.complete_score_batch(sl, rows, 0);
-        // …after which the scored queue is full and scoring stalls.
-        assert!(core.lease_score_batch(0).is_none());
-        assert_eq!(core.stats().scoring_stalls, 1);
-        // One search quantum frees the slot and un-parks the session.
-        let mut work = WorkScratch::new();
-        work.configure_olt(0);
-        assert_eq!(core.step(&mut work, 0), Some(id));
-        let resumed = core.lease_score_batch(0).expect("un-parked after drain");
-        assert_eq!(resumed.num_frames(), 1);
-        let rows = resumed.run(core.scorer().as_deref());
-        core.complete_score_batch(resumed, rows, 0);
-        // Drain everything and pin bit-identity through the stall.
-        while core.step_pipelined(&mut work, 0).is_some() {}
-        let served = core.take_result(id).unwrap().expect("closed");
-        assert_eq!(served.words, alone.words);
-        assert_eq!(served.cost.to_bits(), alone.cost.to_bits());
-        assert!(core.stats().scoring_stalls >= 1);
-    }
-
-    /// Satellite: a worker panic mid-stream with frames in *both*
-    /// stages — an outstanding scoring batch and a search lease — frees
-    /// the slot, drains the scoring queue, and the frame ledger still
-    /// reconciles exactly.
-    #[test]
-    fn mid_stream_abort_drains_the_scoring_queue_and_reconciles() {
-        let (lex, am, lm) = setup();
-        let u = utt(&lex, &[3, 9, 17], 5);
-        let width = u.scores.frame(0).len();
-        let base = DecodeConfig::builder()
-            .max_search_lag(4)
-            .scorer_batch(2)
-            .build()
-            .expect("valid config");
-        let config = ServeConfig {
-            quantum_frames: 2,
-            scoring_workers: 1,
-            olt_entries: 0,
-            base,
-            ..Default::default()
-        };
-        let mut core = core_with(&am, &lm, config);
-        core.set_scorer(Arc::new(PrecomputedScorer::new(width)));
-        let id = core.open(0).unwrap();
-        ingest_all(&mut core, id, &u, 0);
-        let accepted = core.stats().frames_accepted;
-
-        // Stage one batch into the scored queue…
-        let sl = core.lease_score_batch(0).expect("scoreable");
-        let rows = sl.run(core.scorer().as_deref());
-        core.complete_score_batch(sl, rows, 0);
-        // …leave a second batch *outstanding* with a scoring worker…
-        let outstanding = core.lease_score_batch(0).expect("more raw frames");
-        // …and lose the search worker mid-quantum.
-        let lease = core.lease_next(0).expect("scored rows ready");
-        let (sid, span, lost) = (lease.session(), lease.span_id(), lease.num_frames() as u64);
-        drop(lease);
-        core.abort_lease(sid, span, lost, 1);
-        assert_eq!(core.active_sessions(), 0);
-
-        // The in-flight scoring batch comes home to a dead session: its
-        // rows are dropped, not leaked and not crashed on.
-        let rows = outstanding.run(core.scorer().as_deref());
-        core.complete_score_batch(outstanding, rows, 1);
-        assert!(core.lease_score_batch(2).is_none(), "nothing left to score");
-        assert_eq!(core.backlog_frames(), 0);
-        let st = core.stats();
-        assert_eq!(st.frames_decoded, 0);
-        assert_eq!(
-            st.frames_accepted, st.frames_dropped,
-            "every accepted frame is accounted dropped"
-        );
-        assert_eq!(st.frames_accepted, accepted);
-        // The slot is genuinely free.
-        assert!(core.open(3).is_ok());
-    }
-
-    /// Satellite: feature frames flow through the unified ingest in
-    /// both modes — scored inline at ingest (lockstep) or by the
-    /// scoring stage (pipelined) — and produce bit-identical
-    /// transcripts; without a scorer they are refused with a typed
-    /// error, not a panic.
-    #[test]
-    fn feature_frames_decode_identically_in_lockstep_and_pipelined_modes() {
+    fn feature_frames_through_the_core_match_standalone_decode_of_the_gmm_rows() {
         let (lex, am, lm) = setup();
         let width = utt(&lex, &[3], 1).scores.frame(0).len();
         let model = Arc::new(GmmModel::synthesize(width, 8, 2, 3.0, 41));
-        let frames: Vec<FrameInput> = (0..30)
+        let feats: Vec<Vec<f32>> = (0..30)
             .map(|t| {
-                FrameInput::Features(
-                    (0..8)
-                        .map(|d| ((t * 31 + d * 7) % 13) as f32 * 0.25 - 1.5)
-                        .collect(),
-                )
+                (0..8)
+                    .map(|d| ((t * 31 + d * 7) % 13) as f32 * 0.25 - 1.5)
+                    .collect()
             })
             .collect();
-        let mut results = Vec::new();
-        for scoring_workers in [0usize, 1] {
-            let config = ServeConfig {
-                scoring_workers,
-                olt_entries: 0,
-                ..Default::default()
-            };
-            let mut core = core_with(&am, &lm, config);
-            core.set_scorer(Arc::new(GmmScorer::new(Arc::clone(&model))));
-            let id = core.open(0).unwrap();
-            for f in &frames {
-                core.ingest_frame(id, f.clone(), 0).unwrap();
-            }
-            core.finish(id, 0).unwrap();
-            let mut work = WorkScratch::new();
-            work.configure_olt(0);
-            while core.step_pipelined(&mut work, 0).is_some() {}
-            let st = core.stats();
-            assert_eq!(st.frames_scored, frames.len() as u64, "all scorer-scored");
-            results.push(core.take_result(id).unwrap().expect("closed"));
+        let rows: Vec<f32> = feats.iter().flat_map(|f| model.frame_costs(f)).collect();
+        let scores = AcousticScores::from_flat(rows, width);
+        let config = ServeConfig {
+            olt_entries: 0,
+            ..Default::default()
+        };
+        let alone = OtfDecoder::new(config.base).decode(&*am, &*lm, &scores, &mut NullSink);
+
+        let mut core = core_with(&am, &lm, config);
+        core.set_scorer(Arc::new(GmmScorer::new(Arc::clone(&model))));
+        let id = core.open(0).unwrap();
+        for f in &feats {
+            core.ingest_frame(id, FrameInput::Features(f.clone()), 0)
+                .unwrap();
         }
-        assert_eq!(results[0].words, results[1].words);
-        assert_eq!(results[0].cost.to_bits(), results[1].cost.to_bits());
-        assert_eq!(results[0].stats, results[1].stats);
+        core.finish(id, 0).unwrap();
+        let mut work = WorkScratch::new();
+        work.configure_olt(0);
+        while core.step(&mut work, 0).is_some() {}
+        let st = core.stats();
+        assert_eq!(st.frames_scored, feats.len() as u64, "all scorer-scored");
+        assert_eq!(st.frames_decoded, feats.len() as u64);
+        let served = core.take_result(id).unwrap().expect("closed");
+        assert_eq!(served.words, alone.words);
+        assert_eq!(served.cost.to_bits(), alone.cost.to_bits());
+        assert_eq!(served.stats, alone.stats);
 
         // No scorer bound: features are a typed refusal.
         let mut bare = core_with(&am, &lm, ServeConfig::default());
@@ -2744,5 +2191,95 @@ mod tests {
             Err(ServeError::Score(id, ScoreError::FeaturesUnsupported))
         );
         assert_eq!(bare.view(id).unwrap().queued, 0, "refused frame not queued");
+    }
+
+    /// A planted purity violation: every call after the first returns
+    /// the row scored for the *previous* call, whichever session made
+    /// it.
+    #[derive(Debug)]
+    struct PreviousRowScorer {
+        inner: PrecomputedScorer,
+        prev: std::sync::Mutex<Option<Vec<f32>>>,
+    }
+
+    impl AcousticScorer for PreviousRowScorer {
+        fn num_pdfs(&self) -> usize {
+            self.inner.num_pdfs()
+        }
+
+        fn score_into(&self, frame: &FrameInput, out: &mut Vec<f32>) -> Result<(), ScoreError> {
+            let mut current = Vec::new();
+            self.inner.score_into(frame, &mut current)?;
+            let mut prev = self.prev.lock().expect("previous-row slot");
+            let stale = prev.replace(current.clone()).unwrap_or(current);
+            out.clear();
+            out.extend_from_slice(&stale);
+            Ok(())
+        }
+    }
+
+    /// Two sessions ingested frame by frame in alternation through one
+    /// shared `scorer`, then drained: whether each served result equals
+    /// the standalone decode of its own utterance (words, cost bits,
+    /// full statistics).
+    fn interleaved_pair_matches_standalone(scorer: Arc<dyn AcousticScorer>) -> bool {
+        let (lex, am, lm) = setup();
+        let utts = [utt(&lex, &[3, 9, 17], 5), utt(&lex, &[7, 11, 4], 6)];
+        let config = ServeConfig {
+            olt_entries: 0,
+            ..Default::default()
+        };
+        let standalone: Vec<_> = utts
+            .iter()
+            .map(|u| OtfDecoder::new(config.base).decode(&*am, &*lm, &u.scores, &mut NullSink))
+            .collect();
+        let mut core = core_with(&am, &lm, config);
+        core.set_scorer(scorer);
+        let ids = [core.open(0).unwrap(), core.open(0).unwrap()];
+        let longest = utts.iter().map(|u| u.scores.num_frames()).max().unwrap();
+        for t in 0..longest {
+            for (id, u) in ids.iter().zip(&utts) {
+                if t < u.scores.num_frames() {
+                    core.ingest_frame(*id, FrameInput::Scores(u.scores.frame(t).to_vec()), 0)
+                        .expect("ingest");
+                }
+            }
+        }
+        for id in ids {
+            core.finish(id, 0).unwrap();
+        }
+        let mut work = WorkScratch::new();
+        work.configure_olt(0);
+        while core.step(&mut work, 0).is_some() {}
+        ids.iter().zip(&standalone).all(|(id, alone)| {
+            let served = core.take_result(*id).unwrap().expect("closed");
+            served.words == alone.words
+                && served.cost.to_bits() == alone.cost.to_bits()
+                && served.stats == alone.stats
+        })
+    }
+
+    /// One scorer is shared by every interleaved session at ingest, so
+    /// the `AcousticScorer` purity contract is what keeps a session's
+    /// rows its own. The server-vs-standalone comparison holds with the
+    /// honest scorers and catches a stateful one.
+    #[test]
+    fn a_scorer_returning_the_previous_row_breaks_server_vs_standalone_identity() {
+        let (lex, _, _) = setup();
+        let width = utt(&lex, &[3], 1).scores.frame(0).len();
+        assert!(interleaved_pair_matches_standalone(Arc::new(
+            PrecomputedScorer::new(width)
+        )));
+        let gmm = Arc::new(GmmModel::synthesize(width, 8, 2, 3.0, 41));
+        assert!(interleaved_pair_matches_standalone(Arc::new(
+            GmmScorer::new(gmm)
+        )));
+        assert!(
+            !interleaved_pair_matches_standalone(Arc::new(PreviousRowScorer {
+                inner: PrecomputedScorer::new(width),
+                prev: std::sync::Mutex::new(None),
+            })),
+            "a scorer leaking the previous call's row must change a transcript"
+        );
     }
 }

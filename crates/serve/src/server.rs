@@ -15,8 +15,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use unfold_decoder::{
-    AcousticScorer, AmSource, CountingSink, DecodeResult, FrameInput, LmSource, ScoreError,
-    SessionIngest, WorkScratch,
+    AcousticScorer, AmSource, CountingSink, DecodeResult, FrameInput, LmSource, WorkScratch,
 };
 use unfold_lm::WordId;
 
@@ -36,15 +35,11 @@ struct Shared<A: AmSource + ?Sized, L: LmSource + ?Sized> {
     cv: Condvar,
     shutdown: AtomicBool,
     epoch: Instant,
-    /// Microseconds search workers have spent decoding (unlocked), and
-    /// the stage's thread count — together they yield the search-stage
-    /// occupancy gauge at scrape time.
+    /// Microseconds workers have spent decoding (unlocked), and the
+    /// worker count — together they yield the
+    /// `serve.stage_search_occupancy` gauge at scrape time.
     search_busy_us: AtomicU64,
     search_workers: usize,
-    /// Same clocks for the scoring stage (0 workers = lockstep mode,
-    /// gauge stays NaN).
-    scoring_busy_us: AtomicU64,
-    scoring_workers: usize,
 }
 
 impl<A: AmSource + ?Sized, L: LmSource + ?Sized> Shared<A, L> {
@@ -52,22 +47,12 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> Shared<A, L> {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// `(scoring, search)` stage occupancy: busy-time per stage thread
-    /// over wall time since start, in `[0, 1]`. NaN for a stage with no
-    /// threads.
-    fn stage_occupancy(&self) -> (f64, f64) {
+    /// Worker occupancy: decode busy-time per worker thread over wall
+    /// time since start, in `[0, 1]`.
+    fn search_occupancy(&self) -> f64 {
         let elapsed_us = self.epoch.elapsed().as_micros().max(1) as f64;
-        let per_stage = |busy: &AtomicU64, threads: usize| {
-            if threads == 0 {
-                f64::NAN
-            } else {
-                busy.load(Ordering::Relaxed) as f64 / (elapsed_us * threads as f64)
-            }
-        };
-        (
-            per_stage(&self.scoring_busy_us, self.scoring_workers),
-            per_stage(&self.search_busy_us, self.search_workers),
-        )
+        self.search_busy_us.load(Ordering::Relaxed) as f64
+            / (elapsed_us * self.search_workers as f64)
     }
 }
 
@@ -105,10 +90,8 @@ where
     }
 
     /// Like [`Server::start_multi`], with an optional acoustic scorer
-    /// bound before any worker spawns. With `scoring_workers > 0` the
-    /// worker pool splits into roles: `workers` search threads plus
-    /// `scoring_workers` threads that batch raw frames through the
-    /// scorer (a passthrough for precomputed rows when `None`).
+    /// bound before any worker spawns (`None` = passthrough for
+    /// precomputed rows; feature frames are refused).
     ///
     /// # Panics
     /// When `lms` is empty or contains a duplicate name.
@@ -119,7 +102,6 @@ where
         scorer: Option<Arc<dyn AcousticScorer>>,
     ) -> Self {
         let workers = config.workers.max(1);
-        let scoring_workers = config.scoring_workers;
         let olt_entries = config.olt_entries;
         let mut core = ServeCore::new_multi(config, am, lms);
         if let Some(scorer) = scorer {
@@ -132,10 +114,8 @@ where
             epoch: Instant::now(),
             search_busy_us: AtomicU64::new(0),
             search_workers: workers,
-            scoring_busy_us: AtomicU64::new(0),
-            scoring_workers,
         });
-        let mut handles: Vec<JoinHandle<()>> = (0..workers)
+        let handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -144,13 +124,6 @@ where
                     .expect("spawn decode worker")
             })
             .collect();
-        handles.extend((0..scoring_workers).map(|i| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("unfold-score-{i}"))
-                .spawn(move || scoring_loop(&shared))
-                .expect("spawn scoring worker")
-        }));
         Server {
             shared,
             workers: handles,
@@ -239,53 +212,6 @@ where
                     // the slot and account the lost frames.
                     Err(_) => core.abort_lease(id, span, granted, shared.now_ms()),
                 }
-                shared.cv.notify_all();
-            }
-            None => {
-                let (guard, _timeout) =
-                    shared.cv.wait_timeout(core, IDLE_POLL).expect("serve lock");
-                core = guard;
-            }
-        }
-    }
-}
-
-/// The scoring-stage worker: lease a cross-session batch of raw frames
-/// under the lock, *unlock*, run the scorer, relock, deliver the rows.
-/// Mirrors [`worker_loop`]'s lease discipline so scoring time — the
-/// part a GPU would absorb — runs unlocked and in parallel with every
-/// search worker.
-fn scoring_loop<A, L>(shared: &Shared<A, L>)
-where
-    A: AmSource + Send + Sync + 'static + ?Sized,
-    L: LmSource + Send + Sync + 'static + ?Sized,
-{
-    let mut core = shared.core.lock().expect("serve lock");
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match core.lease_score_batch(shared.now_ms()) {
-            Some(lease) => {
-                // Re-read per batch so a scorer hot-swapped through the
-                // handle takes effect without restarting workers.
-                let scorer = core.scorer();
-                drop(core);
-                let started = Instant::now();
-                // A panicking scorer must not wedge the leased sessions
-                // or poison the core mutex; the batch is dropped like
-                // any scoring error (`complete_score_batch` discards
-                // the error value, so the placeholder kind is fine).
-                let rows = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    lease.run(scorer.as_deref())
-                }))
-                .unwrap_or(Err(ScoreError::FeaturesUnsupported));
-                shared
-                    .scoring_busy_us
-                    .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-                core = shared.core.lock().expect("serve lock");
-                core.complete_score_batch(lease, rows, shared.now_ms());
-                // Scored rows are search work: wake the other stage.
                 shared.cv.notify_all();
             }
             None => {
@@ -410,9 +336,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
 
     /// Queues one [`FrameInput`] for `id` — the unified ingest surface:
     /// precomputed score rows and raw feature frames take the same
-    /// path. In pipelined mode the frame lands in the session's raw
-    /// queue for the scoring stage; in lockstep mode it is scored
-    /// inline.
+    /// path, scored inline before they are queued.
     ///
     /// # Errors
     /// See [`ServeCore::ingest_frame`].
@@ -424,19 +348,8 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
         r
     }
 
-    /// Binds `id` into a [`SessionIngest`]-shaped handle, so producers
-    /// generic over "somewhere to push frames" can target a served
-    /// session exactly like a standalone [`unfold_decoder::OtfStream`].
-    pub fn bind(&self, id: SessionId) -> BoundSession<A, L> {
-        BoundSession {
-            handle: self.clone(),
-            id,
-        }
-    }
-
     /// Installs (or hot-swaps) the server's acoustic scorer. Affects
-    /// frames ingested after the call; scoring batches already leased
-    /// finish under the scorer they captured.
+    /// frames ingested after the call.
     pub fn set_scorer(&self, scorer: Arc<dyn AcousticScorer>) {
         self.lock().set_scorer(scorer);
     }
@@ -534,22 +447,22 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
         self.lock().active_sessions()
     }
 
-    /// Server metrics as one `unfold-obs` run record (JSONL). Stage
-    /// occupancy gauges are refreshed from the worker busy-clocks at
-    /// each scrape.
+    /// Server metrics as one `unfold-obs` run record (JSONL). The
+    /// occupancy gauge is refreshed from the worker busy-clocks at each
+    /// scrape.
     pub fn obs_jsonl(&self) -> String {
-        let (scoring, search) = self.shared.stage_occupancy();
+        let search = self.shared.search_occupancy();
         let mut core = self.lock();
-        core.set_stage_occupancy(scoring, search);
+        core.set_stage_occupancy(search);
         core.obs_jsonl()
     }
 
-    /// Server metrics as a markdown table (stage occupancy refreshed,
-    /// as in [`ServeHandle::obs_jsonl`]).
+    /// Server metrics as a markdown table (occupancy refreshed, as in
+    /// [`ServeHandle::obs_jsonl`]).
     pub fn obs_markdown(&self) -> String {
-        let (scoring, search) = self.shared.stage_occupancy();
+        let search = self.shared.search_occupancy();
         let mut core = self.lock();
-        core.set_stage_occupancy(scoring, search);
+        core.set_stage_occupancy(search);
         core.obs_markdown()
     }
 
@@ -590,39 +503,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
     /// Whether shutdown has been requested.
     pub fn shutdown_requested(&self) -> bool {
         self.shared.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// One served session viewed through the decoder's [`SessionIngest`]
-/// trait: a [`ServeHandle`] pinned to a [`SessionId`]. Producers
-/// written against the trait (the wire front end, load generators,
-/// tests) push [`FrameInput`]s here without knowing a server sits
-/// underneath.
-pub struct BoundSession<A: AmSource + ?Sized, L: LmSource + ?Sized> {
-    handle: ServeHandle<A, L>,
-    id: SessionId,
-}
-
-impl<A: AmSource + ?Sized, L: LmSource + ?Sized> BoundSession<A, L> {
-    /// The bound session.
-    pub fn id(&self) -> SessionId {
-        self.id
-    }
-
-    /// Marks the bound session finished (see [`ServeHandle::finish`]).
-    ///
-    /// # Errors
-    /// See [`ServeCore::finish`].
-    pub fn finish(&self) -> Result<(), ServeError> {
-        self.handle.finish(self.id)
-    }
-}
-
-impl<A: AmSource + ?Sized, L: LmSource + ?Sized> SessionIngest for BoundSession<A, L> {
-    type Error = ServeError;
-
-    fn ingest(&mut self, frame: FrameInput) -> Result<(), ServeError> {
-        self.handle.ingest_frame(self.id, frame)
     }
 }
 
@@ -850,104 +730,14 @@ mod tests {
         server.shutdown();
     }
 
-    /// The full two-stage pipeline under real threads — scoring workers
-    /// batching across sessions, search workers consuming the bounded
-    /// scored queues — still produces transcripts bit-identical to
-    /// standalone decodes, and the scoring-stage ledger reconciles.
+    /// Feature frames through the threaded server: the GMM-backed
+    /// scorer bound at start turns them, at ingest, into exactly the
+    /// rows `GmmModel::frame_costs` computes, so the served result is
+    /// bit-identical (words, cost bits, full search statistics) to a
+    /// standalone `decode()` of those rows.
     #[test]
-    fn pipelined_threaded_sessions_match_standalone_decode() {
-        let (lex, am, lm) = setup();
-        let word_seqs: [&[u32]; 4] = [&[3, 9, 17], &[7, 11, 4], &[22, 5], &[14, 30, 8]];
-        let utts: Vec<Utterance> = word_seqs
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                synthesize_utterance(
-                    w,
-                    &lex,
-                    HmmTopology::Kaldi3State,
-                    &NoiseModel::default(),
-                    40 + i as u64,
-                )
-            })
-            .collect();
-        let base = DecodeConfig::builder()
-            .scorer_batch(6)
-            .max_search_lag(3)
-            .build()
-            .expect("valid config");
-        let standalone: Vec<_> = utts
-            .iter()
-            .map(|u| OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink))
-            .collect();
-        let total_frames: u64 = utts.iter().map(|u| u.scores.num_frames() as u64).sum();
-
-        let config = ServeConfig {
-            workers: 2,
-            scoring_workers: 2,
-            quantum_frames: 8,
-            olt_entries: 0,
-            base,
-            ..Default::default()
-        };
-        let server = Server::start(config, Arc::clone(&am), Arc::clone(&lm));
-        let handle = server.handle();
-
-        let joins: Vec<_> = utts
-            .iter()
-            .map(|u| {
-                let handle = handle.clone();
-                let rows: Vec<Vec<f32>> = (0..u.scores.num_frames())
-                    .map(|t| u.scores.frame(t).to_vec())
-                    .collect();
-                std::thread::spawn(move || {
-                    let id = handle.open().expect("admit");
-                    let mut bound = handle.bind(id);
-                    for row in rows {
-                        bound.ingest(FrameInput::Scores(row)).expect("ingest");
-                    }
-                    bound.finish().expect("finish");
-                    handle
-                        .wait_result(id, Duration::from_secs(60))
-                        .expect("known")
-                        .expect("no timeout")
-                })
-            })
-            .collect();
-        let results: Vec<DecodeResult> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-        for (served, alone) in results.iter().zip(&standalone) {
-            assert_eq!(served.words, alone.words);
-            assert_eq!(served.cost.to_bits(), alone.cost.to_bits());
-            assert_eq!(served.stats, alone.stats);
-        }
-        let stats = handle.stats();
-        assert_eq!(stats.finals, 4);
-        assert_eq!(stats.frames_scored, total_frames, "every frame scored");
-        assert!(stats.score_batches > 0, "scoring stage actually ran");
-        assert_eq!(
-            stats.frames_accepted,
-            stats.frames_decoded + stats.frames_dropped,
-            "frame ledger reconciles after drain"
-        );
-        // Both stages ran, so their occupancy gauges scrape as numbers
-        // (NaN renders as "-" and would mean a stage never reported).
-        let md = handle.obs_markdown();
-        for gauge in ["stage_scoring_occupancy", "stage_search_occupancy"] {
-            let line = md
-                .lines()
-                .find(|l| l.contains(gauge))
-                .unwrap_or_else(|| panic!("{gauge} missing from scrape"));
-            assert!(!line.contains("NaN"), "{gauge} must be a number: {line}");
-        }
-        server.shutdown();
-    }
-
-    /// Feature frames through the threaded pipeline: a GMM-backed
-    /// scorer turns them into the same rows a lockstep inline-scoring
-    /// server derives, so both servers' transcripts agree bit for bit.
-    #[test]
-    fn threaded_feature_frames_match_between_lockstep_and_pipelined() {
-        use unfold_am::GmmModel;
+    fn threaded_feature_frames_match_standalone_decode_of_the_gmm_rows() {
+        use unfold_am::{AcousticScores, GmmModel};
         use unfold_decoder::GmmScorer;
 
         let (lex, am, lm) = setup();
@@ -967,43 +757,47 @@ mod tests {
                     .collect()
             })
             .collect();
+        let rows: Vec<f32> = frames.iter().flat_map(|f| model.frame_costs(f)).collect();
+        let scores = AcousticScores::from_flat(rows, width);
 
-        let mut outcomes = Vec::new();
-        for scoring_workers in [0usize, 2] {
-            let config = ServeConfig {
-                workers: 2,
-                scoring_workers,
-                quantum_frames: 4,
-                olt_entries: 0,
-                ..Default::default()
-            };
-            let server = Server::start_multi_with_scorer(
-                config,
-                Arc::clone(&am),
-                vec![(crate::sched::DEFAULT_LM.to_string(), Arc::clone(&lm))],
-                Some(Arc::new(GmmScorer::new(Arc::clone(&model)))),
-            );
-            let handle = server.handle();
-            let id = handle.open().expect("admit");
-            let mut bound = handle.bind(id);
-            for f in &frames {
-                bound
-                    .ingest(FrameInput::Features(f.clone()))
-                    .expect("ingest");
-            }
-            bound.finish().expect("finish");
-            let res = handle
-                .wait_result(id, Duration::from_secs(60))
-                .expect("known")
-                .expect("no timeout");
-            assert_eq!(handle.stats().frames_scored, frames.len() as u64);
-            outcomes.push(res);
-            server.shutdown();
+        let config = ServeConfig {
+            workers: 2,
+            quantum_frames: 4,
+            olt_entries: 0,
+            ..Default::default()
+        };
+        let alone = OtfDecoder::new(config.base).decode(&*am, &*lm, &scores, &mut NullSink);
+        let server = Server::start_multi_with_scorer(
+            config,
+            Arc::clone(&am),
+            vec![(crate::sched::DEFAULT_LM.to_string(), Arc::clone(&lm))],
+            Some(Arc::new(GmmScorer::new(Arc::clone(&model)))),
+        );
+        let handle = server.handle();
+        let id = handle.open().expect("admit");
+        for f in &frames {
+            handle
+                .ingest_frame(id, FrameInput::Features(f.clone()))
+                .expect("ingest");
         }
-        let (lockstep, pipelined) = (&outcomes[0], &outcomes[1]);
-        assert_eq!(lockstep.words, pipelined.words);
-        assert_eq!(lockstep.cost.to_bits(), pipelined.cost.to_bits());
-        assert_eq!(lockstep.stats, pipelined.stats);
+        handle.finish(id).expect("finish");
+        let served = handle
+            .wait_result(id, Duration::from_secs(60))
+            .expect("known")
+            .expect("no timeout");
+        assert_eq!(handle.stats().frames_scored, frames.len() as u64);
+        assert_eq!(served.words, alone.words);
+        assert_eq!(served.cost.to_bits(), alone.cost.to_bits());
+        assert_eq!(served.stats, alone.stats);
+        // Workers ran, so the occupancy gauge scrapes as a number (NaN
+        // renders as "-" and would mean the busy clock never reported).
+        let md = handle.obs_markdown();
+        let line = md
+            .lines()
+            .find(|l| l.contains("stage_search_occupancy"))
+            .expect("stage_search_occupancy missing from scrape");
+        assert!(!line.contains("NaN"), "occupancy must be a number: {line}");
+        server.shutdown();
     }
 
     #[test]

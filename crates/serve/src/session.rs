@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use unfold_bias::BiasingFst;
-use unfold_decoder::{DecodeResult, FrameInput, LmSource, StreamSession};
+use unfold_decoder::{DecodeResult, LmSource, StreamSession};
 use unfold_lm::WordId;
 
 /// Opaque session identifier, unique for a server's lifetime.
@@ -36,19 +36,11 @@ pub struct SessionView {
     pub frames_accepted: u64,
     /// Frames actually decoded so far.
     pub frames_decoded: u64,
-    /// Frames queued (raw + scored), awaiting a decode slice.
+    /// Frames queued, awaiting a decode slice.
     pub queued: usize,
-    /// Frames still awaiting the scoring stage (a subset of `queued`;
-    /// always 0 in lockstep mode, where scoring happens at ingest).
-    pub queued_raw: usize,
-    /// Scored frames awaiting the search stage (a subset of `queued`).
-    pub queued_scored: usize,
-    /// Whether a worker currently holds frames or decode state of this
-    /// session (a search lease or a scoring lease).
+    /// Whether a worker currently holds this session's decode state
+    /// and a quantum of its frames.
     pub leased: bool,
-    /// Whether a scoring worker currently holds raw frames of this
-    /// session.
-    pub score_leased: bool,
     /// Degradation-ladder level this session was admitted at
     /// (0 = full beams).
     pub degrade_level: u8,
@@ -80,23 +72,9 @@ pub(crate) struct Session<L: LmSource + ?Sized> {
     pub bias_gen: u64,
     /// Search state; `None` while leased to a worker.
     pub decode: Option<StreamSession>,
-    /// Queued score rows (`row[pdf - 1]` = acoustic cost) — the
-    /// search stage's input. In pipelined mode this is the bounded
-    /// SPSC scored-frame queue (depth capped by the search lag).
+    /// Queued score rows (`row[pdf - 1]` = acoustic cost), scored at
+    /// ingest and awaiting a decode slice.
     pub queue: VecDeque<Vec<f32>>,
-    /// Frames awaiting the scoring stage (pipelined mode only;
-    /// lockstep scoring happens at ingest, so this stays empty).
-    pub raw: VecDeque<FrameInput>,
-    /// Whether a scoring worker holds frames drained from `raw`. At
-    /// most one score lease per session is outstanding — the SPSC
-    /// discipline that makes scored rows land in push order, which is
-    /// what keeps pipelined decode bit-identical to lockstep.
-    pub score_leased: bool,
-    /// Set when scoring for this session stalled on a full scored
-    /// queue; the session re-enters the score-ready queue when search
-    /// drains it. Prevents a stalled session from spinning in the
-    /// scoring stage's ready queue.
-    pub score_stalled: bool,
     pub phase: SessionPhase,
     /// Last *client* activity (open/push/finish) — the idle-eviction
     /// clock. Decode progress deliberately does not refresh it.
@@ -145,9 +123,6 @@ impl<L: LmSource + ?Sized> Session<L> {
             bias_gen,
             decode: Some(decode),
             queue: VecDeque::new(),
-            raw: VecDeque::new(),
-            score_leased: false,
-            score_stalled: false,
             phase: SessionPhase::Open,
             last_activity_ms: now_ms,
             last_progress_ms: now_ms,
@@ -163,23 +138,10 @@ impl<L: LmSource + ?Sized> Session<L> {
         }
     }
 
-    /// Whether the session has work a *search* lease could perform:
-    /// scored frames, or a pending finalize with nothing still in (or
-    /// headed for) the scoring stage — finalizing while raw frames
-    /// await scoring would drop them from the transcript.
+    /// Whether the session has work a lease could perform: queued
+    /// frames, or a pending finalize.
     pub(crate) fn runnable(&self) -> bool {
-        !self.queue.is_empty()
-            || (self.phase == SessionPhase::Finishing
-                && self.result.is_none()
-                && self.raw.is_empty()
-                && !self.score_leased)
-    }
-
-    /// Whether the scoring stage can take frames from this session:
-    /// raw frames present, no score lease outstanding, and not parked
-    /// stalled on a full scored queue.
-    pub(crate) fn scoreable(&self) -> bool {
-        !self.raw.is_empty() && !self.score_leased && !self.score_stalled
+        !self.queue.is_empty() || (self.phase == SessionPhase::Finishing && self.result.is_none())
     }
 
     pub(crate) fn view(&self) -> SessionView {
@@ -187,11 +149,8 @@ impl<L: LmSource + ?Sized> Session<L> {
             phase: self.phase,
             frames_accepted: self.frames_accepted,
             frames_decoded: self.frames_decoded,
-            queued: self.queue.len() + self.raw.len(),
-            queued_raw: self.raw.len(),
-            queued_scored: self.queue.len(),
-            leased: self.leased || self.score_leased,
-            score_leased: self.score_leased,
+            queued: self.queue.len(),
+            leased: self.leased,
             degrade_level: self.degrade_level,
         }
     }

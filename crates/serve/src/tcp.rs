@@ -143,9 +143,8 @@ where
             return reject_to_msg(e);
         }
     }
-    // Closed loop: answer once this chunk has cleared scoring and
-    // search, so the partial reflects it and the client paces itself
-    // to the server.
+    // Closed loop: answer once this chunk has been decoded, so the
+    // partial reflects it and the client paces itself to the server.
     handle.wait_drained(id, DRAIN_TIMEOUT);
     match handle.stable_partial(id) {
         Ok(words) => ServerMsg::Partial { words },
@@ -353,10 +352,10 @@ mod tests {
         server.shutdown();
     }
 
-    /// The versioned frame message drives the full two-stage pipeline
-    /// over TCP and still lands the standalone transcript bit for bit.
+    /// The versioned frame message over TCP lands the standalone
+    /// transcript bit for bit.
     #[test]
-    fn frames_v2_over_tcp_through_pipelined_server_matches_standalone() {
+    fn frames_v2_over_tcp_matches_standalone() {
         use unfold_decoder::FrameInput;
 
         let (lex, am, lm) = setup();
@@ -373,7 +372,6 @@ mod tests {
         let server = Server::start(
             ServeConfig {
                 workers: 1,
-                scoring_workers: 1,
                 olt_entries: 0,
                 base,
                 ..Default::default()
@@ -427,7 +425,7 @@ mod tests {
     #[test]
     fn non_finite_feature_chunk_is_refused_and_the_connection_stays_usable() {
         use unfold_am::GmmModel;
-        use unfold_decoder::{GmmScorer, SessionIngest};
+        use unfold_decoder::GmmScorer;
 
         let (lex, am, lm) = setup();
         let probe = synthesize_utterance(
@@ -525,11 +523,10 @@ mod tests {
 
         // The session decoded exactly the sixteen finite frames.
         let id = handle.open().expect("admit");
-        let mut bound = handle.bind(id);
         for t in 0..16 {
-            bound.ingest(good(t)).expect("ingest");
+            handle.ingest_frame(id, good(t)).expect("ingest");
         }
-        bound.finish().expect("finish");
+        handle.finish(id).expect("finish");
         let direct = handle
             .wait_result(id, DRAIN_TIMEOUT)
             .expect("known")

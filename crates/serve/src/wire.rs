@@ -38,8 +38,8 @@ pub enum ClientMsg {
         bias: Option<String>,
     },
     /// A batch of score rows (all the same width). The legacy frame
-    /// message — kept byte-identical so pre-pipeline clients still
-    /// work; new clients send [`ClientMsg::FramesV2`].
+    /// message — kept byte-identical so clients older than `FramesV2`
+    /// still work; new clients send [`ClientMsg::FramesV2`].
     Frames(Vec<Vec<f32>>),
     /// A versioned batch of [`FrameInput`]s (all the same kind and
     /// width): precomputed score rows *or* raw feature vectors for the
@@ -654,7 +654,7 @@ mod tests {
 
     /// The legacy `T_FRAMES` message must keep its exact byte layout —
     /// no version byte, no kind byte — so score-row clients built
-    /// before the pipelined protocol still parse.
+    /// before the versioned protocol still parse.
     #[test]
     fn legacy_score_row_frames_keep_their_byte_layout() {
         let msg = ClientMsg::Frames(vec![vec![1.0, -2.5]]);

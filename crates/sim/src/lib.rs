@@ -45,7 +45,6 @@ pub mod gpu;
 pub mod hashtable;
 pub mod olt;
 pub mod report;
-pub mod scorer;
 
 pub use accel::{Accelerator, FrameCacheSnapshot};
 pub use cache::{Cache, CacheConfig, CacheStats};
@@ -55,4 +54,3 @@ pub use gpu::{batch_pipeline, BatchPipeline, GpuModel, ScoringKind};
 pub use hashtable::TokenHashTable;
 pub use olt::OffsetLookupTable;
 pub use report::{AcceleratorConfig, ComponentEnergy, SimReport};
-pub use scorer::{modeled_us_per_frame, GpuBatchScorer};

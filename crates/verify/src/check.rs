@@ -29,9 +29,9 @@ use unfold_am::Utterance;
 use unfold_bias::{BiasedLm, BiasingFst, OfflineBiasedLm};
 use unfold_compress::{Bundle, BundleError, BundleWriter, SharedAm, SharedLm};
 use unfold_decoder::{
-    decode_pipelined, oracle_wer, AcousticScorer, DecodeConfig, DecodeKernel, DecodeResult,
-    DecodeScratch, FrameInput, FullyComposedDecoder, LmSource, NullSink, OtfDecoder, OtfStream,
-    PrecomputedScorer, ScoreError, StreamSession, TraceRecorder, TwoPassDecoder, WorkScratch,
+    oracle_wer, DecodeConfig, DecodeKernel, DecodeResult, DecodeScratch, FullyComposedDecoder,
+    LmSource, NullSink, OtfDecoder, OtfStream, StreamSession, TraceRecorder, TwoPassDecoder,
+    WorkScratch,
 };
 use unfold_sim::{Accelerator, AcceleratorConfig};
 use unfold_wfst::{compose_am_lm, Arc, ComposeOptions, Label, StateId, Wfst, EPSILON};
@@ -78,12 +78,6 @@ pub enum CheckId {
     /// union composition against the eagerly composed biased
     /// reference, bit for bit (words, cost bits, word frames).
     BiasOracle,
-    /// Two-stage pipelined decode (scoring stage feeding search
-    /// through a bounded ring) vs the lockstep baseline: words, cost
-    /// bits, full stats, and the ordered trace-event stream must be
-    /// bit-identical for every `(scorer_batch, max_search_lag)`
-    /// pairing swept. This is where `Mutation::StaleLag` surfaces.
-    PipelineIdentity,
     /// A check panicked instead of returning.
     Panic,
 }
@@ -104,7 +98,6 @@ impl CheckId {
             CheckId::SimReplay => "sim-replay",
             CheckId::LatticeOracle => "lattice-oracle",
             CheckId::BiasOracle => "bias-oracle",
-            CheckId::PipelineIdentity => "pipeline-identity",
             CheckId::Panic => "panic",
         }
     }
@@ -124,7 +117,6 @@ impl CheckId {
             CheckId::SimReplay,
             CheckId::LatticeOracle,
             CheckId::BiasOracle,
-            CheckId::PipelineIdentity,
             CheckId::Panic,
         ]
         .into_iter()
@@ -193,13 +185,6 @@ pub enum Mutation {
     /// the bias-oracle comparison against the offline-composed biased
     /// reference can catch it.
     BiasBonusSkip,
-    /// The pipelined scorer's ring hand-off is off by one: each score
-    /// request returns the *previous* frame's row (the classic shared
-    /// -buffer bug — search consuming a stale slot the scoring stage
-    /// has not refilled). The stale scorer exists only inside the
-    /// pipeline-identity check, so every other check still passes;
-    /// only the pipelined-vs-lockstep comparison can catch it.
-    StaleLag,
 }
 
 impl Mutation {
@@ -212,7 +197,6 @@ impl Mutation {
             Mutation::StaleChecksum => "stale-checksum",
             Mutation::LatticeBeamSkip => "lattice-beam-skip",
             Mutation::BiasBonusSkip => "bias-bonus-skip",
-            Mutation::StaleLag => "stale-lag",
         }
     }
 
@@ -225,7 +209,6 @@ impl Mutation {
             "stale-checksum" => Some(Mutation::StaleChecksum),
             "lattice-beam-skip" => Some(Mutation::LatticeBeamSkip),
             "bias-bonus-skip" => Some(Mutation::BiasBonusSkip),
-            "stale-lag" => Some(Mutation::StaleLag),
             _ => None,
         }
     }
@@ -355,45 +338,6 @@ impl<L: LmSource> LmSource for SkipBonus<'_, L> {
 
     fn validation_addr(&self) -> usize {
         self.0.validation_addr()
-    }
-}
-
-/// The [`Mutation::StaleLag`] wrapper: a passthrough scorer whose
-/// hand-off is off by one — every request after the first returns the
-/// *previous* frame's row. Deliberately stateful, violating the
-/// [`AcousticScorer`] purity contract the pipeline's bit-identity
-/// argument rests on; the divergence it plants is exactly what a
-/// search stage reading a stale shared-buffer slot would decode.
-#[derive(Debug)]
-struct StaleLagScorer {
-    inner: PrecomputedScorer,
-    prev: std::sync::Mutex<Option<Vec<f32>>>,
-}
-
-impl StaleLagScorer {
-    fn new(width: usize) -> Self {
-        StaleLagScorer {
-            inner: PrecomputedScorer::new(width),
-            prev: std::sync::Mutex::new(None),
-        }
-    }
-}
-
-impl AcousticScorer for StaleLagScorer {
-    fn num_pdfs(&self) -> usize {
-        self.inner.num_pdfs()
-    }
-
-    fn score_into(&self, frame: &FrameInput, out: &mut Vec<f32>) -> Result<(), ScoreError> {
-        let mut current = Vec::new();
-        self.inner.score_into(frame, &mut current)?;
-        // BUG under test: the slot handed to search is the one scored
-        // for the previous frame (the first frame scores itself).
-        let mut prev = self.prev.lock().expect("stale-lag slot");
-        let stale = prev.replace(current.clone()).unwrap_or(current);
-        out.clear();
-        out.extend_from_slice(&stale);
-        Ok(())
     }
 }
 
@@ -828,19 +772,6 @@ pub fn run_case_filtered(
         }
     }
 
-    // 8b. Pipeline identity: the two-stage (scoring → search) decode
-    //     over a bounded ring must reproduce the lockstep baseline —
-    //     words, cost bits, full stats, and the ordered trace-event
-    //     stream — for every (scorer_batch, max_search_lag) pairing
-    //     swept, including the strictly synchronous lag-0 hand-off.
-    //     Under `Mutation::StaleLag` the scorer returns the previous
-    //     frame's row; only this comparison can see it.
-    if want(CheckId::PipelineIdentity) {
-        if let Some(d) = pipeline_identity_check(mutation, &m, cfg, &baseline, &base_rec) {
-            return Some(d);
-        }
-    }
-
     // 9. Lattice oracle: build the exact word lattice from the
     //    recorded expansion tape and pin it four ways — the decode it
     //    rides on is bit-identical to the plain decode, its 1-best
@@ -873,77 +804,6 @@ pub fn run_case_filtered(
         }
     }
 
-    None
-}
-
-/// The `(scorer_batch, max_search_lag)` pairings the pipeline-identity
-/// check sweeps: strictly synchronous hand-off, a ragged small batch
-/// against a shallow ring, and deep batches against a deep ring.
-const PIPELINE_GRID: [(usize, usize); 3] = [(1, 0), (3, 2), (8, 8)];
-
-fn pipeline_identity_check(
-    mutation: Mutation,
-    m: &CaseModels,
-    cfg: DecodeConfig,
-    baseline: &DecodeResult,
-    base_rec: &TraceRecorder,
-) -> Option<Divergence> {
-    let div = |detail: String| {
-        Some(Divergence {
-            check: CheckId::PipelineIdentity,
-            detail,
-        })
-    };
-    let scores = &m.utt.scores;
-    let width = if scores.num_frames() > 0 {
-        scores.frame(0).len()
-    } else {
-        0
-    };
-    let frames: Vec<FrameInput> = (0..scores.num_frames())
-        .map(|t| FrameInput::Scores(scores.frame(t).to_vec()))
-        .collect();
-    for (batch, lag) in PIPELINE_GRID {
-        let pcfg = cfg
-            .to_builder()
-            .scorer_batch(batch)
-            .max_search_lag(lag)
-            .build()
-            .expect("pipeline grid yields a valid config");
-        // A fresh scorer per pairing: the planted stale-lag slot is
-        // per-decode state, like every other mutation wrapper.
-        let passthrough = PrecomputedScorer::new(width);
-        let stale = StaleLagScorer::new(width);
-        let scorer: &dyn AcousticScorer = if mutation == Mutation::StaleLag {
-            &stale
-        } else {
-            &passthrough
-        };
-        let lm = MutatedLm::new(&m.lm_fst, mutation);
-        let mut rec = TraceRecorder::new();
-        let res = match decode_pipelined(pcfg, &m.am.fst, &lm, scorer, &frames, &mut rec) {
-            Ok(res) => res,
-            Err(e) => {
-                return div(format!(
-                    "batch={batch} lag={lag}: scorer refused a frame: {e}"
-                ));
-            }
-        };
-        if let Some(d) = bit_diff(
-            &format!("pipelined batch={batch} lag={lag}"),
-            &res,
-            baseline,
-        ) {
-            return div(d);
-        }
-        if rec.events() != base_rec.events() {
-            return div(format!(
-                "batch={batch} lag={lag}: trace diverged: {} pipelined events vs {} lockstep",
-                rec.len(),
-                base_rec.len()
-            ));
-        }
-    }
     None
 }
 
@@ -1449,7 +1309,6 @@ mod tests {
             Mutation::StaleChecksum,
             Mutation::LatticeBeamSkip,
             Mutation::BiasBonusSkip,
-            Mutation::StaleLag,
         ] {
             let caught = (0..12).any(|i| {
                 let spec = CaseSpec::derive(0xB00, i);
@@ -1474,31 +1333,6 @@ mod tests {
         assert!(
             d.detail.contains("exceeds the claimed lattice beam"),
             "want the slack assertion, got: {}",
-            d.detail
-        );
-    }
-
-    #[test]
-    fn stale_lag_is_caught_by_pipeline_identity_alone() {
-        // The stale scorer exists only inside the pipeline check, so a
-        // full-matrix run must attribute the divergence there and
-        // nowhere else.
-        let caught = (0..12).find_map(|i| {
-            let spec = CaseSpec::derive(0xB00, i);
-            let full = run_case_caught(&spec, Mutation::StaleLag);
-            if let Some(d) = &full {
-                assert_eq!(
-                    d.check,
-                    CheckId::PipelineIdentity,
-                    "stale-lag leaked into another check: {d}"
-                );
-            }
-            full
-        });
-        let d = caught.expect("a stale scoring ring must surface within 12 cases");
-        assert!(
-            d.detail.contains("pipelined"),
-            "want the pipelined comparison, got: {}",
             d.detail
         );
     }
@@ -1586,7 +1420,6 @@ mod tests {
             CheckId::SimReplay,
             CheckId::LatticeOracle,
             CheckId::BiasOracle,
-            CheckId::PipelineIdentity,
             CheckId::Panic,
         ] {
             assert_eq!(CheckId::parse(c.name()), Some(c));
@@ -1598,7 +1431,6 @@ mod tests {
             Mutation::StaleChecksum,
             Mutation::LatticeBeamSkip,
             Mutation::BiasBonusSkip,
-            Mutation::StaleLag,
         ] {
             assert_eq!(Mutation::parse(m.name()), Some(m));
         }

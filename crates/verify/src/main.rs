@@ -13,7 +13,7 @@ unfold-verify: randomized differential verification campaign
 USAGE:
     unfold-verify [--cases N] [--seed S] [--jobs N] [--out DIR]
                   [--mutation none|olt-aliasing|free-backoff|stale-checksum
-                             |lattice-beam-skip|bias-bonus-skip|stale-lag]
+                             |lattice-beam-skip|bias-bonus-skip]
                   [--check NAME] [--no-shrink]
 
 FLAGS:
@@ -22,8 +22,8 @@ FLAGS:
     --jobs N       worker threads (default: available parallelism)
     --out DIR      write minimized repro files here
     --mutation M   inject a known decoder bug (default none)
-    --check NAME   run a single check (e.g. lattice-oracle, bias-oracle,
-                   or pipeline-identity) instead of the full matrix
+    --check NAME   run a single check (e.g. lattice-oracle or bias-oracle)
+                   instead of the full matrix
     --no-shrink    skip delta-debugging of divergences
 ";
 

@@ -164,76 +164,6 @@ fn planted_lattice_beam_skip_is_caught_and_shrunk() {
     assert_eq!(replayed.check, CheckId::LatticeOracle);
 }
 
-/// The pipeline-identity acceptance scenario: a campaign restricted to
-/// the pipelined-vs-lockstep comparison runs clean on the correct
-/// decoder, and a planted stale-lag bug (the scoring stage hands search
-/// the previous frame's row) is caught by that check alone and shrinks
-/// to a repro of at most 10 LM states.
-#[test]
-fn planted_stale_lag_is_caught_and_shrunk() {
-    // Clean first: the same restricted campaign must find nothing.
-    let clean = run_campaign(&CampaignConfig {
-        seed: 7,
-        cases: 16,
-        mutation: Mutation::None,
-        only: Some(CheckId::PipelineIdentity),
-        out_dir: None,
-        shrink: false,
-        jobs: 4,
-    })
-    .expect("campaign I/O");
-    assert!(
-        clean.is_clean(),
-        "pipeline-identity divergences on a clean decoder: {:#?}",
-        clean.divergences
-    );
-
-    let mutation = Mutation::StaleLag;
-    let report = run_campaign(&CampaignConfig {
-        seed: 7,
-        cases: 16,
-        mutation,
-        only: Some(CheckId::PipelineIdentity),
-        out_dir: None,
-        shrink: false,
-        jobs: 4,
-    })
-    .expect("campaign I/O");
-    assert!(
-        !report.divergences.is_empty(),
-        "the stale scoring ring must be detected within 16 cases"
-    );
-    for d in &report.divergences {
-        assert_eq!(d.divergence.check, CheckId::PipelineIdentity);
-    }
-
-    let mut best_states = usize::MAX;
-    let mut best: Option<CaseSpec> = None;
-    for d in &report.divergences {
-        let out = shrink(&d.original, mutation, Some(CheckId::PipelineIdentity))
-            .expect("divergence must still reproduce");
-        assert_eq!(out.divergence.check, CheckId::PipelineIdentity);
-        if out.lm_states < best_states {
-            best_states = out.lm_states;
-            best = Some(out.spec.clone());
-        }
-    }
-    let spec = best.expect("at least one shrink outcome");
-    assert!(
-        best_states <= 10,
-        "best shrunk repro has {best_states} LM states, want <= 10"
-    );
-
-    // The minimized case still diverges on the same check as a repro.
-    let repro = ReproCase {
-        spec,
-        check: Some(CheckId::PipelineIdentity),
-        mutation,
-    };
-    let replayed = run_repro(&repro).expect("minimized repro must still diverge");
-    assert_eq!(replayed.check, CheckId::PipelineIdentity);
-}
-
 /// The repro file round-trips through disk and through the CLI: the
 /// `verify --repro` subcommand reports DIVERGED for a buggy decode and
 /// PASS once the mutation is turned off.
