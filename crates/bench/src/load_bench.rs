@@ -6,7 +6,7 @@
 //! every open is process-cold — how long [`Models::open`] (owned:
 //! read + heap copy + eager checksum) and [`Models::open_mmap`]
 //! (zero-copy: map, parse the section table, then stream each model
-//! section's checksum *in place* while binding the shared handles)
+//! section's checksum *in place* while binding the models)
 //! take, and what each does to the process's memory high-water mark.
 //! Results land in `BENCH_load.json` (override with
 //! `UNFOLD_BENCH_LOAD_JSON`) next to `BENCH_decode.json` /

@@ -14,8 +14,12 @@
 
 use unfold_wfst::{Arc, StateId, Wfst, WfstBuilder, EPSILON};
 
-use crate::bits::{BitBuf, BitReader, BitWriter};
-use crate::io::{ByteReader, ByteWriter, ModelIoError, AM_MAGIC, FORMAT_VERSION};
+use crate::bits::{BitSlice, BitWriter};
+use crate::bundle::{Bundle, BundleError, SectionKind};
+use crate::io::{
+    rd_f32, rd_u32, rd_u64, ByteReader, ByteWriter, Extents, ModelIoError, SectionBytes,
+    AM_DEST_BITS, AM_MAGIC, FORMAT_VERSION, PDF_BITS, TAG_BITS, WEIGHT_BITS, WORD_BITS,
+};
 use crate::quant::WeightQuantizer;
 
 const TAG_SELF: u64 = 0b11;
@@ -23,30 +27,208 @@ const TAG_NEXT: u64 = 0b10;
 const TAG_PREV: u64 = 0b01;
 const TAG_NORMAL: u64 = 0b00;
 
-const PDF_BITS: u32 = 12;
-const WEIGHT_BITS: u32 = 6;
-const WORD_BITS: u32 = 18;
-const DEST_BITS: u32 = 20;
+/// Short-format arc width: tag + PDF id + weight index (20 bits).
+pub(crate) const SHORT_ARC_BITS: u32 = TAG_BITS + PDF_BITS + WEIGHT_BITS;
+/// Full-format arc width: a short arc plus word id and destination
+/// (58 bits).
+pub(crate) const FULL_ARC_BITS: u32 = SHORT_ARC_BITS + WORD_BITS + AM_DEST_BITS;
 
-/// Per-state record: modeled at 8 bytes in size accounting (the
-/// "bandwidth reduction scheme" state record of [34]).
-#[derive(Debug, Clone, Copy)]
-struct StateRec {
-    bit_offset: u64,
-    narcs: u32,
-    is_final: bool,
-    final_weight: f32,
-}
+/// Serialized state record: bit offset (u64), arc count (u32), final
+/// flag (u32), final weight (f32). Size accounting models it at 8
+/// bytes (the "bandwidth reduction scheme" state record of [34]).
+const STATE_REC_BYTES: usize = 20;
 
-/// An AM WFST in the compressed bit-packed format.
+/// Parsed header of a serialized `UNFA` section: everything needed to
+/// decode arcs in place except the bytes themselves.
 #[derive(Debug, Clone)]
-pub struct CompressedAm {
-    states: Vec<StateRec>,
-    reader: BitReader,
-    quant: WeightQuantizer,
+pub struct AmLayout {
+    num_states: usize,
     start: StateId,
     short_arcs: u64,
     normal_arcs: u64,
+    quant: WeightQuantizer,
+    extents: Extents,
+}
+
+impl AmLayout {
+    /// Parses the header of a serialized AM, validating counts, the
+    /// codebook, section bounds, and state-record sanity (monotone
+    /// offsets within the stream). O(states); the arc stream is not
+    /// read — binding a bundle section relies on its checksum for the
+    /// payload, while [`CompressedAm::from_bytes`] adds the full
+    /// structural walk.
+    ///
+    /// # Errors
+    /// Returns [`ModelIoError`] on bad magic/version, truncation, or a
+    /// structurally invalid header.
+    pub fn parse(bytes: &[u8]) -> Result<AmLayout, ModelIoError> {
+        let mut r = ByteReader::new(bytes);
+        let num_states = r.model_head(AM_MAGIC, AM_DEST_BITS)?;
+        let start = r.u32()?;
+        if start as usize >= num_states {
+            return Err(ModelIoError::Corrupt("start state out of range"));
+        }
+        let short_arcs = r.u64()?;
+        let normal_arcs = r.u64()?;
+        let quant = r.codebook()?;
+        let extents = r.extents(num_states, STATE_REC_BYTES)?;
+        // Cheap state-table sweep: offsets monotone and every block's
+        // minimum extent (20 bits/arc) inside the stream.
+        let (states, _) = extents.split(bytes);
+        let len_bits = extents.len_bits();
+        let mut prev = 0u64;
+        for i in 0..num_states {
+            let off = rd_u64(states, i * STATE_REC_BYTES);
+            let narcs = u64::from(rd_u32(states, i * STATE_REC_BYTES + 8));
+            if off < prev || off > len_bits {
+                return Err(ModelIoError::Corrupt("state offsets not monotone"));
+            }
+            if narcs
+                .checked_mul(u64::from(SHORT_ARC_BITS))
+                .and_then(|n| n.checked_add(off))
+                .is_none_or(|end| end > len_bits)
+            {
+                return Err(ModelIoError::Corrupt("arc block past end of stream"));
+            }
+            prev = off;
+        }
+        Ok(AmLayout {
+            num_states,
+            start,
+            short_arcs,
+            normal_arcs,
+            quant,
+            extents,
+        })
+    }
+
+    /// Number of states.
+    pub fn num_states(&self) -> usize {
+        self.num_states
+    }
+
+    /// Arc-stream payload size in bytes (what mmap loading avoids
+    /// copying).
+    pub fn arc_stream_bytes(&self) -> usize {
+        self.extents.arc_stream_bytes()
+    }
+
+    /// State-table size in bytes — the part of the section the header
+    /// sweep *does* read at parse time.
+    pub fn state_table_bytes(&self) -> usize {
+        self.extents.state_table_bytes()
+    }
+}
+
+/// An AM WFST in the compressed bit-packed format: the serialized
+/// `UNFA` section bytes — in a buffer of their own or inside a shared
+/// bundle, possibly memory-mapped — plus their parsed [`AmLayout`].
+/// Every field is read in place; cloning shares the bytes.
+#[derive(Debug, Clone)]
+pub struct CompressedAm {
+    bytes: SectionBytes,
+    layout: AmLayout,
+}
+
+/// The per-call borrowed view: the state table and the arc stream.
+struct View<'a> {
+    layout: &'a AmLayout,
+    states: &'a [u8],
+    bits: BitSlice<'a>,
+}
+
+impl View<'_> {
+    /// `(bit offset, arc count, is final, final weight)` of `s`.
+    #[inline]
+    fn rec(&self, s: StateId) -> (u64, u32, bool, f32) {
+        let base = s as usize * STATE_REC_BYTES;
+        (
+            rd_u64(self.states, base),
+            rd_u32(self.states, base + 8),
+            rd_u32(self.states, base + 12) != 0,
+            rd_f32(self.states, base + 16),
+        )
+    }
+
+    fn for_each_arc(&self, s: StateId, mut f: impl FnMut(Arc, u64, u32)) {
+        let (mut off, narcs, _, _) = self.rec(s);
+        for _ in 0..narcs {
+            let start_off = off;
+            let tag = self.bits.read(off, TAG_BITS);
+            let pdf = self.bits.read(off + u64::from(TAG_BITS), PDF_BITS) as u32;
+            let widx =
+                self.bits
+                    .read(off + u64::from(TAG_BITS + PDF_BITS), WEIGHT_BITS) as u8;
+            let weight = self.layout.quant.decode(widx);
+            off += u64::from(SHORT_ARC_BITS);
+            let (olabel, dest, width) = match tag {
+                TAG_SELF => (EPSILON, s, SHORT_ARC_BITS),
+                TAG_NEXT => {
+                    assert!(
+                        (s as usize) + 1 < self.layout.num_states,
+                        "corrupt AM stream: +1 arc from last state {s}"
+                    );
+                    (EPSILON, s + 1, SHORT_ARC_BITS)
+                }
+                TAG_PREV => {
+                    assert!(s != 0, "corrupt AM stream: -1 arc from state 0");
+                    (EPSILON, s - 1, SHORT_ARC_BITS)
+                }
+                _ => {
+                    let word = self.bits.read(off, WORD_BITS) as u32;
+                    let dest = self.bits.read(off + u64::from(WORD_BITS), AM_DEST_BITS) as u32;
+                    off += u64::from(WORD_BITS + AM_DEST_BITS);
+                    (word, dest, FULL_ARC_BITS)
+                }
+            };
+            f(Arc::new(pdf, olabel, weight, dest), start_off, width);
+        }
+    }
+
+    /// The full structural walk [`AmLayout::parse`] skips — arc tags,
+    /// destinations, block contiguity. O(arcs).
+    fn validate(&self) -> Result<(), ModelIoError> {
+        let len = self.bits.len_bits();
+        let n = self.layout.num_states as u32;
+        for i in 0..n {
+            let (mut off, narcs, _, _) = self.rec(i);
+            for _ in 0..narcs {
+                if off + u64::from(SHORT_ARC_BITS) > len {
+                    return Err(ModelIoError::Corrupt("arc past end of stream"));
+                }
+                let tag = self.bits.read(off, TAG_BITS);
+                let width = u64::from(if tag == TAG_NORMAL {
+                    FULL_ARC_BITS
+                } else {
+                    SHORT_ARC_BITS
+                });
+                if off + width > len {
+                    return Err(ModelIoError::Corrupt("arc past end of stream"));
+                }
+                match tag {
+                    TAG_NEXT if i + 1 >= n => {
+                        return Err(ModelIoError::Corrupt("+1 arc from last state"));
+                    }
+                    TAG_PREV if i == 0 => {
+                        return Err(ModelIoError::Corrupt("-1 arc from state 0"));
+                    }
+                    TAG_NORMAL => {
+                        let dest_off = off + u64::from(SHORT_ARC_BITS + WORD_BITS);
+                        if self.bits.read(dest_off, AM_DEST_BITS) as u32 >= n {
+                            return Err(ModelIoError::Corrupt("destination out of range"));
+                        }
+                    }
+                    _ => {}
+                }
+                off += width;
+            }
+            let next_off = if i + 1 < n { self.rec(i + 1).0 } else { len };
+            if off != next_off {
+                return Err(ModelIoError::Corrupt("arc blocks not contiguous"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl CompressedAm {
@@ -59,7 +241,7 @@ impl CompressedAm {
     pub fn compress(fst: &Wfst, k: usize, seed: u64) -> Self {
         assert!(fst.num_states() > 0, "compress: empty AM");
         assert!(
-            fst.num_states() < (1 << DEST_BITS),
+            fst.num_states() < (1 << AM_DEST_BITS),
             "compress: {} states exceed the 20-bit destination field",
             fst.num_states()
         );
@@ -75,17 +257,15 @@ impl CompressedAm {
             WeightQuantizer::fit(if weights.is_empty() { &[0.0] } else { &weights }, k, seed);
 
         let mut w = BitWriter::new();
-        let mut states = Vec::with_capacity(fst.num_states());
+        let mut recs = ByteWriter::default();
         let mut short_arcs = 0u64;
         let mut normal_arcs = 0u64;
         for s in fst.states() {
             let arcs = fst.arcs(s);
-            states.push(StateRec {
-                bit_offset: w.len_bits(),
-                narcs: arcs.len() as u32,
-                is_final: fst.final_weight(s).is_some(),
-                final_weight: fst.final_weight(s).unwrap_or(f32::INFINITY),
-            });
+            recs.u64(w.len_bits());
+            recs.u32(arcs.len() as u32);
+            recs.u32(u32::from(fst.final_weight(s).is_some()));
+            recs.f32(fst.final_weight(s).unwrap_or(f32::INFINITY));
             for a in arcs {
                 assert!(
                     a.ilabel < (1 << PDF_BITS),
@@ -103,7 +283,7 @@ impl CompressedAm {
                 } else {
                     TAG_NORMAL
                 };
-                w.push(tag, 2);
+                w.push(tag, TAG_BITS);
                 w.push(u64::from(a.ilabel), PDF_BITS);
                 w.push(u64::from(quant.encode(a.weight)), WEIGHT_BITS);
                 if tag == TAG_NORMAL {
@@ -113,140 +293,28 @@ impl CompressedAm {
                         a.olabel
                     );
                     w.push(u64::from(a.olabel), WORD_BITS);
-                    w.push(u64::from(a.nextstate), DEST_BITS);
+                    w.push(u64::from(a.nextstate), AM_DEST_BITS);
                     normal_arcs += 1;
                 } else {
                     short_arcs += 1;
                 }
             }
         }
+        let mut out = ByteWriter::default();
+        out.out.extend_from_slice(&AM_MAGIC);
+        out.u32(FORMAT_VERSION);
+        out.u32(fst.num_states() as u32);
+        out.u32(fst.start());
+        out.u64(short_arcs);
+        out.u64(normal_arcs);
+        out.codebook(&quant);
+        out.out.extend(recs.out);
+        out.arc_stream(&w.finish());
+        let layout = AmLayout::parse(&out.out).expect("a freshly compressed AM parses");
         CompressedAm {
-            states,
-            reader: BitReader::new(w.finish()),
-            quant,
-            start: fst.start(),
-            short_arcs,
-            normal_arcs,
+            bytes: SectionBytes::Owned(out.out.into()),
+            layout,
         }
-    }
-
-    /// Number of states.
-    pub fn num_states(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Number of arcs stored in the 20-bit short format.
-    pub fn short_arcs(&self) -> u64 {
-        self.short_arcs
-    }
-
-    /// Number of arcs stored in the 58-bit full format.
-    pub fn normal_arcs(&self) -> u64 {
-        self.normal_arcs
-    }
-
-    /// Bit offset of the first arc of `s` (for memory-address modeling).
-    pub fn state_bit_offset(&self, s: StateId) -> u64 {
-        self.states[s as usize].bit_offset
-    }
-
-    /// Hints the cache to load the head of `s`'s arc bit stream. A
-    /// batched frame kernel calls this over its survivor list before
-    /// expansion so the decode loop finds the lines resident. No-op on
-    /// an out-of-range state — a hint must never panic.
-    #[inline]
-    pub fn prefetch_state(&self, s: StateId) {
-        if let Some(rec) = self.states.get(s as usize) {
-            self.reader.prefetch(rec.bit_offset);
-        }
-    }
-
-    /// Total compressed size in bytes: arc bit stream + 8-byte state
-    /// records + the K-means centroid table.
-    pub fn size_bytes(&self) -> u64 {
-        self.reader.buf().size_bytes() + self.states.len() as u64 * 8 + self.quant.table_bytes()
-    }
-
-    /// Start state of the original machine.
-    pub fn start(&self) -> StateId {
-        self.start
-    }
-
-    /// Final weight of `s`, or `None` if non-final.
-    pub fn final_weight(&self, s: StateId) -> Option<f32> {
-        let rec = &self.states[s as usize];
-        rec.is_final.then_some(rec.final_weight)
-    }
-
-    /// Visits each arc of `s` with its bit offset and encoded width —
-    /// the information the accelerator's Arc Issuer sees (it decodes the
-    /// 2-bit tag to learn "whether it has to fetch the remaining 38 bits
-    /// for the current arc, or the 20 bits for the next arc", §3.4).
-    ///
-    /// # Panics
-    /// Panics if `s` is out of range.
-    pub fn for_each_arc(&self, s: StateId, mut f: impl FnMut(Arc, u64, u32)) {
-        let rec = &self.states[s as usize];
-        let mut off = rec.bit_offset;
-        for _ in 0..rec.narcs {
-            let start_off = off;
-            let tag = self.reader.read(off, 2);
-            let pdf = self.reader.read(off + 2, PDF_BITS) as u32;
-            let widx = self.reader.read(off + 2 + u64::from(PDF_BITS), WEIGHT_BITS) as u8;
-            let weight = self.quant.decode(widx);
-            off += 2 + u64::from(PDF_BITS) + u64::from(WEIGHT_BITS);
-            let (olabel, dest, width) = match tag {
-                t if t == TAG_SELF => (EPSILON, s, 20),
-                t if t == TAG_NEXT => (EPSILON, s + 1, 20),
-                t if t == TAG_PREV => (EPSILON, s - 1, 20),
-                _ => {
-                    let word = self.reader.read(off, WORD_BITS) as u32;
-                    let dest = self.reader.read(off + u64::from(WORD_BITS), DEST_BITS) as u32;
-                    off += u64::from(WORD_BITS) + u64::from(DEST_BITS);
-                    (word, dest, 58)
-                }
-            };
-            f(Arc::new(pdf, olabel, weight, dest), start_off, width);
-        }
-    }
-
-    /// Decodes the outgoing arcs of `s`, reconstructing quantized
-    /// weights from the codebook.
-    ///
-    /// # Panics
-    /// Panics if `s` is out of range.
-    pub fn decode_arcs(&self, s: StateId) -> Vec<Arc> {
-        let mut out = Vec::with_capacity(self.states[s as usize].narcs as usize);
-        self.for_each_arc(s, |a, _, _| out.push(a));
-        out
-    }
-
-    /// Serializes to the `UNFA` container (see [`crate::io`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
-        w.out.extend_from_slice(&AM_MAGIC);
-        w.u32(FORMAT_VERSION);
-        w.u32(self.states.len() as u32);
-        w.u32(self.start);
-        w.u64(self.short_arcs);
-        w.u64(self.normal_arcs);
-        w.u32(self.quant.num_clusters() as u32);
-        for &c in self.quant.centroids() {
-            w.f32(c);
-        }
-        for rec in &self.states {
-            w.u64(rec.bit_offset);
-            w.u32(rec.narcs);
-            w.u32(u32::from(rec.is_final));
-            w.f32(rec.final_weight);
-        }
-        let buf = self.reader.buf();
-        w.u64(buf.len_bits());
-        w.u32(buf.words().len() as u32);
-        for &word in buf.words() {
-            w.u64(word);
-        }
-        w.out
     }
 
     /// Deserializes from the `UNFA` container, validating structure
@@ -256,135 +324,133 @@ impl CompressedAm {
     /// Returns [`ModelIoError`] on bad magic/version, truncation, or
     /// structurally invalid content.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
-        let mut r = ByteReader::new(bytes);
-        if r.take(4)? != AM_MAGIC {
-            return Err(ModelIoError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != FORMAT_VERSION {
-            return Err(ModelIoError::BadVersion(version));
-        }
-        let num_states = r.u32()? as usize;
-        if num_states == 0 || num_states >= (1 << DEST_BITS) {
-            return Err(ModelIoError::Corrupt("state count out of range"));
-        }
-        let start = r.u32()?;
-        if start as usize >= num_states {
-            return Err(ModelIoError::Corrupt("start state out of range"));
-        }
-        let short_arcs = r.u64()?;
-        let normal_arcs = r.u64()?;
-        let k = r.u32()? as usize;
-        if k == 0 || k > 64 {
-            return Err(ModelIoError::Corrupt("cluster count out of range"));
-        }
-        let mut centroids = Vec::with_capacity(k);
-        for _ in 0..k {
-            centroids.push(r.f32()?);
-        }
-        if !centroids.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(ModelIoError::Corrupt("codebook not sorted"));
-        }
-        if num_states.checked_mul(20).is_none_or(|n| n > r.remaining()) {
-            return Err(ModelIoError::Truncated);
-        }
-        let mut states = Vec::with_capacity(num_states);
-        for _ in 0..num_states {
-            let bit_offset = r.u64()?;
-            let narcs = r.u32()?;
-            let is_final = r.u32()? != 0;
-            let final_weight = r.f32()?;
-            states.push(StateRec {
-                bit_offset,
-                narcs,
-                is_final,
-                final_weight,
-            });
-        }
-        let len_bits = r.u64()?;
-        let num_words = r.u32()? as usize;
-        if len_bits > num_words as u64 * 64 {
-            return Err(ModelIoError::Corrupt("bit length exceeds words"));
-        }
-        if num_words.checked_mul(8).is_none_or(|n| n > r.remaining()) {
-            return Err(ModelIoError::Truncated);
-        }
-        let mut words = Vec::with_capacity(num_words);
-        for _ in 0..num_words {
-            words.push(r.u64()?);
-        }
-        if !r.done() {
-            return Err(ModelIoError::Corrupt("trailing bytes"));
-        }
         let am = CompressedAm {
-            states,
-            reader: BitReader::new(BitBuf::from_raw(words, len_bits)),
-            quant: WeightQuantizer::from_centroids(centroids),
-            start,
-            short_arcs,
-            normal_arcs,
+            layout: AmLayout::parse(bytes)?,
+            bytes: SectionBytes::Owned(bytes.into()),
         };
-        am.validate()?;
+        am.view().validate()?;
         Ok(am)
     }
 
-    /// Structural validation: every state's arc block must decode
-    /// within bounds, be contiguous with the next, and point at valid
-    /// states.
-    fn validate(&self) -> Result<(), ModelIoError> {
-        let len = self.reader.buf().len_bits();
-        let n = self.states.len() as u32;
-        for (i, rec) in self.states.iter().enumerate() {
-            let mut off = rec.bit_offset;
-            for _ in 0..rec.narcs {
-                if off + 20 > len {
-                    return Err(ModelIoError::Corrupt("arc past end of stream"));
-                }
-                let tag = self.reader.read(off, 2);
-                let width = if tag == TAG_NORMAL { 58 } else { 20 };
-                if off + width > len {
-                    return Err(ModelIoError::Corrupt("arc past end of stream"));
-                }
-                match tag {
-                    t if t == TAG_NEXT && i as u32 + 1 >= n => {
-                        return Err(ModelIoError::Corrupt("+1 arc from last state"));
-                    }
-                    t if t == TAG_PREV && i == 0 => {
-                        return Err(ModelIoError::Corrupt("-1 arc from state 0"));
-                    }
-                    t if t == TAG_NORMAL => {
-                        let dest = self.reader.read(off + 20 + 18, DEST_BITS) as u32;
-                        if dest >= n {
-                            return Err(ModelIoError::Corrupt("destination out of range"));
-                        }
-                    }
-                    _ => {}
-                }
-                off += width;
-            }
-            let next_off = self.states.get(i + 1).map_or(len, |nr| nr.bit_offset);
-            if off != next_off {
-                return Err(ModelIoError::Corrupt("arc blocks not contiguous"));
-            }
+    /// Binds the AM section of a shared bundle without copying it:
+    /// verifies the section checksum (once per bundle, memoized) and
+    /// parses its header, O(states). The checksum pass runs here, not
+    /// per decode, because every later decode is infallible: a corrupt
+    /// payload must surface as this typed error, never as a mid-decode
+    /// panic. Holding the model keeps the bundle (and any mapping)
+    /// alive.
+    ///
+    /// # Errors
+    /// [`BundleError::ChecksumMismatch`] on a corrupt payload, plus
+    /// anything from [`Bundle::am_layout`].
+    pub fn from_bundle(bundle: std::sync::Arc<Bundle>) -> Result<Self, BundleError> {
+        let range = bundle.verified_range(SectionKind::Am, "am")?;
+        let layout = bundle.am_layout()?;
+        Ok(CompressedAm {
+            bytes: SectionBytes::Bundle(bundle, range),
+            layout,
+        })
+    }
+
+    #[inline]
+    fn view(&self) -> View<'_> {
+        let (states, bits) = self.layout.extents.split(self.bytes.get());
+        View {
+            layout: &self.layout,
+            states,
+            bits,
         }
-        Ok(())
+    }
+
+    /// Number of states.
+    pub fn num_states(&self) -> usize {
+        self.layout.num_states
+    }
+
+    /// Number of arcs stored in the 20-bit short format.
+    pub fn short_arcs(&self) -> u64 {
+        self.layout.short_arcs
+    }
+
+    /// Number of arcs stored in the 58-bit full format.
+    pub fn normal_arcs(&self) -> u64 {
+        self.layout.normal_arcs
+    }
+
+    /// Bit offset of the first arc of `s` (for memory-address modeling).
+    pub fn state_bit_offset(&self, s: StateId) -> u64 {
+        self.view().rec(s).0
+    }
+
+    /// Total compressed size in bytes: arc bit stream + 8-byte state
+    /// records + the K-means centroid table.
+    pub fn size_bytes(&self) -> u64 {
+        self.layout.extents.len_bits().div_ceil(8)
+            + self.layout.num_states as u64 * 8
+            + self.layout.quant.table_bytes()
+    }
+
+    /// Start state of the original machine.
+    pub fn start(&self) -> StateId {
+        self.layout.start
+    }
+
+    /// Final weight of `s`, or `None` if non-final.
+    ///
+    /// # Panics
+    /// Panics if `s` is out of range.
+    pub fn final_weight(&self, s: StateId) -> Option<f32> {
+        let (_, _, is_final, w) = self.view().rec(s);
+        is_final.then_some(w)
+    }
+
+    /// Visits each arc of `s` with its bit offset and encoded width —
+    /// the information the accelerator's Arc Issuer sees (it decodes the
+    /// 2-bit tag to learn "whether it has to fetch the remaining 38 bits
+    /// for the current arc, or the 20 bits for the next arc", §3.4).
+    ///
+    /// # Panics
+    /// Panics if `s` is out of range. A bundle-bound model's bytes are
+    /// checksum-verified but not walked, so a structurally invalid
+    /// stream (one a buggy packer sealed with a valid CRC) panics with
+    /// a diagnostic — in release builds too, never a silent index wrap.
+    /// [`CompressedAm::from_bytes`] rejects such streams up front.
+    pub fn for_each_arc(&self, s: StateId, f: impl FnMut(Arc, u64, u32)) {
+        self.view().for_each_arc(s, f);
+    }
+
+    /// Decodes the outgoing arcs of `s`, reconstructing quantized
+    /// weights from the codebook.
+    ///
+    /// # Panics
+    /// Panics if `s` is out of range.
+    pub fn decode_arcs(&self, s: StateId) -> Vec<Arc> {
+        let mut out = Vec::new();
+        self.for_each_arc(s, |a, _, _| out.push(a));
+        out
+    }
+
+    /// Serializes to the `UNFA` container (see [`crate::io`]): a copy of
+    /// the section bytes the model reads from.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.bytes.get().to_vec()
     }
 
     /// Fully decompresses into a [`Wfst`] (with quantized weights).
     /// Decoding against this machine is how the reproduction measures
     /// the WER impact of quantization (paper: < 0.01%).
     pub fn to_wfst(&self) -> Wfst {
-        let mut b = WfstBuilder::with_states(self.states.len());
-        b.set_start(self.start);
-        for (s, rec) in self.states.iter().enumerate() {
-            if rec.is_final {
-                b.set_final(s as StateId, rec.final_weight);
+        let v = self.view();
+        let n = self.num_states();
+        let mut b = WfstBuilder::with_states(n);
+        b.set_start(self.start());
+        for s in 0..n as StateId {
+            if let (_, _, true, w) = v.rec(s) {
+                b.set_final(s, w);
             }
         }
-        for s in 0..self.states.len() as StateId {
-            for a in self.decode_arcs(s) {
-                b.add_arc(s, a);
-            }
+        for s in 0..n as StateId {
+            v.for_each_arc(s, |a, _, _| b.add_arc(s, a));
         }
         b.build()
     }
@@ -517,9 +583,14 @@ mod tests {
             CompressedAm::from_bytes(&bad).unwrap_err(),
             ModelIoError::BadMagic
         );
+        assert_eq!(AmLayout::parse(&bad).unwrap_err(), ModelIoError::BadMagic);
         // Truncated.
         assert_eq!(
             CompressedAm::from_bytes(&good[..good.len() / 2]).unwrap_err(),
+            ModelIoError::Truncated
+        );
+        assert_eq!(
+            AmLayout::parse(&good[..good.len() / 2]).unwrap_err(),
             ModelIoError::Truncated
         );
         // Flip a state record's bit offset: contiguity validation must
@@ -532,6 +603,27 @@ mod tests {
         let state1_offset = 36 + k * 4 + 20;
         flipped[state1_offset] ^= 0xFF;
         assert!(CompressedAm::from_bytes(&flipped).is_err());
+    }
+
+    #[test]
+    fn full_load_also_checks_what_the_header_parse_defers() {
+        // Re-tag state 0's first arc as "-1": the state table is
+        // untouched, so the header parse accepts the bytes, but the one
+        // deep validator `from_bytes` runs rejects them.
+        let comp = CompressedAm::compress(&am_fst(), 64, 0);
+        let mut bytes = comp.to_bytes();
+        let stream = bytes.len() - comp.layout.arc_stream_bytes();
+        let off = comp.state_bit_offset(0);
+        for b in off..off + u64::from(TAG_BITS) {
+            let bit = ((TAG_PREV >> (b - off)) & 1) as u8;
+            let byte = &mut bytes[stream + (b / 8) as usize];
+            *byte = (*byte & !(1 << (b % 8))) | (bit << (b % 8));
+        }
+        assert!(AmLayout::parse(&bytes).is_ok());
+        assert_eq!(
+            CompressedAm::from_bytes(&bytes).unwrap_err(),
+            ModelIoError::Corrupt("-1 arc from state 0")
+        );
     }
 
     #[test]

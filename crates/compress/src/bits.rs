@@ -3,19 +3,20 @@
 //! The compressed AM/LM layouts pack arcs at arbitrary bit offsets
 //! (20/27/45/58-bit records), and the LM's binary search needs random
 //! access to the *i*-th fixed-width arc of a state. [`BitWriter`]
-//! appends fields LSB-first; [`BitReader`] reads any `(offset, width)`
-//! window in O(1).
+//! appends fields LSB-first; [`BitSlice`] reads any `(offset, width)`
+//! window of the serialized bytes in O(1).
 
 /// Append-only bit stream writer.
 ///
 /// ```
-/// use unfold_compress::{BitWriter, BitReader};
+/// use unfold_compress::BitWriter;
 /// let mut w = BitWriter::new();
 /// w.push(0b101, 3);
 /// w.push(0x3FFFF, 18);
-/// let r = BitReader::new(w.finish());
-/// assert_eq!(r.read(0, 3), 0b101);
-/// assert_eq!(r.read(3, 18), 0x3FFFF);
+/// let buf = w.finish();
+/// assert_eq!(buf.len_bits(), 21);
+/// assert_eq!(buf.size_bytes(), 3);
+/// assert_eq!(buf.to_bytes().len(), 8);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
@@ -103,96 +104,28 @@ impl BitBuf {
         &self.words
     }
 
-    /// Reconstructs a buffer from its raw parts.
-    ///
-    /// # Panics
-    /// Panics if `len_bits` does not fit within `words`.
-    pub fn from_raw(words: Vec<u64>, len_bits: u64) -> Self {
-        assert!(
-            len_bits <= words.len() as u64 * 64,
-            "from_raw: {len_bits} bits exceed {} words",
-            words.len()
-        );
-        BitBuf { words, len_bits }
-    }
-
     /// Storage footprint in bytes, rounded up to whole bytes (this is
     /// what the size tables report).
     pub fn size_bytes(&self) -> u64 {
         self.len_bits.div_ceil(8)
     }
 
-    /// Hints the cache to load the word holding `bit_offset` (no-op
-    /// when out of range — prefetch must never panic).
-    #[inline]
-    pub fn prefetch(&self, bit_offset: u64) {
-        if let Some(w) = self.words.get((bit_offset / 64) as usize) {
-            prefetch_read((w as *const u64).cast());
-        }
+    /// The words as little-endian bytes: how the containers serialize
+    /// the stream, and what [`BitSlice`] reads.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.words.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 }
 
-/// Random-access reader over a [`BitBuf`].
-#[derive(Debug, Clone)]
-pub struct BitReader {
-    buf: BitBuf,
-}
-
-impl BitReader {
-    /// Wraps a finished buffer.
-    pub fn new(buf: BitBuf) -> Self {
-        BitReader { buf }
-    }
-
-    /// The underlying buffer.
-    pub fn buf(&self) -> &BitBuf {
-        &self.buf
-    }
-
-    /// Hints the cache to load the word holding `bit_offset`.
-    #[inline]
-    pub fn prefetch(&self, bit_offset: u64) {
-        self.buf.prefetch(bit_offset);
-    }
-
-    /// Reads `width` bits starting at bit `offset`.
-    ///
-    /// # Panics
-    /// Panics if the window exceeds the buffer or `width` > 57.
-    #[inline]
-    pub fn read(&self, offset: u64, width: u32) -> u64 {
-        assert!(
-            (1..=57).contains(&width),
-            "read: width {width} out of range"
-        );
-        assert!(
-            offset + u64::from(width) <= self.buf.len_bits,
-            "read: window [{offset}, +{width}) beyond {} bits",
-            self.buf.len_bits
-        );
-        let word = (offset / 64) as usize;
-        let bit = (offset % 64) as u32;
-        let mask = (1u64 << width) - 1;
-        let lo = self.buf.words[word] >> bit;
-        let val = if bit + width <= 64 {
-            lo
-        } else {
-            lo | (self.buf.words[word + 1] << (64 - bit))
-        };
-        val & mask
-    }
-}
-
-/// Random-access bit reader over raw *bytes* — the zero-copy twin of
-/// [`BitReader`].
+/// Random-access bit reader over raw *bytes*.
 ///
 /// The serialized containers store the arc stream as little-endian
 /// 64-bit words, so bit `i` of the stream is bit `i % 8` of byte
-/// `i / 8` of the serialized section. That makes the on-disk bytes
-/// directly readable: no deserialization into a `Vec<u64>` is needed,
-/// which is what lets [`crate::CompressedAmRef`] and
-/// [`crate::CompressedLmRef`] decode arcs straight out of an
-/// mmap-backed bundle.
+/// `i / 8` of the serialized section. That makes the serialized bytes
+/// directly readable, wherever they live: no deserialization into a
+/// `Vec<u64>` is needed, which is what lets [`crate::CompressedAm`] and
+/// [`crate::CompressedLm`] decode arcs straight out of their own buffer
+/// or an mmap-backed bundle alike.
 ///
 /// ```
 /// use unfold_compress::{BitSlice, BitWriter};
@@ -200,7 +133,7 @@ impl BitReader {
 /// w.push(0b101, 3);
 /// w.push(0x3FFFF, 18);
 /// let buf = w.finish();
-/// let bytes: Vec<u8> = buf.words().iter().flat_map(|w| w.to_le_bytes()).collect();
+/// let bytes = buf.to_bytes();
 /// let s = BitSlice::new(&bytes, buf.len_bits());
 /// assert_eq!(s.read(0, 3), 0b101);
 /// assert_eq!(s.read(3, 18), 0x3FFFF);
@@ -230,17 +163,7 @@ impl<'a> BitSlice<'a> {
         self.len_bits
     }
 
-    /// Hints the cache to load the byte holding `bit_offset` (no-op
-    /// when out of range).
-    #[inline]
-    pub fn prefetch(&self, bit_offset: u64) {
-        if let Some(b) = self.bytes.get((bit_offset / 8) as usize) {
-            prefetch_read(b as *const u8);
-        }
-    }
-
-    /// Reads `width` bits starting at bit `offset`. Semantically
-    /// identical to [`BitReader::read`] over the same stream.
+    /// Reads `width` bits starting at bit `offset`.
     ///
     /// # Panics
     /// Panics if the window exceeds the buffer or `width` > 57.
@@ -285,7 +208,9 @@ mod tests {
         w.push((1u64 << 57) - 1, 57);
         w.push(0b111, 3);
         w.push(0xABCDE, 20);
-        let r = BitReader::new(w.finish());
+        let buf = w.finish();
+        let bytes = buf.to_bytes();
+        let r = BitSlice::new(&bytes, buf.len_bits());
         assert_eq!(r.read(0, 57), (1u64 << 57) - 1);
         assert_eq!(r.read(57, 3), 0b111);
         assert_eq!(r.read(60, 20), 0xABCDE);
@@ -302,7 +227,7 @@ mod tests {
     fn read_past_end_panics() {
         let mut w = BitWriter::new();
         w.push(1, 4);
-        BitReader::new(w.finish()).read(2, 4);
+        BitSlice::new(&w.finish().to_bytes(), 4).read(2, 4);
     }
 
     #[test]
@@ -317,7 +242,7 @@ mod tests {
         let mut w = BitWriter::new();
         w.push(0x1FF, 9); // 2 bytes of stream, window ends mid-byte
         let buf = w.finish();
-        let bytes: Vec<u8> = buf.words().iter().flat_map(|x| x.to_le_bytes()).collect();
+        let bytes = buf.to_bytes();
         let s = BitSlice::new(&bytes[..2], buf.len_bits());
         assert_eq!(s.read(0, 9), 0x1FF);
         assert_eq!(s.read(3, 6), 0x3F);
@@ -339,29 +264,12 @@ mod tests {
                 offsets.push(w.len_bits());
                 w.push(v, width);
             }
-            let r = BitReader::new(w.finish());
+            let buf = w.finish();
+            let bytes = buf.to_bytes();
+            let r = BitSlice::new(&bytes, buf.len_bits());
             for (&(v, width), &off) in fields.iter().zip(&offsets) {
                 let v = v & ((1 << width) - 1);
                 prop_assert_eq!(r.read(off, width), v);
-            }
-        }
-
-        /// A `BitSlice` over the little-endian serialization of the words
-        /// must read every window identically to the `BitReader`.
-        #[test]
-        fn bit_slice_matches_bit_reader(fields in proptest::collection::vec((0u64..1u64<<24, 1u32..25), 1..200)) {
-            let mut w = BitWriter::new();
-            let mut offsets = Vec::new();
-            for &(v, width) in &fields {
-                offsets.push(w.len_bits());
-                w.push(v & ((1 << width) - 1), width);
-            }
-            let buf = w.finish();
-            let bytes: Vec<u8> = buf.words().iter().flat_map(|x| x.to_le_bytes()).collect();
-            let r = BitReader::new(buf.clone());
-            let s = BitSlice::new(&bytes, buf.len_bits());
-            for (&(_, width), &off) in fields.iter().zip(&offsets) {
-                prop_assert_eq!(s.read(off, width), r.read(off, width));
             }
         }
     }

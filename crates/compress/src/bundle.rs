@@ -27,21 +27,21 @@
 //! mmap-backed [`Bundle::open_mmap`] verifies the header and table
 //! eagerly (cheap) and each payload lazily — once, memoized, the
 //! first time the section is accessed through [`Bundle::section_bytes`]
-//! or bound to a [`SharedAm`]/[`SharedLm`] handle. Opening a mapped
-//! bundle therefore never copies or hashes the arc bit streams;
-//! *binding* a model streams one CRC pass over its (mapped, page-cache
-//! backed) section so every later infallible `view()` decodes verified
-//! bytes.
+//! or bound to a model ([`CompressedAm::from_bundle`] /
+//! [`CompressedLm::from_bundle`]). Opening a mapped bundle therefore
+//! never copies or hashes the arc bit streams; *binding* a model
+//! streams one CRC pass over its (mapped, page-cache backed) section so
+//! every later infallible decode reads verified bytes.
 
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use crate::am::CompressedAm;
+use crate::am::{AmLayout, CompressedAm};
 use crate::io::{ByteReader, ByteWriter, ModelIoError};
-use crate::lm::CompressedLm;
+use crate::lm::{CompressedLm, LmLayout};
 use crate::mmap::Mapped;
-use crate::refs::{AmLayout, CompressedAmRef, CompressedLmRef, LmLayout};
 
 /// Magic bytes of a `.unfb` bundle.
 pub const BUNDLE_MAGIC: [u8; 4] = *b"UNFB";
@@ -390,9 +390,9 @@ impl Bundle {
     /// Opens a bundle zero-copy: the file is mmap-ed (on Linux x86-64;
     /// read-fallback elsewhere), the header and section table are
     /// verified, and payload checksums are deferred to first section
-    /// access ([`Bundle::section_bytes`], or binding a
-    /// [`SharedAm`]/[`SharedLm`]). Never copies or touches the arc bit
-    /// streams at open time.
+    /// access ([`Bundle::section_bytes`], or binding a model with
+    /// `from_bundle`). Never copies or touches the arc bit streams at
+    /// open time.
     ///
     /// # Errors
     /// File I/O plus header/table-level [`BundleError`]s.
@@ -440,18 +440,28 @@ impl Bundle {
     /// [`BundleError::MissingSection`] or
     /// [`BundleError::ChecksumMismatch`].
     pub fn section_bytes(&self, kind: SectionKind, name: &str) -> Result<&[u8], BundleError> {
+        Ok(&self.bytes()[self.verified_range(kind, name)?])
+    }
+
+    /// Byte range of section (`kind`, `name`) in [`Bundle::bytes`],
+    /// verifying its checksum on first access.
+    pub(crate) fn verified_range(
+        &self,
+        kind: SectionKind,
+        name: &str,
+    ) -> Result<Range<usize>, BundleError> {
         let idx = self
             .index_of(kind, name)
             .ok_or_else(|| BundleError::MissingSection(format!("{} '{name}'", kind.tag())))?;
         let info = &self.sections[idx];
-        let payload = &self.bytes()[info.offset..info.offset + info.len];
+        let range = info.offset..info.offset + info.len;
         if !self.verified[idx].load(Ordering::Relaxed) {
-            if crc64(payload) != info.crc {
+            if crc64(&self.bytes()[range.clone()]) != info.crc {
                 return Err(BundleError::ChecksumMismatch(info.name.clone()));
             }
             self.verified[idx].store(true, Ordering::Relaxed);
         }
-        Ok(payload)
+        Ok(range)
     }
 
     /// Payload bytes *without* the checksum pass — for layout parsing
@@ -460,8 +470,7 @@ impl Bundle {
     /// owned opens every payload was already verified eagerly; on
     /// mapped opens this is exactly the path that must not fault in
     /// the arc bit streams. Anything that will *decode* the payload
-    /// ([`SharedAm::new`]/[`SharedLm::new`], `load_am`/`load_lm`) goes
-    /// through [`Bundle::section_bytes`] instead, so no decode path
+    /// (`from_bundle`) verifies the checksum first, so no decode path
     /// ever runs on checksum-unverified bytes.
     ///
     /// # Errors
@@ -534,31 +543,6 @@ impl Bundle {
     pub fn lm_layout(&self, name: &str) -> Result<LmLayout, BundleError> {
         let bytes = self.raw_section_bytes(SectionKind::Lm, name)?;
         LmLayout::parse(bytes).map_err(|err| BundleError::Model {
-            section: name.into(),
-            err,
-        })
-    }
-
-    /// Loads the AM as an owned [`CompressedAm`] (copying; full
-    /// structural validation).
-    ///
-    /// # Errors
-    /// Missing section, checksum, or model-parse failures.
-    pub fn load_am(&self) -> Result<CompressedAm, BundleError> {
-        let bytes = self.section_bytes(SectionKind::Am, "am")?;
-        CompressedAm::from_bytes(bytes).map_err(|err| BundleError::Model {
-            section: "am".into(),
-            err,
-        })
-    }
-
-    /// Loads a named LM as an owned [`CompressedLm`].
-    ///
-    /// # Errors
-    /// Missing section, checksum, or model-parse failures.
-    pub fn load_lm(&self, name: &str) -> Result<CompressedLm, BundleError> {
-        let bytes = self.section_bytes(SectionKind::Lm, name)?;
-        CompressedLm::from_bytes(bytes).map_err(|err| BundleError::Model {
             section: name.into(),
             err,
         })
@@ -682,115 +666,10 @@ fn table_field<T>(r: Result<T, ModelIoError>) -> Result<T, BundleError> {
     r.map_err(|_| BundleError::Corrupt("section table truncated"))
 }
 
-/// The AM of a ref-counted bundle, usable as a long-lived owned value
-/// (serve's model registry) while still decoding zero-copy out of the
-/// bundle bytes via [`SharedAm::view`].
-#[derive(Debug, Clone)]
-pub struct SharedAm {
-    bundle: Arc<Bundle>,
-    layout: AmLayout,
-    offset: usize,
-    len: usize,
-}
-
-impl SharedAm {
-    /// Verifies the AM section's checksum (once per bundle, memoized),
-    /// parses its header, and keeps the bundle alive. The checksum pass
-    /// runs here — not at `view()` time — because every later
-    /// [`SharedAm::view`] and decode through it is infallible: a
-    /// corrupt payload must surface as this typed error, never as a
-    /// mid-decode panic.
-    ///
-    /// # Errors
-    /// [`BundleError::ChecksumMismatch`] on a corrupt payload, plus
-    /// anything from [`Bundle::am_layout`].
-    pub fn new(bundle: Arc<Bundle>) -> Result<SharedAm, BundleError> {
-        bundle.section_bytes(SectionKind::Am, "am")?;
-        let layout = bundle.am_layout()?;
-        let info = bundle
-            .sections()
-            .iter()
-            .find(|s| s.kind == SectionKind::Am)
-            .expect("am_layout succeeded");
-        let (offset, len) = (info.offset, info.len);
-        Ok(SharedAm {
-            bundle,
-            layout,
-            offset,
-            len,
-        })
-    }
-
-    /// A zero-alloc borrowed view for decoding.
-    pub fn view(&self) -> CompressedAmRef<'_> {
-        self.layout
-            .view(&self.bundle.bytes()[self.offset..self.offset + self.len])
-    }
-
-    /// The owning bundle.
-    pub fn bundle(&self) -> &Arc<Bundle> {
-        &self.bundle
-    }
-}
-
-/// A named LM of a ref-counted bundle (see [`SharedAm`]). Sessions
-/// holding a clone keep the mapping alive even after the registry
-/// retires the name.
-#[derive(Debug, Clone)]
-pub struct SharedLm {
-    bundle: Arc<Bundle>,
-    layout: LmLayout,
-    offset: usize,
-    len: usize,
-    name: String,
-}
-
-impl SharedLm {
-    /// Verifies LM `name`'s section checksum (once per bundle,
-    /// memoized), parses its header, and keeps the bundle alive; see
-    /// [`SharedAm::new`] for why verification happens here.
-    ///
-    /// # Errors
-    /// [`BundleError::ChecksumMismatch`] on a corrupt payload, plus
-    /// anything from [`Bundle::lm_layout`].
-    pub fn new(bundle: Arc<Bundle>, name: &str) -> Result<SharedLm, BundleError> {
-        bundle.section_bytes(SectionKind::Lm, name)?;
-        let layout = bundle.lm_layout(name)?;
-        let info = bundle
-            .sections()
-            .iter()
-            .find(|s| s.kind == SectionKind::Lm && s.name == name)
-            .expect("lm_layout succeeded");
-        let (offset, len) = (info.offset, info.len);
-        Ok(SharedLm {
-            bundle,
-            layout,
-            offset,
-            len,
-            name: name.to_string(),
-        })
-    }
-
-    /// A zero-alloc borrowed view for decoding.
-    pub fn view(&self) -> CompressedLmRef<'_> {
-        self.layout
-            .view(&self.bundle.bytes()[self.offset..self.offset + self.len])
-    }
-
-    /// The LM's bundle section name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The owning bundle.
-    pub fn bundle(&self) -> &Arc<Bundle> {
-        &self.bundle
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use unfold_am::{build_am, HmmTopology, Lexicon};
     use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
 
@@ -846,22 +725,20 @@ mod tests {
         assert_eq!(b.sections().len(), 5);
         assert_eq!(b.lm_names(), vec!["default", "alt"]);
         assert!(!b.is_mapped());
-        let (am, lm_a, _) = models();
-        assert_eq!(b.load_am().unwrap().to_bytes(), am.to_bytes());
-        assert_eq!(b.load_lm("default").unwrap().to_bytes(), lm_a.to_bytes());
         assert_eq!(b.meta("task").unwrap().unwrap(), b"task=test vocab=60");
         assert_eq!(b.symtab("words").unwrap().unwrap(), b"1 hello\n2 world\n");
         assert!(b.meta("absent").unwrap().is_none());
-        // Layout views decode identically to the owned loads.
-        let am_layout = b.am_layout().unwrap();
-        let view = am_layout.view(b.section_bytes(SectionKind::Am, "am").unwrap());
-        assert_eq!(view.num_states(), am.num_states());
-        let lm_layout = b.lm_layout("alt").unwrap();
+        // Bound models read back exactly the bytes that were packed.
+        let (am, lm_a, _) = models();
+        let b = Arc::new(b);
+        let bound_am = CompressedAm::from_bundle(Arc::clone(&b)).unwrap();
+        assert_eq!(bound_am.to_bytes(), am.to_bytes());
+        assert_eq!(b.am_layout().unwrap().num_states(), am.num_states());
+        let bound_lm = CompressedLm::from_bundle(Arc::clone(&b), "default").unwrap();
+        assert_eq!(bound_lm.to_bytes(), lm_a.to_bytes());
         assert_eq!(
-            lm_layout
-                .view(b.section_bytes(SectionKind::Lm, "alt").unwrap())
-                .num_states(),
-            b.load_lm("alt").unwrap().num_states()
+            b.lm_layout("default").unwrap().num_states(),
+            lm_a.num_states()
         );
     }
 
@@ -873,17 +750,17 @@ mod tests {
         let b = Arc::new(Bundle::open_mmap(&path).unwrap());
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         assert!(b.is_mapped());
-        let am = SharedAm::new(Arc::clone(&b)).unwrap();
-        let lm = SharedLm::new(Arc::clone(&b), "alt").unwrap();
-        let owned_am = b.load_am().unwrap();
-        assert_eq!(am.view().decode_arcs(0), owned_am.decode_arcs(0));
-        let owned_lm = b.load_lm("alt").unwrap();
+        let am = CompressedAm::from_bundle(Arc::clone(&b)).unwrap();
+        let lm = CompressedLm::from_bundle(Arc::clone(&b), "alt").unwrap();
+        let (owned_am, _, owned_lm) = models();
+        assert_eq!(am.decode_arcs(0), owned_am.decode_arcs(0));
         for s in (0..owned_lm.num_states() as u32).step_by(7) {
-            assert_eq!(lm.view().backoff_arc(s), owned_lm.backoff_arc(s));
+            assert_eq!(lm.backoff_arc(s), owned_lm.backoff_arc(s));
         }
         // The mapping outlives the bundle handle through the Arcs.
         drop(b);
-        assert_eq!(lm.view().num_states(), owned_lm.num_states());
+        assert_eq!(lm.num_states(), owned_lm.num_states());
+        assert_eq!(lm.to_bytes(), owned_lm.to_bytes());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -909,8 +786,8 @@ mod tests {
             std::fs::write(&path, &bad).unwrap();
             let b = Arc::new(Bundle::open_mmap(&path).unwrap());
             let err = match kind {
-                SectionKind::Am => SharedAm::new(Arc::clone(&b)).unwrap_err(),
-                _ => SharedLm::new(Arc::clone(&b), &info.name).unwrap_err(),
+                SectionKind::Am => CompressedAm::from_bundle(Arc::clone(&b)).unwrap_err(),
+                _ => CompressedLm::from_bundle(Arc::clone(&b), &info.name).unwrap_err(),
             };
             match err {
                 BundleError::ChecksumMismatch(name) => assert_eq!(name, info.name),

@@ -12,10 +12,9 @@
 
 use unfold_wfst::{Arc, StateId, Wfst, EPSILON};
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::{BitSlice, BitWriter};
+use crate::io::WEIGHT_BITS;
 use crate::quant::WeightQuantizer;
-
-const WEIGHT_BITS: u32 = 6;
 
 /// Writes `v` as nibble-groups: 3 payload bits + 1 continuation bit.
 fn push_varint(w: &mut BitWriter, mut v: u64) {
@@ -31,7 +30,7 @@ fn push_varint(w: &mut BitWriter, mut v: u64) {
 }
 
 /// Reads a nibble varint at `off`; returns `(value, new_offset)`.
-fn read_varint(r: &BitReader, mut off: u64) -> (u64, u64) {
+fn read_varint(r: &BitSlice, mut off: u64) -> (u64, u64) {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -62,7 +61,9 @@ pub struct CompressedComposed {
     /// Bit offset of each state's arc block.
     state_offsets: Vec<u64>,
     narcs: Vec<u32>,
-    reader: BitReader,
+    /// The arc bit stream as little-endian bytes.
+    bits: Vec<u8>,
+    len_bits: u64,
     quant: WeightQuantizer,
     start: StateId,
 }
@@ -105,10 +106,12 @@ impl CompressedComposed {
                 w.push(u64::from(quant.encode(a.weight)), WEIGHT_BITS);
             }
         }
+        let buf = w.finish();
         CompressedComposed {
             state_offsets,
             narcs,
-            reader: BitReader::new(w.finish()),
+            bits: buf.to_bytes(),
+            len_bits: buf.len_bits(),
             quant,
             start: fst.start(),
         }
@@ -122,9 +125,7 @@ impl CompressedComposed {
     /// Total size in bytes: bit stream + 8-byte state records +
     /// centroid table.
     pub fn size_bytes(&self) -> u64 {
-        self.reader.buf().size_bytes()
-            + self.state_offsets.len() as u64 * 8
-            + self.quant.table_bytes()
+        self.len_bits.div_ceil(8) + self.state_offsets.len() as u64 * 8 + self.quant.table_bytes()
     }
 
     /// Decodes the arcs of `s` (ilabel-sorted, quantized weights).
@@ -132,27 +133,28 @@ impl CompressedComposed {
     /// # Panics
     /// Panics if `s` is out of range.
     pub fn decode_arcs(&self, s: StateId) -> Vec<Arc> {
+        let r = BitSlice::new(&self.bits, self.len_bits);
         let mut off = self.state_offsets[s as usize];
         let n = self.narcs[s as usize];
         let mut out = Vec::with_capacity(n as usize);
         let mut ilabel = 0u32;
         for _ in 0..n {
-            let (d, o) = read_varint(&self.reader, off);
+            let (d, o) = read_varint(&r, off);
             off = o;
             ilabel += d as u32;
-            let flag = self.reader.read(off, 1);
+            let flag = r.read(off, 1);
             off += 1;
             let olabel = if flag == 1 {
-                let (v, o) = read_varint(&self.reader, off);
+                let (v, o) = read_varint(&r, off);
                 off = o;
                 v as u32
             } else {
                 EPSILON
             };
-            let (zz, o) = read_varint(&self.reader, off);
+            let (zz, o) = read_varint(&r, off);
             off = o;
             let dest = (i64::from(s) + unzigzag(zz)) as StateId;
-            let widx = self.reader.read(off, WEIGHT_BITS) as u8;
+            let widx = r.read(off, WEIGHT_BITS) as u8;
             off += u64::from(WEIGHT_BITS);
             out.push(Arc::new(ilabel, olabel, self.quant.decode(widx), dest));
         }
@@ -192,7 +194,9 @@ mod tests {
         for &v in &vals {
             push_varint(&mut w, v);
         }
-        let r = BitReader::new(w.finish());
+        let buf = w.finish();
+        let bytes = buf.to_bytes();
+        let r = BitSlice::new(&bytes, buf.len_bits());
         let mut off = 0;
         for &v in &vals {
             let (got, o) = read_varint(&r, off);

@@ -7,9 +7,19 @@
 //! K-means codebook, and the raw arc bit stream. Round-trips are exact
 //! (bit-for-bit), and loading validates structure rather than trusting
 //! the bytes.
+//!
+//! The serialized bytes *are* the in-memory model: a compressed model
+//! is its section bytes plus a parsed header, reading every field in
+//! place. `SectionBytes` is the storage handle that holds them.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::am::CompressedAm;
+use crate::bits::{BitBuf, BitSlice};
+use crate::bundle::Bundle;
 use crate::lm::CompressedLm;
+use crate::quant::WeightQuantizer;
 
 /// Magic for serialized compressed AMs.
 pub const AM_MAGIC: [u8; 4] = *b"UNFA";
@@ -17,6 +27,64 @@ pub const AM_MAGIC: [u8; 4] = *b"UNFA";
 pub const LM_MAGIC: [u8; 4] = *b"UNFL";
 /// Container format version.
 pub const FORMAT_VERSION: u32 = 1;
+
+// Arc-record field widths of the §3.4 formats, each spelled once.
+/// K-means weight index (64 clusters).
+pub(crate) const WEIGHT_BITS: u32 = 6;
+/// Word id, in AM full-format arcs and LM regular arcs.
+pub(crate) const WORD_BITS: u32 = 18;
+/// AM input label (PDF id).
+pub(crate) const PDF_BITS: u32 = 12;
+/// AM destination-locality tag (self / +1 / -1 / explicit).
+pub(crate) const TAG_BITS: u32 = 2;
+/// AM explicit destination state.
+pub(crate) const AM_DEST_BITS: u32 = 20;
+/// LM destination state.
+pub(crate) const LM_DEST_BITS: u32 = 21;
+
+/// Where a compressed model's serialized section lives: a buffer of
+/// its own (`compress`, `from_bytes`), or a range of a ref-counted
+/// bundle whose bytes may be a read-only file mapping (`from_bundle`).
+/// Cloning shares the bytes.
+#[derive(Clone)]
+pub(crate) enum SectionBytes {
+    Owned(Arc<[u8]>),
+    Bundle(Arc<Bundle>, Range<usize>),
+}
+
+impl SectionBytes {
+    #[inline]
+    pub(crate) fn get(&self) -> &[u8] {
+        match self {
+            SectionBytes::Owned(b) => b,
+            SectionBytes::Bundle(b, r) => &b.bytes()[r.clone()],
+        }
+    }
+}
+
+impl std::fmt::Debug for SectionBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SectionBytes::Owned(b) => write!(f, "Owned({} bytes)", b.len()),
+            SectionBytes::Bundle(b, r) => write!(f, "Bundle({r:?}, mapped: {})", b.is_mapped()),
+        }
+    }
+}
+
+#[inline]
+pub(crate) fn rd_u64(b: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
+}
+
+#[inline]
+pub(crate) fn rd_u32(b: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
+}
+
+#[inline]
+pub(crate) fn rd_f32(b: &[u8], off: usize) -> f32 {
+    f32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
+}
 
 /// Errors from loading a serialized model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,17 +154,106 @@ impl<'a> ByteReader<'a> {
         self.pos == self.buf.len()
     }
 
-    /// Current byte position (section-layout bookkeeping for the
-    /// zero-copy views).
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
+    /// Magic, version, and a state count in `1..2^dest_bits` — the head
+    /// of every model section.
+    pub(crate) fn model_head(
+        &mut self,
+        magic: [u8; 4],
+        dest_bits: u32,
+    ) -> Result<usize, ModelIoError> {
+        if self.take(4)? != magic {
+            return Err(ModelIoError::BadMagic);
+        }
+        let version = self.u32()?;
+        if version != FORMAT_VERSION {
+            return Err(ModelIoError::BadVersion(version));
+        }
+        let num_states = self.u32()? as usize;
+        if num_states == 0 || num_states >= (1 << dest_bits) {
+            return Err(ModelIoError::Corrupt("state count out of range"));
+        }
+        Ok(num_states)
     }
 
-    /// Bytes left in the buffer (to validate declared counts before
-    /// allocating — a hostile header must not trigger a huge
-    /// `Vec::with_capacity`).
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    /// A sorted K-means codebook of 1..=64 centroids.
+    pub(crate) fn codebook(&mut self) -> Result<WeightQuantizer, ModelIoError> {
+        let k = self.u32()? as usize;
+        if k == 0 || k > 64 {
+            return Err(ModelIoError::Corrupt("cluster count out of range"));
+        }
+        let mut centroids = Vec::with_capacity(k);
+        for _ in 0..k {
+            centroids.push(self.f32()?);
+        }
+        if !centroids.windows(2).all(|w| w[0] <= w[1]) {
+            return Err(ModelIoError::Corrupt("codebook not sorted"));
+        }
+        Ok(WeightQuantizer::from_centroids(centroids))
+    }
+
+    /// The tail every model section ends with: `num_states` records of
+    /// `rec_bytes` each, then the arc stream (bit length, word count,
+    /// little-endian words), then nothing. Locates both without
+    /// reading them.
+    pub(crate) fn extents(
+        &mut self,
+        num_states: usize,
+        rec_bytes: usize,
+    ) -> Result<Extents, ModelIoError> {
+        let start = self.pos;
+        self.take(
+            num_states
+                .checked_mul(rec_bytes)
+                .ok_or(ModelIoError::Truncated)?,
+        )?;
+        let states = start..self.pos;
+        let len_bits = self.u64()?;
+        let num_words = self.u32()? as usize;
+        if len_bits > num_words as u64 * 64 {
+            return Err(ModelIoError::Corrupt("bit length exceeds words"));
+        }
+        let start = self.pos;
+        self.take(num_words.checked_mul(8).ok_or(ModelIoError::Truncated)?)?;
+        if !self.done() {
+            return Err(ModelIoError::Corrupt("trailing bytes"));
+        }
+        Ok(Extents {
+            states,
+            bits: start..self.pos,
+            len_bits,
+        })
+    }
+}
+
+/// Byte ranges of a parsed section's state table and arc stream.
+#[derive(Debug, Clone)]
+pub(crate) struct Extents {
+    states: Range<usize>,
+    bits: Range<usize>,
+    len_bits: u64,
+}
+
+impl Extents {
+    /// The state table and the arc stream within `bytes`, the section
+    /// these extents were parsed from.
+    #[inline]
+    pub(crate) fn split<'a>(&self, bytes: &'a [u8]) -> (&'a [u8], BitSlice<'a>) {
+        (
+            &bytes[self.states.clone()],
+            BitSlice::new(&bytes[self.bits.clone()], self.len_bits),
+        )
+    }
+
+    pub(crate) fn state_table_bytes(&self) -> usize {
+        self.states.len()
+    }
+
+    pub(crate) fn arc_stream_bytes(&self) -> usize {
+        self.bits.len()
+    }
+
+    pub(crate) fn len_bits(&self) -> u64 {
+        self.len_bits
     }
 }
 
@@ -117,6 +274,21 @@ impl ByteWriter {
 
     pub(crate) fn f32(&mut self, v: f32) {
         self.out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Inverse of [`ByteReader::codebook`].
+    pub(crate) fn codebook(&mut self, quant: &WeightQuantizer) {
+        self.u32(quant.num_clusters() as u32);
+        for &c in quant.centroids() {
+            self.f32(c);
+        }
+    }
+
+    /// The arc stream as [`ByteReader::extents`] expects it.
+    pub(crate) fn arc_stream(&mut self, bits: &BitBuf) {
+        self.u64(bits.len_bits());
+        self.u32(bits.words().len() as u32);
+        self.out.extend(bits.to_bytes());
     }
 }
 
@@ -187,7 +359,7 @@ mod tests {
     }
 
     mod fuzz {
-        use crate::{CompressedAm, CompressedLm};
+        use crate::{AmLayout, CompressedAm, CompressedLm, LmLayout};
         use proptest::prelude::*;
 
         proptest! {
@@ -197,6 +369,14 @@ mod tests {
             fn random_bytes_never_panic_loaders(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
                 let _ = CompressedAm::from_bytes(&bytes);
                 let _ = CompressedLm::from_bytes(&bytes);
+            }
+
+            /// The same for the parse-only path a bundle binding runs
+            /// (`from_bundle` parses the header, no deep walk).
+            #[test]
+            fn random_bytes_never_panic_layout_parsers(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
+                let _ = AmLayout::parse(&bytes);
+                let _ = LmLayout::parse(&bytes);
             }
 
             /// Same with a valid magic prefix (reaches deeper code paths).
@@ -210,6 +390,18 @@ mod tests {
                 lm.extend_from_slice(&1u32.to_le_bytes());
                 lm.extend_from_slice(&bytes);
                 let _ = CompressedLm::from_bytes(&lm);
+            }
+
+            #[test]
+            fn magic_prefixed_garbage_never_panics_layout_parsers(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
+                let mut am = super::AM_MAGIC.to_vec();
+                am.extend_from_slice(&1u32.to_le_bytes());
+                am.extend_from_slice(&bytes);
+                let _ = AmLayout::parse(&am);
+                let mut lm = super::LM_MAGIC.to_vec();
+                lm.extend_from_slice(&1u32.to_le_bytes());
+                lm.extend_from_slice(&bytes);
+                let _ = LmLayout::parse(&lm);
             }
         }
     }

@@ -6,7 +6,8 @@
 //! composition with aggressive compression of the two individual WFSTs.
 //! This crate implements all of it:
 //!
-//! * [`bits`] — bit-granular writer/reader with random access,
+//! * [`bits`] — bit-granular writer, and a random-access reader over
+//!   serialized bytes,
 //! * [`quant`] — the K-means weight quantizer (64 clusters → 6-bit
 //!   weight indices, the paper's <0.01% WER-impact trick),
 //! * [`am`] — the compressed AM format of Figure 5: a 2-bit destination
@@ -16,12 +17,15 @@
 //!   and destination are implied by position, 45-bit regular arcs
 //!   supporting random access (binary search), 27-bit back-off arcs
 //!   stored last,
+//! * [`io`] — the `UNFA`/`UNFL` containers. A compressed model *is* its
+//!   serialized section bytes plus a parsed header, decoded in place
+//!   through one reader; a private storage handle holds the bytes,
+//!   either in a buffer of the model's own (`compress`, `from_bytes`)
+//!   or as a range of a shared bundle, owned or mapped
+//!   (`from_bundle`),
 //! * [`composed`] — the Price-et-al-style compression of the *composed*
 //!   WFST used as the paper's "Fully-Composed+Comp" comparator
 //!   (Table 2, Figure 8),
-//! * [`refs`] — zero-copy borrowed views ([`CompressedAmRef`] /
-//!   [`CompressedLmRef`]) that decode arcs directly out of serialized
-//!   section bytes,
 //! * [`bundle`] — the `.unfb` single-file model bundle (versioned
 //!   section table, CRC-64 checksums, one AM + named LMs + symbol
 //!   tables + metadata) with owned and mmap-backed opens,
@@ -50,17 +54,15 @@ pub mod io;
 pub mod lm;
 pub mod mmap;
 pub mod quant;
-pub mod refs;
 
-pub use am::CompressedAm;
-pub use bits::{prefetch_read, BitReader, BitSlice, BitWriter};
+pub use am::{AmLayout, CompressedAm};
+pub use bits::{prefetch_read, BitSlice, BitWriter};
 pub use bundle::{
-    crc64, Bundle, BundleError, BundleWriter, SectionInfo, SectionKind, SharedAm, SharedLm,
-    BUNDLE_MAGIC, BUNDLE_VERSION,
+    crc64, Bundle, BundleError, BundleWriter, SectionInfo, SectionKind, BUNDLE_MAGIC,
+    BUNDLE_VERSION,
 };
 pub use composed::CompressedComposed;
 pub use io::{load_am, load_lm, save_am, save_lm, ModelIoError};
-pub use lm::{CompressedLm, LmLookup};
+pub use lm::{CompressedLm, LmLayout, LmLookup};
 pub use mmap::Mapped;
 pub use quant::WeightQuantizer;
-pub use refs::{AmLayout, CompressedAmRef, CompressedLmRef, LmLayout};

@@ -14,27 +14,24 @@
 
 use unfold_wfst::{Arc, Label, StateId, Wfst, WfstBuilder, EPSILON};
 
-use crate::bits::{BitBuf, BitReader, BitWriter};
-use crate::io::{ByteReader, ByteWriter, ModelIoError, FORMAT_VERSION, LM_MAGIC};
+use crate::bits::{BitSlice, BitWriter};
+use crate::bundle::{Bundle, BundleError, SectionKind};
+use crate::io::{
+    rd_u32, rd_u64, ByteReader, ByteWriter, Extents, ModelIoError, SectionBytes, FORMAT_VERSION,
+    LM_DEST_BITS, LM_MAGIC, WEIGHT_BITS, WORD_BITS,
+};
 use crate::quant::WeightQuantizer;
 
-const WORD_BITS: u32 = 18;
-const DEST_BITS: u32 = 21;
-const WEIGHT_BITS: u32 = 6;
 /// Regular arc width: 18 + 21 + 6.
-pub const REGULAR_ARC_BITS: u64 = 45;
+pub const REGULAR_ARC_BITS: u64 = (WORD_BITS + LM_DEST_BITS + WEIGHT_BITS) as u64;
 /// Back-off arc width: 21 + 6.
-pub const BACKOFF_ARC_BITS: u64 = 27;
+pub const BACKOFF_ARC_BITS: u64 = (LM_DEST_BITS + WEIGHT_BITS) as u64;
 /// Unigram arc width: weight only.
-pub const UNIGRAM_ARC_BITS: u64 = 6;
+pub const UNIGRAM_ARC_BITS: u64 = WEIGHT_BITS as u64;
 
-#[derive(Debug, Clone, Copy)]
-struct StateRec {
-    bit_offset: u64,
-    /// Word-labelled arcs (excludes the back-off arc).
-    num_word_arcs: u32,
-    has_backoff: bool,
-}
+/// Serialized state record: bit offset (u64), word-arc count (u32,
+/// excluding the back-off arc), back-off flag (u32).
+const STATE_REC_BYTES: usize = 16;
 
 /// Result of looking up a word at an LM state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,12 +44,208 @@ pub struct LmLookup {
     pub bit_offset: u64,
 }
 
-/// An LM WFST in the compressed bit-packed format.
+/// Parsed header of a serialized `UNFL` section.
+#[derive(Debug, Clone)]
+pub struct LmLayout {
+    num_states: usize,
+    quant: WeightQuantizer,
+    extents: Extents,
+}
+
+impl LmLayout {
+    /// Parses the header of a serialized LM. O(states): because LM arc
+    /// records are fixed-width, the sweep verifies full block
+    /// contiguity (root positional block, per-state word arcs, trailing
+    /// back-off) without decoding a single arc. Word-arc sortedness and
+    /// destination bounds are left to [`CompressedLm::from_bytes`]'s
+    /// full walk.
+    ///
+    /// # Errors
+    /// Returns [`ModelIoError`] on bad magic/version, truncation, or a
+    /// structurally invalid header.
+    pub fn parse(bytes: &[u8]) -> Result<LmLayout, ModelIoError> {
+        let mut r = ByteReader::new(bytes);
+        let num_states = r.model_head(LM_MAGIC, LM_DEST_BITS)?;
+        let quant = r.codebook()?;
+        let extents = r.extents(num_states, STATE_REC_BYTES)?;
+        let (states, _) = extents.split(bytes);
+        let len_bits = extents.len_bits();
+        if rd_u32(states, 12) != 0 {
+            return Err(ModelIoError::Corrupt("root state has a back-off arc"));
+        }
+        let mut expect = 0u64;
+        for i in 0..num_states {
+            let base = i * STATE_REC_BYTES;
+            let off = rd_u64(states, base);
+            let narcs = u64::from(rd_u32(states, base + 8));
+            let has_backoff = rd_u32(states, base + 12) != 0;
+            if off != expect {
+                return Err(ModelIoError::Corrupt("arc blocks not contiguous"));
+            }
+            let width = if i == 0 {
+                UNIGRAM_ARC_BITS
+            } else {
+                REGULAR_ARC_BITS
+            };
+            let mut end = narcs
+                .checked_mul(width)
+                .and_then(|n| n.checked_add(off))
+                .ok_or(ModelIoError::Corrupt("offset overflow"))?;
+            if has_backoff {
+                end += BACKOFF_ARC_BITS;
+            }
+            if end > len_bits {
+                return Err(ModelIoError::Corrupt("arc block past end of stream"));
+            }
+            expect = end;
+        }
+        if expect != len_bits {
+            return Err(ModelIoError::Corrupt("arc blocks not contiguous"));
+        }
+        Ok(LmLayout {
+            num_states,
+            quant,
+            extents,
+        })
+    }
+
+    /// Number of states.
+    pub fn num_states(&self) -> usize {
+        self.num_states
+    }
+
+    /// Arc-stream payload size in bytes.
+    pub fn arc_stream_bytes(&self) -> usize {
+        self.extents.arc_stream_bytes()
+    }
+
+    /// State-table size in bytes — the part of the section the header
+    /// sweep *does* read at parse time.
+    pub fn state_table_bytes(&self) -> usize {
+        self.extents.state_table_bytes()
+    }
+}
+
+/// An LM WFST in the compressed bit-packed format: the serialized
+/// `UNFL` section bytes — in a buffer of their own or inside a shared
+/// bundle, possibly memory-mapped — plus their parsed [`LmLayout`].
+/// Every field is read in place; cloning shares the bytes.
 #[derive(Debug, Clone)]
 pub struct CompressedLm {
-    states: Vec<StateRec>,
-    reader: BitReader,
-    quant: WeightQuantizer,
+    bytes: SectionBytes,
+    layout: LmLayout,
+}
+
+/// The per-call borrowed view: the state table and the arc stream.
+struct View<'a> {
+    layout: &'a LmLayout,
+    states: &'a [u8],
+    bits: BitSlice<'a>,
+}
+
+impl View<'_> {
+    /// `(bit offset, word-arc count, has back-off)` of `s`.
+    #[inline]
+    fn rec(&self, s: StateId) -> (u64, u32, bool) {
+        let base = s as usize * STATE_REC_BYTES;
+        (
+            rd_u64(self.states, base),
+            rd_u32(self.states, base + 8),
+            rd_u32(self.states, base + 12) != 0,
+        )
+    }
+
+    /// Word arc `i` of `s`, whose block starts at bit `base`, and the
+    /// arc's own bit offset.
+    #[inline]
+    fn word_arc_at(&self, s: StateId, base: u64, i: u32) -> (Arc, u64) {
+        if s == 0 {
+            let off = base + u64::from(i) * UNIGRAM_ARC_BITS;
+            let widx = self.bits.read(off, WEIGHT_BITS) as u8;
+            (
+                Arc::new(i + 1, i + 1, self.layout.quant.decode(widx), i + 1),
+                off,
+            )
+        } else {
+            let off = base + u64::from(i) * REGULAR_ARC_BITS;
+            let word = self.bits.read(off, WORD_BITS) as u32;
+            let dest = self.bits.read(off + u64::from(WORD_BITS), LM_DEST_BITS) as u32;
+            let widx = self
+                .bits
+                .read(off + u64::from(WORD_BITS + LM_DEST_BITS), WEIGHT_BITS)
+                as u8;
+            (
+                Arc::new(word, word, self.layout.quant.decode(widx), dest),
+                off,
+            )
+        }
+    }
+
+    fn word_arc(&self, s: StateId, i: u32) -> Arc {
+        let (base, narcs, _) = self.rec(s);
+        assert!(i < narcs, "word_arc: index {i} out of range at state {s}");
+        self.word_arc_at(s, base, i).0
+    }
+
+    fn backoff(&self, s: StateId) -> Option<(Arc, u64)> {
+        let (base, narcs, has_backoff) = self.rec(s);
+        if !has_backoff {
+            return None;
+        }
+        let off = base + u64::from(narcs) * REGULAR_ARC_BITS;
+        let dest = self.bits.read(off, LM_DEST_BITS) as u32;
+        let widx = self.bits.read(off + u64::from(LM_DEST_BITS), WEIGHT_BITS) as u8;
+        Some((Arc::epsilon(self.layout.quant.decode(widx), dest), off))
+    }
+
+    fn lookup(&self, s: StateId, word: Label, mut on_probe: impl FnMut(u64)) -> Option<Arc> {
+        let (base, narcs, _) = self.rec(s);
+        if s == 0 {
+            // Root: the i-th arc is word i + 1, one positional read.
+            if word == EPSILON || word > narcs {
+                return None;
+            }
+            let (arc, off) = self.word_arc_at(0, base, word - 1);
+            on_probe(off);
+            return Some(arc);
+        }
+        let (mut lo, mut hi) = (0u32, narcs);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let (a, off) = self.word_arc_at(s, base, mid);
+            on_probe(off);
+            match a.ilabel.cmp(&word) {
+                std::cmp::Ordering::Equal => return Some(a),
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        None
+    }
+
+    /// Word-arc sortedness and destination bounds — the part of the
+    /// structural check [`LmLayout::parse`] defers. O(arcs).
+    fn validate(&self) -> Result<(), ModelIoError> {
+        let n = self.layout.num_states as u32;
+        for s in 1..n {
+            let (base, narcs, _) = self.rec(s);
+            let mut prev_word = 0u32;
+            for i in 0..narcs {
+                let (a, _) = self.word_arc_at(s, base, i);
+                if a.ilabel <= prev_word {
+                    return Err(ModelIoError::Corrupt("word arcs not sorted"));
+                }
+                prev_word = a.ilabel;
+                if a.nextstate >= n {
+                    return Err(ModelIoError::Corrupt("destination out of range"));
+                }
+            }
+            if self.backoff(s).is_some_and(|(back, _)| back.nextstate >= n) {
+                return Err(ModelIoError::Corrupt("back-off destination out of range"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl CompressedLm {
@@ -67,7 +260,7 @@ impl CompressedLm {
         assert!(fst.num_states() > 0, "compress: empty LM");
         assert_eq!(fst.start(), 0, "compress: LM root must be state 0");
         assert!(
-            fst.num_states() < (1 << DEST_BITS),
+            fst.num_states() < (1 << LM_DEST_BITS),
             "compress: {} states exceed the 21-bit destination field",
             fst.num_states()
         );
@@ -84,7 +277,7 @@ impl CompressedLm {
         let quant = WeightQuantizer::fit(&weights, k, seed);
 
         let mut w = BitWriter::new();
-        let mut states = Vec::with_capacity(fst.num_states());
+        let mut recs = ByteWriter::default();
 
         // Root: positional unigram arcs.
         let root_arcs = fst.arcs(0);
@@ -101,11 +294,9 @@ impl CompressedLm {
                 "root arc {i} breaks the dest invariant"
             );
         }
-        states.push(StateRec {
-            bit_offset: 0,
-            num_word_arcs: root_arcs.len() as u32,
-            has_backoff: false,
-        });
+        recs.u64(0);
+        recs.u32(root_arcs.len() as u32);
+        recs.u32(0);
         for a in root_arcs {
             w.push(u64::from(quant.encode(a.weight)), WEIGHT_BITS);
         }
@@ -117,11 +308,9 @@ impl CompressedLm {
             assert!(eps_count <= 1, "state {s}: multiple back-off arcs");
             let has_backoff = eps_count == 1;
             let num_word_arcs = arcs.len() - eps_count;
-            states.push(StateRec {
-                bit_offset: w.len_bits(),
-                num_word_arcs: num_word_arcs as u32,
-                has_backoff,
-            });
+            recs.u64(w.len_bits());
+            recs.u32(num_word_arcs as u32);
+            recs.u32(u32::from(has_backoff));
             for a in &arcs[..num_word_arcs] {
                 assert!(
                     a.ilabel < (1 << WORD_BITS),
@@ -129,38 +318,89 @@ impl CompressedLm {
                     a.ilabel
                 );
                 w.push(u64::from(a.ilabel), WORD_BITS);
-                w.push(u64::from(a.nextstate), DEST_BITS);
+                w.push(u64::from(a.nextstate), LM_DEST_BITS);
                 w.push(u64::from(quant.encode(a.weight)), WEIGHT_BITS);
             }
             if has_backoff {
                 let back = arcs.last().unwrap();
                 assert_eq!(back.ilabel, EPSILON, "state {s}: back-off arc must be last");
-                w.push(u64::from(back.nextstate), DEST_BITS);
+                w.push(u64::from(back.nextstate), LM_DEST_BITS);
                 w.push(u64::from(quant.encode(back.weight)), WEIGHT_BITS);
             }
         }
 
+        let mut out = ByteWriter::default();
+        out.out.extend_from_slice(&LM_MAGIC);
+        out.u32(FORMAT_VERSION);
+        out.u32(fst.num_states() as u32);
+        out.codebook(&quant);
+        out.out.extend(recs.out);
+        out.arc_stream(&w.finish());
+        let layout = LmLayout::parse(&out.out).expect("a freshly compressed LM parses");
         CompressedLm {
+            bytes: SectionBytes::Owned(out.out.into()),
+            layout,
+        }
+    }
+
+    /// Deserializes from the `UNFL` container, validating structure
+    /// before returning.
+    ///
+    /// # Errors
+    /// Returns [`ModelIoError`] on bad magic/version, truncation, or
+    /// structurally invalid content.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
+        let lm = CompressedLm {
+            layout: LmLayout::parse(bytes)?,
+            bytes: SectionBytes::Owned(bytes.into()),
+        };
+        lm.view().validate()?;
+        Ok(lm)
+    }
+
+    /// Binds LM section `name` of a shared bundle without copying it;
+    /// see [`crate::CompressedAm::from_bundle`] for why the checksum is
+    /// verified here. Sessions holding a clone keep the bundle alive
+    /// even after a registry retires the name.
+    ///
+    /// # Errors
+    /// [`BundleError::ChecksumMismatch`] on a corrupt payload, plus
+    /// anything from [`Bundle::lm_layout`].
+    pub fn from_bundle(bundle: std::sync::Arc<Bundle>, name: &str) -> Result<Self, BundleError> {
+        let range = bundle.verified_range(SectionKind::Lm, name)?;
+        let layout = bundle.lm_layout(name)?;
+        Ok(CompressedLm {
+            bytes: SectionBytes::Bundle(bundle, range),
+            layout,
+        })
+    }
+
+    #[inline]
+    fn view(&self) -> View<'_> {
+        let (states, bits) = self.layout.extents.split(self.bytes.get());
+        View {
+            layout: &self.layout,
             states,
-            reader: BitReader::new(w.finish()),
-            quant,
+            bits,
         }
     }
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.states.len()
+        self.layout.num_states
     }
 
     /// Number of word-labelled arcs at `s`.
     pub fn num_word_arcs(&self, s: StateId) -> u32 {
-        self.states[s as usize].num_word_arcs
+        self.view().rec(s).1
     }
 
     /// Total compressed size in bytes (bit stream + 8-byte state records
     /// + centroid table).
     pub fn size_bytes(&self) -> u64 {
-        self.reader.buf().size_bytes() + self.states.len() as u64 * 8 + self.quant.table_bytes()
+        self.layout.extents.len_bits().div_ceil(8)
+            + self.layout.num_states as u64 * 8
+            + self.layout.quant.table_bytes()
     }
 
     /// Decodes the `i`-th word arc of `s`.
@@ -168,108 +408,48 @@ impl CompressedLm {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn word_arc(&self, s: StateId, i: u32) -> Arc {
-        let rec = &self.states[s as usize];
-        assert!(
-            i < rec.num_word_arcs,
-            "word_arc: index {i} out of range at state {s}"
-        );
-        if s == 0 {
-            let off = rec.bit_offset + u64::from(i) * UNIGRAM_ARC_BITS;
-            let widx = self.reader.read(off, WEIGHT_BITS) as u8;
-            Arc::new(i + 1, i + 1, self.quant.decode(widx), i + 1)
-        } else {
-            let off = rec.bit_offset + u64::from(i) * REGULAR_ARC_BITS;
-            let word = self.reader.read(off, WORD_BITS) as u32;
-            let dest = self.reader.read(off + u64::from(WORD_BITS), DEST_BITS) as u32;
-            let widx = self.reader.read(
-                off + u64::from(WORD_BITS) + u64::from(DEST_BITS),
-                WEIGHT_BITS,
-            ) as u8;
-            Arc::new(word, word, self.quant.decode(widx), dest)
-        }
-    }
-
-    /// Hints the cache to load `s`'s state record neighborhood and the
-    /// head of its word-arc region, ahead of a lookup. No-op on an
-    /// out-of-range state — a hint must never panic.
-    #[inline]
-    pub fn prefetch_state(&self, s: StateId) {
-        if let Some(rec) = self.states.get(s as usize) {
-            self.reader.prefetch(rec.bit_offset);
-        }
+        self.view().word_arc(s, i)
     }
 
     /// Bit offset of the `i`-th word arc of `s` (address modeling).
     pub fn word_arc_bit_offset(&self, s: StateId, i: u32) -> u64 {
-        let rec = &self.states[s as usize];
         let width = if s == 0 {
             UNIGRAM_ARC_BITS
         } else {
             REGULAR_ARC_BITS
         };
-        rec.bit_offset + u64::from(i) * width
+        self.view().rec(s).0 + u64::from(i) * width
     }
 
-    /// The back-off arc of `s`, if present.
-    pub fn backoff_arc(&self, s: StateId) -> Option<Arc> {
-        let rec = &self.states[s as usize];
-        if !rec.has_backoff {
-            return None;
-        }
-        let off = rec.bit_offset + u64::from(rec.num_word_arcs) * REGULAR_ARC_BITS;
-        let dest = self.reader.read(off, DEST_BITS) as u32;
-        let widx = self.reader.read(off + u64::from(DEST_BITS), WEIGHT_BITS) as u8;
-        Some(Arc::epsilon(self.quant.decode(widx), dest))
+    /// The back-off arc of `s` and its bit offset, if present.
+    pub fn backoff_arc(&self, s: StateId) -> Option<(Arc, u64)> {
+        self.view().backoff(s)
     }
 
-    /// Looks up `word` at `s`: O(1) positional access at the root,
-    /// binary search over the fixed-width arcs elsewhere.
+    /// Looks up `word` at `s` — O(1) positional access at the root,
+    /// binary search over the fixed-width arcs elsewhere — reporting
+    /// the bit offset of every arc the search reads, in order.
+    pub fn lookup_with(&self, s: StateId, word: Label, on_probe: impl FnMut(u64)) -> Option<Arc> {
+        self.view().lookup(s, word, on_probe)
+    }
+
+    /// [`CompressedLm::lookup_with`], summarized: the arc, the probe
+    /// count (at least 1) and the last probed offset.
     ///
     /// # Panics
     /// Panics if `word` is epsilon.
     pub fn lookup(&self, s: StateId, word: Label) -> LmLookup {
         assert_ne!(word, EPSILON, "lookup: cannot search for epsilon");
-        let rec = &self.states[s as usize];
-        if s == 0 {
-            // Root: i-th arc is word i+1.
-            if word <= rec.num_word_arcs {
-                return LmLookup {
-                    arc: Some(self.word_arc(0, word - 1)),
-                    probes: 1,
-                    bit_offset: self.word_arc_bit_offset(0, word - 1),
-                };
-            }
-            return LmLookup {
-                arc: None,
-                probes: 1,
-                bit_offset: rec.bit_offset,
-            };
-        }
-        let mut lo = 0u32;
-        let mut hi = rec.num_word_arcs;
-        let mut probes = 0;
-        let mut last_off = rec.bit_offset;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
+        let mut probes = 0u32;
+        let mut bit_offset = self.word_arc_bit_offset(s, 0);
+        let arc = self.lookup_with(s, word, |off| {
             probes += 1;
-            last_off = self.word_arc_bit_offset(s, mid);
-            let a = self.word_arc(s, mid);
-            match a.ilabel.cmp(&word) {
-                std::cmp::Ordering::Equal => {
-                    return LmLookup {
-                        arc: Some(a),
-                        probes,
-                        bit_offset: last_off,
-                    }
-                }
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
+            bit_offset = off;
+        });
         LmLookup {
-            arc: None,
+            arc,
             probes: probes.max(1),
-            bit_offset: last_off,
+            bit_offset,
         }
     }
 
@@ -288,7 +468,7 @@ impl CompressedLm {
             if let Some(arc) = res.arc {
                 return Some((arc.nextstate, cost + arc.weight, hops, probes));
             }
-            let back = self.backoff_arc(state)?;
+            let (back, _) = self.backoff_arc(state)?;
             cost += back.weight;
             state = back.nextstate;
             hops += 1;
@@ -296,160 +476,27 @@ impl CompressedLm {
         }
     }
 
-    /// Serializes to the `UNFL` container (see [`crate::io`]).
+    /// Serializes to the `UNFL` container (see [`crate::io`]): a copy of
+    /// the section bytes the model reads from.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
-        w.out.extend_from_slice(&LM_MAGIC);
-        w.u32(FORMAT_VERSION);
-        w.u32(self.states.len() as u32);
-        w.u32(self.quant.num_clusters() as u32);
-        for &c in self.quant.centroids() {
-            w.f32(c);
-        }
-        for rec in &self.states {
-            w.u64(rec.bit_offset);
-            w.u32(rec.num_word_arcs);
-            w.u32(u32::from(rec.has_backoff));
-        }
-        let buf = self.reader.buf();
-        w.u64(buf.len_bits());
-        w.u32(buf.words().len() as u32);
-        for &word in buf.words() {
-            w.u64(word);
-        }
-        w.out
-    }
-
-    /// Deserializes from the `UNFL` container, validating structure
-    /// before returning.
-    ///
-    /// # Errors
-    /// Returns [`ModelIoError`] on bad magic/version, truncation, or
-    /// structurally invalid content.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
-        let mut r = ByteReader::new(bytes);
-        if r.take(4)? != LM_MAGIC {
-            return Err(ModelIoError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != FORMAT_VERSION {
-            return Err(ModelIoError::BadVersion(version));
-        }
-        let num_states = r.u32()? as usize;
-        if num_states == 0 || num_states >= (1 << DEST_BITS) {
-            return Err(ModelIoError::Corrupt("state count out of range"));
-        }
-        let k = r.u32()? as usize;
-        if k == 0 || k > 64 {
-            return Err(ModelIoError::Corrupt("cluster count out of range"));
-        }
-        let mut centroids = Vec::with_capacity(k);
-        for _ in 0..k {
-            centroids.push(r.f32()?);
-        }
-        if !centroids.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(ModelIoError::Corrupt("codebook not sorted"));
-        }
-        if num_states.checked_mul(16).is_none_or(|n| n > r.remaining()) {
-            return Err(ModelIoError::Truncated);
-        }
-        let mut states = Vec::with_capacity(num_states);
-        for _ in 0..num_states {
-            let bit_offset = r.u64()?;
-            let num_word_arcs = r.u32()?;
-            let has_backoff = r.u32()? != 0;
-            states.push(StateRec {
-                bit_offset,
-                num_word_arcs,
-                has_backoff,
-            });
-        }
-        let len_bits = r.u64()?;
-        let num_words = r.u32()? as usize;
-        if len_bits > num_words as u64 * 64 {
-            return Err(ModelIoError::Corrupt("bit length exceeds words"));
-        }
-        if num_words.checked_mul(8).is_none_or(|n| n > r.remaining()) {
-            return Err(ModelIoError::Truncated);
-        }
-        let mut words = Vec::with_capacity(num_words);
-        for _ in 0..num_words {
-            words.push(r.u64()?);
-        }
-        if !r.done() {
-            return Err(ModelIoError::Corrupt("trailing bytes"));
-        }
-        let lm = CompressedLm {
-            states,
-            reader: BitReader::new(BitBuf::from_raw(words, len_bits)),
-            quant: WeightQuantizer::from_centroids(centroids),
-        };
-        lm.validate()?;
-        Ok(lm)
-    }
-
-    /// Structural validation: blocks within bounds and contiguous,
-    /// word arcs sorted, destinations in range, root back-off absent.
-    fn validate(&self) -> Result<(), ModelIoError> {
-        let len = self.reader.buf().len_bits();
-        let n = self.states.len() as u32;
-        if self.states[0].has_backoff {
-            return Err(ModelIoError::Corrupt("root state has a back-off arc"));
-        }
-        for (i, rec) in self.states.iter().enumerate() {
-            let width = if i == 0 {
-                UNIGRAM_ARC_BITS
-            } else {
-                REGULAR_ARC_BITS
-            };
-            let mut end = rec
-                .bit_offset
-                .checked_add(u64::from(rec.num_word_arcs) * width)
-                .ok_or(ModelIoError::Corrupt("offset overflow"))?;
-            if rec.has_backoff {
-                end += BACKOFF_ARC_BITS;
-            }
-            if end > len {
-                return Err(ModelIoError::Corrupt("arc block past end of stream"));
-            }
-            if i > 0 {
-                let mut prev_word = 0u32;
-                for a in 0..rec.num_word_arcs {
-                    let arc = self.word_arc(i as StateId, a);
-                    if arc.ilabel <= prev_word {
-                        return Err(ModelIoError::Corrupt("word arcs not sorted"));
-                    }
-                    prev_word = arc.ilabel;
-                    if arc.nextstate >= n {
-                        return Err(ModelIoError::Corrupt("destination out of range"));
-                    }
-                }
-                if let Some(back) = self.backoff_arc(i as StateId) {
-                    if back.nextstate >= n {
-                        return Err(ModelIoError::Corrupt("back-off destination out of range"));
-                    }
-                }
-            }
-            let next_off = self.states.get(i + 1).map_or(len, |nr| nr.bit_offset);
-            if end != next_off {
-                return Err(ModelIoError::Corrupt("arc blocks not contiguous"));
-            }
-        }
-        Ok(())
+        self.bytes.get().to_vec()
     }
 
     /// Fully decompresses into a [`Wfst`] with quantized weights.
     pub fn to_wfst(&self) -> Wfst {
-        let mut b = WfstBuilder::with_states(self.states.len());
+        let v = self.view();
+        let n = self.num_states();
+        let mut b = WfstBuilder::with_states(n);
         b.set_start(0);
-        for s in 0..self.states.len() as StateId {
+        for s in 0..n as StateId {
             b.set_final(s, 0.0);
         }
-        for s in 0..self.states.len() as StateId {
-            for i in 0..self.states[s as usize].num_word_arcs {
-                b.add_arc(s, self.word_arc(s, i));
+        for s in 0..n as StateId {
+            let (base, narcs, _) = v.rec(s);
+            for i in 0..narcs {
+                b.add_arc(s, v.word_arc_at(s, base, i).0);
             }
-            if let Some(back) = self.backoff_arc(s) {
+            if let Some((back, _)) = v.backoff(s) {
                 b.add_arc(s, back);
             }
         }
@@ -599,9 +646,67 @@ mod tests {
     }
 
     #[test]
+    fn layout_parse_rejects_corrupt_headers() {
+        // The header parse alone — all a bundle binding runs — rejects
+        // what the full loader does at the header; the LM's fixed-width
+        // sweep even catches a flipped state offset without decoding an
+        // arc.
+        let good = CompressedLm::compress(&lm_fst(), 64, 0).to_bytes();
+        let mut bad = good.clone();
+        bad[1] = b'?';
+        assert_eq!(LmLayout::parse(&bad).unwrap_err(), ModelIoError::BadMagic);
+        assert_eq!(
+            LmLayout::parse(&good[..20]).unwrap_err(),
+            ModelIoError::Truncated
+        );
+        let mut flipped = good.clone();
+        flipped[16 + 64 * 4 + 3 * 16] ^= 0x5A;
+        assert!(LmLayout::parse(&flipped).is_err());
+    }
+
+    #[test]
+    fn full_load_also_checks_what_the_header_parse_defers() {
+        // Swap two word arcs of a state: every block still sits where
+        // the state table says, so the header parse accepts the bytes,
+        // but the one deep validator `from_bytes` runs finds them
+        // unsorted.
+        let comp = CompressedLm::compress(&lm_fst(), 64, 0);
+        let s = (1..comp.num_states() as StateId)
+            .find(|&s| comp.num_word_arcs(s) >= 2)
+            .expect("some state has two word arcs");
+        let (a0, a1) = (comp.word_arc(s, 0), comp.word_arc(s, 1));
+        let mut bytes = comp.to_bytes();
+        let stream = bytes.len() - comp.layout.arc_stream_bytes();
+        let mut poke = |i: u32, word: u32| {
+            let off = comp.word_arc_bit_offset(s, i);
+            for b in off..off + u64::from(WORD_BITS) {
+                let bit = ((word >> (b - off)) & 1) as u8;
+                let byte = &mut bytes[stream + (b / 8) as usize];
+                *byte = (*byte & !(1 << (b % 8))) | (bit << (b % 8));
+            }
+        };
+        poke(0, a1.ilabel);
+        poke(1, a0.ilabel);
+        assert!(LmLayout::parse(&bytes).is_ok());
+        assert_eq!(
+            CompressedLm::from_bytes(&bytes).unwrap_err(),
+            ModelIoError::Corrupt("word arcs not sorted")
+        );
+    }
+
+    #[test]
     fn arc_widths_match_paper() {
         assert_eq!(REGULAR_ARC_BITS, 45);
         assert_eq!(BACKOFF_ARC_BITS, 27);
         assert_eq!(UNIGRAM_ARC_BITS, 6);
+        // The AM's short/full records (Figure 5), from the same widths.
+        use crate::io::{AM_DEST_BITS, PDF_BITS, TAG_BITS};
+        assert_eq!(TAG_BITS + PDF_BITS + WEIGHT_BITS, 20);
+        assert_eq!(
+            TAG_BITS + PDF_BITS + WEIGHT_BITS + WORD_BITS + AM_DEST_BITS,
+            58
+        );
+        assert_eq!(crate::am::SHORT_ARC_BITS, 20);
+        assert_eq!(crate::am::FULL_ARC_BITS, 58);
     }
 }

@@ -15,21 +15,18 @@
 //!   checksums are still verified — one streaming pass over the mapped
 //!   bytes per model section, no copy).
 //!
-//! Whatever the origin, the facade hands out [`AmModel`]/[`LmModel`]
-//! handles that implement the decoder's [`AmSource`]/[`LmSource`]
-//! traits, are cheaply cloneable, and are `Send + Sync` — the same
-//! handle type drives a one-shot CLI decode and a multi-worker server.
+//! Whatever the origin, the facade hands out one model type per format
+//! — a `CompressedAm` / `CompressedLm` over its own bytes or over the
+//! bundle's, exported here as [`AmModel`]/[`LmModel`] — implementing
+//! the decoder's `AmSource`/`LmSource` traits, cheaply cloneable, and
+//! `Send + Sync`: the same type drives a one-shot CLI decode and a
+//! multi-worker server.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use unfold_compress::{
-    Bundle, BundleError, BundleWriter, CompressedAm, CompressedLm, SharedAm, SharedLm,
-};
-use unfold_decoder::sources::Fetch;
-use unfold_decoder::{AmSource, ArcVisit, LmSource};
+use unfold_compress::{Bundle, BundleError, BundleWriter, CompressedAm, CompressedLm};
 use unfold_lm::NGramModel;
-use unfold_wfst::{Arc as WfstArc, Label, StateId};
 
 use crate::system::{System, QUANT_CLUSTERS};
 use crate::task::TaskSpec;
@@ -37,123 +34,24 @@ use crate::task::TaskSpec;
 /// Name given to the primary LM when packing a bundle.
 pub const DEFAULT_LM: &str = "default";
 
-/// A decodable acoustic model: owned in memory, or a zero-copy view
-/// into a bundle (whose bytes may be a read-only file mapping).
-#[derive(Debug, Clone)]
-pub enum AmModel {
-    /// Owned, deserialized compressed AM.
-    Owned(Arc<CompressedAm>),
-    /// Zero-copy view over a bundle section.
-    Shared(SharedAm),
-}
-
-/// A decodable language model; see [`AmModel`].
-#[derive(Debug, Clone)]
-pub enum LmModel {
-    /// Owned, deserialized compressed LM.
-    Owned(Arc<CompressedLm>),
-    /// Zero-copy view over a bundle section.
-    Shared(SharedLm),
-}
-
-impl AmSource for AmModel {
-    fn start(&self) -> StateId {
-        match self {
-            AmModel::Owned(am) => AmSource::start(&**am),
-            AmModel::Shared(am) => AmSource::start(am),
-        }
-    }
-
-    fn num_states(&self) -> usize {
-        match self {
-            AmModel::Owned(am) => AmSource::num_states(&**am),
-            AmModel::Shared(am) => AmSource::num_states(am),
-        }
-    }
-
-    fn final_weight(&self, s: StateId) -> Option<f32> {
-        match self {
-            AmModel::Owned(am) => AmSource::final_weight(&**am, s),
-            AmModel::Shared(am) => AmSource::final_weight(am, s),
-        }
-    }
-
-    fn state_addr(&self, s: StateId) -> u64 {
-        match self {
-            AmModel::Owned(am) => AmSource::state_addr(&**am, s),
-            AmModel::Shared(am) => AmSource::state_addr(am, s),
-        }
-    }
-
-    fn for_each_arc(&self, s: StateId, f: &mut dyn FnMut(ArcVisit)) {
-        match self {
-            AmModel::Owned(am) => AmSource::for_each_arc(&**am, s, f),
-            AmModel::Shared(am) => AmSource::for_each_arc(am, s, f),
-        }
-    }
-}
-
-impl LmSource for LmModel {
-    fn start(&self) -> StateId {
-        match self {
-            LmModel::Owned(lm) => LmSource::start(&**lm),
-            LmModel::Shared(lm) => LmSource::start(lm),
-        }
-    }
-
-    fn num_states(&self) -> usize {
-        match self {
-            LmModel::Owned(lm) => LmSource::num_states(&**lm),
-            LmModel::Shared(lm) => LmSource::num_states(lm),
-        }
-    }
-
-    fn state_addr(&self, s: StateId) -> u64 {
-        match self {
-            LmModel::Owned(lm) => LmSource::state_addr(&**lm, s),
-            LmModel::Shared(lm) => LmSource::state_addr(lm, s),
-        }
-    }
-
-    fn lookup_word_into(
-        &self,
-        s: StateId,
-        word: Label,
-        probes: &mut Vec<Fetch>,
-    ) -> Option<WfstArc> {
-        match self {
-            LmModel::Owned(lm) => LmSource::lookup_word_into(&**lm, s, word, probes),
-            LmModel::Shared(lm) => LmSource::lookup_word_into(lm, s, word, probes),
-        }
-    }
-
-    fn backoff(&self, s: StateId) -> Option<(WfstArc, Fetch)> {
-        match self {
-            LmModel::Owned(lm) => LmSource::backoff(&**lm, s),
-            LmModel::Shared(lm) => LmSource::backoff(lm, s),
-        }
-    }
-}
+pub use unfold_compress::{CompressedAm as AmModel, CompressedLm as LmModel};
 
 /// One AM plus one or more named LMs, however they were obtained.
 #[derive(Debug, Clone)]
 pub struct Models {
-    am: AmModel,
-    lms: Vec<(String, LmModel)>,
+    am: CompressedAm,
+    lms: Vec<(String, CompressedLm)>,
     bundle: Option<Arc<Bundle>>,
 }
 
 impl Models {
-    /// Wraps owned compressed models. The first LM is the default.
+    /// Wraps compressed models from anywhere. The first LM is the
+    /// default.
     ///
     /// # Panics
     /// Panics if `lms` is empty or contains duplicate names.
     pub fn from_parts(am: CompressedAm, lms: Vec<(String, CompressedLm)>) -> Models {
         assert!(!lms.is_empty(), "a model set needs at least one LM");
-        let lms: Vec<(String, LmModel)> = lms
-            .into_iter()
-            .map(|(name, lm)| (name, LmModel::Owned(Arc::new(lm))))
-            .collect();
         for (i, (name, _)) in lms.iter().enumerate() {
             assert!(
                 lms[..i].iter().all(|(n, _)| n != name),
@@ -161,14 +59,14 @@ impl Models {
             );
         }
         Models {
-            am: AmModel::Owned(Arc::new(am)),
+            am,
             lms,
             bundle: None,
         }
     }
 
-    /// Models of an already-built [`System`] (owned; the system keeps
-    /// its own copies). The LM is named [`DEFAULT_LM`].
+    /// Models of an already-built [`System`] (sharing the system's
+    /// bytes). The LM is named [`DEFAULT_LM`].
     pub fn from_system(system: &System) -> Models {
         Models::from_parts(
             system.am_comp.clone(),
@@ -195,8 +93,8 @@ impl Models {
     /// Opens a `.unfb` bundle zero-copy: the file is mapped read-only
     /// and arcs decode directly from the mapped bytes — nothing is
     /// copied or deserialized. Each model section's checksum *is*
-    /// verified (once, while binding the [`SharedAm`]/[`SharedLm`]
-    /// handles), because every decode through the returned handles is
+    /// verified (once, while binding the models with `from_bundle`),
+    /// because every decode through the returned models is
     /// infallible: corruption must be a typed error here, not a panic
     /// mid-decode. The verification is a streaming CRC pass over the
     /// mapped pages; the arc streams are never copied to the heap.
@@ -207,20 +105,21 @@ impl Models {
         Models::from_bundle(Bundle::open_mmap(path)?)
     }
 
-    /// Wraps an already-opened bundle; every LM section becomes a
-    /// zero-copy [`LmModel`]. Binding the sections verifies each model
-    /// payload's checksum (memoized; a no-op after an eager open).
+    /// Wraps an already-opened bundle; the AM and every LM section are
+    /// bound zero-copy (`from_bundle`: the section checksum, memoized
+    /// and a no-op after an eager open, plus an O(states) header parse;
+    /// no pass over the arcs).
     ///
     /// # Errors
     /// [`BundleError`] if any model section fails its checksum or
     /// layout validation.
     pub fn from_bundle(bundle: Bundle) -> Result<Models, BundleError> {
         let bundle = Arc::new(bundle);
-        let am = AmModel::Shared(SharedAm::new(Arc::clone(&bundle))?);
+        let am = CompressedAm::from_bundle(Arc::clone(&bundle))?;
         let names: Vec<String> = bundle.lm_names().iter().map(|s| s.to_string()).collect();
         let mut lms = Vec::with_capacity(names.len());
         for name in names {
-            let lm = LmModel::Shared(SharedLm::new(Arc::clone(&bundle), &name)?);
+            let lm = CompressedLm::from_bundle(Arc::clone(&bundle), &name)?;
             lms.push((name, lm));
         }
         Ok(Models {
@@ -231,17 +130,17 @@ impl Models {
     }
 
     /// The acoustic model.
-    pub fn am(&self) -> &AmModel {
+    pub fn am(&self) -> &CompressedAm {
         &self.am
     }
 
     /// The default LM (first packed / first added).
-    pub fn default_lm(&self) -> &LmModel {
+    pub fn default_lm(&self) -> &CompressedLm {
         &self.lms[0].1
     }
 
     /// The LM named `name`, if present.
-    pub fn lm(&self, name: &str) -> Option<&LmModel> {
+    pub fn lm(&self, name: &str) -> Option<&CompressedLm> {
         self.lms.iter().find(|(n, _)| n == name).map(|(_, lm)| lm)
     }
 

@@ -14,9 +14,7 @@
 //! preemptive pruning (§3.3) intervenes, abandoning a hypothesis between
 //! hops.
 
-use unfold_compress::{
-    CompressedAm, CompressedAmRef, CompressedLm, CompressedLmRef, SharedAm, SharedLm,
-};
+use unfold_compress::{CompressedAm, CompressedLm};
 use unfold_wfst::{Arc, Label, StateId, Wfst, EPSILON};
 
 /// Address-space bases for the flat memory map the simulator models.
@@ -337,6 +335,14 @@ impl LmSource for LinearLm<'_> {
 }
 
 // --- Compressed implementations. ---
+//
+// One impl per format, whatever holds the bytes (the model's own
+// buffer or a shared, possibly mapped, bundle): the addresses below
+// are functions of bit offsets only, so every storage decodes with the
+// same fetches. Both keep the no-op prefetch hint: locating a state's
+// bytes costs about as much as the hint saves on these cache-resident
+// models, and four hints per survivor per frame cost `offline_ted`
+// ~10 % of its frames/s when tried.
 
 impl AmSource for CompressedAm {
     fn start(&self) -> StateId {
@@ -364,10 +370,6 @@ impl AmSource for CompressedAm {
             });
         });
     }
-
-    fn prefetch_state(&self, s: StateId) {
-        CompressedAm::prefetch_state(self, s);
-    }
 }
 
 impl LmSource for CompressedLm {
@@ -384,192 +386,17 @@ impl LmSource for CompressedLm {
     }
 
     fn lookup_word_into(&self, s: StateId, word: Label, probes: &mut Vec<Fetch>) -> Option<Arc> {
-        let n = self.num_word_arcs(s);
-        if s == 0 {
-            // Root: positional access, a single 6-bit fetch.
-            if word >= 1 && word <= n {
-                let off = self.word_arc_bit_offset(0, word - 1);
-                probes.push((addr::LM_ARC_BASE + off / 8, 1));
-                return Some(self.word_arc(0, word - 1));
-            }
-            return None;
-        }
-        let mut lo = 0u32;
-        let mut hi = n;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            // 45-bit arc: may straddle up to 7 bytes; 6 is the common case.
-            probes.push((
-                addr::LM_ARC_BASE + self.word_arc_bit_offset(s, mid) / 8,
-                6u32,
-            ));
-            let a = self.word_arc(s, mid);
-            match a.ilabel.cmp(&word) {
-                std::cmp::Ordering::Equal => return Some(a),
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        None
+        // Root: positional access, a single 6-bit fetch. Elsewhere a
+        // 45-bit arc may straddle up to 7 bytes; 6 is the common case.
+        let bytes = if s == 0 { 1 } else { 6 };
+        self.lookup_with(s, word, |off| {
+            probes.push((addr::LM_ARC_BASE + off / 8, bytes));
+        })
     }
 
     fn backoff(&self, s: StateId) -> Option<(Arc, Fetch)> {
-        let back = self.backoff_arc(s)?;
-        let n = self.num_word_arcs(s);
-        let off =
-            self.word_arc_bit_offset(s, 0) + u64::from(n) * unfold_compress::lm::REGULAR_ARC_BITS;
+        let (back, off) = self.backoff_arc(s)?;
         Some((back, (addr::LM_ARC_BASE + off / 8, 4)))
-    }
-
-    fn prefetch_state(&self, s: StateId) {
-        CompressedLm::prefetch_state(self, s);
-    }
-}
-
-// --- Zero-copy (bundle-backed) implementations. ---
-//
-// These mirror the owned `CompressedAm`/`CompressedLm` impls above
-// fetch-for-fetch: same addresses, same probe sequences, same quantized
-// weights. That is what makes a decode against an mmap-backed bundle
-// bit-identical — words, costs, *and* `DecodeStats` — to one against
-// the owned models loaded from the same bytes (`unfold-verify` pins
-// this as a matrix check).
-
-impl AmSource for CompressedAmRef<'_> {
-    fn start(&self) -> StateId {
-        CompressedAmRef::start(self)
-    }
-
-    fn num_states(&self) -> usize {
-        CompressedAmRef::num_states(self)
-    }
-
-    fn final_weight(&self, s: StateId) -> Option<f32> {
-        CompressedAmRef::final_weight(self, s)
-    }
-
-    fn state_addr(&self, s: StateId) -> u64 {
-        addr::AM_STATE_BASE + u64::from(s) * addr::STATE_RECORD_BYTES
-    }
-
-    fn for_each_arc(&self, s: StateId, f: &mut dyn FnMut(ArcVisit)) {
-        CompressedAmRef::for_each_arc(self, s, |arc, bit_off, width| {
-            f(ArcVisit {
-                arc,
-                addr: addr::AM_ARC_BASE + bit_off / 8,
-                bytes: width.div_ceil(8),
-            });
-        });
-    }
-
-    fn prefetch_state(&self, s: StateId) {
-        CompressedAmRef::prefetch_state(self, s);
-    }
-}
-
-impl LmSource for CompressedLmRef<'_> {
-    fn start(&self) -> StateId {
-        0
-    }
-
-    fn num_states(&self) -> usize {
-        CompressedLmRef::num_states(self)
-    }
-
-    fn state_addr(&self, s: StateId) -> u64 {
-        addr::LM_STATE_BASE + u64::from(s) * addr::STATE_RECORD_BYTES
-    }
-
-    fn lookup_word_into(&self, s: StateId, word: Label, probes: &mut Vec<Fetch>) -> Option<Arc> {
-        let n = self.num_word_arcs(s);
-        if s == 0 {
-            if word >= 1 && word <= n {
-                let off = self.word_arc_bit_offset(0, word - 1);
-                probes.push((addr::LM_ARC_BASE + off / 8, 1));
-                return Some(self.word_arc(0, word - 1));
-            }
-            return None;
-        }
-        let mut lo = 0u32;
-        let mut hi = n;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            probes.push((
-                addr::LM_ARC_BASE + self.word_arc_bit_offset(s, mid) / 8,
-                6u32,
-            ));
-            let a = self.word_arc(s, mid);
-            match a.ilabel.cmp(&word) {
-                std::cmp::Ordering::Equal => return Some(a),
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        None
-    }
-
-    fn backoff(&self, s: StateId) -> Option<(Arc, Fetch)> {
-        let back = self.backoff_arc(s)?;
-        let n = self.num_word_arcs(s);
-        let off =
-            self.word_arc_bit_offset(s, 0) + u64::from(n) * unfold_compress::lm::REGULAR_ARC_BITS;
-        Some((back, (addr::LM_ARC_BASE + off / 8, 4)))
-    }
-
-    fn prefetch_state(&self, s: StateId) {
-        CompressedLmRef::prefetch_state(self, s);
-    }
-}
-
-impl AmSource for SharedAm {
-    fn start(&self) -> StateId {
-        self.view().start()
-    }
-
-    fn num_states(&self) -> usize {
-        self.view().num_states()
-    }
-
-    fn final_weight(&self, s: StateId) -> Option<f32> {
-        self.view().final_weight(s)
-    }
-
-    fn state_addr(&self, s: StateId) -> u64 {
-        AmSource::state_addr(&self.view(), s)
-    }
-
-    fn for_each_arc(&self, s: StateId, f: &mut dyn FnMut(ArcVisit)) {
-        AmSource::for_each_arc(&self.view(), s, f);
-    }
-
-    fn prefetch_state(&self, s: StateId) {
-        self.view().prefetch_state(s);
-    }
-}
-
-impl LmSource for SharedLm {
-    fn start(&self) -> StateId {
-        0
-    }
-
-    fn num_states(&self) -> usize {
-        self.view().num_states()
-    }
-
-    fn state_addr(&self, s: StateId) -> u64 {
-        LmSource::state_addr(&self.view(), s)
-    }
-
-    fn lookup_word_into(&self, s: StateId, word: Label, probes: &mut Vec<Fetch>) -> Option<Arc> {
-        LmSource::lookup_word_into(&self.view(), s, word, probes)
-    }
-
-    fn backoff(&self, s: StateId) -> Option<(Arc, Fetch)> {
-        LmSource::backoff(&self.view(), s)
-    }
-
-    fn prefetch_state(&self, s: StateId) {
-        self.view().prefetch_state(s);
     }
 }
 
@@ -681,13 +508,17 @@ mod tests {
 
     #[test]
     fn ref_sources_match_owned_fetch_for_fetch() {
+        // Models bound to a bundle's bytes (no copy) fetch exactly what
+        // the models owning their bytes fetch.
         let (am, lm) = models();
         let cam = CompressedAm::compress(&am, 64, 0);
         let clm = CompressedLm::compress(&lm, 64, 0);
-        let (am_bytes, lm_bytes) = (cam.to_bytes(), clm.to_bytes());
-        let am_layout = unfold_compress::AmLayout::parse(&am_bytes).unwrap();
-        let lm_layout = unfold_compress::LmLayout::parse(&lm_bytes).unwrap();
-        let (ram, rlm) = (am_layout.view(&am_bytes), lm_layout.view(&lm_bytes));
+        let mut w = unfold_compress::BundleWriter::new();
+        w.add_am(&cam).add_lm("default", &clm);
+        let bundle =
+            std::sync::Arc::new(unfold_compress::Bundle::from_bytes(w.finish().unwrap()).unwrap());
+        let ram = CompressedAm::from_bundle(std::sync::Arc::clone(&bundle)).unwrap();
+        let rlm = CompressedLm::from_bundle(bundle, "default").unwrap();
 
         for s in (0..cam.num_states() as StateId).step_by(29) {
             let mut want = Vec::new();

@@ -214,6 +214,40 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// Fixtures shared by the scheduler, server and TCP tests.
+#[cfg(test)]
+mod testkit {
+    use std::sync::Arc;
+
+    use unfold_am::{build_am, synthesize_utterance, HmmTopology, Lexicon, NoiseModel, Utterance};
+    use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
+    use unfold_wfst::Wfst;
+
+    /// A 50-word lexicon with its AM and trigram LM.
+    pub(crate) fn setup() -> (Lexicon, Arc<Wfst>, Arc<Wfst>) {
+        let lex = Lexicon::generate(50, 20, 6);
+        let am = build_am(&lex, HmmTopology::Kaldi3State);
+        let spec = CorpusSpec {
+            vocab_size: 50,
+            num_sentences: 300,
+            ..Default::default()
+        };
+        let model = NGramModel::train(&spec.generate(3), 50, DiscountConfig::default());
+        (lex, Arc::new(am.fst), Arc::new(lm_to_wfst(&model)))
+    }
+
+    /// `words` spoken under the default noise model.
+    pub(crate) fn utt(lex: &Lexicon, words: &[u32], seed: u64) -> Utterance {
+        synthesize_utterance(
+            words,
+            lex,
+            HmmTopology::Kaldi3State,
+            &NoiseModel::default(),
+            seed,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

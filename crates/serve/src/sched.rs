@@ -1279,32 +1279,11 @@ pub fn read_vm_rss_kb() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unfold_am::{build_am, synthesize_utterance, HmmTopology, Lexicon, NoiseModel, Utterance};
+    use crate::testkit::{setup, utt};
+    use unfold_am::Utterance;
     use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder};
     use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
     use unfold_wfst::Wfst;
-
-    fn setup() -> (Lexicon, Arc<Wfst>, Arc<Wfst>) {
-        let lex = Lexicon::generate(50, 20, 6);
-        let am = build_am(&lex, HmmTopology::Kaldi3State);
-        let spec = CorpusSpec {
-            vocab_size: 50,
-            num_sentences: 300,
-            ..Default::default()
-        };
-        let model = NGramModel::train(&spec.generate(3), 50, DiscountConfig::default());
-        (lex, Arc::new(am.fst), Arc::new(lm_to_wfst(&model)))
-    }
-
-    fn utt(lex: &Lexicon, words: &[u32], seed: u64) -> Utterance {
-        synthesize_utterance(
-            words,
-            lex,
-            HmmTopology::Kaldi3State,
-            &NoiseModel::default(),
-            seed,
-        )
-    }
 
     fn core_with(am: &Arc<Wfst>, lm: &Arc<Wfst>, config: ServeConfig) -> ServeCore<Wfst, Wfst> {
         ServeCore::new(config, Arc::clone(am), Arc::clone(lm))

@@ -509,22 +509,10 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unfold_am::{build_am, synthesize_utterance, HmmTopology, Lexicon, NoiseModel, Utterance};
+    use crate::testkit::{setup, utt};
+    use unfold_am::{synthesize_utterance, HmmTopology, NoiseModel, Utterance};
     use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder};
     use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
-    use unfold_wfst::Wfst;
-
-    fn setup() -> (Lexicon, Arc<Wfst>, Arc<Wfst>) {
-        let lex = Lexicon::generate(50, 20, 6);
-        let am = build_am(&lex, HmmTopology::Kaldi3State);
-        let spec = CorpusSpec {
-            vocab_size: 50,
-            num_sentences: 300,
-            ..Default::default()
-        };
-        let model = NGramModel::train(&spec.generate(3), 50, DiscountConfig::default());
-        (lex, Arc::new(am.fst), Arc::new(lm_to_wfst(&model)))
-    }
 
     /// Concurrent sessions through real worker threads still produce
     /// transcripts bit-identical to standalone decodes — worker
@@ -536,15 +524,7 @@ mod tests {
         let utts: Vec<Utterance> = word_seqs
             .iter()
             .enumerate()
-            .map(|(i, w)| {
-                synthesize_utterance(
-                    w,
-                    &lex,
-                    HmmTopology::Kaldi3State,
-                    &NoiseModel::default(),
-                    40 + i as u64,
-                )
-            })
+            .map(|(i, w)| utt(&lex, w, 40 + i as u64))
             .collect();
         let base = DecodeConfig::default();
         let standalone: Vec<_> = utts
@@ -654,15 +634,7 @@ mod tests {
         let utts: Vec<Utterance> = word_seqs
             .iter()
             .enumerate()
-            .map(|(i, w)| {
-                synthesize_utterance(
-                    w,
-                    &lex,
-                    HmmTopology::Kaldi3State,
-                    &NoiseModel::default(),
-                    40 + i as u64,
-                )
-            })
+            .map(|(i, w)| utt(&lex, w, 40 + i as u64))
             .collect();
         let base = DecodeConfig::default();
         let pick = |i: usize| if i.is_multiple_of(2) { &lm_a } else { &lm_b };

@@ -242,36 +242,17 @@ where
 mod tests {
     use super::*;
     use crate::server::Server;
+    use crate::testkit::{setup, utt};
     use crate::wire::{read_server, write_client};
     use crate::ServeConfig;
     use std::io::{BufReader as R, BufWriter as W};
-    use unfold_am::{build_am, synthesize_utterance, HmmTopology, Lexicon, NoiseModel};
+    use unfold_am::{synthesize_utterance, HmmTopology, NoiseModel};
     use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder};
-    use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
-    use unfold_wfst::Wfst;
-
-    fn setup() -> (Lexicon, Arc<Wfst>, Arc<Wfst>) {
-        let lex = Lexicon::generate(50, 20, 6);
-        let am = build_am(&lex, HmmTopology::Kaldi3State);
-        let spec = CorpusSpec {
-            vocab_size: 50,
-            num_sentences: 300,
-            ..Default::default()
-        };
-        let model = NGramModel::train(&spec.generate(3), 50, DiscountConfig::default());
-        (lex, Arc::new(am.fst), Arc::new(lm_to_wfst(&model)))
-    }
 
     #[test]
     fn tcp_session_roundtrip_matches_standalone_decode() {
         let (lex, am, lm) = setup();
-        let u = synthesize_utterance(
-            &[3, 9, 17],
-            &lex,
-            HmmTopology::Kaldi3State,
-            &NoiseModel::default(),
-            5,
-        );
+        let u = utt(&lex, &[3, 9, 17], 5);
         let base = DecodeConfig::default();
         let alone = OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink);
 
@@ -359,13 +340,7 @@ mod tests {
         use unfold_decoder::FrameInput;
 
         let (lex, am, lm) = setup();
-        let u = synthesize_utterance(
-            &[7, 11, 4],
-            &lex,
-            HmmTopology::Kaldi3State,
-            &NoiseModel::default(),
-            9,
-        );
+        let u = utt(&lex, &[7, 11, 4], 9);
         let base = DecodeConfig::default();
         let alone = OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink);
 

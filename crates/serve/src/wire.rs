@@ -194,6 +194,27 @@ impl<'a> Cursor<'a> {
         (0..n).map(|_| self.u32()).collect()
     }
 
+    /// `[u32 n] [u32 width] [n × width f32]`, each row through `make`.
+    fn rows<T>(&mut self, make: impl Fn(Vec<f32>) -> T) -> io::Result<Vec<T>> {
+        let n = self.u32()? as usize;
+        let width = self.u32()? as usize;
+        if n.checked_mul(width)
+            .and_then(|cells| cells.checked_mul(4))
+            .is_none_or(|bytes| bytes > MAX_MESSAGE)
+        {
+            return Err(bad("frame batch too large"));
+        }
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut row = Vec::with_capacity(width);
+            for _ in 0..width {
+                row.push(self.f32()?);
+            }
+            rows.push(make(row));
+        }
+        Ok(rows)
+    }
+
     fn string(&mut self) -> io::Result<String> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
@@ -224,6 +245,23 @@ fn put_words(buf: &mut Vec<u8>, words: &[u32]) {
     }
 }
 
+/// Inverse of `Cursor::rows`.
+///
+/// # Panics
+/// Panics on a ragged batch.
+fn put_rows<'a>(buf: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = &'a [f32]>) {
+    let mut rows = rows.peekable();
+    let width = rows.peek().map_or(0, |r| r.len());
+    put_u32(buf, rows.len() as u32);
+    put_u32(buf, width as u32);
+    for row in rows {
+        assert_eq!(row.len(), width, "ragged frame batch");
+        for &v in row {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
 fn put_string(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
@@ -249,41 +287,22 @@ impl ClientMsg {
             }
             ClientMsg::Frames(rows) => {
                 buf.push(T_FRAMES);
-                let width = rows.first().map_or(0, Vec::len);
-                put_u32(&mut buf, rows.len() as u32);
-                put_u32(&mut buf, width as u32);
-                for row in rows {
-                    assert_eq!(row.len(), width, "ragged frame batch");
-                    for &v in row {
-                        buf.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
+                put_rows(&mut buf, rows.iter().map(Vec::as_slice));
             }
             ClientMsg::FramesV2(frames) => {
-                buf.push(T_FRAMES_V2);
-                buf.push(FRAMES_V2_VERSION);
-                let kind = match frames.first() {
-                    None | Some(FrameInput::Scores(_)) => KIND_SCORES,
-                    Some(FrameInput::Features(_)) => KIND_FEATURES,
+                let kind_of = |f: &FrameInput| match f {
+                    FrameInput::Scores(_) => KIND_SCORES,
+                    FrameInput::Features(_) => KIND_FEATURES,
                 };
-                buf.push(kind);
-                let width = frames.first().map_or(0, |f| f.values().len());
-                put_u32(&mut buf, frames.len() as u32);
-                put_u32(&mut buf, width as u32);
-                for f in frames {
-                    assert_eq!(
-                        match f {
-                            FrameInput::Scores(_) => KIND_SCORES,
-                            FrameInput::Features(_) => KIND_FEATURES,
-                        },
-                        kind,
-                        "mixed-kind frame batch"
-                    );
-                    assert_eq!(f.values().len(), width, "ragged frame batch");
-                    for &v in f.values() {
-                        buf.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
+                let kind = frames.first().map_or(KIND_SCORES, kind_of);
+                buf.extend_from_slice(&[T_FRAMES_V2, FRAMES_V2_VERSION, kind]);
+                put_rows(
+                    &mut buf,
+                    frames.iter().map(|f| {
+                        assert_eq!(kind_of(f), kind, "mixed-kind frame batch");
+                        f.values()
+                    }),
+                );
             }
             ClientMsg::Finish => buf.push(T_FINISH),
             ClientMsg::Stats => buf.push(T_STATS),
@@ -333,52 +352,18 @@ impl ClientMsg {
                     ClientMsg::Open { lm, bias }
                 }
             }
-            T_FRAMES => {
-                let n = c.u32()? as usize;
-                let width = c.u32()? as usize;
-                if n.checked_mul(width)
-                    .and_then(|cells| cells.checked_mul(4))
-                    .is_none_or(|bytes| bytes > MAX_MESSAGE)
-                {
-                    return Err(bad("frame batch too large"));
-                }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut row = Vec::with_capacity(width);
-                    for _ in 0..width {
-                        row.push(c.f32()?);
-                    }
-                    rows.push(row);
-                }
-                ClientMsg::Frames(rows)
-            }
+            T_FRAMES => ClientMsg::Frames(c.rows(|row| row)?),
             T_FRAMES_V2 => {
                 let version = c.u8()?;
                 if version != FRAMES_V2_VERSION {
                     return Err(bad(&format!("unsupported frames-v2 version {version}")));
                 }
-                let kind = c.u8()?;
-                let n = c.u32()? as usize;
-                let width = c.u32()? as usize;
-                if n.checked_mul(width)
-                    .and_then(|cells| cells.checked_mul(4))
-                    .is_none_or(|bytes| bytes > MAX_MESSAGE)
-                {
-                    return Err(bad("frame batch too large"));
-                }
-                let mut frames = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut row = Vec::with_capacity(width);
-                    for _ in 0..width {
-                        row.push(c.f32()?);
-                    }
-                    frames.push(match kind {
-                        KIND_SCORES => FrameInput::Scores(row),
-                        KIND_FEATURES => FrameInput::Features(row),
-                        k => return Err(bad(&format!("unknown frame kind {k}"))),
-                    });
-                }
-                ClientMsg::FramesV2(frames)
+                let make = match c.u8()? {
+                    KIND_SCORES => FrameInput::Scores,
+                    KIND_FEATURES => FrameInput::Features,
+                    k => return Err(bad(&format!("unknown frame kind {k}"))),
+                };
+                ClientMsg::FramesV2(c.rows(make)?)
             }
             T_FINISH => ClientMsg::Finish,
             T_STATS => ClientMsg::Stats,
@@ -496,7 +481,9 @@ fn write_framed(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one length-prefixed message body. `Ok(None)` on clean EOF at
-/// a message boundary.
+/// a message boundary. The body buffer grows as bytes arrive (from at
+/// most 64 KiB), so a bare length prefix cannot make the reader
+/// allocate the [`MAX_MESSAGE`] it may declare.
 ///
 /// # Errors
 /// I/O errors, EOF mid-message, or a length beyond [`MAX_MESSAGE`].
@@ -511,8 +498,11 @@ fn read_framed(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     if len == 0 || len > MAX_MESSAGE {
         return Err(bad("bad message length"));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(64 << 10));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(Some(body))
 }
 

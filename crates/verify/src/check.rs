@@ -27,7 +27,7 @@ use unfold::decode_batch;
 use unfold_am::acoustic::FRAME_SECONDS;
 use unfold_am::Utterance;
 use unfold_bias::{BiasedLm, BiasingFst, OfflineBiasedLm};
-use unfold_compress::{Bundle, BundleError, BundleWriter, SharedAm, SharedLm};
+use unfold_compress::{Bundle, BundleError, BundleWriter, CompressedAm, CompressedLm};
 use unfold_decoder::{
     oracle_wer, DecodeConfig, DecodeKernel, DecodeResult, DecodeScratch, FullyComposedDecoder,
     LmSource, NullSink, OtfDecoder, OtfStream, StreamSession, TraceRecorder, TwoPassDecoder,
@@ -61,8 +61,8 @@ pub enum CheckId {
     Jobs,
     /// Compressed models vs their `to_wfst()` round-trips.
     CompressRoundtrip,
-    /// Owned compressed models vs zero-copy views of an mmap-ed
-    /// `.unfb` bundle (also hosts the stale-checksum detection).
+    /// Compressed models over their own bytes vs bound zero-copy to an
+    /// mmap-ed `.unfb` bundle (also hosts stale-checksum detection).
     MmapIdentity,
     /// Two-pass determinism and rescoring cost bound.
     TwoPass,
@@ -166,7 +166,7 @@ pub enum Mutation {
     /// garbage, a torn copy, bit rot. The checksum machinery must
     /// reject the bundle with a typed error (never a panic) on *both*
     /// open paths: the eager owned open, and the lazy mapped open no
-    /// later than `SharedAm`/`SharedLm` binding. The mmap-identity
+    /// later than model binding (`from_bundle`). The mmap-identity
     /// check reports either the rejections or — worse — that the
     /// corruption sailed through.
     StaleChecksum,
@@ -609,12 +609,12 @@ pub fn run_case_filtered(
     }
 
     // 6b. Zero-copy bundle identity: pack the compressed models into a
-    //     `.unfb`, mmap it back, and decode through the borrowed views
-    //     — words, cost bits, and the full stats must match the owned
-    //     compressed decode bit for bit. Under `StaleChecksum` the
-    //     bundle is corrupted after packing and *both* open paths must
-    //     reject it typed: the eager owned open, and the lazy mapped
-    //     open no later than `SharedAm::new`/`SharedLm::new` binding
+    //     `.unfb`, mmap it back, and decode through models bound to the
+    //     mapped bytes — words, cost bits, and the full stats must match the decode
+    //     over the models' own bytes bit for bit. Under `StaleChecksum`
+    //     the bundle is corrupted after packing and *both* open paths
+    //     must reject it typed: the eager owned open, and the lazy
+    //     mapped open no later than `from_bundle` model binding
     //     (after which decode bytes are reachable). The typed rejection
     //     (or its absence) is the reported divergence.
     if want(CheckId::MmapIdentity) {
@@ -652,8 +652,8 @@ pub fn run_case_filtered(
             };
             // ...and the mapped path must reject it at model binding:
             // `Bundle::open_mmap` checks only the section table, but
-            // `SharedAm::new`/`SharedLm::new` stream each payload's CRC
-            // before any decode path can see the bytes.
+            // `from_bundle` streams each payload's CRC before any decode
+            // path can see the bytes.
             if let Err(e) = std::fs::write(&path, &bytes) {
                 return Some(Divergence {
                     check: CheckId::MmapIdentity,
@@ -662,8 +662,8 @@ pub fn run_case_filtered(
             }
             let mapped = (|| -> Result<(), BundleError> {
                 let bundle = std::sync::Arc::new(Bundle::open_mmap(&path)?);
-                SharedAm::new(std::sync::Arc::clone(&bundle))?;
-                SharedLm::new(bundle, "default")?;
+                CompressedAm::from_bundle(std::sync::Arc::clone(&bundle))?;
+                CompressedLm::from_bundle(bundle, "default")?;
                 Ok(())
             })();
             std::fs::remove_file(&path).ok();
@@ -697,14 +697,14 @@ pub fn run_case_filtered(
         }
         let mapped = (|| -> Result<DecodeResult, unfold_compress::BundleError> {
             let bundle = std::sync::Arc::new(Bundle::open_mmap(&path)?);
-            let am = SharedAm::new(std::sync::Arc::clone(&bundle))?;
-            let lm = SharedLm::new(bundle, "default")?;
+            let am = CompressedAm::from_bundle(std::sync::Arc::clone(&bundle))?;
+            let lm = CompressedLm::from_bundle(bundle, "default")?;
             Ok(dec.decode(&am, &lm, scores, &mut NullSink))
         })();
         std::fs::remove_file(&path).ok();
         match mapped {
             Ok(mapped) => {
-                if let Some(d) = bit_diff("mmap bundle views", &mapped, &comp) {
+                if let Some(d) = bit_diff("mmap-bound models", &mapped, &comp) {
                     return Some(Divergence {
                         check: CheckId::MmapIdentity,
                         detail: d,
