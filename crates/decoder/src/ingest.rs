@@ -1,8 +1,7 @@
 //! The unified frame-ingest surface.
 //!
 //! [`FrameInput`] is the one currency every ingest path speaks
-//! ([`crate::StreamSession::ingest_frame`],
-//! [`crate::OtfStream::ingest_with`], the serve layer's
+//! ([`crate::StreamSession::ingest_frame`], the serve layer's
 //! `ingest_frame`, the `FramesV2` wire message): a frame is either a
 //! precomputed score row or a raw feature vector. [`AcousticScorer`]
 //! turns either into a score row. Scoring is a *pure per-frame
@@ -14,9 +13,9 @@ use std::sync::Arc;
 use unfold_am::GmmModel;
 
 /// One frame of input to a streaming decode: either a precomputed
-/// acoustic score row (cost per PDF, index `pdf - 1` — what the legacy
-/// ingest surfaces took) or a raw feature vector for an
-/// [`AcousticScorer`] to score.
+/// acoustic score row (cost per PDF, index `pdf - 1` — what
+/// [`crate::StreamSession::push_frame`] takes) or a raw feature
+/// vector for an [`AcousticScorer`] to score.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrameInput {
     /// A precomputed score row: `scores[pdf - 1]` is the acoustic cost
@@ -131,9 +130,9 @@ pub trait AcousticScorer: Send + Sync + std::fmt::Debug {
 }
 
 /// The passthrough scorer: accepts precomputed score rows of a fixed
-/// width and copies them through; rejects feature frames. This is the
-/// scorer behind every legacy ingest path, which is exactly why those
-/// paths stay byte-for-byte compatible.
+/// width and copies them through; rejects feature frames. Ingesting a
+/// score row through it is byte-for-byte the
+/// [`crate::StreamSession::push_frame`] path.
 #[derive(Debug, Clone, Copy)]
 pub struct PrecomputedScorer {
     width: usize,

@@ -24,13 +24,14 @@
 //! search: recording never changes decode output, stats, or the trace
 //! event stream.
 //!
-//! The post-pass ([`WordLattice::build`]) first sweeps the tape backward
+//! The post-pass (`WordLattice::build`) first sweeps the tape backward
 //! from the final tokens, keeping only the records that can reach one
 //! (a fraction of a percent of a large-vocabulary tape), and then works
-//! on that slice in two semirings through the [`Semiring`] trait: tropical (min, +) for the exact
-//! forward/backward Viterbi scores that drive lattice-beam pruning, and
-//! log (-log-sum-exp, +) for the forward/backward occupation scores that
-//! yield arc posteriors — per-word confidence.
+//! on that slice in two semirings through the [`Semiring`] trait:
+//! tropical (min, +) for the exact forward/backward Viterbi scores that
+//! drive lattice-beam pruning, and log (-log-sum-exp, +) for the
+//! forward/backward occupation scores that yield arc posteriors —
+//! per-word confidence.
 
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::hash::BuildHasherDefault;

@@ -67,7 +67,7 @@ pub use scratch::{validate_models, DecodeScratch, SessionScratch, WorkScratch};
 pub use sources::{
     addr, AmSource, ArcVisit, Fetch, LinearLm, LmResolution, LmSource, MAX_BACKOFF_HOPS,
 };
-pub use streaming::{OtfStream, StreamSession};
+pub use streaming::StreamSession;
 pub use trace::{CountingSink, DecodeStage, KernelPhase, NullSink, TraceSink};
 pub use twopass::{LatticeRescorer, NGramRescorer, TwoPassDecoder, TwoPassResult, UnigramLm};
 pub use wer::{align, oracle_wer, wer, AlignOp, WerReport};

@@ -18,7 +18,7 @@
 //! performs no heap allocation.
 //!
 //! Reuse is only legal because every structure here iterates in a
-//! capacity-independent order (see [`crate::search::TokenStore`]):
+//! capacity-independent order (see the crate-private `TokenStore`):
 //! decode output stays bit-identical whether the scratch is fresh or
 //! warm, which the batch decoder relies on to give identical results
 //! for any worker count.

@@ -3,21 +3,17 @@
 //! The paper's overall system (§5.2) splits speech into N-frame batches:
 //! the GPU scores batch *i+1* while the accelerator decodes batch *i*
 //! through a shared buffer. That pipeline requires a decoder that
-//! accepts score rows incrementally instead of a complete utterance —
-//! this module provides it, in two layers:
-//!
-//! * [`StreamSession`] — the detached core: it owns only the
-//!   per-utterance search state ([`SessionScratch`] + stats) and takes
-//!   the models **and a [`WorkScratch`]** as arguments on every call.
-//!   This is the unit a multi-session scheduler juggles: many paused
-//!   sessions, a handful of worker-owned `WorkScratch`es, shared
-//!   models. A session may be advanced by *different* workers across
-//!   its lifetime — `WorkScratch` carries no search state across a
-//!   frame boundary, so decode output is independent of which worker
-//!   ran which quantum.
-//! * [`OtfStream`] — the borrow-and-go convenience wrapper for the
-//!   single-session case: it pins the models and owns a private
-//!   `WorkScratch`, so steady-state frame pushes allocate nothing.
+//! accepts score rows incrementally instead of a complete utterance.
+//! This module provides it as [`StreamSession`]: it owns only the
+//! per-utterance search state ([`SessionScratch`] + stats) and takes
+//! the models **and a [`WorkScratch`]** as arguments on every call.
+//! This is the unit a multi-session scheduler juggles: many paused
+//! sessions, a handful of worker-owned `WorkScratch`es, shared models.
+//! A session may be advanced by *different* workers across its
+//! lifetime — `WorkScratch` carries no search state across a frame
+//! boundary, so decode output is independent of which worker ran which
+//! quantum. A single-session caller keeps one `WorkScratch` beside the
+//! session, so steady-state frame pushes allocate nothing.
 //!
 //! Pushing every frame of an utterance and finalizing produces
 //! *bit-identical* results to [`crate::OtfDecoder::decode`] (tested
@@ -276,120 +272,6 @@ impl StreamSession {
     }
 }
 
-/// An in-progress on-the-fly decode pinned to one model pair. Create
-/// with [`OtfStream::new`], feed frames with [`OtfStream::push_frame`],
-/// finish with [`OtfStream::finish`]. The stream owns its
-/// [`WorkScratch`], so steady-state frame pushes allocate nothing.
-///
-/// This is a thin wrapper over [`StreamSession`]; use the session
-/// directly when many concurrent decodes share models and workers.
-pub struct OtfStream<'a, A: AmSource + ?Sized, L: LmSource + ?Sized> {
-    am: &'a A,
-    lm: &'a L,
-    session: StreamSession,
-    work: WorkScratch,
-    scorer: Option<&'a dyn AcousticScorer>,
-}
-
-impl<'a, A: AmSource + ?Sized, L: LmSource + ?Sized> OtfStream<'a, A, L> {
-    /// Starts a decode: seeds the start token and runs the initial
-    /// non-emitting closure. The stream has no acoustic frontend, so
-    /// [`OtfStream::ingest_with`] accepts only precomputed score rows;
-    /// use [`OtfStream::with_scorer`] to accept feature frames too.
-    pub fn new(config: DecodeConfig, am: &'a A, lm: &'a L, sink: &mut dyn TraceSink) -> Self {
-        let mut work = WorkScratch::new();
-        work.begin(&config);
-        let mut session = StreamSession::new(config);
-        session.seed(am, lm, &mut work, sink);
-        OtfStream {
-            am,
-            lm,
-            session,
-            work,
-            scorer: None,
-        }
-    }
-
-    /// Starts a decode whose ingest surface scores frames through
-    /// `scorer`, so [`FrameInput::Features`] frames work too.
-    pub fn with_scorer(
-        config: DecodeConfig,
-        am: &'a A,
-        lm: &'a L,
-        scorer: &'a dyn AcousticScorer,
-        sink: &mut dyn TraceSink,
-    ) -> Self {
-        let mut stream = OtfStream::new(config, am, lm, sink);
-        stream.scorer = Some(scorer);
-        stream
-    }
-
-    /// The underlying [`StreamSession`] — the single home of the
-    /// partial-result, stable-prefix, and stats logic.
-    pub fn session(&self) -> &StreamSession {
-        &self.session
-    }
-
-    /// Frames consumed so far.
-    pub fn frames_pushed(&self) -> usize {
-        self.session.frames_pushed()
-    }
-
-    /// Live hypotheses right now.
-    pub fn num_active(&self) -> usize {
-        self.session.num_active()
-    }
-
-    /// Consumes one frame of acoustic costs (`costs[pdf - 1]`).
-    ///
-    /// # Panics
-    /// Panics if an AM arc's PDF id exceeds `costs.len()`.
-    pub fn push_frame(&mut self, costs: &[f32], sink: &mut dyn TraceSink) {
-        self.session
-            .push_frame(self.am, self.lm, &mut self.work, costs, sink);
-    }
-
-    /// Consumes one [`FrameInput`], emitting trace events to `sink`.
-    /// Feature frames require [`OtfStream::with_scorer`];
-    /// precomputed rows always work and take the exact
-    /// [`OtfStream::push_frame`] path.
-    ///
-    /// # Errors
-    /// [`ScoreError`] when the frame was refused; the decode state is
-    /// unchanged.
-    pub fn ingest_with(
-        &mut self,
-        frame: &FrameInput,
-        sink: &mut dyn TraceSink,
-    ) -> Result<(), ScoreError> {
-        match self.scorer {
-            Some(scorer) => {
-                self.session
-                    .ingest_frame(self.am, self.lm, scorer, &mut self.work, frame, sink)
-            }
-            None => match frame {
-                FrameInput::Scores(row) => {
-                    self.push_frame(row, sink);
-                    Ok(())
-                }
-                FrameInput::Features(_) => Err(ScoreError::FeaturesUnsupported),
-            },
-        }
-    }
-
-    /// Finishes the decode and returns the result.
-    pub fn finish(self) -> DecodeResult {
-        self.finish_with(&mut crate::trace::NullSink)
-    }
-
-    /// Finishes the decode, emitting the final lattice-backtrace span
-    /// to `sink` (use the same sink the frames were pushed through to
-    /// get a complete stage profile).
-    pub fn finish_with(self, sink: &mut dyn TraceSink) -> DecodeResult {
-        self.session.finalize(self.am, sink)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,6 +293,21 @@ mod tests {
         (lex, am.fst, lm_to_wfst(&model))
     }
 
+    /// A session seeded through `sink`, with its own fresh scratch —
+    /// the single-session setup a standalone decode uses.
+    fn start(
+        cfg: DecodeConfig,
+        am: &Wfst,
+        lm: &Wfst,
+        sink: &mut dyn TraceSink,
+    ) -> (StreamSession, WorkScratch) {
+        let mut work = WorkScratch::new();
+        work.begin(&cfg);
+        let mut session = StreamSession::new(cfg);
+        session.seed(am, lm, &mut work, sink);
+        (session, work)
+    }
+
     #[test]
     fn streaming_matches_batch_decode_exactly() {
         let (lex, am, lm) = setup();
@@ -424,33 +321,33 @@ mod tests {
         let cfg = DecodeConfig::default();
         let batch = OtfDecoder::new(cfg).decode(&am, &lm, &utt.scores, &mut NullSink);
 
-        let mut stream = OtfStream::new(cfg, &am, &lm, &mut NullSink);
+        let (mut session, mut work) = start(cfg, &am, &lm, &mut NullSink);
         for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut NullSink);
+            session.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut NullSink);
         }
-        let streamed = stream.finish();
+        let streamed = session.finalize(&am, &mut NullSink);
         assert_eq!(batch.words, streamed.words);
-        assert_eq!(batch.cost, streamed.cost);
+        assert_eq!(batch.cost.to_bits(), streamed.cost.to_bits());
         assert_eq!(batch.stats, streamed.stats);
     }
 
     #[test]
     fn detached_session_matches_batch_decode_exactly() {
-        // The scheduler-facing path: a parked StreamSession advanced
-        // with an external WorkScratch, models passed per call.
+        // The scheduler-facing path: a parked session advanced with a
+        // worker's WorkScratch that another session already warmed.
+        // The scratch carries no search state, so the result — full
+        // statistics included (the OLT is off) — is the batch decode's.
         let (lex, am, lm) = setup();
-        let utt = synthesize_utterance(
-            &[3, 9, 17],
-            &lex,
-            HmmTopology::Kaldi3State,
-            &NoiseModel::default(),
-            5,
-        );
         let cfg = DecodeConfig::default();
+        let noise = NoiseModel::default();
+        let other = synthesize_utterance(&[7, 11], &lex, HmmTopology::Kaldi3State, &noise, 8);
+        let utt = synthesize_utterance(&[3, 9, 17], &lex, HmmTopology::Kaldi3State, &noise, 5);
         let batch = OtfDecoder::new(cfg).decode(&am, &lm, &utt.scores, &mut NullSink);
 
-        let mut work = WorkScratch::new();
-        work.begin(&cfg);
+        let (mut warmer, mut work) = start(cfg, &am, &lm, &mut NullSink);
+        for t in 0..other.scores.num_frames() {
+            warmer.push_frame(&am, &lm, &mut work, other.scores.frame(t), &mut NullSink);
+        }
         let mut session = StreamSession::new(cfg);
         session.seed(&am, &lm, &mut work, &mut NullSink);
         for t in 0..utt.scores.num_frames() {
@@ -526,11 +423,11 @@ mod tests {
         OtfDecoder::new(cfg).decode(&am, &lm, &utt.scores, &mut batch_sink);
 
         let mut stream_sink = CountingSink::default();
-        let mut stream = OtfStream::new(cfg, &am, &lm, &mut stream_sink);
+        let (mut session, mut work) = start(cfg, &am, &lm, &mut stream_sink);
         for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut stream_sink);
+            session.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut stream_sink);
         }
-        let _ = stream.finish();
+        let _ = session.finalize(&am, &mut stream_sink);
         assert_eq!(batch_sink.am_arc_fetches, stream_sink.am_arc_fetches);
         assert_eq!(batch_sink.lm_arc_fetches, stream_sink.lm_arc_fetches);
         assert_eq!(batch_sink.token_bytes, stream_sink.token_bytes);
@@ -590,18 +487,18 @@ mod tests {
             &NoiseModel::clean(),
             2,
         );
-        let mut stream = OtfStream::new(DecodeConfig::default(), &am, &lm, &mut NullSink);
+        let (mut session, mut work) = start(DecodeConfig::default(), &am, &lm, &mut NullSink);
         let mut last_len = 0usize;
         let mut shrank = false;
         for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut NullSink);
-            let p = stream.session().partial_result();
+            session.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut NullSink);
+            let p = session.partial_result();
             if p.len() < last_len {
                 shrank = true;
             }
             last_len = p.len();
         }
-        let final_words = stream.finish().words;
+        let final_words = session.finalize(&am, &mut NullSink).words;
         assert_eq!(final_words, truth);
         // Partial results may fluctuate on ambiguous frames, but a clean
         // utterance should mostly grow; at minimum the final answer is
@@ -620,12 +517,12 @@ mod tests {
             &NoiseModel::default(),
             12,
         );
-        let mut stream = OtfStream::new(DecodeConfig::default(), &am, &lm, &mut NullSink);
+        let (mut session, mut work) = start(DecodeConfig::default(), &am, &lm, &mut NullSink);
         let mut emitted: Vec<u32> = Vec::new();
         for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut NullSink);
-            let stable = stream.session().partial_stable_prefix();
-            let partial = stream.session().partial_result();
+            session.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut NullSink);
+            let stable = session.partial_stable_prefix();
+            let partial = session.partial_result();
             assert!(
                 stable.len() <= partial.len() && partial[..stable.len()] == stable[..],
                 "stable prefix {stable:?} must prefix the 1-best partial {partial:?}"
@@ -646,7 +543,7 @@ mod tests {
                 emitted = stable;
             }
         }
-        let final_words = stream.finish().words;
+        let final_words = session.finalize(&am, &mut NullSink).words;
         assert!(
             emitted.len() <= final_words.len() && final_words[..emitted.len()] == emitted[..],
             "stable prefix {emitted:?} must prefix the final transcript {final_words:?}"
@@ -669,14 +566,11 @@ mod tests {
             .max_active(1)
             .build()
             .unwrap();
-        let mut stream = OtfStream::new(cfg, &am, &lm, &mut NullSink);
+        let (mut session, mut work) = start(cfg, &am, &lm, &mut NullSink);
         for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut NullSink);
-            if stream.num_active() == 1 {
-                assert_eq!(
-                    stream.session().partial_stable_prefix(),
-                    stream.session().partial_result()
-                );
+            session.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut NullSink);
+            if session.num_active() == 1 {
+                assert_eq!(session.partial_stable_prefix(), session.partial_result());
             }
         }
     }
@@ -691,12 +585,12 @@ mod tests {
             &NoiseModel::clean(),
             1,
         );
-        let mut stream = OtfStream::new(DecodeConfig::default(), &am, &lm, &mut NullSink);
-        assert!(stream.num_active() >= 1);
-        assert_eq!(stream.frames_pushed(), 0);
-        stream.push_frame(utt.scores.frame(0), &mut NullSink);
-        assert_eq!(stream.frames_pushed(), 1);
-        assert!(stream.num_active() >= 1);
+        let (mut session, mut work) = start(DecodeConfig::default(), &am, &lm, &mut NullSink);
+        assert!(session.num_active() >= 1);
+        assert_eq!(session.frames_pushed(), 0);
+        session.push_frame(&am, &lm, &mut work, utt.scores.frame(0), &mut NullSink);
+        assert_eq!(session.frames_pushed(), 1);
+        assert!(session.num_active() >= 1);
     }
 
     #[test]
@@ -712,28 +606,10 @@ mod tests {
         let cfg = DecodeConfig::default();
         let batch = OtfDecoder::new(cfg).decode(&am, &lm, &utt.scores, &mut NullSink);
 
-        // Through OtfStream::ingest_with (no scorer).
-        let mut stream = OtfStream::new(cfg, &am, &lm, &mut NullSink);
-        for t in 0..utt.scores.num_frames() {
-            stream
-                .ingest_with(
-                    &FrameInput::Scores(utt.scores.frame(t).to_vec()),
-                    &mut NullSink,
-                )
-                .unwrap();
-        }
-        let streamed = stream.finish();
-        assert_eq!(batch.words, streamed.words);
-        assert_eq!(batch.cost.to_bits(), streamed.cost.to_bits());
-        assert_eq!(batch.stats, streamed.stats);
-
         // Through StreamSession::ingest_frame with a passthrough scorer.
         let width = utt.scores.frame(0).len();
         let scorer = crate::ingest::PrecomputedScorer::new(width);
-        let mut work = WorkScratch::new();
-        work.begin(&cfg);
-        let mut session = StreamSession::new(cfg);
-        session.seed(&am, &lm, &mut work, &mut NullSink);
+        let (mut session, mut work) = start(cfg, &am, &lm, &mut NullSink);
         for t in 0..utt.scores.num_frames() {
             session
                 .ingest_frame(
@@ -756,16 +632,9 @@ mod tests {
     fn feature_frames_score_identically_to_precomputed_rows() {
         // Scoring features through a GmmScorer at ingest time must be
         // bit-identical to scoring them up front and pushing the rows.
-        let (lex, am, _lm2) = setup();
+        let (lex, am, lm) = setup();
         let topo_pdfs = HmmTopology::Kaldi3State.num_pdfs(lex.num_phonemes());
         let gmm = std::sync::Arc::new(unfold_am::GmmModel::synthesize(topo_pdfs, 8, 2, 2.0, 11));
-        let spec = CorpusSpec {
-            vocab_size: 50,
-            num_sentences: 300,
-            ..Default::default()
-        };
-        let model = NGramModel::train(&spec.generate(3), 50, DiscountConfig::default());
-        let lm = lm_to_wfst(&model);
         let scorer = crate::ingest::GmmScorer::new(gmm.clone());
         // Deterministic pseudo-feature frames (contents are irrelevant —
         // only that both paths see the same vectors).
@@ -778,19 +647,26 @@ mod tests {
             .collect();
         let cfg = DecodeConfig::default();
 
-        let mut by_rows = OtfStream::new(cfg, &am, &lm, &mut NullSink);
+        let (mut by_rows, mut work) = start(cfg, &am, &lm, &mut NullSink);
         for f in &feats {
-            by_rows.push_frame(&gmm.frame_costs(f), &mut NullSink);
+            by_rows.push_frame(&am, &lm, &mut work, &gmm.frame_costs(f), &mut NullSink);
         }
-        let rows_result = by_rows.finish();
+        let rows_result = by_rows.finalize(&am, &mut NullSink);
 
-        let mut by_feats = OtfStream::with_scorer(cfg, &am, &lm, &scorer, &mut NullSink);
+        let (mut by_feats, mut work) = start(cfg, &am, &lm, &mut NullSink);
         for f in &feats {
             by_feats
-                .ingest_with(&FrameInput::Features(f.clone()), &mut NullSink)
+                .ingest_frame(
+                    &am,
+                    &lm,
+                    &scorer,
+                    &mut work,
+                    &FrameInput::Features(f.clone()),
+                    &mut NullSink,
+                )
                 .unwrap();
         }
-        let feats_result = by_feats.finish();
+        let feats_result = by_feats.finalize(&am, &mut NullSink);
         assert_eq!(rows_result.words, feats_result.words);
         assert_eq!(rows_result.cost.to_bits(), feats_result.cost.to_bits());
         assert_eq!(rows_result.stats, feats_result.stats);
@@ -798,14 +674,25 @@ mod tests {
 
     #[test]
     fn ingest_refuses_features_without_a_scorer_and_leaves_state_unchanged() {
+        // A passthrough scorer is "no acoustic frontend": it forwards
+        // score rows and refuses feature frames.
         let (_lex, am, lm) = setup();
-        let mut stream = OtfStream::new(DecodeConfig::default(), &am, &lm, &mut NullSink);
-        let before = stream.frames_pushed();
+        let scorer = crate::ingest::PrecomputedScorer::new(4);
+        let (mut session, mut work) = start(DecodeConfig::default(), &am, &lm, &mut NullSink);
+        let state = |s: &StreamSession| (s.frames_pushed(), s.num_active(), *s.stats());
+        let before = state(&session);
         assert_eq!(
-            stream.ingest_with(&FrameInput::Features(vec![0.0; 4]), &mut NullSink),
+            session.ingest_frame(
+                &am,
+                &lm,
+                &scorer,
+                &mut work,
+                &FrameInput::Features(vec![0.0; 4]),
+                &mut NullSink,
+            ),
             Err(ScoreError::FeaturesUnsupported)
         );
-        assert_eq!(stream.frames_pushed(), before);
+        assert_eq!(state(&session), before);
     }
 
     #[test]

@@ -246,6 +246,11 @@ mod testkit {
             seed,
         )
     }
+
+    /// Frame `t` of `u` as a precomputed score-row ingest frame.
+    pub(crate) fn score_row(u: &Utterance, t: usize) -> unfold_decoder::FrameInput {
+        unfold_decoder::FrameInput::Scores(u.scores.frame(t).to_vec())
+    }
 }
 
 #[cfg(test)]

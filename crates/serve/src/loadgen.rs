@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use unfold_obs::{LogHistogram, ObsRecord, Summary};
 
 use crate::wire::{read_server, write_client, ClientMsg, ServerMsg};
+use crate::FrameInput;
 
 /// Load-generator knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,7 +43,7 @@ pub struct LoadgenConfig {
     pub sessions: usize,
     /// Concurrent client connections.
     pub concurrency: usize,
-    /// Frames per `Frames` message.
+    /// Frames per `FramesV2` message (each a precomputed score row).
     pub chunk_frames: usize,
     /// Poll the live `Stats` endpoint every this many milliseconds from
     /// a dedicated scraper connection while traffic runs (0 = off).
@@ -416,7 +417,8 @@ fn run_session(
         }
     }
     for chunk in utt.chunks(chunk_frames.max(1)) {
-        write_client(wr, &ClientMsg::Frames(chunk.to_vec()))?;
+        let frames = chunk.iter().cloned().map(FrameInput::Scores).collect();
+        write_client(wr, &ClientMsg::FramesV2(frames))?;
         match read_server(rd)? {
             Some(ServerMsg::Partial { words }) => {
                 if out.first_partial_us.is_none() && !words.is_empty() {

@@ -686,47 +686,17 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         Ok(id)
     }
 
-    /// Queues one score row (`row[pdf - 1]` = acoustic cost) for `id`.
-    /// Equivalent to [`ServeCore::ingest_frame`] with
-    /// [`FrameInput::Scores`] — the legacy ingest surface, kept for
-    /// wire compatibility; both route through the same admission path.
+    /// Queues one frame for `id`: a precomputed score row
+    /// (`row[pdf - 1]` = acoustic cost) or a raw feature frame. The
+    /// frame is scored inline — through the bound [`AcousticScorer`],
+    /// or verbatim passthrough for score rows when none is bound — and
+    /// lands in the session's queue.
     ///
     /// # Errors
     /// [`ServeError::Rejected`] when the server-wide backlog bound is
     /// exhausted, [`ServeError::QueueFull`] when this session's queue
-    /// is, [`ServeError::Finished`] after `finish`, and
-    /// [`ServeError::UnknownSession`] otherwise.
-    pub fn push_frame(
-        &mut self,
-        id: SessionId,
-        row: &[f32],
-        now_ms: u64,
-    ) -> Result<(), ServeError> {
-        if self.backlog >= self.config.max_backlog_frames {
-            self.stats.frames_rejected += 1;
-            self.flight
-                .record(FlightKind::RejectOverload, now_ms, id, 0.0, 1.0);
-            return Err(ServeError::Rejected(RejectReason::Overloaded));
-        }
-        let mut buf = self.row_pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(row);
-        if self.scorer.is_none() {
-            // Passthrough: the row IS the scored row.
-            self.admit_row(id, buf, now_ms)
-        } else {
-            self.ingest_scored_inline(id, &FrameInput::Scores(buf), now_ms)
-        }
-    }
-
-    /// The unified frame-ingest surface: accepts either precomputed
-    /// score rows or raw feature frames. The frame is scored inline —
-    /// through the bound [`AcousticScorer`], or verbatim passthrough
-    /// for score rows when none is bound — and lands in the session's
-    /// queue, exactly like [`ServeCore::push_frame`].
-    ///
-    /// # Errors
-    /// Everything [`ServeCore::push_frame`] returns, plus
+    /// is, [`ServeError::Finished`] after `finish`,
+    /// [`ServeError::UnknownSession`] for an unknown id, and
     /// [`ServeError::Score`] when inline scoring refuses the frame
     /// (feature frames with no scorer bound, a width mismatch, or a
     /// feature that is not finite).
@@ -742,28 +712,17 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
                 .record(FlightKind::RejectOverload, now_ms, id, 0.0, 1.0);
             return Err(ServeError::Rejected(RejectReason::Overloaded));
         }
-        self.ingest_scored_inline(id, &frame, now_ms)
-    }
-
-    /// Scores `frame` now (scorer or passthrough) and admits the row
-    /// to the session's queue.
-    fn ingest_scored_inline(
-        &mut self,
-        id: SessionId,
-        frame: &FrameInput,
-        now_ms: u64,
-    ) -> Result<(), ServeError> {
         let mut row = self.row_pool.pop().unwrap_or_default();
         row.clear();
         match &self.scorer {
             Some(scorer) => {
-                if let Err(e) = scorer.score_into(frame, &mut row) {
+                if let Err(e) = scorer.score_into(&frame, &mut row) {
                     self.recycle(std::iter::once(row));
                     return Err(ServeError::Score(id, e));
                 }
                 self.stats.frames_scored += 1;
             }
-            None => match frame {
+            None => match &frame {
                 FrameInput::Scores(v) => row.extend_from_slice(v),
                 FrameInput::Features(_) => {
                     self.recycle(std::iter::once(row));
@@ -774,7 +733,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         self.admit_row(id, row, now_ms)
     }
 
-    /// Admission tail shared by every ingest surface: phase and
+    /// Admission tail of [`ServeCore::ingest_frame`]: phase and
     /// queue-bound checks, then the session's queue. `buf` is an owned,
     /// already-scored row (recycled on refusal).
     fn admit_row(&mut self, id: SessionId, buf: Vec<f32>, now_ms: u64) -> Result<(), ServeError> {
@@ -1279,7 +1238,7 @@ pub fn read_vm_rss_kb() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{setup, utt};
+    use crate::testkit::{score_row, setup, utt};
     use unfold_am::Utterance;
     use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder};
     use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
@@ -1291,7 +1250,7 @@ mod tests {
 
     fn push_all(core: &mut ServeCore<Wfst, Wfst>, id: SessionId, u: &Utterance, now: u64) {
         for t in 0..u.scores.num_frames() {
-            core.push_frame(id, u.scores.frame(t), now).expect("push");
+            core.ingest_frame(id, score_row(u, t), now).expect("push");
         }
     }
 
@@ -1464,10 +1423,10 @@ mod tests {
         push_all(&mut core, a, &u, 0);
         // 3 more rows fit, then the overload bound bites.
         for _ in 0..3 {
-            core.push_frame(a, u.scores.frame(0), 0).unwrap();
+            core.ingest_frame(a, score_row(&u, 0), 0).unwrap();
         }
         assert_eq!(
-            core.push_frame(a, u.scores.frame(0), 0),
+            core.ingest_frame(a, score_row(&u, 0), 0),
             Err(ServeError::Rejected(RejectReason::Overloaded))
         );
         // New sessions are shed under the same signal.
@@ -1499,10 +1458,10 @@ mod tests {
         };
         let mut core = core_with(&am, &lm, config);
         let id = core.open(0).unwrap();
-        core.push_frame(id, u.scores.frame(0), 0).unwrap();
-        core.push_frame(id, u.scores.frame(1), 0).unwrap();
+        core.ingest_frame(id, score_row(&u, 0), 0).unwrap();
+        core.ingest_frame(id, score_row(&u, 1), 0).unwrap();
         assert_eq!(
-            core.push_frame(id, u.scores.frame(2), 0),
+            core.ingest_frame(id, score_row(&u, 2), 0),
             Err(ServeError::QueueFull(id))
         );
         assert_eq!(core.stats().frames_rejected, 1);
@@ -1523,7 +1482,7 @@ mod tests {
         let mut core = core_with(&am, &lm, config);
         let id = core.open(0).unwrap();
         for t in 0..u.scores.num_frames() / 2 {
-            core.push_frame(id, u.scores.frame(t), 0).unwrap();
+            core.ingest_frame(id, score_row(&u, t), 0).unwrap();
         }
         let mut work = WorkScratch::new();
         work.configure_olt(0);
@@ -1537,13 +1496,13 @@ mod tests {
         assert_eq!(core.active_sessions(), 0);
         assert_eq!(core.backlog_frames(), 0);
         assert_eq!(
-            core.push_frame(id, u.scores.frame(0), 1_001),
+            core.ingest_frame(id, score_row(&u, 0), 1_001),
             Err(ServeError::UnknownSession(id))
         );
         assert_eq!(core.take_result(id), Err(ServeError::UnknownSession(id)));
         // A session with *queued* audio but a silent client is shed too.
         let id2 = core.open(2_000).unwrap();
-        core.push_frame(id2, u.scores.frame(0), 2_000).unwrap();
+        core.ingest_frame(id2, score_row(&u, 0), 2_000).unwrap();
         assert_eq!(core.evict_idle(3_000), vec![id2]);
         assert_eq!(core.backlog_frames(), 0);
     }
@@ -1572,7 +1531,7 @@ mod tests {
         let id2 = core.open(0).unwrap();
         core.finish(id2, 0).unwrap();
         assert_eq!(
-            core.push_frame(id2, &[0.0; 4], 0),
+            core.ingest_frame(id2, FrameInput::Scores(vec![0.0; 4]), 0),
             Err(ServeError::Finished(id2))
         );
     }
@@ -1588,7 +1547,7 @@ mod tests {
         };
         let mut core = core_with(&am, &lm, config);
         let id = core.open(0).unwrap();
-        core.push_frame(id, u.scores.frame(0), 0).unwrap();
+        core.ingest_frame(id, score_row(&u, 0), 0).unwrap();
         let a = core.am();
         let mut work = WorkScratch::new();
         work.configure_olt(0);
@@ -1600,7 +1559,7 @@ mod tests {
         assert_eq!(core.stats().deadline_misses, 0);
 
         // Late: completed past deadline.
-        core.push_frame(id, u.scores.frame(1), 20).unwrap();
+        core.ingest_frame(id, score_row(&u, 1), 20).unwrap();
         let mut lease = core.lease_next(20).expect("ready");
         lease.run(&*a, &mut work, &mut NullSink);
         core.complete_lease(lease, 31);
@@ -1815,7 +1774,7 @@ mod tests {
         let id = core.open(0).unwrap();
         let half = u.scores.num_frames() / 2;
         for t in 0..half {
-            core.push_frame(id, u.scores.frame(t), 0).unwrap();
+            core.ingest_frame(id, score_row(&u, t), 0).unwrap();
         }
         let mut work = WorkScratch::new();
         work.configure_olt(0);
@@ -1836,7 +1795,7 @@ mod tests {
 
         // The live session finishes the utterance on its pinned model.
         for t in half..u.scores.num_frames() {
-            core.push_frame(id, u.scores.frame(t), 1).unwrap();
+            core.ingest_frame(id, score_row(&u, t), 1).unwrap();
         }
         core.finish(id, 1).unwrap();
         while core.step(&mut work, 1).is_some() {}
@@ -1938,7 +1897,7 @@ mod tests {
         };
         let mut core = core_with(&am, &lm, config);
         let id = core.open(0).unwrap();
-        core.push_frame(id, u.scores.frame(0), 0).unwrap();
+        core.ingest_frame(id, score_row(&u, 0), 0).unwrap();
         let a = core.am();
         let mut work = WorkScratch::new();
         work.configure_olt(0);

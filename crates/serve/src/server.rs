@@ -322,19 +322,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
         self.lock().retire_bias(name)
     }
 
-    /// Queues one score row for `id` and wakes a worker.
-    ///
-    /// # Errors
-    /// See [`ServeCore::push_frame`].
-    pub fn push_frame(&self, id: SessionId, row: &[f32]) -> Result<(), ServeError> {
-        let r = self.lock().push_frame(id, row, self.shared.now_ms());
-        if r.is_ok() {
-            self.shared.cv.notify_all();
-        }
-        r
-    }
-
-    /// Queues one [`FrameInput`] for `id` — the unified ingest surface:
+    /// Queues one [`FrameInput`] for `id` and wakes a worker:
     /// precomputed score rows and raw feature frames take the same
     /// path, scored inline before they are queued.
     ///
@@ -509,7 +497,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{setup, utt};
+    use crate::testkit::{score_row, setup, utt};
     use unfold_am::{synthesize_utterance, HmmTopology, NoiseModel, Utterance};
     use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder};
     use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
@@ -546,13 +534,13 @@ mod tests {
             .iter()
             .map(|u| {
                 let handle = handle.clone();
-                let rows: Vec<Vec<f32>> = (0..u.scores.num_frames())
-                    .map(|t| u.scores.frame(t).to_vec())
+                let frames: Vec<FrameInput> = (0..u.scores.num_frames())
+                    .map(|t| score_row(u, t))
                     .collect();
                 std::thread::spawn(move || {
                     let id = handle.open().expect("admit");
-                    for row in &rows {
-                        handle.push_frame(id, row).expect("push");
+                    for frame in frames {
+                        handle.ingest_frame(id, frame).expect("push");
                     }
                     handle.finish(id).expect("finish");
                     handle
@@ -600,7 +588,7 @@ mod tests {
         let handle = server.handle();
         let id = handle.open().unwrap();
         for t in 0..u.scores.num_frames() {
-            handle.push_frame(id, u.scores.frame(t)).unwrap();
+            handle.ingest_frame(id, score_row(&u, t)).unwrap();
         }
         assert!(handle.wait_drained(id, Duration::from_secs(30)));
         let partial = handle.stable_partial(id).unwrap();
@@ -671,14 +659,14 @@ mod tests {
             .enumerate()
             .map(|(i, u)| {
                 let handle = handle.clone();
-                let rows: Vec<Vec<f32>> = (0..u.scores.num_frames())
-                    .map(|t| u.scores.frame(t).to_vec())
+                let frames: Vec<FrameInput> = (0..u.scores.num_frames())
+                    .map(|t| score_row(u, t))
                     .collect();
                 std::thread::spawn(move || {
                     let name = if i % 2 == 0 { None } else { Some("alt") };
                     let id = handle.open_with_lm(name).expect("admit");
-                    for row in &rows {
-                        handle.push_frame(id, row).expect("push");
+                    for frame in frames {
+                        handle.ingest_frame(id, frame).expect("push");
                     }
                     handle.finish(id).expect("finish");
                     handle

@@ -121,13 +121,13 @@ fn reject_to_msg(e: ServeError) -> ServerMsg {
     }
 }
 
-/// Answers one chunk of frames, legacy score rows and `FramesV2` alike:
-/// pushes each frame in order and stops at the first one refused (those
-/// before it stay admitted; the reply carries the refusal).
+/// Answers one `FramesV2` chunk: pushes each frame in order and stops
+/// at the first one refused (those before it stay admitted; the reply
+/// carries the refusal).
 fn ingest_chunk<A, L>(
     handle: &ServeHandle<A, L>,
     session: Option<SessionId>,
-    frames: impl Iterator<Item = FrameInput>,
+    frames: Vec<FrameInput>,
 ) -> ServerMsg
 where
     A: AmSource + Send + Sync + 'static + ?Sized,
@@ -198,10 +198,7 @@ where
                 Ok(_) => ServerMsg::Ack,
                 Err(e) => reject_to_msg(e),
             },
-            ClientMsg::Frames(rows) => {
-                ingest_chunk(handle, session, rows.into_iter().map(FrameInput::Scores))
-            }
-            ClientMsg::FramesV2(frames) => ingest_chunk(handle, session, frames.into_iter()),
+            ClientMsg::FramesV2(frames) => ingest_chunk(handle, session, frames),
             ClientMsg::Finish => match session.take() {
                 None => ServerMsg::Error {
                     msg: "no open session on this connection".into(),
@@ -284,11 +281,11 @@ mod tests {
             read_server(&mut rd).unwrap(),
             Some(ServerMsg::Opened { .. })
         ));
-        let rows: Vec<Vec<f32>> = (0..u.scores.num_frames())
-            .map(|t| u.scores.frame(t).to_vec())
+        let frames: Vec<FrameInput> = (0..u.scores.num_frames())
+            .map(|t| FrameInput::Scores(u.scores.frame(t).to_vec()))
             .collect();
-        for chunk in rows.chunks(10) {
-            write_client(&mut wr, &ClientMsg::Frames(chunk.to_vec())).unwrap();
+        for chunk in frames.chunks(10) {
+            write_client(&mut wr, &ClientMsg::FramesV2(chunk.to_vec())).unwrap();
             let reply = read_server(&mut rd).unwrap().unwrap();
             let ServerMsg::Partial { words } = reply else {
                 panic!("expected Partial, got {reply:?}");
@@ -333,50 +330,57 @@ mod tests {
         server.shutdown();
     }
 
-    /// The versioned frame message over TCP lands the standalone
-    /// transcript bit for bit.
+    /// `FramesV2` feature chunks over TCP — the path a deployed client
+    /// takes — scored by the server's GMM, land the standalone
+    /// transcript of the GMM's rows bit for bit.
     #[test]
     fn frames_v2_over_tcp_matches_standalone() {
-        use unfold_decoder::FrameInput;
+        use unfold_am::{AcousticScores, GmmModel};
+        use unfold_decoder::GmmScorer;
 
         let (lex, am, lm) = setup();
-        let u = utt(&lex, &[7, 11, 4], 9);
+        let width = utt(&lex, &[3], 1).scores.frame(0).len();
+        let model = Arc::new(GmmModel::synthesize(width, 8, 2, 3.0, 41));
+        let feats: Vec<Vec<f32>> = (0..30)
+            .map(|t: usize| {
+                (0..model.dim())
+                    .map(|d| ((t * 31 + d * 7) % 13) as f32 * 0.25 - 1.5)
+                    .collect()
+            })
+            .collect();
+        let rows: Vec<f32> = feats.iter().flat_map(|f| model.frame_costs(f)).collect();
+        let scores = AcousticScores::from_flat(rows, width);
         let base = DecodeConfig::default();
-        let alone = OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink);
+        let alone = OtfDecoder::new(base).decode(&*am, &*lm, &scores, &mut NullSink);
 
-        let server = Server::start(
+        let server = Server::start_multi_with_scorer(
             ServeConfig {
                 workers: 1,
                 olt_entries: 0,
                 base,
                 ..Default::default()
             },
-            Arc::clone(&am),
-            Arc::clone(&lm),
+            am,
+            vec![(crate::sched::DEFAULT_LM.to_string(), lm)],
+            Some(Arc::new(GmmScorer::new(model))),
         );
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let front = TcpFront::start(listener, server.handle()).unwrap();
         let stream = TcpStream::connect(front.local_addr()).unwrap();
         let mut rd = R::new(stream.try_clone().unwrap());
         let mut wr = W::new(stream);
-
-        write_client(
-            &mut wr,
-            &ClientMsg::Open {
-                lm: None,
-                bias: None,
-            },
-        )
-        .unwrap();
+        let open = ClientMsg::Open {
+            lm: None,
+            bias: None,
+        };
+        write_client(&mut wr, &open).unwrap();
         assert!(matches!(
             read_server(&mut rd).unwrap(),
             Some(ServerMsg::Opened { .. })
         ));
-        let frames: Vec<FrameInput> = (0..u.scores.num_frames())
-            .map(|t| FrameInput::Scores(u.scores.frame(t).to_vec()))
-            .collect();
-        for chunk in frames.chunks(10) {
-            write_client(&mut wr, &ClientMsg::FramesV2(chunk.to_vec())).unwrap();
+        for chunk in feats.chunks(10) {
+            let frames = chunk.iter().cloned().map(FrameInput::Features).collect();
+            write_client(&mut wr, &ClientMsg::FramesV2(frames)).unwrap();
             assert!(matches!(
                 read_server(&mut rd).unwrap(),
                 Some(ServerMsg::Partial { .. })
@@ -538,7 +542,8 @@ mod tests {
         let mut rd = R::new(stream.try_clone().unwrap());
         let mut wr = W::new(stream);
 
-        write_client(&mut wr, &ClientMsg::Frames(vec![vec![0.0]])).unwrap();
+        let frames = ClientMsg::FramesV2(vec![FrameInput::Scores(vec![0.0])]);
+        write_client(&mut wr, &frames).unwrap();
         assert!(matches!(
             read_server(&mut rd).unwrap(),
             Some(ServerMsg::Error { .. })

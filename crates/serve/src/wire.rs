@@ -7,7 +7,7 @@
 //! not to be a product API.
 //!
 //! One session per connection: `Open` binds the connection to a fresh
-//! session; each `Frames` batch is answered with a `Partial` (the
+//! session; each `FramesV2` batch is answered with a `Partial` (the
 //! stable prefix so far); `Finish` is answered with `Final`. `Stats`
 //! and `Shutdown` work on any connection.
 
@@ -37,10 +37,6 @@ pub enum ClientMsg {
         /// stop earlier.
         bias: Option<String>,
     },
-    /// A batch of score rows (all the same width). The legacy frame
-    /// message — kept byte-identical so clients older than `FramesV2`
-    /// still work; new clients send [`ClientMsg::FramesV2`].
-    Frames(Vec<Vec<f32>>),
     /// A versioned batch of [`FrameInput`]s (all the same kind and
     /// width): precomputed score rows *or* raw feature vectors for the
     /// server's acoustic scorer. Wire layout:
@@ -85,7 +81,7 @@ pub enum ServerMsg {
         /// Why.
         reason: RejectReason,
     },
-    /// Stable partial transcript after a `Frames` batch.
+    /// Stable partial transcript after a `FramesV2` batch.
     Partial {
         /// Words every live hypothesis agrees on so far.
         words: Vec<u32>,
@@ -122,7 +118,8 @@ pub enum ServerMsg {
 }
 
 const T_OPEN: u8 = 0x01;
-const T_FRAMES: u8 = 0x02;
+// 0x02 was the unversioned score-row `Frames` message; it is retired
+// and decodes as an unknown tag.
 const T_FINISH: u8 = 0x03;
 const T_STATS: u8 = 0x04;
 const T_SHUTDOWN: u8 = 0x05;
@@ -285,10 +282,6 @@ impl ClientMsg {
                     }
                 }
             }
-            ClientMsg::Frames(rows) => {
-                buf.push(T_FRAMES);
-                put_rows(&mut buf, rows.iter().map(Vec::as_slice));
-            }
             ClientMsg::FramesV2(frames) => {
                 let kind_of = |f: &FrameInput| match f {
                     FrameInput::Scores(_) => KIND_SCORES,
@@ -352,7 +345,6 @@ impl ClientMsg {
                     ClientMsg::Open { lm, bias }
                 }
             }
-            T_FRAMES => ClientMsg::Frames(c.rows(|row| row)?),
             T_FRAMES_V2 => {
                 let version = c.u8()?;
                 if version != FRAMES_V2_VERSION {
@@ -574,8 +566,6 @@ mod tests {
             lm: Some("variant-3".into()),
             bias: Some("hotwords".into()),
         });
-        roundtrip_client(ClientMsg::Frames(vec![vec![1.0, -2.5], vec![0.0, 3.25]]));
-        roundtrip_client(ClientMsg::Frames(Vec::new()));
         roundtrip_client(ClientMsg::FramesV2(vec![
             FrameInput::Scores(vec![1.0, -2.5]),
             FrameInput::Scores(vec![0.0, 3.25]),
@@ -642,26 +632,27 @@ mod tests {
         assert_eq!(ClientMsg::decode(&body).unwrap(), msg);
     }
 
-    /// The legacy `T_FRAMES` message must keep its exact byte layout —
-    /// no version byte, no kind byte — so score-row clients built
-    /// before the versioned protocol still parse.
+    /// The unversioned score-row message (tag `0x02`) is retired: a
+    /// body in its old layout is an unknown tag, `InvalidData`, never
+    /// misparsed as frames. Score rows travel as `FramesV2` kind 0.
     #[test]
-    fn legacy_score_row_frames_keep_their_byte_layout() {
-        let msg = ClientMsg::Frames(vec![vec![1.0, -2.5]]);
-        let body = msg.encode();
-        assert_eq!(body.len(), 1 + 4 + 4 + 2 * 4, "tag + n + width + cells");
-        assert_eq!(body[0], T_FRAMES);
-        assert_eq!(ClientMsg::decode(&body).unwrap(), msg);
-        // And the v2 framing of the same rows is the versioned layout,
-        // two bytes longer, decoding to the same frame contents.
-        let v2 = ClientMsg::FramesV2(vec![FrameInput::Scores(vec![1.0, -2.5])]);
-        let v2_body = v2.encode();
-        assert_eq!(v2_body.len(), body.len() + 2, "version + kind bytes");
-        assert_eq!(
-            &v2_body[..3],
-            &[T_FRAMES_V2, FRAMES_V2_VERSION, KIND_SCORES]
+    fn retired_frames_tag_is_invalid_data() {
+        let cells = [1.0f32, -2.5].iter().flat_map(|v| v.to_le_bytes());
+        let body: Vec<u8> = [0x02]
+            .into_iter()
+            .chain(1u32.to_le_bytes())
+            .chain(2u32.to_le_bytes())
+            .chain(cells)
+            .collect();
+        let err = ClientMsg::decode(&body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unknown client tag 0x02"),
+            "got: {err}"
         );
-        assert_eq!(ClientMsg::decode(&v2_body).unwrap(), v2);
+        let v2 = ClientMsg::FramesV2(vec![FrameInput::Scores(vec![1.0, -2.5])]).encode();
+        assert_eq!(&v2[..3], &[T_FRAMES_V2, FRAMES_V2_VERSION, KIND_SCORES]);
+        assert_eq!(&v2[3..], &body[1..], "same rows after version + kind");
     }
 
     /// Unknown v2 versions and frame kinds are loud `InvalidData`
@@ -719,14 +710,12 @@ mod tests {
         };
         let mut buf = Vec::new();
         write_client(&mut buf, &open).unwrap();
-        write_client(&mut buf, &ClientMsg::Frames(vec![vec![1.0]])).unwrap();
+        let frames = ClientMsg::FramesV2(vec![FrameInput::Scores(vec![1.0])]);
+        write_client(&mut buf, &frames).unwrap();
         write_client(&mut buf, &ClientMsg::Finish).unwrap();
         let mut r = buf.as_slice();
         assert_eq!(read_client(&mut r).unwrap(), Some(open));
-        assert!(matches!(
-            read_client(&mut r).unwrap(),
-            Some(ClientMsg::Frames(_))
-        ));
+        assert_eq!(read_client(&mut r).unwrap(), Some(frames));
         assert_eq!(read_client(&mut r).unwrap(), Some(ClientMsg::Finish));
         assert_eq!(read_client(&mut r).unwrap(), None, "clean EOF");
     }
@@ -748,7 +737,7 @@ mod tests {
         // Truncated payload (EOF mid-message).
         let mut trunc = Vec::new();
         trunc.extend_from_slice(&100u32.to_le_bytes());
-        trunc.push(T_FRAMES);
+        trunc.push(T_FRAMES_V2);
         assert!(read_client(&mut trunc.as_slice()).is_err());
         // Trailing bytes after a complete payload.
         let mut trailing = Vec::new();
@@ -759,7 +748,7 @@ mod tests {
         // Frame batch whose declared size overflows.
         let mut overflow = Vec::new();
         let body = [
-            &[T_FRAMES][..],
+            &[T_FRAMES_V2, FRAMES_V2_VERSION, KIND_SCORES][..],
             &u32::MAX.to_le_bytes(),
             &u32::MAX.to_le_bytes(),
         ]

@@ -30,8 +30,7 @@ use unfold_bias::{BiasedLm, BiasingFst, OfflineBiasedLm};
 use unfold_compress::{Bundle, BundleError, BundleWriter, CompressedAm, CompressedLm};
 use unfold_decoder::{
     oracle_wer, DecodeConfig, DecodeKernel, DecodeResult, DecodeScratch, FullyComposedDecoder,
-    LmSource, NullSink, OtfDecoder, OtfStream, StreamSession, TraceRecorder, TwoPassDecoder,
-    WorkScratch,
+    LmSource, NullSink, OtfDecoder, StreamSession, TraceRecorder, TwoPassDecoder, WorkScratch,
 };
 use unfold_sim::{Accelerator, AcceleratorConfig};
 use unfold_wfst::{compose_am_lm, Arc, ComposeOptions, Label, StateId, Wfst, EPSILON};
@@ -542,11 +541,13 @@ pub fn run_case_filtered(
     if want(CheckId::Streaming) {
         let lm = MutatedLm::new(&m.lm_fst, mutation);
         let mut rec = TraceRecorder::new();
-        let mut stream = OtfStream::new(cfg, &m.am.fst, &lm, &mut rec);
+        let (mut work, mut sess) = (WorkScratch::new(), StreamSession::new(cfg));
+        work.begin(&cfg);
+        sess.seed(&m.am.fst, &lm, &mut work, &mut rec);
         for t in 0..scores.num_frames() {
-            stream.push_frame(scores.frame(t), &mut rec);
+            sess.push_frame(&m.am.fst, &lm, &mut work, scores.frame(t), &mut rec);
         }
-        let streamed = stream.finish_with(&mut rec);
+        let streamed = sess.finalize(&m.am.fst, &mut rec);
         if let Some(d) = bit_diff("streaming", &streamed, &baseline) {
             return Some(Divergence {
                 check: CheckId::Streaming,
@@ -965,9 +966,8 @@ fn lattice_oracle_check(
     }
     {
         let lm = MutatedLm::new(&m.lm_fst, mutation);
-        let mut work = WorkScratch::new();
+        let (mut work, mut sess) = (WorkScratch::new(), StreamSession::new(lat_cfg));
         work.begin(&lat_cfg);
-        let mut sess = StreamSession::new(lat_cfg);
         sess.enable_lattice();
         sess.seed(&m.am.fst, &lm, &mut work, &mut NullSink);
         for t in 0..scores.num_frames() {

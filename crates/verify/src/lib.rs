@@ -22,7 +22,7 @@
 //!    `to_wfst()` round-trips, the two-pass rescoring bound — and
 //!    replays the recorded trace through the accelerator simulator
 //!    twice, asserting [`unfold_sim::SimReport`] determinism.
-//! 3. On divergence, [`shrink`] runs a delta-debugging loop over the
+//! 3. On divergence, [`shrink()`] runs a delta-debugging loop over the
 //!    generator knobs (drop words, truncate frames, shrink the
 //!    vocabulary and corpus, force a unigram-only LM) until no simpler
 //!    spec still diverges, and [`ReproCase`] serializes the minimized

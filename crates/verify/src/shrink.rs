@@ -146,7 +146,7 @@ const MOVES: &[Move] = &[
 ];
 
 /// Minimizes `spec` while `mutation` still makes the *same check*
-/// diverge, greedily applying [`MOVES`] to a fixpoint. Returns `None`
+/// diverge, greedily applying `MOVES` to a fixpoint. Returns `None`
 /// if the original spec does not diverge at all (nothing to shrink).
 /// When `only` restricts the matrix to one check, every candidate
 /// evaluation is restricted the same way.

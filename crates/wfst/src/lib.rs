@@ -5,8 +5,11 @@
 //!
 //! This crate provides the graph machinery that both the acoustic model
 //! (AM) and language model (LM) of a WFST-based speech recognizer are
-//! built on, plus the *offline* composition algorithm that the paper's
-//! baseline systems rely on:
+//! built on, plus the *offline* composition that the paper's baseline
+//! systems rely on. It holds only what the on-the-fly decoder and its
+//! oracles use; there is no general FST algebra (determinization,
+//! minimization, ε-removal), because building and optimizing a composed
+//! graph offline is what UNFOLD exists to avoid:
 //!
 //! * [`Wfst`] — a compact, arc-sorted transducer in CSR (compressed
 //!   sparse row) form, with the 128-bit-per-arc memory layout the paper
@@ -15,9 +18,10 @@
 //! * [`compose`] — offline AM ∘ LM composition with failure (back-off)
 //!   semantics, the operation UNFOLD moves from training time to decode
 //!   time,
-//! * [`connect()`] — trimming of inaccessible / non-coaccessible states,
+//! * [`shortest_path`] — the exact best path, the decoders' oracle,
 //! * [`stats`] — byte-size and topology accounting used by the paper's
-//!   Table 1 / Table 2 / Figure 8 experiments.
+//!   Table 1 / Table 2 / Figure 8 experiments,
+//! * [`symbols`] — label ↔ name tables.
 //!
 //! # Example
 //!
@@ -39,12 +43,7 @@
 
 pub mod arc;
 pub mod compose;
-pub mod connect;
-pub mod determinize;
 pub mod fst;
-pub mod minimize;
-pub mod ops;
-pub mod rmepsilon;
 pub mod semiring;
 pub mod shortest;
 pub mod stats;
@@ -52,15 +51,8 @@ pub mod symbols;
 
 pub use arc::{Arc, Label, StateId, EPSILON, NO_STATE};
 pub use compose::{compose_am_lm, ComposeOptions};
-pub use connect::connect;
-pub use determinize::{accept_cost, determinize, is_deterministic, DeterminizeOptions};
 pub use fst::{Wfst, WfstBuilder};
-pub use minimize::{intersect, minimize};
-pub use ops::{
-    invert, map_arcs, map_weights, project, relabel_states, reverse, to_dot, ProjectType,
-};
-pub use rmepsilon::{has_pure_epsilons, rm_epsilon};
 pub use semiring::{LogWeight, Semiring, TropicalWeight};
-pub use shortest::{shortest_distance, shortest_path, ShortestPath};
+pub use shortest::{shortest_path, ShortestPath};
 pub use stats::{FstStats, SizeModel};
 pub use symbols::SymbolTable;

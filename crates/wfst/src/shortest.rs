@@ -1,4 +1,4 @@
-//! Single-source shortest distance and shortest path.
+//! Single-source shortest path.
 //!
 //! The tropical-semiring shortest path through a WFST is exactly the
 //! Viterbi best hypothesis when acoustic scores are folded into arc
@@ -28,16 +28,6 @@ pub struct ShortestPath {
     pub olabels: Vec<Label>,
     /// Input labels consumed along the path (epsilons skipped).
     pub ilabels: Vec<Label>,
-}
-
-/// Computes the cost of the best path from the start state to any final
-/// state, or `None` if no final state is reachable.
-///
-/// # Panics
-/// Panics if relaxation fails to converge within `states * arcs + 1`
-/// rounds (a negative cycle).
-pub fn shortest_distance(fst: &Wfst) -> Option<f32> {
-    shortest_path(fst).map(|p| p.cost)
 }
 
 /// Computes the best path from the start state to any final state.
@@ -185,9 +175,7 @@ mod tests {
         b.set_start(0);
         b.set_final(1, 0.0);
         // no arcs
-        let fst = b.build();
-        assert!(shortest_path(&fst).is_none());
-        assert!(shortest_distance(&fst).is_none());
+        assert!(shortest_path(&b.build()).is_none());
     }
 
     #[test]

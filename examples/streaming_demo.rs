@@ -6,10 +6,11 @@
 //! Run with: `cargo run --release -p unfold-examples --bin streaming_demo`
 
 use unfold::{System, TaskSpec};
-use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder, OtfStream};
+use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder, StreamSession, WorkScratch};
 
 fn main() {
     let system = System::build(&TaskSpec::tiny());
+    let (am, lm) = (&system.am_comp, &system.lm_comp);
     let utt = &system.test_utterances(1)[0];
     println!(
         "streaming {} frames; ground truth {:?}\n",
@@ -17,30 +18,29 @@ fn main() {
         utt.words
     );
 
-    let mut stream = OtfStream::new(
-        DecodeConfig::default(),
-        &system.am_comp,
-        &system.lm_comp,
-        &mut NullSink,
-    );
+    // The session holds the search state; the scratch is the frame
+    // loop's working memory, reused across pushes.
+    let config = DecodeConfig::default();
+    let mut work = WorkScratch::new();
+    work.begin(&config);
+    let mut session = StreamSession::new(config);
+    session.seed(am, lm, &mut work, &mut NullSink);
     let mut last_partial = Vec::new();
     for t in 0..utt.scores.num_frames() {
-        stream.push_frame(utt.scores.frame(t), &mut NullSink);
-        let partial = stream.session().partial_result();
+        session.push_frame(am, lm, &mut work, utt.scores.frame(t), &mut NullSink);
+        let partial = session.partial_result();
         if partial != last_partial {
-            println!("frame {t:>3} ({} active): {partial:?}", stream.num_active());
+            println!(
+                "frame {t:>3} ({} active): {partial:?}",
+                session.num_active()
+            );
             last_partial = partial;
         }
     }
-    let streamed = stream.finish();
+    let streamed = session.finalize(am, &mut NullSink);
 
     // Cross-check against the one-shot decoder.
-    let batch = OtfDecoder::new(DecodeConfig::default()).decode(
-        &system.am_comp,
-        &system.lm_comp,
-        &utt.scores,
-        &mut NullSink,
-    );
+    let batch = OtfDecoder::new(config).decode(am, lm, &utt.scores, &mut NullSink);
     println!(
         "\nstreamed: {:?} (cost {:.2})",
         streamed.words, streamed.cost

@@ -161,64 +161,57 @@ mod property {
 }
 
 #[test]
-fn determinization_reproduces_the_prefix_tree_size_argument() {
+fn composed_lg_root_is_a_pronunciation_prefix_tree() {
     // DESIGN.md argues the offline-composed graph stays tractable
-    // because toolchains determinize: the per-LM-state word chains
-    // collapse into a pronunciation prefix tree. Verify that argument
-    // with the library's own operators: determinizing the naive
-    // union-of-chains acceptor over a lexicon yields exactly the trie's
-    // state count, and minimization shrinks it further (suffix sharing).
-    use unfold_am::Lexicon;
-    use unfold_wfst::{accept_cost, determinize, minimize, Arc, DeterminizeOptions, WfstBuilder};
+    // because the words leaving one LM state share a pronunciation
+    // prefix tree instead of one HMM chain per word. Check that
+    // `build_composed_lg` builds exactly that tree below the root
+    // anchor: the states reachable from anchor 0 without crossing a
+    // word arc are one HMM chain per distinct pronunciation prefix.
+    use std::collections::HashSet;
+    use unfold_am::{HmmTopology, Lexicon};
+    use unfold_lm::{CorpusSpec, DiscountConfig, NGramModel};
+    use unfold_wfst::EPSILON;
 
     let lex = Lexicon::generate(60, 12, 31);
-    // Naive union: one chain per word over phoneme labels (+1 so no
-    // label collides with epsilon).
-    let mut b = WfstBuilder::new();
-    let start = b.add_state();
-    b.set_start(start);
-    for (_, pron) in lex.iter() {
-        let mut prev = start;
-        for &ph in pron {
-            let s = b.add_state();
-            b.add_arc(prev, Arc::new(u32::from(ph) + 1, u32::from(ph) + 1, 0.0, s));
-            prev = s;
-        }
-        b.set_final(prev, 0.0);
-    }
-    let naive = b.build();
+    let spec = CorpusSpec {
+        vocab_size: 60,
+        num_sentences: 100,
+        ..Default::default()
+    };
+    let model = NGramModel::train(&spec.generate(31), 60, DiscountConfig::default());
+    let topology = HmmTopology::Kaldi3State;
+    let lg = build_composed_lg(&lex, topology, &model);
 
-    // Count trie states independently (distinct pronunciation prefixes).
-    let mut prefixes = std::collections::HashSet::new();
-    for (_, pron) in lex.iter() {
-        for len in 1..=pron.len() {
-            prefixes.insert(pron[..len].to_vec());
+    let mut seen = HashSet::from([0]);
+    let mut stack = vec![0];
+    while let Some(s) = stack.pop() {
+        for arc in lg.arcs(s) {
+            if arc.olabel == EPSILON && seen.insert(arc.nextstate) {
+                stack.push(arc.nextstate);
+            }
         }
     }
-    let trie_states = prefixes.len() + 1;
+    let tree_states = seen.len() - 1;
 
-    let det = determinize(&naive, DeterminizeOptions::default());
+    // Independent counts over the lexicon the root anchor spells.
+    let prons: Vec<&[_]> = (1..=model.vocab_size() as u32)
+        .map(|w| lex.pronunciation(w))
+        .collect();
+    let prefixes: HashSet<_> = prons
+        .iter()
+        .flat_map(|p| (1..=p.len()).map(move |len| &p[..len]))
+        .collect();
+    let chain_states: usize = prons.iter().map(|p| p.len()).sum();
+    let pdfs = topology.states_per_phoneme();
+
     assert_eq!(
-        det.num_states(),
-        trie_states,
-        "determinization = prefix tree"
+        tree_states,
+        prefixes.len() * pdfs,
+        "root tree = prefix tree"
     );
     assert!(
-        det.num_states() < naive.num_states(),
-        "sharing must shrink the union"
+        tree_states < chain_states * pdfs,
+        "prefix sharing must beat one chain per word"
     );
-
-    let min = minimize(&det);
-    assert!(
-        min.num_states() < det.num_states(),
-        "suffix sharing shrinks further"
-    );
-
-    // The weighted language is intact throughout.
-    for (_, pron) in lex.iter().take(10) {
-        let labels: Vec<u32> = pron.iter().map(|&p| u32::from(p) + 1).collect();
-        assert_eq!(accept_cost(&naive, &labels), Some(0.0));
-        assert_eq!(accept_cost(&det, &labels), Some(0.0));
-        assert_eq!(accept_cost(&min, &labels), Some(0.0));
-    }
 }

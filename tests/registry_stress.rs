@@ -24,7 +24,7 @@ use unfold_bias::{BiasedLm, BiasingFst};
 use unfold_decoder::{DecodeConfig, DecodeResult, NullSink, OtfDecoder};
 use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
 use unfold_obs::ObsRecord;
-use unfold_serve::{ServeConfig, Server};
+use unfold_serve::{FrameInput, ServeConfig, Server};
 use unfold_wfst::Wfst;
 
 const VOCAB: u32 = 50;
@@ -163,8 +163,8 @@ fn registry_churn_never_touches_admitted_sessions() {
         .enumerate()
         .map(|(i, u)| {
             let handle = handle.clone();
-            let rows: Vec<Vec<f32>> = (0..u.scores.num_frames())
-                .map(|t| u.scores.frame(t).to_vec())
+            let frames: Vec<FrameInput> = (0..u.scores.num_frames())
+                .map(|t| FrameInput::Scores(u.scores.frame(t).to_vec()))
                 .collect();
             std::thread::spawn(move || {
                 let lm = if i % 2 == 0 {
@@ -174,8 +174,8 @@ fn registry_churn_never_touches_admitted_sessions() {
                 };
                 let bias = (i % 2 == 0).then(|| format!("user-{}", (i / 2) % 4));
                 let id = handle.open_with_models(lm, bias.as_deref()).expect("admit");
-                for row in &rows {
-                    handle.push_frame(id, row).expect("push");
+                for frame in frames {
+                    handle.ingest_frame(id, frame).expect("push");
                 }
                 handle.finish(id).expect("finish");
                 let res = handle
