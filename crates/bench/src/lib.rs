@@ -1,20 +1,19 @@
 #![warn(missing_docs)]
 
-//! Benchmark harness for the UNFOLD reproduction.
+//! Paper-reproduction experiments for UNFOLD.
 //!
 //! One binary per paper table/figure (see `src/bin/`), each printing a
 //! Markdown table with the paper's reported value next to the measured
-//! one, plus Criterion micro-benchmarks (see `benches/`). DESIGN.md
-//! carries the experiment index; EXPERIMENTS.md records the outcomes.
+//! one. DESIGN.md carries the experiment index; EXPERIMENTS.md records
+//! the outcomes. Performance is measured by the `benchmark/` harness,
+//! not here.
 //!
 //! Environment knobs honored by every binary:
 //!
 //! * `UNFOLD_UTTS` — test utterances per task (default 8),
 //! * `UNFOLD_SMOKE` — set to `1` to run on the tiny task only (CI).
 
-pub mod decode_bench;
 pub mod harness;
-pub mod load_bench;
 pub mod paper;
 
 pub use harness::{

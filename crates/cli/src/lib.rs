@@ -22,7 +22,7 @@
 //! * `serve`    — run the multi-session streaming decode server on a
 //!   TCP port until a client sends `Shutdown`,
 //! * `loadgen`  — drive a closed-loop load test against a running
-//!   server and write the latency report to `BENCH_serve.json`,
+//!   server and write the latency report as JSON (`--out`),
 //!   optionally scraping live stats mid-run,
 //! * `stats`    — scrape a running server's live metrics over the wire
 //!   (text table or run-record JSONL; `--dump` appends the flight
@@ -47,8 +47,8 @@ use unfold::{decode_batch_recorded, pack_system, AmModel, LmModel, Models, Syste
 use unfold_compress::{load_am, load_lm, save_am, save_lm, Bundle};
 use unfold_decoder::{wer, DecodeConfig, MetricsSink, NullSink, OtfDecoder, TraceSink, WerReport};
 use unfold_serve::{
-    run_bias_compare, run_loadgen, run_saturation_sweep, saturation_ladder, BiasCompare, ClientMsg,
-    LoadgenConfig, ServeConfig, Server, ServerMsg, TcpFront,
+    run_bias_compare, run_loadgen, BiasCompare, ClientMsg, LoadgenConfig, ServeConfig, Server,
+    ServerMsg, TcpFront,
 };
 use unfold_sim::AcceleratorConfig;
 
@@ -102,10 +102,6 @@ commands:
                                                 models, register them over the
                                                 wire, and open every session
                                                 personalized (round-robin)
-           [--saturate]                     ... after the main run, sweep client
-           [--saturate-max N]                   concurrency 1,2,4..N (default 4x
-                                                --concurrency) and record the
-                                                sessions-vs-p99/deadline-miss curve
            [--out <file>] [--shutdown]      ... report path (default
                                                 BENCH_serve.json), stop the server
   stats    --addr <ip:port> | --port N | --port-file <file>
@@ -877,17 +873,15 @@ fn loadgen_addr(flags: &Flags) -> Result<SocketAddr, Error> {
 }
 
 fn cmd_loadgen(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &["shutdown", "saturate"])?;
+    let flags = Flags::parse(args, &["shutdown"])?;
     let spec = task_by_name(flags.require("task")?)?;
     let addr = loadgen_addr(&flags)?;
-    let saturate = flags.has("saturate");
     let cfg = LoadgenConfig {
         sessions: flags.usize_or("sessions", 16)?,
         concurrency: flags.usize_or("concurrency", 4)?,
         chunk_frames: flags.usize_or("chunk", 10)?,
         scrape_every_ms: flags.usize_or("scrape-every", 0)? as u64,
-        // With a sweep following, the shutdown belongs to its last rung.
-        shutdown_after: flags.has("shutdown") && !saturate,
+        shutdown_after: flags.has("shutdown"),
         // Distinct per-user biasing models, registered over the wire and
         // assigned to sessions round-robin; phrases are minted within
         // the task's vocabulary so they can actually fire.
@@ -917,17 +911,7 @@ fn cmd_loadgen(args: &[String]) -> Result<String, Error> {
     } else {
         (run_loadgen(addr, &utts, &cfg)?, None)
     };
-    let sweep = if saturate {
-        let max = flags.usize_or("saturate-max", cfg.concurrency.max(1) * 4)?;
-        let base = LoadgenConfig {
-            shutdown_after: flags.has("shutdown"),
-            ..cfg.clone()
-        };
-        run_saturation_sweep(addr, &utts, &base, &saturation_ladder(max))?
-    } else {
-        Vec::new()
-    };
-    std::fs::write(out, report.to_json_document(&sweep, bias.as_ref()))?;
+    std::fs::write(out, report.to_json(bias.as_ref()))?;
     let mut s = String::new();
     let _ = writeln!(s, "loadgen: {} against {addr}", spec.name);
     let _ = writeln!(
@@ -981,18 +965,6 @@ fn cmd_loadgen(args: &[String]) -> Result<String, Error> {
         if let Some(v) = report.server_total(name) {
             let _ = writeln!(s, "{name}: {v:.0}");
         }
-    }
-    for p in &sweep {
-        let _ = writeln!(
-            s,
-            "saturation c={:>3}: {}/{} sessions ({:.2}/s)  p99 final {:.2} ms  miss delta {:.0}",
-            p.concurrency,
-            p.completed,
-            p.sessions,
-            p.sessions_per_sec,
-            p.p99_final_ms,
-            p.deadline_miss_delta
-        );
     }
     if let Some(path) = flags.get("flight-out") {
         std::fs::write(path, &report.flight_jsonl)?;
@@ -1636,9 +1608,6 @@ mod tests {
             "5",
             "--flight-out",
             flight_out.to_str().unwrap(),
-            "--saturate",
-            "--saturate-max",
-            "2",
             "--out",
             out.to_str().unwrap(),
             "--shutdown",
@@ -1648,9 +1617,6 @@ mod tests {
         assert!(report.contains("first partial: p50"));
         assert!(report.contains("serve.deadline_misses"));
         assert!(report.contains("reconciled: true"), "in:\n{report}");
-        // --saturate walks concurrency 1 then 2 after the main run.
-        assert!(report.contains("saturation c=  1"), "in:\n{report}");
-        assert!(report.contains("saturation c=  2"), "in:\n{report}");
 
         let json = std::fs::read_to_string(&out).unwrap();
         for key in [
@@ -1661,8 +1627,6 @@ mod tests {
             "\"reconciled\": true",
             "\"server_session_spans\": 4",
             "\"serve.deadline_misses\"",
-            "\"saturation\": [",
-            "\"deadline_miss_delta\"",
             "\"serve.frames_scored\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");

@@ -48,8 +48,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use loadgen::{
-    run_bias_compare, run_loadgen, run_saturation_sweep, saturation_ladder, sweep_knee,
-    BiasCompare, KneePoint, LatencyMs, LoadgenConfig, LoadgenReport, SaturationPoint,
+    run_bias_compare, run_loadgen, BiasCompare, LatencyMs, LoadgenConfig, LoadgenReport,
 };
 pub use sched::{Lease, ServeCore, ServeStats, DEFAULT_LM};
 pub use server::{ServeHandle, Server};

@@ -24,7 +24,8 @@
 //!
 //! The report carries p50/p95/p99 summaries of both latencies plus the
 //! server's own metrics record (admissions, evictions, deadline
-//! misses), and serializes to the JSON shape `BENCH_serve.json` stores.
+//! misses), and serializes to one JSON document
+//! ([`LoadgenReport::to_json`]).
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
@@ -161,7 +162,9 @@ pub struct LoadgenReport {
     pub first_partial_ms: LatencyMs,
     /// `Finish` sent → `Final` received.
     pub final_ms: LatencyMs,
-    /// Wall time of the whole run (fractional ms).
+    /// Wall time from the start of traffic until the last client
+    /// thread finished (fractional ms); the closing stats and dump
+    /// round trips are not counted.
     pub elapsed_ms: f64,
     /// Completed sessions per wall-clock second.
     pub sessions_per_sec: f64,
@@ -193,27 +196,10 @@ impl LoadgenReport {
         self.server.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Serializes the report as the `BENCH_serve.json` document.
-    pub fn to_json(&self) -> String {
-        self.to_json_with_saturation(&[])
-    }
-
-    /// Same document with a `"saturation"` array (one object per sweep
-    /// rung, see [`run_saturation_sweep`]) ahead of the server-counter
-    /// block. An empty sweep omits the key, so plain `to_json` output
-    /// is unchanged.
-    pub fn to_json_with_saturation(&self, sweep: &[SaturationPoint]) -> String {
-        self.to_json_document(sweep, None)
-    }
-
-    /// The full document: saturation sweep plus the personalized-bias
-    /// A/B block (see [`run_bias_compare`]). Either part is omitted
-    /// when absent, so the narrower serializers' output is unchanged.
-    pub fn to_json_document(
-        &self,
-        sweep: &[SaturationPoint],
-        bias: Option<&BiasCompare>,
-    ) -> String {
+    /// Serializes the report as one JSON document, with the
+    /// personalized-bias A/B block (see [`run_bias_compare`]) when
+    /// `bias` is given.
+    pub fn to_json(&self, bias: Option<&BiasCompare>) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!(
             "  \"sessions_requested\": {},\n",
@@ -248,17 +234,6 @@ impl LoadgenReport {
             summary(&self.first_partial_ms)
         ));
         out.push_str(&format!("  \"final_ms\": {},\n", summary(&self.final_ms)));
-        if !sweep.is_empty() {
-            out.push_str("  \"saturation\": [\n");
-            for (i, p) in sweep.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {}{}\n",
-                    point_json(p),
-                    if i + 1 < sweep.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("  ],\n");
-        }
         if let Some(b) = bias {
             out.push_str(&format!(
                 "  \"bias\": {{\"users\": {}, \"sessions\": {}, \"completed\": {}, \"errors\": {}, \"unbiased_p99_final_ms\": {}, \"p99_final_ms\": {}, \"deadline_miss_delta\": {}, \"unbiased_vm_rss_kb\": {}, \"vm_rss_kb\": {}, \"marginal_rss_kb_per_user\": {}}},\n",
@@ -494,7 +469,7 @@ pub fn run_loadgen(
     let first_partial = LogHistogram::new();
     let final_lat = LogHistogram::new();
     let done = AtomicBool::new(false);
-    let (outcomes, scrapes, scrape_failures) = std::thread::scope(|scope| {
+    let (outcomes, elapsed_ms, scrapes, scrape_failures) = std::thread::scope(|scope| {
         let scraper = (cfg.scrape_every_ms > 0)
             .then(|| scope.spawn(|| scrape_loop(addr, cfg.scrape_every_ms, &done)));
         // Each client thread records latencies (in µs) into its own
@@ -541,9 +516,12 @@ pub fn run_loadgen(
                 final_lat.merge_from(&fl);
             }
         }
+        // The run ends when the last client is done: the scraper's exit
+        // and the stats/dump round trips below are not traffic.
+        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
         done.store(true, Ordering::Relaxed);
         let (scrapes, failures) = scraper.map_or((0, 0), |h| h.join().expect("scrape thread"));
-        (outcomes, scrapes, failures)
+        (outcomes, elapsed_ms, scrapes, failures)
     });
 
     let mut completed = 0u64;
@@ -575,7 +553,6 @@ pub fn run_loadgen(
     }
 
     let reconciled = scrape_failures == 0 && ledger_reconciles(&server);
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
     Ok(LoadgenReport {
         sessions_requested: cfg.sessions,
         sessions_completed: completed,
@@ -598,177 +575,7 @@ pub fn run_loadgen(
     })
 }
 
-/// One rung of a saturation sweep: the offered load and what it cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SaturationPoint {
-    /// Sessions offered at this rung.
-    pub sessions: usize,
-    /// Concurrent client connections at this rung.
-    pub concurrency: usize,
-    /// Sessions that received a `Final`.
-    pub completed: u64,
-    /// Sessions refused admission.
-    pub rejected: u64,
-    /// Protocol or connection errors.
-    pub errors: u64,
-    /// Completed sessions per wall-clock second (the throughput axis).
-    pub sessions_per_sec: f64,
-    /// p99 open → first non-empty stable partial, ms.
-    pub p99_first_partial_ms: f64,
-    /// p99 `Finish` sent → `Final` received, ms (the latency axis).
-    pub p99_final_ms: f64,
-    /// Deadline misses the server accrued *during this rung* — the
-    /// delta of the cumulative `serve.deadline_misses` counter across
-    /// the rung, so the curve shows where misses start, not a running
-    /// total.
-    pub deadline_miss_delta: f64,
-    /// The server process's resident set size (KiB) scraped at the end
-    /// of the rung (`serve.vm_rss_kb`; NaN → `null` when unavailable,
-    /// e.g. off Linux). The memory axis of the saturation curve.
-    pub vm_rss_kb: f64,
-}
-
-/// Doubling concurrency ladder for a saturation sweep: 1, 2, 4, …
-/// capped at `max`, with `max` itself appended when it is not a power
-/// of two. `max == 0` yields just `[1]`.
-pub fn saturation_ladder(max: usize) -> Vec<usize> {
-    let max = max.max(1);
-    let mut ladder = Vec::new();
-    let mut c = 1;
-    while c <= max {
-        ladder.push(c);
-        c *= 2;
-    }
-    if *ladder.last().unwrap() != max {
-        ladder.push(max);
-    }
-    ladder
-}
-
-/// Fetches the server's cumulative deadline-miss counter over a fresh
-/// connection (0.0 when the counter is absent).
-fn fetch_deadline_misses(addr: SocketAddr) -> io::Result<f64> {
-    let (mut rd, mut wr) = conn(addr)?;
-    let pairs = fetch_stats(&mut rd, &mut wr)?;
-    Ok(metric(&pairs, "serve.deadline_misses").unwrap_or(0.0))
-}
-
-/// Runs the closed-loop loadgen once per rung of `ladder` (each entry
-/// a client-concurrency level) against the same server, holding
-/// sessions-per-client fixed at `base.sessions / base.concurrency` so
-/// offered load scales with the rung. The resulting
-/// sessions-vs-p99/deadline-miss columns are the saturation curve
-/// `BENCH_serve.json` stores (see
-/// [`LoadgenReport::to_json_with_saturation`]).
-///
-/// Mid-run scraping is disabled per rung (it would perturb the very
-/// tail latencies the sweep measures). When `base.shutdown_after` is
-/// set, `Shutdown` is sent only after the final rung.
-///
-/// # Errors
-/// Connection failures; per-session errors are counted in each rung.
-///
-/// # Panics
-/// Panics if `utts` is empty (same contract as [`run_loadgen`]).
-pub fn run_saturation_sweep(
-    addr: SocketAddr,
-    utts: &[Vec<Vec<f32>>],
-    base: &LoadgenConfig,
-    ladder: &[usize],
-) -> io::Result<Vec<SaturationPoint>> {
-    let per_client = (base.sessions / base.concurrency.max(1)).max(1);
-    // The server counter is cumulative (and may be nonzero before the
-    // sweep if other traffic ran), so every rung reports a delta.
-    let mut prev_misses = fetch_deadline_misses(addr).unwrap_or(0.0);
-    let mut points = Vec::with_capacity(ladder.len());
-    for (i, &rung) in ladder.iter().enumerate() {
-        let concurrency = rung.max(1);
-        let cfg = LoadgenConfig {
-            sessions: concurrency * per_client,
-            concurrency,
-            chunk_frames: base.chunk_frames,
-            scrape_every_ms: 0,
-            shutdown_after: base.shutdown_after && i + 1 == ladder.len(),
-            // Re-registering per rung is a cheap idempotent hot swap;
-            // sessions at every rung see the same per-user models.
-            bias_users: base.bias_users,
-            bias_vocab: base.bias_vocab,
-        };
-        let rep = run_loadgen(addr, utts, &cfg)?;
-        let misses = rep
-            .server_total("serve.deadline_misses")
-            .unwrap_or(prev_misses);
-        points.push(SaturationPoint {
-            sessions: cfg.sessions,
-            concurrency,
-            completed: rep.sessions_completed,
-            rejected: rep.sessions_rejected,
-            errors: rep.errors,
-            sessions_per_sec: rep.sessions_per_sec,
-            p99_first_partial_ms: rep.first_partial_ms.p99,
-            p99_final_ms: rep.final_ms.p99,
-            deadline_miss_delta: (misses - prev_misses).max(0.0),
-            vm_rss_kb: rep.server_total("serve.vm_rss_kb").unwrap_or(f64::NAN),
-        });
-        prev_misses = misses;
-    }
-    Ok(points)
-}
-
-/// One saturation rung as a JSON object.
-fn point_json(p: &SaturationPoint) -> String {
-    format!(
-        "{{\"sessions\": {}, \"concurrency\": {}, \"completed\": {}, \"rejected\": {}, \"errors\": {}, \"sessions_per_sec\": {}, \"p99_first_partial_ms\": {}, \"p99_final_ms\": {}, \"deadline_miss_delta\": {}, \"vm_rss_kb\": {}}}",
-        p.sessions,
-        p.concurrency,
-        p.completed,
-        p.rejected,
-        p.errors,
-        num(p.sessions_per_sec),
-        num(p.p99_first_partial_ms),
-        num(p.p99_final_ms),
-        num(p.deadline_miss_delta),
-        num(p.vm_rss_kb),
-    )
-}
-
-/// The knee of a saturation curve: the rung where completed-session
-/// throughput peaks. Past it, added concurrency buys latency and
-/// deadline misses, not throughput — so "sessions per core at the knee"
-/// is the capacity number to compare two server configurations by.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KneePoint {
-    /// Client concurrency at the peak rung.
-    pub concurrency: usize,
-    /// Peak completed-session throughput, sessions/s.
-    pub sessions_per_sec: f64,
-    /// The same throughput normalized by server threads, the capacity
-    /// axis of a comparison.
-    pub sessions_per_core_sec: f64,
-}
-
-/// Finds the throughput knee of a sweep: the rung with the highest
-/// `sessions_per_sec`, normalized by `cores` server threads. `None` for
-/// an empty sweep or `cores == 0`.
-pub fn sweep_knee(sweep: &[SaturationPoint], cores: usize) -> Option<KneePoint> {
-    if cores == 0 {
-        return None;
-    }
-    sweep
-        .iter()
-        .max_by(|a, b| {
-            a.sessions_per_sec
-                .partial_cmp(&b.sessions_per_sec)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|p| KneePoint {
-            concurrency: p.concurrency,
-            sessions_per_sec: p.sessions_per_sec,
-            sessions_per_core_sec: p.sessions_per_sec / cores as f64,
-        })
-}
-
-/// The personalized-bias A/B block of `BENCH_serve.json`: an unbiased
+/// The personalized-bias A/B block of the loadgen report: an unbiased
 /// pass and a biased pass at identical offered load, plus the memory
 /// cost of carrying the per-user models.
 #[derive(Debug, Clone, PartialEq)]
@@ -804,7 +611,7 @@ pub struct BiasCompare {
 /// warms the worker pool, the shared OLT, and the allocator, so the
 /// RSS delta across the biased pass isolates what the per-user models
 /// and their sessions actually cost. Returns the biased pass's full
-/// report (it becomes the main `BENCH_serve.json` document) plus the
+/// report (it becomes the main loadgen document) plus the
 /// comparison block.
 ///
 /// # Errors
@@ -928,7 +735,7 @@ mod tests {
             "flight ring should hold the finals:\n{}",
             report.flight_jsonl
         );
-        let json = report.to_json();
+        let json = report.to_json(None);
         for key in [
             "\"sessions_per_sec\"",
             "\"first_partial_ms\"",
@@ -1008,7 +815,7 @@ mod tests {
             assert!(bias.biased_vm_rss_kb.is_finite());
             assert!(bias.marginal_rss_kb_per_user.is_finite(), "{bias:?}");
         }
-        let json = report.to_json_document(&[], Some(&bias));
+        let json = report.to_json(Some(&bias));
         for key in [
             "\"bias\": {\"users\": 3",
             "\"unbiased_p99_final_ms\"",
@@ -1016,135 +823,72 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        assert!(!report.to_json().contains("\"bias\""));
+        assert!(!report.to_json(None).contains("\"bias\""));
         front.join();
         server.shutdown();
     }
 
     #[test]
-    fn saturation_ladder_doubles_and_caps() {
-        assert_eq!(saturation_ladder(0), vec![1]);
-        assert_eq!(saturation_ladder(1), vec![1]);
-        assert_eq!(saturation_ladder(4), vec![1, 2, 4]);
-        assert_eq!(saturation_ladder(6), vec![1, 2, 4, 6]);
-        assert_eq!(saturation_ladder(16), vec![1, 2, 4, 8, 16]);
-    }
-
-    #[test]
-    fn saturation_sweep_walks_the_ladder_and_serializes() {
-        let lex = Lexicon::generate(50, 20, 6);
-        let am = build_am(&lex, HmmTopology::Kaldi3State);
-        let spec = CorpusSpec {
-            vocab_size: 50,
-            num_sentences: 300,
-            ..Default::default()
-        };
-        let model = NGramModel::train(&spec.generate(3), 50, DiscountConfig::default());
-        let lm = Arc::new(lm_to_wfst(&model));
-        let am = Arc::new(am.fst);
-        let u = synthesize_utterance(
-            &[3u32, 9, 17],
-            &lex,
-            HmmTopology::Kaldi3State,
-            &NoiseModel::default(),
-            60,
-        );
-        let utts: Vec<Vec<Vec<f32>>> = vec![(0..u.scores.num_frames())
-            .map(|t| u.scores.frame(t).to_vec())
-            .collect()];
-
-        let server = Server::start(
-            ServeConfig {
-                workers: 2,
-                ..Default::default()
-            },
-            am,
-            lm,
-        );
+    fn elapsed_time_stops_when_the_last_client_joins() {
+        use crate::wire::{read_client, write_server};
+        // A stub front end that completes every session at once but
+        // answers the closing `Dump` only after a delay: the run's
+        // traffic is instant, its post-run round trips are slow.
+        const DUMP_DELAY: Duration = Duration::from_millis(500);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let front = TcpFront::start(listener, server.handle()).unwrap();
-        let base = LoadgenConfig {
+        let addr = listener.local_addr().unwrap();
+        // Two client connections, then the closing stats/dump one; each
+        // handler returns when loadgen drops its connection.
+        let stub = std::thread::spawn(move || {
+            std::thread::scope(|scope| {
+                for stream in listener.incoming().take(3) {
+                    let stream = stream.unwrap();
+                    scope.spawn(move || {
+                        let mut rd = BufReader::new(stream.try_clone().unwrap());
+                        let mut wr = BufWriter::new(stream);
+                        while let Ok(Some(msg)) = read_client(&mut rd) {
+                            let reply = match msg {
+                                ClientMsg::Open { .. } => ServerMsg::Opened { session: 0 },
+                                ClientMsg::FramesV2(_) => ServerMsg::Partial { words: vec![] },
+                                ClientMsg::Finish => ServerMsg::Final {
+                                    words: vec![],
+                                    cost: 0.0,
+                                    frames: 0,
+                                },
+                                ClientMsg::Stats => ServerMsg::Stats {
+                                    jsonl: String::new(),
+                                },
+                                ClientMsg::Dump => {
+                                    std::thread::sleep(DUMP_DELAY);
+                                    ServerMsg::Dump {
+                                        flight: String::new(),
+                                        spans: String::new(),
+                                    }
+                                }
+                                _ => ServerMsg::Ack,
+                            };
+                            if write_server(&mut wr, &reply).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                }
+            });
+        });
+        let cfg = LoadgenConfig {
             sessions: 4,
             concurrency: 2,
-            chunk_frames: 8,
-            scrape_every_ms: 0,
-            shutdown_after: true,
             ..Default::default()
         };
-        let points = run_saturation_sweep(front.local_addr(), &utts, &base, &[1, 2]).unwrap();
-        assert_eq!(points.len(), 2);
-        // sessions-per-client is 4/2 = 2, so rung c offers 2*c sessions.
-        assert_eq!(points[0].concurrency, 1);
-        assert_eq!(points[0].sessions, 2);
-        assert_eq!(points[1].concurrency, 2);
-        assert_eq!(points[1].sessions, 4);
-        for p in &points {
-            assert_eq!(p.completed, p.sessions as u64, "rung completed: {p:?}");
-            assert_eq!(p.errors, 0);
-            assert!(p.deadline_miss_delta >= 0.0);
-            assert!(p.p99_final_ms > 0.0);
-        }
-
-        // The sweep rides into the report JSON under "saturation"; an
-        // empty sweep leaves the plain document untouched.
-        let report = LoadgenReport {
-            sessions_requested: 6,
-            sessions_completed: points.iter().map(|p| p.completed).sum(),
-            sessions_rejected: 0,
-            errors: 0,
-            first_partial_ms: LatencyMs::from_us(&unfold_obs::LogHistogram::new().summary()),
-            final_ms: LatencyMs::from_us(&unfold_obs::LogHistogram::new().summary()),
-            elapsed_ms: 1.0,
-            sessions_per_sec: 1.0,
-            scrapes: 0,
-            scrape_failures: 0,
-            reconciled: true,
-            server_session_spans: 6,
-            flight_jsonl: String::new(),
-            server: vec![("serve.deadline_misses".into(), 0.0)],
-        };
-        let json = report.to_json_with_saturation(&points);
-        for key in [
-            "\"saturation\": [",
-            "\"p99_final_ms\"",
-            "\"deadline_miss_delta\"",
-            "\"concurrency\": 2",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(!report.to_json().contains("\"saturation\""));
-
-        // shutdown_after on the base config stops the server after the
-        // last rung.
-        front.join();
-        server.shutdown();
-    }
-
-    fn rung(concurrency: usize, sessions_per_sec: f64) -> SaturationPoint {
-        SaturationPoint {
-            sessions: concurrency * 2,
-            concurrency,
-            completed: (concurrency * 2) as u64,
-            rejected: 0,
-            errors: 0,
-            sessions_per_sec,
-            p99_first_partial_ms: 1.0,
-            p99_final_ms: 2.0,
-            deadline_miss_delta: 0.0,
-            vm_rss_kb: f64::NAN,
-        }
-    }
-
-    #[test]
-    fn sweep_knee_picks_the_throughput_peak_per_core() {
-        // Throughput rises then falls: the knee is the peak rung, not
-        // the last one.
-        let sweep = vec![rung(1, 4.0), rung(2, 9.0), rung(4, 7.5)];
-        let knee = sweep_knee(&sweep, 3).expect("non-empty sweep");
-        assert_eq!(knee.concurrency, 2);
-        assert_eq!(knee.sessions_per_sec, 9.0);
-        assert_eq!(knee.sessions_per_core_sec, 3.0);
-        assert_eq!(sweep_knee(&[], 3), None);
-        assert_eq!(sweep_knee(&sweep, 0), None);
+        let report = run_loadgen(addr, &[vec![vec![0.0; 4]; 3]], &cfg).unwrap();
+        stub.join().expect("stub front end");
+        assert_eq!(report.sessions_completed, 4);
+        let delay_ms = DUMP_DELAY.as_secs_f64() * 1e3;
+        assert!(
+            report.elapsed_ms < delay_ms,
+            "elapsed {} ms counts the {delay_ms} ms dump",
+            report.elapsed_ms
+        );
+        assert!(report.sessions_per_sec > 4.0 / DUMP_DELAY.as_secs_f64());
     }
 }

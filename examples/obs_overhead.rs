@@ -12,8 +12,8 @@
 //! plus the unit costs of a `LogHistogram` bump and a span open/close —
 //! everything a lease quantum pays beyond the search itself.
 //!
-//! The repo's budget for `MetricsSink` overhead on `decode_throughput`
-//! is <= 5%, and the serve-path (`CountingSink`) budget is the same.
+//! The repo's budget for `MetricsSink` overhead on a decode is <= 5%,
+//! and the serve-path (`CountingSink`) budget is the same.
 //! The serve path is *always on* in production, so the example enforces
 //! its budget — exit 1 when the interleaved A/B min overhead exceeds
 //! 5% — and CI runs it as a check. The opt-in `MetricsSink` budget

@@ -26,10 +26,6 @@ for b in "${BINS[@]}"; do
   fi
   UNFOLD_UTTS="$UTTS" "target/release/$b" "${EXTRA[@]}" | tee "$OUT/$b.md"
 done
-# Machine-readable decode-throughput report (frames/sec, RTF, OLT hit
-# rate, worker-pool scaling) — lands at the repo root as BENCH_decode.json.
-echo "== decode_throughput"
-cargo bench -p unfold-bench --bench decode_throughput
 # Optional: run the differential verification campaign alongside the
 # experiments (UNFOLD_VERIFY=<cases>, e.g. UNFOLD_VERIFY=256). Any
 # divergence fails the script and leaves repro files in results/verify/.
@@ -38,25 +34,5 @@ if [[ -n "${UNFOLD_VERIFY:-}" ]]; then
   cargo build --release -p unfold-verify
   target/release/unfold-verify --cases "$UNFOLD_VERIFY" --seed 42 \
     --out "$OUT/verify" | tee "$OUT/verify_campaign.log"
-fi
-# Optional: serve-mode latency (UNFOLD_SERVE=1): start the streaming
-# server, drive the closed-loop load generator, and append the
-# first-partial / final latency percentiles. The machine-readable
-# report lands at the repo root as BENCH_serve.json.
-if [[ -n "${UNFOLD_SERVE:-}" ]]; then
-  echo "== serve latency"
-  cargo build --release -p unfold-cli
-  PORT_FILE="$OUT/serve.port"
-  rm -f "$PORT_FILE"
-  target/release/unfold-cli serve --task tedlium --port 0 \
-    --port-file "$PORT_FILE" --workers 0 > "$OUT/serve_run.md" &
-  SERVE_PID=$!
-  for _ in $(seq 1 100); do [[ -s "$PORT_FILE" ]] && break; sleep 0.1; done
-  [[ -s "$PORT_FILE" ]] || { echo "serve never bound a port" >&2; exit 1; }
-  target/release/unfold-cli loadgen --task tedlium --port-file "$PORT_FILE" \
-    --sessions 16 --concurrency 4 --utterances "$UTTS" \
-    --saturate --out BENCH_serve.json --shutdown | tee "$OUT/serve_latency.md"
-  wait "$SERVE_PID"
-  rm -f "$PORT_FILE"
 fi
 echo "results written to $OUT/"
