@@ -42,6 +42,11 @@
 //! the [`KernelPhase`] timers, which are observability-only and
 //! explicitly excluded from trace identity (the recorder ignores
 //! them).
+//!
+//! Every function here is generic over its sink `S`. The callers in
+//! [`crate::otf`] instantiate it twice: with [`crate::NullSink`] when
+//! the caller's sink reports [`TraceSink::is_null`], so every event
+//! call is an empty inlined body, and with `dyn TraceSink` otherwise.
 
 use std::time::Instant;
 
@@ -58,7 +63,7 @@ use crate::trace::{DecodeStage, KernelPhase, TraceSink};
 
 /// Reports a finished kernel phase to sinks that asked for timing.
 #[inline]
-fn tick(sink: &mut dyn TraceSink, t0: Option<Instant>, phase: KernelPhase) {
+fn tick<S: TraceSink + ?Sized>(sink: &mut S, t0: Option<Instant>, phase: KernelPhase) {
     if let Some(t0) = t0 {
         sink.kernel_phase(phase, t0.elapsed().as_nanos() as u64);
     }
@@ -67,7 +72,11 @@ fn tick(sink: &mut dyn TraceSink, t0: Option<Instant>, phase: KernelPhase) {
 /// SoA counterpart of [`crate::otf::expand_frame`]'s legacy body:
 /// identical event stream and stats, lane-oriented inner loops.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn expand_frame_soa<A: AmSource + ?Sized, L: LmSource + ?Sized>(
+pub(crate) fn expand_frame_soa<
+    A: AmSource + ?Sized,
+    L: LmSource + ?Sized,
+    S: TraceSink + ?Sized,
+>(
     config: &DecodeConfig,
     am: &A,
     lm: &L,
@@ -75,7 +84,7 @@ pub(crate) fn expand_frame_soa<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     work: &mut WorkScratch,
     costs: &[f32],
     t: usize,
-    sink: &mut dyn TraceSink,
+    sink: &mut S,
     stats: &mut DecodeStats,
 ) {
     work.ensure_validated(am, lm, costs.len());
@@ -273,7 +282,11 @@ pub(crate) fn expand_frame_soa<A: AmSource + ?Sized, L: LmSource + ?Sized>(
 /// insertion order, so the LIFO processing order — and therefore the
 /// event stream — matches the legacy closure token for token.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn epsilon_closure_soa<A: AmSource + ?Sized, L: LmSource + ?Sized>(
+pub(crate) fn epsilon_closure_soa<
+    A: AmSource + ?Sized,
+    L: LmSource + ?Sized,
+    S: TraceSink + ?Sized,
+>(
     config: &DecodeConfig,
     am: &A,
     lm: &L,
@@ -287,7 +300,7 @@ pub(crate) fn epsilon_closure_soa<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     lattice: &mut Lattice,
     frame: u32,
     thr: f32,
-    sink: &mut dyn TraceSink,
+    sink: &mut S,
     stats: &mut DecodeStats,
 ) {
     worklist.clear();
@@ -363,7 +376,7 @@ pub(crate) fn epsilon_closure_soa<A: AmSource + ?Sized, L: LmSource + ?Sized>(
 /// `hash_insert`, only on improvement — and returns the improved
 /// token's dense entry index for the closure worklist.
 #[allow(clippy::too_many_arguments)]
-fn relax_soa(
+fn relax_soa<S: TraceSink + ?Sized>(
     map: &mut TokenStore,
     k: u64,
     cost: f32,
@@ -371,7 +384,7 @@ fn relax_soa(
     word: Label,
     frame: u32,
     lattice: &mut Lattice,
-    sink: &mut dyn TraceSink,
+    sink: &mut S,
 ) -> Option<u32> {
     let p = map.probe(k);
     let existing = p.entry();

@@ -26,7 +26,7 @@ use crate::olt::SoftOlt;
 use crate::scratch::{DecodeScratch, SessionScratch, WorkScratch};
 use crate::search::{prune_threshold_store, Token, TokenStore};
 use crate::sources::{addr, AmSource, Fetch, LmSource, MAX_BACKOFF_HOPS};
-use crate::trace::{DecodeStage, TraceSink};
+use crate::trace::{DecodeStage, NullSink, TraceSink};
 
 /// Token key: AM state in the high half, LM state in the low half —
 /// also how the accelerator indexes its token hash tables ("the hash
@@ -284,29 +284,43 @@ pub(crate) fn seed_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
             sink,
             stats,
         ),
-        DecodeKernel::Soa => {
-            // The streaming path seeds before the first frame's
-            // `ensure_validated`, so the stage binds here too.
-            work.bind_arc_stage(am);
-            crate::kernel::epsilon_closure_soa(
-                config,
-                am,
-                lm,
-                &mut session.cur,
-                &mut work.worklist_idx,
-                &mut work.eps_local,
-                &mut work.probes,
-                &mut work.olt,
-                &mut session.bias_cache,
-                &mut work.arc_stage,
-                &mut session.lattice,
-                0,
-                f32::INFINITY,
-                sink,
-                stats,
-            )
+        DecodeKernel::Soa if sink.is_null() => {
+            seed_closure_soa(config, am, lm, session, work, &mut NullSink, stats);
         }
+        DecodeKernel::Soa => seed_closure_soa(config, am, lm, session, work, sink, stats),
     }
+}
+
+/// The SoA initial closure, compiled once per sink type.
+fn seed_closure_soa<A: AmSource + ?Sized, L: LmSource + ?Sized, S: TraceSink + ?Sized>(
+    config: &DecodeConfig,
+    am: &A,
+    lm: &L,
+    session: &mut SessionScratch,
+    work: &mut WorkScratch,
+    sink: &mut S,
+    stats: &mut DecodeStats,
+) {
+    // The streaming path seeds before the first frame's
+    // `ensure_validated`, so the stage binds here too.
+    work.bind_arc_stage(am);
+    crate::kernel::epsilon_closure_soa(
+        config,
+        am,
+        lm,
+        &mut session.cur,
+        &mut work.worklist_idx,
+        &mut work.eps_local,
+        &mut work.probes,
+        &mut work.olt,
+        &mut session.bias_cache,
+        &mut work.arc_stage,
+        &mut session.lattice,
+        0,
+        f32::INFINITY,
+        sink,
+        stats,
+    )
 }
 
 /// Processes one frame under the configured kernel: prune, expand
@@ -321,7 +335,9 @@ pub(crate) fn seed_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
 ///
 /// Both kernels produce the identical ordered [`TraceSink`] event
 /// stream and [`DecodeStats`] — pinned by the `soa_identity` proptests
-/// and verify-matrix check.
+/// and verify-matrix check. A sink that reports
+/// [`TraceSink::is_null`] runs the SoA kernel's [`NullSink`] copy, in
+/// which every event call inlines away.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_frame<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     config: &DecodeConfig,
@@ -337,6 +353,19 @@ pub(crate) fn expand_frame<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     match config.kernel {
         DecodeKernel::Legacy => {
             expand_frame_legacy(config, am, lm, session, work, costs, t, sink, stats);
+        }
+        DecodeKernel::Soa if sink.is_null() => {
+            crate::kernel::expand_frame_soa(
+                config,
+                am,
+                lm,
+                session,
+                work,
+                costs,
+                t,
+                &mut NullSink,
+                stats,
+            );
         }
         DecodeKernel::Soa => {
             crate::kernel::expand_frame_soa(config, am, lm, session, work, costs, t, sink, stats);
@@ -600,7 +629,7 @@ pub(crate) fn epsilon_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
 /// Panics if the LM has no back-off arc on a state that misses `word`
 /// (a malformed model).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn lm_walk<L: LmSource + ?Sized>(
+pub(crate) fn lm_walk<L: LmSource + ?Sized, S: TraceSink + ?Sized>(
     lm: &L,
     lm_state: StateId,
     word: Label,
@@ -609,7 +638,7 @@ pub(crate) fn lm_walk<L: LmSource + ?Sized>(
     olt: &mut SoftOlt,
     bias: &mut SoftOlt,
     probes: &mut Vec<Fetch>,
-    sink: &mut dyn TraceSink,
+    sink: &mut S,
     stats: &mut DecodeStats,
 ) -> Option<(StateId, f32)> {
     let (mut state, ctx) = lm.memo_split(lm_state);

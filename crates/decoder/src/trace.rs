@@ -5,6 +5,12 @@
 //! implements the sink and models caches/DRAM/pipeline online, so no
 //! trace is ever materialized in memory. [`NullSink`] is for pure
 //! decoding, [`CountingSink`] for tests and quick statistics.
+//!
+//! The SoA kernel is generic over its sink. The frame entry points
+//! test [`TraceSink::is_null`] once per call and, when it holds, run a
+//! copy of the kernel compiled for [`NullSink`], in which every event
+//! call inlines to nothing; any other sink, erased or not, runs the
+//! copy that dispatches through `dyn TraceSink`.
 
 use unfold_wfst::{Label, StateId};
 
@@ -165,13 +171,28 @@ pub trait TraceSink {
     /// returned `true` at frame start, and only by the SoA kernel.
     /// Observability only — never part of trace-identity comparisons.
     fn kernel_phase(&mut self, _phase: KernelPhase, _ns: u64) {}
+    /// Whether this sink ignores every event. When it returns `true`
+    /// the decoder may run its search with a [`NullSink`] in place of
+    /// this sink, so none of this sink's methods is called. Only a
+    /// sink whose every method is a no-op (and whose
+    /// [`TraceSink::wants_kernel_timing`] is `false`) may return
+    /// `true`; [`NullSink`] is the only one that does.
+    fn is_null(&self) -> bool {
+        false
+    }
 }
 
-/// Sink that drops everything (pure functional decoding).
+/// Sink that drops everything (pure functional decoding). A decode
+/// over it, passed directly or erased to `&mut dyn TraceSink`, runs
+/// the kernel copy compiled for `NullSink` (see [`TraceSink::is_null`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
-impl TraceSink for NullSink {}
+impl TraceSink for NullSink {
+    fn is_null(&self) -> bool {
+        true
+    }
+}
 
 /// Sink that counts events; handy in tests and for first-order traffic
 /// estimates without running the full simulator.
@@ -216,10 +237,8 @@ pub struct CountingSink {
 }
 
 impl CountingSink {
-    /// Zeroes every counter in place. The serve workers keep one
-    /// `CountingSink` per worker and reset it at each lease quantum,
-    /// so per-quantum telemetry (OLT hit rate, LM traffic) attaches to
-    /// the quantum's span without reallocating a sink per lease.
+    /// Zeroes every counter in place, so one sink can count several
+    /// decodes in turn.
     pub fn reset(&mut self) {
         *self = CountingSink::default();
     }
@@ -331,5 +350,10 @@ mod tests {
         s.frame_start(0, 1);
         s.state_fetch(0);
         s.preemptive_prune();
+        assert!(s.is_null());
+        assert!(!s.wants_kernel_timing());
+        let erased: &dyn TraceSink = &s;
+        assert!(erased.is_null(), "the override survives erasure");
+        assert!(!CountingSink::default().is_null());
     }
 }

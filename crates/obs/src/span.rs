@@ -9,7 +9,11 @@
 //! and close order deterministic for a deterministic event sequence.
 //!
 //! Closed spans land in a bounded ring (oldest dropped first, drop
-//! count kept) and export two ways:
+//! count kept). Stage and attribute names are `'static` and a span's
+//! attributes sit inline in its ring slot, so opening and closing a
+//! span allocates nothing once the ring has grown: the serve layer
+//! pays a span open/close per lease under its core lock. Spans export
+//! as [`SessionSpan`]s, two ways:
 //!
 //! * [`SpanLog::to_jsonl`] — one [`ObsRecord::SessionSpan`] per line,
 //!   round-trippable through the obs parser;
@@ -25,6 +29,9 @@ use crate::json::ObsRecord;
 
 /// Default bound on retained closed spans.
 pub const DEFAULT_SPAN_CAP: usize = 4096;
+
+/// Most attributes one span may carry (a serve lease span carries six).
+pub const MAX_SPAN_ATTRS: usize = 6;
 
 /// One closed span: a named interval in a session's life, with
 /// optional numeric attributes (frames decoded, OLT hit rate, …).
@@ -51,9 +58,39 @@ pub struct SessionSpan {
 #[derive(Debug)]
 struct OpenSpan {
     parent: u64,
-    stage: String,
+    stage: &'static str,
     session: u64,
     start_ms: u64,
+}
+
+/// A closed span as the ring keeps it: static names, attributes inline
+/// in close order.
+#[derive(Debug)]
+struct ClosedSpan {
+    id: u64,
+    open: OpenSpan,
+    end_ms: u64,
+    attrs: [(&'static str, f64); MAX_SPAN_ATTRS],
+    num_attrs: usize,
+}
+
+impl ClosedSpan {
+    fn to_span(&self) -> SessionSpan {
+        let mut attrs: Vec<(String, f64)> = self.attrs[..self.num_attrs]
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v))
+            .collect();
+        attrs.sort_by(|a, b| a.0.cmp(&b.0));
+        SessionSpan {
+            id: self.id,
+            parent: self.open.parent,
+            stage: self.open.stage.to_string(),
+            session: self.open.session,
+            start_ms: self.open.start_ms,
+            end_ms: self.end_ms,
+            attrs,
+        }
+    }
 }
 
 /// Append-only span recorder with a bounded closed-span ring.
@@ -61,7 +98,7 @@ struct OpenSpan {
 pub struct SpanLog {
     next_id: u64,
     open: HashMap<u64, OpenSpan>,
-    closed: VecDeque<SessionSpan>,
+    closed: VecDeque<ClosedSpan>,
     cap: usize,
     opened_total: u64,
     closed_total: u64,
@@ -95,7 +132,7 @@ impl SpanLog {
 
     /// Opens a span and returns its id. `parent` is a previously
     /// opened span id, or 0 for a root span.
-    pub fn open(&mut self, stage: &str, session: u64, parent: u64, now_ms: u64) -> u64 {
+    pub fn open(&mut self, stage: &'static str, session: u64, parent: u64, now_ms: u64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.opened_total += 1;
@@ -103,7 +140,7 @@ impl SpanLog {
             id,
             OpenSpan {
                 parent,
-                stage: stage.to_string(),
+                stage,
                 session,
                 start_ms: now_ms,
             },
@@ -118,28 +155,33 @@ impl SpanLog {
         self.close_with(id, now_ms, &[])
     }
 
-    /// Closes `id`, attaching numeric attributes. Attributes are
-    /// stored sorted by name; a `false` return means the id was not
-    /// open (double close, or never opened).
-    pub fn close_with(&mut self, id: u64, now_ms: u64, attrs: &[(&str, f64)]) -> bool {
+    /// Closes `id`, attaching numeric attributes (exported sorted by
+    /// name); a `false` return means the id was not open (double
+    /// close, or never opened).
+    ///
+    /// # Panics
+    /// When `attrs` holds more than [`MAX_SPAN_ATTRS`] entries.
+    pub fn close_with(&mut self, id: u64, now_ms: u64, attrs: &[(&'static str, f64)]) -> bool {
+        assert!(
+            attrs.len() <= MAX_SPAN_ATTRS,
+            "a span carries at most {MAX_SPAN_ATTRS} attributes, got {}",
+            attrs.len()
+        );
         let Some(open) = self.open.remove(&id) else {
             return false;
         };
-        let mut attrs: Vec<(String, f64)> =
-            attrs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-        attrs.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut inline = [("", 0.0); MAX_SPAN_ATTRS];
+        inline[..attrs.len()].copy_from_slice(attrs);
         if self.closed.len() == self.cap {
             self.closed.pop_front();
             self.dropped += 1;
         }
-        self.closed.push_back(SessionSpan {
+        self.closed.push_back(ClosedSpan {
             id,
-            parent: open.parent,
-            stage: open.stage,
-            session: open.session,
-            start_ms: open.start_ms,
             end_ms: now_ms.max(open.start_ms),
-            attrs,
+            open,
+            attrs: inline,
+            num_attrs: attrs.len(),
         });
         self.closed_total += 1;
         true
@@ -166,16 +208,16 @@ impl SpanLog {
     }
 
     /// Retained closed spans, oldest first (close order).
-    pub fn iter_closed(&self) -> impl Iterator<Item = &SessionSpan> {
-        self.closed.iter()
+    pub fn iter_closed(&self) -> impl Iterator<Item = SessionSpan> + '_ {
+        self.closed.iter().map(ClosedSpan::to_span)
     }
 
     /// Retained closed spans as JSONL, one
     /// [`ObsRecord::SessionSpan`] per line, in close order.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for s in &self.closed {
-            out.push_str(&ObsRecord::SessionSpan(s.clone()).to_json());
+        for s in self.iter_closed() {
+            out.push_str(&ObsRecord::SessionSpan(s).to_json());
             out.push('\n');
         }
         out
@@ -187,7 +229,7 @@ impl SpanLog {
     /// output in about://tracing or Perfetto.
     pub fn to_chrome_trace(&self) -> String {
         let mut out = String::from("[");
-        for (i, s) in self.closed.iter().enumerate() {
+        for (i, s) in self.iter_closed().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -221,7 +263,7 @@ mod tests {
         let child = log.open("lease", 7, root, 110);
         assert!(log.close_with(child, 125, &[("frames", 16.0)]));
         assert!(log.close(root, 130));
-        let spans: Vec<&SessionSpan> = log.iter_closed().collect();
+        let spans: Vec<SessionSpan> = log.iter_closed().collect();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].stage, "lease");
         assert_eq!(spans[0].parent, root);

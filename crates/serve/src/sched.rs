@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use unfold_bias::{BiasedLm, BiasingFst};
 use unfold_decoder::{
-    AcousticScorer, AmSource, CountingSink, DecodeResult, FrameInput, LmSource, ScoreError,
+    AcousticScorer, AmSource, DecodeResult, FrameInput, LmSource, NullSink, ScoreError,
     StreamSession, TraceSink, WorkScratch,
 };
 use unfold_lm::WordId;
@@ -116,9 +116,9 @@ pub struct Lease<L: LmSource + ?Sized> {
     /// Registry generation of `bias` (0 = unbiased; stamps share the
     /// LM counter, so 0 is never a bias stamp).
     bias_gen: u64,
-    /// Per-quantum decode telemetry captured by
-    /// [`Lease::run_traced`], attached to the lease span at
-    /// completion.
+    /// The quantum's OLT probes and hits, read by [`Lease::run`] off
+    /// the session's [`DecodeStats`](unfold_decoder::DecodeStats) and
+    /// attached to the lease span at completion.
     olt_probes: u64,
     olt_hits: u64,
 }
@@ -150,13 +150,17 @@ impl<L: LmSource + ?Sized> Lease<L> {
     /// draining. The lease carries the session's own LM (selected at
     /// `open`), so a worker serving sessions bound to different models
     /// needs no per-model dispatch. Call with the worker's own `work`
-    /// scratch — no lock needs to be held.
+    /// scratch — no lock needs to be held. The quantum's OLT probes and
+    /// hits are the change in the session's stats across the call, so
+    /// the serve workers pass a [`NullSink`] and decode through the
+    /// kernel's static copy.
     pub fn run<A: AmSource + ?Sized>(
         &mut self,
         am: &A,
         work: &mut WorkScratch,
         sink: &mut dyn TraceSink,
     ) {
+        let (probes0, hits0) = (self.decode.stats().olt_probes, self.decode.stats().olt_hits);
         // Entries memoized against another session's LM are invalid for
         // this one; binding by the registry's generation stamp resets
         // the OLT only on an actual model switch, and is immune to the
@@ -189,6 +193,8 @@ impl<L: LmSource + ?Sized> Lease<L> {
                 sink,
             );
         }
+        self.olt_probes = self.decode.stats().olt_probes - probes0;
+        self.olt_hits = self.decode.stats().olt_hits - hits0;
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -212,23 +218,16 @@ impl<L: LmSource + ?Sized> Lease<L> {
             *result = Some(decode.finalize(am, sink));
         }
     }
+}
 
-    /// [`Lease::run`] with per-quantum telemetry: resets `counts`,
-    /// decodes through it, and keeps the quantum's OLT probe/hit
-    /// counts on the lease so [`ServeCore::complete_lease`] can attach
-    /// them (as a hit rate) to the lease span. Workers keep one
-    /// [`CountingSink`] per thread and pass it to every quantum.
-    pub fn run_traced<A: AmSource + ?Sized>(
-        &mut self,
-        am: &A,
-        work: &mut WorkScratch,
-        counts: &mut CountingSink,
-    ) {
-        counts.reset();
-        self.run(am, work, counts);
-        self.olt_probes = counts.olt_probes;
-        self.olt_hits = counts.olt_hits;
+/// The largest PDF id on any of `am`'s arcs (0 for an AM with no
+/// emitting arc).
+fn largest_pdf<A: AmSource + ?Sized>(am: &A) -> usize {
+    let mut max = 0;
+    for s in 0..am.num_states() as u32 {
+        am.for_each_arc(s, &mut |v| max = max.max(v.arc.ilabel as usize));
     }
+    max
 }
 
 /// One model-registry entry: a named LM plus its generation stamp —
@@ -287,6 +286,12 @@ pub struct ServeCore<A: AmSource + ?Sized, L: LmSource + ?Sized> {
     /// passthrough: precomputed score rows are forwarded verbatim and
     /// feature frames are refused.
     scorer: Option<Arc<dyn AcousticScorer>>,
+    /// The AM's largest PDF id: the narrowest score row a session can
+    /// decode. Narrower rows are refused at ingest instead of
+    /// panicking the worker that leases them. Found by one sweep over
+    /// the AM's arcs at the first ingest, so building a core stays
+    /// O(1) in the model.
+    max_pdf: Option<usize>,
     /// The `serve.stage_search_occupancy` gauge, set by the threaded
     /// server from its workers' busy clocks; NaN (the deterministic
     /// core has no wall time) renders as `-` in the stats table.
@@ -396,6 +401,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             .collect();
         ServeCore {
             config,
+            max_pdf: None,
             am,
             lms,
             biases: Vec::new(),
@@ -699,7 +705,8 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
     /// [`ServeError::UnknownSession`] for an unknown id, and
     /// [`ServeError::Score`] when inline scoring refuses the frame
     /// (feature frames with no scorer bound, a width mismatch, or a
-    /// feature that is not finite).
+    /// feature that is not finite). A row narrower than the AM's
+    /// largest PDF id is a width mismatch; wider rows pass.
     pub fn ingest_frame(
         &mut self,
         id: SessionId,
@@ -733,9 +740,9 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         self.admit_row(id, row, now_ms)
     }
 
-    /// Admission tail of [`ServeCore::ingest_frame`]: phase and
-    /// queue-bound checks, then the session's queue. `buf` is an owned,
-    /// already-scored row (recycled on refusal).
+    /// Admission tail of [`ServeCore::ingest_frame`]: phase, row-width
+    /// and queue-bound checks, then the session's queue. `buf` is an
+    /// owned, already-scored row (recycled on refusal).
     fn admit_row(&mut self, id: SessionId, buf: Vec<f32>, now_ms: u64) -> Result<(), ServeError> {
         let queue_cap = self.config.session_queue_frames;
         let Some(s) = self.sessions.get_mut(&id) else {
@@ -746,6 +753,16 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         if s.phase != SessionPhase::Open {
             self.recycle(std::iter::once(buf));
             return Err(ServeError::Finished(id));
+        }
+        let am = &*self.am;
+        let max_pdf = *self.max_pdf.get_or_insert_with(|| largest_pdf(am));
+        if buf.len() < max_pdf {
+            let e = ScoreError::WidthMismatch {
+                expected: max_pdf,
+                got: buf.len(),
+            };
+            self.recycle(std::iter::once(buf));
+            return Err(ServeError::Score(id, e));
         }
         if s.queue.len() >= queue_cap {
             self.stats.frames_rejected += 1;
@@ -1003,8 +1020,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
     pub fn step(&mut self, work: &mut WorkScratch, now_ms: u64) -> Option<SessionId> {
         let mut lease = self.lease_next(now_ms)?;
         let am = self.am();
-        let mut counts = CountingSink::default();
-        lease.run_traced(&*am, work, &mut counts);
+        lease.run(&*am, work, &mut NullSink);
         let id = lease.session();
         self.complete_lease(lease, now_ms);
         Some(id)
@@ -2072,6 +2088,144 @@ mod tests {
         assert!(trace.contains(&format!("\"tid\":{a}")));
         assert!(trace.contains(&format!("\"tid\":{b}")));
         assert!(trace.contains("\"olt_hit_rate\""));
+    }
+
+    /// Drives a plain and a biased session through a core with a warm
+    /// worker OLT, running each lease with `run` and returning the
+    /// per-quantum `(olt_probes, olt_hits)`, the lease spans' OLT
+    /// attributes, and the `serve.olt_hit_rate` gauge. With `counting`
+    /// set, each quantum decodes through a fresh [`CountingSink`] and
+    /// the lease keeps that sink's counts, as it did before the counts
+    /// came from the session's stats.
+    #[allow(clippy::type_complexity)]
+    fn olt_telemetry(counting: bool) -> (Vec<(u64, u64)>, Vec<(f64, f64)>, f64) {
+        use unfold_decoder::CountingSink;
+        let (lex, am, lm) = setup();
+        let utts = [
+            utt(&lex, &[3, 9, 17, 3, 9], 5),
+            utt(&lex, &[7, 11, 4, 7], 6),
+        ];
+        let config = ServeConfig {
+            quantum_frames: 8,
+            olt_entries: 64,
+            ..Default::default()
+        };
+        let mut core = core_with(&am, &lm, config);
+        core.add_bias("user", Arc::new(BiasingFst::build(&[(vec![9, 17], 2.0)])));
+        let ids = [
+            core.open_with_models(None, None, 0).unwrap(),
+            core.open_with_models(None, Some("user"), 0).unwrap(),
+        ];
+        for (id, u) in ids.iter().zip(&utts) {
+            push_all(&mut core, *id, u, 0);
+            core.finish(*id, 0).unwrap();
+        }
+        let mut work = WorkScratch::new();
+        work.configure_olt(core.config().olt_entries);
+        let a = core.am();
+        let mut quanta = Vec::new();
+        while let Some(mut lease) = core.lease_next(1) {
+            if counting {
+                let mut counts = CountingSink::default();
+                lease.run(&*a, &mut work, &mut counts);
+                lease.olt_probes = counts.olt_probes;
+                lease.olt_hits = counts.olt_hits;
+            } else {
+                lease.run(&*a, &mut work, &mut NullSink);
+            }
+            quanta.push((lease.olt_probes, lease.olt_hits));
+            core.complete_lease(lease, 2);
+        }
+        let attr = |sp: &unfold_obs::SessionSpan, name: &str| {
+            sp.attrs.iter().find(|(n, _)| n == name).expect("attr").1
+        };
+        let spans = core
+            .spans
+            .iter_closed()
+            .filter(|sp| sp.stage == "lease")
+            .map(|sp| (attr(&sp, "olt_probes"), attr(&sp, "olt_hit_rate")))
+            .collect();
+        core.sync_obs();
+        let gauge = core.obs.gauge("serve.olt_hit_rate").get();
+        (quanta, spans, gauge)
+    }
+
+    /// The lease's OLT probes and hits, read off the session's stats
+    /// across the quantum, equal what a [`CountingSink`] decode counted,
+    /// quantum by quantum, on plain and biased sessions; so do the lease
+    /// span attributes and the `serve.olt_hit_rate` gauge.
+    #[test]
+    fn lease_olt_counts_from_stats_match_a_counting_sink() {
+        let (quanta, spans, gauge) = olt_telemetry(false);
+        let (c_quanta, c_spans, c_gauge) = olt_telemetry(true);
+        assert!(quanta.len() > 2, "several quanta per session");
+        assert!(
+            quanta.iter().any(|&(_, hits)| hits > 0),
+            "the OLT is exercised"
+        );
+        assert_eq!(quanta, c_quanta);
+        assert_eq!(spans.len(), quanta.len());
+        assert_eq!(spans, c_spans);
+        assert!(gauge > 0.0);
+        assert_eq!(gauge.to_bits(), c_gauge.to_bits());
+    }
+
+    /// With no scorer bound, a score row narrower than the AM's largest
+    /// PDF id is refused at ingest with a typed width error and never
+    /// reaches a worker; wider rows are accepted. The session carries
+    /// on and decodes its well-formed frames to the standalone
+    /// transcript, and the ledger reconciles with no panic.
+    #[test]
+    fn narrow_score_row_is_refused_at_ingest() {
+        let (lex, am, lm) = setup();
+        let u = utt(&lex, &[3, 9, 17], 5);
+        let width = u.scores.frame(0).len();
+        let config = ServeConfig {
+            olt_entries: 0,
+            ..Default::default()
+        };
+        let alone = OtfDecoder::new(config.base).decode(&*am, &*lm, &u.scores, &mut NullSink);
+        let mut core = core_with(&am, &lm, config);
+        let id = core.open(0).unwrap();
+        let half = u.scores.num_frames() / 2;
+        for t in 0..half {
+            core.ingest_frame(id, score_row(&u, t), 0).unwrap();
+        }
+        assert_eq!(
+            core.ingest_frame(id, FrameInput::Scores(vec![0.0]), 0),
+            Err(ServeError::Score(
+                id,
+                ScoreError::WidthMismatch {
+                    expected: width,
+                    got: 1
+                }
+            ))
+        );
+        assert_eq!(
+            core.view(id).unwrap().queued,
+            half,
+            "refused row not queued"
+        );
+        let mut work = WorkScratch::new();
+        work.configure_olt(0);
+        while core.step(&mut work, 0).is_some() {}
+        // The rest arrives one column wider than the AM needs.
+        for t in half..u.scores.num_frames() {
+            let mut row = u.scores.frame(t).to_vec();
+            row.push(0.0);
+            core.ingest_frame(id, FrameInput::Scores(row), 0).unwrap();
+        }
+        core.finish(id, 0).unwrap();
+        while core.step(&mut work, 0).is_some() {}
+        let served = core.take_result(id).unwrap().expect("closed");
+        assert_eq!(served.words, alone.words);
+        assert_eq!(served.cost.to_bits(), alone.cost.to_bits());
+        let st = core.stats();
+        assert_eq!(st.worker_panics, 0);
+        assert_eq!(st.frames_dropped, 0);
+        assert_eq!(st.frames_accepted, u.scores.num_frames() as u64);
+        assert_eq!(st.frames_decoded, st.frames_accepted);
+        assert_eq!(core.backlog_frames(), 0);
     }
 
     use unfold_am::{AcousticScores, GmmModel};

@@ -15,7 +15,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use unfold_decoder::{
-    AcousticScorer, AmSource, CountingSink, DecodeResult, FrameInput, LmSource, WorkScratch,
+    AcousticScorer, AmSource, DecodeResult, FrameInput, LmSource, NullSink, WorkScratch,
 };
 use unfold_lm::WordId;
 
@@ -167,11 +167,9 @@ where
     A: AmSource + Send + Sync + 'static + ?Sized,
     L: LmSource + Send + Sync + 'static + ?Sized,
 {
-    // One scratch (and one warm OLT) per worker, for its whole life —
-    // and one counting sink, reset per quantum, feeding the lease span.
+    // One scratch (and one warm OLT) per worker, for its whole life.
     let mut work = WorkScratch::new();
     work.configure_olt(olt_entries);
-    let mut counts = CountingSink::default();
     let mut core = shared.core.lock().expect("serve lock");
     let decode_us = core.lease_decode_us();
     loop {
@@ -195,7 +193,7 @@ where
                     (lease.session(), lease.span_id(), lease.num_frames() as u64);
                 let started = Instant::now();
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    lease.run_traced(&*am, &mut work, &mut counts);
+                    lease.run(&*am, &mut work, &mut NullSink);
                     lease
                 }));
                 let spent = started.elapsed();

@@ -524,6 +524,87 @@ mod tests {
         server.shutdown();
     }
 
+    /// A score row narrower than the AM's largest PDF id, sent over the
+    /// wire with no scorer bound, is refused at ingest with the typed
+    /// width error instead of panicking the worker that would lease it:
+    /// the connection keeps working, and the session decodes its
+    /// well-formed rows to the standalone transcript.
+    #[test]
+    fn narrow_score_row_is_refused_and_the_connection_stays_usable() {
+        let (lex, am, lm) = setup();
+        let u = utt(&lex, &[3, 9, 17], 5);
+        let width = u.scores.frame(0).len();
+        let base = DecodeConfig::default();
+        let alone = OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink);
+        let server = Server::start(
+            ServeConfig {
+                workers: 1,
+                olt_entries: 0,
+                base,
+                ..Default::default()
+            },
+            am,
+            lm,
+        );
+        let handle = server.handle();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let front = TcpFront::start(listener, server.handle()).unwrap();
+        let stream = TcpStream::connect(front.local_addr()).unwrap();
+        let mut rd = R::new(stream.try_clone().unwrap());
+        let mut wr = W::new(stream);
+        let open = ClientMsg::Open {
+            lm: None,
+            bias: None,
+        };
+        write_client(&mut wr, &open).unwrap();
+        let Some(ServerMsg::Opened { session }) = read_server(&mut rd).unwrap() else {
+            panic!("expected Opened");
+        };
+        let mut send = |frames: Vec<FrameInput>| {
+            write_client(&mut wr, &ClientMsg::FramesV2(frames)).unwrap();
+            read_server(&mut rd).unwrap().unwrap()
+        };
+        let row = |t: usize| FrameInput::Scores(u.scores.frame(t).to_vec());
+        let half = u.scores.num_frames() / 2;
+        assert!(matches!(
+            send((0..half).map(row).collect()),
+            ServerMsg::Partial { .. }
+        ));
+        // A chunk's rows share one width on the wire: the narrow row
+        // travels alone.
+        let reply = send(vec![FrameInput::Scores(vec![0.0])]);
+        let ServerMsg::Error { msg } = reply else {
+            panic!("expected Error, got {reply:?}");
+        };
+        let typed = ServeError::Score(
+            session,
+            unfold_decoder::ScoreError::WidthMismatch {
+                expected: width,
+                got: 1,
+            },
+        );
+        assert_eq!(msg, typed.to_string());
+        assert_eq!(handle.stats().frames_accepted, half as u64);
+        assert!(matches!(
+            send((half..u.scores.num_frames()).map(row).collect()),
+            ServerMsg::Partial { .. }
+        ));
+        write_client(&mut wr, &ClientMsg::Finish).unwrap();
+        let reply = read_server(&mut rd).unwrap().unwrap();
+        let ServerMsg::Final { words, cost, .. } = reply else {
+            panic!("expected Final, got {reply:?}");
+        };
+        assert_eq!(words, alone.words);
+        assert_eq!(cost.to_bits(), alone.cost.to_bits());
+        let stats = handle.stats();
+        assert_eq!(stats.worker_panics, 0);
+        assert_eq!(stats.frames_dropped, 0);
+        assert_eq!(stats.frames_accepted, u.scores.num_frames() as u64);
+        assert_eq!(stats.frames_decoded, stats.frames_accepted);
+        front.stop();
+        server.shutdown();
+    }
+
     #[test]
     fn frames_without_open_is_an_error_and_rejection_is_reported() {
         let (_lex, am, lm) = setup();

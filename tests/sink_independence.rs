@@ -3,12 +3,17 @@
 //! the invariant for the batch decoder, the streaming decoder, and the
 //! fully-composed baseline, across `NullSink`, `MetricsSink`, and a
 //! `TeeSink` fan-out — plus a JSONL round-trip for the exported
-//! telemetry itself.
+//! telemetry itself. A `NullSink` decode runs the SoA kernel's copy
+//! compiled for `NullSink` and every other sink runs the dispatching
+//! copy, so the comparison also pins the two copies to each other.
 
 use unfold::{System, TaskSpec};
+use unfold_am::AcousticScores;
+use unfold_bias::{BiasedLm, BiasingFst};
 use unfold_decoder::{
-    CountingSink, DecodeConfig, DecodeResult, FullyComposedDecoder, MetricsSink, NullSink,
-    OtfDecoder, StreamSession, TeeSink, WorkScratch,
+    AmSource, CountingSink, DecodeConfig, DecodeKernel, DecodeResult, DecodeStats,
+    FullyComposedDecoder, LmSource, MetricsSink, NullSink, OtfDecoder, StreamSession, TeeSink,
+    TraceSink, WordLattice, WorkScratch,
 };
 
 fn assert_identical(a: &DecodeResult, b: &DecodeResult, what: &str) {
@@ -73,6 +78,111 @@ fn streaming_decode_is_identical_under_every_sink() {
         let mut tee = TeeSink::new(vec![&mut metrics, &mut counting]);
         let with_tee = run(&mut tee);
         assert_identical(&null, &with_tee, "stream tee");
+    }
+}
+
+/// One batch `decode_lattice` and one lattice-recording stream of
+/// `scores` through `sink`.
+fn decode_both<A: AmSource + ?Sized, L: LmSource + ?Sized>(
+    config: DecodeConfig,
+    am: &A,
+    lm: &L,
+    scores: &AcousticScores,
+    sink: &mut dyn TraceSink,
+) -> [(DecodeResult, WordLattice); 2] {
+    let batch = OtfDecoder::new(config).decode_lattice(am, lm, scores, sink);
+    let mut work = WorkScratch::new();
+    work.begin(&config);
+    let mut s = StreamSession::new(config);
+    s.enable_lattice();
+    s.seed(am, lm, &mut work, sink);
+    for t in 0..scores.num_frames() {
+        s.push_frame(am, lm, &mut work, scores.frame(t), sink);
+    }
+    [batch, s.finalize_lattice(am, sink)]
+}
+
+/// Decodes `scores` under `NullSink` (direct and erased) and under
+/// every observing sink, and asserts words, cost bits, full stats and
+/// the word lattice are bit-identical across all of them. Returns the
+/// batch decode's stats.
+fn assert_sinks_agree<A: AmSource + ?Sized, L: LmSource + ?Sized>(
+    config: DecodeConfig,
+    am: &A,
+    lm: &L,
+    scores: &AcousticScores,
+    what: &str,
+) -> DecodeStats {
+    let null = decode_both(config, am, lm, scores, &mut NullSink);
+    assert!(null[0].0.is_complete(), "{what}: decode incomplete");
+    let erased: &mut dyn TraceSink = &mut NullSink;
+    let mut others = vec![("erased null", decode_both(config, am, lm, scores, erased))];
+
+    let mut metrics = MetricsSink::new();
+    others.push(("metrics", decode_both(config, am, lm, scores, &mut metrics)));
+    assert!(
+        metrics.frames().total_seen() > 0,
+        "{what}: metrics saw nothing"
+    );
+
+    let mut counting = CountingSink::default();
+    others.push((
+        "counting",
+        decode_both(config, am, lm, scores, &mut counting),
+    ));
+    assert_eq!(counting.frames, 2 * null[0].0.stats.frames);
+
+    let mut metrics = MetricsSink::new();
+    let mut counting = CountingSink::default();
+    let mut tee = TeeSink::new(vec![&mut metrics, &mut counting]);
+    others.push(("tee", decode_both(config, am, lm, scores, &mut tee)));
+    assert_eq!(counting.frames, 2 * null[0].0.stats.frames);
+
+    for (sink, runs) in &others {
+        for (path, (reference, got)) in ["batch", "stream"].iter().zip(null.iter().zip(runs)) {
+            let label = format!("{what} {path} {sink}");
+            assert_identical(&reference.0, &got.0, &label);
+            assert!(
+                reference.1.bit_identical(&got.1),
+                "{label}: lattices differ"
+            );
+        }
+    }
+    null[0].0.stats
+}
+
+#[test]
+fn null_sink_copy_matches_observing_sinks_on_plain_and_biased_lms() {
+    let system = System::build(&TaskSpec::tiny());
+    let utts = system.test_utterances(2);
+    let phrase: Vec<u32> = utts[0].words.iter().take(2).copied().collect();
+    let bias = BiasingFst::build(&[(phrase, 2.0)]);
+    let biased = BiasedLm::new(&system.lm_comp, &bias);
+    for olt in [0, 64, unfold_serve::ServeConfig::default().olt_entries] {
+        let config = DecodeConfig::builder()
+            .kernel(DecodeKernel::Soa)
+            .olt_entries(olt)
+            .build()
+            .unwrap();
+        for (i, utt) in utts.iter().enumerate() {
+            let am = &system.am_comp;
+            let plain = assert_sinks_agree(
+                config,
+                am,
+                &system.lm_comp,
+                &utt.scores,
+                &format!("plain olt={olt} utt={i}"),
+            );
+            assert_eq!(plain.olt_probes > 0, olt > 0);
+            let biased = assert_sinks_agree(
+                config,
+                am,
+                &biased,
+                &utt.scores,
+                &format!("biased olt={olt} utt={i}"),
+            );
+            assert!(biased.bias_probes > 0, "the session memo is exercised");
+        }
     }
 }
 
