@@ -31,8 +31,10 @@
 //!   walk where the legacy path pays two.
 //! * **Closure** — the epsilon worklist holds dense entry indices
 //!   (`u32`) instead of keys, so a pop re-reads a token with a lane
-//!   load instead of a hash walk; the epsilon filter scans the staged
-//!   slice rather than re-decoding the state's arcs on every pop.
+//!   load instead of a hash walk. A state the staging arena flagged as
+//!   having no ε-input arc — every state but a word end — is skipped
+//!   right after the beam test; for the rest, the epsilon filter scans
+//!   the staged slice rather than re-decoding the state's arcs.
 //!
 //! Every [`TraceSink`] event and every [`DecodeStats`] counter is
 //! emitted at exactly the same point as the legacy kernel — the two
@@ -137,9 +139,10 @@ pub(crate) fn expand_frame_soa<
         }
     }
     stats.tokens_pruned += (n - work.survivors.len()) as u64;
+    // The next population's reset is timed with the threshold pass.
+    session.next.clear();
     tick(sink, t0, KernelPhase::Threshold);
     sink.stage_switch(DecodeStage::Pruning, DecodeStage::ArcExpansion);
-    session.next.clear();
     let mut next_best = f32::INFINITY;
 
     // Batched probe pass: issue prefetch hints for every survivor's
@@ -317,11 +320,16 @@ pub(crate) fn epsilon_closure_soa<
             continue;
         }
         let (am_s, lm_s) = split(k);
+        // A state without ε-input arcs emits nothing here: skip it
+        // before touching its arcs.
+        let Some(arcs) = stage.eps_arcs(am, am_s) else {
+            continue;
+        };
         eps_local.clear();
         // Replay from the staging arena: the epsilon filter scans a
         // contiguous decoded slice instead of re-unpacking the state's
         // compressed arc stream on every worklist pop.
-        for v in stage.arcs(am, am_s) {
+        for v in arcs {
             if v.arc.ilabel != EPSILON {
                 continue;
             }

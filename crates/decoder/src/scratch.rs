@@ -254,14 +254,21 @@ impl WorkScratch {
 /// arrive. It is (re)bound to an AM via
 /// [`WorkScratch::bind_arc_stage`] and persists across utterances.
 ///
+/// Staging also records, in the top bit of the span's `len` word,
+/// whether the state has any ε-input arc. In both HMM topologies only
+/// word-end states do, so [`ArcStage::eps_arcs`] lets the ε-closure
+/// skip every other state without scanning its arcs.
+///
 /// The arena is soft-capped at [`ArcStage::ARENA_CAP`] visits; states
 /// first seen after the cap decode through a transient buffer instead
 /// of staging (bounded memory on pathologically large models, at the
-/// cost of losing the memo for the tail).
+/// cost of losing the memo for the tail). Such states have no span and
+/// so no flag: they count as "may have ε" and are scanned.
 #[derive(Debug, Default)]
 pub(crate) struct ArcStage {
     /// Per-state `(start, len)` into `arena`; `start == UNSTAGED`
-    /// means the state has not been decoded yet.
+    /// means the state has not been decoded yet. `len` carries
+    /// [`ArcStage::EPS_FLAG`] when the state has an ε-input arc.
     spans: Vec<(u32, u32)>,
     /// Flat decoded-arc storage, appended in first-visit order.
     arena: Vec<ArcVisit>,
@@ -271,6 +278,8 @@ pub(crate) struct ArcStage {
 
 impl ArcStage {
     const UNSTAGED: u32 = u32::MAX;
+    /// Top bit of a span's `len` word: the state has an ε-input arc.
+    const EPS_FLAG: u32 = 1 << 31;
     /// Soft bound on staged visits (32 bytes each — 32 MiB ceiling).
     pub(crate) const ARENA_CAP: usize = 1 << 20;
 
@@ -287,22 +296,52 @@ impl ArcStage {
     /// `am.for_each_arc(s, ..)` would visit, in the same order.
     #[inline]
     pub(crate) fn arcs<A: AmSource + ?Sized>(&mut self, am: &A, s: StateId) -> &[ArcVisit] {
+        self.lookup(am, s).1
+    }
+
+    /// [`ArcStage::arcs`] for the ε-closure: `None` when `s` has no
+    /// ε-input arc, so the caller can skip it without a scan. A state
+    /// beyond the arena cap always yields its arcs.
+    #[inline]
+    pub(crate) fn eps_arcs<A: AmSource + ?Sized>(
+        &mut self,
+        am: &A,
+        s: StateId,
+    ) -> Option<&[ArcVisit]> {
+        let (may_have_eps, arcs) = self.lookup(am, s);
+        may_have_eps.then_some(arcs)
+    }
+
+    /// `(may have an ε-input arc, decoded arcs)` of state `s`.
+    #[inline]
+    fn lookup<A: AmSource + ?Sized>(&mut self, am: &A, s: StateId) -> (bool, &[ArcVisit]) {
         let i = s as usize;
-        let (start, len) = self.spans[i];
+        let (start, packed) = self.spans[i];
         if start != Self::UNSTAGED {
-            return &self.arena[start as usize..start as usize + len as usize];
+            let (start, len) = (start as usize, (packed & !Self::EPS_FLAG) as usize);
+            return (
+                packed & Self::EPS_FLAG != 0,
+                &self.arena[start..start + len],
+            );
         }
         if self.arena.len() < Self::ARENA_CAP {
             let start = self.arena.len();
             let arena = &mut self.arena;
-            am.for_each_arc(s, &mut |v| arena.push(v));
-            self.spans[i] = (start as u32, (self.arena.len() - start) as u32);
-            &self.arena[start..]
+            let mut eps = false;
+            am.for_each_arc(s, &mut |v| {
+                eps |= v.arc.ilabel == EPSILON;
+                arena.push(v);
+            });
+            let len = (self.arena.len() - start) as u32;
+            debug_assert!(len < Self::EPS_FLAG, "state {s}: {len} arcs");
+            let flag = if eps { Self::EPS_FLAG } else { 0 };
+            self.spans[i] = (start as u32, len | flag);
+            (eps, &self.arena[start..])
         } else {
             self.tmp.clear();
             let tmp = &mut self.tmp;
             am.for_each_arc(s, &mut |v| tmp.push(v));
-            &self.tmp
+            (true, &self.tmp)
         }
     }
 
@@ -478,6 +517,33 @@ mod tests {
             staged,
             "revisit must replay, not re-stage"
         );
+    }
+
+    #[test]
+    fn arc_stage_eps_flag_matches_the_arcs_on_both_topologies() {
+        let lex = Lexicon::generate(40, 18, 3);
+        for topology in [HmmTopology::Kaldi3State, HmmTopology::Ctc] {
+            let am = build_am(&lex, topology).fst;
+            let mut stage = ArcStage::default();
+            stage.reset(am.num_states());
+            let mut flagged = 0;
+            for s in 0..am.num_states() as StateId {
+                let mut eps_arcs = 0;
+                am.for_each_arc(s, &mut |v| eps_arcs += usize::from(v.arc.ilabel == EPSILON));
+                // First visit stages the state; the second reads the
+                // flag back from its span.
+                for visit in ["staging", "replay"] {
+                    let got = stage.eps_arcs(&am, s).is_some();
+                    assert_eq!(got, eps_arcs > 0, "{topology:?} state {s} ({visit})");
+                }
+                flagged += usize::from(eps_arcs > 0);
+            }
+            assert!(flagged > 0, "{topology:?}: no state has an ε arc");
+            assert!(
+                flagged < am.num_states(),
+                "{topology:?}: every state flagged"
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl Hasher for DetHasher {
     }
 
     fn write_u64(&mut self, v: u64) {
-        // Strong single-shot mix (splitmix64 finalizer).
+        // Strong single-shot mix (Stafford's variant-13 finalizer).
         let mut z = v.wrapping_add(self.0).wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -122,12 +122,16 @@ pub fn prune_threshold_store(
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
+/// Home-slot hash of a packed token key, masked to the index's low
+/// bits by the caller: one multiply by the 64-bit golden ratio, then
+/// the high half folded down, because the product's low bits see only
+/// the key's low (`lm_state`) half. Which slot a key lands in is never
+/// observable (iteration is insertion order, and `hash_insert` events
+/// carry the key), so the hash only has to spread keys, not be strong.
 #[inline]
-fn splitmix64(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn slot_hash(key: u64) -> u64 {
+    let z = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z ^ (z >> 32)
 }
 
 /// Outcome of one open-addressing walk over a [`TokenStore`] index:
@@ -202,12 +206,35 @@ impl TokenStore {
         self.keys.is_empty()
     }
 
-    /// Drops every token but keeps all four lane allocations.
+    /// Drops every token but keeps all four lane allocations, at a
+    /// cost that follows the live population rather than the index.
+    ///
+    /// The index only grows, so after one wide frame it can be far
+    /// larger than a typical frontier. While the store is under 1/8
+    /// full, `clear` empties just the slots in use: for each entry it
+    /// re-walks the key's probe sequence to the slot holding that
+    /// entry. The walk must not stop at an empty slot, because earlier
+    /// entries' slots on the same run are already emptied. A fuller
+    /// store is reset with one sequential `fill`, which beats that many
+    /// scattered walks. The 1/8 crossover is measured, not guessed:
+    /// walking every store, or filling from 1/16 or 1/32 full, decoded
+    /// slower (DESIGN.md §13).
     pub fn clear(&mut self) {
+        if self.keys.len() * 8 < self.index.len() {
+            let mask = self.index.len() - 1;
+            for (i, &k) in self.keys.iter().enumerate() {
+                let mut slot = slot_hash(k) as usize & mask;
+                while self.index[slot] != i as u32 {
+                    slot = (slot + 1) & mask;
+                }
+                self.index[slot] = EMPTY_SLOT;
+            }
+        } else {
+            self.index.fill(EMPTY_SLOT);
+        }
         self.keys.clear();
         self.costs.clear();
         self.lats.clear();
-        self.index.fill(EMPTY_SLOT);
     }
 
     /// Packed token keys in insertion order.
@@ -272,7 +299,7 @@ impl TokenStore {
             };
         }
         let mask = self.index.len() - 1;
-        let mut slot = splitmix64(key) as usize & mask;
+        let mut slot = slot_hash(key) as usize & mask;
         loop {
             match self.index[slot] {
                 EMPTY_SLOT => {
@@ -337,7 +364,7 @@ impl TokenStore {
         if self.index.len() as u32 != p.cap {
             // Index changed since the probe: re-walk to the free slot.
             let mask = self.index.len() - 1;
-            slot = splitmix64(key) as usize & mask;
+            slot = slot_hash(key) as usize & mask;
             while self.index[slot] != EMPTY_SLOT {
                 slot = (slot + 1) & mask;
             }
@@ -355,7 +382,7 @@ impl TokenStore {
         self.index.resize(cap, EMPTY_SLOT);
         let mask = cap - 1;
         for (i, &k) in self.keys.iter().enumerate() {
-            let mut slot = splitmix64(k) as usize & mask;
+            let mut slot = slot_hash(k) as usize & mask;
             while self.index[slot] != EMPTY_SLOT {
                 slot = (slot + 1) & mask;
             }
@@ -447,8 +474,10 @@ mod tests {
         // Deterministic pseudo-random key stream with repeats.
         let mut x = 0x1234_5678u64;
         for i in 0..300 {
-            x = splitmix64(x);
-            let key = x % 97;
+            x = x
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x1405_7B7E_F767_814F);
+            let key = (x >> 33) % 97;
             let t = tok(i as f32);
             // Path A: fused probe/commit (possibly via update_entry).
             let p = a.probe(key);
@@ -490,6 +519,129 @@ mod tests {
         s.insert(3, tok(1.0));
         assert_eq!(s.get(3), Some(tok(1.0)));
         assert_eq!(s.keys_slice(), &[3]);
+    }
+
+    /// Insert-or-overwrite into the `Vec` oracle, keeping first-insertion
+    /// order like the store.
+    fn oracle_insert(oracle: &mut Vec<(u64, Token)>, key: u64, t: Token) {
+        match oracle.iter_mut().find(|(k, _)| *k == key) {
+            Some(slot) => slot.1 = t,
+            None => oracle.push((key, t)),
+        }
+    }
+
+    fn assert_matches_oracle(s: &TokenStore, oracle: &[(u64, Token)]) {
+        let got: Vec<(u64, Token)> = s.iter().collect();
+        assert_eq!(got, oracle, "store diverged from the oracle");
+        for &(k, t) in oracle {
+            assert_eq!(s.get(k), Some(t), "key {k:#x} unreachable");
+        }
+    }
+
+    /// Clears through whichever path the fill level picks, records which
+    /// one, and checks the index came back empty.
+    fn clear_and_check(s: &mut TokenStore, oracle: &mut Vec<(u64, Token)>, paths: &mut [bool; 2]) {
+        paths[usize::from(s.len() * 8 < s.index.len())] = true;
+        s.clear();
+        oracle.clear();
+        assert!(s.is_empty());
+        assert!(
+            s.index.iter().all(|&e| e == EMPTY_SLOT),
+            "clear left an index slot in use"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random insert / overwrite / probed-insert (fresh and stale
+        /// across growth) / burst / clear sequences keep the store equal
+        /// to a `Vec` oracle, and every clear — through the per-entry
+        /// walk or the fill — leaves every index slot empty.
+        #[test]
+        fn store_matches_a_vec_oracle_through_clears_and_growth(
+            ops in proptest::collection::vec((0u8..10, 0u64..48, 0u64..48), 1..160),
+        ) {
+            let mut s = TokenStore::default();
+            let mut oracle: Vec<(u64, Token)> = Vec::new();
+            let mut paths = [false; 2];
+            let mut fresh = 1u64 << 40;
+            let mut step = 0u32;
+            let mut t = |cost| {
+                step += 1;
+                Token { cost, lat: step }
+            };
+            for &(op, am, lm) in &ops {
+                let key = (am << 32) | lm;
+                match op {
+                    0..=3 => {
+                        let tk = t(lm as f32);
+                        s.insert(key, tk);
+                        oracle_insert(&mut oracle, key, tk);
+                    }
+                    4..=5 => {
+                        // The kernel's relax: one probe, then commit.
+                        let tk = t(am as f32);
+                        let p = s.probe(key);
+                        match p.entry() {
+                            Some(e) => s.update_entry(e, tk),
+                            None => s.insert_probed(p, key, tk),
+                        }
+                        oracle_insert(&mut oracle, key, tk);
+                    }
+                    6 => {
+                        // A probe of an absent key, made stale by the
+                        // inserts that grow the index under it (only on
+                        // a small index: each one doubles the store).
+                        let p = s.probe(key);
+                        if p.entry().is_none() && s.index.len() <= 1024 {
+                            let before = s.index.len();
+                            while s.index.len() == before {
+                                fresh += 1;
+                                let tk = t(0.5);
+                                s.insert(fresh, tk);
+                                oracle.push((fresh, tk));
+                            }
+                            let tk = t(1.5);
+                            s.insert_probed(p, key, tk);
+                            oracle_insert(&mut oracle, key, tk);
+                        }
+                    }
+                    7 => {
+                        // A burst of new keys: pushes the index through
+                        // several doublings over a case.
+                        for _ in 0..am * lm / 4 {
+                            fresh += 1;
+                            let tk = t(2.5);
+                            s.insert(fresh, tk);
+                            oracle.push((fresh, tk));
+                        }
+                    }
+                    _ => clear_and_check(&mut s, &mut oracle, &mut paths),
+                }
+                assert_matches_oracle(&s, &oracle);
+            }
+            // Close every case on both clear paths: a full store is
+            // filled, a sparse one walked.
+            while s.len() * 2 + 2 < s.index.len() || s.index.len() < 1024 {
+                fresh += 1;
+                let tk = t(3.5);
+                s.insert(fresh, tk);
+                oracle.push((fresh, tk));
+            }
+            clear_and_check(&mut s, &mut oracle, &mut paths);
+            for k in 0..9u64 {
+                let tk = t(4.5);
+                s.insert(k << 32, tk);
+                oracle_insert(&mut oracle, k << 32, tk);
+            }
+            assert_matches_oracle(&s, &oracle);
+            clear_and_check(&mut s, &mut oracle, &mut paths);
+            assert_eq!(paths, [true, true], "both clear paths ran");
+            // The index only grows, from 64 slots by doubling: at least
+            // five grows ran.
+            assert!(s.index.len() >= 1024);
+        }
     }
 
     #[test]

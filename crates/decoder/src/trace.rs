@@ -44,7 +44,8 @@ pub enum DecodeStage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPhase {
     /// Beam/histogram threshold fold over the contiguous cost lane plus
-    /// packed survivor-bitmask construction and compaction.
+    /// packed survivor-bitmask construction and compaction, and the
+    /// reset of the next frame's token store.
     Threshold,
     /// The batched probe-buffer pass: prefetching the survivors' AM/LM
     /// state storage before expansion.

@@ -17,7 +17,8 @@
 //! longer truncate to 0.
 //!
 //! With [`LoadgenConfig::scrape_every_ms`] set, a scraper thread polls
-//! the live `Stats` endpoint on its own connection while traffic runs,
+//! the live `Stats` endpoint on its own connection while traffic runs
+//! (reconnecting once when the server has closed it for idleness),
 //! asserting that every counter is monotonic scrape-over-scrape and
 //! that the frame ledger reconciles (`accepted = decoded + backlog +
 //! inflight + dropped`) inside each consistent snapshot.
@@ -265,7 +266,10 @@ impl LoadgenReport {
     }
 }
 
-fn conn(addr: SocketAddr) -> io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+/// A client connection's reader and writer halves.
+type Link = (BufReader<TcpStream>, BufWriter<TcpStream>);
+
+fn conn(addr: SocketAddr) -> io::Result<Link> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     Ok((BufReader::new(stream.try_clone()?), BufWriter::new(stream)))
@@ -320,10 +324,22 @@ fn fetch_stats(
     }
 }
 
+/// One `Stats` round trip on the scraper's connection. The server
+/// closes a connection that stays silent for its idle timeout, and a
+/// scrape interval may be longer than that, so a failed call is tried
+/// once more on a fresh connection, which then replaces the old one.
+fn scrape_stats(addr: SocketAddr, link: &mut Link) -> io::Result<Vec<(String, f64)>> {
+    if let Ok(pairs) = fetch_stats(&mut link.0, &mut link.1) {
+        return Ok(pairs);
+    }
+    *link = conn(addr)?;
+    fetch_stats(&mut link.0, &mut link.1)
+}
+
 /// Polls `Stats` on a dedicated connection until `done`, verifying each
 /// snapshot against the previous one. Returns `(scrapes, failures)`.
 fn scrape_loop(addr: SocketAddr, every_ms: u64, done: &AtomicBool) -> (u64, u64) {
-    let Ok((mut rd, mut wr)) = conn(addr) else {
+    let Ok(mut link) = conn(addr) else {
         return (0, 1);
     };
     let (mut scrapes, mut failures) = (0u64, 0u64);
@@ -339,7 +355,7 @@ fn scrape_loop(addr: SocketAddr, every_ms: u64, done: &AtomicBool) -> (u64, u64)
         if done.load(Ordering::Relaxed) {
             break;
         }
-        let cur = match fetch_stats(&mut rd, &mut wr) {
+        let cur = match scrape_stats(addr, &mut link) {
             Ok(pairs) => pairs,
             Err(_) => {
                 failures += 1;
@@ -751,6 +767,43 @@ mod tests {
         // shutdown_after stops the whole stack: the accept loop sees
         // the flag and exits, and the worker pool joins cleanly.
         front.join();
+        server.shutdown();
+    }
+
+    /// A scrape interval longer than the server's idle timeout: the
+    /// server closes the scraper's silent connection between scrapes,
+    /// and the scraper reconnects instead of counting a failure.
+    #[test]
+    fn scraper_outlasts_the_server_idle_timeout() {
+        let lex = Lexicon::generate(50, 20, 6);
+        let am = build_am(&lex, HmmTopology::Kaldi3State);
+        let spec = CorpusSpec {
+            vocab_size: 50,
+            num_sentences: 300,
+            ..Default::default()
+        };
+        let model = NGramModel::train(&spec.generate(3), 50, DiscountConfig::default());
+        let server = Server::start(
+            ServeConfig {
+                workers: 1,
+                idle_timeout_ms: 100,
+                ..Default::default()
+            },
+            Arc::new(am.fst),
+            Arc::new(lm_to_wfst(&model)),
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let front = TcpFront::start(listener, server.handle()).unwrap();
+        let done = AtomicBool::new(false);
+        let (scrapes, failures) = std::thread::scope(|scope| {
+            let scraper = scope.spawn(|| scrape_loop(front.local_addr(), 250, &done));
+            std::thread::sleep(Duration::from_millis(900));
+            done.store(true, Ordering::Relaxed);
+            scraper.join().expect("scrape thread")
+        });
+        assert_eq!(failures, 0, "after {scrapes} scrapes");
+        assert!(scrapes >= 2, "only {scrapes} scrapes in 900 ms");
+        front.stop();
         server.shutdown();
     }
 

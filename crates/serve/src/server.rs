@@ -423,6 +423,13 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
         }
     }
 
+    /// [`ServeConfig::idle_timeout_ms`](crate::ServeConfig) as a
+    /// duration; `None` when idle eviction is off.
+    pub(crate) fn idle_timeout(&self) -> Option<Duration> {
+        let ms = self.lock().config().idle_timeout_ms;
+        (ms > 0).then(|| Duration::from_millis(ms))
+    }
+
     /// Lifetime counters.
     pub fn stats(&self) -> ServeStats {
         self.lock().stats()

@@ -154,12 +154,18 @@ where
 
 /// Runs one connection to completion. Client disconnection
 /// mid-session is fine: the session is left to the idle-timeout sweep.
+/// A peer that sends nothing, or reads nothing, for the idle timeout
+/// is treated the same way: the socket times out and the connection
+/// closes, so a silent client cannot hold its thread forever.
 fn serve_connection<A, L>(stream: TcpStream, handle: &ServeHandle<A, L>) -> io::Result<()>
 where
     A: AmSource + Send + Sync + 'static + ?Sized,
     L: LmSource + Send + Sync + 'static + ?Sized,
 {
     stream.set_nodelay(true).ok();
+    let idle = handle.idle_timeout();
+    stream.set_read_timeout(idle)?;
+    stream.set_write_timeout(idle)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut session: Option<SessionId> = None;
@@ -601,6 +607,111 @@ mod tests {
         assert_eq!(stats.frames_dropped, 0);
         assert_eq!(stats.frames_accepted, u.scores.num_frames() as u64);
         assert_eq!(stats.frames_decoded, stats.frames_accepted);
+        front.stop();
+        server.shutdown();
+    }
+
+    /// A client that opens a session, sends one chunk and goes silent
+    /// loses its connection after the idle timeout; the session is
+    /// evicted, the frame ledger balances, and a fresh connection
+    /// still decodes to the standalone transcript.
+    #[test]
+    fn silent_peer_is_disconnected_and_its_session_evicted() {
+        use std::time::Instant;
+
+        let (lex, am, lm) = setup();
+        let u = utt(&lex, &[3, 9, 17], 5);
+        let base = DecodeConfig::default();
+        let alone = OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink);
+        let idle_ms = 400;
+        let server = Server::start(
+            ServeConfig {
+                workers: 1,
+                olt_entries: 0,
+                idle_timeout_ms: idle_ms,
+                base,
+                ..Default::default()
+            },
+            am,
+            lm,
+        );
+        let handle = server.handle();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let front = TcpFront::start(listener, server.handle()).unwrap();
+        let frames: Vec<FrameInput> = (0..u.scores.num_frames())
+            .map(|t| FrameInput::Scores(u.scores.frame(t).to_vec()))
+            .collect();
+        let connect = || {
+            let stream = TcpStream::connect(front.local_addr()).unwrap();
+            // Bounds the wait below, so a server that never closes
+            // fails the test instead of hanging it.
+            stream
+                .set_read_timeout(Some(Duration::from_millis(10 * idle_ms)))
+                .unwrap();
+            (R::new(stream.try_clone().unwrap()), W::new(stream))
+        };
+        let open = ClientMsg::Open {
+            lm: None,
+            bias: None,
+        };
+
+        let (mut rd, mut wr) = connect();
+        write_client(&mut wr, &open).unwrap();
+        assert!(matches!(
+            read_server(&mut rd).unwrap(),
+            Some(ServerMsg::Opened { .. })
+        ));
+        write_client(&mut wr, &ClientMsg::FramesV2(frames[..10].to_vec())).unwrap();
+        assert!(matches!(
+            read_server(&mut rd).unwrap(),
+            Some(ServerMsg::Partial { .. })
+        ));
+        // Silence: the server must hang up within twice the timeout.
+        let silent = Instant::now();
+        let closed = read_server(&mut rd);
+        let waited = silent.elapsed();
+        assert!(
+            matches!(closed, Ok(None)),
+            "expected the server to close the connection, got {closed:?} after {waited:?}"
+        );
+        assert!(
+            waited <= Duration::from_millis(2 * idle_ms),
+            "closed after {waited:?}, timeout {idle_ms} ms"
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handle.stats().evicted_idle == 0 {
+            assert!(Instant::now() < deadline, "the session was never evicted");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let stats = handle.stats();
+        assert_eq!(handle.active_sessions(), 0);
+        assert_eq!(stats.frames_accepted, 10);
+        assert_eq!(
+            stats.frames_accepted,
+            stats.frames_decoded + stats.frames_dropped,
+            "frame ledger: {stats:?}"
+        );
+
+        let (mut rd, mut wr) = connect();
+        write_client(&mut wr, &open).unwrap();
+        assert!(matches!(
+            read_server(&mut rd).unwrap(),
+            Some(ServerMsg::Opened { .. })
+        ));
+        for chunk in frames.chunks(10) {
+            write_client(&mut wr, &ClientMsg::FramesV2(chunk.to_vec())).unwrap();
+            assert!(matches!(
+                read_server(&mut rd).unwrap(),
+                Some(ServerMsg::Partial { .. })
+            ));
+        }
+        write_client(&mut wr, &ClientMsg::Finish).unwrap();
+        let reply = read_server(&mut rd).unwrap().unwrap();
+        let ServerMsg::Final { words, cost, .. } = reply else {
+            panic!("expected Final, got {reply:?}");
+        };
+        assert_eq!(words, alone.words);
+        assert_eq!(cost.to_bits(), alone.cost.to_bits());
         front.stop();
         server.shutdown();
     }

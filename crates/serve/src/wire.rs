@@ -183,23 +183,48 @@ impl<'a> Cursor<'a> {
         Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
-    fn words(&mut self) -> io::Result<Vec<u32>> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// A declared count of `n` items of at least `min_bytes` each, or
+    /// `InvalidData` when the bytes left cannot hold them. Every count
+    /// goes through here (or, for frame rows, through the same bound in
+    /// [`Cursor::rows`]) before it sizes an allocation, so what a
+    /// message makes the decoder allocate is proportional to the bytes
+    /// it carries. The widest ratio is a batch of one-wide frame rows:
+    /// each 4-byte cell becomes one `FrameInput` plus a 4-byte heap row,
+    /// about 9× the message, and a message is at most [`MAX_MESSAGE`].
+    fn count(&mut self, min_bytes: usize, what: &str) -> io::Result<usize> {
         let n = self.u32()? as usize;
-        if n > MAX_MESSAGE / 4 {
-            return Err(bad("word list too long"));
+        if n.checked_mul(min_bytes)
+            .is_none_or(|bytes| bytes > self.remaining())
+        {
+            return Err(bad(&format!("{what}: {n} declared, truncated message")));
         }
+        Ok(n)
+    }
+
+    fn words(&mut self) -> io::Result<Vec<u32>> {
+        let n = self.count(4, "word list")?;
         (0..n).map(|_| self.u32()).collect()
     }
 
     /// `[u32 n] [u32 width] [n × width f32]`, each row through `make`.
+    /// A zero width is refused unless the batch is empty: zero-width
+    /// rows carry no bytes, so they could not be bounded by the
+    /// message's length.
     fn rows<T>(&mut self, make: impl Fn(Vec<f32>) -> T) -> io::Result<Vec<T>> {
         let n = self.u32()? as usize;
         let width = self.u32()? as usize;
+        if width == 0 && n > 0 {
+            return Err(bad("zero-width frame batch"));
+        }
         if n.checked_mul(width)
             .and_then(|cells| cells.checked_mul(4))
-            .is_none_or(|bytes| bytes > MAX_MESSAGE)
+            .is_none_or(|bytes| bytes > self.remaining())
         {
-            return Err(bad("frame batch too large"));
+            return Err(bad("frame batch: truncated message"));
         }
         let mut rows = Vec::with_capacity(n);
         for _ in 0..n {
@@ -363,10 +388,8 @@ impl ClientMsg {
             T_DUMP => ClientMsg::Dump,
             T_ADD_BIAS => {
                 let name = c.string()?;
-                let n = c.u32()? as usize;
-                if n > MAX_MESSAGE / 8 {
-                    return Err(bad("phrase list too long"));
-                }
+                // A phrase is at least its word count and its bonus.
+                let n = c.count(8, "phrase list")?;
                 let mut phrases = Vec::with_capacity(n);
                 for _ in 0..n {
                     let words = c.words()?;
