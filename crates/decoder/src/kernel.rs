@@ -31,10 +31,13 @@
 //!   walk where the legacy path pays two.
 //! * **Closure** — the epsilon worklist holds dense entry indices
 //!   (`u32`) instead of keys, so a pop re-reads a token with a lane
-//!   load instead of a hash walk. A state the staging arena flagged as
-//!   having no ε-input arc — every state but a word end — is skipped
-//!   right after the beam test; for the rest, the epsilon filter scans
-//!   the staged slice rather than re-decoding the state's arcs.
+//!   load instead of a hash walk. Expansion seeds it: a new entry goes
+//!   on the list only if its state may have an ε-input arc, so tokens
+//!   in states the staging arena flagged as ε-free — every state but a
+//!   word end — are never popped at all. A popped state the arena
+//!   flags as ε-free is still skipped right after the beam test; for
+//!   the rest, the epsilon filter scans the staged slice rather than
+//!   re-decoding the state's arcs.
 //!
 //! Every [`TraceSink`] event and every [`DecodeStats`] counter is
 //! emitted at exactly the same point as the legacy kernel — the two
@@ -168,6 +171,9 @@ pub(crate) fn expand_frame_soa<
         let stage = &mut work.arc_stage;
         let lattice = &mut session.lattice;
         let survivors = &work.survivors;
+        // The ε-closure's initial worklist, filled in entry order.
+        let seeds = &mut work.worklist_idx;
+        seeds.clear();
         let keys = cur.keys_slice();
         for (j, &e) in survivors.iter().enumerate() {
             // Software pipelining: warm survivor j+1's state records
@@ -183,7 +189,8 @@ pub(crate) fn expand_frame_soa<
             // Replay the state's decoded arcs from the staging arena
             // (first visit stages them): a contiguous slice walk where
             // the legacy kernel re-unpacks the compressed bit stream.
-            for &v in stage.arcs(am, am_s) {
+            let (arcs, eps) = stage.arcs_and_eps(am, am_s);
+            for &v in arcs {
                 sink.am_arc_fetch(v.addr, v.bytes);
                 let arc = v.arc;
                 if arc.ilabel == EPSILON {
@@ -227,7 +234,11 @@ pub(crate) fn expand_frame_soa<
                     .plus(TropicalWeight::from_cost(next_best))
                     .value();
                 lattice.record_emit(k, token_key(arc.nextstate, lm_next), word, cost);
-                relax_soa(
+                // A relaxation that returns the store's old length
+                // created a new entry. It becomes a closure seed unless
+                // its state is staged without ε-input arcs.
+                let fresh = next.len() as u32;
+                let relaxed = relax_soa(
                     next,
                     token_key(arc.nextstate, lm_next),
                     cost,
@@ -237,6 +248,9 @@ pub(crate) fn expand_frame_soa<
                     lattice,
                     sink,
                 );
+                if relaxed == Some(fresh) && eps.may_have_eps(arc.nextstate) {
+                    seeds.push(fresh);
+                }
             }
         }
     }
@@ -279,11 +293,17 @@ pub(crate) fn expand_frame_soa<
 
 /// SoA counterpart of [`crate::otf::epsilon_closure`]: the worklist
 /// holds dense entry indices, so a pop re-reads the (possibly
-/// improved) token with a lane load instead of a hash walk. Entry
+/// improved) token with a lane load instead of a hash walk.
+///
+/// The caller hands in the initial worklist: the ascending entries of
+/// `tokens` whose state may have an ε-input arc. The legacy closure
+/// starts from every entry, but a pop of a state the arc stage has
+/// staged as ε-free does nothing: no event, no counter, no staging.
+/// Leaving those entries out keeps every other entry in the same
+/// relative order, so the LIFO pops that do work — and therefore the
+/// event stream — match the legacy closure token for token. Entry
 /// indices are stable under insertion (nothing is ever removed
-/// mid-closure), and `0..len` enumerates exactly `tokens.keys()` in
-/// insertion order, so the LIFO processing order — and therefore the
-/// event stream — matches the legacy closure token for token.
+/// mid-closure).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn epsilon_closure_soa<
     A: AmSource + ?Sized,
@@ -306,8 +326,6 @@ pub(crate) fn epsilon_closure_soa<
     sink: &mut S,
     stats: &mut DecodeStats,
 ) {
-    worklist.clear();
-    worklist.extend(0..tokens.len() as u32);
     let mut guard = 0u64;
     while let Some(e) = worklist.pop() {
         guard += 1;
@@ -430,13 +448,16 @@ fn relax_soa<S: TraceSink + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{DecodeConfig, DecodeKernel};
+    use crate::config::{DecodeConfig, DecodeKernel, DecodeResult};
     use crate::otf::OtfDecoder;
-    use crate::record::TraceRecorder;
+    use crate::record::{TraceEvent, TraceRecorder};
+    use crate::scratch::DecodeScratch;
     use crate::trace::NullSink;
     use proptest::prelude::*;
     use std::sync::OnceLock;
-    use unfold_am::{build_am, synthesize_utterance, HmmTopology, Lexicon, NoiseModel};
+    use unfold_am::{
+        build_am, synthesize_utterance, AcousticScores, HmmTopology, Lexicon, NoiseModel,
+    };
     use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
     use unfold_wfst::Wfst;
 
@@ -478,11 +499,26 @@ mod tests {
         assert_eq!(a.words, b.words, "transcripts diverged");
         assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "cost bits diverged");
         assert_eq!(a.stats, b.stats, "stats diverged");
-        assert_eq!(
-            rec_legacy.events(),
-            rec_soa.events(),
-            "ordered trace-event streams diverged"
-        );
+        assert_same_events(rec_legacy.events(), rec_soa.events(), "kernels");
+    }
+
+    /// Asserts two ordered event streams are identical, comparing the
+    /// costs a `FrameEnd` carries by their bits, so a NaN cost (from a
+    /// NaN score row) equals itself. Reports the first divergence
+    /// rather than dumping both streams.
+    fn assert_same_events(a: &[TraceEvent], b: &[TraceEvent], what: &str) {
+        let bits = |e: &TraceEvent| match *e {
+            TraceEvent::FrameEnd(t, n, best, worst) => Err((t, n, best.to_bits(), worst.to_bits())),
+            other => Ok(other),
+        };
+        let first = a.iter().zip(b).position(|(x, y)| bits(x) != bits(y));
+        if let Some(i) = first {
+            panic!(
+                "{what}: ordered trace-event streams diverged at event {i}: {:?} vs {:?}",
+                a[i], b[i]
+            );
+        }
+        assert_eq!(a.len(), b.len(), "{what}: event stream lengths diverged");
     }
 
     #[test]
@@ -524,6 +560,113 @@ mod tests {
                     .build()
                     .unwrap();
                 assert_kernels_identical(&cfg, &utt.scores);
+            }
+        }
+    }
+
+    /// `scores` with row `t` overwritten: every PDF's cost NaN when
+    /// `every` is 1, every `every`-th one otherwise.
+    fn with_nan_row(scores: &AcousticScores, t: usize, every: usize) -> AcousticScores {
+        let n = scores.num_pdfs();
+        let mut flat: Vec<f32> = (0..scores.num_frames())
+            .flat_map(|f| scores.frame(f).iter().copied())
+            .collect();
+        for c in flat[t * n..(t + 1) * n].iter_mut().step_by(every) {
+            *c = f32::NAN;
+        }
+        AcousticScores::from_flat(flat, n)
+    }
+
+    /// A NaN score row at mid-utterance — serve passes precomputed rows
+    /// through verbatim — under histogram pruning tight enough to rank
+    /// NaN costs against numbers: the decode completes, and both kernels
+    /// stay bit-identical.
+    #[test]
+    fn nan_score_row_decodes_identically_under_histogram_pruning() {
+        let (lex, am, lm) = models();
+        let utt = synthesize_utterance(
+            &[7, 3],
+            lex,
+            HmmTopology::Kaldi3State,
+            &NoiseModel::default(),
+            11,
+        );
+        let mid = utt.scores.num_frames() / 2;
+        for every in [1, 3] {
+            let scores = with_nan_row(&utt.scores, mid, every);
+            for max_active in [3, 40] {
+                let cfg = DecodeConfig::builder()
+                    .max_active(max_active)
+                    .build()
+                    .unwrap();
+                assert_kernels_identical(&cfg, &scores);
+                let r = OtfDecoder::new(cfg).decode(am, lm, &scores, &mut NullSink);
+                assert_eq!(r.stats.frames, utt.scores.num_frames());
+            }
+        }
+    }
+
+    /// The CTC acoustic model over [`models`]' lexicon.
+    fn ctc_am() -> &'static Wfst {
+        static AM: OnceLock<Wfst> = OnceLock::new();
+        AM.get_or_init(|| build_am(&models().0, HmmTopology::Ctc).fst)
+    }
+
+    /// An SoA decode on a fresh scratch whose arc stage is capped at
+    /// `cap` visits (uncapped when `None`): the result, the ordered
+    /// events, and how many visits the stage ended up holding.
+    fn soa_decode_capped(
+        am: &Wfst,
+        scores: &AcousticScores,
+        cap: Option<usize>,
+    ) -> (DecodeResult, TraceRecorder, usize) {
+        let cfg = DecodeConfig::builder()
+            .kernel(DecodeKernel::Soa)
+            .build()
+            .unwrap();
+        let mut scratch = DecodeScratch::new();
+        if let Some(cap) = cap {
+            scratch.work.arc_stage.set_cap(cap);
+        }
+        let mut rec = TraceRecorder::default();
+        let r = OtfDecoder::new(cfg).decode_with(am, &models().2, scores, &mut scratch, &mut rec);
+        (r, rec, scratch.work.arc_stage.staged_visits())
+    }
+
+    /// The arc stage past its cap, which no test model reaches at the
+    /// real `ARENA_CAP` of 2^20 visits. Capped at a few visits, nearly
+    /// every state decodes through the transient buffer and, having no
+    /// span, seeds the ε-closure as "may have ε": the decode must still
+    /// be bit-identical to the uncapped one on both topologies.
+    #[test]
+    fn over_cap_arc_stage_decodes_identically_on_both_topologies() {
+        let lex = &models().0;
+        for (topology, am) in [
+            (HmmTopology::Kaldi3State, &models().1),
+            (HmmTopology::Ctc, ctc_am()),
+        ] {
+            let utt =
+                synthesize_utterance(&[7, 3, 15, 2], lex, topology, &NoiseModel::default(), 5);
+            let (want, want_rec, staged) = soa_decode_capped(am, &utt.scores, None);
+            assert!(want.is_complete(), "{topology:?}: no complete hypothesis");
+            for cap in [0, 1, 8, 64] {
+                let (got, got_rec, capped) = soa_decode_capped(am, &utt.scores, Some(cap));
+                assert!(
+                    capped < staged,
+                    "{topology:?} cap {cap}: never over the cap"
+                );
+                assert_eq!(got.words, want.words, "{topology:?} cap {cap}: words");
+                assert_eq!(
+                    got.cost.to_bits(),
+                    want.cost.to_bits(),
+                    "{topology:?} cap {cap}: cost bits"
+                );
+                assert_eq!(got.stats, want.stats, "{topology:?} cap {cap}: stats");
+                assert_same_events(
+                    got_rec.events(),
+                    want_rec.events(),
+                    &format!("{topology:?} cap {cap}"),
+                );
             }
         }
     }

@@ -304,6 +304,9 @@ fn seed_closure_soa<A: AmSource + ?Sized, L: LmSource + ?Sized, S: TraceSink + ?
     // The streaming path seeds before the first frame's
     // `ensure_validated`, so the stage binds here too.
     work.bind_arc_stage(am);
+    // The closure starts from every entry: the lone start token.
+    work.worklist_idx.clear();
+    work.worklist_idx.extend(0..session.cur.len() as u32);
     crate::kernel::epsilon_closure_soa(
         config,
         am,

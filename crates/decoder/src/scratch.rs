@@ -98,7 +98,8 @@ pub struct WorkScratch {
     /// Epsilon-closure worklist (legacy kernel: token keys).
     pub(crate) worklist: Vec<u64>,
     /// Epsilon-closure worklist (SoA kernel: dense entry indices, so a
-    /// pop is a direct lane load instead of a hash walk).
+    /// pop is a direct lane load instead of a hash walk). Expansion
+    /// fills it with the closure's seeds.
     pub(crate) worklist_idx: Vec<u32>,
     /// Per-state epsilon-arc staging buffer.
     pub(crate) eps_local: Vec<(unfold_wfst::StateId, f32, unfold_wfst::Label)>,
@@ -257,13 +258,18 @@ impl WorkScratch {
 /// Staging also records, in the top bit of the span's `len` word,
 /// whether the state has any ε-input arc. In both HMM topologies only
 /// word-end states do, so [`ArcStage::eps_arcs`] lets the ε-closure
-/// skip every other state without scanning its arcs.
+/// skip every other state without scanning its arcs, and
+/// [`EpsFlags`] lets expansion leave such states out of the closure's
+/// worklist altogether.
 ///
 /// The arena is soft-capped at [`ArcStage::ARENA_CAP`] visits; states
 /// first seen after the cap decode through a transient buffer instead
 /// of staging (bounded memory on pathologically large models, at the
 /// cost of losing the memo for the tail). Such states have no span and
 /// so no flag: they count as "may have ε" and are scanned.
+///
+/// A lookup of a staged state is the hot path and inlines into the
+/// kernel; staging and the over-cap decode run out of line.
 #[derive(Debug, Default)]
 pub(crate) struct ArcStage {
     /// Per-state `(start, len)` into `arena`; `start == UNSTAGED`
@@ -274,6 +280,27 @@ pub(crate) struct ArcStage {
     arena: Vec<ArcVisit>,
     /// Fallback decode buffer for states beyond the arena cap.
     tmp: Vec<ArcVisit>,
+    /// A test's arena bound in place of [`ArcStage::ARENA_CAP`], so
+    /// decodes can reach the over-cap path on small models.
+    #[cfg(test)]
+    test_cap: Option<usize>,
+}
+
+/// Shared view of the stage's ε flags, handed out next to a replay
+/// slice by [`ArcStage::arcs_and_eps`] so the expansion loop can ask
+/// about destination states while it walks a source state's arcs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EpsFlags<'a>(&'a [(u32, u32)]);
+
+impl EpsFlags<'_> {
+    /// Whether the ε-closure has to look at state `s`: it is staged
+    /// with an ε-input arc, or it is not staged (not yet visited, or
+    /// past the arena cap), so nothing is known about its arcs.
+    #[inline(always)]
+    pub(crate) fn may_have_eps(self, s: StateId) -> bool {
+        let (start, packed) = self.0[s as usize];
+        start == ArcStage::UNSTAGED || packed & ArcStage::EPS_FLAG != 0
+    }
 }
 
 impl ArcStage {
@@ -291,40 +318,65 @@ impl ArcStage {
         self.arena.clear();
     }
 
-    /// The decoded arcs of AM state `s`: a contiguous replay slice when
-    /// staged, staging it first when not. Identical to what
-    /// `am.for_each_arc(s, ..)` would visit, in the same order.
-    #[inline]
-    pub(crate) fn arcs<A: AmSource + ?Sized>(&mut self, am: &A, s: StateId) -> &[ArcVisit] {
-        self.lookup(am, s).1
+    /// The decoded arcs of AM state `s`, plus a view of every state's ε
+    /// flag for the expansion loop. The arcs are a contiguous replay
+    /// slice when staged, staging them first when not: identical to
+    /// what `am.for_each_arc(s, ..)` would visit, in the same order.
+    #[inline(always)]
+    pub(crate) fn arcs_and_eps<A: AmSource + ?Sized>(
+        &mut self,
+        am: &A,
+        s: StateId,
+    ) -> (&[ArcVisit], EpsFlags<'_>) {
+        let this = self.lookup(am, s);
+        (this.replay(s).1, EpsFlags(&this.spans))
     }
 
-    /// [`ArcStage::arcs`] for the ε-closure: `None` when `s` has no
-    /// ε-input arc, so the caller can skip it without a scan. A state
-    /// beyond the arena cap always yields its arcs.
+    /// The decoded arcs of `s` for the ε-closure: `None` when `s` has
+    /// no ε-input arc, so the caller can skip it without a scan. A
+    /// state beyond the arena cap always yields its arcs.
     #[inline]
     pub(crate) fn eps_arcs<A: AmSource + ?Sized>(
         &mut self,
         am: &A,
         s: StateId,
     ) -> Option<&[ArcVisit]> {
-        let (may_have_eps, arcs) = self.lookup(am, s);
+        let (may_have_eps, arcs) = self.lookup(am, s).replay(s);
         may_have_eps.then_some(arcs)
     }
 
-    /// `(may have an ε-input arc, decoded arcs)` of state `s`.
-    #[inline]
-    fn lookup<A: AmSource + ?Sized>(&mut self, am: &A, s: StateId) -> (bool, &[ArcVisit]) {
-        let i = s as usize;
-        let (start, packed) = self.spans[i];
-        if start != Self::UNSTAGED {
-            let (start, len) = (start as usize, (packed & !Self::EPS_FLAG) as usize);
-            return (
-                packed & Self::EPS_FLAG != 0,
-                &self.arena[start..start + len],
-            );
+    /// Makes state `s` replayable: staged already (the hot path), or
+    /// decoded now by [`ArcStage::stage`].
+    #[inline(always)]
+    fn lookup<A: AmSource + ?Sized>(&mut self, am: &A, s: StateId) -> &Self {
+        if self.spans[s as usize].0 == Self::UNSTAGED {
+            self.stage(am, s);
         }
-        if self.arena.len() < Self::ARENA_CAP {
+        self
+    }
+
+    /// `(may have an ε-input arc, decoded arcs)` of a state
+    /// [`ArcStage::lookup`] just made replayable: its span, or the
+    /// transient buffer when it lies past the cap.
+    #[inline(always)]
+    fn replay(&self, s: StateId) -> (bool, &[ArcVisit]) {
+        let (start, packed) = self.spans[s as usize];
+        if start == Self::UNSTAGED {
+            return (true, &self.tmp);
+        }
+        let (start, len) = (start as usize, (packed & !Self::EPS_FLAG) as usize);
+        (
+            packed & Self::EPS_FLAG != 0,
+            &self.arena[start..start + len],
+        )
+    }
+
+    /// First visit to state `s`: decodes its arcs into the arena and
+    /// records the span, or, past the cap, into the transient buffer.
+    #[cold]
+    #[inline(never)]
+    fn stage<A: AmSource + ?Sized>(&mut self, am: &A, s: StateId) {
+        if self.arena.len() < self.cap() {
             let start = self.arena.len();
             let arena = &mut self.arena;
             let mut eps = false;
@@ -335,14 +387,28 @@ impl ArcStage {
             let len = (self.arena.len() - start) as u32;
             debug_assert!(len < Self::EPS_FLAG, "state {s}: {len} arcs");
             let flag = if eps { Self::EPS_FLAG } else { 0 };
-            self.spans[i] = (start as u32, len | flag);
-            (eps, &self.arena[start..])
+            self.spans[s as usize] = (start as u32, len | flag);
         } else {
             self.tmp.clear();
             let tmp = &mut self.tmp;
             am.for_each_arc(s, &mut |v| tmp.push(v));
-            (true, &self.tmp)
         }
+    }
+
+    /// The arena bound in visits.
+    #[inline]
+    fn cap(&self) -> usize {
+        #[cfg(test)]
+        if let Some(cap) = self.test_cap {
+            return cap;
+        }
+        Self::ARENA_CAP
+    }
+
+    /// Caps the arena at `visits` instead of [`ArcStage::ARENA_CAP`].
+    #[cfg(test)]
+    pub(crate) fn set_cap(&mut self, visits: usize) {
+        self.test_cap = Some(visits);
     }
 
     /// Visits staged so far (test and reporting hook).
@@ -509,9 +575,13 @@ mod tests {
         let mut direct = Vec::new();
         am.for_each_arc(s, &mut |v| direct.push(v));
         assert!(!direct.is_empty(), "start state should have arcs");
-        assert_eq!(stage.arcs(&am, s), &direct[..], "staging pass diverged");
+        assert_eq!(
+            stage.arcs_and_eps(&am, s).0,
+            &direct[..],
+            "staging pass diverged"
+        );
         let staged = stage.staged_visits();
-        assert_eq!(stage.arcs(&am, s), &direct[..], "replay diverged");
+        assert_eq!(stage.arcs_and_eps(&am, s).0, &direct[..], "replay diverged");
         assert_eq!(
             stage.staged_visits(),
             staged,
@@ -551,7 +621,7 @@ mod tests {
         let (am, other) = models();
         let mut work = WorkScratch::new();
         work.bind_arc_stage(&am);
-        let _ = work.arc_stage.arcs(&am, am.start());
+        let _ = work.arc_stage.arcs_and_eps(&am, am.start());
         let staged = work.arc_stage.staged_visits();
         assert!(staged > 0);
         // Same AM: warm across utterances, like the OLT.
@@ -572,7 +642,7 @@ mod tests {
         let mut work = WorkScratch::new();
         work.bind_olt_model(1);
         work.bind_arc_stage(&am);
-        let _ = work.arc_stage.arcs(&am, am.start());
+        let _ = work.arc_stage.arcs_and_eps(&am, am.start());
         assert!(work.arc_stage.staged_visits() > 0);
         // A model-generation change is the ABA-safe invalidation path:
         // the next bind must restart the arena cold even though the AM

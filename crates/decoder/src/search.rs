@@ -1,6 +1,7 @@
 //! Shared beam-search machinery: deterministic hash maps, pruning
 //! thresholds, and token relaxation used by both decoders.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -77,11 +78,28 @@ where
     let mut thr = best.times(TropicalWeight::from_cost(beam)).value();
     if tokens.len() > max_active {
         let mut costs: Vec<f32> = tokens.values().map(|t| t.cost).collect();
-        let (_, nth, _) =
-            costs.select_nth_unstable_by(max_active - 1, |a, b| a.partial_cmp(b).unwrap());
+        let (_, nth, _) = costs.select_nth_unstable_by(max_active - 1, histogram_rank);
         thr = thr.min(*nth);
     }
     thr
+}
+
+/// The order histogram pruning ranks costs in: numbers in IEEE total
+/// order (so `-0.0` ranks before `+0.0`), then every NaN, all equal.
+///
+/// A NaN cost can reach the search (a serve client's precomputed score
+/// rows pass through verbatim), so the rank must not panic on one, and
+/// a NaN must never be the `max_active`-th best while numbers remain.
+/// Telling the zeros apart makes the selected value's bits depend only
+/// on the costs, not on the order they are stored in, which is what
+/// lets [`prune_threshold`] and [`prune_threshold_store`] agree bit for
+/// bit. A selected NaN leaves the threshold alone (`f32::min` ignores
+/// it).
+fn histogram_rank(a: &f32, b: &f32) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.total_cmp(b),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
 }
 
 /// [`prune_threshold`] over a [`TokenStore`], staging the cost copy in
@@ -103,18 +121,31 @@ pub fn prune_threshold_store(
         return f32::INFINITY;
     }
     let cs = tokens.costs();
-    // Same tropical fold as [`prune_threshold`], over the contiguous
-    // cost lane; compiles to the identical branchless min reduction.
-    let mut best = TropicalWeight::zero();
-    for &c in cs {
-        best = TropicalWeight::from_cost(c).plus(best);
+    // The tropical fold of [`prune_threshold`], over eight independent
+    // lanes so no compare waits on the one before it. Each step keeps
+    // `c <= lane ? c : lane`, so a NaN is never picked, exactly as in
+    // the serial fold. Lanes and remainder then fold the same way. The
+    // result differs from the serial fold's at most in the sign of a
+    // zero best, and `best + beam` is the same value for both zeros
+    // because the beam is finite and positive (checked by the config
+    // builder): `thr` is bit-identical.
+    let mut lanes = [TropicalWeight::zero(); 8];
+    let chunks = cs.chunks_exact(8);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &c) in lanes.iter_mut().zip(chunk) {
+            *lane = TropicalWeight::from_cost(c).plus(*lane);
+        }
     }
+    let best = lanes
+        .into_iter()
+        .chain(rest.iter().map(|&c| TropicalWeight::from_cost(c)))
+        .fold(TropicalWeight::zero(), |acc, w| w.plus(acc));
     let mut thr = best.times(TropicalWeight::from_cost(beam)).value();
     if cs.len() > max_active {
         costs.clear();
         costs.extend_from_slice(cs);
-        let (_, nth, _) =
-            costs.select_nth_unstable_by(max_active - 1, |a, b| a.partial_cmp(b).unwrap());
+        let (_, nth, _) = costs.select_nth_unstable_by(max_active - 1, histogram_rank);
         thr = thr.min(*nth);
     }
     thr
@@ -351,24 +382,41 @@ impl TokenStore {
     /// Commits an insert-or-overwrite at a previously probed position,
     /// skipping the second index walk `get`-then-`insert` would pay.
     /// Falls back to a fresh walk if the index grew (or needs to grow)
-    /// since the probe.
+    /// since the probe. The commit inlines into the caller; growth and
+    /// the re-walk run out of line in [`TokenStore::insert_regrown`].
+    #[inline]
     pub fn insert_probed(&mut self, p: Probe, key: u64, tok: Token) {
         if let Some(e) = p.entry() {
             self.update_entry(e, tok);
             return;
         }
+        if self.keys.len() * 2 >= self.index.len() || self.index.len() as u32 != p.cap {
+            self.insert_regrown(key, tok);
+            return;
+        }
+        self.commit(p.slot as usize, key, tok);
+    }
+
+    /// The rare half of [`TokenStore::insert_probed`]: grows the index
+    /// if it is half full, then walks to the key's free slot, because
+    /// the probe's slot is stale once the index has changed.
+    #[cold]
+    #[inline(never)]
+    fn insert_regrown(&mut self, key: u64, tok: Token) {
         if self.keys.len() * 2 >= self.index.len() {
             self.grow();
         }
-        let mut slot = p.slot as usize;
-        if self.index.len() as u32 != p.cap {
-            // Index changed since the probe: re-walk to the free slot.
-            let mask = self.index.len() - 1;
-            slot = slot_hash(key) as usize & mask;
-            while self.index[slot] != EMPTY_SLOT {
-                slot = (slot + 1) & mask;
-            }
+        let mask = self.index.len() - 1;
+        let mut slot = slot_hash(key) as usize & mask;
+        while self.index[slot] != EMPTY_SLOT {
+            slot = (slot + 1) & mask;
         }
+        self.commit(slot, key, tok);
+    }
+
+    /// Appends a new entry and points the free index `slot` at it.
+    #[inline(always)]
+    fn commit(&mut self, slot: usize, key: u64, tok: Token) {
         debug_assert_eq!(self.index[slot], EMPTY_SLOT);
         self.index[slot] = self.keys.len() as u32;
         self.keys.push(key);
@@ -428,6 +476,74 @@ mod tests {
     fn empty_population() {
         let m: TokenMap<u32, Token> = TokenMap::default();
         assert_eq!(prune_threshold(&m, 5.0, 10), f32::INFINITY);
+    }
+
+    fn store_of(costs: &[f32]) -> TokenStore {
+        let mut s = TokenStore::default();
+        for (i, &c) in costs.iter().enumerate() {
+            s.insert(i as u64, tok(c));
+        }
+        s
+    }
+
+    /// NaN costs rank after every number in the histogram selection:
+    /// no panic, and a NaN is never the `max_active`-th best while
+    /// numbers remain. A selected NaN leaves the beam threshold alone.
+    #[test]
+    fn histogram_ranks_nan_after_every_number() {
+        let nan = f32::NAN;
+        let costs = [nan, 3.0, 1.0, nan, 2.0, nan];
+        let mut buf = Vec::new();
+        for (max_active, want) in [(1, 1.0), (2, 2.0), (3, 3.0), (4, 101.0), (5, 101.0)] {
+            assert_eq!(prune_threshold(&map_of(&costs), 100.0, max_active), want);
+            assert_eq!(
+                prune_threshold_store(&store_of(&costs), 100.0, max_active, &mut buf),
+                want
+            );
+        }
+    }
+
+    /// A cost the beam threshold has to handle: a finite number (drawn
+    /// twice as often, from two ranges so near-ties occur), either zero,
+    /// either infinity, or NaN.
+    fn any_cost() -> impl proptest::prelude::Strategy<Value = f32> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (-40.0f32..40.0),
+            (-1.0f32..1.0),
+            Just(0.0f32),
+            Just(-0.0f32),
+            Just(f32::INFINITY),
+            Just(f32::NEG_INFINITY),
+            Just(f32::NAN),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The SoA threshold — an eight-lane best fold and a histogram
+        /// selection over a staging copy — equals, bit for bit, the
+        /// scalar `TokenMap` threshold `FullyComposedDecoder` uses, for
+        /// every length up to 80 (so every remainder mod 8) and with
+        /// `max_active` below, at and above the population. Both kernels
+        /// call `prune_threshold_store`, so the kernel identity tests
+        /// cannot see a change to it; this test is its guard.
+        #[test]
+        fn lane_fold_threshold_equals_the_scalar_fold(
+            costs in proptest::collection::vec(any_cost(), 0..81),
+            beam in 0.25f32..20.0,
+            pick in 1usize..90,
+        ) {
+            let (map, store) = (map_of(&costs), store_of(&costs));
+            let mut buf = Vec::new();
+            let n = costs.len();
+            for max_active in [1, pick, n.max(1), n / 2 + 1, n + 1, usize::MAX] {
+                let want = prune_threshold(&map, beam, max_active);
+                let got = prune_threshold_store(&store, beam, max_active, &mut buf);
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
     }
 
     fn tok(cost: f32) -> Token {

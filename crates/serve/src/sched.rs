@@ -2228,6 +2228,43 @@ mod tests {
         assert_eq!(core.backlog_frames(), 0);
     }
 
+    /// A NaN score row at mid-utterance, passed through verbatim, under
+    /// histogram pruning tight enough to rank NaN costs against numbers:
+    /// the session decodes to the standalone result instead of aborting
+    /// its lease, and no frame is dropped.
+    #[test]
+    fn nan_score_row_decodes_under_histogram_pruning() {
+        let (lex, am, lm) = setup();
+        let u = utt(&lex, &[3, 9], 5);
+        let (n, width) = (u.scores.num_frames(), u.scores.num_pdfs());
+        let mut flat: Vec<f32> = (0..n).flat_map(|t| u.scores.frame(t).to_vec()).collect();
+        flat[n / 2 * width..(n / 2 + 1) * width].fill(f32::NAN);
+        let scores = AcousticScores::from_flat(flat, width);
+        let config = ServeConfig {
+            olt_entries: 0,
+            base: DecodeConfig::builder().max_active(3).build().unwrap(),
+            ..Default::default()
+        };
+        let alone = OtfDecoder::new(config.base).decode(&*am, &*lm, &scores, &mut NullSink);
+        let mut core = core_with(&am, &lm, config);
+        let id = core.open(0).unwrap();
+        for t in 0..n {
+            let row = FrameInput::Scores(scores.frame(t).to_vec());
+            core.ingest_frame(id, row, 0).unwrap();
+        }
+        core.finish(id, 0).unwrap();
+        let mut work = WorkScratch::new();
+        work.configure_olt(0);
+        while core.step(&mut work, 0).is_some() {}
+        let served = core.take_result(id).unwrap().expect("closed");
+        assert_eq!(served.words, alone.words);
+        assert_eq!(served.cost.to_bits(), alone.cost.to_bits());
+        let st = core.stats();
+        assert_eq!(st.worker_panics, 0);
+        assert_eq!(st.frames_dropped, 0);
+        assert_eq!(st.frames_decoded, n as u64);
+    }
+
     use unfold_am::{AcousticScores, GmmModel};
     use unfold_decoder::{FrameInput, GmmScorer, PrecomputedScorer, ScoreError};
 
