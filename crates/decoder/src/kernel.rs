@@ -94,7 +94,7 @@ pub(crate) fn expand_frame_soa<
 ) {
     work.ensure_validated(am, lm, costs.len());
     work.bind_arc_stage(am);
-    session.lattice.advance_pop();
+    session.lattice.advance_pop(session.cur.keys_slice());
     sink.frame_start(t, session.cur.len());
     stats.frames += 1;
     stats.max_active = stats.max_active.max(session.cur.len());
@@ -233,12 +233,11 @@ pub(crate) fn expand_frame_soa<
                 next_best = TropicalWeight::from_cost(cost)
                     .plus(TropicalWeight::from_cost(next_best))
                     .value();
-                lattice.record_emit(k, token_key(arc.nextstate, lm_next), word, cost);
-                // A relaxation that returns the store's old length
-                // created a new entry. It becomes a closure seed unless
-                // its state is staged without ε-input arcs.
+                // A relaxation into the store's old length created a
+                // new entry. It becomes a closure seed unless its state
+                // is staged without ε-input arcs.
                 let fresh = next.len() as u32;
-                let relaxed = relax_soa(
+                let (dst, _) = relax_soa(
                     next,
                     token_key(arc.nextstate, lm_next),
                     cost,
@@ -248,7 +247,8 @@ pub(crate) fn expand_frame_soa<
                     lattice,
                     sink,
                 );
-                if relaxed == Some(fresh) && eps.may_have_eps(arc.nextstate) {
+                lattice.record(e, dst, word, cost);
+                if dst == fresh && eps.may_have_eps(arc.nextstate) {
                     seeds.push(fresh);
                 }
             }
@@ -326,6 +326,7 @@ pub(crate) fn epsilon_closure_soa<
     sink: &mut S,
     stats: &mut DecodeStats,
 ) {
+    lattice.start_closure();
     let mut guard = 0u64;
     while let Some(e) = worklist.pop() {
         guard += 1;
@@ -378,8 +379,7 @@ pub(crate) fn epsilon_closure_soa<
             } else {
                 (lm_s, base, EPSILON)
             };
-            lattice.record_eps(k, token_key(am_next, lm_next), out_word, cost);
-            if let Some(ne) = relax_soa(
+            let (dst, improved) = relax_soa(
                 tokens,
                 token_key(am_next, lm_next),
                 cost,
@@ -388,8 +388,10 @@ pub(crate) fn epsilon_closure_soa<
                 frame,
                 lattice,
                 sink,
-            ) {
-                worklist.push(ne);
+            );
+            lattice.record(e, dst, out_word, cost);
+            if improved {
+                worklist.push(dst);
             }
         }
     }
@@ -399,8 +401,10 @@ pub(crate) fn epsilon_closure_soa<
 /// the improvement test and the commit (the legacy `relax` pays a
 /// `get` walk and then an `insert` walk). Emits the identical event
 /// sequence — `token_store` (for word-bearing arcs) then
-/// `hash_insert`, only on improvement — and returns the improved
-/// token's dense entry index for the closure worklist.
+/// `hash_insert`, only on improvement — and returns the destination's
+/// dense entry index, improved or not, with whether it improved: the
+/// tape names the destination by it, and the closure worklist takes it
+/// on improvement.
 #[allow(clippy::too_many_arguments)]
 fn relax_soa<S: TraceSink + ?Sized>(
     map: &mut TokenStore,
@@ -411,7 +415,7 @@ fn relax_soa<S: TraceSink + ?Sized>(
     frame: u32,
     lattice: &mut Lattice,
     sink: &mut S,
-) -> Option<u32> {
+) -> (u32, bool) {
     let p = map.probe(k);
     let existing = p.entry();
     if let Some(e) = existing {
@@ -420,7 +424,7 @@ fn relax_soa<S: TraceSink + ?Sized>(
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         let keep_existing = !(cost < map.costs()[e as usize]);
         if keep_existing {
-            return None;
+            return (e, false);
         }
     }
     let lat = if word != EPSILON {
@@ -437,11 +441,11 @@ fn relax_soa<S: TraceSink + ?Sized>(
     match existing {
         Some(e) => {
             map.update_entry(e, Token { cost, lat });
-            Some(e)
+            (e, true)
         }
         None => {
             map.insert_probed(p, k, Token { cost, lat });
-            Some(map.len() as u32 - 1)
+            (map.len() as u32 - 1, true)
         }
     }
 }

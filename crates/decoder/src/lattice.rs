@@ -14,32 +14,37 @@
 //! The backpointer chain only remembers the Viterbi predecessor of each
 //! token. When a lattice is requested, the decoder additionally turns on
 //! the *expansion tape*: every relaxation the search attempts — emitting
-//! or epsilon, improving or not — is appended as a raw
+//! or epsilon, improving or not — is appended as a raw 16-byte
 //! `(source token, destination token, word, destination cost)` record.
-//! Because the tape captures *all* surviving incoming arcs per
-//! (frame, state), the post-pass can reconstruct the exact set of
-//! hypotheses the beam search considered, not just the single best
-//! (the GPU exact-lattice decoder of Povey et al. materializes lattices
-//! from token passing the same way). The tape is contents-neutral for
-//! search: recording never changes decode output, stats, or the trace
-//! event stream.
+//! A record names its tokens by their entry index in their population's
+//! token store; the tape keeps each completed population's key lane
+//! beside the records, so an index turns back into a `(population,
+//! key)` node when the lattice is built. Records and keys live in
+//! fixed-size blocks, so the tape grows without copying and keeps its
+//! blocks across utterances. Because the tape captures *all* surviving
+//! incoming arcs per (frame, state), the post-pass can reconstruct the
+//! exact set of hypotheses the beam search considered, not just the
+//! single best (the GPU exact-lattice decoder of Povey et al.
+//! materializes lattices from token passing the same way). The tape is
+//! contents-neutral for search: recording never changes decode output,
+//! stats, or the trace event stream.
 //!
 //! The post-pass (`WordLattice::build`) first sweeps the tape backward
-//! from the final tokens, keeping only the records that can reach one
-//! (a fraction of a percent of a large-vocabulary tape), and then works
-//! on that slice in two semirings through the [`Semiring`] trait:
+//! from the final tokens, marking live tokens in one flag per entry of
+//! each population and keeping only the records that can reach a final
+//! token (a fraction of a percent of a large-vocabulary tape). It then
+//! works on that slice in two semirings through the [`Semiring`] trait:
 //! tropical (min, +) for the exact forward/backward Viterbi scores that
 //! drive lattice-beam pruning, and log (-log-sum-exp, +) for the
 //! forward/backward occupation scores that yield arc posteriors —
 //! per-word confidence.
 
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
-use std::hash::BuildHasherDefault;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use unfold_lm::WordId;
 use unfold_wfst::{LogWeight, Semiring, TropicalWeight};
 
-use crate::search::{DetHasher, TokenMap, TokenStore};
+use crate::search::{TokenMap, TokenStore};
 use crate::sources::AmSource;
 
 /// Bytes one lattice entry occupies in the compact representation
@@ -60,32 +65,39 @@ struct Entry {
 }
 
 /// One raw record on the expansion tape: the search relaxed an arc from
-/// the token keyed `src_key` into the token keyed `dst_key`, carrying
-/// `word` (0 for none), arriving with path cost `dst_cost`. Which
-/// populations the two tokens belong to is not stored: it follows from
-/// the [`PopSegment`] the record sits in.
+/// token entry `src` into token entry `dst`, carrying `word` (0 for
+/// none), arriving with path cost `dst_cost`. A token is named by its
+/// entry index within its population, the position its key holds in
+/// that population's key lane. Which populations the two tokens belong
+/// to is not stored: it follows from the [`PopSegment`] the record sits
+/// in.
 #[derive(Debug, Clone, Copy)]
 struct TapeArc {
-    src_key: u64,
-    dst_key: u64,
+    src: u32,
+    dst: u32,
     word: WordId,
     dst_cost: f32,
 }
 
-const _: () = assert!(std::mem::size_of::<TapeArc>() == 24);
+const _: () = assert!(std::mem::size_of::<TapeArc>() == 16);
 
-/// Where one population's records sit on the tape. Both kernels tape
-/// every emitting relaxation of a frame before its closure starts, so
-/// a population `p` is two runs: `start..eps` are emitting records
+/// Where one population's records and keys sit. Both kernels tape every
+/// emitting relaxation of a frame before its closure starts, so a
+/// population `p` is two runs: `start..eps` are emitting records
 /// (source in `p - 1`, destination in `p`), and `eps..` up to the next
-/// segment's `start` are closure records (both ends in `p`).
+/// segment's `start` are closure records (both ends in `p`). Its key
+/// lane starts at `keys` in the snapshot store and ends where the next
+/// segment's starts; the last population's lane is the final token
+/// store's own.
 #[derive(Debug, Clone, Copy, Default)]
 struct PopSegment {
     start: usize,
     eps: usize,
+    keys: usize,
 }
 
-/// A kept tape record with its populations made explicit.
+/// A kept tape record with its endpoints made explicit as
+/// `(population, key)` nodes.
 #[derive(Debug, Clone, Copy)]
 struct SliceArc {
     src: (u32, u64),
@@ -94,18 +106,116 @@ struct SliceArc {
     dst_cost: f32,
 }
 
-impl TapeArc {
-    fn placed(&self, src_pop: u32, dst_pop: u32) -> SliceArc {
-        SliceArc {
-            src: (src_pop, self.src_key),
-            dst: (dst_pop, self.dst_key),
-            word: self.word,
-            dst_cost: self.dst_cost,
+/// Bytes of one [`Blocks`] block.
+const BLOCK_BYTES: usize = 64 << 10;
+
+/// Append-only storage in fixed-size blocks of [`BLOCK_BYTES`]: growth
+/// starts a new block and never moves what is already stored, and
+/// `clear` keeps every block for the next utterance.
+#[derive(Debug, Clone)]
+struct Blocks<T> {
+    /// Full blocks, in order.
+    full: Vec<Vec<T>>,
+    /// The block being filled.
+    tail: Vec<T>,
+    /// Empty blocks kept by `clear`, used before allocating new ones.
+    spare: Vec<Vec<T>>,
+    /// A test's block length in place of the one [`BLOCK_BYTES`] sets,
+    /// so small tapes span many blocks.
+    #[cfg(test)]
+    test_len: Option<usize>,
+}
+
+impl<T> Default for Blocks<T> {
+    fn default() -> Self {
+        Blocks {
+            full: Vec::new(),
+            tail: Vec::new(),
+            spare: Vec::new(),
+            #[cfg(test)]
+            test_len: None,
         }
     }
 }
 
-type KeySet = HashSet<u64, BuildHasherDefault<DetHasher>>;
+impl<T: Copy> Blocks<T> {
+    /// Elements a block holds.
+    #[inline(always)]
+    fn block_len(&self) -> usize {
+        #[cfg(test)]
+        if let Some(len) = self.test_len {
+            return len;
+        }
+        BLOCK_BYTES / std::mem::size_of::<T>()
+    }
+
+    fn len(&self) -> usize {
+        self.full.len() * self.block_len() + self.tail.len()
+    }
+
+    /// Gives the tail block its full size up front, so that not even
+    /// the first block grows by reallocating.
+    fn reserve_block(&mut self) {
+        self.tail.reserve_exact(self.block_len() - self.tail.len());
+    }
+
+    fn clear(&mut self) {
+        self.tail.clear();
+        for mut b in self.full.drain(..) {
+            b.clear();
+            self.spare.push(b);
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, v: T) {
+        if self.tail.len() == self.block_len() {
+            self.next_block();
+        }
+        self.tail.push(v);
+    }
+
+    fn extend_from_slice(&mut self, mut vs: &[T]) {
+        while !vs.is_empty() {
+            if self.tail.len() == self.block_len() {
+                self.next_block();
+            }
+            let n = (self.block_len() - self.tail.len()).min(vs.len());
+            self.tail.extend_from_slice(&vs[..n]);
+            vs = &vs[n..];
+        }
+    }
+
+    /// Files the full tail block and starts a spare or a new one.
+    #[cold]
+    #[inline(never)]
+    fn next_block(&mut self) {
+        let len = self.block_len();
+        let next = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(len));
+        self.full.push(std::mem::replace(&mut self.tail, next));
+    }
+
+    /// Block `i`: a full one, or the tail.
+    fn block(&self, i: usize) -> &[T] {
+        self.full.get(i).unwrap_or(&self.tail)
+    }
+
+    fn get(&self, i: usize) -> T {
+        let len = self.block_len();
+        self.block(i / len)[i % len]
+    }
+
+    /// Elements `lo..hi` as one slice per block they span, in order.
+    fn slices(&self, lo: usize, hi: usize) -> impl DoubleEndedIterator<Item = &[T]> {
+        let len = self.block_len();
+        let span = if lo < hi {
+            lo / len..(hi - 1) / len + 1
+        } else {
+            0..0
+        };
+        span.map(move |i| &self.block(i)[lo.saturating_sub(i * len)..(hi - i * len).min(len)])
+    }
+}
 
 /// Append-only word lattice backpointer store, plus (when recording is
 /// enabled) the raw expansion tape a [`WordLattice`] is built from.
@@ -117,10 +227,10 @@ pub struct Lattice {
     /// Current token population: 0 for the seed closure, `t + 1` once
     /// frame `t` has been expanded.
     cur_pop: u32,
-    /// Token key of the seed token (population 0).
-    start_key: u64,
     /// Raw expansion records, in the order the search attempted them.
-    tape: Vec<TapeArc>,
+    tape: Blocks<TapeArc>,
+    /// The key lanes of every completed population, back to back.
+    keys: Blocks<u64>,
     /// One segment per population while recording (`cur_pop + 1` of
     /// them), indexed by population.
     segments: Vec<PopSegment>,
@@ -143,28 +253,31 @@ impl Lattice {
     }
 
     /// Drops every entry and tape record but keeps the allocations
-    /// (scratch reuse between utterances). Recording is switched off;
-    /// each lattice-producing entry point re-enables it explicitly.
+    /// (scratch reuse between utterances), tape blocks included.
+    /// Recording is switched off; each lattice-producing entry point
+    /// re-enables it explicitly.
     pub fn clear(&mut self) {
         self.entries.clear();
         self.tape.clear();
+        self.keys.clear();
         self.segments.clear();
         self.recording = false;
         self.cur_pop = 0;
-        self.start_key = 0;
     }
 
     /// Enables or disables the expansion tape, before the seed token is
     /// recorded. Contents-neutral for the search itself.
     pub(crate) fn set_recording(&mut self, on: bool) {
         debug_assert!(
-            self.tape.is_empty() && self.cur_pop == 0,
+            self.tape.len() == 0 && self.cur_pop == 0,
             "tape switched mid-decode"
         );
         self.recording = on;
         self.segments.clear();
         if on {
             self.segments.push(PopSegment::default());
+            self.tape.reserve_block();
+            self.keys.reserve_block();
         }
     }
 
@@ -173,107 +286,147 @@ impl Lattice {
         self.recording
     }
 
-    /// Records the seed token's key (population 0).
-    pub(crate) fn record_start(&mut self, key: u64) {
-        if self.recording {
-            self.start_key = key;
-        }
-    }
-
     /// Advances to the next token population; called once at the start
-    /// of every frame expansion.
-    pub(crate) fn advance_pop(&mut self) {
+    /// of every frame expansion with the key lane of the population
+    /// just completed, which the tape keeps while recording.
+    pub(crate) fn advance_pop(&mut self, keys: &[u64]) {
         self.cur_pop += 1;
         if self.recording {
+            self.keys.extend_from_slice(keys);
             let at = self.tape.len();
-            self.segments.push(PopSegment { start: at, eps: at });
+            self.segments.push(PopSegment {
+                start: at,
+                eps: at,
+                keys: self.keys.len(),
+            });
         }
     }
 
-    /// Records an emitting relaxation: an arc from `src_key` in the
-    /// previous population into `dst_key` in the current one.
-    #[inline]
-    pub(crate) fn record_emit(&mut self, src_key: u64, dst_key: u64, word: WordId, dst_cost: f32) {
+    /// Marks the start of the current population's ε-closure: every
+    /// record taped from here on is a closure record.
+    pub(crate) fn start_closure(&mut self) {
         if self.recording {
-            debug_assert!(self.cur_pop >= 1, "emitting arc before any frame");
-            self.tape.push(TapeArc {
-                src_key,
-                dst_key,
-                word,
-                dst_cost,
-            });
-            let seg = &mut self.segments[self.cur_pop as usize];
-            debug_assert_eq!(seg.eps + 1, self.tape.len(), "emit taped after closure");
-            seg.eps = self.tape.len();
+            let at = self.tape.len();
+            self.segments[self.cur_pop as usize].eps = at;
         }
     }
 
-    /// Records an epsilon-closure relaxation within the current
-    /// population.
+    /// Records a relaxation from entry `src` into entry `dst`. Before
+    /// [`Lattice::start_closure`], `src` is in the previous population
+    /// and `dst` in the current one; after it, both are in the current
+    /// one.
     #[inline]
-    pub(crate) fn record_eps(&mut self, src_key: u64, dst_key: u64, word: WordId, dst_cost: f32) {
+    pub(crate) fn record(&mut self, src: u32, dst: u32, word: WordId, dst_cost: f32) {
         if self.recording {
             self.tape.push(TapeArc {
-                src_key,
-                dst_key,
+                src,
+                dst,
                 word,
                 dst_cost,
             });
+        }
+    }
+
+    /// Stores the tape and the key lanes in blocks of `len` elements
+    /// instead of [`BLOCK_BYTES`], so a short decode spans many blocks.
+    #[cfg(test)]
+    pub(crate) fn set_block_len(&mut self, len: usize) {
+        assert!(self.tape.len() == 0 && self.keys.len() == 0, "tape in use");
+        self.tape.test_len = Some(len);
+        self.keys.test_len = Some(len);
+    }
+
+    /// Tape blocks in use (test hook).
+    #[cfg(test)]
+    pub(crate) fn tape_blocks(&self) -> usize {
+        self.tape.full.len() + 1
+    }
+
+    /// The key of entry `e` of population `p`; `last_keys` is the last
+    /// population's key lane.
+    fn key(&self, last_keys: &[u64], p: usize, e: u32) -> u64 {
+        if p + 1 == self.segments.len() {
+            last_keys[e as usize]
+        } else {
+            self.keys.get(self.segments[p].keys + e as usize)
         }
     }
 
     /// The co-reachable slice of the tape: every token that some chain
-    /// of taped relaxations connects to a key in `finals` (a token of
-    /// the last population), plus the seed token, as `(population,
-    /// key)` nodes, and every record whose destination is such a
-    /// token. Any record's source is then such a token too, so the
-    /// node set is closed under predecessors and each kept node keeps
-    /// *all* of its incoming records.
+    /// of taped relaxations connects to an entry in `finals` (a token
+    /// of the last population, whose key lane is `last_keys`), plus the
+    /// seed token (entry 0 of population 0), as `(population, key)`
+    /// nodes, and every record whose destination is such a token. Any
+    /// record's source is then such a token too, so the node set is
+    /// closed under predecessors and each kept node keeps *all* of its
+    /// incoming records.
     ///
-    /// Populations are walked last to first with one small key set of
-    /// live tokens. Closure records are rescanned until a pass adds
-    /// nothing: a relaxation that did not improve its destination is
-    /// taped after the destination's own expansion, so a single
-    /// reverse scan can meet it before its destination is known to be
-    /// live.
-    fn coreachable(&self, finals: impl Iterator<Item = u64>) -> (Vec<(u32, u64)>, Vec<SliceArc>) {
+    /// Populations are walked last to first with one liveness flag per
+    /// entry of the population. Closure records are rescanned until a
+    /// pass adds nothing: a relaxation that did not improve its
+    /// destination is taped after the destination's own expansion, so
+    /// a single reverse scan can meet it before its destination is
+    /// known to be live.
+    fn coreachable(
+        &self,
+        last_keys: &[u64],
+        finals: impl Iterator<Item = u32>,
+    ) -> (Vec<(u32, u64)>, Vec<SliceArc>) {
         let mut nodes: Vec<(u32, u64)> = Vec::new();
         let mut arcs: Vec<SliceArc> = Vec::new();
-        let mut alive = KeySet::default();
-        let mut alive_prev = KeySet::default();
-        alive.extend(finals);
+        let mut alive = vec![false; last_keys.len()];
+        let mut alive_prev: Vec<bool> = Vec::new();
+        for e in finals {
+            alive[e as usize] = true;
+        }
+        let tape_len = self.tape.len();
         for p in (0..self.segments.len()).rev() {
             let seg = self.segments[p];
-            let end = self
-                .segments
-                .get(p + 1)
-                .map_or(self.tape.len(), |s| s.start);
+            let end = self.segments.get(p + 1).map_or(tape_len, |s| s.start);
             let pop = p as u32;
+            let placed = |a: &TapeArc, src_pop: usize| SliceArc {
+                src: (src_pop as u32, self.key(last_keys, src_pop, a.src)),
+                dst: (pop, self.key(last_keys, p, a.dst)),
+                word: a.word,
+                dst_cost: a.dst_cost,
+            };
             if p == 0 {
-                alive.insert(self.start_key);
+                alive[0] = true;
             }
             let mark = arcs.len();
             loop {
                 // Only the pass that adds nothing saw the final set.
                 arcs.truncate(mark);
                 let mut grew = false;
-                for a in self.tape[seg.eps..end].iter().rev() {
-                    if alive.contains(&a.dst_key) {
-                        arcs.push(a.placed(pop, pop));
-                        grew |= alive.insert(a.src_key);
+                for block in self.tape.slices(seg.eps, end).rev() {
+                    for a in block.iter().rev() {
+                        if alive[a.dst as usize] {
+                            arcs.push(placed(a, p));
+                            grew |= !std::mem::replace(&mut alive[a.src as usize], true);
+                        }
                     }
                 }
                 if !grew {
                     break;
                 }
             }
-            for a in &self.tape[seg.start..seg.eps] {
-                if alive.contains(&a.dst_key) {
-                    arcs.push(a.placed(pop - 1, pop));
-                    alive_prev.insert(a.src_key);
+            if p > 0 {
+                alive_prev.clear();
+                alive_prev.resize(seg.keys - self.segments[p - 1].keys, false);
+                for block in self.tape.slices(seg.start, seg.eps) {
+                    for a in block {
+                        if alive[a.dst as usize] {
+                            arcs.push(placed(a, p - 1));
+                            alive_prev[a.src as usize] = true;
+                        }
+                    }
                 }
             }
-            nodes.extend(alive.drain().map(|k| (pop, k)));
+            nodes.extend(
+                (0..alive.len() as u32)
+                    .filter(|&e| alive[e as usize])
+                    .map(|e| (pop, self.key(last_keys, p, e))),
+            );
             std::mem::swap(&mut alive, &mut alive_prev);
         }
         (nodes, arcs)
@@ -440,18 +593,19 @@ impl WordLattice {
     ) -> WordLattice {
         debug_assert!(tape.is_recording(), "building a lattice without a tape");
         let t_final = tape.cur_pop;
+        let last_keys = final_population.keys_slice();
 
-        // Final (key, final weight) pairs from the last population.
-        let mut final_keys: Vec<(u64, f32)> = Vec::new();
-        for key in final_population.keys() {
+        // Final (entry, final weight) pairs from the last population.
+        let mut finals: Vec<(u32, f32)> = Vec::new();
+        for (e, &key) in last_keys.iter().enumerate() {
             let am_state = (key >> 32) as u32;
             if let Some(fw) = am.final_weight(am_state) {
-                final_keys.push((key, fw));
+                finals.push((e as u32, fw));
             }
         }
 
         // Node universe, canonically ordered by (population, key).
-        let (mut node_meta, slice) = tape.coreachable(final_keys.iter().map(|&(k, _)| k));
+        let (mut node_meta, slice) = tape.coreachable(last_keys, finals.iter().map(|&(e, _)| e));
         node_meta.sort_unstable();
         let n = node_meta.len();
         let id = |node: (u32, u64)| -> u32 {
@@ -459,10 +613,10 @@ impl WordLattice {
                 .binary_search(&node)
                 .expect("every slice endpoint is a slice node") as u32
         };
-        let start = id((0, tape.start_key));
-        let final_ids: Vec<(u32, f32)> = final_keys
+        let start = id((0, tape.key(last_keys, 0, 0)));
+        let final_ids: Vec<(u32, f32)> = finals
             .iter()
-            .map(|&(k, fw)| (id((t_final, k)), fw))
+            .map(|&(e, fw)| (id((t_final, last_keys[e as usize])), fw))
             .collect();
 
         // Canonical arc list: sorted, then deduplicated to the cheapest
@@ -1160,41 +1314,85 @@ mod tests {
     #[test]
     fn tape_records_only_while_recording() {
         let mut l = Lattice::new();
-        l.record_start(42);
-        l.advance_pop();
-        l.record_emit(42, 7, 0, 1.0);
-        assert!(l.tape.is_empty());
-        assert_eq!(l.start_key, 0);
+        l.advance_pop(&[42]);
+        l.record(0, 0, 0, 1.0);
+        assert_eq!(l.tape.len(), 0);
+        assert_eq!(l.keys.len(), 0, "an untaped decode snapshots no keys");
         l.clear();
         l.set_recording(true);
-        l.record_start(42);
-        l.advance_pop();
-        l.record_emit(42, 7, 3, 1.0);
-        l.record_eps(7, 9, 0, 1.5);
+        l.advance_pop(&[42]);
+        l.record(0, 0, 3, 1.0);
+        l.start_closure();
+        l.record(0, 1, 0, 1.5);
         assert_eq!(l.tape.len(), 2);
         // Populations are implied by the segments: population 0 taped
-        // nothing, population 1 one emitting then one closure record.
-        let segs: Vec<(usize, usize)> = l.segments.iter().map(|s| (s.start, s.eps)).collect();
-        assert_eq!(segs, vec![(0, 0), (0, 1)]);
-        // clear() drops the tape and switches recording back off.
+        // nothing and has one key, population 1 one emitting then one
+        // closure record.
+        let segs: Vec<(usize, usize, usize)> = l
+            .segments
+            .iter()
+            .map(|s| (s.start, s.eps, s.keys))
+            .collect();
+        assert_eq!(segs, vec![(0, 0, 0), (0, 1, 1)]);
+        // clear() drops the tape and switches recording back off, but
+        // keeps the blocks for the next utterance.
         l.clear();
-        assert!(l.tape.is_empty());
+        assert_eq!(l.tape.len(), 0);
+        assert_eq!(l.keys.len(), 0);
+        assert!(l.tape.tail.capacity() > 0 && l.keys.tail.capacity() > 0);
         assert!(l.segments.is_empty());
         assert!(!l.is_recording());
         assert_eq!(l.cur_pop, 0);
     }
 
-    /// A minimal AM stub: every state final with weight 0.
-    struct AllFinal;
-    impl AmSource for AllFinal {
+    #[test]
+    fn blocks_slice_and_index_across_block_boundaries() {
+        let mut b = Blocks::<u64> {
+            test_len: Some(3),
+            ..Default::default()
+        };
+        for round in 0..2 {
+            b.clear();
+            b.extend_from_slice(&[0, 1]);
+            for v in 2..7 {
+                b.push(v);
+            }
+            b.extend_from_slice(&[7, 8, 9, 10]);
+            assert_eq!(b.len(), 11);
+            for lo in 0..=11 {
+                for hi in lo..=11 {
+                    let want: Vec<u64> = (lo as u64..hi as u64).collect();
+                    let got: Vec<u64> = b.slices(lo, hi).flatten().copied().collect();
+                    assert_eq!(got, want, "round {round} {lo}..{hi}");
+                    // The sweep's reverse scan: blocks last to first,
+                    // each one back to front.
+                    let back: Vec<u64> = b
+                        .slices(lo, hi)
+                        .rev()
+                        .flat_map(|s| s.iter().rev())
+                        .copied()
+                        .collect();
+                    assert!(back.iter().rev().eq(&want), "round {round} {lo}..{hi}");
+                }
+            }
+            assert!((0..11).all(|i| b.get(i) == i as u64));
+            // The second round refills the first round's blocks.
+            assert_eq!((b.full.len(), b.spare.len()), (3, 0));
+        }
+    }
+
+    /// A minimal AM stub: final, with weight 0, exactly in the AM
+    /// states of the given keys.
+    struct FinalStates<'a>(&'a [u64]);
+    impl AmSource for FinalStates<'_> {
         fn start(&self) -> u32 {
             0
         }
         fn num_states(&self) -> usize {
             1 << 20
         }
-        fn final_weight(&self, _s: u32) -> Option<f32> {
-            Some(0.0)
+        fn final_weight(&self, s: u32) -> Option<f32> {
+            self.0.iter().any(|&k| (k >> 32) as u32 == s).then_some(0.0)
         }
         fn state_addr(&self, _s: u32) -> u64 {
             0
@@ -1206,18 +1404,89 @@ mod tests {
         (u64::from(am) << 32) | u64::from(lm)
     }
 
-    /// A recording tape seeded at `key(0, 0)`.
-    fn seeded_tape() -> Lattice {
-        let mut tape = Lattice::new();
-        tape.set_recording(true);
-        tape.record_start(key(0, 0));
+    type KeyRecord = (u64, u64, WordId, f32);
+
+    /// A tape written by key, the way the tests below are phrased, and
+    /// replayed by entry index: [`KeyTape::replay`] numbers each
+    /// population's keys in order of first appearance, as a token store
+    /// numbers its entries, with the seed `key(0, 0)` first.
+    #[derive(Default)]
+    struct KeyTape {
+        /// Per population: its emitting records (source in the previous
+        /// population), then its closure records.
+        pops: Vec<[Vec<KeyRecord>; 2]>,
+    }
+
+    impl KeyTape {
+        fn advance_pop(&mut self) {
+            self.pops.push(Default::default());
+        }
+
+        fn record_emit(&mut self, src: u64, dst: u64, word: WordId, cost: f32) {
+            self.pops.last_mut().unwrap()[0].push((src, dst, word, cost));
+        }
+
+        fn record_eps(&mut self, src: u64, dst: u64, word: WordId, cost: f32) {
+            self.pops.last_mut().unwrap()[1].push((src, dst, word, cost));
+        }
+
+        /// The recorded tape and the last population's key lane, which
+        /// holds `finals` too.
+        fn replay(&self, finals: &[u64]) -> (Lattice, Vec<u64>) {
+            fn entry(lane: &mut Vec<u64>, k: u64) -> u32 {
+                let e = lane.iter().position(|&x| x == k).unwrap_or_else(|| {
+                    lane.push(k);
+                    lane.len() - 1
+                });
+                e as u32
+            }
+            let mut lanes = vec![Vec::new(); self.pops.len()];
+            entry(&mut lanes[0], key(0, 0));
+            for (p, [emits, closure]) in self.pops.iter().enumerate() {
+                for &(s, d, ..) in emits {
+                    entry(&mut lanes[p - 1], s);
+                    entry(&mut lanes[p], d);
+                }
+                for &(s, d, ..) in closure {
+                    entry(&mut lanes[p], s);
+                    entry(&mut lanes[p], d);
+                }
+            }
+            for &f in finals {
+                entry(lanes.last_mut().unwrap(), f);
+            }
+            let mut tape = Lattice::new();
+            tape.set_recording(true);
+            for (p, [emits, closure]) in self.pops.iter().enumerate() {
+                if p > 0 {
+                    tape.advance_pop(&lanes[p - 1]);
+                }
+                for &(s, d, word, cost) in emits {
+                    let (s, d) = (entry(&mut lanes[p - 1], s), entry(&mut lanes[p], d));
+                    tape.record(s, d, word, cost);
+                }
+                tape.start_closure();
+                for &(s, d, word, cost) in closure {
+                    let (s, d) = (entry(&mut lanes[p], s), entry(&mut lanes[p], d));
+                    tape.record(s, d, word, cost);
+                }
+            }
+            (tape, lanes.pop().unwrap())
+        }
+    }
+
+    /// A tape seeded at `key(0, 0)`.
+    fn seeded_tape() -> KeyTape {
+        let mut tape = KeyTape::default();
+        tape.advance_pop();
         tape
     }
 
-    /// Builds with `finals` as the whole last population.
-    fn build_with_finals(tape: &Lattice, finals: &[u64], beam: f32) -> WordLattice {
+    /// Builds with `finals` as the final tokens of the last population.
+    fn build_with_finals(tape: &KeyTape, finals: &[u64], beam: f32) -> WordLattice {
+        let (tape, keys) = tape.replay(finals);
         let mut last = TokenStore::default();
-        for &k in finals {
+        for k in keys {
             // The builder reads only the keys.
             last.insert(
                 k,
@@ -1227,14 +1496,14 @@ mod tests {
                 },
             );
         }
-        WordLattice::build(&AllFinal, tape, &last, beam)
+        WordLattice::build(&FinalStates(finals), &tape, &last, beam)
     }
 
     /// Hand-built diamond: start splits into two one-frame hypotheses
     /// (words 1 and 2) that rejoin at a shared final token. With
     /// `dead_end`, a third and cheapest branch (word 3) runs alongside
-    /// into a token that is not in the last population.
-    fn diamond_tape(dead_end: bool) -> Lattice {
+    /// into a token that is not final.
+    fn diamond_tape(dead_end: bool) -> KeyTape {
         let mut tape = seeded_tape();
         tape.advance_pop();
         tape.record_emit(key(0, 0), key(1, 1), 1, 1.0);
@@ -1268,7 +1537,9 @@ mod tests {
         }
         // Not even as working state: the slice the builder numbers and
         // sorts is the two-branch diamond's.
-        let (nodes, arcs) = diamond_tape(true).coreachable([key(3, 3)].into_iter());
+        let (tape, last) = diamond_tape(true).replay(&[key(3, 3)]);
+        let fin = last.iter().position(|&k| k == key(3, 3)).unwrap() as u32;
+        let (nodes, arcs) = tape.coreachable(&last, [fin].into_iter());
         assert_eq!((nodes.len(), arcs.len()), (4, 4));
     }
 

@@ -264,9 +264,6 @@ pub(crate) fn seed_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
             lat: LATTICE_ROOT,
         },
     );
-    session
-        .lattice
-        .record_start(token_key(am.start(), lm.start()));
     match config.kernel {
         DecodeKernel::Legacy => epsilon_closure(
             config,
@@ -393,7 +390,7 @@ fn expand_frame_legacy<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     stats: &mut DecodeStats,
 ) {
     work.ensure_validated(am, lm, costs.len());
-    session.lattice.advance_pop();
+    session.lattice.advance_pop(session.cur.keys_slice());
     sink.frame_start(t, session.cur.len());
     stats.frames += 1;
     stats.max_active = stats.max_active.max(session.cur.len());
@@ -417,7 +414,7 @@ fn expand_frame_legacy<A: AmSource + ?Sized, L: LmSource + ?Sized>(
         let bias = &mut session.bias_cache;
         let probes = &mut work.probes;
         let lattice = &mut session.lattice;
-        for (k, tok) in cur.iter() {
+        for (e, (k, tok)) in (0u32..).zip(cur.iter()) {
             if tok.cost > thr {
                 stats.tokens_pruned += 1;
                 continue;
@@ -468,8 +465,7 @@ fn expand_frame_legacy<A: AmSource + ?Sized, L: LmSource + ?Sized>(
                 next_best = TropicalWeight::from_cost(cost)
                     .plus(TropicalWeight::from_cost(next_best))
                     .value();
-                lattice.record_emit(k, token_key(arc.nextstate, lm_next), word, cost);
-                relax(
+                let (dst, _) = relax(
                     next,
                     token_key(arc.nextstate, lm_next),
                     cost,
@@ -479,6 +475,7 @@ fn expand_frame_legacy<A: AmSource + ?Sized, L: LmSource + ?Sized>(
                     lattice,
                     sink,
                 );
+                lattice.record(e, dst, word, cost);
             });
         }
     }
@@ -537,6 +534,7 @@ pub(crate) fn epsilon_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     sink: &mut dyn TraceSink,
     stats: &mut DecodeStats,
 ) {
+    lattice.start_closure();
     worklist.clear();
     worklist.extend(tokens.keys());
     let mut guard = 0u64;
@@ -546,10 +544,10 @@ pub(crate) fn epsilon_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
             guard < 100_000_000,
             "epsilon closure diverged: negative cycle?"
         );
-        let tok = match tokens.get(k) {
-            Some(t) => t,
-            None => continue,
+        let Some(e) = tokens.probe(k).entry() else {
+            continue;
         };
+        let (_, tok) = tokens.pair_at(e as usize);
         if tok.cost > thr {
             continue;
         }
@@ -586,8 +584,7 @@ pub(crate) fn epsilon_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
             } else {
                 (lm_s, base, EPSILON)
             };
-            lattice.record_eps(k, token_key(am_next, lm_next), out_word, cost);
-            if relax(
+            let (dst, improved) = relax(
                 tokens,
                 token_key(am_next, lm_next),
                 cost,
@@ -596,7 +593,9 @@ pub(crate) fn epsilon_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
                 frame,
                 lattice,
                 sink,
-            ) {
+            );
+            lattice.record(e, dst, out_word, cost);
+            if improved {
                 worklist.push(token_key(am_next, lm_next));
             }
         }
@@ -731,7 +730,10 @@ pub(crate) fn lm_walk<L: LmSource + ?Sized, S: TraceSink + ?Sized>(
     }
 }
 
-/// Inserts/improves a token; returns whether the store changed.
+/// Inserts/improves a token. Returns the destination's entry index,
+/// improved or not, and whether the store changed: the improvement
+/// test's probe names an existing entry, `TokenStore::insert` a new
+/// one, so the tape costs no extra hash walk.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn relax(
     map: &mut TokenStore,
@@ -742,13 +744,15 @@ pub(crate) fn relax(
     frame: u32,
     lattice: &mut Lattice,
     sink: &mut dyn TraceSink,
-) -> bool {
-    let improved = match map.get(k) {
-        Some(existing) => cost < existing.cost,
-        None => true,
-    };
-    if !improved {
-        return false;
+) -> (u32, bool) {
+    if let Some(e) = map.probe(k).entry() {
+        // Negated on purpose: the `cost < existing.cost` improvement
+        // test, NaN behaviour included.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let keep_existing = !(cost < map.costs()[e as usize]);
+        if keep_existing {
+            return (e, false);
+        }
     }
     let lat = if word != EPSILON {
         let idx = lattice.push(parent_lat, word, frame);
@@ -761,8 +765,7 @@ pub(crate) fn relax(
         parent_lat
     };
     sink.hash_insert(k);
-    map.insert(k, Token { cost, lat });
-    true
+    (map.insert(k, Token { cost, lat }), true)
 }
 
 /// Selects the best token whose AM state is final and backtraces it.

@@ -355,7 +355,7 @@ impl TokenStore {
     }
 
     /// The token stored under `key`, if any.
-    #[inline]
+    #[cfg(test)]
     pub fn get(&self, key: u64) -> Option<Token> {
         let e = self.probe(key).entry()?;
         Some(Token {
@@ -372,11 +372,12 @@ impl TokenStore {
         self.lats[entry as usize] = tok.lat;
     }
 
-    /// Inserts or overwrites `key`. An overwrite keeps the entry's
-    /// original insertion position.
-    pub fn insert(&mut self, key: u64, tok: Token) {
+    /// Inserts or overwrites `key` and returns its entry index. An
+    /// overwrite keeps the entry's original insertion position.
+    pub fn insert(&mut self, key: u64, tok: Token) -> u32 {
         let p = self.probe(key);
         self.insert_probed(p, key, tok);
+        p.entry().unwrap_or(self.len() as u32 - 1)
     }
 
     /// Commits an insert-or-overwrite at a previously probed position,

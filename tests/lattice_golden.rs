@@ -10,8 +10,14 @@
 //! `best_path_detail`). On a mismatch the failure prints the whole
 //! table as computed, ready to paste over `GOLDEN` — only do that for
 //! a change that is *meant* to alter lattices.
+//!
+//! A second table, `DEGENERATE`, pins the inputs at the edges of the
+//! tape, on one Kaldi and one CTC task: zero, one, two and three
+//! frames, where the first and last token populations are the same or
+//! neighbours, and the whole utterance under `max_active(1)`.
 
 use unfold::{System, TaskSpec};
+use unfold_am::AcousticScores;
 use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder, StreamSession, WordLattice, WorkScratch};
 
 const SEEDS: usize = 3;
@@ -196,6 +202,56 @@ const GOLDEN: &[(&str, usize, f32, u64, u64)] = &[
     ("tiny", 2, 8.0, 0x7047cf5f84b62da8, 0xda00faa790341cb9),
 ];
 
+/// The tasks the degenerate inputs run on: one per HMM topology.
+const DEGENERATE_TASKS: [&str; 2] = ["tiny", "EESEN-TEDLIUM"];
+
+/// `(task, input, lattice digest, paths digest)` for the degenerate
+/// inputs, all from utterance seed 0 at lattice beam 8. The zero-frame
+/// lattice is the start token alone, final at cost 0; on the Kaldi
+/// task one to three frames reach no final state (empty lattices).
+const DEGENERATE: &[(&str, &str, u64, u64)] = &[
+    (
+        "EESEN-TEDLIUM",
+        "0 frames",
+        0x7cd230add1ec9ba5,
+        0x88201fb960ff6465,
+    ),
+    (
+        "EESEN-TEDLIUM",
+        "1 frame",
+        0xc322552de01127a6,
+        0xd75e43547f577f69,
+    ),
+    (
+        "EESEN-TEDLIUM",
+        "2 frames",
+        0x583c0e877688f79a,
+        0x7e0d834c28e89d5e,
+    ),
+    (
+        "EESEN-TEDLIUM",
+        "3 frames",
+        0xc1e4daf17438f5eb,
+        0xa1941d2151152c01,
+    ),
+    (
+        "EESEN-TEDLIUM",
+        "max_active 1",
+        0x538950e78f1a2e21,
+        0x199e49f1995b709d,
+    ),
+    ("tiny", "0 frames", 0x7cd230add1ec9ba5, 0x88201fb960ff6465),
+    ("tiny", "1 frame", 0x72a05cf8c60a8798, 0xcbf29ce484222325),
+    ("tiny", "2 frames", 0x72a05cf8c60a8798, 0xcbf29ce484222325),
+    ("tiny", "3 frames", 0x72a05cf8c60a8798, 0xcbf29ce484222325),
+    (
+        "tiny",
+        "max_active 1",
+        0x30101a006ef90427,
+        0x313855cca82a3fad,
+    ),
+];
+
 /// FNV-1a over a stream of words.
 struct Fnv(u64);
 
@@ -265,45 +321,105 @@ fn digest(lat: &WordLattice) -> u64 {
     h.0
 }
 
+/// The first `frames` frames of `scores`.
+fn first_frames(scores: &AcousticScores, frames: usize) -> AcousticScores {
+    let flat = (0..frames)
+        .flat_map(|t| scores.frame(t).iter().copied())
+        .collect();
+    AcousticScores::from_flat(flat, scores.num_pdfs())
+}
+
+/// The lattice of `scores` built through `decode_lattice` and through
+/// a streaming session; the two must be bit-identical.
+fn batch_and_streamed<A, L>(
+    cfg: DecodeConfig,
+    am: &A,
+    lm: &L,
+    scores: &AcousticScores,
+    what: &str,
+) -> WordLattice
+where
+    A: unfold_decoder::AmSource + ?Sized,
+    L: unfold_decoder::LmSource + ?Sized,
+{
+    let (_, batch) = OtfDecoder::new(cfg).decode_lattice(am, lm, scores, &mut NullSink);
+
+    let mut work = WorkScratch::new();
+    work.begin(&cfg);
+    let mut sess = StreamSession::new(cfg);
+    sess.enable_lattice();
+    sess.seed(am, lm, &mut work, &mut NullSink);
+    for t in 0..scores.num_frames() {
+        sess.push_frame(am, lm, &mut work, scores.frame(t), &mut NullSink);
+    }
+    let (_, streamed) = sess.finalize_lattice(am, &mut NullSink);
+
+    assert_eq!(
+        digest(&batch),
+        digest(&streamed),
+        "{what}: batch and streaming lattices differ"
+    );
+    assert!(batch.bit_identical(&streamed), "{what}");
+    batch
+}
+
+/// Panics with the computed table, ready to paste, unless `actual`
+/// equals `golden`.
+fn assert_table<T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    actual: &[T],
+    golden: &[T],
+    row: impl Fn(&T) -> String,
+) {
+    if actual != golden {
+        let table: String = actual
+            .iter()
+            .map(|r| format!("    {},\n", row(r)))
+            .collect();
+        panic!("lattice digests differ from {name}; computed table:\n{table}");
+    }
+}
+
 #[test]
 fn lattices_match_the_golden_digests() {
     let mut presets = TaskSpec::all_paper_tasks();
     presets.push(TaskSpec::tiny());
-    let mut actual: Vec<(String, usize, f32, u64, u64)> = Vec::new();
+    let mut actual: Vec<(&str, usize, f32, u64, u64)> = Vec::new();
+    let mut degenerate: Vec<(&str, &str, u64, u64)> = Vec::new();
     let mut nonempty = 0usize;
     for spec in presets {
         let system = System::build(&spec);
         let (am, lm) = (&system.am.fst, &system.lm_fst);
-        for (seed, utt) in system.test_utterances(SEEDS).iter().enumerate() {
+        let utts = system.test_utterances(SEEDS);
+        for (seed, utt) in utts.iter().enumerate() {
             for beam in BEAMS {
                 let cfg = DecodeConfig::builder()
                     .lattice_beam(beam)
                     .build()
                     .expect("valid lattice beam");
-                let (_, batch) =
-                    OtfDecoder::new(cfg).decode_lattice(am, lm, &utt.scores, &mut NullSink);
-
-                let mut work = WorkScratch::new();
-                work.begin(&cfg);
-                let mut sess = StreamSession::new(cfg);
-                sess.enable_lattice();
-                sess.seed(am, lm, &mut work, &mut NullSink);
-                for t in 0..utt.scores.num_frames() {
-                    sess.push_frame(am, lm, &mut work, utt.scores.frame(t), &mut NullSink);
-                }
-                let (_, streamed) = sess.finalize_lattice(am, &mut NullSink);
-
-                let d = digest(&batch);
-                assert_eq!(
-                    d,
-                    digest(&streamed),
-                    "{} seed {seed} beam {beam}: batch and streaming lattices differ",
-                    spec.name
-                );
-                assert!(batch.bit_identical(&streamed));
+                let what = format!("{} seed {seed} beam {beam}", spec.name);
+                let batch = batch_and_streamed(cfg, am, lm, &utt.scores, &what);
                 nonempty += usize::from(!batch.is_empty());
-                actual.push((spec.name.to_string(), seed, beam, d, paths_digest(&batch)));
+                actual.push((spec.name, seed, beam, digest(&batch), paths_digest(&batch)));
             }
+        }
+        if !DEGENERATE_TASKS.contains(&spec.name) {
+            continue;
+        }
+        let scores = &utts[0].scores;
+        let cfg = DecodeConfig::builder().lattice_beam(8.0).build().unwrap();
+        let capped = cfg.to_builder().max_active(1).build().unwrap();
+        let inputs = [
+            ("0 frames", cfg, first_frames(scores, 0)),
+            ("1 frame", cfg, first_frames(scores, 1)),
+            ("2 frames", cfg, first_frames(scores, 2)),
+            ("3 frames", cfg, first_frames(scores, 3)),
+            ("max_active 1", capped, scores.clone()),
+        ];
+        for (input, cfg, scores) in inputs {
+            let what = format!("{} {input}", spec.name);
+            let lat = batch_and_streamed(cfg, am, lm, &scores, &what);
+            degenerate.push((spec.name, input, digest(&lat), paths_digest(&lat)));
         }
     }
     // A table of empty-lattice digests would pin nothing.
@@ -312,18 +428,13 @@ fn lattices_match_the_golden_digests() {
         "only {nonempty} of {} lattices are non-empty",
         actual.len()
     );
-    let matches = actual.len() == GOLDEN.len()
-        && actual
-            .iter()
-            .zip(GOLDEN)
-            .all(|(a, g)| (a.0.as_str(), a.1, a.2, a.3, a.4) == *g);
-    if !matches {
-        let mut table = String::new();
-        for (name, seed, beam, d, paths) in &actual {
-            table.push_str(&format!(
-                "    ({name:?}, {seed}, {beam:?}, {d:#018x}, {paths:#018x}),\n"
-            ));
-        }
-        panic!("lattice digests differ from GOLDEN; computed table:\n{table}");
-    }
+    assert_table("GOLDEN", &actual, GOLDEN, |(name, seed, beam, d, paths)| {
+        format!("({name:?}, {seed}, {beam:?}, {d:#018x}, {paths:#018x})")
+    });
+    assert_table(
+        "DEGENERATE",
+        &degenerate,
+        DEGENERATE,
+        |(name, input, d, paths)| format!("({name:?}, {input:?}, {d:#018x}, {paths:#018x})"),
+    );
 }
