@@ -1,22 +1,120 @@
-//! Shared machinery for the per-figure binaries.
+//! Shared machinery for the experiments: the per-task context every
+//! experiment reads, and the Markdown page they write.
 
-use unfold::experiments::{run_unfold_traced, SystemRun};
-use unfold::{System, TaskSpec};
+use std::cell::OnceCell;
+
+use unfold::experiments::{run_baseline_on, run_gpu, run_unfold, GpuRun, SystemRun};
+use unfold::{SizeTable, System, TaskSpec};
 use unfold_am::Utterance;
-use unfold_decoder::MetricsSink;
+use unfold_decoder::{wer, AmSource, DecodeConfig, LmSource, NullSink, OtfDecoder, WerReport};
+use unfold_wfst::Wfst;
 
-/// One built task plus its test batch.
+/// One built task plus its test batch, and the products several
+/// experiments share. Each shared product is built on first use and at
+/// most once: the composed graph, the dataset sizes, and the default
+/// UNFOLD, baseline and GPU runs.
 pub struct TaskRun {
     /// The built system.
     pub system: System,
     /// Test utterances.
     pub utterances: Vec<Utterance>,
+    composed: OnceCell<Wfst>,
+    sizes: OnceCell<SizeTable>,
+    unfold: OnceCell<SystemRun>,
+    baseline: OnceCell<SystemRun>,
+    gpu: OnceCell<GpuRun>,
 }
 
 impl TaskRun {
+    /// Builds `spec` and synthesizes `utterances` test utterances.
+    pub fn new(spec: &TaskSpec, utterances: usize) -> Self {
+        let system = System::build(spec);
+        let utterances = system.test_utterances(utterances);
+        TaskRun {
+            system,
+            utterances,
+            composed: OnceCell::new(),
+            sizes: OnceCell::new(),
+            unfold: OnceCell::new(),
+            baseline: OnceCell::new(),
+            gpu: OnceCell::new(),
+        }
+    }
+
     /// The task name.
     pub fn name(&self) -> &'static str {
         self.system.spec.name
+    }
+
+    /// The offline-composed graph ([`System::composed`]).
+    pub fn composed(&self) -> &Wfst {
+        self.composed.get_or_init(|| self.system.composed())
+    }
+
+    /// Every dataset size, measured against [`TaskRun::composed`].
+    pub fn sizes(&self) -> &SizeTable {
+        self.sizes
+            .get_or_init(|| self.system.sizes_with(self.composed()))
+    }
+
+    /// The default UNFOLD run ([`run_unfold`]).
+    pub fn unfold(&self) -> &SystemRun {
+        self.unfold
+            .get_or_init(|| run_unfold(&self.system, &self.utterances))
+    }
+
+    /// The default Reza et al. baseline run ([`run_baseline_on`]).
+    pub fn baseline(&self) -> &SystemRun {
+        self.baseline
+            .get_or_init(|| run_baseline_on(&self.system, self.composed(), &self.utterances))
+    }
+
+    /// WER of a default-configuration decode of the batch against `am`
+    /// and `lm`, with no simulator attached.
+    pub fn wer_with<A: AmSource, L: LmSource>(&self, am: &A, lm: &L) -> WerReport {
+        let decoder = OtfDecoder::new(DecodeConfig::default());
+        let mut report = WerReport::default();
+        for utt in &self.utterances {
+            let res = decoder.decode(am, lm, &utt.scores, &mut NullSink);
+            report.accumulate(wer(&utt.words, &res.words));
+        }
+        report
+    }
+
+    /// The Tegra X1 software run ([`run_gpu`]).
+    pub fn gpu(&self) -> &GpuRun {
+        self.gpu
+            .get_or_init(|| run_gpu(&self.system, &self.utterances))
+    }
+}
+
+/// The tasks one invocation runs its experiments over, each built once.
+pub struct Bench {
+    /// The tasks, in paper order.
+    pub tasks: Vec<TaskRun>,
+}
+
+impl Bench {
+    /// Builds every task in `specs` with `utterances` test utterances.
+    pub fn new(specs: &[TaskSpec], utterances: usize) -> Self {
+        Bench {
+            tasks: specs.iter().map(|s| TaskRun::new(s, utterances)).collect(),
+        }
+    }
+
+    /// The four paper tasks.
+    pub fn paper(utterances: usize) -> Self {
+        Self::new(&TaskSpec::all_paper_tasks(), utterances)
+    }
+
+    /// The first task (Kaldi-TEDLIUM on the paper set).
+    pub fn first(&self) -> &TaskRun {
+        self.tasks.first().expect("at least one task")
+    }
+
+    /// The last task (EESEN-TEDLIUM on the paper set: most LM traffic).
+    pub fn last(&self) -> &TaskRun {
+        self.tasks.last().expect("at least one task")
     }
 }
 
@@ -28,70 +126,40 @@ pub fn utterance_count() -> usize {
         .unwrap_or(8)
 }
 
-/// Builds every paper task (or just the tiny task under
-/// `UNFOLD_SMOKE=1`) with its utterance batch.
-pub fn build_all() -> Vec<TaskRun> {
-    let smoke = std::env::var("UNFOLD_SMOKE").is_ok_and(|v| v == "1");
-    let specs = if smoke {
-        vec![TaskSpec::tiny()]
-    } else {
-        TaskSpec::all_paper_tasks()
-    };
-    let n = utterance_count();
-    specs
-        .into_iter()
-        .map(|spec| {
-            let system = System::build(&spec);
-            let utterances = system.test_utterances(n);
-            TaskRun { system, utterances }
-        })
-        .collect()
-}
+/// A Markdown page under construction: one experiment's output.
+#[derive(Debug, Default)]
+pub struct Page(String);
 
-/// The `--metrics <file>` argument, if the binary was invoked with one
-/// (`UNFOLD_METRICS=<file>` works too). Binaries that honor it export
-/// decode-time telemetry as JSONL next to their Markdown output.
-pub fn metrics_arg() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| std::env::var("UNFOLD_METRICS").ok())
-}
+impl Page {
+    /// Appends `text` and a newline.
+    pub fn line(&mut self, text: impl AsRef<str>) {
+        self.0.push_str(text.as_ref());
+        self.0.push('\n');
+    }
 
-/// [`unfold::experiments::run_unfold`] with telemetry: returns the run
-/// plus the sink holding its stage/frame records.
-pub fn run_unfold_with_metrics(task: &TaskRun) -> (SystemRun, MetricsSink) {
-    let mut metrics = MetricsSink::new();
-    let run = run_unfold_traced(&task.system, &task.utterances, &mut metrics);
-    (run, metrics)
-}
+    /// Appends a table header row + separator; `cols` separates the
+    /// column titles with ` | `.
+    pub fn header(&mut self, cols: &str) {
+        self.line(format!("| {cols} |"));
+        let n = cols.split(" | ").count();
+        self.line(format!("|{}|", vec!["---"; n].join("|")));
+    }
 
-/// Writes a sink's telemetry to `path` as JSONL (one record per frame
-/// and per stage) and prints a receipt to stderr so the Markdown table
-/// on stdout stays clean.
-pub fn export_metrics(metrics: &MetricsSink, path: &str) {
-    match std::fs::write(path, metrics.to_jsonl()) {
-        Ok(()) => eprintln!(
-            "metrics: {} frame records -> {path}",
-            metrics.frames().total_seen()
-        ),
-        Err(e) => eprintln!("metrics: failed to write {path}: {e}"),
+    /// Appends a table data row.
+    pub fn row(&mut self, cells: &[String]) {
+        self.line(format!("| {} |", cells.join(" | ")));
+    }
+
+    /// The finished Markdown.
+    pub fn into_string(self) -> String {
+        self.0
     }
 }
 
-/// Prints a Markdown header row + separator.
-pub fn header(cols: &[&str]) {
-    println!("| {} |", cols.join(" | "));
-    println!(
-        "|{}|",
-        cols.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-}
-
-/// Prints a Markdown data row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
+/// A paper value for a table cell, or `–` where the paper reports none
+/// (a task outside [`crate::paper::TASKS`]).
+pub fn paper_cell(value: Option<f64>, fmt: fn(f64) -> String) -> String {
+    value.map_or_else(|| "–".into(), fmt)
 }
 
 /// Formats with one decimal.

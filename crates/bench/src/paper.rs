@@ -12,6 +12,12 @@ pub const TASKS: [&str; 4] = [
     "EESEN-TEDLIUM",
 ];
 
+/// The index of task `name` in [`TASKS`] (and so in every per-task
+/// array below), or `None` for a task the paper does not report.
+pub fn task_index(name: &str) -> Option<usize> {
+    TASKS.iter().position(|t| *t == name)
+}
+
 /// Table 1: AM WFST size in MB per task.
 pub const TABLE1_AM_MB: [f64; 4] = [33.0, 40.0, 2.8, 34.0];
 /// Table 1: LM WFST size in MB per task.
@@ -23,10 +29,6 @@ pub const TABLE1_COMPOSED_MB: [f64; 4] = [1090.0, 496.0, 37.0, 1226.0];
 pub const TABLE2_OTF_COMP_MB: [f64; 4] = [32.39, 21.32, 1.33, 39.35];
 /// Table 2: compressed fully-composed sizes in MB per task.
 pub const TABLE2_FULL_COMP_MB: [f64; 4] = [269.78, 136.82, 9.38, 414.28];
-
-/// Figure 9 annotations: Tegra X1 search energy, mJ per second of
-/// speech, per task.
-pub const FIG9_TEGRA_MJ: [f64; 4] = [82.9, 46.6, 31.0, 236.4];
 
 /// Table 5: average decode latency per utterance, ms (Tegra X1).
 pub const TABLE5_TEGRA_AVG_MS: [f64; 4] = [1069.0, 1336.0, 450.0, 1412.0];

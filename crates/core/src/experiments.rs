@@ -5,20 +5,20 @@
 //!
 //! * [`run_unfold`] — on-the-fly decoder over the *compressed* AM/LM,
 //!   simulated on the UNFOLD accelerator (Table 3 left),
-//! * [`run_baseline`] — fully-composed decoder over the offline graph,
-//!   simulated on the Reza et al. accelerator (Table 3 right),
+//! * [`run_baseline_on`] — fully-composed decoder over the offline
+//!   graph, simulated on the Reza et al. accelerator (Table 3 right),
 //! * [`run_gpu`] — the Tegra X1 analytic model fed with the software
 //!   decoder's statistics.
 
 use unfold_am::Utterance;
 use unfold_decoder::{
     wer, DecodeConfig, DecodeResult, DecodeScratch, DecodeStats, FullyComposedDecoder, MetricsSink,
-    OtfDecoder, TeeSink, TraceSink, WerReport,
+    NullSink, OtfDecoder, TeeSink, TraceSink, WerReport,
 };
 use unfold_obs::{CacheRates, PoolTelemetry};
 use unfold_sim::{Accelerator, AcceleratorConfig, FrameCacheSnapshot, GpuModel, SimReport};
 
-use crate::batch::{decode_batch, decode_batch_recorded};
+use crate::batch::decode_batch_recorded;
 use crate::system::System;
 
 /// Outcome of running a batch on an accelerated configuration.
@@ -197,13 +197,8 @@ pub fn run_unfold(system: &System, utterances: &[Utterance]) -> SystemRun {
 /// serially. Bit-identical to `jobs = 1` — only wall time and
 /// [`SystemRun::pool`] change.
 pub fn run_unfold_jobs(system: &System, utterances: &[Utterance], jobs: usize) -> SystemRun {
-    run_unfold_configured_jobs(
-        system,
-        utterances,
-        AcceleratorConfig::unfold(),
-        DecodeConfig::default(),
-        jobs,
-    )
+    let (accel, decode) = (AcceleratorConfig::unfold(), DecodeConfig::default());
+    unfold_run(system, utterances, accel, decode, None, jobs)
 }
 
 /// [`run_unfold`] with explicit accelerator/decoder configurations
@@ -214,42 +209,13 @@ pub fn run_unfold_configured(
     accel_config: AcceleratorConfig,
     decode_config: DecodeConfig,
 ) -> SystemRun {
-    run_unfold_configured_jobs(system, utterances, accel_config, decode_config, 1)
+    unfold_run(system, utterances, accel_config, decode_config, None, 1)
 }
 
-/// [`run_unfold_configured`] with an explicit worker count.
-pub fn run_unfold_configured_jobs(
-    system: &System,
-    utterances: &[Utterance],
-    accel_config: AcceleratorConfig,
-    decode_config: DecodeConfig,
-    jobs: usize,
-) -> SystemRun {
-    let decoder = OtfDecoder::new(decode_config);
-    run_accelerated(
-        utterances,
-        accel_config,
-        None,
-        jobs,
-        |utt, scratch, sink| {
-            decoder.decode_with(&system.am_comp, &system.lm_comp, &utt.scores, scratch, sink)
-        },
-    )
-}
-
-/// [`run_unfold`] with decode-time telemetry: every trace event is
+/// [`run_unfold_jobs`] with decode-time telemetry: every trace event is
 /// teed into `metrics` alongside the accelerator, and after the batch
 /// each recorded frame is annotated with the accelerator's cache/OLT
-/// hit rates for that frame. Pass a freshly-created sink.
-pub fn run_unfold_traced(
-    system: &System,
-    utterances: &[Utterance],
-    metrics: &mut MetricsSink,
-) -> SystemRun {
-    run_unfold_traced_jobs(system, utterances, metrics, 1)
-}
-
-/// [`run_unfold_traced`] with an explicit worker count; telemetry is
+/// hit rates for that frame. Pass a freshly-created sink. Telemetry is
 /// fed during the serial replay, so it too is identical for any `jobs`
 /// (except host wall-clock fields).
 pub fn run_unfold_traced_jobs(
@@ -258,11 +224,24 @@ pub fn run_unfold_traced_jobs(
     metrics: &mut MetricsSink,
     jobs: usize,
 ) -> SystemRun {
-    let decoder = OtfDecoder::new(DecodeConfig::default());
+    let (accel, decode) = (AcceleratorConfig::unfold(), DecodeConfig::default());
+    unfold_run(system, utterances, accel, decode, Some(metrics), jobs)
+}
+
+/// The on-the-fly decode behind every `run_unfold*` entry point.
+fn unfold_run(
+    system: &System,
+    utterances: &[Utterance],
+    accel_config: AcceleratorConfig,
+    decode_config: DecodeConfig,
+    metrics: Option<&mut MetricsSink>,
+    jobs: usize,
+) -> SystemRun {
+    let decoder = OtfDecoder::new(decode_config);
     run_accelerated(
         utterances,
-        AcceleratorConfig::unfold(),
-        Some(metrics),
+        accel_config,
+        metrics,
         jobs,
         |utt, scratch, sink| {
             decoder.decode_with(&system.am_comp, &system.lm_comp, &utt.scores, scratch, sink)
@@ -270,45 +249,21 @@ pub fn run_unfold_traced_jobs(
     )
 }
 
-/// Runs the Reza et al. baseline: fully-composed decode on the offline
-/// graph, simulated on the baseline accelerator.
-///
-/// The composed graph is built once per call — pass it in when running
-/// several experiments on one system.
-pub fn run_baseline(system: &System, utterances: &[Utterance]) -> SystemRun {
-    let composed = system.composed();
-    run_baseline_on(system, &composed, utterances)
-}
-
-/// [`run_baseline`] against a pre-built composed graph.
+/// Runs the Reza et al. baseline: fully-composed decode of a pre-built
+/// composed graph ([`System::composed`]), simulated on the baseline
+/// accelerator.
 pub fn run_baseline_on(
     system: &System,
     composed: &unfold_wfst::Wfst,
     utterances: &[Utterance],
 ) -> SystemRun {
-    run_baseline_configured(
-        system,
-        composed,
-        utterances,
-        AcceleratorConfig::reza(),
-        DecodeConfig::default(),
-    )
+    let (accel, decode) = (AcceleratorConfig::reza(), DecodeConfig::default());
+    run_baseline_configured_jobs(system, composed, utterances, accel, decode, 1)
 }
 
-/// [`run_baseline_on`] with explicit accelerator/decoder configurations.
-pub fn run_baseline_configured(
-    system: &System,
-    composed: &unfold_wfst::Wfst,
-    utterances: &[Utterance],
-    accel_config: AcceleratorConfig,
-    decode_config: DecodeConfig,
-) -> SystemRun {
-    run_baseline_configured_jobs(system, composed, utterances, accel_config, decode_config, 1)
-}
-
-/// [`run_baseline_configured`] with an explicit worker count (the
-/// fully-composed decoder keeps its own working memory, so workers
-/// ignore the pool scratch).
+/// [`run_baseline_on`] with explicit accelerator/decoder configurations
+/// and worker count (the fully-composed decoder keeps its own working
+/// memory, so workers ignore the pool scratch).
 pub fn run_baseline_configured_jobs(
     _system: &System,
     composed: &unfold_wfst::Wfst,
@@ -317,28 +272,18 @@ pub fn run_baseline_configured_jobs(
     decode_config: DecodeConfig,
     jobs: usize,
 ) -> SystemRun {
-    let decoder = FullyComposedDecoder::new(decode_config);
-    run_accelerated(
+    baseline_run(
+        composed,
         utterances,
         accel_config,
+        decode_config,
         None,
         jobs,
-        |utt, _scratch, sink| decoder.decode(composed, &utt.scores, sink),
     )
 }
 
 /// [`run_baseline_on`] with decode-time telemetry (see
-/// [`run_unfold_traced`]).
-pub fn run_baseline_traced(
-    system: &System,
-    composed: &unfold_wfst::Wfst,
-    utterances: &[Utterance],
-    metrics: &mut MetricsSink,
-) -> SystemRun {
-    run_baseline_traced_jobs(system, composed, utterances, metrics, 1)
-}
-
-/// [`run_baseline_traced`] with an explicit worker count.
+/// [`run_unfold_traced_jobs`]) and an explicit worker count.
 pub fn run_baseline_traced_jobs(
     _system: &System,
     composed: &unfold_wfst::Wfst,
@@ -346,11 +291,24 @@ pub fn run_baseline_traced_jobs(
     metrics: &mut MetricsSink,
     jobs: usize,
 ) -> SystemRun {
-    let decoder = FullyComposedDecoder::new(DecodeConfig::default());
+    let (accel, decode) = (AcceleratorConfig::reza(), DecodeConfig::default());
+    baseline_run(composed, utterances, accel, decode, Some(metrics), jobs)
+}
+
+/// The fully-composed decode behind every `run_baseline*` entry point.
+fn baseline_run(
+    composed: &unfold_wfst::Wfst,
+    utterances: &[Utterance],
+    accel_config: AcceleratorConfig,
+    decode_config: DecodeConfig,
+    metrics: Option<&mut MetricsSink>,
+    jobs: usize,
+) -> SystemRun {
+    let decoder = FullyComposedDecoder::new(decode_config);
     run_accelerated(
         utterances,
-        AcceleratorConfig::reza(),
-        Some(metrics),
+        accel_config,
+        metrics,
         jobs,
         |utt, _scratch, sink| decoder.decode(composed, &utt.scores, sink),
     )
@@ -385,33 +343,27 @@ impl GpuRun {
     }
 }
 
-/// Runs the software decoder and prices it with the Tegra X1 model.
+/// Runs the software decoder and prices it with the Tegra X1 model. The
+/// GPU model is analytic (priced from per-utterance stats), so no
+/// simulator sees the decode.
 pub fn run_gpu(system: &System, utterances: &[Utterance]) -> GpuRun {
-    run_gpu_jobs(system, utterances, 1)
-}
-
-/// [`run_gpu`] with the decode fanned out over `jobs` workers. The GPU
-/// model is analytic (priced from per-utterance stats), so no replay
-/// step is needed — results aggregate in utterance order.
-pub fn run_gpu_jobs(system: &System, utterances: &[Utterance], jobs: usize) -> GpuRun {
     assert!(!utterances.is_empty(), "run_gpu: no utterances");
     let gpu = GpuModel::default();
     let decoder = OtfDecoder::new(DecodeConfig::default());
-    let (results, _pool) = decode_batch(utterances, jobs, |_i, utt, scratch| {
-        decoder.decode_with(
-            &system.am.fst,
-            &system.lm_fst,
-            &utt.scores,
-            scratch,
-            &mut unfold_decoder::NullSink,
-        )
-    });
+    let mut scratch = DecodeScratch::new();
     let mut search_s = 0.0;
     let mut search_mj = 0.0;
     let mut frames = 0usize;
     let mut audio = 0.0;
     let mut per_utt = Vec::with_capacity(utterances.len());
-    for (utt, res) in utterances.iter().zip(&results) {
+    for utt in utterances {
+        let res = decoder.decode_with(
+            &system.am.fst,
+            &system.lm_fst,
+            &utt.scores,
+            &mut scratch,
+            &mut NullSink,
+        );
         let t = gpu.viterbi_seconds(&res.stats);
         per_utt.push(t);
         search_s += t;
@@ -460,7 +412,7 @@ mod tests {
         let (s, utts) = setup();
         let plain = run_unfold(&s, &utts);
         let mut metrics = MetricsSink::new();
-        let traced = run_unfold_traced(&s, &utts, &mut metrics);
+        let traced = run_unfold_traced_jobs(&s, &utts, &mut metrics, 1);
 
         // Observability listens, it never steers: identical outcomes.
         assert_eq!(plain.wer, traced.wer);
@@ -504,7 +456,7 @@ mod tests {
         // their word outputs should be nearly identical.
         let (s, utts) = setup();
         let a = run_unfold(&s, &utts);
-        let b = run_baseline(&s, &utts);
+        let b = run_baseline_on(&s, &s.composed(), &utts);
         let delta = (a.wer.percent() - b.wer.percent()).abs();
         assert!(delta < 10.0, "WER divergence {delta} too large");
     }
@@ -515,7 +467,7 @@ mod tests {
         // → less DRAM traffic (68% fewer accesses, Figure 11).
         let (s, utts) = setup();
         let a = run_unfold(&s, &utts);
-        let b = run_baseline(&s, &utts);
+        let b = run_baseline_on(&s, &s.composed(), &utts);
         assert!(
             a.sim.dram.total_bytes() < b.sim.dram.total_bytes(),
             "UNFOLD {} vs baseline {}",

@@ -43,9 +43,7 @@ pub mod task;
 
 pub use batch::{decode_batch, decode_batch_recorded};
 pub use composed::build_composed_lg;
-pub use experiments::{
-    run_baseline, run_gpu, run_gpu_jobs, run_unfold, run_unfold_jobs, GpuRun, SystemRun,
-};
+pub use experiments::{run_baseline_on, run_gpu, run_unfold, run_unfold_jobs, GpuRun, SystemRun};
 pub use models::{pack_system, AmModel, LmModel, Models, DEFAULT_LM};
 pub use system::{SizeTable, System};
 pub use task::{ScoringSynth, TaskSpec};

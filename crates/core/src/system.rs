@@ -166,13 +166,18 @@ impl System {
     /// Measures every dataset size (builds the composed graph, so this
     /// is the most expensive call on a full-size task).
     pub fn sizes(&self) -> SizeTable {
-        let composed = self.composed();
-        let composed_comp = CompressedComposed::compress(&composed, QUANT_CLUSTERS, self.spec.seed);
+        self.sizes_with(&self.composed())
+    }
+
+    /// [`System::sizes`] against an already-built [`System::composed`]
+    /// graph, for callers that keep the graph for decoding too.
+    pub fn sizes_with(&self, composed: &Wfst) -> SizeTable {
+        let composed_comp = CompressedComposed::compress(composed, QUANT_CLUSTERS, self.spec.seed);
         const MIB: f64 = 1024.0 * 1024.0;
         SizeTable {
             am_mib: SizeModel::UNCOMPRESSED.mib(&self.am.fst),
             lm_mib: SizeModel::UNCOMPRESSED.mib(&self.lm_fst),
-            composed_mib: SizeModel::UNCOMPRESSED.mib(&composed),
+            composed_mib: SizeModel::UNCOMPRESSED.mib(composed),
             am_comp_mib: self.am_comp.size_bytes() as f64 / MIB,
             lm_comp_mib: self.lm_comp.size_bytes() as f64 / MIB,
             composed_comp_mib: composed_comp.size_bytes() as f64 / MIB,

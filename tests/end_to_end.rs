@@ -60,7 +60,7 @@ fn deterministic_end_to_end() {
 
 #[test]
 fn every_paper_task_spec_builds() {
-    // Full builds are exercised by the bench binaries; here we verify
+    // Full builds are exercised by the paper runner (`unfold-bench`); here we verify
     // the specs are internally consistent at reduced size.
     for mut spec in TaskSpec::all_paper_tasks() {
         spec.vocab_size = 120;
