@@ -5,7 +5,7 @@
 
 use unfold_am::{build_am, synthesize_utterance, HmmTopology, Lexicon, NoiseModel};
 use unfold_bias::{BiasedLm, BiasingFst, OfflineBiasedLm};
-use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder};
+use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder, StreamSession, WorkScratch};
 use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
 use unfold_wfst::Wfst;
 
@@ -149,4 +149,38 @@ fn per_session_cache_does_not_change_the_answer() {
         off.stats.bias_probes == 0 && off.stats.bias_installs == 0,
         "cache-off run must not touch the session layer"
     );
+}
+
+/// A streaming session sizes its per-session memo only when its LM
+/// composes. Through the biasing adapter the memo is live: a streamed
+/// biased decode probes it and matches the offline one exactly, the
+/// session-layer counters included.
+#[test]
+fn streamed_biased_session_keeps_its_session_memo() {
+    let (lex, am, lm) = setup();
+    let bias = BiasingFst::mint(0xCAFE, 40, 6);
+    let biased = BiasedLm::new(&lm, &bias);
+    let utt = synthesize_utterance(
+        &[5u32, 9, 22],
+        &lex,
+        HmmTopology::Kaldi3State,
+        &NoiseModel::default(),
+        3,
+    );
+    let cfg = DecodeConfig::default();
+    let offline = OtfDecoder::new(cfg).decode(&am, &biased, &utt.scores, &mut NullSink);
+    let mut work = WorkScratch::new();
+    let mut session = StreamSession::new(cfg);
+    session.seed(&am, &biased, &mut work, &mut NullSink);
+    for t in 0..utt.scores.num_frames() {
+        session.push_frame(&am, &biased, &mut work, utt.scores.frame(t), &mut NullSink);
+    }
+    let streamed = session.finalize(&am, &mut NullSink);
+    assert!(
+        streamed.stats.bias_probes > 0,
+        "the session memo was never probed"
+    );
+    assert_eq!(streamed.words, offline.words);
+    assert_eq!(streamed.cost.to_bits(), offline.cost.to_bits());
+    assert_eq!(streamed.stats, offline.stats);
 }

@@ -67,8 +67,13 @@ pub enum ScoreError {
         /// Width the frame actually had.
         got: usize,
     },
-    /// A feature frame carries NaN or ±inf. Scored, it would turn into
-    /// NaN costs that the search compares and accumulates like numbers.
+    /// A feature frame carries NaN or ±inf, or a score row carries NaN
+    /// or −inf. Either would put NaN costs in the search, which
+    /// compares and accumulates them like numbers: a NaN token survives
+    /// every beam, is never replaced, and is never chosen as a final,
+    /// so one bad row silently empties the session. A −inf cost ranks
+    /// before every path and turns into NaN against a +inf one. A
+    /// score row's +inf stays legal: it is a PDF with zero likelihood.
     NonFinite {
         /// Index of the first offending value in the frame.
         index: usize,
@@ -91,7 +96,7 @@ impl std::fmt::Display for ScoreError {
                 )
             }
             ScoreError::NonFinite { index } => {
-                write!(f, "feature frame is not finite at index {index}")
+                write!(f, "frame is not finite at index {index}")
             }
         }
     }
@@ -114,9 +119,10 @@ impl std::error::Error for ScoreError {}
 ///
 /// Implementations must also never panic on malformed input: width
 /// checks return [`ScoreError::WidthMismatch`], missing capabilities
-/// return [`ScoreError::FeaturesUnsupported`], and a frontend that does
+/// return [`ScoreError::FeaturesUnsupported`], a frontend that does
 /// arithmetic on features refuses NaN and ±inf with
-/// [`ScoreError::NonFinite`].
+/// [`ScoreError::NonFinite`], and a precomputed row passes through
+/// [`copy_score_row`], which refuses NaN and −inf the same way.
 ///
 /// (`Debug` is a supertrait so scorer handles can sit inside
 /// `#[derive(Debug)]` scheduler state; derive it.)
@@ -127,6 +133,26 @@ pub trait AcousticScorer: Send + Sync + std::fmt::Debug {
     /// Scores one frame into `out` (cleared and refilled with exactly
     /// [`AcousticScorer::num_pdfs`] costs).
     fn score_into(&self, frame: &FrameInput, out: &mut Vec<f32>) -> Result<(), ScoreError>;
+}
+
+/// Copies a precomputed score row into `out` (cleared first), or
+/// refuses it with [`ScoreError::NonFinite`] at its first NaN or −inf
+/// cost, leaving `out` untouched. Every path that passes a client's
+/// score row to the search goes through here; +inf passes (a PDF with
+/// zero likelihood).
+///
+/// # Errors
+/// [`ScoreError::NonFinite`] naming the first NaN or −inf cost.
+pub fn copy_score_row(row: &[f32], out: &mut Vec<f32>) -> Result<(), ScoreError> {
+    if let Some(index) = row
+        .iter()
+        .position(|&c| c.is_nan() || c == f32::NEG_INFINITY)
+    {
+        return Err(ScoreError::NonFinite { index });
+    }
+    out.clear();
+    out.extend_from_slice(row);
+    Ok(())
 }
 
 /// The passthrough scorer: accepts precomputed score rows of a fixed
@@ -159,9 +185,7 @@ impl AcousticScorer for PrecomputedScorer {
                         got: row.len(),
                     });
                 }
-                out.clear();
-                out.extend_from_slice(row);
-                Ok(())
+                copy_score_row(row, out)
             }
             FrameInput::Features(_) => Err(ScoreError::FeaturesUnsupported),
         }
@@ -203,9 +227,7 @@ impl AcousticScorer for GmmScorer {
                         got: row.len(),
                     });
                 }
-                out.clear();
-                out.extend_from_slice(row);
-                Ok(())
+                copy_score_row(row, out)
             }
             FrameInput::Features(feat) => {
                 if feat.len() != self.model.dim() {
@@ -293,13 +315,41 @@ mod tests {
             );
         }
         // The largest finite value is a feature like any other, and a
-        // precomputed row is the client's to vouch for.
+        // +inf cost in a precomputed row is a PDF with zero likelihood.
         assert!(s
             .score_into(&FrameInput::Features(vec![f32::MAX; 4]), &mut out)
             .is_ok());
         assert!(s
             .score_into(&FrameInput::Scores(vec![f32::INFINITY; 6]), &mut out)
             .is_ok());
+    }
+
+    /// NaN and −inf costs are refused at the first one, by every
+    /// passthrough, and leave the output buffer as it was; +inf passes.
+    #[test]
+    fn score_rows_refuse_nan_and_negative_infinity() {
+        let gmm = GmmScorer::new(Arc::new(GmmModel::synthesize(6, 4, 2, 2.5, 77)));
+        let pre = PrecomputedScorer::new(6);
+        let scorers: [&dyn AcousticScorer; 2] = [&gmm, &pre];
+        for scorer in scorers {
+            for bad in [f32::NAN, f32::NEG_INFINITY] {
+                let mut row = vec![1.0, f32::INFINITY, 2.0, 3.0, 4.0, 5.0];
+                row[3] = bad;
+                row[4] = bad;
+                let mut out = vec![7.0];
+                assert_eq!(
+                    scorer.score_into(&FrameInput::Scores(row), &mut out),
+                    Err(ScoreError::NonFinite { index: 3 })
+                );
+                assert_eq!(out, vec![7.0], "a refused row must not be copied");
+            }
+            let row = vec![1.0, f32::INFINITY, 2.0, 3.0, 4.0, -0.5];
+            let mut out = Vec::new();
+            scorer
+                .score_into(&FrameInput::Scores(row.clone()), &mut out)
+                .unwrap();
+            assert_eq!(out, row);
+        }
     }
 
     #[test]

@@ -61,8 +61,8 @@ use crate::config::{DecodeConfig, DecodeStats};
 use crate::lattice::{Lattice, COMPACT_ENTRY_BYTES};
 use crate::olt::SoftOlt;
 use crate::otf::{lm_walk, split, token_key};
-use crate::scratch::{ArcStage, SessionScratch, WorkScratch};
-use crate::search::{prune_threshold_store, Token, TokenStore};
+use crate::scratch::{ArcStage, FrameSource, SessionScratch, WorkScratch};
+use crate::search::{prune_threshold_store, Token, TokenLanes, TokenStore};
 use crate::sources::{addr, AmSource, Fetch, LmSource};
 use crate::trace::{DecodeStage, KernelPhase, TraceSink};
 
@@ -75,7 +75,9 @@ fn tick<S: TraceSink + ?Sized>(sink: &mut S, t0: Option<Instant>, phase: KernelP
 }
 
 /// SoA counterpart of [`crate::otf::expand_frame`]'s legacy body:
-/// identical event stream and stats, lane-oriented inner loops.
+/// identical event stream and stats, lane-oriented inner loops. The
+/// population entering the frame is read from `from`; the one built
+/// is left in `work.next`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_frame_soa<
     A: AmSource + ?Sized,
@@ -87,6 +89,7 @@ pub(crate) fn expand_frame_soa<
     lm: &L,
     session: &mut SessionScratch,
     work: &mut WorkScratch,
+    from: FrameSource,
     costs: &[f32],
     t: usize,
     sink: &mut S,
@@ -94,17 +97,21 @@ pub(crate) fn expand_frame_soa<
 ) {
     work.ensure_validated(am, lm, costs.len());
     work.bind_arc_stage(am);
-    session.lattice.advance_pop(session.cur.keys_slice());
-    sink.frame_start(t, session.cur.len());
+    let cur: &TokenLanes = match from {
+        FrameSource::Worker => &work.cur,
+        FrameSource::Parked => &session.live,
+    };
+    session.lattice.advance_pop(cur.keys_slice());
+    sink.frame_start(t, cur.len());
     stats.frames += 1;
-    stats.max_active = stats.max_active.max(session.cur.len());
-    stats.total_active += session.cur.len() as u64;
+    stats.max_active = stats.max_active.max(cur.len());
+    stats.total_active += cur.len() as u64;
     let timing = sink.wants_kernel_timing();
 
     sink.stage_enter(DecodeStage::Pruning);
     let t0 = timing.then(Instant::now);
     let thr = prune_threshold_store(
-        &session.cur,
+        cur.costs(),
         config.beam,
         config.max_active,
         &mut work.prune_costs,
@@ -112,9 +119,9 @@ pub(crate) fn expand_frame_soa<
     // Beam compare over the contiguous cost lane into packed flags.
     // `!(c > thr)` (not `c <= thr`) so a NaN cost survives exactly as
     // it does under the legacy `cost > thr` prune test.
-    let n = session.cur.len();
+    let n = cur.len();
     {
-        let cs = session.cur.costs();
+        let cs = cur.costs();
         let mask = &mut work.survivor_mask;
         mask.clear();
         mask.resize(n.div_ceil(64), 0);
@@ -143,7 +150,7 @@ pub(crate) fn expand_frame_soa<
     }
     stats.tokens_pruned += (n - work.survivors.len()) as u64;
     // The next population's reset is timed with the threshold pass.
-    session.next.clear();
+    work.next.clear();
     tick(sink, t0, KernelPhase::Threshold);
     sink.stage_switch(DecodeStage::Pruning, DecodeStage::ArcExpansion);
     let mut next_best = f32::INFINITY;
@@ -152,7 +159,7 @@ pub(crate) fn expand_frame_soa<
     // AM and LM state records before expansion touches any of them.
     let t0 = timing.then(Instant::now);
     {
-        let keys = session.cur.keys_slice();
+        let keys = cur.keys_slice();
         for &e in work.survivors.iter() {
             let (am_s, lm_s) = split(keys[e as usize]);
             am.prefetch_state(am_s);
@@ -163,8 +170,7 @@ pub(crate) fn expand_frame_soa<
 
     let t0 = timing.then(Instant::now);
     {
-        let cur = &session.cur;
-        let next = &mut session.next;
+        let next = &mut work.next;
         let olt = &mut work.olt;
         let bias = &mut session.bias_cache;
         let probes = &mut work.probes;
@@ -261,7 +267,7 @@ pub(crate) fn expand_frame_soa<
         config,
         am,
         lm,
-        &mut session.next,
+        &mut work.next,
         &mut work.worklist_idx,
         &mut work.eps_local,
         &mut work.probes,
@@ -283,12 +289,11 @@ pub(crate) fn expand_frame_soa<
     // part of the recorded identity.
     let mut best = TropicalWeight::zero();
     let mut worst = f32::INFINITY;
-    for &c in session.next.costs() {
+    for &c in work.next.costs() {
         best = TropicalWeight::from_cost(c).plus(best);
         worst = if worst.is_finite() { worst.max(c) } else { c };
     }
-    sink.frame_end(t, session.next.len(), best.value(), worst);
-    std::mem::swap(&mut session.cur, &mut session.next);
+    sink.frame_end(t, work.next.len(), best.value(), worst);
 }
 
 /// SoA counterpart of [`crate::otf::epsilon_closure`]: the worklist

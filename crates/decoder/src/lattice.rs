@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use unfold_lm::WordId;
 use unfold_wfst::{LogWeight, Semiring, TropicalWeight};
 
-use crate::search::{TokenMap, TokenStore};
+use crate::search::{TokenLanes, TokenMap};
 use crate::sources::AmSource;
 
 /// Bytes one lattice entry occupies in the compact representation
@@ -588,7 +588,7 @@ impl WordLattice {
     pub(crate) fn build<A: AmSource + ?Sized>(
         am: &A,
         tape: &Lattice,
-        final_population: &TokenStore,
+        final_population: &TokenLanes,
         lattice_beam: f32,
     ) -> WordLattice {
         debug_assert!(tape.is_recording(), "building a lattice without a tape");
@@ -1485,7 +1485,7 @@ mod tests {
     /// Builds with `finals` as the final tokens of the last population.
     fn build_with_finals(tape: &KeyTape, finals: &[u64], beam: f32) -> WordLattice {
         let (tape, keys) = tape.replay(finals);
-        let mut last = TokenStore::default();
+        let mut last = crate::search::TokenStore::default();
         for k in keys {
             // The builder reads only the keys.
             last.insert(

@@ -57,7 +57,9 @@ pub use config::{
     ConfigError, DecodeConfig, DecodeConfigBuilder, DecodeKernel, DecodeResult, DecodeStats,
 };
 pub use full::FullyComposedDecoder;
-pub use ingest::{AcousticScorer, FrameInput, GmmScorer, PrecomputedScorer, ScoreError};
+pub use ingest::{
+    copy_score_row, AcousticScorer, FrameInput, GmmScorer, PrecomputedScorer, ScoreError,
+};
 pub use lattice::{Lattice, LatticeArc, LatticeNode, WordHyp, WordLattice};
 pub use metrics::{MetricsSink, TeeSink};
 pub use olt::SoftOlt;

@@ -33,7 +33,8 @@ pub const OLT_WAYS: usize = 4;
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     /// Generation stamp; an entry is live iff it matches the table's
-    /// current generation (O(1) whole-table reset between utterances).
+    /// current generation (whole-table reset without a sweep of the
+    /// entries between utterances).
     gen: u32,
     state: StateId,
     word: Label,
@@ -100,9 +101,12 @@ impl SoftOlt {
         self.entries.len()
     }
 
-    /// Invalidates every entry in O(1) (generation bump). Called
-    /// between utterances so per-utterance statistics do not depend on
-    /// which worker's scratch decoded the previous utterance.
+    /// Invalidates every entry (generation bump) and rewinds every
+    /// set's victim cursor (one byte per set, against 80 bytes of
+    /// entries). Called between utterances so per-utterance statistics do
+    /// not depend on which worker's scratch decoded the previous
+    /// utterance — a cursor left where the last utterance stopped
+    /// would pick different victims than a fresh table's.
     pub fn reset(&mut self) {
         if self.gen == u32::MAX {
             self.entries.fill(DEAD);
@@ -110,6 +114,7 @@ impl SoftOlt {
         } else {
             self.gen += 1;
         }
+        self.cursors.fill(0);
     }
 
     /// The paper indexes "using the XOR of the LM state index and the

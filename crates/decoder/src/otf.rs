@@ -23,8 +23,8 @@ use unfold_wfst::{Label, Semiring, StateId, TropicalWeight, EPSILON};
 use crate::config::{DecodeConfig, DecodeKernel, DecodeResult, DecodeStats};
 use crate::lattice::{Lattice, WordLattice, COMPACT_ENTRY_BYTES, LATTICE_ROOT};
 use crate::olt::SoftOlt;
-use crate::scratch::{DecodeScratch, SessionScratch, WorkScratch};
-use crate::search::{prune_threshold_store, Token, TokenStore};
+use crate::scratch::{DecodeScratch, FrameSource, SessionScratch, WorkScratch};
+use crate::search::{prune_threshold_store, Token, TokenLanes, TokenStore};
 use crate::sources::{addr, AmSource, Fetch, LmSource, MAX_BACKOFF_HOPS};
 use crate::trace::{DecodeStage, NullSink, TraceSink};
 
@@ -152,7 +152,7 @@ impl OtfDecoder {
         self.run(am, lm, scores, scratch, sink, &mut stats, true);
         finish_lattice(
             am,
-            &scratch.session.cur,
+            &scratch.work.cur,
             &scratch.session.lattice,
             stats,
             self.config.lattice_beam,
@@ -192,20 +192,16 @@ impl OtfDecoder {
     ) -> DecodeResult {
         let mut stats = DecodeStats::default();
         self.run(am, lm, scores, scratch, sink, &mut stats, false);
-        finish(
-            am,
-            &scratch.session.cur,
-            &scratch.session.lattice,
-            stats,
-            sink,
-        )
+        finish(am, &scratch.work.cur, &scratch.session.lattice, stats, sink)
     }
 
     /// Shared search loop: seeds the start token, runs the initial
-    /// closure, expands every frame. The surviving population is left
-    /// in `scratch.cur`. When `record` is set, the expansion tape is
-    /// captured for [`WordLattice::build`] — contents-neutral for the
-    /// search itself.
+    /// closure, expands every frame. The population never leaves the
+    /// worker's store pair: each build lands in `next` and is swapped
+    /// into `cur`, so no token is copied, and the survivors are left in
+    /// `scratch.work.cur`. When
+    /// `record` is set, the expansion tape is captured for
+    /// [`WordLattice::build`] — contents-neutral for the search itself.
     #[allow(clippy::too_many_arguments)]
     fn run<A: AmSource + ?Sized, L: LmSource + ?Sized>(
         &self,
@@ -229,6 +225,8 @@ impl OtfDecoder {
             sink,
             stats,
         );
+        let work = &mut scratch.work;
+        std::mem::swap(&mut work.cur, &mut work.next);
         for t in 0..scores.num_frames() {
             expand_frame(
                 &self.config,
@@ -236,18 +234,26 @@ impl OtfDecoder {
                 lm,
                 &mut scratch.session,
                 &mut scratch.work,
+                FrameSource::Worker,
                 scores.frame(t),
                 t,
                 sink,
                 stats,
             );
+            let work = &mut scratch.work;
+            std::mem::swap(&mut work.cur, &mut work.next);
         }
     }
 }
 
-/// Seeds the start token into `session.cur` and runs the initial
-/// non-emitting closure under the configured kernel. Shared by
-/// [`OtfDecoder`] and [`crate::streaming::StreamSession`].
+/// Seeds the start token into the worker's `next` store and runs the
+/// initial non-emitting closure under the configured kernel. Shared by
+/// [`OtfDecoder`] (which swaps the result into `cur`) and
+/// [`crate::streaming::StreamSession`] (which parks it).
+///
+/// The store is cleared first, as every frame clears it before
+/// building: a decode that panicked mid-build may have left it
+/// populated.
 pub(crate) fn seed_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     config: &DecodeConfig,
     am: &A,
@@ -257,7 +263,8 @@ pub(crate) fn seed_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     sink: &mut dyn TraceSink,
     stats: &mut DecodeStats,
 ) {
-    session.cur.insert(
+    work.next.clear();
+    work.next.insert(
         token_key(am.start(), lm.start()),
         Token {
             cost: 0.0,
@@ -269,7 +276,7 @@ pub(crate) fn seed_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
             config,
             am,
             lm,
-            &mut session.cur,
+            &mut work.next,
             &mut work.worklist,
             &mut work.eps_local,
             &mut work.probes,
@@ -303,12 +310,12 @@ fn seed_closure_soa<A: AmSource + ?Sized, L: LmSource + ?Sized, S: TraceSink + ?
     work.bind_arc_stage(am);
     // The closure starts from every entry: the lone start token.
     work.worklist_idx.clear();
-    work.worklist_idx.extend(0..session.cur.len() as u32);
+    work.worklist_idx.extend(0..work.next.len() as u32);
     crate::kernel::epsilon_closure_soa(
         config,
         am,
         lm,
-        &mut session.cur,
+        &mut work.next,
         &mut work.worklist_idx,
         &mut work.eps_local,
         &mut work.probes,
@@ -326,8 +333,10 @@ fn seed_closure_soa<A: AmSource + ?Sized, L: LmSource + ?Sized, S: TraceSink + ?
 /// Processes one frame under the configured kernel: prune, expand
 /// emitting arcs against the frame's cost row (`costs[pdf - 1]`), then
 /// run the non-emitting closure. The population entering the frame is
-/// `session.cur`; the surviving population is swapped back into
-/// `session.cur` on return. Shared by [`OtfDecoder::decode`] and
+/// read from `from` — the worker's `cur` store, or the session's parked
+/// lanes — and the population built is left in `work.next`: the
+/// one-utterance loop swaps it into `cur`, a streaming push parks it.
+/// Shared by [`OtfDecoder::decode`] and
 /// [`crate::streaming::StreamSession`] — the latter lends a (possibly
 /// different) worker's `work` buffers on every call, which is safe
 /// because nothing in [`WorkScratch`] carries search state across a
@@ -345,6 +354,7 @@ pub(crate) fn expand_frame<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     lm: &L,
     session: &mut SessionScratch,
     work: &mut WorkScratch,
+    from: FrameSource,
     costs: &[f32],
     t: usize,
     sink: &mut dyn TraceSink,
@@ -352,7 +362,7 @@ pub(crate) fn expand_frame<A: AmSource + ?Sized, L: LmSource + ?Sized>(
 ) {
     match config.kernel {
         DecodeKernel::Legacy => {
-            expand_frame_legacy(config, am, lm, session, work, costs, t, sink, stats);
+            expand_frame_legacy(config, am, lm, session, work, from, costs, t, sink, stats);
         }
         DecodeKernel::Soa if sink.is_null() => {
             crate::kernel::expand_frame_soa(
@@ -361,6 +371,7 @@ pub(crate) fn expand_frame<A: AmSource + ?Sized, L: LmSource + ?Sized>(
                 lm,
                 session,
                 work,
+                from,
                 costs,
                 t,
                 &mut NullSink,
@@ -368,7 +379,9 @@ pub(crate) fn expand_frame<A: AmSource + ?Sized, L: LmSource + ?Sized>(
             );
         }
         DecodeKernel::Soa => {
-            crate::kernel::expand_frame_soa(config, am, lm, session, work, costs, t, sink, stats);
+            crate::kernel::expand_frame_soa(
+                config, am, lm, session, work, from, costs, t, sink, stats,
+            );
         }
     }
 }
@@ -384,32 +397,36 @@ fn expand_frame_legacy<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     lm: &L,
     session: &mut SessionScratch,
     work: &mut WorkScratch,
+    from: FrameSource,
     costs: &[f32],
     t: usize,
     sink: &mut dyn TraceSink,
     stats: &mut DecodeStats,
 ) {
     work.ensure_validated(am, lm, costs.len());
-    session.lattice.advance_pop(session.cur.keys_slice());
-    sink.frame_start(t, session.cur.len());
+    let cur: &TokenLanes = match from {
+        FrameSource::Worker => &work.cur,
+        FrameSource::Parked => &session.live,
+    };
+    session.lattice.advance_pop(cur.keys_slice());
+    sink.frame_start(t, cur.len());
     stats.frames += 1;
-    stats.max_active = stats.max_active.max(session.cur.len());
-    stats.total_active += session.cur.len() as u64;
+    stats.max_active = stats.max_active.max(cur.len());
+    stats.total_active += cur.len() as u64;
 
     sink.stage_enter(DecodeStage::Pruning);
     let thr = prune_threshold_store(
-        &session.cur,
+        cur.costs(),
         config.beam,
         config.max_active,
         &mut work.prune_costs,
     );
     sink.stage_switch(DecodeStage::Pruning, DecodeStage::ArcExpansion);
-    session.next.clear();
+    work.next.clear();
     let mut next_best = f32::INFINITY;
 
     {
-        let cur = &session.cur;
-        let next = &mut session.next;
+        let next = &mut work.next;
         let olt = &mut work.olt;
         let bias = &mut session.bias_cache;
         let probes = &mut work.probes;
@@ -484,7 +501,7 @@ fn expand_frame_legacy<A: AmSource + ?Sized, L: LmSource + ?Sized>(
         config,
         am,
         lm,
-        &mut session.next,
+        &mut work.next,
         &mut work.worklist,
         &mut work.eps_local,
         &mut work.probes,
@@ -500,7 +517,7 @@ fn expand_frame_legacy<A: AmSource + ?Sized, L: LmSource + ?Sized>(
 
     let mut best = TropicalWeight::zero();
     let mut worst = f32::INFINITY;
-    for tok in session.next.values() {
+    for tok in work.next.values() {
         best = TropicalWeight::from_cost(tok.cost).plus(best);
         worst = if worst.is_finite() {
             worst.max(tok.cost)
@@ -509,8 +526,7 @@ fn expand_frame_legacy<A: AmSource + ?Sized, L: LmSource + ?Sized>(
         };
     }
     let best = best.value();
-    sink.frame_end(t, session.next.len(), best, worst);
-    std::mem::swap(&mut session.cur, &mut session.next);
+    sink.frame_end(t, work.next.len(), best, worst);
 }
 
 /// Relaxes non-emitting AM arcs (including cross-word transitions,
@@ -771,7 +787,7 @@ pub(crate) fn relax(
 /// Selects the best token whose AM state is final and backtraces it.
 pub(crate) fn finish<A: AmSource + ?Sized>(
     am: &A,
-    tokens: &TokenStore,
+    tokens: &TokenLanes,
     lattice: &Lattice,
     stats: DecodeStats,
     sink: &mut dyn TraceSink,
@@ -814,7 +830,7 @@ pub(crate) fn finish<A: AmSource + ?Sized>(
 /// [`crate::streaming::StreamSession::finalize_lattice`].
 pub(crate) fn finish_lattice<A: AmSource + ?Sized>(
     am: &A,
-    tokens: &TokenStore,
+    tokens: &TokenLanes,
     lattice: &Lattice,
     stats: DecodeStats,
     lattice_beam: f32,
@@ -1002,6 +1018,43 @@ mod tests {
             assert_eq!(got.cost.to_bits(), want.cost.to_bits());
             assert_eq!(got.stats, want.stats, "warm scratch must not perturb stats");
         }
+    }
+
+    /// An OLT small enough to evict, reused across utterances: the
+    /// second utterance's counters must not depend on the first. The
+    /// table's per-set victim cursors restart with its generation, so
+    /// a warm scratch evicts exactly the ways a fresh one does.
+    #[test]
+    fn warm_olt_evicts_like_a_fresh_one() {
+        let (lex, am, lm) = setup();
+        let noise = NoiseModel {
+            noise_sigma: 1.3,
+            ..NoiseModel::default()
+        };
+        let utt = |words: &[u32], seed| {
+            synthesize_utterance(words, &lex, HmmTopology::Kaldi3State, &noise, seed)
+        };
+        let a = utt(&[55, 58, 33, 59, 41, 60, 47, 52], 23);
+        let b = utt(&[2, 4, 6, 8, 10, 12], 7);
+        // One four-way set under a wide beam: every utterance evicts.
+        let cfg = DecodeConfig::builder()
+            .beam(24.0)
+            .olt_entries(4)
+            .build()
+            .unwrap();
+        let dec = OtfDecoder::new(cfg);
+        let fresh = dec.decode(&am, &lm, &b.scores, &mut NullSink);
+        assert!(fresh.stats.olt_evictions > 0, "the table never evicted");
+        let mut scratch = DecodeScratch::new();
+        let warm_a = dec.decode_with(&am, &lm, &a.scores, &mut scratch, &mut NullSink);
+        assert!(
+            warm_a.stats.olt_evictions > 0,
+            "the first utterance never evicted"
+        );
+        let warm = dec.decode_with(&am, &lm, &b.scores, &mut scratch, &mut NullSink);
+        assert_eq!(warm.words, fresh.words);
+        assert_eq!(warm.cost.to_bits(), fresh.cost.to_bits());
+        assert_eq!(warm.stats, fresh.stats, "warm OLT counters diverged");
     }
 
     #[test]

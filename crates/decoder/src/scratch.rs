@@ -3,19 +3,45 @@
 //! The frame loop's data structures are split by *ownership lifetime*:
 //!
 //! * [`SessionScratch`] — state intrinsic to one in-progress utterance:
-//!   the double-buffered token populations and the word lattice. A
-//!   streaming session must keep these alive between frame pushes.
-//! * [`WorkScratch`] — transient buffers the frame loop borrows while
-//!   it runs: the epsilon-closure worklist, the LM probe buffer, the
-//!   pruning histogram staging area, and the software OLT. Nothing in
-//!   here carries meaning across a frame boundary, so a multi-session
-//!   scheduler keeps **one per worker** and lends it to whichever
-//!   session the worker is currently advancing.
+//!   the live token population, parked as bare lanes, and the word
+//!   lattice. A streaming session must keep these alive between frame
+//!   pushes, and nothing else.
+//! * [`WorkScratch`] — everything the frame loop borrows while it
+//!   runs: the frame's two hashed token stores (the population being
+//!   expanded and the one being built), the epsilon-closure worklist,
+//!   the LM probe buffer, the pruning staging areas, the decoded-arc
+//!   stage and the software OLT. Nothing in here carries meaning
+//!   across a frame boundary, so a multi-session scheduler keeps **one
+//!   per worker** and lends it to whichever session the worker is
+//!   currently advancing.
 //!
-//! [`DecodeScratch`] bundles both for the common one-utterance-at-a-time
-//! case; it is cleared (not reallocated) between frames and utterances,
-//! so after the first few frames warm the buffers, steady-state decoding
-//! performs no heap allocation.
+//! # What a paused session costs
+//!
+//! A frame reads the population entering it and builds the next one in
+//! a crate-private `TokenStore`: lanes plus an open-addressing index,
+//! sized to the widest frame its owner has seen. Only the builder needs
+//! the index, so the worker owns the stores. A streaming session parks
+//! just its live tokens — 16 bytes each (an 8-byte key, a 4-byte cost,
+//! a 4-byte backpointer) — in lanes that give capacity back after a
+//! wide frame (see `TokenLanes::park`). Parking is one lane copy per
+//! frame push; the next push expands straight out of the parked lanes.
+//! Beside the tokens a session holds its lattice (the backpointer
+//! entries, plus the expansion tape when lattice recording is on) and,
+//! only when it decodes through a composing LM, its bias memo. On
+//! Kaldi-TEDLIUM a paused session averages ~70 live tokens, ~1.1 KiB,
+//! and on the `serve_paced` benchmark a session's whole share of the
+//! server's resident set is ~12 KiB.
+//!
+//! The one-utterance path ([`DecodeScratch`] through
+//! [`crate::OtfDecoder`]) never parks: its population stays in the
+//! worker's two stores from the seed to the final backtrace, each
+//! build swapped from `next` into `cur`, so an offline decode copies
+//! no token.
+//!
+//! [`DecodeScratch`] bundles both halves for the common
+//! one-utterance-at-a-time case; it is cleared (not reallocated)
+//! between frames and utterances, so after the first few frames warm
+//! the buffers, steady-state decoding performs no heap allocation.
 //!
 //! Reuse is only legal because every structure here iterates in a
 //! capacity-independent order (see the crate-private `TokenStore`):
@@ -28,18 +54,24 @@ use unfold_wfst::{StateId, EPSILON};
 use crate::config::DecodeConfig;
 use crate::lattice::Lattice;
 use crate::olt::SoftOlt;
-use crate::search::TokenStore;
+use crate::search::{TokenLanes, TokenStore};
 use crate::sources::{AmSource, ArcVisit, Fetch, LmSource, MAX_BACKOFF_HOPS};
 
-/// Per-utterance persistent search state: the live token populations
+/// Per-utterance persistent search state: the live token population
 /// and the word lattice. This is the minimum a paused streaming session
 /// must hold on to between frame pushes.
+///
+/// The population is parked as bare lanes, 16 bytes a token, with no
+/// hash index: nothing probes a population between frames, and the
+/// next frame builds its successor in the worker's store. A streaming
+/// session's parked lanes stay within four times its live tokens
+/// (floored at 64 tokens) after every push. The one-utterance path
+/// leaves them empty: its population lives in the worker's
+/// [`WorkScratch`] throughout.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
-    /// Token population entering the current frame.
-    pub(crate) cur: TokenStore,
-    /// Population being built for the next frame (swapped with `cur`).
-    pub(crate) next: TokenStore,
+    /// Live token population between frame pushes (streaming only).
+    pub(crate) live: TokenLanes,
     /// Word lattice of the utterance in progress.
     pub(crate) lattice: Lattice,
     /// Per-session dynamic memo layer: caches *composite* (biased LM
@@ -59,13 +91,12 @@ impl SessionScratch {
         Self::default()
     }
 
-    /// Prepares for a new utterance: clears the token populations and
-    /// lattice (capacity is kept) and resets the per-session bias
+    /// Prepares for a new utterance: clears the parked population and
+    /// the lattice (capacity is kept) and resets the per-session bias
     /// cache (its entries are keyed to one base-LM × bias pairing; a
     /// fresh utterance may bind a different one).
     pub fn begin(&mut self) {
-        self.cur.clear();
-        self.next.clear();
+        self.live.clear();
         self.lattice.clear();
         self.bias_cache.reset();
     }
@@ -82,19 +113,44 @@ impl SessionScratch {
         }
     }
 
-    /// Live hypotheses right now.
+    /// Live hypotheses parked right now (a streaming session's; the
+    /// one-utterance path parks none).
     pub fn num_active(&self) -> usize {
-        self.cur.len()
+        self.live.len()
     }
 }
 
-/// Frame-loop transient buffers plus the software OLT. Shared by every
+/// Where the population entering a frame lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameSource {
+    /// The worker's `cur` store: the one-utterance path, which swaps
+    /// each build into it and never parks.
+    Worker,
+    /// The session's parked lanes ([`SessionScratch`]): a streaming
+    /// push expands straight out of them.
+    Parked,
+}
+
+/// Frame-loop working memory plus the software OLT. Shared by every
 /// utterance a worker advances; holds nothing an individual search
 /// depends on across frames (the OLT is a pure memo — see
 /// [`crate::olt::SoftOlt`] — so sharing it across sessions decoding
 /// against the same LM never changes any session's output).
+///
+/// The frame's token stores live here, grown to the widest frame the
+/// worker has decoded, instead of in every session. Every build — a
+/// seed or a frame — goes into `next`, which it clears first, so a
+/// decode that panicked mid-build leaves the stores reusable by the
+/// next session. The one-utterance path swaps each build into `cur`
+/// and expands from there; streaming parks each build in the session
+/// and never touches `cur`, so a worker that only streams keeps one
+/// store.
 #[derive(Debug, Default)]
 pub struct WorkScratch {
+    /// The population entering the frame on the one-utterance path.
+    pub(crate) cur: TokenStore,
+    /// The population being built: by the seed, or by a frame.
+    pub(crate) next: TokenStore,
     /// Epsilon-closure worklist (legacy kernel: token keys).
     pub(crate) worklist: Vec<u64>,
     /// Epsilon-closure worklist (SoA kernel: dense entry indices, so a
@@ -435,10 +491,10 @@ impl DecodeScratch {
         Self::default()
     }
 
-    /// Prepares for a new utterance: clears the token populations and
-    /// lattice, and resets (or rebuilds, if `config.olt_entries`
-    /// changed) the software OLT. Model-validation state is kept — it
-    /// is per model pair, not per utterance.
+    /// Prepares for a new utterance: clears the lattice, and resets (or
+    /// rebuilds, if `config.olt_entries` changed) the software OLT (the
+    /// seed clears the store it builds into). Model-validation state is
+    /// kept — it is per model pair, not per utterance.
     pub fn begin(&mut self, config: &DecodeConfig) {
         self.session.configure_bias_cache(config.bias_cache_entries);
         self.session.begin();

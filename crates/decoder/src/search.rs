@@ -102,25 +102,24 @@ fn histogram_rank(a: &f32, b: &f32) -> Ordering {
     }
 }
 
-/// [`prune_threshold`] over a [`TokenStore`], staging the cost copy in
-/// a caller-owned buffer so the per-frame histogram selection performs
-/// no allocation in steady state.
+/// [`prune_threshold`] over a population's cost lane, staging the
+/// cost copy in a caller-owned buffer so the per-frame histogram
+/// selection performs no allocation in steady state.
 ///
-/// The SoA store exposes its costs as one contiguous `f32` slice, so
+/// The SoA lanes hold the costs as one contiguous `f32` slice, so
 /// the best-cost fold is a straight-line slice reduction the
 /// autovectorizer handles, and the `max_active` staging copy is a
 /// single `extend_from_slice` (memcpy) followed by an O(n)
 /// `select_nth_unstable_by` — no per-token iterator plumbing.
 pub fn prune_threshold_store(
-    tokens: &TokenStore,
+    cs: &[f32],
     beam: f32,
     max_active: usize,
     costs: &mut Vec<f32>,
 ) -> f32 {
-    if tokens.is_empty() {
+    if cs.is_empty() {
         return f32::INFINITY;
     }
-    let cs = tokens.costs();
     // The tropical fold of [`prune_threshold`], over eight independent
     // lanes so no compare waits on the one before it. Each step keeps
     // `c <= lane ? c : lane`, so a NaN is never picked, exactly as in
@@ -192,9 +191,9 @@ impl Probe {
     }
 }
 
-/// The live token population of one frame, laid out struct-of-arrays:
-/// parallel dense lanes (`keys`, `costs`, `lats`) plus an
-/// open-addressing index over them.
+/// A token population's dense lanes, laid out struct-of-arrays:
+/// parallel `keys`, `costs` and `lats`, in insertion order, with no
+/// index over them.
 ///
 /// Each `keys` lane packs the token's two `u32` state ids —
 /// `(am_state << 32) | lm_state` — into one `u64`, so the key compare
@@ -205,67 +204,58 @@ impl Probe {
 /// [`prune_threshold_store`] compile to straight-line vectorizable
 /// loops instead of pointer-chasing `(key, Token)` pairs.
 ///
-/// The dense lanes make iteration order *insertion order* — a property
-/// `HashMap` lacks: its iteration order depends on table capacity, so a
-/// map reused across frames (larger capacity than a fresh one) would
-/// visit tokens differently and perturb traces, stats, and ultimately
-/// pruning decisions. Insertion order is capacity-independent, which is
-/// what lets [`crate::DecodeScratch`] be reused across frames,
-/// utterances, and worker threads while keeping decode output
-/// bit-identical to a from-scratch run.
+/// A frame only ever *reads* the population entering it, so lanes
+/// alone are a complete frame source: this is what a paused streaming
+/// session parks between frames ([`crate::SessionScratch`]). Having no
+/// index, a parked population cannot be probed or inserted into; the
+/// frame being built is a [`TokenStore`], which is these lanes plus
+/// the index.
 #[derive(Debug, Clone, Default)]
-pub struct TokenStore {
+pub struct TokenLanes {
     /// Packed `(am_state << 32) | lm_state` token keys, insertion order.
     keys: Vec<u64>,
     /// Accumulated path cost per token (parallel to `keys`).
     costs: Vec<f32>,
     /// Lattice backpointer per token (parallel to `keys`).
     lats: Vec<u32>,
-    /// Power-of-two slot array holding dense positions
-    /// ([`EMPTY_SLOT`] marks a free slot).
-    index: Vec<u32>,
 }
 
-impl TokenStore {
+impl TokenLanes {
+    /// A parked population gives capacity back once it exceeds this
+    /// many times its live tokens (floored at [`TokenLanes::PARK_FLOOR`]).
+    const PARK_SHRINK_AT: usize = 4;
+    /// Token count below which parked capacity is never given back.
+    const PARK_FLOOR: usize = 64;
+
     /// Number of live tokens.
     pub fn len(&self) -> usize {
         self.keys.len()
     }
 
-    /// Whether the store holds no tokens.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Drops every token but keeps all four lane allocations, at a
-    /// cost that follows the live population rather than the index.
-    ///
-    /// The index only grows, so after one wide frame it can be far
-    /// larger than a typical frontier. While the store is under 1/8
-    /// full, `clear` empties just the slots in use: for each entry it
-    /// re-walks the key's probe sequence to the slot holding that
-    /// entry. The walk must not stop at an empty slot, because earlier
-    /// entries' slots on the same run are already emptied. A fuller
-    /// store is reset with one sequential `fill`, which beats that many
-    /// scattered walks. The 1/8 crossover is measured, not guessed:
-    /// walking every store, or filling from 1/16 or 1/32 full, decoded
-    /// slower (DESIGN.md §13).
+    /// Drops every token, keeping the lane allocations.
     pub fn clear(&mut self) {
-        if self.keys.len() * 8 < self.index.len() {
-            let mask = self.index.len() - 1;
-            for (i, &k) in self.keys.iter().enumerate() {
-                let mut slot = slot_hash(k) as usize & mask;
-                while self.index[slot] != i as u32 {
-                    slot = (slot + 1) & mask;
-                }
-                self.index[slot] = EMPTY_SLOT;
-            }
-        } else {
-            self.index.fill(EMPTY_SLOT);
-        }
         self.keys.clear();
         self.costs.clear();
         self.lats.clear();
+    }
+
+    /// Replaces this population with a copy of `src`'s lanes, one
+    /// 16-byte copy per token. First it gives capacity back if a past
+    /// wide frame left it over [`TokenLanes::PARK_SHRINK_AT`] times the
+    /// live tokens, keeping twice them: a transient wide frame does not
+    /// pin its capacity for the rest of a session, and a population
+    /// hovering near one size does not reallocate frame after frame.
+    pub fn park(&mut self, src: &TokenLanes) {
+        self.clear();
+        let live = src.len().max(Self::PARK_FLOOR);
+        if self.keys.capacity() > Self::PARK_SHRINK_AT * live {
+            self.keys.shrink_to(2 * live);
+            self.costs.shrink_to(2 * live);
+            self.lats.shrink_to(2 * live);
+        }
+        self.keys.extend_from_slice(&src.keys);
+        self.costs.extend_from_slice(&src.costs);
+        self.lats.extend_from_slice(&src.lats);
     }
 
     /// Packed token keys in insertion order.
@@ -274,13 +264,13 @@ impl TokenStore {
     }
 
     /// Path costs in insertion order (parallel to
-    /// [`TokenStore::keys_slice`]).
+    /// [`TokenLanes::keys_slice`]).
     pub fn costs(&self) -> &[f32] {
         &self.costs
     }
 
     /// Lattice backpointers in insertion order (parallel to
-    /// [`TokenStore::keys_slice`]).
+    /// [`TokenLanes::keys_slice`]).
     pub fn lats(&self) -> &[u32] {
         &self.lats
     }
@@ -318,6 +308,90 @@ impl TokenStore {
         self.keys.iter().copied()
     }
 
+    /// Tokens the key lane can hold without reallocating (test hook).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.keys.capacity()
+    }
+
+    /// Whether the lanes are within the parking bound: capacity at most
+    /// [`TokenLanes::PARK_SHRINK_AT`] times the live tokens (floored).
+    #[cfg(test)]
+    pub(crate) fn within_park_bound(&self) -> bool {
+        let bound = Self::PARK_SHRINK_AT * self.len().max(Self::PARK_FLOOR);
+        [
+            self.keys.capacity(),
+            self.costs.capacity(),
+            self.lats.capacity(),
+        ]
+        .iter()
+        .all(|&c| c <= bound)
+    }
+}
+
+/// The token population of the frame being built: [`TokenLanes`] plus
+/// an open-addressing index over them, so relaxation can find a key's
+/// entry. Reads of the lanes go through `Deref`; every write goes
+/// through the store, which keeps lanes and index in step.
+///
+/// The dense lanes make iteration order *insertion order* — a property
+/// `HashMap` lacks: its iteration order depends on table capacity, so a
+/// map reused across frames (larger capacity than a fresh one) would
+/// visit tokens differently and perturb traces, stats, and ultimately
+/// pruning decisions. Insertion order is capacity-independent, which is
+/// what lets [`crate::DecodeScratch`] be reused across frames,
+/// utterances, and worker threads while keeping decode output
+/// bit-identical to a from-scratch run — and what lets a population
+/// move between a worker's store and a session's parked lanes without
+/// changing any later frame.
+#[derive(Debug, Clone, Default)]
+pub struct TokenStore {
+    /// The population itself.
+    lanes: TokenLanes,
+    /// Power-of-two slot array holding dense positions
+    /// ([`EMPTY_SLOT`] marks a free slot).
+    index: Vec<u32>,
+}
+
+impl std::ops::Deref for TokenStore {
+    type Target = TokenLanes;
+
+    #[inline]
+    fn deref(&self) -> &TokenLanes {
+        &self.lanes
+    }
+}
+
+impl TokenStore {
+    /// Drops every token but keeps all four lane allocations, at a
+    /// cost that follows the live population rather than the index.
+    ///
+    /// The index only grows, so after one wide frame it can be far
+    /// larger than a typical frontier. While the store is under 1/8
+    /// full, `clear` empties just the slots in use: for each entry it
+    /// re-walks the key's probe sequence to the slot holding that
+    /// entry. The walk must not stop at an empty slot, because earlier
+    /// entries' slots on the same run are already emptied. A fuller
+    /// store is reset with one sequential `fill`, which beats that many
+    /// scattered walks. The 1/8 crossover is measured, not guessed:
+    /// walking every store, or filling from 1/16 or 1/32 full, decoded
+    /// slower (DESIGN.md §13).
+    pub fn clear(&mut self) {
+        if self.lanes.keys.len() * 8 < self.index.len() {
+            let mask = self.index.len() - 1;
+            for (i, &k) in self.lanes.keys.iter().enumerate() {
+                let mut slot = slot_hash(k) as usize & mask;
+                while self.index[slot] != i as u32 {
+                    slot = (slot + 1) & mask;
+                }
+                self.index[slot] = EMPTY_SLOT;
+            }
+        } else {
+            self.index.fill(EMPTY_SLOT);
+        }
+        self.lanes.clear();
+    }
+
     /// One open-addressing walk for `key`: where it lives, or where it
     /// would go.
     #[inline]
@@ -341,7 +415,7 @@ impl TokenStore {
                     }
                 }
                 e => {
-                    if self.keys[e as usize] == key {
+                    if self.lanes.keys[e as usize] == key {
                         return Probe {
                             slot: slot as u32,
                             entry: e,
@@ -358,18 +432,15 @@ impl TokenStore {
     #[cfg(test)]
     pub fn get(&self, key: u64) -> Option<Token> {
         let e = self.probe(key).entry()?;
-        Some(Token {
-            cost: self.costs[e as usize],
-            lat: self.lats[e as usize],
-        })
+        Some(self.pair_at(e as usize).1)
     }
 
     /// Overwrites the token at dense position `entry` in place (the key
     /// keeps its insertion position; the index is untouched).
     #[inline]
     pub fn update_entry(&mut self, entry: u32, tok: Token) {
-        self.costs[entry as usize] = tok.cost;
-        self.lats[entry as usize] = tok.lat;
+        self.lanes.costs[entry as usize] = tok.cost;
+        self.lanes.lats[entry as usize] = tok.lat;
     }
 
     /// Inserts or overwrites `key` and returns its entry index. An
@@ -391,7 +462,7 @@ impl TokenStore {
             self.update_entry(e, tok);
             return;
         }
-        if self.keys.len() * 2 >= self.index.len() || self.index.len() as u32 != p.cap {
+        if self.len() * 2 >= self.index.len() || self.index.len() as u32 != p.cap {
             self.insert_regrown(key, tok);
             return;
         }
@@ -404,7 +475,7 @@ impl TokenStore {
     #[cold]
     #[inline(never)]
     fn insert_regrown(&mut self, key: u64, tok: Token) {
-        if self.keys.len() * 2 >= self.index.len() {
+        if self.len() * 2 >= self.index.len() {
             self.grow();
         }
         let mask = self.index.len() - 1;
@@ -419,10 +490,10 @@ impl TokenStore {
     #[inline(always)]
     fn commit(&mut self, slot: usize, key: u64, tok: Token) {
         debug_assert_eq!(self.index[slot], EMPTY_SLOT);
-        self.index[slot] = self.keys.len() as u32;
-        self.keys.push(key);
-        self.costs.push(tok.cost);
-        self.lats.push(tok.lat);
+        self.index[slot] = self.len() as u32;
+        self.lanes.keys.push(key);
+        self.lanes.costs.push(tok.cost);
+        self.lanes.lats.push(tok.lat);
     }
 
     fn grow(&mut self) {
@@ -430,7 +501,7 @@ impl TokenStore {
         self.index.clear();
         self.index.resize(cap, EMPTY_SLOT);
         let mask = cap - 1;
-        for (i, &k) in self.keys.iter().enumerate() {
+        for (i, &k) in self.lanes.keys.iter().enumerate() {
             let mut slot = slot_hash(k) as usize & mask;
             while self.index[slot] != EMPTY_SLOT {
                 slot = (slot + 1) & mask;
@@ -498,7 +569,7 @@ mod tests {
         for (max_active, want) in [(1, 1.0), (2, 2.0), (3, 3.0), (4, 101.0), (5, 101.0)] {
             assert_eq!(prune_threshold(&map_of(&costs), 100.0, max_active), want);
             assert_eq!(
-                prune_threshold_store(&store_of(&costs), 100.0, max_active, &mut buf),
+                prune_threshold_store(store_of(&costs).costs(), 100.0, max_active, &mut buf),
                 want
             );
         }
@@ -541,7 +612,7 @@ mod tests {
             let n = costs.len();
             for max_active in [1, pick, n.max(1), n / 2 + 1, n + 1, usize::MAX] {
                 let want = prune_threshold(&map, beam, max_active);
-                let got = prune_threshold_store(&store, beam, max_active, &mut buf);
+                let got = prune_threshold_store(store.costs(), beam, max_active, &mut buf);
                 proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
             }
         }
@@ -625,13 +696,33 @@ mod tests {
     }
 
     #[test]
+    fn park_copies_the_lanes_in_order_and_gives_back_a_wide_frames_capacity() {
+        let wide = store_of(&(0..5_000).map(|i| i as f32).collect::<Vec<_>>());
+        let narrow = store_of(&[3.0, 1.0, 2.0]);
+        let mut parked = TokenLanes::default();
+        parked.park(&wide);
+        assert_eq!(parked.keys_slice(), wide.keys_slice());
+        assert!(parked.capacity() >= 5_000);
+        parked.park(&narrow);
+        let got: Vec<(u64, Token)> = parked.iter().collect();
+        let want: Vec<(u64, Token)> = narrow.iter().collect();
+        assert_eq!(got, want);
+        assert!(parked.within_park_bound(), "capacity {}", parked.capacity());
+        // At or under the floor nothing is given back, so a small
+        // population does not reallocate every park.
+        let cap = parked.capacity();
+        parked.park(&store_of(&[1.0]));
+        assert_eq!(parked.capacity(), cap);
+    }
+
+    #[test]
     fn clear_keeps_tokens_out_but_reuses_index() {
         let mut s = TokenStore::default();
         for i in 0..50u64 {
             s.insert(i, tok(0.0));
         }
         s.clear();
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
         assert_eq!(s.get(3), None);
         s.insert(3, tok(1.0));
         assert_eq!(s.get(3), Some(tok(1.0)));
@@ -661,7 +752,7 @@ mod tests {
         paths[usize::from(s.len() * 8 < s.index.len())] = true;
         s.clear();
         oracle.clear();
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
         assert!(
             s.index.iter().all(|&e| e == EMPTY_SLOT),
             "clear left an index slot in use"

@@ -7,6 +7,9 @@
 //! This module provides it as [`StreamSession`]: it owns only the
 //! per-utterance search state ([`SessionScratch`] + stats) and takes
 //! the models **and a [`WorkScratch`]** as arguments on every call.
+//! Between calls the session's live tokens are parked as bare lanes;
+//! each push expands them into the worker's hashed store and parks the
+//! survivors again, so a paused session costs about its live tokens.
 //! This is the unit a multi-session scheduler juggles: many paused
 //! sessions, a handful of worker-owned `WorkScratch`es, shared models.
 //! A session may be advanced by *different* workers across its
@@ -24,7 +27,7 @@ use crate::config::{DecodeConfig, DecodeResult, DecodeStats};
 use crate::ingest::{AcousticScorer, FrameInput, ScoreError};
 use crate::lattice::WordLattice;
 use crate::otf;
-use crate::scratch::{SessionScratch, WorkScratch};
+use crate::scratch::{FrameSource, SessionScratch, WorkScratch};
 use crate::sources::{AmSource, LmSource};
 use crate::trace::TraceSink;
 
@@ -97,8 +100,13 @@ impl StreamSession {
     ) {
         assert!(!self.seeded, "StreamSession::seed: already seeded");
         self.seeded = true;
-        self.state
-            .configure_bias_cache(self.config.bias_cache_entries);
+        // Only a composing LM ever probes the per-session memo.
+        let bias_entries = if lm.has_memo_ctx() {
+            self.config.bias_cache_entries
+        } else {
+            0
+        };
+        self.state.configure_bias_cache(bias_entries);
         self.state.begin();
         self.state.lattice.set_recording(self.record_lattice);
         otf::seed_closure(
@@ -110,6 +118,7 @@ impl StreamSession {
             sink,
             &mut self.stats,
         );
+        self.state.live.park(&work.next);
     }
 
     /// Frames consumed so far.
@@ -127,7 +136,10 @@ impl StreamSession {
         &self.stats
     }
 
-    /// Consumes one frame of acoustic costs (`costs[pdf - 1]`).
+    /// Consumes one frame of acoustic costs (`costs[pdf - 1]`). The
+    /// frame expands the parked population into `work`'s store, and the
+    /// survivors are parked again: one lane copy of the live tokens.
+    /// Streaming builds into one of the worker's two stores only.
     ///
     /// # Panics
     /// Panics if the session is unseeded, or if an AM arc's PDF id
@@ -147,11 +159,13 @@ impl StreamSession {
             lm,
             &mut self.state,
             work,
+            FrameSource::Parked,
             costs,
             self.frame,
             sink,
             &mut self.stats,
         );
+        self.state.live.park(&work.next);
         self.frame += 1;
     }
 
@@ -192,7 +206,7 @@ impl StreamSession {
     /// an empty sequence when nothing is final yet.
     pub fn partial_result(&self) -> Vec<unfold_lm::WordId> {
         let mut best: Option<(f32, u32)> = None;
-        for tok in self.state.cur.values() {
+        for tok in self.state.live.values() {
             if best.is_none_or(|(c, _)| tok.cost < c) {
                 best = Some((tok.cost, tok.lat));
             }
@@ -210,7 +224,7 @@ impl StreamSession {
         // Many tokens share a lattice node; dedup before backtracing.
         // The SoA store hands us the lattice lane as one contiguous
         // slice — no per-token iteration needed.
-        let mut lats: Vec<u32> = self.state.cur.lats().to_vec();
+        let mut lats: Vec<u32> = self.state.live.lats().to_vec();
         lats.sort_unstable();
         lats.dedup();
         let mut it = lats.into_iter();
@@ -239,7 +253,7 @@ impl StreamSession {
     /// result; pushing further frames after finalizing is allowed but
     /// pointless.
     pub fn finalize<A: AmSource + ?Sized>(&self, am: &A, sink: &mut dyn TraceSink) -> DecodeResult {
-        otf::finish(am, &self.state.cur, &self.state.lattice, self.stats, sink)
+        otf::finish(am, &self.state.live, &self.state.lattice, self.stats, sink)
     }
 
     /// Finishes the decode and also builds the exact word lattice from
@@ -263,7 +277,7 @@ impl StreamSession {
         );
         otf::finish_lattice(
             am,
-            &self.state.cur,
+            &self.state.live,
             &self.state.lattice,
             self.stats,
             self.config.lattice_beam,
@@ -406,6 +420,54 @@ mod tests {
         assert_eq!(ra.cost.to_bits(), alone_a.cost.to_bits());
         assert_eq!(rb.words, alone_b.words);
         assert_eq!(rb.cost.to_bits(), alone_b.cost.to_bits());
+    }
+
+    /// Twenty flat score rows (every PDF equally likely) widen the
+    /// population to thousands of tokens; clean frames then narrow it
+    /// to tens again. After every push the parked lanes are within the parking
+    /// bound of the live tokens, so the wide frames' capacity is given
+    /// back instead of staying pinned for the rest of the session.
+    #[test]
+    fn parked_capacity_follows_the_live_tokens_after_a_wide_frame() {
+        let (lex, am, lm) = setup();
+        let utt = synthesize_utterance(
+            &[3, 9, 17, 22, 5],
+            &lex,
+            HmmTopology::Kaldi3State,
+            &NoiseModel::clean(),
+            5,
+        );
+        let flat = vec![0.0; utt.scores.frame(0).len()];
+        let (mut session, mut work) = start(DecodeConfig::default(), &am, &lm, &mut NullSink);
+        let (mut peak, mut after_peak) = (0, usize::MAX);
+        for t in 0..utt.scores.num_frames() {
+            let row = if (0..20).contains(&t) {
+                &flat[..]
+            } else {
+                utt.scores.frame(t)
+            };
+            session.push_frame(&am, &lm, &mut work, row, &mut NullSink);
+            let live = &session.state.live;
+            assert!(
+                live.within_park_bound(),
+                "frame {t}: capacity {} for {} live tokens",
+                live.capacity(),
+                live.len()
+            );
+            if live.capacity() > peak {
+                (peak, after_peak) = (live.capacity(), usize::MAX);
+            } else {
+                after_peak = after_peak.min(live.capacity());
+            }
+        }
+        assert!(
+            peak > 4 * 64,
+            "the flat rows never widened the frame: {peak}"
+        );
+        assert!(
+            after_peak * 4 <= peak,
+            "capacity stayed near its peak: {after_peak} of {peak}"
+        );
     }
 
     #[test]
@@ -590,6 +652,20 @@ mod tests {
                 assert_eq!(session.partial_stable_prefix(), session.partial_result());
             }
         }
+    }
+
+    /// The per-session bias memo is only ever probed through a
+    /// composing LM, so a session on a plain LM allocates none, whatever
+    /// `bias_cache_entries` says.
+    #[test]
+    fn plain_lm_session_allocates_no_bias_memo() {
+        let (_lex, am, lm) = setup();
+        let cfg = DecodeConfig::builder()
+            .bias_cache_entries(256)
+            .build()
+            .unwrap();
+        let (session, _work) = start(cfg, &am, &lm, &mut NullSink);
+        assert_eq!(session.state.bias_cache.num_entries(), 0);
     }
 
     #[test]

@@ -34,8 +34,8 @@ use std::sync::Arc;
 
 use unfold_bias::{BiasedLm, BiasingFst};
 use unfold_decoder::{
-    AcousticScorer, AmSource, DecodeResult, FrameInput, LmSource, NullSink, ScoreError,
-    StreamSession, TraceSink, WorkScratch,
+    copy_score_row, AcousticScorer, AmSource, DecodeResult, FrameInput, LmSource, NullSink,
+    ScoreError, StreamSession, TraceSink, WorkScratch,
 };
 use unfold_lm::WordId;
 use unfold_obs::{FlightKind, FlightRecorder, LogHistogram, MetricsRegistry, ObsRecord, SpanLog};
@@ -704,9 +704,10 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
     /// is, [`ServeError::Finished`] after `finish`,
     /// [`ServeError::UnknownSession`] for an unknown id, and
     /// [`ServeError::Score`] when inline scoring refuses the frame
-    /// (feature frames with no scorer bound, a width mismatch, or a
-    /// feature that is not finite). A row narrower than the AM's
-    /// largest PDF id is a width mismatch; wider rows pass.
+    /// (feature frames with no scorer bound, a width mismatch, a
+    /// feature that is not finite, or a score row carrying NaN or
+    /// −inf). A row narrower than the AM's largest PDF id is a width
+    /// mismatch; wider rows pass.
     pub fn ingest_frame(
         &mut self,
         id: SessionId,
@@ -729,13 +730,16 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
                 }
                 self.stats.frames_scored += 1;
             }
-            None => match &frame {
-                FrameInput::Scores(v) => row.extend_from_slice(v),
-                FrameInput::Features(_) => {
+            None => {
+                let passed = match &frame {
+                    FrameInput::Scores(v) => copy_score_row(v, &mut row),
+                    FrameInput::Features(_) => Err(ScoreError::FeaturesUnsupported),
+                };
+                if let Err(e) = passed {
                     self.recycle(std::iter::once(row));
-                    return Err(ServeError::Score(id, ScoreError::FeaturesUnsupported));
+                    return Err(ServeError::Score(id, e));
                 }
-            },
+            }
         }
         self.admit_row(id, row, now_ms)
     }
@@ -2228,41 +2232,65 @@ mod tests {
         assert_eq!(core.backlog_frames(), 0);
     }
 
-    /// A NaN score row at mid-utterance, passed through verbatim, under
-    /// histogram pruning tight enough to rank NaN costs against numbers:
-    /// the session decodes to the standalone result instead of aborting
-    /// its lease, and no frame is dropped.
+    /// Score rows carrying NaN (in every PDF, mid-utterance) or −inf
+    /// (in every third PDF) are refused at ingest with a typed error
+    /// naming the first bad cost, and never reach a worker: decoded,
+    /// one NaN row silently empties the session. The session carries on
+    /// and decodes its admitted rows, under histogram pruning tight
+    /// enough to rank costs, to the standalone result of those rows.
     #[test]
-    fn nan_score_row_decodes_under_histogram_pruning() {
+    fn nan_score_row_is_refused_at_ingest() {
         let (lex, am, lm) = setup();
         let u = utt(&lex, &[3, 9], 5);
         let (n, width) = (u.scores.num_frames(), u.scores.num_pdfs());
-        let mut flat: Vec<f32> = (0..n).flat_map(|t| u.scores.frame(t).to_vec()).collect();
-        flat[n / 2 * width..(n / 2 + 1) * width].fill(f32::NAN);
-        let scores = AcousticScores::from_flat(flat, width);
+        let bad = |t: usize| -> Option<(f32, usize)> {
+            match t {
+                _ if t == n / 3 => Some((f32::NEG_INFINITY, 3)),
+                _ if t == n / 2 => Some((f32::NAN, 1)),
+                _ => None,
+            }
+        };
+        let base = DecodeConfig::builder().max_active(3).build().unwrap();
         let config = ServeConfig {
             olt_entries: 0,
-            base: DecodeConfig::builder().max_active(3).build().unwrap(),
+            base,
             ..Default::default()
         };
-        let alone = OtfDecoder::new(config.base).decode(&*am, &*lm, &scores, &mut NullSink);
         let mut core = core_with(&am, &lm, config);
         let id = core.open(0).unwrap();
+        let mut admitted: Vec<f32> = Vec::new();
         for t in 0..n {
-            let row = FrameInput::Scores(scores.frame(t).to_vec());
-            core.ingest_frame(id, row, 0).unwrap();
+            let mut row = u.scores.frame(t).to_vec();
+            match bad(t) {
+                Some((cost, every)) => {
+                    row.iter_mut().step_by(every).for_each(|c| *c = cost);
+                    assert_eq!(
+                        core.ingest_frame(id, FrameInput::Scores(row), 0),
+                        Err(ServeError::Score(id, ScoreError::NonFinite { index: 0 }))
+                    );
+                }
+                None => {
+                    admitted.extend_from_slice(&row);
+                    core.ingest_frame(id, FrameInput::Scores(row), 0).unwrap();
+                }
+            }
         }
+        assert_eq!(core.view(id).unwrap().queued, n - 2, "refused rows queued");
         core.finish(id, 0).unwrap();
         let mut work = WorkScratch::new();
         work.configure_olt(0);
         while core.step(&mut work, 0).is_some() {}
         let served = core.take_result(id).unwrap().expect("closed");
+        let scores = AcousticScores::from_flat(admitted, width);
+        let alone = OtfDecoder::new(base).decode(&*am, &*lm, &scores, &mut NullSink);
+        assert!(alone.is_complete());
         assert_eq!(served.words, alone.words);
         assert_eq!(served.cost.to_bits(), alone.cost.to_bits());
         let st = core.stats();
         assert_eq!(st.worker_panics, 0);
         assert_eq!(st.frames_dropped, 0);
-        assert_eq!(st.frames_decoded, n as u64);
+        assert_eq!(st.frames_accepted, n as u64 - 2);
+        assert_eq!(st.frames_decoded, st.frames_accepted);
     }
 
     use unfold_am::{AcousticScores, GmmModel};

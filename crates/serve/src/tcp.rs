@@ -250,7 +250,7 @@ mod tests {
     use crate::ServeConfig;
     use std::io::{BufReader as R, BufWriter as W};
     use unfold_am::{synthesize_utterance, HmmTopology, NoiseModel};
-    use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder};
+    use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder, ScoreError};
 
     #[test]
     fn tcp_session_roundtrip_matches_standalone_decode() {
@@ -606,6 +606,104 @@ mod tests {
         assert_eq!(stats.worker_panics, 0);
         assert_eq!(stats.frames_dropped, 0);
         assert_eq!(stats.frames_accepted, u.scores.num_frames() as u64);
+        assert_eq!(stats.frames_decoded, stats.frames_accepted);
+        front.stop();
+        server.shutdown();
+    }
+
+    /// A score row carrying NaN or −inf, sent over the wire with no
+    /// scorer bound, is refused with a typed error at the bad row: the
+    /// chunk's earlier rows stay admitted, its later ones are never
+    /// looked at, and the connection and session keep working — the
+    /// session decodes exactly its admitted rows, in order, to the
+    /// standalone transcript. A +inf cost is a legal row value.
+    #[test]
+    fn non_finite_score_row_is_refused_and_the_connection_stays_usable() {
+        let (lex, am, lm) = setup();
+        let u = utt(&lex, &[3, 9, 17], 5);
+        let n = u.scores.num_frames();
+        let base = DecodeConfig::default();
+        let alone = OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink);
+        let server = Server::start(
+            ServeConfig {
+                workers: 1,
+                olt_entries: 0,
+                base,
+                ..Default::default()
+            },
+            am,
+            lm,
+        );
+        let handle = server.handle();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let front = TcpFront::start(listener, server.handle()).unwrap();
+        let stream = TcpStream::connect(front.local_addr()).unwrap();
+        let mut rd = R::new(stream.try_clone().unwrap());
+        let mut wr = W::new(stream);
+        let open = ClientMsg::Open {
+            lm: None,
+            bias: None,
+        };
+        write_client(&mut wr, &open).unwrap();
+        let Some(ServerMsg::Opened { session }) = read_server(&mut rd).unwrap() else {
+            panic!("expected Opened");
+        };
+        let mut send = |frames: Vec<FrameInput>| {
+            write_client(&mut wr, &ClientMsg::FramesV2(frames)).unwrap();
+            read_server(&mut rd).unwrap().unwrap()
+        };
+        let row = |t: usize| FrameInput::Scores(u.scores.frame(t).to_vec());
+        let mut admitted = n / 2;
+        assert!(matches!(
+            send((0..admitted).map(row).collect()),
+            ServerMsg::Partial { .. }
+        ));
+        for bad in [f32::NAN, f32::NEG_INFINITY] {
+            let mut poisoned = u.scores.frame(admitted + 2).to_vec();
+            poisoned[4] = bad;
+            let reply = send(vec![
+                row(admitted),
+                row(admitted + 1),
+                FrameInput::Scores(poisoned),
+                row(admitted + 2),
+            ]);
+            let ServerMsg::Error { msg } = reply else {
+                panic!("expected Error, got {reply:?}");
+            };
+            let typed = ServeError::Score(session, ScoreError::NonFinite { index: 4 });
+            assert_eq!(msg, typed.to_string());
+            admitted += 2;
+            assert_eq!(handle.stats().frames_accepted, admitted as u64);
+        }
+        // A +inf cost is a PDF with zero likelihood, not an error.
+        let mut unlikely = u.scores.frame(admitted).to_vec();
+        let worst = unlikely
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i)
+            .unwrap();
+        unlikely[worst] = f32::INFINITY;
+        let mut rest: Vec<FrameInput> = vec![FrameInput::Scores(unlikely)];
+        rest.extend((admitted + 1..n).map(row));
+        assert!(matches!(send(rest), ServerMsg::Partial { .. }));
+        write_client(&mut wr, &ClientMsg::Finish).unwrap();
+        let reply = read_server(&mut rd).unwrap().unwrap();
+        let ServerMsg::Final {
+            words,
+            cost,
+            frames,
+        } = reply
+        else {
+            panic!("expected Final, got {reply:?}");
+        };
+        assert_eq!(frames, n as u64);
+        assert_eq!(words, alone.words);
+        assert!(cost.is_finite());
+        let stats = handle.stats();
+        assert_eq!(stats.worker_panics, 0);
+        assert_eq!(stats.frames_dropped, 0);
+        assert_eq!(stats.frames_accepted, n as u64);
         assert_eq!(stats.frames_decoded, stats.frames_accepted);
         front.stop();
         server.shutdown();
