@@ -20,19 +20,27 @@
 //! token store; the tape keeps each completed population's key lane
 //! beside the records, so an index turns back into a `(population,
 //! key)` node when the lattice is built. Records and keys live in
-//! fixed-size blocks, so the tape grows without copying and keeps its
-//! blocks across utterances. Because the tape captures *all* surviving
-//! incoming arcs per (frame, state), the post-pass can reconstruct the
-//! exact set of hypotheses the beam search considered, not just the
-//! single best (the GPU exact-lattice decoder of Povey et al.
-//! materializes lattices from token passing the same way). The tape is
-//! contents-neutral for search: recording never changes decode output,
-//! stats, or the trace event stream.
+//! fixed-size blocks that are reused across utterances. Because the
+//! tape captures *all* surviving incoming arcs per (frame, state), the
+//! post-pass can reconstruct the exact set of hypotheses the beam
+//! search considered, not just the single best (the GPU exact-lattice
+//! decoder of Povey et al. materializes lattices from token passing the
+//! same way). The tape is contents-neutral for search: recording never
+//! changes decode output, stats, or the trace event stream.
 //!
-//! The post-pass (`WordLattice::build`) first sweeps the tape backward
-//! from the final tokens, marking live tokens in one flag per entry of
-//! each population and keeping only the records that can reach a final
-//! token (a fraction of a percent of a large-vocabulary tape). It then
+//! The tape holds only what can still reach the frontier. Once it spans
+//! more than 16 record blocks (1 MiB), or twice what the last prune
+//! left, the next population boundary sweeps it backward from every
+//! token of the population just completed and compacts the survivors in
+//! place (Kaldi's `PruneActiveTokens` cadence). A record that reaches a
+//! final token reaches the frontier at every earlier boundary, so a
+//! prune drops only records the final sweep would drop, and the lattice
+//! is bit-identical to an unpruned build.
+//!
+//! The post-pass (`WordLattice::build`) runs the same backward sweep
+//! from the final tokens, marking live tokens in one bit per key-lane
+//! entry and keeping only the records that can reach a final token (a
+//! fraction of a percent of a large-vocabulary tape). It then
 //! works on that slice in two semirings through the [`Semiring`] trait:
 //! tropical (min, +) for the exact forward/backward Viterbi scores that
 //! drive lattice-beam pruning, and log (-log-sum-exp, +) for the
@@ -106,24 +114,99 @@ struct SliceArc {
     dst_cost: f32,
 }
 
+/// What the mark pass leaves: one liveness bit per key-lane entry
+/// (entry `e` of population `p` is bit `segments[p].keys + e`), one bit
+/// per tape record that is kept (its destination is live), and, after
+/// [`Marks::rank_words`], the live entries before each word of
+/// liveness bits.
+#[derive(Debug, Clone, Default)]
+struct Marks {
+    live: Vec<u64>,
+    kept: Vec<u64>,
+    ranks: Vec<u32>,
+}
+
+impl Marks {
+    /// Fills `ranks` for [`Marks::rank`].
+    fn rank_words(&mut self) {
+        self.ranks.clear();
+        let mut before = 0;
+        for w in &self.live {
+            self.ranks.push(before);
+            before += w.count_ones();
+        }
+        self.ranks.push(before);
+    }
+
+    /// Live entries before entry `i`: where a prune moves entry `i` if
+    /// it is live.
+    fn rank(&self, i: usize) -> usize {
+        let (w, b) = (i / 64, i % 64);
+        let below = self.live.get(w).map_or(0, |&bits| bits & ((1u64 << b) - 1));
+        self.ranks[w] as usize + below.count_ones() as usize
+    }
+}
+
+/// Whether bit `i` of `bits` is set.
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Sets bit `i` of `bits`, returning whether it was clear.
+fn set_bit(bits: &mut [u64], i: usize) -> bool {
+    let (w, b) = (i / 64, 1u64 << (i % 64));
+    let was = bits[w] & b;
+    bits[w] |= b;
+    was == 0
+}
+
+/// The indices in `lo..hi` whose bit is set in `bits`, in order.
+fn ones(bits: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+    (lo / 64..hi.div_ceil(64)).flat_map(move |w| {
+        let (from, to) = (lo.saturating_sub(w * 64), (hi - w * 64).min(64));
+        let mut word = bits[w] & (!0u64 << from) & (!0u64 >> (64 - to));
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let b = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
 /// Bytes of one [`Blocks`] block.
 const BLOCK_BYTES: usize = 64 << 10;
 
+/// Record blocks the tape may span before its first prune: 16 blocks of
+/// [`BLOCK_BYTES`], 1 MiB of records. On `stream_eesen_lat` a lower
+/// floor costs more CPU for no lower peak, and a floor of 32 blocks
+/// keeps ~1.2 MiB more (DESIGN.md §14).
+const PRUNE_FLOOR_BLOCKS: usize = 16;
+
+/// A prune runs once the tape spans more than this many times the
+/// record blocks the last prune left, so the sweeps over a decode add
+/// up to about one sweep of its largest tape.
+const PRUNE_RATIO: usize = 2;
+
 /// Append-only storage in fixed-size blocks of [`BLOCK_BYTES`]: growth
 /// starts a new block and never moves what is already stored, and
-/// `clear` keeps every block for the next utterance.
+/// `clear` and `truncate` keep the blocks they empty for later growth.
 #[derive(Debug, Clone)]
 struct Blocks<T> {
     /// Full blocks, in order.
     full: Vec<Vec<T>>,
     /// The block being filled.
     tail: Vec<T>,
-    /// Empty blocks kept by `clear`, used before allocating new ones.
+    /// Empty blocks, used before allocating new ones.
     spare: Vec<Vec<T>>,
     /// A test's block length in place of the one [`BLOCK_BYTES`] sets,
     /// so small tapes span many blocks.
     #[cfg(test)]
     test_len: Option<usize>,
+    /// Blocks filed full since the last `clear` (test hook).
+    #[cfg(test)]
+    filed: usize,
 }
 
 impl<T> Default for Blocks<T> {
@@ -134,6 +217,8 @@ impl<T> Default for Blocks<T> {
             spare: Vec::new(),
             #[cfg(test)]
             test_len: None,
+            #[cfg(test)]
+            filed: 0,
         }
     }
 }
@@ -153,6 +238,11 @@ impl<T: Copy> Blocks<T> {
         self.full.len() * self.block_len() + self.tail.len()
     }
 
+    /// Blocks in use, the tail included.
+    fn blocks(&self) -> usize {
+        self.full.len() + 1
+    }
+
     /// Gives the tail block its full size up front, so that not even
     /// the first block grows by reallocating.
     fn reserve_block(&mut self) {
@@ -160,11 +250,25 @@ impl<T: Copy> Blocks<T> {
     }
 
     fn clear(&mut self) {
-        self.tail.clear();
-        for mut b in self.full.drain(..) {
+        self.truncate(0);
+        #[cfg(test)]
+        {
+            self.filed = 0;
+        }
+    }
+
+    /// Keeps the first `n` elements and files every block past them in
+    /// `spare`.
+    fn truncate(&mut self, n: usize) {
+        let len = self.block_len();
+        let keep = n.div_ceil(len).max(1);
+        while self.full.len() >= keep {
+            let last = self.full.pop().expect("a full block is left");
+            let mut b = std::mem::replace(&mut self.tail, last);
             b.clear();
             self.spare.push(b);
         }
+        self.tail.truncate(n - self.full.len() * len);
     }
 
     #[inline]
@@ -191,8 +295,17 @@ impl<T: Copy> Blocks<T> {
     #[inline(never)]
     fn next_block(&mut self) {
         let len = self.block_len();
-        let next = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(len));
+        let next = self.spare.pop().unwrap_or_else(|| {
+            // Room in `spare` for every block, so that giving blocks
+            // back never allocates.
+            self.spare.reserve(self.full.len() + 2);
+            Vec::with_capacity(len)
+        });
         self.full.push(std::mem::replace(&mut self.tail, next));
+        #[cfg(test)]
+        {
+            self.filed += 1;
+        }
     }
 
     /// Block `i`: a full one, or the tail.
@@ -203,6 +316,13 @@ impl<T: Copy> Blocks<T> {
     fn get(&self, i: usize) -> T {
         let len = self.block_len();
         self.block(i / len)[i % len]
+    }
+
+    /// Overwrites element `i`, which must be stored already.
+    fn set(&mut self, i: usize, v: T) {
+        let len = self.block_len();
+        let block = self.full.get_mut(i / len).unwrap_or(&mut self.tail);
+        block[i % len] = v;
     }
 
     /// Elements `lo..hi` as one slice per block they span, in order.
@@ -234,6 +354,13 @@ pub struct Lattice {
     /// One segment per population while recording (`cur_pop + 1` of
     /// them), indexed by population.
     segments: Vec<PopSegment>,
+    /// Record blocks the last prune left (0 before the first).
+    kept_blocks: usize,
+    /// The prune's marks, kept so a warm prune allocates nothing.
+    marks: Marks,
+    /// Prunes since the last `clear` (test hook).
+    #[cfg(test)]
+    prunes: usize,
 }
 
 impl Lattice {
@@ -263,6 +390,11 @@ impl Lattice {
         self.segments.clear();
         self.recording = false;
         self.cur_pop = 0;
+        self.kept_blocks = 0;
+        #[cfg(test)]
+        {
+            self.prunes = 0;
+        }
     }
 
     /// Enables or disables the expansion tape, before the seed token is
@@ -288,11 +420,22 @@ impl Lattice {
 
     /// Advances to the next token population; called once at the start
     /// of every frame expansion with the key lane of the population
-    /// just completed, which the tape keeps while recording.
+    /// just completed, which the tape keeps while recording. When the
+    /// tape has outgrown the last prune, it is pruned here to what can
+    /// reach that population.
     pub(crate) fn advance_pop(&mut self, keys: &[u64]) {
+        let due = self.tape.blocks() > PRUNE_FLOOR_BLOCKS.max(PRUNE_RATIO * self.kept_blocks);
+        self.advance(keys, due);
+    }
+
+    /// [`Lattice::advance_pop`] with the prune decided by the caller.
+    fn advance(&mut self, keys: &[u64], prune: bool) {
         self.cur_pop += 1;
         if self.recording {
             self.keys.extend_from_slice(keys);
+            if prune {
+                self.prune();
+            }
             let at = self.tape.len();
             self.segments.push(PopSegment {
                 start: at,
@@ -336,10 +479,24 @@ impl Lattice {
         self.keys.test_len = Some(len);
     }
 
-    /// Tape blocks in use (test hook).
+    /// Records the tape holds for populations before `p` (test hook).
     #[cfg(test)]
-    pub(crate) fn tape_blocks(&self) -> usize {
-        self.tape.full.len() + 1
+    pub(crate) fn records_before(&self, p: usize) -> usize {
+        self.segments[p].start
+    }
+
+    /// Record blocks filed full and prunes run since the last `clear`
+    /// (test hook).
+    #[cfg(test)]
+    pub(crate) fn tape_churn(&self) -> (usize, usize) {
+        (self.tape.filed, self.prunes)
+    }
+
+    /// Record blocks the tape holds, in use or spare: its high-water
+    /// mark (test hook).
+    #[cfg(test)]
+    pub(crate) fn tape_blocks_held(&self) -> usize {
+        self.tape.blocks() + self.tape.spare.len()
     }
 
     /// The key of entry `e` of population `p`; `last_keys` is the last
@@ -352,57 +509,50 @@ impl Lattice {
         }
     }
 
-    /// The co-reachable slice of the tape: every token that some chain
-    /// of taped relaxations connects to an entry in `finals` (a token
-    /// of the last population, whose key lane is `last_keys`), plus the
-    /// seed token (entry 0 of population 0), as `(population, key)`
-    /// nodes, and every record whose destination is such a token. Any
-    /// record's source is then such a token too, so the node set is
-    /// closed under predecessors and each kept node keeps *all* of its
+    /// Where population `p`'s records end on the tape.
+    fn records_end(&self, p: usize) -> usize {
+        self.segments
+            .get(p + 1)
+            .map_or(self.tape.len(), |s| s.start)
+    }
+
+    /// The mark pass shared by the prune and the lattice build: marks
+    /// live in `marks` every token that some chain of taped relaxations
+    /// connects to an entry in `seeds` (entries of the last population,
+    /// whose lane holds `last_len` keys), and the seed token (entry 0 of
+    /// population 0). Keeping every record whose destination is live
+    /// then keeps each record's source too, so the kept set is closed
+    /// under predecessors and each kept token keeps *all* of its
     /// incoming records.
     ///
-    /// Populations are walked last to first with one liveness flag per
-    /// entry of the population. Closure records are rescanned until a
-    /// pass adds nothing: a relaxation that did not improve its
-    /// destination is taped after the destination's own expansion, so
-    /// a single reverse scan can meet it before its destination is
-    /// known to be live.
-    fn coreachable(
-        &self,
-        last_keys: &[u64],
-        finals: impl Iterator<Item = u32>,
-    ) -> (Vec<(u32, u64)>, Vec<SliceArc>) {
-        let mut nodes: Vec<(u32, u64)> = Vec::new();
-        let mut arcs: Vec<SliceArc> = Vec::new();
-        let mut alive = vec![false; last_keys.len()];
-        let mut alive_prev: Vec<bool> = Vec::new();
-        for e in finals {
-            alive[e as usize] = true;
+    /// Populations are walked last to first. Closure records are
+    /// rescanned until a pass adds nothing: a relaxation that did not
+    /// improve its destination is taped after the destination's own
+    /// expansion, so a single reverse scan can meet it before its
+    /// destination is known to be live.
+    fn mark(&self, marks: &mut Marks, last_len: usize, seeds: impl Iterator<Item = u32>) {
+        let last = self.segments.len() - 1;
+        let base = self.segments[last].keys;
+        let Marks { live, kept, .. } = marks;
+        live.clear();
+        live.resize((base + last_len).div_ceil(64), 0);
+        kept.clear();
+        kept.resize(self.tape.len().div_ceil(64), 0);
+        for e in seeds {
+            set_bit(live, base + e as usize);
         }
-        let tape_len = self.tape.len();
-        for p in (0..self.segments.len()).rev() {
+        set_bit(live, 0);
+        for p in (0..=last).rev() {
             let seg = self.segments[p];
-            let end = self.segments.get(p + 1).map_or(tape_len, |s| s.start);
-            let pop = p as u32;
-            let placed = |a: &TapeArc, src_pop: usize| SliceArc {
-                src: (src_pop as u32, self.key(last_keys, src_pop, a.src)),
-                dst: (pop, self.key(last_keys, p, a.dst)),
-                word: a.word,
-                dst_cost: a.dst_cost,
-            };
-            if p == 0 {
-                alive[0] = true;
-            }
-            let mark = arcs.len();
+            let end = self.records_end(p);
             loop {
-                // Only the pass that adds nothing saw the final set.
-                arcs.truncate(mark);
-                let mut grew = false;
+                let (mut grew, mut i) = (false, end);
                 for block in self.tape.slices(seg.eps, end).rev() {
                     for a in block.iter().rev() {
-                        if alive[a.dst as usize] {
-                            arcs.push(placed(a, p));
-                            grew |= !std::mem::replace(&mut alive[a.src as usize], true);
+                        i -= 1;
+                        if bit(live, seg.keys + a.dst as usize) {
+                            set_bit(kept, i);
+                            grew |= set_bit(live, seg.keys + a.src as usize);
                         }
                     }
                 }
@@ -411,25 +561,131 @@ impl Lattice {
                 }
             }
             if p > 0 {
-                alive_prev.clear();
-                alive_prev.resize(seg.keys - self.segments[p - 1].keys, false);
+                let (prev, mut i) = (self.segments[p - 1].keys, seg.start);
                 for block in self.tape.slices(seg.start, seg.eps) {
                     for a in block {
-                        if alive[a.dst as usize] {
-                            arcs.push(placed(a, p - 1));
-                            alive_prev[a.src as usize] = true;
+                        if bit(live, seg.keys + a.dst as usize) {
+                            set_bit(kept, i);
+                            set_bit(live, prev + a.src as usize);
                         }
+                        i += 1;
                     }
                 }
             }
+        }
+    }
+
+    /// The co-reachable slice of the tape (see [`Lattice::mark`]) for
+    /// the final tokens `finals` of the last population, whose key lane
+    /// is `last_keys`: its tokens as `(population, key)` nodes, and
+    /// every record whose destination is one of them.
+    fn coreachable(
+        &self,
+        last_keys: &[u64],
+        finals: impl Iterator<Item = u32>,
+    ) -> (Vec<(u32, u64)>, Vec<SliceArc>) {
+        let mut marks = Marks::default();
+        self.mark(&mut marks, last_keys.len(), finals);
+        let mut nodes: Vec<(u32, u64)> = Vec::new();
+        let mut arcs: Vec<SliceArc> = Vec::new();
+        let last = self.segments.len() - 1;
+        for p in 0..=last {
+            let seg = self.segments[p];
+            let keys_end = self
+                .segments
+                .get(p + 1)
+                .map_or(seg.keys + last_keys.len(), |s| s.keys);
             nodes.extend(
-                (0..alive.len() as u32)
-                    .filter(|&e| alive[e as usize])
-                    .map(|e| (pop, self.key(last_keys, p, e))),
+                ones(&marks.live, seg.keys, keys_end)
+                    .map(|i| (p as u32, self.key(last_keys, p, (i - seg.keys) as u32))),
             );
-            std::mem::swap(&mut alive, &mut alive_prev);
+            let end = self.records_end(p);
+            for (lo, hi, src_pop) in [(seg.start, seg.eps, p.saturating_sub(1)), (seg.eps, end, p)]
+            {
+                arcs.extend(ones(&marks.kept, lo, hi).map(|i| {
+                    let a = self.tape.get(i);
+                    SliceArc {
+                        src: (src_pop as u32, self.key(last_keys, src_pop, a.src)),
+                        dst: (p as u32, self.key(last_keys, p, a.dst)),
+                        word: a.word,
+                        dst_cost: a.dst_cost,
+                    }
+                }));
+            }
         }
         (nodes, arcs)
+    }
+
+    /// Prunes the tape to what can reach the population just completed
+    /// (the frontier: the last segment's, whose keys are the last on
+    /// the key lane), and compacts it in place. Surviving records and
+    /// keys keep their relative order, an entry's new index is the
+    /// count of live entries before it in its population, and blocks
+    /// left empty go back to `spare`. Every frontier entry survives, so
+    /// the frontier keeps its numbering and the next population's
+    /// records can still name it; the seed token survives even when the
+    /// frontier is empty. Only what survives is read again: the mark
+    /// pass left a bit per kept record.
+    fn prune(&mut self) {
+        let last = self.segments.len() - 1;
+        let width = self.keys.len() - self.segments[last].keys;
+        let mut marks = std::mem::take(&mut self.marks);
+        self.mark(&mut marks, width, 0..width as u32);
+        marks.rank_words();
+        // Keys: a live entry moves to its rank, which never passes it.
+        let mut key_at = 0;
+        for i in ones(&marks.live, 0, self.keys.len()) {
+            let k = self.keys.get(i);
+            self.keys.set(key_at, k);
+            key_at += 1;
+        }
+        // Records: population by population, first to last; a segment
+        // is rewritten once the next one has been read.
+        let (mut rec_at, mut prev) = (0, 0);
+        for p in 0..=last {
+            let seg = self.segments[p];
+            let end = self.records_end(p);
+            let new_keys = marks.rank(seg.keys);
+            let new_prev = marks.rank(prev);
+            let new_start = rec_at;
+            let mut new_eps = rec_at;
+            // Emitting records (sources in the population before), then
+            // closure records, whose run starts at `new_eps`.
+            for (lo, hi, src_at, new_src_at) in [
+                (seg.start, seg.eps, prev, new_prev),
+                (seg.eps, end, seg.keys, new_keys),
+            ] {
+                new_eps = rec_at;
+                for i in ones(&marks.kept, lo, hi) {
+                    let a = self.tape.get(i);
+                    debug_assert!(
+                        bit(&marks.live, src_at + a.src as usize),
+                        "a kept record's source died"
+                    );
+                    let moved = TapeArc {
+                        src: (marks.rank(src_at + a.src as usize) - new_src_at) as u32,
+                        dst: (marks.rank(seg.keys + a.dst as usize) - new_keys) as u32,
+                        ..a
+                    };
+                    self.tape.set(rec_at, moved);
+                    rec_at += 1;
+                }
+            }
+            self.segments[p] = PopSegment {
+                start: new_start,
+                eps: new_eps,
+                keys: new_keys,
+            };
+            prev = seg.keys;
+        }
+        self.tape.truncate(rec_at);
+        self.keys.truncate(key_at);
+        self.kept_blocks = self.tape.blocks();
+        self.marks = marks;
+        #[cfg(test)]
+        {
+            self.prunes += 1;
+        }
     }
 
     /// Appends a word recognized at `frame`, preceded by `prev`
@@ -459,6 +715,24 @@ impl Lattice {
             .into_iter()
             .map(|(w, _)| w)
             .collect()
+    }
+
+    /// The words and the frames of [`Lattice::backtrace_spanned`] as two
+    /// lanes, each allocated once at its length.
+    pub(crate) fn backtrace_lanes(&self, index: u32) -> (Vec<WordId>, Vec<u32>) {
+        let chain = || {
+            let step =
+                |&i: &u32| Some(self.entries[i as usize].prev).filter(|&p| p != LATTICE_ROOT);
+            std::iter::successors(Some(index).filter(|&i| i != LATTICE_ROOT), step)
+                .map(|i| self.entries[i as usize])
+        };
+        let n = chain().count();
+        let (mut words, mut frames) = (vec![0; n], vec![0; n]);
+        for (i, e) in (0..n).rev().zip(chain()) {
+            words[i] = e.word;
+            frames[i] = e.frame;
+        }
+        (words, frames)
     }
 
     /// Like [`Lattice::backtrace`], but pairs every word with the frame
@@ -1433,6 +1707,18 @@ mod tests {
         /// The recorded tape and the last population's key lane, which
         /// holds `finals` too.
         fn replay(&self, finals: &[u64]) -> (Lattice, Vec<u64>) {
+            self.replay_pruned(finals, None, 0)
+        }
+
+        /// [`KeyTape::replay`] in blocks of `block_len` elements (the
+        /// shipped size for `None`), pruning at the boundary into
+        /// population `p` when bit `p - 1` of `prune_at` is set.
+        fn replay_pruned(
+            &self,
+            finals: &[u64],
+            block_len: Option<usize>,
+            prune_at: u32,
+        ) -> (Lattice, Vec<u64>) {
             fn entry(lane: &mut Vec<u64>, k: u64) -> u32 {
                 let e = lane.iter().position(|&x| x == k).unwrap_or_else(|| {
                     lane.push(k);
@@ -1456,10 +1742,13 @@ mod tests {
                 entry(lanes.last_mut().unwrap(), f);
             }
             let mut tape = Lattice::new();
+            if let Some(len) = block_len {
+                tape.set_block_len(len);
+            }
             tape.set_recording(true);
             for (p, [emits, closure]) in self.pops.iter().enumerate() {
                 if p > 0 {
-                    tape.advance_pop(&lanes[p - 1]);
+                    tape.advance(&lanes[p - 1], prune_at >> (p - 1) & 1 == 1);
                 }
                 for &(s, d, word, cost) in emits {
                     let (s, d) = (entry(&mut lanes[p - 1], s), entry(&mut lanes[p], d));
@@ -1484,7 +1773,12 @@ mod tests {
 
     /// Builds with `finals` as the final tokens of the last population.
     fn build_with_finals(tape: &KeyTape, finals: &[u64], beam: f32) -> WordLattice {
-        let (tape, keys) = tape.replay(finals);
+        build_replayed(tape.replay(finals), finals, beam)
+    }
+
+    /// Builds a replayed tape with `finals` as the final tokens of its
+    /// last population, whose key lane is `keys`.
+    fn build_replayed((tape, keys): (Lattice, Vec<u64>), finals: &[u64], beam: f32) -> WordLattice {
         let mut last = crate::search::TokenStore::default();
         for k in keys {
             // The builder reads only the keys.
@@ -1543,6 +1837,55 @@ mod tests {
         assert_eq!((nodes.len(), arcs.len()), (4, 4));
     }
 
+    /// The dead-end diamond, then a population that extends only the
+    /// shared token `key(3, 3)` (or, with `starved`, nothing), then an
+    /// empty one, so that a prune can see population 3 as its frontier.
+    fn extended_diamond(starved: bool) -> KeyTape {
+        let mut tape = diamond_tape(true);
+        tape.advance_pop();
+        if !starved {
+            tape.record_emit(key(3, 3), key(7, 7), 0, 2.5);
+        }
+        tape.advance_pop();
+        tape
+    }
+
+    #[test]
+    fn prune_keeps_what_reaches_the_frontier_and_the_seed() {
+        // Pruned entering population 4, the frontier is population 3:
+        // the two branches into `key(3, 3)` reach it and the dead end
+        // does not.
+        let (tape, _) = extended_diamond(false).replay_pruned(&[], Some(2), 0b1000);
+        let kept = |tape: &Lattice| {
+            let keys: Vec<u64> = (0..tape.keys.len()).map(|i| tape.keys.get(i)).collect();
+            let segs: Vec<(usize, usize, usize)> = tape
+                .segments
+                .iter()
+                .map(|s| (s.start, s.eps, s.keys))
+                .collect();
+            (tape.tape.len(), keys, segs)
+        };
+        let seed = key(0, 0);
+        let (records, keys, segs) = kept(&tape);
+        assert_eq!(records, 5);
+        assert_eq!(keys, vec![seed, key(1, 1), key(2, 2), key(3, 3), key(7, 7)]);
+        assert_eq!(
+            segs,
+            vec![(0, 0, 0), (0, 2, 1), (2, 4, 3), (4, 5, 4), (5, 5, 5)]
+        );
+        // A prune with nothing on the frontier keeps the seed token and
+        // no record.
+        let (tape, _) = extended_diamond(true).replay_pruned(&[], Some(2), 0b1000);
+        let (records, keys, _) = kept(&tape);
+        assert_eq!((records, keys), (0, vec![seed]));
+        // Whole blocks left empty go back to the spare list.
+        assert!(
+            tape.tape.spare.len() >= 3,
+            "{} spare",
+            tape.tape.spare.len()
+        );
+    }
+
     #[test]
     fn late_non_improving_relaxation_is_found_by_the_fixpoint() {
         // One frame: A (word 1) and A' (word 2) are emitted, then the
@@ -1567,6 +1910,33 @@ mod tests {
         let tight = build_with_finals(&tape, &[c], 0.125);
         assert!(tight.nodes().iter().all(|n| n.key != a2));
         assert_eq!(tight.nbest(5), vec![(vec![1], 2.0)]);
+    }
+
+    #[test]
+    fn late_non_improving_relaxation_survives_a_prune() {
+        // The tape above, extended by two frames (C to D, then D to a
+        // final E) and pruned entering the last one, with D as the
+        // frontier: the prune's sweep needs the fixpoint as much as the
+        // build's.
+        let (a, a2, b, c) = (key(1, 0), key(2, 0), key(3, 0), key(4, 0));
+        let (d, e) = (key(5, 0), key(6, 0));
+        let mut tape = seeded_tape();
+        tape.advance_pop();
+        tape.record_emit(key(0, 0), a, 1, 1.0);
+        tape.record_emit(key(0, 0), a2, 2, 1.25);
+        tape.record_eps(a, b, 0, 1.5);
+        tape.record_eps(b, c, 0, 2.0);
+        tape.record_eps(a2, b, 0, 1.75);
+        tape.advance_pop();
+        tape.record_emit(c, d, 0, 2.5);
+        tape.advance_pop();
+        tape.record_emit(d, e, 0, 3.0);
+        let whole = build_with_finals(&tape, &[e], 1.0);
+        assert!(whole.nodes().iter().any(|n| n.key == a2), "A' was dropped");
+        let (pruned, keys) = tape.replay_pruned(&[e], None, 0b100);
+        assert_eq!(pruned.prunes, 1);
+        let pruned = build_replayed((pruned, keys), &[e], 1.0);
+        assert!(pruned.bit_identical(&whole));
     }
 
     #[test]
@@ -1741,14 +2111,72 @@ mod tests {
         )
     }
 
+    type RawRecord = (u32, u32, u32);
+
+    /// A random small tape over `pops` frames (five keys a population,
+    /// costs on a quarter grid so ties are common, closure records in
+    /// taping order so late non-improving relaxations are too) and its
+    /// records flattened to `(population, key)` endpoints. With `empty`
+    /// set, population `empty` gets no token: nothing is taped into or
+    /// out of it.
+    fn random_tape(
+        pops: u32,
+        raw: &[RawRecord],
+        empty: Option<u32>,
+    ) -> (KeyTape, Vec<(Node, Node, WordId, f32)>) {
+        // (population, closure?, src, dst) out of one word; closure
+        // records run low key to high so populations stay acyclic.
+        let recs: Vec<(u32, bool, u64, u64, WordId, f32)> = raw
+            .iter()
+            .filter_map(|&(r, word, quarters)| {
+                let pop = r % (pops + 1);
+                let eps = pop == 0 || (r >> 8) % 2 == 0;
+                let (s, d) = (u64::from((r >> 12) % 5), u64::from((r >> 16) % 5));
+                let (s, d) = if eps { (s.min(d), s.max(d)) } else { (s, d) };
+                let touches_empty = empty.is_some_and(|k| pop == k || (!eps && pop == k + 1));
+                (!touches_empty && (!eps || s != d)).then(|| {
+                    (
+                        pop,
+                        eps,
+                        key(s as u32, 0),
+                        key(d as u32, 0),
+                        word,
+                        quarters as f32 * 0.25,
+                    )
+                })
+            })
+            .collect();
+        let mut tape = seeded_tape();
+        let mut flat = Vec::new();
+        for pop in 0..=pops {
+            if pop > 0 {
+                tape.advance_pop();
+            }
+            for &(_, _, s, d, word, cost) in recs.iter().filter(|r| r.0 == pop && !r.1) {
+                tape.record_emit(s, d, word, cost);
+                flat.push(((pop - 1, s), (pop, d), word, cost));
+            }
+            for &(_, _, s, d, word, cost) in recs.iter().filter(|r| r.0 == pop && r.1) {
+                tape.record_eps(s, d, word, cost);
+                flat.push(((pop, s), (pop, d), word, cost));
+            }
+        }
+        (tape, flat)
+    }
+
+    /// The keys `final_mask` selects out of the five.
+    fn final_keys(final_mask: u32) -> Vec<u64> {
+        (0..5u32)
+            .filter(|k| final_mask >> k & 1 == 1)
+            .map(|k| key(k, 0))
+            .collect()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Random small tapes (five keys a population, costs on a
-        /// quarter grid so ties are common, closure records in taping
-        /// order so late non-improving relaxations are too): the
-        /// builder agrees with [`brute_force`] on nodes, arcs, finals
-        /// and every tropical bit.
+        /// Random small tapes: the builder agrees with [`brute_force`]
+        /// on nodes, arcs, finals and every tropical bit.
         #[test]
         fn builder_matches_brute_force_on_random_tapes(
             pops in 1u32..5,
@@ -1756,44 +2184,52 @@ mod tests {
             final_mask in 1u32..32,
             beam_quarters in 0u32..16,
         ) {
-            // (population, closure?, src, dst) out of one word; closure
-            // records run low key to high so populations stay acyclic.
-            let recs: Vec<(u32, bool, u64, u64, WordId, f32)> = raw
-                .iter()
-                .filter_map(|&(r, word, quarters)| {
-                    let pop = r % (pops + 1);
-                    let eps = pop == 0 || (r >> 8) % 2 == 0;
-                    let (s, d) = (u64::from((r >> 12) % 5), u64::from((r >> 16) % 5));
-                    let (s, d) = if eps { (s.min(d), s.max(d)) } else { (s, d) };
-                    (!eps || s != d)
-                        .then(|| (pop, eps, key(s as u32, 0), key(d as u32, 0), word, quarters as f32 * 0.25))
-                })
-                .collect();
-            let mut tape = seeded_tape();
-            let mut flat = Vec::new();
-            for pop in 0..=pops {
-                if pop > 0 {
-                    tape.advance_pop();
-                }
-                for &(_, _, s, d, word, cost) in recs.iter().filter(|r| r.0 == pop && !r.1) {
-                    tape.record_emit(s, d, word, cost);
-                    flat.push(((pop - 1, s), (pop, d), word, cost));
-                }
-                for &(_, _, s, d, word, cost) in recs.iter().filter(|r| r.0 == pop && r.1) {
-                    tape.record_eps(s, d, word, cost);
-                    flat.push(((pop, s), (pop, d), word, cost));
-                }
-            }
-            let final_keys: Vec<u64> = (0..5u32)
-                .filter(|k| final_mask >> k & 1 == 1)
-                .map(|k| key(k, 0))
-                .collect();
-            let final_nodes: Vec<Node> = final_keys.iter().map(|&k| (pops, k)).collect();
+            let (tape, flat) = random_tape(pops, &raw, None);
+            let finals = final_keys(final_mask);
+            let final_nodes: Vec<Node> = finals.iter().map(|&k| (pops, k)).collect();
             let beam = beam_quarters as f32 * 0.25;
 
-            let lat = build_with_finals(&tape, &final_keys, beam);
+            let lat = build_with_finals(&tape, &finals, beam);
             let want = brute_force(&flat, (0, key(0, 0)), &final_nodes, beam);
             proptest::prop_assert_eq!(summarize(&lat), want);
+        }
+
+        /// The same random tapes pruned at random population
+        /// boundaries, each prune seeded with the whole frontier, in
+        /// blocks of one to four elements: the lattice is bit-identical
+        /// to the unpruned build. Some tapes leave one population without
+        /// a token, so some prunes see an empty frontier.
+        #[test]
+        fn pruning_at_any_boundary_leaves_the_lattice_bit_identical(
+            pops in 1u32..7,
+            raw in proptest::collection::vec((proptest::any::<u32>(), 0u32..4, 1u32..24), 0..64),
+            final_mask in 1u32..32,
+            beam_quarters in 0u32..16,
+            prune_at in 1u32..64,
+            block_len in 1usize..5,
+            empty in 0u32..21,
+        ) {
+            let empty = (1..pops).contains(&empty).then_some(empty);
+            let (tape, _) = random_tape(pops, &raw, empty);
+            let finals = final_keys(final_mask);
+            let beam = beam_quarters as f32 * 0.25;
+
+            let replayed = tape.replay_pruned(&finals, Some(block_len), prune_at);
+            proptest::prop_assert_eq!(
+                replayed.0.prunes,
+                (prune_at & ((1 << pops) - 1)).count_ones() as usize
+            );
+            // At the drawn beam and at one no path exceeds, so that no
+            // arc a prune mangled can hide outside the beam.
+            for beam in [beam, 1e3] {
+                let whole = build_with_finals(&tape, &finals, beam);
+                let pruned = build_replayed(
+                    (replayed.0.clone(), replayed.1.clone()),
+                    &finals,
+                    beam,
+                );
+                proptest::prop_assert!(pruned.bit_identical(&whole), "{:?}\nvs\n{:?}", pruned, whole);
+            }
         }
     }
 

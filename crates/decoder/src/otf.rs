@@ -806,11 +806,7 @@ pub(crate) fn finish<A: AmSource + ?Sized>(
         }
     }
     let (words, word_frames) = if best_cost.is_finite() {
-        let spanned = lattice.backtrace_spanned(best_lat);
-        (
-            spanned.iter().map(|&(w, _)| w).collect(),
-            spanned.iter().map(|&(_, f)| f).collect(),
-        )
+        lattice.backtrace_lanes(best_lat)
     } else {
         (Vec::new(), Vec::new())
     };

@@ -76,6 +76,18 @@ impl StreamSession {
         self.record_lattice = true;
     }
 
+    /// Returns the session to the unseeded state [`StreamSession::new`]
+    /// leaves, tape recording off, for the next utterance, keeping the
+    /// parked lanes, the lattice and the tape blocks allocated: a caller
+    /// that streams utterance after utterance through one session
+    /// allocates nothing once the widest has warmed it.
+    pub fn restart(&mut self) {
+        self.stats = DecodeStats::default();
+        self.frame = 0;
+        self.seeded = false;
+        self.record_lattice = false;
+    }
+
     /// The beam configuration this session decodes under.
     pub fn config(&self) -> &DecodeConfig {
         &self.config
@@ -497,9 +509,10 @@ mod tests {
 
     /// The streamed lattice equals the batch one, and so does the trace
     /// of building it, on both topologies and both kernels. The stream
-    /// stores its tape in blocks of three records, so the tape spans
-    /// hundreds of blocks and every population's key lane crosses block
-    /// boundaries; the batch decode uses the shipped block size.
+    /// stores its tape in blocks of three records, so it files hundreds
+    /// of blocks, every population's key lane crosses block boundaries,
+    /// and the tape is pruned and compacted at least five times on the way;
+    /// the batch decode uses the shipped block size.
     #[test]
     fn streamed_lattice_build_is_a_lattice_stage_span() {
         use crate::config::DecodeKernel;
@@ -526,10 +539,9 @@ mod tests {
                     session.push_frame(am, &lm, &mut work, utt.scores.frame(t), &mut stream_sink);
                 }
                 let (got, streamed) = session.finalize_lattice(am, &mut stream_sink);
-                assert!(
-                    session.state.lattice.tape_blocks() > 100,
-                    "{what}: the tape spans few blocks"
-                );
+                let (filed, prunes) = session.state.lattice.tape_churn();
+                assert!(filed > 100, "{what}: the tape filed {filed} blocks");
+                assert!(prunes >= 5, "{what}: the tape was pruned {prunes} times");
                 assert!(
                     !streamed.is_empty() && streamed.bit_identical(&batch),
                     "{what}"
@@ -552,6 +564,66 @@ mod tests {
                 );
                 assert_eq!(stream_sink.events(), batch_sink.events(), "{what}");
             }
+        }
+    }
+
+    /// What one session streaming `words` with the tape on, in blocks
+    /// of 16 records, leaves: the tape's high-water mark in blocks, the
+    /// blocks it filed, and the records it still holds per population
+    /// over the first half of the utterance against those it taped per
+    /// frame.
+    fn taped_session(words: &[u32], topology: HmmTopology) -> (usize, usize, f64) {
+        let (lex, kaldi, lm) = setup();
+        let ctc = build_am(&lex, HmmTopology::Ctc).fst;
+        let am = if topology == HmmTopology::Ctc {
+            &ctc
+        } else {
+            &kaldi
+        };
+        let utt = synthesize_utterance(words, &lex, topology, &NoiseModel::default(), 21);
+        let cfg = DecodeConfig::default();
+        let mut work = WorkScratch::new();
+        work.begin(&cfg);
+        let mut session = StreamSession::new(cfg);
+        session.state.lattice.set_block_len(16);
+        session.enable_lattice();
+        session.seed(am, &lm, &mut work, &mut NullSink);
+        let mut high = 0;
+        for t in 0..utt.scores.num_frames() {
+            session.push_frame(am, &lm, &mut work, utt.scores.frame(t), &mut NullSink);
+            high = high.max(session.state.lattice.tape_blocks_held());
+        }
+        let lattice = &session.state.lattice;
+        let half = utt.scores.num_frames() / 2;
+        let filed = lattice.tape_churn().0;
+        let taped = (16 * filed) as f64 / utt.scores.num_frames() as f64;
+        let band = lattice.records_before(half) as f64 / half as f64;
+        (high, filed, band / taped)
+    }
+
+    /// A session four times as long holds a tape that grows by less than
+    /// half of what it tapes: once a population is old, only the band of
+    /// records that still reaches the frontier stays, under a third of
+    /// what the search tapes a frame (~8 of ~31 records here on Kaldi,
+    /// ~23 of ~256 on CTC). The band is every record into a token some
+    /// live hypothesis descends from, so the tape still grows with the
+    /// session, by the band. The backpointer arena (`Lattice::entries`)
+    /// grows too, by an entry per word end.
+    #[test]
+    fn tape_high_water_grows_only_by_the_band_that_reaches_the_frontier() {
+        let words: Vec<u32> = (0..20).map(|i| (i * 7 + 3) % 49 + 1).collect();
+        for topology in [HmmTopology::Kaldi3State, HmmTopology::Ctc] {
+            let (high_short, filed_short, _) = taped_session(&words[..5], topology);
+            let (high_long, filed_long, kept) = taped_session(&words, topology);
+            assert!(
+                2 * (high_long - high_short) <= filed_long - filed_short,
+                "{topology:?}: the high-water grew {high_short} -> {high_long} blocks \
+                 while the tape filed {filed_short} -> {filed_long}"
+            );
+            assert!(
+                3.0 * kept <= 1.0,
+                "{topology:?}: old populations keep {kept:.2} of what is taped"
+            );
         }
     }
 

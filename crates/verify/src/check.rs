@@ -77,6 +77,11 @@ pub enum CheckId {
     /// union composition against the eagerly composed biased
     /// reference, bit for bit (words, cost bits, word frames).
     BiasOracle,
+    /// Streaming stable prefixes: at every ten-frame chunk, across
+    /// kernels and OLT sizes, `partial_stable_prefix` only ever
+    /// extends, prefixes `partial_result`, and prefixes the final
+    /// words.
+    StablePrefix,
     /// A check panicked instead of returning.
     Panic,
 }
@@ -97,6 +102,7 @@ impl CheckId {
             CheckId::SimReplay => "sim-replay",
             CheckId::LatticeOracle => "lattice-oracle",
             CheckId::BiasOracle => "bias-oracle",
+            CheckId::StablePrefix => "stable-prefix",
             CheckId::Panic => "panic",
         }
     }
@@ -116,6 +122,7 @@ impl CheckId {
             CheckId::SimReplay,
             CheckId::LatticeOracle,
             CheckId::BiasOracle,
+            CheckId::StablePrefix,
             CheckId::Panic,
         ]
         .into_iter()
@@ -184,6 +191,12 @@ pub enum Mutation {
     /// the bias-oracle comparison against the offline-composed biased
     /// reference can catch it.
     BiasBonusSkip,
+    /// The stable-prefix check takes the best live token's backtrace
+    /// (`partial_result`) as the prefix no further audio can revise —
+    /// the shortcut of trusting the current 1-best. A harness-side
+    /// mutation: the decoder is untouched, so only the stable-prefix
+    /// check can catch it.
+    StablePrefixBestOnly,
 }
 
 impl Mutation {
@@ -196,6 +209,7 @@ impl Mutation {
             Mutation::StaleChecksum => "stale-checksum",
             Mutation::LatticeBeamSkip => "lattice-beam-skip",
             Mutation::BiasBonusSkip => "bias-bonus-skip",
+            Mutation::StablePrefixBestOnly => "stable-prefix-best-only",
         }
     }
 
@@ -208,6 +222,7 @@ impl Mutation {
             "stale-checksum" => Some(Mutation::StaleChecksum),
             "lattice-beam-skip" => Some(Mutation::LatticeBeamSkip),
             "bias-bonus-skip" => Some(Mutation::BiasBonusSkip),
+            "stable-prefix-best-only" => Some(Mutation::StablePrefixBestOnly),
             _ => None,
         }
     }
@@ -805,6 +820,16 @@ pub fn run_case_filtered(
         }
     }
 
+    // 11. Stable prefixes: streamed in ten-frame chunks under both
+    //     kernels and OLT sizes {0, the serve default}, the prefix no
+    //     further audio can revise must behave like one. This is where
+    //     `Mutation::StablePrefixBestOnly` surfaces.
+    if want(CheckId::StablePrefix) {
+        if let Some(d) = stable_prefix_check(mutation, &m, cfg) {
+            return Some(d);
+        }
+    }
+
     None
 }
 
@@ -1085,6 +1110,81 @@ fn lattice_oracle_check(
     None
 }
 
+/// Frames a streaming client pushes between partials in the
+/// stable-prefix check.
+const PREFIX_CHUNK_FRAMES: usize = 10;
+
+/// The serve default OLT size (`ServeConfig::olt_entries`), the second
+/// table size the stable-prefix check streams under.
+const SERVE_OLT_ENTRIES: usize = 1_024;
+
+fn stable_prefix_check(
+    mutation: Mutation,
+    m: &CaseModels,
+    cfg: DecodeConfig,
+) -> Option<Divergence> {
+    let div = |detail: String| {
+        Some(Divergence {
+            check: CheckId::StablePrefix,
+            detail,
+        })
+    };
+    let scores = &m.utt.scores;
+    for kernel in [DecodeKernel::Legacy, DecodeKernel::Soa] {
+        for olt in [0, SERVE_OLT_ENTRIES] {
+            let label = format!("{kernel:?} kernel, olt_entries={olt}");
+            let run_cfg = cfg
+                .to_builder()
+                .kernel(kernel)
+                .olt_entries(olt)
+                .build()
+                .expect("case spec yields a valid config");
+            let lm = MutatedLm::new(&m.lm_fst, mutation);
+            let mut work = WorkScratch::new();
+            work.begin(&run_cfg);
+            let mut sess = StreamSession::new(run_cfg);
+            sess.seed(&m.am.fst, &lm, &mut work, &mut NullSink);
+            let mut emitted: Vec<u32> = Vec::new();
+            let mut frame = 0;
+            while frame < scores.num_frames() {
+                let end = (frame + PREFIX_CHUNK_FRAMES).min(scores.num_frames());
+                for t in frame..end {
+                    sess.push_frame(&m.am.fst, &lm, &mut work, scores.frame(t), &mut NullSink);
+                }
+                let partial = sess.partial_result();
+                let stable = if mutation == Mutation::StablePrefixBestOnly {
+                    partial.clone()
+                } else {
+                    sess.partial_stable_prefix()
+                };
+                if !partial.starts_with(&stable) {
+                    return div(format!(
+                        "{label}: at frame {end} the stable prefix {stable:?} is not a prefix \
+                         of the partial {partial:?}"
+                    ));
+                }
+                if !stable.starts_with(&emitted) {
+                    return div(format!(
+                        "{label}: at frame {end} the stable prefix {stable:?} revised \
+                         {emitted:?}"
+                    ));
+                }
+                emitted = stable;
+                frame = end;
+            }
+            let result = sess.finalize(&m.am.fst, &mut NullSink);
+            if result.is_complete() && !result.words.starts_with(&emitted) {
+                return div(format!(
+                    "{label}: the stable prefix {emitted:?} is not a prefix of the final \
+                     words {:?}",
+                    result.words
+                ));
+            }
+        }
+    }
+    None
+}
+
 /// Salt folded into the case seed to derive its biasing phrase list.
 /// A *derived* quantity — not a [`CaseSpec`] knob — so the spec's own
 /// RNG draw sequence (and every existing repro file) is untouched.
@@ -1309,6 +1409,7 @@ mod tests {
             Mutation::StaleChecksum,
             Mutation::LatticeBeamSkip,
             Mutation::BiasBonusSkip,
+            Mutation::StablePrefixBestOnly,
         ] {
             let caught = (0..12).any(|i| {
                 let spec = CaseSpec::derive(0xB00, i);
@@ -1358,6 +1459,30 @@ mod tests {
         assert!(
             d.detail.contains("oracle") || d.detail.contains("olt"),
             "want the bias comparison, got: {}",
+            d.detail
+        );
+    }
+
+    #[test]
+    fn stable_prefix_best_only_is_caught_by_the_stable_prefix_check_alone() {
+        // The decoder is untouched, so every other check passes; only
+        // the stable-prefix row sees a prefix that follows the 1-best.
+        let caught = (0..12).find_map(|i| {
+            let spec = CaseSpec::derive(0xB00, i);
+            let full = run_case_caught(&spec, Mutation::StablePrefixBestOnly);
+            if let Some(d) = &full {
+                assert_eq!(
+                    d.check,
+                    CheckId::StablePrefix,
+                    "stable-prefix-best-only leaked into another check: {d}"
+                );
+            }
+            full
+        });
+        let d = caught.expect("a 1-best stable prefix must surface within 12 cases");
+        assert!(
+            d.detail.contains("revised") || d.detail.contains("final words"),
+            "want a revision, got: {}",
             d.detail
         );
     }
@@ -1420,6 +1545,7 @@ mod tests {
             CheckId::SimReplay,
             CheckId::LatticeOracle,
             CheckId::BiasOracle,
+            CheckId::StablePrefix,
             CheckId::Panic,
         ] {
             assert_eq!(CheckId::parse(c.name()), Some(c));
@@ -1431,6 +1557,7 @@ mod tests {
             Mutation::StaleChecksum,
             Mutation::LatticeBeamSkip,
             Mutation::BiasBonusSkip,
+            Mutation::StablePrefixBestOnly,
         ] {
             assert_eq!(Mutation::parse(m.name()), Some(m));
         }

@@ -13,7 +13,8 @@ unfold-verify: randomized differential verification campaign
 USAGE:
     unfold-verify [--cases N] [--seed S] [--jobs N] [--out DIR]
                   [--mutation none|olt-aliasing|free-backoff|stale-checksum
-                             |lattice-beam-skip|bias-bonus-skip]
+                             |lattice-beam-skip|bias-bonus-skip
+                             |stable-prefix-best-only]
                   [--check NAME] [--no-shrink]
 
 FLAGS:
@@ -22,7 +23,8 @@ FLAGS:
     --jobs N       worker threads (default: available parallelism)
     --out DIR      write minimized repro files here
     --mutation M   inject a known decoder bug (default none)
-    --check NAME   run a single check (e.g. lattice-oracle or bias-oracle)
+    --check NAME   run a single check (e.g. lattice-oracle, bias-oracle or
+                   stable-prefix)
                    instead of the full matrix
     --no-shrink    skip delta-debugging of divergences
 ";
