@@ -45,7 +45,10 @@ use unfold::experiments::{
 };
 use unfold::{decode_batch_recorded, pack_system, AmModel, LmModel, Models, System, TaskSpec};
 use unfold_compress::{load_am, load_lm, save_am, save_lm, Bundle};
-use unfold_decoder::{wer, DecodeConfig, MetricsSink, NullSink, OtfDecoder, TraceSink, WerReport};
+use unfold_decoder::{
+    nbest_list, wer, DecodeConfig, DecodeResult, DecodeScratch, MetricsSink, NullSink, OtfDecoder,
+    TraceSink, WerReport, WordLattice,
+};
 use unfold_serve::{
     run_bias_compare, run_loadgen, BiasCompare, ClientMsg, LoadgenConfig, ServeConfig, Server,
     ServerMsg, TcpFront,
@@ -523,14 +526,26 @@ fn cmd_decode(args: &[String]) -> Result<String, Error> {
     // Decode output is bit-identical for any worker count, so --jobs
     // only changes wall time; with telemetry on, the recorded traces
     // replay serially in utterance order to keep it deterministic too.
-    let results: Vec<unfold_decoder::DecodeResult> = if jobs <= 1 {
-        let mut scratch = unfold_decoder::DecodeScratch::new();
+    // N-best lists and confidences are read off one lattice decode per
+    // utterance, whose result is bit-identical to the plain decode's.
+    let want_lattice = nbest > 1 || confidence;
+    let decode_one =
+        |utt: &unfold_am::Utterance, scratch: &mut DecodeScratch, sink: &mut dyn TraceSink| {
+            if want_lattice {
+                decoder.decode_lattice_with(am, lm, &utt.scores, scratch, sink)
+            } else {
+                let res = decoder.decode_with(am, lm, &utt.scores, scratch, sink);
+                (res, WordLattice::default())
+            }
+        };
+    let results: Vec<(DecodeResult, WordLattice)> = if jobs <= 1 {
+        let mut scratch = DecodeScratch::new();
         utts.iter()
-            .map(|utt| decoder.decode_with(am, lm, &utt.scores, &mut scratch, &mut *sink))
+            .map(|utt| decode_one(utt, &mut scratch, &mut *sink))
             .collect()
     } else {
         let (pairs, _pool) = decode_batch_recorded(&utts, jobs, |_i, utt, scratch, rec| {
-            decoder.decode_with(am, lm, &utt.scores, scratch, rec)
+            decode_one(utt, scratch, rec)
         });
         pairs
             .into_iter()
@@ -542,18 +557,17 @@ fn cmd_decode(args: &[String]) -> Result<String, Error> {
             })
             .collect()
     };
-    for (i, (utt, res)) in utts.iter().zip(&results).enumerate() {
+    for (i, (utt, (res, lattice))) in utts.iter().zip(&results).enumerate() {
         report.accumulate(wer(&utt.words, &res.words));
         let _ = writeln!(s, "utt {i}: ref {:?}", utt.words);
         let _ = writeln!(s, "       hyp {:?} (cost {:.2})", res.words, res.cost);
         if nbest > 1 {
-            let list = decoder.decode_nbest(am, lm, &utt.scores, nbest, &mut *sink);
+            let list = nbest_list(res, lattice, nbest);
             for (rank, (words, cost)) in list.iter().enumerate().skip(1) {
                 let _ = writeln!(s, "       #{} {:?} (cost {cost:.2})", rank + 1, words);
             }
         }
         if confidence && res.is_complete() {
-            let (_, lattice) = decoder.decode_lattice(am, lm, &utt.scores, &mut *sink);
             let hyps = lattice.best_path_detail();
             let spans = res.word_spans();
             for (hyp, (word, first, last)) in hyps.iter().zip(&spans) {
@@ -1213,6 +1227,47 @@ mod tests {
         }
         assert!(frames >= 1, "at least one frame record per decoded frame");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `--nbest` and `--confidence` read one lattice decode per
+    /// utterance, so the telemetry holds one frame record per frame.
+    #[test]
+    fn decode_lattice_flags_decode_each_utterance_once() {
+        let utts = System::build(&TaskSpec::tiny()).test_utterances(2);
+        let frames: usize = utts.iter().map(|u| u.scores.num_frames()).sum();
+        for jobs in ["1", "2"] {
+            let path = std::env::temp_dir().join(format!(
+                "unfold-nbest-metrics-{jobs}-{}.jsonl",
+                std::process::id()
+            ));
+            run(&sv(&[
+                "decode",
+                "--task",
+                "tiny",
+                "--utterances",
+                "2",
+                "--nbest",
+                "3",
+                "--confidence",
+                "--jobs",
+                jobs,
+                "--metrics",
+                path.to_str().unwrap(),
+            ]))
+            .unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let records = text
+                .lines()
+                .filter(|l| {
+                    matches!(
+                        unfold_obs::ObsRecord::parse_line(l),
+                        Ok(unfold_obs::ObsRecord::Frame(_))
+                    )
+                })
+                .count();
+            assert_eq!(records, frames, "--jobs {jobs}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

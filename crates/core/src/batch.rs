@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use unfold_am::Utterance;
-use unfold_decoder::{DecodeResult, DecodeScratch, TraceRecorder};
+use unfold_decoder::{DecodeScratch, TraceRecorder};
 use unfold_obs::PoolTelemetry;
 
 /// Decodes `utterances` with up to `jobs` workers (0 and 1 both mean
@@ -123,13 +123,14 @@ where
 /// [`decode_batch`] variant that also captures each utterance's memory
 /// trace in a private [`TraceRecorder`], for serial replay into a
 /// stateful simulator afterwards.
-pub fn decode_batch_recorded<F>(
+pub fn decode_batch_recorded<R, F>(
     utterances: &[Utterance],
     jobs: usize,
     decode_one: F,
-) -> (Vec<(DecodeResult, TraceRecorder)>, PoolTelemetry)
+) -> (Vec<(R, TraceRecorder)>, PoolTelemetry)
 where
-    F: Fn(usize, &Utterance, &mut DecodeScratch, &mut TraceRecorder) -> DecodeResult + Sync,
+    R: Send,
+    F: Fn(usize, &Utterance, &mut DecodeScratch, &mut TraceRecorder) -> R + Sync,
 {
     decode_batch(utterances, jobs, |i, utt, scratch| {
         let mut rec = TraceRecorder::new();

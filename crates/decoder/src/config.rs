@@ -2,48 +2,6 @@
 
 use unfold_lm::WordId;
 
-/// Which frame-loop implementation the on-the-fly decoder runs. Both
-/// kernels produce bit-identical output — words, costs, stats, and the
-/// full ordered [`crate::TraceSink`] event stream — which the verify
-/// matrix and proptests pin; they differ only in how the work is laid
-/// out for the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeKernel {
-    /// The scalar reference kernel: per-token map walks, `get` +
-    /// `insert` relaxation. Kept compiled unconditionally so the SoA
-    /// kernel always has a differential baseline.
-    Legacy,
-    /// The struct-of-arrays kernel: contiguous-slice threshold fold,
-    /// packed survivor bitmask compaction, a batched probe-buffer
-    /// prefetch pass over the frame's (AM, LM) state keys, and fused
-    /// single-walk token relaxation.
-    Soa,
-}
-
-impl DecodeKernel {
-    /// Stable snake_case name used in telemetry and bench exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DecodeKernel::Legacy => "legacy",
-            DecodeKernel::Soa => "soa",
-        }
-    }
-}
-
-impl Default for DecodeKernel {
-    /// The `soa_kernel` cargo feature (on by default) selects the SoA
-    /// kernel; building `unfold-decoder` with `--no-default-features`
-    /// flips the default back to the scalar reference kernel. Either
-    /// way both kernels stay compiled and runtime-selectable.
-    fn default() -> Self {
-        if cfg!(feature = "soa_kernel") {
-            DecodeKernel::Soa
-        } else {
-            DecodeKernel::Legacy
-        }
-    }
-}
-
 /// Beam-search parameters shared by both decoders.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodeConfig {
@@ -70,13 +28,10 @@ pub struct DecodeConfig {
     /// LM reports no memo context), so it can never perturb their
     /// output or statistics.
     pub bias_cache_entries: usize,
-    /// Frame-loop implementation (see [`DecodeKernel`]). Never changes
-    /// decode output; defaults by the `soa_kernel` cargo feature.
-    pub kernel: DecodeKernel,
     /// Lattice beam: when a word lattice is requested, arcs whose best
     /// complete path exceeds `best + lattice_beam` are pruned from the
     /// lattice in the post-pass. Only consulted by the lattice-producing
-    /// entry points (`decode_lattice*`, `decode_nbest*`, streaming with
+    /// entry points (`decode_lattice*`, `decode_nbest`, streaming with
     /// the lattice enabled); plain 1-best decoding ignores it entirely,
     /// so it can never perturb search output.
     pub lattice_beam: f32,
@@ -90,7 +45,6 @@ impl Default for DecodeConfig {
             preemptive_pruning: true,
             olt_entries: 0,
             bias_cache_entries: 256,
-            kernel: DecodeKernel::default(),
             lattice_beam: 8.0,
         }
     }
@@ -191,12 +145,6 @@ impl DecodeConfigBuilder {
     /// otherwise must be a power of two).
     pub fn bias_cache_entries(mut self, entries: usize) -> Self {
         self.cfg.bias_cache_entries = entries;
-        self
-    }
-
-    /// Frame-loop kernel selection (see [`DecodeKernel`]).
-    pub fn kernel(mut self, kernel: DecodeKernel) -> Self {
-        self.cfg.kernel = kernel;
         self
     }
 
@@ -372,20 +320,12 @@ mod tests {
             .max_active(64)
             .preemptive_pruning(false)
             .olt_entries(4096)
-            .kernel(DecodeKernel::Legacy)
             .build()
             .unwrap();
         assert_eq!(c.beam, 9.0);
         assert_eq!(c.max_active, 64);
         assert!(!c.preemptive_pruning);
         assert_eq!(c.olt_entries, 4096);
-        assert_eq!(c.kernel, DecodeKernel::Legacy);
-        assert_eq!(c.kernel.name(), "legacy");
-        // The feature-flag default picks a kernel; both stay valid.
-        assert!(DecodeConfig::builder()
-            .kernel(DecodeKernel::Soa)
-            .build()
-            .is_ok());
         // Defaults pass unmodified.
         assert_eq!(
             DecodeConfig::builder().build().unwrap(),

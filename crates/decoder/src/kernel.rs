@@ -1,14 +1,16 @@
-//! The SoA frame kernel ([`crate::config::DecodeKernel::Soa`]).
+//! The decode kernel: the struct-of-arrays frame loop every decode
+//! runs.
 //!
-//! Same search, different loop shape. The legacy kernel walks the
-//! token map entry-by-entry, re-hashing on every relaxation; this
-//! kernel exploits the struct-of-arrays [`TokenStore`] layout so the
-//! hot phases run over contiguous lanes:
+//! Same search as the scalar loop in [`crate::reference`], different
+//! loop shape. The scalar loop walks the token map entry-by-entry,
+//! re-hashing on every relaxation; this kernel exploits the
+//! struct-of-arrays [`TokenStore`] layout so the hot phases run over
+//! contiguous lanes:
 //!
 //! * **Threshold** — the beam compare runs over the `costs` lane as a
 //!   branch-free fold producing a packed `u64` survivor bitmask
 //!   (bit = `!(cost > thr)`, so NaN handling is bit-identical to the
-//!   legacy `cost > thr` prune), which the stable-Rust autovectorizer
+//!   scalar `cost > thr` prune), which the stable-Rust autovectorizer
 //!   turns into SIMD compares.
 //! * **BatchProbe** — survivor indices are compacted out of the mask
 //!   with `trailing_zeros`/`b &= b - 1`, then a tight prefetch loop
@@ -17,7 +19,7 @@
 //!   hints are contents-neutral: true reordered OLT probing would
 //!   reorder install/evict decisions and break trace identity, so the
 //!   batched pass warms caches while [`crate::otf::lm_walk`] — shared
-//!   verbatim with the legacy kernel — performs every probe/install in
+//!   verbatim with the scalar loop — performs every probe/install in
 //!   the original order (see DESIGN.md §13).
 //! * **Expand** — each survivor's arcs replay from the decoded-arc
 //!   staging arena ([`crate::scratch::ArcStage`]): the first visit to
@@ -28,7 +30,7 @@
 //!   survivor `j` expands, survivor `j + 1`'s AM/LM state records are
 //!   prefetched. Relaxations use a fused probe-then-commit
 //!   ([`TokenStore::probe`] + [`TokenStore::insert_probed`]): one hash
-//!   walk where the legacy path pays two.
+//!   walk where the scalar loop pays two.
 //! * **Closure** — the epsilon worklist holds dense entry indices
 //!   (`u32`) instead of keys, so a pop re-reads a token with a lane
 //!   load instead of a hash walk. Expansion seeds it: a new entry goes
@@ -40,12 +42,12 @@
 //!   re-decoding the state's arcs.
 //!
 //! Every [`TraceSink`] event and every [`DecodeStats`] counter is
-//! emitted at exactly the same point as the legacy kernel — the two
+//! emitted at exactly the same point as in the scalar loop — the two
 //! are differential-tested for bit identity (transcripts, cost bits,
-//! stats, ordered event streams) by the `soa_identity` proptests and
-//! verify-matrix check. The only sink calls unique to this module are
-//! the [`KernelPhase`] timers, which are observability-only and
-//! explicitly excluded from trace identity (the recorder ignores
+//! stats, ordered event streams) by the tests below and the verify
+//! matrix's `soa-identity` row. The only sink calls unique to this
+//! module are the [`KernelPhase`] timers, which are observability-only
+//! and explicitly excluded from trace identity (the recorder ignores
 //! them).
 //!
 //! Every function here is generic over its sink `S`. The callers in
@@ -74,8 +76,8 @@ fn tick<S: TraceSink + ?Sized>(sink: &mut S, t0: Option<Instant>, phase: KernelP
     }
 }
 
-/// SoA counterpart of [`crate::otf::expand_frame`]'s legacy body:
-/// identical event stream and stats, lane-oriented inner loops. The
+/// One frame of the search ([`crate::otf::expand_frame`]): the scalar
+/// loop's event stream and stats, lane-oriented inner loops. The
 /// population entering the frame is read from `from`; the one built
 /// is left in `work.next`.
 #[allow(clippy::too_many_arguments)]
@@ -118,7 +120,7 @@ pub(crate) fn expand_frame_soa<
     );
     // Beam compare over the contiguous cost lane into packed flags.
     // `!(c > thr)` (not `c <= thr`) so a NaN cost survives exactly as
-    // it does under the legacy `cost > thr` prune test.
+    // it does under the scalar `cost > thr` prune test.
     let n = cur.len();
     {
         let cs = cur.costs();
@@ -129,7 +131,7 @@ pub(crate) fn expand_frame_soa<
             let mut bits = 0u64;
             for (i, &c) in chunk.iter().enumerate() {
                 // Negated on purpose: `!(c > thr)` (not `c <= thr`) so
-                // NaN costs survive exactly as under the legacy prune.
+                // NaN costs survive exactly as under the scalar prune.
                 #[allow(clippy::neg_cmp_op_on_partial_ord)]
                 let survives = !(c > thr);
                 bits |= u64::from(survives) << i;
@@ -178,7 +180,7 @@ pub(crate) fn expand_frame_soa<
         let lattice = &mut session.lattice;
         let survivors = &work.survivors;
         // The ε-closure's initial worklist, filled in entry order.
-        let seeds = &mut work.worklist_idx;
+        let seeds = &mut work.worklist;
         seeds.clear();
         let keys = cur.keys_slice();
         for (j, &e) in survivors.iter().enumerate() {
@@ -194,7 +196,7 @@ pub(crate) fn expand_frame_soa<
             sink.state_fetch(am.state_addr(am_s));
             // Replay the state's decoded arcs from the staging arena
             // (first visit stages them): a contiguous slice walk where
-            // the legacy kernel re-unpacks the compressed bit stream.
+            // the scalar loop re-unpacks the compressed bit stream.
             let (arcs, eps) = stage.arcs_and_eps(am, am_s);
             for &v in arcs {
                 sink.am_arc_fetch(v.addr, v.bytes);
@@ -210,7 +212,7 @@ pub(crate) fn expand_frame_soa<
                     arc.ilabel,
                     costs.len()
                 );
-                // Same tropical ⊗-chain as the legacy kernel: identical
+                // Same tropical ⊗-chain as the scalar loop: identical
                 // left-to-right f32 additions, identical bits.
                 let base = TropicalWeight::from_cost(tok.cost)
                     .times(TropicalWeight::from_cost(arc.weight))
@@ -268,7 +270,7 @@ pub(crate) fn expand_frame_soa<
         am,
         lm,
         &mut work.next,
-        &mut work.worklist_idx,
+        &mut work.worklist,
         &mut work.eps_local,
         &mut work.probes,
         &mut work.olt,
@@ -284,7 +286,7 @@ pub(crate) fn expand_frame_soa<
     sink.stage_exit(DecodeStage::ArcExpansion);
 
     // Frame-end fold over the contiguous cost lane. The `is_finite`
-    // conditional replicates the legacy fold exactly: it differs from
+    // conditional replicates the scalar fold exactly: it differs from
     // a plain `max` when +inf costs appear, and the FrameEnd event is
     // part of the recorded identity.
     let mut best = TropicalWeight::zero();
@@ -296,17 +298,18 @@ pub(crate) fn expand_frame_soa<
     sink.frame_end(t, work.next.len(), best.value(), worst);
 }
 
-/// SoA counterpart of [`crate::otf::epsilon_closure`]: the worklist
+/// The ε-closure, kept bit-identical to the scalar one in
+/// [`crate::reference`]: the worklist
 /// holds dense entry indices, so a pop re-reads the (possibly
 /// improved) token with a lane load instead of a hash walk.
 ///
 /// The caller hands in the initial worklist: the ascending entries of
-/// `tokens` whose state may have an ε-input arc. The legacy closure
+/// `tokens` whose state may have an ε-input arc. The scalar closure
 /// starts from every entry, but a pop of a state the arc stage has
 /// staged as ε-free does nothing: no event, no counter, no staging.
 /// Leaving those entries out keeps every other entry in the same
 /// relative order, so the LIFO pops that do work — and therefore the
-/// event stream — match the legacy closure token for token. Entry
+/// event stream — match the scalar closure token for token. Entry
 /// indices are stable under insertion (nothing is ever removed
 /// mid-closure).
 #[allow(clippy::too_many_arguments)]
@@ -403,7 +406,7 @@ pub(crate) fn epsilon_closure_soa<
 }
 
 /// Fused relaxation: one [`TokenStore::probe`] hash walk serves both
-/// the improvement test and the commit (the legacy `relax` pays a
+/// the improvement test and the commit (the scalar `relax` pays a
 /// `get` walk and then an `insert` walk). Emits the identical event
 /// sequence — `token_store` (for word-bearing arcs) then
 /// `hash_insert`, only on improvement — and returns the destination's
@@ -424,7 +427,7 @@ fn relax_soa<S: TraceSink + ?Sized>(
     let p = map.probe(k);
     let existing = p.entry();
     if let Some(e) = existing {
-        // Negated on purpose — same predicate shape as the legacy
+        // Negated on purpose — same predicate shape as the scalar
         // `cost < existing.cost` test, NaN behaviour included.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         let keep_existing = !(cost < map.costs()[e as usize]);
@@ -457,9 +460,11 @@ fn relax_soa<S: TraceSink + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{DecodeConfig, DecodeKernel, DecodeResult};
+    use crate::config::{DecodeConfig, DecodeResult};
+    use crate::lattice::WordLattice;
     use crate::otf::OtfDecoder;
     use crate::record::{TraceEvent, TraceRecorder};
+    use crate::reference;
     use crate::scratch::DecodeScratch;
     use crate::trace::NullSink;
     use proptest::prelude::*;
@@ -485,30 +490,34 @@ mod tests {
         })
     }
 
-    /// Decodes with both kernels and asserts full bit identity:
-    /// transcript, cost bits, every stats counter, and the ordered
-    /// trace-event stream (the strongest observable equivalence the
-    /// decoder exposes — it implies identical OLT install/evict order).
+    /// Decodes with the kernel and with the scalar reference loop, the
+    /// lattice off and on, and asserts full bit identity: transcript,
+    /// cost bits, every stats counter, the ordered trace-event stream
+    /// (the strongest observable equivalence the decoder exposes — it
+    /// implies identical OLT install/evict order) and the lattice.
     fn assert_kernels_identical(config: &DecodeConfig, scores: &unfold_am::AcousticScores) {
         let (_, am, lm) = models();
-        let legacy_cfg = config
-            .to_builder()
-            .kernel(DecodeKernel::Legacy)
-            .build()
-            .unwrap();
-        let soa_cfg = config
-            .to_builder()
-            .kernel(DecodeKernel::Soa)
-            .build()
-            .unwrap();
-        let mut rec_legacy = TraceRecorder::default();
-        let mut rec_soa = TraceRecorder::default();
-        let a = OtfDecoder::new(legacy_cfg).decode(am, lm, scores, &mut rec_legacy);
-        let b = OtfDecoder::new(soa_cfg).decode(am, lm, scores, &mut rec_soa);
-        assert_eq!(a.words, b.words, "transcripts diverged");
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "cost bits diverged");
-        assert_eq!(a.stats, b.stats, "stats diverged");
-        assert_same_events(rec_legacy.events(), rec_soa.events(), "kernels");
+        let dec = OtfDecoder::new(*config);
+        for record in [false, true] {
+            let mut rec_ref = TraceRecorder::default();
+            let mut rec = TraceRecorder::default();
+            let (a, a_lat) = reference::decode(config, am, lm, scores, record, &mut rec_ref);
+            let (b, b_lat) = if record {
+                dec.decode_lattice(am, lm, scores, &mut rec)
+            } else {
+                (dec.decode(am, lm, scores, &mut rec), WordLattice::empty())
+            };
+            let what = format!("record={record}");
+            assert_eq!(a.words, b.words, "{what}: transcripts diverged");
+            assert_eq!(
+                a.cost.to_bits(),
+                b.cost.to_bits(),
+                "{what}: cost bits diverged"
+            );
+            assert_eq!(a.stats, b.stats, "{what}: stats diverged");
+            assert_same_events(rec_ref.events(), rec.events(), &what);
+            assert!(a_lat.bit_identical(&b_lat), "{what}: lattices diverged");
+        }
     }
 
     /// Asserts two ordered event streams are identical, comparing the
@@ -588,8 +597,8 @@ mod tests {
 
     /// A NaN score row at mid-utterance — serve passes precomputed rows
     /// through verbatim — under histogram pruning tight enough to rank
-    /// NaN costs against numbers: the decode completes, and both kernels
-    /// stay bit-identical.
+    /// NaN costs against numbers: the decode completes, and the kernel
+    /// stays bit-identical to the reference.
     #[test]
     fn nan_score_row_decodes_identically_under_histogram_pruning() {
         let (lex, am, lm) = models();
@@ -621,7 +630,7 @@ mod tests {
         AM.get_or_init(|| build_am(&models().0, HmmTopology::Ctc).fst)
     }
 
-    /// An SoA decode on a fresh scratch whose arc stage is capped at
+    /// A decode on a fresh scratch whose arc stage is capped at
     /// `cap` visits (uncapped when `None`): the result, the ordered
     /// events, and how many visits the stage ended up holding.
     fn soa_decode_capped(
@@ -629,10 +638,7 @@ mod tests {
         scores: &AcousticScores,
         cap: Option<usize>,
     ) -> (DecodeResult, TraceRecorder, usize) {
-        let cfg = DecodeConfig::builder()
-            .kernel(DecodeKernel::Soa)
-            .build()
-            .unwrap();
+        let cfg = DecodeConfig::default();
         let mut scratch = DecodeScratch::new();
         if let Some(cap) = cap {
             scratch.work.arc_stage.set_cap(cap);
@@ -692,10 +698,7 @@ mod tests {
             &NoiseModel::clean(),
             3,
         );
-        let cfg = DecodeConfig::builder()
-            .kernel(DecodeKernel::Soa)
-            .build()
-            .unwrap();
+        let cfg = DecodeConfig::default();
         let mut sink = MetricsSink::new();
         let _ = OtfDecoder::new(cfg).decode(am, lm, &utt.scores, &mut sink);
         for phase in KernelPhase::ALL {
@@ -707,11 +710,7 @@ mod tests {
         }
         // A sink that doesn't ask (NullSink) costs no phase clock reads
         // and, crucially, changes nothing about the decode itself.
-        let cfg2 = DecodeConfig::builder()
-            .kernel(DecodeKernel::Soa)
-            .build()
-            .unwrap();
-        let timed = OtfDecoder::new(cfg2).decode(am, lm, &utt.scores, &mut NullSink);
+        let timed = OtfDecoder::new(cfg).decode(am, lm, &utt.scores, &mut NullSink);
         assert!(timed.is_complete());
     }
 
@@ -720,8 +719,8 @@ mod tests {
 
         /// The `soa_identity` contract: across a randomized grid of
         /// utterances × beam × olt_entries × max_active × preemptive
-        /// pruning, both kernels are bit-identical in transcript, cost,
-        /// stats, and ordered trace events.
+        /// pruning, the kernel and the reference loop are bit-identical
+        /// in transcript, cost, stats, ordered trace events and lattice.
         #[test]
         fn soa_identity_under_config_grid(
             words in proptest::collection::vec(1u32..=60, 1..6),

@@ -45,6 +45,8 @@ pub mod metrics;
 pub mod olt;
 pub mod otf;
 pub mod record;
+#[doc(hidden)]
+pub mod reference;
 pub mod scratch;
 pub(crate) mod search;
 pub mod sources;
@@ -53,9 +55,7 @@ pub mod trace;
 pub mod twopass;
 pub mod wer;
 
-pub use config::{
-    ConfigError, DecodeConfig, DecodeConfigBuilder, DecodeKernel, DecodeResult, DecodeStats,
-};
+pub use config::{ConfigError, DecodeConfig, DecodeConfigBuilder, DecodeResult, DecodeStats};
 pub use full::FullyComposedDecoder;
 pub use ingest::{
     copy_score_row, AcousticScorer, FrameInput, GmmScorer, PrecomputedScorer, ScoreError,
@@ -63,7 +63,7 @@ pub use ingest::{
 pub use lattice::{Lattice, LatticeArc, LatticeNode, WordHyp, WordLattice};
 pub use metrics::{MetricsSink, TeeSink};
 pub use olt::SoftOlt;
-pub use otf::OtfDecoder;
+pub use otf::{nbest_list, OtfDecoder};
 pub use record::{TraceEvent, TraceRecorder};
 pub use scratch::{validate_models, DecodeScratch, SessionScratch, WorkScratch};
 pub use sources::{

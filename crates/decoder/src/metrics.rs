@@ -183,8 +183,9 @@ impl MetricsSink {
         &self.frame_ns
     }
 
-    /// Accumulated SoA kernel-phase timing (all lanes zero when the
-    /// decode ran the legacy kernel, which emits no phase samples).
+    /// Accumulated kernel-phase timing (all lanes zero when nothing
+    /// reported phase samples, as the fully-composed decoder never
+    /// does).
     pub fn kernel_phases(&self) -> &PhaseAccum {
         &self.kernel_phases
     }

@@ -9,6 +9,12 @@
 //! hypotheses that would be pruned away later" because back-off weights
 //! only ever add cost at the point of comparison.
 //!
+//! This module holds the drivers — the one-utterance [`OtfDecoder`]
+//! and the seed and frame steps [`crate::StreamSession`] shares — and
+//! the LM walk. Every frame runs one kernel, the struct-of-arrays loop
+//! in the crate-private `kernel` module; the scalar loop it replaced
+//! survives only as the test oracle [`crate::reference`].
+//!
 //! Two decode-time accelerations ride on top of the search, neither of
 //! which changes its output:
 //!
@@ -18,14 +24,14 @@
 //!   so steady-state decoding allocates nothing.
 
 use unfold_am::AcousticScores;
-use unfold_wfst::{Label, Semiring, StateId, TropicalWeight, EPSILON};
+use unfold_wfst::{Label, StateId};
 
-use crate::config::{DecodeConfig, DecodeKernel, DecodeResult, DecodeStats};
-use crate::lattice::{Lattice, WordLattice, COMPACT_ENTRY_BYTES, LATTICE_ROOT};
+use crate::config::{DecodeConfig, DecodeResult, DecodeStats};
+use crate::lattice::{Lattice, WordLattice, LATTICE_ROOT};
 use crate::olt::SoftOlt;
 use crate::scratch::{DecodeScratch, FrameSource, SessionScratch, WorkScratch};
-use crate::search::{prune_threshold_store, Token, TokenLanes, TokenStore};
-use crate::sources::{addr, AmSource, Fetch, LmSource, MAX_BACKOFF_HOPS};
+use crate::search::{Token, TokenLanes};
+use crate::sources::{AmSource, Fetch, LmSource, MAX_BACKOFF_HOPS};
 use crate::trace::{DecodeStage, NullSink, TraceSink};
 
 /// Token key: AM state in the high half, LM state in the low half —
@@ -60,10 +66,9 @@ impl OtfDecoder {
     }
 
     /// Decodes and returns up to `k` distinct word sequences among the
-    /// surviving complete hypotheses, best first. The 1-best entry
-    /// equals [`OtfDecoder::decode`]'s result. Distinctness is by word
-    /// sequence: hypotheses that differ only in their (AM, LM) state
-    /// pair are merged, keeping the cheaper cost.
+    /// surviving complete hypotheses, best first: [`nbest_list`] over
+    /// [`OtfDecoder::decode_lattice`]. The 1-best entry equals
+    /// [`OtfDecoder::decode`]'s result.
     ///
     /// This is the hypothesis list a two-pass rescorer consumes (the
     /// paper's §6 contrasts one-pass search — what UNFOLD implements —
@@ -79,48 +84,8 @@ impl OtfDecoder {
         k: usize,
         sink: &mut dyn TraceSink,
     ) -> Vec<(Vec<Label>, f32)> {
-        self.decode_nbest_with(am, lm, scores, k, &mut DecodeScratch::new(), sink)
-    }
-
-    /// [`OtfDecoder::decode_nbest`] with caller-owned working memory.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn decode_nbest_with<A: AmSource + ?Sized, L: LmSource + ?Sized>(
-        &self,
-        am: &A,
-        lm: &L,
-        scores: &AcousticScores,
-        k: usize,
-        scratch: &mut DecodeScratch,
-        sink: &mut dyn TraceSink,
-    ) -> Vec<(Vec<Label>, f32)> {
-        assert!(k > 0, "decode_nbest: k must be positive");
-        let (res, lattice) = self.decode_lattice_with(am, lm, scores, scratch, sink);
-        if !res.is_complete() {
-            return Vec::new();
-        }
-        // Entry 0 is the exact Viterbi result (bit-identical to
-        // `decode`); the remaining entries come out of the pruned word
-        // lattice, skipping the duplicate of the 1-best sequence.
-        let mut out: Vec<(Vec<Label>, f32)> = Vec::with_capacity(k);
-        out.push((res.words.clone(), res.cost));
-        if k > 1 {
-            for (words, cost) in lattice.nbest(k) {
-                if words == res.words {
-                    continue;
-                }
-                // Lattice arc weights are derived from the exact search
-                // scores, but clamp anyway so the list stays sorted even
-                // under f32 re-association.
-                let floor = out.last().map(|e| e.1).unwrap_or(res.cost);
-                out.push((words, cost.max(floor)));
-                if out.len() == k {
-                    break;
-                }
-            }
-        }
-        out
+        let (res, lattice) = self.decode_lattice(am, lm, scores, sink);
+        nbest_list(&res, &lattice, k)
     }
 
     /// Decodes one utterance and returns both the 1-best result and the
@@ -246,10 +211,49 @@ impl OtfDecoder {
     }
 }
 
+/// Up to `k` distinct word sequences of a lattice decode, best first:
+/// the exact Viterbi result (`result`, bit-identical to
+/// [`OtfDecoder::decode`]'s), then the next-best paths of its word
+/// lattice, skipping the duplicate of the 1-best sequence. Empty for an
+/// incomplete decode. Distinctness is by word sequence: hypotheses that
+/// differ only in their (AM, LM) state pair are merged, keeping the
+/// cheaper cost.
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn nbest_list(
+    result: &DecodeResult,
+    lattice: &WordLattice,
+    k: usize,
+) -> Vec<(Vec<Label>, f32)> {
+    assert!(k > 0, "nbest_list: k must be positive");
+    if !result.is_complete() {
+        return Vec::new();
+    }
+    let mut out: Vec<(Vec<Label>, f32)> = Vec::with_capacity(k);
+    out.push((result.words.clone(), result.cost));
+    if k > 1 {
+        for (words, cost) in lattice.nbest(k) {
+            if words == result.words {
+                continue;
+            }
+            // Lattice arc weights are derived from the exact search
+            // scores, but clamp anyway so the list stays sorted even
+            // under f32 re-association.
+            let floor = out.last().map(|e| e.1).unwrap_or(result.cost);
+            out.push((words, cost.max(floor)));
+            if out.len() == k {
+                break;
+            }
+        }
+    }
+    out
+}
+
 /// Seeds the start token into the worker's `next` store and runs the
-/// initial non-emitting closure under the configured kernel. Shared by
-/// [`OtfDecoder`] (which swaps the result into `cur`) and
-/// [`crate::streaming::StreamSession`] (which parks it).
+/// initial non-emitting closure. Shared by [`OtfDecoder`] (which swaps
+/// the result into `cur`) and [`crate::streaming::StreamSession`]
+/// (which parks it).
 ///
 /// The store is cleared first, as every frame clears it before
 /// building: a decode that panicked mid-build may have left it
@@ -271,27 +275,10 @@ pub(crate) fn seed_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
             lat: LATTICE_ROOT,
         },
     );
-    match config.kernel {
-        DecodeKernel::Legacy => epsilon_closure(
-            config,
-            am,
-            lm,
-            &mut work.next,
-            &mut work.worklist,
-            &mut work.eps_local,
-            &mut work.probes,
-            &mut work.olt,
-            &mut session.bias_cache,
-            &mut session.lattice,
-            0,
-            f32::INFINITY,
-            sink,
-            stats,
-        ),
-        DecodeKernel::Soa if sink.is_null() => {
-            seed_closure_soa(config, am, lm, session, work, &mut NullSink, stats);
-        }
-        DecodeKernel::Soa => seed_closure_soa(config, am, lm, session, work, sink, stats),
+    if sink.is_null() {
+        seed_closure_soa(config, am, lm, session, work, &mut NullSink, stats);
+    } else {
+        seed_closure_soa(config, am, lm, session, work, sink, stats);
     }
 }
 
@@ -309,14 +296,14 @@ fn seed_closure_soa<A: AmSource + ?Sized, L: LmSource + ?Sized, S: TraceSink + ?
     // `ensure_validated`, so the stage binds here too.
     work.bind_arc_stage(am);
     // The closure starts from every entry: the lone start token.
-    work.worklist_idx.clear();
-    work.worklist_idx.extend(0..work.next.len() as u32);
+    work.worklist.clear();
+    work.worklist.extend(0..work.next.len() as u32);
     crate::kernel::epsilon_closure_soa(
         config,
         am,
         lm,
         &mut work.next,
-        &mut work.worklist_idx,
+        &mut work.worklist,
         &mut work.eps_local,
         &mut work.probes,
         &mut work.olt,
@@ -330,23 +317,24 @@ fn seed_closure_soa<A: AmSource + ?Sized, L: LmSource + ?Sized, S: TraceSink + ?
     )
 }
 
-/// Processes one frame under the configured kernel: prune, expand
-/// emitting arcs against the frame's cost row (`costs[pdf - 1]`), then
-/// run the non-emitting closure. The population entering the frame is
-/// read from `from` — the worker's `cur` store, or the session's parked
-/// lanes — and the population built is left in `work.next`: the
-/// one-utterance loop swaps it into `cur`, a streaming push parks it.
+/// Processes one frame: prune, expand emitting arcs against the
+/// frame's cost row (`costs[pdf - 1]`), then run the non-emitting
+/// closure. The population entering the frame is read from `from` —
+/// the worker's `cur` store, or the session's parked lanes — and the
+/// population built is left in `work.next`: the one-utterance loop
+/// swaps it into `cur`, a streaming push parks it.
 /// Shared by [`OtfDecoder::decode`] and
 /// [`crate::streaming::StreamSession`] — the latter lends a (possibly
 /// different) worker's `work` buffers on every call, which is safe
 /// because nothing in [`WorkScratch`] carries search state across a
 /// frame boundary.
 ///
-/// Both kernels produce the identical ordered [`TraceSink`] event
-/// stream and [`DecodeStats`] — pinned by the `soa_identity` proptests
-/// and verify-matrix check. A sink that reports
-/// [`TraceSink::is_null`] runs the SoA kernel's [`NullSink`] copy, in
-/// which every event call inlines away.
+/// The kernel's ordered [`TraceSink`] event stream and [`DecodeStats`]
+/// are pinned to the scalar loop in [`crate::reference`] by the
+/// `kernel.rs` tests and the verify matrix's `soa-identity` row. A sink
+/// that reports [`TraceSink::is_null`] runs the kernel's [`NullSink`]
+/// copy, in which every event call inlines away; every other sink runs
+/// its `dyn` copy.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_frame<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     config: &DecodeConfig,
@@ -360,261 +348,21 @@ pub(crate) fn expand_frame<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     sink: &mut dyn TraceSink,
     stats: &mut DecodeStats,
 ) {
-    match config.kernel {
-        DecodeKernel::Legacy => {
-            expand_frame_legacy(config, am, lm, session, work, from, costs, t, sink, stats);
-        }
-        DecodeKernel::Soa if sink.is_null() => {
-            crate::kernel::expand_frame_soa(
-                config,
-                am,
-                lm,
-                session,
-                work,
-                from,
-                costs,
-                t,
-                &mut NullSink,
-                stats,
-            );
-        }
-        DecodeKernel::Soa => {
-            crate::kernel::expand_frame_soa(
-                config, am, lm, session, work, from, costs, t, sink, stats,
-            );
-        }
-    }
-}
-
-/// The scalar reference frame loop (see [`DecodeKernel::Legacy`]):
-/// per-token beam test inside the expansion walk, `get`-then-`insert`
-/// relaxation. Kept byte-for-byte as the differential baseline the SoA
-/// kernel is pinned against.
-#[allow(clippy::too_many_arguments)]
-fn expand_frame_legacy<A: AmSource + ?Sized, L: LmSource + ?Sized>(
-    config: &DecodeConfig,
-    am: &A,
-    lm: &L,
-    session: &mut SessionScratch,
-    work: &mut WorkScratch,
-    from: FrameSource,
-    costs: &[f32],
-    t: usize,
-    sink: &mut dyn TraceSink,
-    stats: &mut DecodeStats,
-) {
-    work.ensure_validated(am, lm, costs.len());
-    let cur: &TokenLanes = match from {
-        FrameSource::Worker => &work.cur,
-        FrameSource::Parked => &session.live,
-    };
-    session.lattice.advance_pop(cur.keys_slice());
-    sink.frame_start(t, cur.len());
-    stats.frames += 1;
-    stats.max_active = stats.max_active.max(cur.len());
-    stats.total_active += cur.len() as u64;
-
-    sink.stage_enter(DecodeStage::Pruning);
-    let thr = prune_threshold_store(
-        cur.costs(),
-        config.beam,
-        config.max_active,
-        &mut work.prune_costs,
-    );
-    sink.stage_switch(DecodeStage::Pruning, DecodeStage::ArcExpansion);
-    work.next.clear();
-    let mut next_best = f32::INFINITY;
-
-    {
-        let next = &mut work.next;
-        let olt = &mut work.olt;
-        let bias = &mut session.bias_cache;
-        let probes = &mut work.probes;
-        let lattice = &mut session.lattice;
-        for (e, (k, tok)) in (0u32..).zip(cur.iter()) {
-            if tok.cost > thr {
-                stats.tokens_pruned += 1;
-                continue;
-            }
-            let (am_s, lm_s) = split(k);
-            sink.state_fetch(am.state_addr(am_s));
-            am.for_each_arc(am_s, &mut |v| {
-                sink.am_arc_fetch(v.addr, v.bytes);
-                let arc = v.arc;
-                if arc.ilabel == EPSILON {
-                    return; // non-emitting: closure phase
-                }
-                sink.acoustic_fetch(t, arc.ilabel);
-                // Validated once per model in `ensure_validated`.
-                debug_assert!(
-                    (arc.ilabel as usize) <= costs.len(),
-                    "pdf {} beyond the {}-wide score row",
-                    arc.ilabel,
-                    costs.len()
-                );
-                // Tropical ⊗-chain — compiles to the same left-to-right
-                // f32 additions as `tok.cost + arc.weight + costs[..]`,
-                // so scores stay bit-identical to the pre-semiring code.
-                let base = TropicalWeight::from_cost(tok.cost)
-                    .times(TropicalWeight::from_cost(arc.weight))
-                    .times(TropicalWeight::from_cost(costs[arc.ilabel as usize - 1]))
-                    .value();
-                stats.tokens_created += 1;
-                if base > next_best + config.beam {
-                    stats.tokens_pruned += 1;
-                    return;
-                }
-                let (lm_next, cost, word) = if arc.olabel != EPSILON {
-                    let walk_thr = if config.preemptive_pruning {
-                        next_best + config.beam
-                    } else {
-                        f32::INFINITY
-                    };
-                    match lm_walk(
-                        lm, lm_s, arc.olabel, base, walk_thr, olt, bias, probes, sink, stats,
-                    ) {
-                        Some((dest, c)) => (dest, c, arc.olabel),
-                        None => return,
-                    }
-                } else {
-                    (lm_s, base, EPSILON)
-                };
-                next_best = TropicalWeight::from_cost(cost)
-                    .plus(TropicalWeight::from_cost(next_best))
-                    .value();
-                let (dst, _) = relax(
-                    next,
-                    token_key(arc.nextstate, lm_next),
-                    cost,
-                    tok.lat,
-                    word,
-                    t as u32,
-                    lattice,
-                    sink,
-                );
-                lattice.record(e, dst, word, cost);
-            });
-        }
-    }
-
-    epsilon_closure(
-        config,
-        am,
-        lm,
-        &mut work.next,
-        &mut work.worklist,
-        &mut work.eps_local,
-        &mut work.probes,
-        &mut work.olt,
-        &mut session.bias_cache,
-        &mut session.lattice,
-        t as u32,
-        next_best + config.beam,
-        sink,
-        stats,
-    );
-    sink.stage_exit(DecodeStage::ArcExpansion);
-
-    let mut best = TropicalWeight::zero();
-    let mut worst = f32::INFINITY;
-    for tok in work.next.values() {
-        best = TropicalWeight::from_cost(tok.cost).plus(best);
-        worst = if worst.is_finite() {
-            worst.max(tok.cost)
-        } else {
-            tok.cost
-        };
-    }
-    let best = best.value();
-    sink.frame_end(t, work.next.len(), best, worst);
-}
-
-/// Relaxes non-emitting AM arcs (including cross-word transitions,
-/// which trigger LM walks) to a fixed point. `worklist`, `eps_local`,
-/// and `probes` are caller-owned buffers (cleared here) so the closure
-/// allocates nothing in steady state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn epsilon_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
-    config: &DecodeConfig,
-    am: &A,
-    lm: &L,
-    tokens: &mut TokenStore,
-    worklist: &mut Vec<u64>,
-    eps_local: &mut Vec<(StateId, f32, Label)>,
-    probes: &mut Vec<Fetch>,
-    olt: &mut SoftOlt,
-    bias: &mut SoftOlt,
-    lattice: &mut Lattice,
-    frame: u32,
-    thr: f32,
-    sink: &mut dyn TraceSink,
-    stats: &mut DecodeStats,
-) {
-    lattice.start_closure();
-    worklist.clear();
-    worklist.extend(tokens.keys());
-    let mut guard = 0u64;
-    while let Some(k) = worklist.pop() {
-        guard += 1;
-        assert!(
-            guard < 100_000_000,
-            "epsilon closure diverged: negative cycle?"
+    if sink.is_null() {
+        crate::kernel::expand_frame_soa(
+            config,
+            am,
+            lm,
+            session,
+            work,
+            from,
+            costs,
+            t,
+            &mut NullSink,
+            stats,
         );
-        let Some(e) = tokens.probe(k).entry() else {
-            continue;
-        };
-        let (_, tok) = tokens.pair_at(e as usize);
-        if tok.cost > thr {
-            continue;
-        }
-        let (am_s, lm_s) = split(k);
-        eps_local.clear();
-        am.for_each_arc(am_s, &mut |v| {
-            if v.arc.ilabel != EPSILON {
-                return;
-            }
-            sink.am_arc_fetch(v.addr, v.bytes);
-            stats.epsilon_expansions += 1;
-            eps_local.push((
-                v.arc.nextstate,
-                TropicalWeight::from_cost(tok.cost)
-                    .times(TropicalWeight::from_cost(v.arc.weight))
-                    .value(),
-                v.arc.olabel,
-            ));
-        });
-        for &(am_next, base, word) in eps_local.iter() {
-            stats.tokens_created += 1;
-            let (lm_next, cost, out_word) = if word != EPSILON {
-                let walk_thr = if config.preemptive_pruning {
-                    thr
-                } else {
-                    f32::INFINITY
-                };
-                match lm_walk(
-                    lm, lm_s, word, base, walk_thr, olt, bias, probes, sink, stats,
-                ) {
-                    Some((dest, c)) => (dest, c, word),
-                    None => continue,
-                }
-            } else {
-                (lm_s, base, EPSILON)
-            };
-            let (dst, improved) = relax(
-                tokens,
-                token_key(am_next, lm_next),
-                cost,
-                tok.lat,
-                out_word,
-                frame,
-                lattice,
-                sink,
-            );
-            lattice.record(e, dst, out_word, cost);
-            if improved {
-                worklist.push(token_key(am_next, lm_next));
-            }
-        }
+    } else {
+        crate::kernel::expand_frame_soa(config, am, lm, session, work, from, costs, t, sink, stats);
     }
 }
 
@@ -744,44 +492,6 @@ pub(crate) fn lm_walk<L: LmSource + ?Sized, S: TraceSink + ?Sized>(
         }
         state = back.nextstate;
     }
-}
-
-/// Inserts/improves a token. Returns the destination's entry index,
-/// improved or not, and whether the store changed: the improvement
-/// test's probe names an existing entry, `TokenStore::insert` a new
-/// one, so the tape costs no extra hash walk.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn relax(
-    map: &mut TokenStore,
-    k: u64,
-    cost: f32,
-    parent_lat: u32,
-    word: Label,
-    frame: u32,
-    lattice: &mut Lattice,
-    sink: &mut dyn TraceSink,
-) -> (u32, bool) {
-    if let Some(e) = map.probe(k).entry() {
-        // Negated on purpose: the `cost < existing.cost` improvement
-        // test, NaN behaviour included.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let keep_existing = !(cost < map.costs()[e as usize]);
-        if keep_existing {
-            return (e, false);
-        }
-    }
-    let lat = if word != EPSILON {
-        let idx = lattice.push(parent_lat, word, frame);
-        sink.token_store(
-            addr::TOKEN_BASE + u64::from(idx) * u64::from(COMPACT_ENTRY_BYTES),
-            COMPACT_ENTRY_BYTES,
-        );
-        idx
-    } else {
-        parent_lat
-    };
-    sink.hash_insert(k);
-    (map.insert(k, Token { cost, lat }), true)
 }
 
 /// Selects the best token whose AM state is final and backtraces it.

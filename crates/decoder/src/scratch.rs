@@ -151,12 +151,10 @@ pub struct WorkScratch {
     pub(crate) cur: TokenStore,
     /// The population being built: by the seed, or by a frame.
     pub(crate) next: TokenStore,
-    /// Epsilon-closure worklist (legacy kernel: token keys).
-    pub(crate) worklist: Vec<u64>,
-    /// Epsilon-closure worklist (SoA kernel: dense entry indices, so a
-    /// pop is a direct lane load instead of a hash walk). Expansion
-    /// fills it with the closure's seeds.
-    pub(crate) worklist_idx: Vec<u32>,
+    /// Epsilon-closure worklist of dense entry indices, so a pop is a
+    /// direct lane load instead of a hash walk. Expansion fills it with
+    /// the closure's seeds.
+    pub(crate) worklist: Vec<u32>,
     /// Per-state epsilon-arc staging buffer.
     pub(crate) eps_local: Vec<(unfold_wfst::StateId, f32, unfold_wfst::Label)>,
     /// LM binary-search probe buffer.
@@ -204,7 +202,6 @@ impl WorkScratch {
     /// utterance.
     pub fn begin(&mut self, config: &DecodeConfig) {
         self.worklist.clear();
-        self.worklist_idx.clear();
         self.eps_local.clear();
         self.probes.clear();
         self.survivor_mask.clear();

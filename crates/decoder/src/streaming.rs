@@ -507,63 +507,61 @@ mod tests {
         assert_eq!(batch_sink.token_bytes, stream_sink.token_bytes);
     }
 
-    /// The streamed lattice equals the batch one, and so does the trace
-    /// of building it, on both topologies and both kernels. The stream
-    /// stores its tape in blocks of three records, so it files hundreds
-    /// of blocks, every population's key lane crosses block boundaries,
-    /// and the tape is pruned and compacted at least five times on the way;
-    /// the batch decode uses the shipped block size.
+    /// The streamed lattice equals the one the scalar reference loop
+    /// builds in one batch, and so does the trace of building it, on
+    /// both topologies. The stream stores its tape in blocks of three
+    /// records, so it files hundreds of blocks, every population's key
+    /// lane crosses block boundaries, and the tape is pruned and
+    /// compacted at least five times on the way; the reference uses the
+    /// shipped block size.
     #[test]
     fn streamed_lattice_build_is_a_lattice_stage_span() {
-        use crate::config::DecodeKernel;
         use crate::record::{TraceEvent, TraceRecorder};
         let (lex, kaldi, lm) = setup();
         let ctc = build_am(&lex, HmmTopology::Ctc).fst;
         for (topology, am) in [(HmmTopology::Kaldi3State, &kaldi), (HmmTopology::Ctc, &ctc)] {
             let utt = synthesize_utterance(&[1, 2], &lex, topology, &NoiseModel::clean(), 9);
-            for kernel in [DecodeKernel::Legacy, DecodeKernel::Soa] {
-                let what = format!("{topology:?} {kernel:?}");
-                let cfg = DecodeConfig::builder().kernel(kernel).build().unwrap();
-                let mut batch_sink = TraceRecorder::new();
-                let (want, batch) =
-                    OtfDecoder::new(cfg).decode_lattice(am, &lm, &utt.scores, &mut batch_sink);
+            let what = format!("{topology:?}");
+            let cfg = DecodeConfig::default();
+            let mut batch_sink = TraceRecorder::new();
+            let (want, batch) =
+                crate::reference::decode(&cfg, am, &lm, &utt.scores, true, &mut batch_sink);
 
-                let mut stream_sink = TraceRecorder::new();
-                let mut work = WorkScratch::new();
-                work.begin(&cfg);
-                let mut session = StreamSession::new(cfg);
-                session.state.lattice.set_block_len(3);
-                session.enable_lattice();
-                session.seed(am, &lm, &mut work, &mut stream_sink);
-                for t in 0..utt.scores.num_frames() {
-                    session.push_frame(am, &lm, &mut work, utt.scores.frame(t), &mut stream_sink);
-                }
-                let (got, streamed) = session.finalize_lattice(am, &mut stream_sink);
-                let (filed, prunes) = session.state.lattice.tape_churn();
-                assert!(filed > 100, "{what}: the tape filed {filed} blocks");
-                assert!(prunes >= 5, "{what}: the tape was pruned {prunes} times");
-                assert!(
-                    !streamed.is_empty() && streamed.bit_identical(&batch),
-                    "{what}"
-                );
-                assert_eq!(got.words, want.words, "{what}: words");
-                assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}: cost bits");
-                assert_eq!(got.stats, want.stats, "{what}: stats");
-
-                // The stream ends backtrace span, then build span: a stage
-                // clock bills the build to `lattice` exactly as in batch.
-                let lattice = crate::trace::DecodeStage::Lattice;
-                assert_eq!(
-                    stream_sink.events()[stream_sink.len() - 4..],
-                    [
-                        TraceEvent::StageEnter(lattice),
-                        TraceEvent::StageExit(lattice),
-                        TraceEvent::StageEnter(lattice),
-                        TraceEvent::StageExit(lattice),
-                    ]
-                );
-                assert_eq!(stream_sink.events(), batch_sink.events(), "{what}");
+            let mut stream_sink = TraceRecorder::new();
+            let mut work = WorkScratch::new();
+            work.begin(&cfg);
+            let mut session = StreamSession::new(cfg);
+            session.state.lattice.set_block_len(3);
+            session.enable_lattice();
+            session.seed(am, &lm, &mut work, &mut stream_sink);
+            for t in 0..utt.scores.num_frames() {
+                session.push_frame(am, &lm, &mut work, utt.scores.frame(t), &mut stream_sink);
             }
+            let (got, streamed) = session.finalize_lattice(am, &mut stream_sink);
+            let (filed, prunes) = session.state.lattice.tape_churn();
+            assert!(filed > 100, "{what}: the tape filed {filed} blocks");
+            assert!(prunes >= 5, "{what}: the tape was pruned {prunes} times");
+            assert!(
+                !streamed.is_empty() && streamed.bit_identical(&batch),
+                "{what}"
+            );
+            assert_eq!(got.words, want.words, "{what}: words");
+            assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}: cost bits");
+            assert_eq!(got.stats, want.stats, "{what}: stats");
+
+            // The stream ends backtrace span, then build span: a stage
+            // clock bills the build to `lattice` exactly as in batch.
+            let lattice = crate::trace::DecodeStage::Lattice;
+            assert_eq!(
+                stream_sink.events()[stream_sink.len() - 4..],
+                [
+                    TraceEvent::StageEnter(lattice),
+                    TraceEvent::StageExit(lattice),
+                    TraceEvent::StageEnter(lattice),
+                    TraceEvent::StageExit(lattice),
+                ]
+            );
+            assert_eq!(stream_sink.events(), batch_sink.events(), "{what}");
         }
     }
 

@@ -15,7 +15,7 @@ use unfold_lm::{NGramModel, WordId};
 use unfold_wfst::{Arc, Label, StateId};
 
 use crate::config::{DecodeConfig, DecodeResult, DecodeStats};
-use crate::otf::OtfDecoder;
+use crate::otf::{nbest_list, OtfDecoder};
 use crate::sources::{addr, AmSource, Fetch, LmSource};
 use crate::trace::TraceSink;
 
@@ -88,7 +88,7 @@ impl LmSource for UnigramLm {
 /// plus combined AM ⊗ weak-LM cost) to a rescored total cost, returning
 /// the cost together with how many full-LM evaluations it spent. This
 /// is the lattice-rescoring hook: candidates are read off the exact
-/// first-pass word lattice ([`OtfDecoder::decode_nbest`]), so any model
+/// first-pass word lattice ([`nbest_list`]), so any model
 /// too expensive to interleave with the search — a long-context LM, a
 /// neural rescorer — plugs in here.
 pub trait LatticeRescorer {
@@ -192,7 +192,8 @@ impl TwoPassDecoder {
         R: LatticeRescorer + ?Sized,
     {
         let pass1 = OtfDecoder::new(self.config);
-        let candidates = pass1.decode_nbest(am, weak_lm, scores, self.nbest, sink);
+        let (first, lattice) = pass1.decode_lattice(am, weak_lm, scores, sink);
+        let candidates = nbest_list(&first, &lattice, self.nbest);
         let num_candidates = candidates.len();
 
         sink.stage_enter(crate::trace::DecodeStage::LmLookup);

@@ -29,7 +29,7 @@ use unfold_am::Utterance;
 use unfold_bias::{BiasedLm, BiasingFst, OfflineBiasedLm};
 use unfold_compress::{Bundle, BundleError, BundleWriter, CompressedAm, CompressedLm};
 use unfold_decoder::{
-    oracle_wer, DecodeConfig, DecodeKernel, DecodeResult, DecodeScratch, FullyComposedDecoder,
+    oracle_wer, reference, DecodeConfig, DecodeResult, DecodeScratch, FullyComposedDecoder,
     LmSource, NullSink, OtfDecoder, StreamSession, TraceRecorder, TwoPassDecoder, WorkScratch,
 };
 use unfold_sim::{Accelerator, AcceleratorConfig};
@@ -47,7 +47,8 @@ pub const COST_TOLERANCE: f32 = 1e-2;
 pub enum CheckId {
     /// On-the-fly vs offline-composed oracle.
     Oracle,
-    /// SoA vs legacy frame kernel: result *and* ordered trace-event
+    /// The decode kernel vs the scalar reference loop
+    /// (`unfold_decoder::reference`): result *and* ordered trace-event
     /// bit identity (implies identical OLT install/evict order).
     SoaIdentity,
     /// OLT sizes {0, small, large} bit identity.
@@ -71,14 +72,15 @@ pub enum CheckId {
     /// costs against exhaustive enumeration over the offline-composed
     /// WFST, 1-best-in-lattice, lattice-beam respect, oracle-WER
     /// monotonicity in the lattice beam, and lattice bit identity
-    /// across kernels, OLT sizes, warm scratch, and streaming.
+    /// across the kernel and the reference loop, OLT sizes, warm
+    /// scratch, and streaming.
     LatticeOracle,
     /// Personalized biasing: the on-the-fly `base LM x biasing FST`
     /// union composition against the eagerly composed biased
     /// reference, bit for bit (words, cost bits, word frames).
     BiasOracle,
     /// Streaming stable prefixes: at every ten-frame chunk, across
-    /// kernels and OLT sizes, `partial_stable_prefix` only ever
+    /// OLT sizes, `partial_stable_prefix` only ever
     /// extends, prefixes `partial_result`, and prefixes the final
     /// words.
     StablePrefix,
@@ -467,37 +469,31 @@ pub fn run_case_filtered(
         }
     }
 
-    // 2. SoA vs legacy kernel: the strongest claim in the matrix —
-    //    words, cost bits, full stats, and the *ordered* trace-event
-    //    stream must all match, whichever kernel the baseline ran.
+    // 2. Kernel vs the scalar reference loop: the strongest claim in
+    //    the matrix — words, cost bits, full stats, and the *ordered*
+    //    trace-event stream must all match.
     if want(CheckId::SoaIdentity) {
-        let other = match cfg.kernel {
-            DecodeKernel::Legacy => DecodeKernel::Soa,
-            DecodeKernel::Soa => DecodeKernel::Legacy,
-        };
         let lm = MutatedLm::new(&m.lm_fst, mutation);
         let mut rec = TraceRecorder::new();
-        let alt = OtfDecoder::new(
-            cfg.to_builder()
-                .kernel(other)
-                .build()
-                .expect("case spec yields a valid config"),
-        )
-        .decode(&m.am.fst, &lm, scores, &mut rec);
-        if let Some(d) = bit_diff("soa vs legacy kernel", &alt, &baseline) {
+        let (alt, _) = reference::decode(&cfg, &m.am.fst, &lm, scores, false, &mut rec);
+        if let Some(d) = bit_diff("kernel vs reference loop", &alt, &baseline) {
             return Some(Divergence {
                 check: CheckId::SoaIdentity,
                 detail: d,
             });
         }
-        if rec.events() != base_rec.events() {
+        let (want, got) = (rec.events(), base_rec.events());
+        if want != got {
+            let at = want.iter().zip(got).take_while(|(a, b)| a == b).count();
             return Some(Divergence {
                 check: CheckId::SoaIdentity,
                 detail: format!(
-                    "kernel trace diverged: {} events ({other:?}) vs {} ({:?})",
-                    rec.len(),
-                    base_rec.len(),
-                    cfg.kernel
+                    "kernel trace diverged at event {at} of {} (reference) / {} (kernel): \
+                     {:?} vs {:?}",
+                    want.len(),
+                    got.len(),
+                    want.get(at),
+                    got.get(at),
                 ),
             });
         }
@@ -796,7 +792,8 @@ pub fn run_case_filtered(
     //    beam, complete) against exhaustive enumeration over the
     //    offline-composed graph, its oracle WER is monotone in the
     //    lattice beam, and the lattice itself is bit-identical across
-    //    kernels, OLT sizes, warm scratch, and streaming.
+    //    the kernel and the reference loop, OLT sizes, warm scratch,
+    //    and streaming.
     if want(CheckId::LatticeOracle) {
         if let Some(d) = lattice_oracle_check(
             spec,
@@ -820,8 +817,8 @@ pub fn run_case_filtered(
         }
     }
 
-    // 11. Stable prefixes: streamed in ten-frame chunks under both
-    //     kernels and OLT sizes {0, the serve default}, the prefix no
+    // 11. Stable prefixes: streamed in ten-frame chunks under OLT
+    //     sizes {0, the serve default}, the prefix no
     //     further audio can revise must behave like one. This is where
     //     `Mutation::StablePrefixBestOnly` surfaces.
     if want(CheckId::StablePrefix) {
@@ -933,28 +930,17 @@ fn lattice_oracle_check(
         ));
     }
 
-    // (c) determinism: the lattice is bit-identical whichever kernel,
-    //     OLT size, scratch history, or frame-delivery mode produced
-    //     it.
+    // (c) determinism: the lattice is bit-identical whether the kernel
+    //     or the scalar reference loop, any OLT size, any scratch
+    //     history, or either frame-delivery mode produced it.
     {
-        let other = match cfg.kernel {
-            DecodeKernel::Legacy => DecodeKernel::Soa,
-            DecodeKernel::Soa => DecodeKernel::Legacy,
-        };
         let lm = MutatedLm::new(&m.lm_fst, mutation);
-        let (ares, alat) = OtfDecoder::new(
-            lat_cfg
-                .to_builder()
-                .kernel(other)
-                .build()
-                .expect("case spec yields a valid config"),
-        )
-        .decode_lattice(&m.am.fst, &lm, scores, &mut NullSink);
-        if let Some(d) = bit_diff("lattice kernel swap", &ares, &lat_res) {
+        let (ares, alat) = reference::decode(&lat_cfg, &m.am.fst, &lm, scores, true, &mut NullSink);
+        if let Some(d) = bit_diff("lattice reference loop", &ares, &lat_res) {
             return div(d);
         }
         if !alat.bit_identical(&lattice) {
-            return div(format!("kernel swap ({other:?}) changed the lattice"));
+            return div("the reference loop built a different lattice".into());
         }
     }
     for entries in [spec.olt_small, spec.olt_large] {
@@ -1130,56 +1116,53 @@ fn stable_prefix_check(
         })
     };
     let scores = &m.utt.scores;
-    for kernel in [DecodeKernel::Legacy, DecodeKernel::Soa] {
-        for olt in [0, SERVE_OLT_ENTRIES] {
-            let label = format!("{kernel:?} kernel, olt_entries={olt}");
-            let run_cfg = cfg
-                .to_builder()
-                .kernel(kernel)
-                .olt_entries(olt)
-                .build()
-                .expect("case spec yields a valid config");
-            let lm = MutatedLm::new(&m.lm_fst, mutation);
-            let mut work = WorkScratch::new();
-            work.begin(&run_cfg);
-            let mut sess = StreamSession::new(run_cfg);
-            sess.seed(&m.am.fst, &lm, &mut work, &mut NullSink);
-            let mut emitted: Vec<u32> = Vec::new();
-            let mut frame = 0;
-            while frame < scores.num_frames() {
-                let end = (frame + PREFIX_CHUNK_FRAMES).min(scores.num_frames());
-                for t in frame..end {
-                    sess.push_frame(&m.am.fst, &lm, &mut work, scores.frame(t), &mut NullSink);
-                }
-                let partial = sess.partial_result();
-                let stable = if mutation == Mutation::StablePrefixBestOnly {
-                    partial.clone()
-                } else {
-                    sess.partial_stable_prefix()
-                };
-                if !partial.starts_with(&stable) {
-                    return div(format!(
-                        "{label}: at frame {end} the stable prefix {stable:?} is not a prefix \
-                         of the partial {partial:?}"
-                    ));
-                }
-                if !stable.starts_with(&emitted) {
-                    return div(format!(
-                        "{label}: at frame {end} the stable prefix {stable:?} revised \
-                         {emitted:?}"
-                    ));
-                }
-                emitted = stable;
-                frame = end;
+    for olt in [0, SERVE_OLT_ENTRIES] {
+        let label = format!("olt_entries={olt}");
+        let run_cfg = cfg
+            .to_builder()
+            .olt_entries(olt)
+            .build()
+            .expect("case spec yields a valid config");
+        let lm = MutatedLm::new(&m.lm_fst, mutation);
+        let mut work = WorkScratch::new();
+        work.begin(&run_cfg);
+        let mut sess = StreamSession::new(run_cfg);
+        sess.seed(&m.am.fst, &lm, &mut work, &mut NullSink);
+        let mut emitted: Vec<u32> = Vec::new();
+        let mut frame = 0;
+        while frame < scores.num_frames() {
+            let end = (frame + PREFIX_CHUNK_FRAMES).min(scores.num_frames());
+            for t in frame..end {
+                sess.push_frame(&m.am.fst, &lm, &mut work, scores.frame(t), &mut NullSink);
             }
-            let result = sess.finalize(&m.am.fst, &mut NullSink);
-            if result.is_complete() && !result.words.starts_with(&emitted) {
+            let partial = sess.partial_result();
+            let stable = if mutation == Mutation::StablePrefixBestOnly {
+                partial.clone()
+            } else {
+                sess.partial_stable_prefix()
+            };
+            if !partial.starts_with(&stable) {
                 return div(format!(
-                    "{label}: the stable prefix {emitted:?} is not a prefix of the final \
-                     words {:?}",
-                    result.words
+                    "{label}: at frame {end} the stable prefix {stable:?} is not a prefix \
+                     of the partial {partial:?}"
                 ));
             }
+            if !stable.starts_with(&emitted) {
+                return div(format!(
+                    "{label}: at frame {end} the stable prefix {stable:?} revised \
+                     {emitted:?}"
+                ));
+            }
+            emitted = stable;
+            frame = end;
+        }
+        let result = sess.finalize(&m.am.fst, &mut NullSink);
+        if result.is_complete() && !result.words.starts_with(&emitted) {
+            return div(format!(
+                "{label}: the stable prefix {emitted:?} is not a prefix of the final \
+                 words {:?}",
+                result.words
+            ));
         }
     }
     None

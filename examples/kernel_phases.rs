@@ -1,25 +1,18 @@
-//! Per-phase timing of the SoA frame kernel, plus an interleaved
-//! SoA-vs-legacy A/B over the same batch — the runnable companion to
+//! Per-phase timing of the decode kernel — the runnable companion to
 //! DESIGN.md §13.
 //!
 //! The kernel reports `threshold` / `batch_probe` / `expand` /
 //! `closure` durations through `TraceSink::kernel_phase`, but only to
 //! sinks that ask (`wants_kernel_timing`). This example decodes a task
-//! preset under a `MetricsSink`, prints where the frame budget goes,
-//! then times both kernels interleaved (rep-by-rep, so machine-speed
-//! drift cancels) with a `NullSink` to show the timing-free hot path.
+//! preset under a `MetricsSink` and prints where the frame budget goes.
 //!
 //! ```bash
 //! cargo run --release -p unfold-examples --bin kernel_phases
 //! UNFOLD_TASK=tiny cargo run --release -p unfold-examples --bin kernel_phases
 //! ```
 
-use std::time::Instant;
-
 use unfold::{System, TaskSpec};
-use unfold_decoder::{
-    DecodeConfig, DecodeKernel, DecodeScratch, MetricsSink, NullSink, OtfDecoder,
-};
+use unfold_decoder::{DecodeConfig, DecodeScratch, MetricsSink, OtfDecoder};
 
 fn main() {
     let task = std::env::var("UNFOLD_TASK").unwrap_or_else(|_| "tedlium".into());
@@ -35,22 +28,18 @@ fn main() {
     let utts = system.test_utterances(8);
     let frames: usize = utts.iter().map(|u| u.scores.num_frames()).sum();
 
-    let config = |kernel: DecodeKernel| {
-        DecodeConfig::builder()
-            .olt_entries(32 * 1024)
-            .kernel(kernel)
-            .build()
-            .expect("valid config")
-    };
-    let soa = OtfDecoder::new(config(DecodeKernel::Soa));
-    let legacy = OtfDecoder::new(config(DecodeKernel::Legacy));
+    let config = DecodeConfig::builder()
+        .olt_entries(32 * 1024)
+        .build()
+        .expect("valid config");
+    let decoder = OtfDecoder::new(config);
     let mut scratch = DecodeScratch::new();
 
     // Phase breakdown: a MetricsSink answers `wants_kernel_timing`, so
     // the kernel reads the clock around each phase.
     let mut sink = MetricsSink::new();
     for u in &utts {
-        soa.decode_with(
+        decoder.decode_with(
             &system.am_comp,
             &system.lm_comp,
             &u.scores,
@@ -64,7 +53,7 @@ fn main() {
         .iter()
         .map(|s| s.total_ns)
         .sum();
-    println!("\nSoA kernel phase breakdown ({frames} frames):");
+    println!("\nkernel phase breakdown ({frames} frames):");
     for s in sink.kernel_phases().stats() {
         println!(
             "  {:<12} {:>9.3} ms  ({:>5.1}%)  {:>7} calls  {:>6} ns/call",
@@ -75,54 +64,4 @@ fn main() {
             s.mean_ns(),
         );
     }
-
-    // Interleaved A/B with a NullSink (no phase clocks): the honest
-    // kernel-vs-kernel ratio, immune to machine-speed drift.
-    let reps: usize = std::env::var("UNFOLD_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let mut soa_s = Vec::with_capacity(reps);
-    let mut legacy_s = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for u in &utts {
-            soa.decode_with(
-                &system.am_comp,
-                &system.lm_comp,
-                &u.scores,
-                &mut scratch,
-                &mut NullSink,
-            );
-        }
-        soa_s.push(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        for u in &utts {
-            legacy.decode_with(
-                &system.am_comp,
-                &system.lm_comp,
-                &u.scores,
-                &mut scratch,
-                &mut NullSink,
-            );
-        }
-        legacy_s.push(t0.elapsed().as_secs_f64());
-    }
-    let med = |mut v: Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
-    let (soa_m, legacy_m) = (med(soa_s), med(legacy_s));
-    println!("\ninterleaved A/B over {reps} reps (NullSink):");
-    println!(
-        "  soa    {:>9.3} ms  ({:>9.0} frames/s)",
-        soa_m * 1e3,
-        frames as f64 / soa_m
-    );
-    println!(
-        "  legacy {:>9.3} ms  ({:>9.0} frames/s)",
-        legacy_m * 1e3,
-        frames as f64 / legacy_m
-    );
-    println!("  kernel speedup: {:.3}x", legacy_m / soa_m);
 }

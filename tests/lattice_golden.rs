@@ -5,7 +5,8 @@
 //!
 //! Two digests per task preset x utterance seed x lattice beam: one
 //! over the lattice, which the batch (`decode_lattice`) and streaming
-//! (`finalize_lattice`) paths must both hash to, and one over what the
+//! (`finalize_lattice`) paths and the scalar reference loop
+//! (`reference::decode`) must all hash to, and one over what the
 //! best-first enumeration returns from it (`nbest(5)` and
 //! `best_path_detail`). On a mismatch the failure prints the whole
 //! table as computed, ready to paste over `GOLDEN` — only do that for
@@ -18,7 +19,9 @@
 
 use unfold::{System, TaskSpec};
 use unfold_am::AcousticScores;
-use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder, StreamSession, WordLattice, WorkScratch};
+use unfold_decoder::{
+    reference, DecodeConfig, NullSink, OtfDecoder, StreamSession, WordLattice, WorkScratch,
+};
 
 const SEEDS: usize = 3;
 const BEAMS: [f32; 2] = [2.0, 8.0];
@@ -329,8 +332,9 @@ fn first_frames(scores: &AcousticScores, frames: usize) -> AcousticScores {
     AcousticScores::from_flat(flat, scores.num_pdfs())
 }
 
-/// The lattice of `scores` built through `decode_lattice` and through
-/// a streaming session; the two must be bit-identical.
+/// The lattice of `scores` built through `decode_lattice`, through a
+/// streaming session and through the scalar reference loop; the three
+/// must be bit-identical, so the reference cannot drift unseen.
 fn batch_and_streamed<A, L>(
     cfg: DecodeConfig,
     am: &A,
@@ -360,6 +364,13 @@ where
         "{what}: batch and streaming lattices differ"
     );
     assert!(batch.bit_identical(&streamed), "{what}");
+    let (_, oracle) = reference::decode(&cfg, am, lm, scores, true, &mut NullSink);
+    assert_eq!(
+        digest(&batch),
+        digest(&oracle),
+        "{what}: the reference loop's lattice differs"
+    );
+    assert!(batch.bit_identical(&oracle), "{what}: reference");
     batch
 }
 

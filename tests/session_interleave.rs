@@ -6,16 +6,16 @@
 //! tests pin what that ownership promises: sessions advanced
 //! alternately, frame by frame, through one `WorkScratch` each decode
 //! exactly what they decode alone — words, cost bits, `DecodeStats`,
-//! the partials after every frame, and the word lattice — and a decode
-//! that panics mid-frame leaves the worker's stores fit for the next
-//! session. CI runs this file under `--release` as well, where the
+//! the partials after every frame, and the word lattice, all equal to
+//! the scalar reference loop's — and a decode that panics mid-frame
+//! leaves the worker's stores fit for the next session. CI runs this file under `--release` as well, where the
 //! kernel takes its shipped shape.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use unfold_am::{build_am, synthesize_utterance, HmmTopology, Lexicon, NoiseModel, Utterance};
 use unfold_decoder::{
-    DecodeConfig, DecodeKernel, DecodeResult, DecodeScratch, NullSink, OtfDecoder, StreamSession,
+    reference, DecodeConfig, DecodeResult, DecodeScratch, NullSink, OtfDecoder, StreamSession,
     TraceSink, WordLattice, WorkScratch,
 };
 use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
@@ -157,36 +157,36 @@ fn assert_same_lattice(got: &Option<WordLattice>, want: &Option<WordLattice>, wh
 fn interleaved_sessions_match_their_standalone_decodes() {
     let lex = lexicon();
     let lm = lm();
+    let config = DecodeConfig::builder().olt_entries(0).build().unwrap();
     for topology in [HmmTopology::Kaldi3State, HmmTopology::Ctc] {
         let am = build_am(&lex, topology).fst;
         let utts = utterances(&lex, topology);
-        for kernel in [DecodeKernel::Legacy, DecodeKernel::Soa] {
-            let config = DecodeConfig::builder()
-                .kernel(kernel)
-                .olt_entries(0)
-                .build()
-                .unwrap();
-            for record in [false, true] {
-                let runs = interleaved(config, &am, &lm, &utts, record);
-                for (i, (utt, got)) in utts.iter().zip(&runs).enumerate() {
-                    let what = format!("{topology:?} {kernel:?} record={record} session {i}");
-                    let want = alone(config, &am, &lm, utt, record);
-                    assert!(want.result.is_complete(), "{what}: no complete hypothesis");
-                    assert_eq!(got.partials, want.partials, "{what}: partials");
-                    assert_same(&got.result, &want.result, &what);
-                    assert_same_lattice(&got.lattice, &want.lattice, &what);
-                    // And alone, streaming is the offline decode.
-                    let dec = OtfDecoder::new(config);
-                    if record {
-                        let (offline, lattice) =
-                            dec.decode_lattice(&am, &lm, &utt.scores, &mut NullSink);
-                        assert_same(&offline, &want.result, &format!("{what} offline"));
-                        assert_same_lattice(&Some(lattice), &want.lattice, &what);
-                    } else {
-                        let offline = dec.decode(&am, &lm, &utt.scores, &mut NullSink);
-                        assert_same(&offline, &want.result, &format!("{what} offline"));
-                    }
-                }
+        for record in [false, true] {
+            let runs = interleaved(config, &am, &lm, &utts, record);
+            for (i, (utt, got)) in utts.iter().zip(&runs).enumerate() {
+                let what = format!("{topology:?} record={record} session {i}");
+                let want = alone(config, &am, &lm, utt, record);
+                assert!(want.result.is_complete(), "{what}: no complete hypothesis");
+                assert_eq!(got.partials, want.partials, "{what}: partials");
+                assert_same(&got.result, &want.result, &what);
+                assert_same_lattice(&got.lattice, &want.lattice, &what);
+                // And alone, streaming is the offline decode, and both
+                // are the scalar reference loop's.
+                let dec = OtfDecoder::new(config);
+                let offline = if record {
+                    let (offline, lattice) =
+                        dec.decode_lattice(&am, &lm, &utt.scores, &mut NullSink);
+                    assert_same_lattice(&Some(lattice), &want.lattice, &what);
+                    offline
+                } else {
+                    dec.decode(&am, &lm, &utt.scores, &mut NullSink)
+                };
+                assert_same(&offline, &want.result, &format!("{what} offline"));
+                let (oracle, lattice) =
+                    reference::decode(&config, &am, &lm, &utt.scores, record, &mut NullSink);
+                assert_same(&oracle, &want.result, &format!("{what} reference"));
+                let lattice = record.then_some(lattice);
+                assert_same_lattice(&lattice, &want.lattice, &format!("{what} reference"));
             }
         }
     }
@@ -230,63 +230,67 @@ impl TraceSink for PanicMidFrame {
 fn a_decode_that_panics_mid_frame_leaves_the_worker_reusable() {
     let lex = lexicon();
     let lm = lm();
+    let config = DecodeConfig::default();
     for topology in [HmmTopology::Kaldi3State, HmmTopology::Ctc] {
         let am = build_am(&lex, topology).fst;
         let utts = utterances(&lex, topology);
         let (doomed, healthy) = (&utts[2], &utts[0]);
-        for kernel in [DecodeKernel::Legacy, DecodeKernel::Soa] {
-            let what = format!("{topology:?} {kernel:?}");
-            let config = DecodeConfig::builder().kernel(kernel).build().unwrap();
+        let what = format!("{topology:?}");
 
-            // Streaming: a session panics on the worker's scratch; the
-            // next session on it decodes as on a fresh one.
-            let mut work = WorkScratch::new();
-            work.begin(&config);
-            let panicked = catch_unwind(AssertUnwindSafe(|| {
-                let mut sink = PanicMidFrame::new(10, 3);
-                let mut session = new_session(config, true);
-                session.seed(&am, &lm, &mut work, &mut sink);
-                for t in 0..doomed.scores.num_frames() {
-                    session.push_frame(&am, &lm, &mut work, doomed.scores.frame(t), &mut sink);
-                }
-            }));
-            assert!(panicked.is_err(), "{what}: the sink never panicked");
-            work.begin(&config);
+        // Streaming: a session panics on the worker's scratch; the
+        // next session on it decodes as on a fresh one.
+        let mut work = WorkScratch::new();
+        work.begin(&config);
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            let mut sink = PanicMidFrame::new(10, 3);
             let mut session = new_session(config, true);
-            session.seed(&am, &lm, &mut work, &mut NullSink);
-            let mut partials = Vec::new();
-            for t in 0..healthy.scores.num_frames() {
-                session.push_frame(&am, &lm, &mut work, healthy.scores.frame(t), &mut NullSink);
-                partials.push((session.partial_result(), session.partial_stable_prefix()));
+            session.seed(&am, &lm, &mut work, &mut sink);
+            for t in 0..doomed.scores.num_frames() {
+                session.push_frame(&am, &lm, &mut work, doomed.scores.frame(t), &mut sink);
             }
-            let (result, lattice) = finish(&session, &am, true);
-            let want = alone(config, &am, &lm, healthy, true);
-            assert_eq!(partials, want.partials, "{what}: stream partials");
-            assert_same(&result, &want.result, &format!("{what} stream"));
-            assert_same_lattice(&lattice, &want.lattice, &format!("{what} stream"));
-
-            // Offline: the same through a `DecodeScratch`.
-            let dec = OtfDecoder::new(config);
-            let mut scratch = DecodeScratch::new();
-            let panicked = catch_unwind(AssertUnwindSafe(|| {
-                dec.decode_lattice_with(
-                    &am,
-                    &lm,
-                    &doomed.scores,
-                    &mut scratch,
-                    &mut PanicMidFrame::new(10, 3),
-                )
-            }));
-            assert!(panicked.is_err(), "{what}: the offline sink never panicked");
-            let (got, got_lattice) =
-                dec.decode_lattice_with(&am, &lm, &healthy.scores, &mut scratch, &mut NullSink);
-            let (fresh, fresh_lattice) =
-                dec.decode_lattice(&am, &lm, &healthy.scores, &mut NullSink);
-            assert_same(&got, &fresh, &format!("{what} offline"));
-            assert!(
-                got_lattice.bit_identical(&fresh_lattice),
-                "{what} offline: lattice"
-            );
+        }));
+        assert!(panicked.is_err(), "{what}: the sink never panicked");
+        work.begin(&config);
+        let mut session = new_session(config, true);
+        session.seed(&am, &lm, &mut work, &mut NullSink);
+        let mut partials = Vec::new();
+        for t in 0..healthy.scores.num_frames() {
+            session.push_frame(&am, &lm, &mut work, healthy.scores.frame(t), &mut NullSink);
+            partials.push((session.partial_result(), session.partial_stable_prefix()));
         }
+        let (result, lattice) = finish(&session, &am, true);
+        let want = alone(config, &am, &lm, healthy, true);
+        assert_eq!(partials, want.partials, "{what}: stream partials");
+        assert_same(&result, &want.result, &format!("{what} stream"));
+        assert_same_lattice(&lattice, &want.lattice, &format!("{what} stream"));
+
+        // Offline: the same through a `DecodeScratch`.
+        let dec = OtfDecoder::new(config);
+        let mut scratch = DecodeScratch::new();
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            dec.decode_lattice_with(
+                &am,
+                &lm,
+                &doomed.scores,
+                &mut scratch,
+                &mut PanicMidFrame::new(10, 3),
+            )
+        }));
+        assert!(panicked.is_err(), "{what}: the offline sink never panicked");
+        let (got, got_lattice) =
+            dec.decode_lattice_with(&am, &lm, &healthy.scores, &mut scratch, &mut NullSink);
+        let (fresh, fresh_lattice) = dec.decode_lattice(&am, &lm, &healthy.scores, &mut NullSink);
+        assert_same(&got, &fresh, &format!("{what} offline"));
+        assert!(
+            got_lattice.bit_identical(&fresh_lattice),
+            "{what} offline: lattice"
+        );
+        let (oracle, oracle_lattice) =
+            reference::decode(&config, &am, &lm, &healthy.scores, true, &mut NullSink);
+        assert_same(&oracle, &fresh, &format!("{what} reference"));
+        assert!(
+            oracle_lattice.bit_identical(&fresh_lattice),
+            "{what} reference: lattice"
+        );
     }
 }

@@ -3,15 +3,16 @@
 //! the invariant for the batch decoder, the streaming decoder, and the
 //! fully-composed baseline, across `NullSink`, `MetricsSink`, and a
 //! `TeeSink` fan-out — plus a JSONL round-trip for the exported
-//! telemetry itself. A `NullSink` decode runs the SoA kernel's copy
+//! telemetry itself. A `NullSink` decode runs the kernel's copy
 //! compiled for `NullSink` and every other sink runs the dispatching
-//! copy, so the comparison also pins the two copies to each other.
+//! copy, so the comparison also pins the two copies to each other, and
+//! both to the scalar reference loop.
 
 use unfold::{System, TaskSpec};
 use unfold_am::AcousticScores;
 use unfold_bias::{BiasedLm, BiasingFst};
 use unfold_decoder::{
-    AmSource, CountingSink, DecodeConfig, DecodeKernel, DecodeResult, DecodeStats,
+    reference, AmSource, CountingSink, DecodeConfig, DecodeResult, DecodeStats,
     FullyComposedDecoder, LmSource, MetricsSink, NullSink, OtfDecoder, StreamSession, TeeSink,
     TraceSink, WordLattice, WorkScratch,
 };
@@ -104,8 +105,8 @@ fn decode_both<A: AmSource + ?Sized, L: LmSource + ?Sized>(
 
 /// Decodes `scores` under `NullSink` (direct and erased) and under
 /// every observing sink, and asserts words, cost bits, full stats and
-/// the word lattice are bit-identical across all of them. Returns the
-/// batch decode's stats.
+/// the word lattice are bit-identical across all of them and to the
+/// scalar reference loop. Returns the batch decode's stats.
 fn assert_sinks_agree<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     config: DecodeConfig,
     am: &A,
@@ -117,6 +118,8 @@ fn assert_sinks_agree<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     assert!(null[0].0.is_complete(), "{what}: decode incomplete");
     let erased: &mut dyn TraceSink = &mut NullSink;
     let mut others = vec![("erased null", decode_both(config, am, lm, scores, erased))];
+    let oracle = reference::decode(&config, am, lm, scores, true, &mut NullSink);
+    others.push(("reference", [oracle.clone(), oracle]));
 
     let mut metrics = MetricsSink::new();
     others.push(("metrics", decode_both(config, am, lm, scores, &mut metrics)));
@@ -159,11 +162,7 @@ fn null_sink_copy_matches_observing_sinks_on_plain_and_biased_lms() {
     let bias = BiasingFst::build(&[(phrase, 2.0)]);
     let biased = BiasedLm::new(&system.lm_comp, &bias);
     for olt in [0, 64, unfold_serve::ServeConfig::default().olt_entries] {
-        let config = DecodeConfig::builder()
-            .kernel(DecodeKernel::Soa)
-            .olt_entries(olt)
-            .build()
-            .unwrap();
+        let config = DecodeConfig::builder().olt_entries(olt).build().unwrap();
         for (i, utt) in utts.iter().enumerate() {
             let am = &system.am_comp;
             let plain = assert_sinks_agree(
