@@ -25,10 +25,10 @@
 //!   staging arena ([`crate::scratch::ArcStage`]): the first visit to
 //!   an AM state unpacks its compressed arc stream once into a flat
 //!   slice, and every later visit — HMM self-loops revisit the same
-//!   states frame after frame — is a contiguous walk that skips the
-//!   bit-stream decode entirely. The walk software-pipelines: while
-//!   survivor `j` expands, survivor `j + 1`'s AM/LM state records are
-//!   prefetched. Relaxations use a fused probe-then-commit
+//!   states frame after frame — is a contiguous walk of 16-byte arcs
+//!   that skips the bit-stream decode entirely. The walk
+//!   software-pipelines: while survivor `j` expands, survivor `j + 1`'s
+//!   AM/LM state records are prefetched. Relaxations use a fused probe-then-commit
 //!   ([`TokenStore::probe`] + [`TokenStore::insert_probed`]): one hash
 //!   walk where the scalar loop pays two.
 //! * **Closure** — the epsilon worklist holds dense entry indices
@@ -54,6 +54,12 @@
 //! [`crate::otf`] instantiate it twice: with [`crate::NullSink`] when
 //! the caller's sink reports [`TraceSink::is_null`], so every event
 //! call is an empty inlined body, and with `dyn TraceSink` otherwise.
+//! Only the `dyn` copy *observes*: it reads each arc's `(addr, bytes)`
+//! fetch footprint for [`TraceSink::am_arc_fetch`] from a lane beside
+//! the staged arcs, which the stage fills once an observing decode has
+//! bound it ([`WorkScratch::bind_arc_stage`]). The `NullSink` copy
+//! reads the arcs alone, so a worker that never observes never holds
+//! a footprint.
 
 use std::time::Instant;
 
@@ -97,8 +103,11 @@ pub(crate) fn expand_frame_soa<
     sink: &mut S,
     stats: &mut DecodeStats,
 ) {
+    // Whether the sink sees arc fetches: a constant in the `NullSink`
+    // copy, so its replay reads only the arc lane.
+    let observe = !sink.is_null();
     work.ensure_validated(am, lm, costs.len());
-    work.bind_arc_stage(am);
+    work.bind_arc_stage(am, observe);
     let cur: &TokenLanes = match from {
         FrameSource::Worker => &work.cur,
         FrameSource::Parked => &session.live,
@@ -197,10 +206,12 @@ pub(crate) fn expand_frame_soa<
             // Replay the state's decoded arcs from the staging arena
             // (first visit stages them): a contiguous slice walk where
             // the scalar loop re-unpacks the compressed bit stream.
-            let (arcs, eps) = stage.arcs_and_eps(am, am_s);
-            for &v in arcs {
-                sink.am_arc_fetch(v.addr, v.bytes);
-                let arc = v.arc;
+            let ((arcs, footprints), eps) = stage.arcs_and_eps(am, am_s, observe);
+            for (i, &arc) in arcs.iter().enumerate() {
+                if observe {
+                    let (addr, bytes) = footprints[i];
+                    sink.am_arc_fetch(addr, bytes);
+                }
                 if arc.ilabel == EPSILON {
                     continue; // non-emitting: closure phase
                 }
@@ -334,6 +345,9 @@ pub(crate) fn epsilon_closure_soa<
     sink: &mut S,
     stats: &mut DecodeStats,
 ) {
+    // The caller bound the stage with the same sink, so the footprints
+    // are there when this is set.
+    let observe = !sink.is_null();
     lattice.start_closure();
     let mut guard = 0u64;
     while let Some(e) = worklist.pop() {
@@ -349,25 +363,28 @@ pub(crate) fn epsilon_closure_soa<
         let (am_s, lm_s) = split(k);
         // A state without ε-input arcs emits nothing here: skip it
         // before touching its arcs.
-        let Some(arcs) = stage.eps_arcs(am, am_s) else {
+        let Some((arcs, footprints)) = stage.eps_arcs(am, am_s, observe) else {
             continue;
         };
         eps_local.clear();
         // Replay from the staging arena: the epsilon filter scans a
         // contiguous decoded slice instead of re-unpacking the state's
         // compressed arc stream on every worklist pop.
-        for v in arcs {
-            if v.arc.ilabel != EPSILON {
+        for (i, arc) in arcs.iter().enumerate() {
+            if arc.ilabel != EPSILON {
                 continue;
             }
-            sink.am_arc_fetch(v.addr, v.bytes);
+            if observe {
+                let (addr, bytes) = footprints[i];
+                sink.am_arc_fetch(addr, bytes);
+            }
             stats.epsilon_expansions += 1;
             eps_local.push((
-                v.arc.nextstate,
+                arc.nextstate,
                 TropicalWeight::from_cost(tok.cost)
-                    .times(TropicalWeight::from_cost(v.arc.weight))
+                    .times(TropicalWeight::from_cost(arc.weight))
                     .value(),
-                v.arc.olabel,
+                arc.olabel,
             ));
         }
         for &(am_next, base, word) in eps_local.iter() {
@@ -495,8 +512,8 @@ mod tests {
     /// cost bits, every stats counter, the ordered trace-event stream
     /// (the strongest observable equivalence the decoder exposes — it
     /// implies identical OLT install/evict order) and the lattice.
-    fn assert_kernels_identical(config: &DecodeConfig, scores: &unfold_am::AcousticScores) {
-        let (_, am, lm) = models();
+    fn assert_kernels_identical(am: &Wfst, config: &DecodeConfig, scores: &AcousticScores) {
+        let lm = &models().2;
         let dec = OtfDecoder::new(*config);
         for record in [false, true] {
             let mut rec_ref = TraceRecorder::default();
@@ -549,7 +566,7 @@ mod tests {
             &NoiseModel::clean(),
             11,
         );
-        assert_kernels_identical(&DecodeConfig::default(), &utt.scores);
+        assert_kernels_identical(&models().1, &DecodeConfig::default(), &utt.scores);
     }
 
     #[test]
@@ -577,7 +594,7 @@ mod tests {
                     .preemptive_pruning(true)
                     .build()
                     .unwrap();
-                assert_kernels_identical(&cfg, &utt.scores);
+                assert_kernels_identical(&models().1, &cfg, &utt.scores);
             }
         }
     }
@@ -617,7 +634,7 @@ mod tests {
                     .max_active(max_active)
                     .build()
                     .unwrap();
-                assert_kernels_identical(&cfg, &scores);
+                assert_kernels_identical(am, &cfg, &scores);
                 let r = OtfDecoder::new(cfg).decode(am, lm, &scores, &mut NullSink);
                 assert_eq!(r.stats.frames, utt.scores.num_frames());
             }
@@ -686,6 +703,190 @@ mod tests {
         }
     }
 
+    /// Checks a decode against the reference loop's: words, cost bits
+    /// and stats always, and the ordered events when it was observed.
+    fn assert_like_reference(
+        got: &DecodeResult,
+        events: Option<&[TraceEvent]>,
+        want: &(DecodeResult, TraceRecorder),
+        what: &str,
+    ) {
+        assert_eq!(got.words, want.0.words, "{what}: words");
+        assert_eq!(
+            got.cost.to_bits(),
+            want.0.cost.to_bits(),
+            "{what}: cost bits"
+        );
+        assert_eq!(got.stats, want.0.stats, "{what}: stats");
+        if let Some(events) = events {
+            assert_same_events(want.1.events(), events, what);
+        }
+    }
+
+    /// One `DecodeScratch`, and one `WorkScratch` lent to a
+    /// `StreamSession`, serve `NullSink` decodes, then a recorder, then
+    /// `NullSink` again, then a recorder: the arc stage starts blind,
+    /// switches to recording fetch footprints at the first observed
+    /// decode and keeps them. Every observed decode must be
+    /// event-identical to the reference loop, and every blind one must
+    /// return its result. Capped stages (0, 1 and 8 visits) run the
+    /// transient buffer's footprint lane too.
+    #[test]
+    fn observed_decodes_match_the_reference_across_the_mode_switch() {
+        use crate::scratch::WorkScratch;
+        use crate::streaming::StreamSession;
+        use crate::trace::TraceSink;
+        let (lex, am, lm) = models();
+        let utts: Vec<AcousticScores> = [(&[7u32, 3, 15, 2][..], 11u64), (&[55, 58, 33], 23)]
+            .into_iter()
+            .map(|(words, seed)| {
+                let noise = NoiseModel::default();
+                synthesize_utterance(words, lex, HmmTopology::Kaldi3State, &noise, seed).scores
+            })
+            .collect();
+        let cfg = DecodeConfig::default();
+        let dec = OtfDecoder::new(cfg);
+        let want: Vec<(DecodeResult, TraceRecorder)> = utts
+            .iter()
+            .map(|scores| {
+                let mut rec = TraceRecorder::default();
+                let (r, _) = reference::decode(&cfg, am, lm, scores, false, &mut rec);
+                (r, rec)
+            })
+            .collect();
+        for cap in [None, Some(0), Some(1), Some(8)] {
+            let mut scratch = DecodeScratch::new();
+            let mut work = WorkScratch::new();
+            if let Some(cap) = cap {
+                scratch.work.arc_stage.set_cap(cap);
+                work.arc_stage.set_cap(cap);
+            }
+            for (pass, observed) in [false, false, true, false, true].into_iter().enumerate() {
+                for (i, scores) in utts.iter().enumerate() {
+                    let what = format!("cap {cap:?} pass {pass} utterance {i}");
+                    let mut rec = TraceRecorder::default();
+                    let sink: &mut dyn TraceSink = if observed { &mut rec } else { &mut NullSink };
+                    let got = dec.decode_with(am, lm, scores, &mut scratch, sink);
+                    let events = observed.then_some(rec.events());
+                    assert_like_reference(&got, events, &want[i], &format!("{what} batch"));
+
+                    let mut rec = TraceRecorder::default();
+                    let sink: &mut dyn TraceSink = if observed { &mut rec } else { &mut NullSink };
+                    work.begin(&cfg);
+                    let mut sess = StreamSession::new(cfg);
+                    sess.seed(am, lm, &mut work, sink);
+                    for t in 0..scores.num_frames() {
+                        sess.push_frame(am, lm, &mut work, scores.frame(t), sink);
+                    }
+                    let got = sess.finalize(am, sink);
+                    let events = observed.then_some(rec.events());
+                    assert_like_reference(&got, events, &want[i], &format!("{what} stream"));
+                }
+                // Blind decodes leave the footprint lanes unallocated
+                // until the first observed one.
+                let observed_yet = pass >= 2;
+                for (stage, path) in [
+                    (&scratch.work.arc_stage, "batch"),
+                    (&work.arc_stage, "stream"),
+                ] {
+                    assert_eq!(
+                        stage.holds_footprints(),
+                        observed_yet,
+                        "cap {cap:?} pass {pass} {path}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Counts relaxations that hit a token the same ε-closure already
+    /// relaxed, by the hash inserts between the kernel's `Expand` and
+    /// `Closure` phase reports (asking for phase timing is what makes
+    /// the kernel send them).
+    #[derive(Default)]
+    struct ClosureRelaxCounter {
+        in_closure: bool,
+        relaxed: std::collections::HashSet<u64>,
+        repeats: usize,
+    }
+
+    impl crate::trace::TraceSink for ClosureRelaxCounter {
+        fn wants_kernel_timing(&self) -> bool {
+            true
+        }
+        fn kernel_phase(&mut self, phase: crate::trace::KernelPhase, _ns: u64) {
+            use crate::trace::KernelPhase;
+            match phase {
+                KernelPhase::Expand => {
+                    self.in_closure = true;
+                    self.relaxed.clear();
+                }
+                KernelPhase::Closure => self.in_closure = false,
+                _ => {}
+            }
+        }
+        fn hash_insert(&mut self, k: u64) {
+            if self.in_closure && !self.relaxed.insert(k) {
+                self.repeats += 1;
+            }
+        }
+    }
+
+    /// The order the ε-closure pops its worklist in shows in the event
+    /// stream once a closure relaxes one token twice: which relaxation
+    /// comes first decides whether the second improves. On the Kaldi
+    /// topology that takes a wide frontier (ten flat score rows under a
+    /// wide beam); on CTC an ordinary noisy utterance does it. Both
+    /// decodes must stay bit-identical to the reference loop.
+    #[test]
+    fn soa_matches_the_reference_when_a_closure_relaxes_a_token_twice() {
+        let (lex, kaldi, lm) = models();
+        let noise = |noise_sigma| NoiseModel {
+            noise_sigma,
+            ..NoiseModel::default()
+        };
+        let opened_flat = {
+            let utt = synthesize_utterance(
+                &[7, 3, 15, 2],
+                lex,
+                HmmTopology::Kaldi3State,
+                &noise(0.5),
+                5,
+            );
+            let n = utt.scores.num_pdfs();
+            let rows = (0..utt.scores.num_frames())
+                .flat_map(|t| {
+                    let row = utt.scores.frame(t);
+                    (0..n).map(move |p| if t < 10 { 0.0 } else { row[p] })
+                })
+                .collect();
+            AcousticScores::from_flat(rows, n)
+        };
+        let ctc = synthesize_utterance(&[36, 7, 20], lex, HmmTopology::Ctc, &noise(1.0), 536);
+        let cases = [
+            (
+                kaldi,
+                opened_flat,
+                DecodeConfig::builder().beam(16.0).build().unwrap(),
+            ),
+            (
+                ctc_am(),
+                ctc.scores,
+                DecodeConfig::builder()
+                    .beam(14.5)
+                    .max_active(200)
+                    .build()
+                    .unwrap(),
+            ),
+        ];
+        for (am, scores, cfg) in &cases {
+            assert_kernels_identical(am, cfg, scores);
+            let mut counter = ClosureRelaxCounter::default();
+            let _ = OtfDecoder::new(*cfg).decode(*am, lm, scores, &mut counter);
+            assert!(counter.repeats > 0, "no closure relaxed a token twice");
+        }
+    }
+
     #[test]
     fn soa_kernel_emits_phase_timing_when_asked() {
         use crate::metrics::MetricsSink;
@@ -718,11 +919,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// The `soa_identity` contract: across a randomized grid of
-        /// utterances × beam × olt_entries × max_active × preemptive
-        /// pruning, the kernel and the reference loop are bit-identical
-        /// in transcript, cost, stats, ordered trace events and lattice.
+        /// topology × utterances × beam × olt_entries × max_active ×
+        /// preemptive pruning, the kernel and the reference loop are
+        /// bit-identical in transcript, cost, stats, ordered trace
+        /// events and lattice.
         #[test]
         fn soa_identity_under_config_grid(
+            ctc in any::<bool>(),
             words in proptest::collection::vec(1u32..=60, 1..6),
             seed in 0u64..1000,
             noise_sigma in 0.0f32..1.5,
@@ -731,11 +934,14 @@ mod tests {
             max_active_idx in 0usize..3,
             preemptive in any::<bool>(),
         ) {
-            let (lex, _, _) = models();
+            let (lex, kaldi, _) = models();
+            let (topology, am) = if ctc {
+                (HmmTopology::Ctc, ctc_am())
+            } else {
+                (HmmTopology::Kaldi3State, kaldi)
+            };
             let noise = NoiseModel { noise_sigma, ..NoiseModel::default() };
-            let utt = synthesize_utterance(
-                &words, lex, HmmTopology::Kaldi3State, &noise, seed,
-            );
+            let utt = synthesize_utterance(&words, lex, topology, &noise, seed);
             let olt = [0usize, 64, 256][olt_idx];
             let max_active = [30usize, 200, usize::MAX][max_active_idx];
             let cfg = DecodeConfig::builder()
@@ -745,7 +951,7 @@ mod tests {
                 .preemptive_pruning(preemptive)
                 .build()
                 .unwrap();
-            assert_kernels_identical(&cfg, &utt.scores);
+            assert_kernels_identical(am, &cfg, &utt.scores);
         }
     }
 }

@@ -294,7 +294,7 @@ fn seed_closure_soa<A: AmSource + ?Sized, L: LmSource + ?Sized, S: TraceSink + ?
 ) {
     // The streaming path seeds before the first frame's
     // `ensure_validated`, so the stage binds here too.
-    work.bind_arc_stage(am);
+    work.bind_arc_stage(am, !sink.is_null());
     // The closure starts from every entry: the lone start token.
     work.worklist.clear();
     work.worklist.extend(0..work.next.len() as u32);

@@ -49,13 +49,13 @@
 //! warm, which the batch decoder relies on to give identical results
 //! for any worker count.
 
-use unfold_wfst::{StateId, EPSILON};
+use unfold_wfst::{Arc, StateId, EPSILON};
 
 use crate::config::DecodeConfig;
 use crate::lattice::Lattice;
 use crate::olt::SoftOlt;
 use crate::search::{TokenLanes, TokenStore};
-use crate::sources::{AmSource, ArcVisit, Fetch, LmSource, MAX_BACKOFF_HOPS};
+use crate::sources::{AmSource, Fetch, LmSource, MAX_BACKOFF_HOPS};
 
 /// Per-utterance persistent search state: the live token population
 /// and the word lattice. This is the minimum a paused streaming session
@@ -277,13 +277,19 @@ impl WorkScratch {
     /// the scratch last staged a *different* AM (keyed by address and
     /// state count; [`WorkScratch::bind_olt_model`] additionally drops
     /// the binding on a model-generation change, the ABA-safe path).
-    /// Every SoA kernel entry point calls this before touching
+    /// Every kernel entry point calls this before touching
     /// [`WorkScratch::arc_stage`]; consecutive utterances against the
     /// same AM keep the memo warm, exactly like the OLT.
-    pub(crate) fn bind_arc_stage<A: AmSource + ?Sized>(&mut self, am: &A) {
+    ///
+    /// `observe` is whether the decode's sink sees arc fetches (it is
+    /// not [`crate::NullSink`]). The first observing bind also resets
+    /// the stage and puts it in observing mode for good (see
+    /// [`ArcStage`]), so every replay it hands out from then on has
+    /// its fetch footprints beside it.
+    pub(crate) fn bind_arc_stage<A: AmSource + ?Sized>(&mut self, am: &A, observe: bool) {
         let key = ((am as *const A).cast::<u8>() as usize, am.num_states());
-        if self.stage_am != Some(key) {
-            self.arc_stage.reset(am.num_states());
+        if self.stage_am != Some(key) || (observe && !self.arc_stage.observing) {
+            self.arc_stage.reset(am.num_states(), observe);
             self.stage_am = Some(key);
         }
     }
@@ -294,19 +300,32 @@ impl WorkScratch {
 /// The compressed AM stores arcs as a variable-width bit stream, so
 /// every visit to a state pays the unpack cost — and HMM topologies
 /// revisit the same states frame after frame (self-loops alone
-/// guarantee it). The SoA kernel stages each state's decoded
-/// [`ArcVisit`]s into one flat arena on first visit and replays the
+/// guarantee it). The kernel stages each state's decoded [`Arc`]s, 16
+/// bytes each, into one flat arena on first visit and replays the
 /// contiguous slice thereafter; a per-state span table maps
 /// `StateId -> (start, len)`.
 ///
-/// Replay is bit-identical to re-decoding by construction: an
-/// [`ArcVisit`] carries the arc *and* the `(addr, bytes)` fetch
-/// footprint, and bit-stream decoding is deterministic, so the slice
-/// holds exactly what `for_each_arc` would produce — same arcs, same
-/// order, same trace events. Like the OLT, the stage is a pure memo:
-/// it never changes any decode's output, only how fast the arcs
-/// arrive. It is (re)bound to an AM via
-/// [`WorkScratch::bind_arc_stage`] and persists across utterances.
+/// The arena holds only what the search reads. An arc's fetch
+/// footprint — the `(addr, bytes)` of its record, which
+/// [`TraceSink::am_arc_fetch`](crate::TraceSink::am_arc_fetch)
+/// reports — goes into a parallel lane, and only once the stage is in
+/// *observing* mode: the first decode whose sink is not
+/// [`crate::NullSink`] resets the stage and switches the mode on (see
+/// [`WorkScratch::bind_arc_stage`]), and nothing switches it off. A
+/// worker that only ever decodes over `NullSink` never allocates the
+/// lane.
+///
+/// Replay is bit-identical to re-decoding by construction: bit-stream
+/// decoding is deterministic, so a span holds exactly the arcs
+/// `for_each_arc` would produce, in the same order. In observing mode
+/// the footprint lane holds, beside each arc, the address and size of
+/// the [`ArcVisit`](crate::ArcVisit) that produced it, so an observed
+/// decode emits the same trace events as re-decoding would. No span
+/// lacks its footprints once the stage observes, because the switch
+/// drops every span first. Like the OLT, the stage is a pure memo: it
+/// never changes any decode's output, only how fast the arcs arrive.
+/// It is (re)bound to an AM via [`WorkScratch::bind_arc_stage`] and
+/// persists across utterances.
 ///
 /// Staging also records, in the top bit of the span's `len` word,
 /// whether the state has any ε-input arc. In both HMM topologies only
@@ -316,10 +335,11 @@ impl WorkScratch {
 /// worklist altogether.
 ///
 /// The arena is soft-capped at [`ArcStage::ARENA_CAP`] visits; states
-/// first seen after the cap decode through a transient buffer instead
-/// of staging (bounded memory on pathologically large models, at the
-/// cost of losing the memo for the tail). Such states have no span and
-/// so no flag: they count as "may have ε" and are scanned.
+/// first seen after the cap decode through a transient buffer (with
+/// its own footprint lane) instead of staging: bounded memory on
+/// pathologically large models, at the cost of losing the memo for the
+/// tail. Such states have no span and so no flag: they count as "may
+/// have ε" and are scanned.
 ///
 /// A lookup of a staged state is the hot path and inlines into the
 /// kernel; staging and the over-cap decode run out of line.
@@ -330,14 +350,26 @@ pub(crate) struct ArcStage {
     /// [`ArcStage::EPS_FLAG`] when the state has an ε-input arc.
     spans: Vec<(u32, u32)>,
     /// Flat decoded-arc storage, appended in first-visit order.
-    arena: Vec<ArcVisit>,
+    arena: Vec<Arc>,
+    /// Fetch footprints parallel to `arena`; filled only in observing
+    /// mode.
+    footprints: Vec<Fetch>,
     /// Fallback decode buffer for states beyond the arena cap.
-    tmp: Vec<ArcVisit>,
+    tmp: Vec<Arc>,
+    /// Fetch footprints parallel to `tmp`, in observing mode.
+    tmp_footprints: Vec<Fetch>,
+    /// Whether staging records footprints (see the type doc).
+    observing: bool,
     /// A test's arena bound in place of [`ArcStage::ARENA_CAP`], so
     /// decodes can reach the over-cap path on small models.
     #[cfg(test)]
     test_cap: Option<usize>,
 }
+
+/// A replayed state: its decoded arcs and, for an observing decode,
+/// their fetch footprints (`footprints[i]` belongs to `arcs[i]`);
+/// empty otherwise.
+pub(crate) type Replay<'a> = (&'a [Arc], &'a [Fetch]);
 
 /// Shared view of the stage's ε flags, handed out next to a replay
 /// slice by [`ArcStage::arcs_and_eps`] so the expansion loop can ask
@@ -360,42 +392,50 @@ impl ArcStage {
     const UNSTAGED: u32 = u32::MAX;
     /// Top bit of a span's `len` word: the state has an ε-input arc.
     const EPS_FLAG: u32 = 1 << 31;
-    /// Soft bound on staged visits (32 bytes each — 32 MiB ceiling).
+    /// Soft bound on staged visits (16 bytes each — 16 MiB ceiling,
+    /// twice that in observing mode with the footprint lane).
     pub(crate) const ARENA_CAP: usize = 1 << 20;
 
     /// Drops every staged span and resizes the span table for a model
-    /// with `num_states` AM states.
-    pub(crate) fn reset(&mut self, num_states: usize) {
+    /// with `num_states` AM states. `observe` switches observing mode
+    /// on; nothing switches it off.
+    pub(crate) fn reset(&mut self, num_states: usize, observe: bool) {
         self.spans.clear();
         self.spans.resize(num_states, (Self::UNSTAGED, 0));
         self.arena.clear();
+        self.footprints.clear();
+        self.observing |= observe;
     }
 
-    /// The decoded arcs of AM state `s`, plus a view of every state's ε
-    /// flag for the expansion loop. The arcs are a contiguous replay
-    /// slice when staged, staging them first when not: identical to
-    /// what `am.for_each_arc(s, ..)` would visit, in the same order.
+    /// The decoded arcs of AM state `s`, with their footprints when
+    /// `observe`, plus a view of every state's ε flag for the
+    /// expansion loop. The arcs are a contiguous replay slice when
+    /// staged, staging them first when not: identical to what
+    /// `am.for_each_arc(s, ..)` would visit, in the same order.
     #[inline(always)]
     pub(crate) fn arcs_and_eps<A: AmSource + ?Sized>(
         &mut self,
         am: &A,
         s: StateId,
-    ) -> (&[ArcVisit], EpsFlags<'_>) {
+        observe: bool,
+    ) -> (Replay<'_>, EpsFlags<'_>) {
         let this = self.lookup(am, s);
-        (this.replay(s).1, EpsFlags(&this.spans))
+        (this.replay(s, observe).1, EpsFlags(&this.spans))
     }
 
-    /// The decoded arcs of `s` for the ε-closure: `None` when `s` has
-    /// no ε-input arc, so the caller can skip it without a scan. A
-    /// state beyond the arena cap always yields its arcs.
+    /// The decoded arcs of `s` (with their footprints when `observe`)
+    /// for the ε-closure: `None` when `s` has no ε-input arc, so the
+    /// caller can skip it without a scan. A state beyond the arena cap
+    /// always yields its arcs.
     #[inline]
     pub(crate) fn eps_arcs<A: AmSource + ?Sized>(
         &mut self,
         am: &A,
         s: StateId,
-    ) -> Option<&[ArcVisit]> {
-        let (may_have_eps, arcs) = self.lookup(am, s).replay(s);
-        may_have_eps.then_some(arcs)
+        observe: bool,
+    ) -> Option<Replay<'_>> {
+        let (may_have_eps, replay) = self.lookup(am, s).replay(s, observe);
+        may_have_eps.then_some(replay)
     }
 
     /// Makes state `s` replayable: staged already (the hot path), or
@@ -408,43 +448,52 @@ impl ArcStage {
         self
     }
 
-    /// `(may have an ε-input arc, decoded arcs)` of a state
+    /// `(may have an ε-input arc, replay)` of a state
     /// [`ArcStage::lookup`] just made replayable: its span, or the
-    /// transient buffer when it lies past the cap.
+    /// transient buffer when it lies past the cap. The footprints are
+    /// read only when `observe`, and an observing decode's bind put
+    /// the stage in observing mode, so they are there.
     #[inline(always)]
-    fn replay(&self, s: StateId) -> (bool, &[ArcVisit]) {
+    fn replay(&self, s: StateId, observe: bool) -> (bool, Replay<'_>) {
+        debug_assert!(!observe || self.observing, "observed replay, blind stage");
         let (start, packed) = self.spans[s as usize];
         if start == Self::UNSTAGED {
-            return (true, &self.tmp);
+            let footprints: &[Fetch] = if observe { &self.tmp_footprints } else { &[] };
+            return (true, (&self.tmp, footprints));
         }
         let (start, len) = (start as usize, (packed & !Self::EPS_FLAG) as usize);
+        let span = start..start + len;
+        let footprints: &[Fetch] = if observe {
+            &self.footprints[span.clone()]
+        } else {
+            &[]
+        };
         (
             packed & Self::EPS_FLAG != 0,
-            &self.arena[start..start + len],
+            (&self.arena[span], footprints),
         )
     }
 
     /// First visit to state `s`: decodes its arcs into the arena and
     /// records the span, or, past the cap, into the transient buffer.
+    /// Footprints go beside them in observing mode.
     #[cold]
     #[inline(never)]
     fn stage<A: AmSource + ?Sized>(&mut self, am: &A, s: StateId) {
+        let observing = self.observing;
         if self.arena.len() < self.cap() {
             let start = self.arena.len();
-            let arena = &mut self.arena;
-            let mut eps = false;
-            am.for_each_arc(s, &mut |v| {
-                eps |= v.arc.ilabel == EPSILON;
-                arena.push(v);
-            });
+            let footprints = observing.then_some(&mut self.footprints);
+            let eps = unpack(am, s, &mut self.arena, footprints);
             let len = (self.arena.len() - start) as u32;
             debug_assert!(len < Self::EPS_FLAG, "state {s}: {len} arcs");
             let flag = if eps { Self::EPS_FLAG } else { 0 };
             self.spans[s as usize] = (start as u32, len | flag);
         } else {
             self.tmp.clear();
-            let tmp = &mut self.tmp;
-            am.for_each_arc(s, &mut |v| tmp.push(v));
+            self.tmp_footprints.clear();
+            let footprints = observing.then_some(&mut self.tmp_footprints);
+            unpack(am, s, &mut self.tmp, footprints);
         }
     }
 
@@ -469,6 +518,32 @@ impl ArcStage {
     pub(crate) fn staged_visits(&self) -> usize {
         self.arena.len()
     }
+
+    /// Whether a footprint lane was ever allocated (test hook).
+    #[cfg(test)]
+    pub(crate) fn holds_footprints(&self) -> bool {
+        self.footprints.capacity() + self.tmp_footprints.capacity() > 0
+    }
+}
+
+/// Appends the arcs of AM state `s` to `arcs`, and their fetch
+/// footprints to `footprints` when given. Returns whether any of them
+/// is an ε-input arc.
+fn unpack<A: AmSource + ?Sized>(
+    am: &A,
+    s: StateId,
+    arcs: &mut Vec<Arc>,
+    mut footprints: Option<&mut Vec<Fetch>>,
+) -> bool {
+    let mut eps = false;
+    am.for_each_arc(s, &mut |v| {
+        eps |= v.arc.ilabel == EPSILON;
+        arcs.push(v.arc);
+        if let Some(lane) = footprints.as_deref_mut() {
+            lane.push((v.addr, v.bytes));
+        }
+    });
+    eps
 }
 
 /// Per-decoder (or per-worker) reusable working memory for the
@@ -622,24 +697,64 @@ mod tests {
     #[test]
     fn arc_stage_replays_identically_and_memoizes() {
         let (am, _) = models();
-        let mut stage = ArcStage::default();
-        stage.reset(am.num_states());
         let s = am.start();
         let mut direct = Vec::new();
         am.for_each_arc(s, &mut |v| direct.push(v));
         assert!(!direct.is_empty(), "start state should have arcs");
-        assert_eq!(
-            stage.arcs_and_eps(&am, s).0,
-            &direct[..],
-            "staging pass diverged"
+        let arcs: Vec<Arc> = direct.iter().map(|v| v.arc).collect();
+        let footprints: Vec<Fetch> = direct.iter().map(|v| (v.addr, v.bytes)).collect();
+        for observe in [false, true] {
+            let mut stage = ArcStage::default();
+            stage.reset(am.num_states(), observe);
+            let want: (&[Arc], &[Fetch]) = (&arcs, if observe { &footprints } else { &[] });
+            assert_eq!(
+                stage.arcs_and_eps(&am, s, observe).0,
+                want,
+                "observe={observe}: staging pass diverged"
+            );
+            let staged = stage.staged_visits();
+            assert_eq!(
+                stage.arcs_and_eps(&am, s, observe).0,
+                want,
+                "observe={observe}: replay diverged"
+            );
+            assert_eq!(
+                stage.staged_visits(),
+                staged,
+                "observe={observe}: revisit must replay, not re-stage"
+            );
+            assert_eq!(stage.holds_footprints(), observe, "observe={observe}");
+        }
+    }
+
+    #[test]
+    fn first_observing_bind_restages_with_footprints_for_good() {
+        let (am, _) = models();
+        let s = am.start();
+        let mut footprints = Vec::new();
+        am.for_each_arc(s, &mut |v| footprints.push((v.addr, v.bytes)));
+        let mut work = WorkScratch::new();
+        work.bind_arc_stage(&am, false);
+        let _ = work.arc_stage.arcs_and_eps(&am, s, false);
+        assert!(work.arc_stage.staged_visits() > 0);
+        assert!(
+            !work.arc_stage.holds_footprints(),
+            "a blind stage kept footprints"
         );
-        let staged = stage.staged_visits();
-        assert_eq!(stage.arcs_and_eps(&am, s).0, &direct[..], "replay diverged");
-        assert_eq!(
-            stage.staged_visits(),
-            staged,
-            "revisit must replay, not re-stage"
-        );
+        // The switch drops the spans staged without footprints...
+        work.bind_arc_stage(&am, true);
+        assert_eq!(work.arc_stage.staged_visits(), 0, "switch kept blind spans");
+        let ((_, got), _) = work.arc_stage.arcs_and_eps(&am, s, true);
+        assert_eq!(got, &footprints[..]);
+        let staged = work.arc_stage.staged_visits();
+        // ...and from then on binds of either kind keep the memo warm,
+        // still recording footprints.
+        for observe in [false, true, false] {
+            work.bind_arc_stage(&am, observe);
+            assert_eq!(work.arc_stage.staged_visits(), staged, "observe={observe}");
+            let ((_, got), _) = work.arc_stage.arcs_and_eps(&am, s, true);
+            assert_eq!(got, &footprints[..], "observe={observe}");
+        }
     }
 
     #[test]
@@ -648,7 +763,7 @@ mod tests {
         for topology in [HmmTopology::Kaldi3State, HmmTopology::Ctc] {
             let am = build_am(&lex, topology).fst;
             let mut stage = ArcStage::default();
-            stage.reset(am.num_states());
+            stage.reset(am.num_states(), false);
             let mut flagged = 0;
             for s in 0..am.num_states() as StateId {
                 let mut eps_arcs = 0;
@@ -656,7 +771,7 @@ mod tests {
                 // First visit stages the state; the second reads the
                 // flag back from its span.
                 for visit in ["staging", "replay"] {
-                    let got = stage.eps_arcs(&am, s).is_some();
+                    let got = stage.eps_arcs(&am, s, false).is_some();
                     assert_eq!(got, eps_arcs > 0, "{topology:?} state {s} ({visit})");
                 }
                 flagged += usize::from(eps_arcs > 0);
@@ -673,15 +788,15 @@ mod tests {
     fn bind_arc_stage_keeps_memo_for_same_am_and_resets_on_switch() {
         let (am, other) = models();
         let mut work = WorkScratch::new();
-        work.bind_arc_stage(&am);
-        let _ = work.arc_stage.arcs_and_eps(&am, am.start());
+        work.bind_arc_stage(&am, false);
+        let _ = work.arc_stage.arcs_and_eps(&am, am.start(), false);
         let staged = work.arc_stage.staged_visits();
         assert!(staged > 0);
         // Same AM: warm across utterances, like the OLT.
-        work.bind_arc_stage(&am);
+        work.bind_arc_stage(&am, false);
         assert_eq!(work.arc_stage.staged_visits(), staged);
         // Different AM: stale spans describe the old arc layout.
-        work.bind_arc_stage(&other);
+        work.bind_arc_stage(&other, false);
         assert_eq!(
             work.arc_stage.staged_visits(),
             0,
@@ -694,14 +809,14 @@ mod tests {
         let (am, _) = models();
         let mut work = WorkScratch::new();
         work.bind_olt_model(1);
-        work.bind_arc_stage(&am);
-        let _ = work.arc_stage.arcs_and_eps(&am, am.start());
+        work.bind_arc_stage(&am, false);
+        let _ = work.arc_stage.arcs_and_eps(&am, am.start(), false);
         assert!(work.arc_stage.staged_visits() > 0);
         // A model-generation change is the ABA-safe invalidation path:
         // the next bind must restart the arena cold even though the AM
         // sits at the same address.
         work.bind_olt_model(2);
-        work.bind_arc_stage(&am);
+        work.bind_arc_stage(&am, false);
         assert_eq!(work.arc_stage.staged_visits(), 0);
     }
 

@@ -2,7 +2,10 @@
 //! sums, per thread, the bytes requested while a warm decoder runs:
 //!
 //! - a warm `OtfDecoder::decode_with` allocates only its result, the
-//!   word and frame lanes of the `DecodeResult` it returns;
+//!   word and frame lanes of the `DecodeResult` it returns. That holds
+//!   over `NullSink`, whose decodes stage arcs without their fetch
+//!   footprints, and over an observing sink once the scratch has
+//!   switched to staging them and is warm again;
 //! - a warm `StreamSession` seed plus `push_frame` loop allocates
 //!   nothing for the expansion tape, which is pruned on the way. What
 //!   it does allocate is the parked lanes (`TokenLanes::park`): they
@@ -18,7 +21,8 @@ use std::cell::Cell;
 
 use unfold_am::{build_am, synthesize_utterance, AcousticScores, HmmTopology, Lexicon, NoiseModel};
 use unfold_decoder::{
-    DecodeConfig, DecodeScratch, NullSink, OtfDecoder, StreamSession, WorkScratch,
+    CountingSink, DecodeConfig, DecodeScratch, NullSink, OtfDecoder, StreamSession, TraceSink,
+    WorkScratch,
 };
 use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
 use unfold_wfst::Wfst;
@@ -98,6 +102,50 @@ fn a_warm_decode_allocates_only_its_result() {
             bytes, lanes,
             "utterance {i}: {bytes} bytes allocated, {lanes} of them the result's lanes"
         );
+    }
+}
+
+/// Warms one scratch over `NullSink`, then over a `CountingSink`,
+/// which switches the arc stage to staging fetch footprints and
+/// restages what it visits, then checks that warm decodes over either
+/// sink allocate only their result lanes: the footprint lane grows no
+/// more once warm.
+#[test]
+fn after_the_switch_to_footprints_a_warm_observed_decode_allocates_only_its_result() {
+    let (am, lm, utts) = task();
+    let dec = OtfDecoder::new(DecodeConfig::default());
+    let mut scratch = DecodeScratch::new();
+    dec.decode_with(&am, &lm, &utts[0], &mut scratch, &mut NullSink);
+    dec.decode_with(
+        &am,
+        &lm,
+        &utts[0],
+        &mut scratch,
+        &mut CountingSink::default(),
+    );
+    for (i, scores) in utts.iter().enumerate() {
+        for observed in [true, false] {
+            let mut counting = CountingSink::default();
+            let sink: &mut dyn TraceSink = if observed {
+                &mut counting
+            } else {
+                &mut NullSink
+            };
+            let (bytes, result) =
+                allocated_during(|| dec.decode_with(&am, &lm, scores, &mut scratch, sink));
+            assert!(result.is_complete(), "utterance {i} decoded nothing");
+            assert_eq!(
+                counting.am_arc_fetches > 0,
+                observed,
+                "utterance {i}: observed {observed}"
+            );
+            let lanes = 4 * (result.words.len() + result.word_frames.len());
+            assert_eq!(
+                bytes, lanes,
+                "utterance {i}, observed {observed}: {bytes} bytes allocated, \
+                 {lanes} of them the result's lanes"
+            );
+        }
     }
 }
 

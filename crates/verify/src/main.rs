@@ -1,7 +1,9 @@
 //! `unfold-verify`: run a randomized differential campaign from the
 //! command line. Exits 1 when any case diverges (or on bad flags), so
-//! CI can gate on it directly.
+//! CI can gate on it directly. The exit status is the campaign's even
+//! when the reader of its output stops early (`| head -1`).
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -87,8 +89,9 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
-        "campaign: {} cases, seed {}, mutation {}, {} jobs{}",
+    let mut out = Output::new();
+    out.emit(&format!(
+        "campaign: {} cases, seed {}, mutation {}, {} jobs{}\n",
         config.cases,
         config.seed,
         config.mutation.name(),
@@ -96,7 +99,7 @@ fn main() -> ExitCode {
         config
             .only
             .map_or(String::new(), |c| format!(", check {c} only"))
-    );
+    ));
     let report = match run_campaign(&config) {
         Ok(r) => r,
         Err(e) => {
@@ -105,27 +108,64 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("{}/{} cases passed", report.passed, report.cases);
+    let mut text = format!("{}/{} cases passed\n", report.passed, report.cases);
     for d in &report.divergences {
-        println!("case {:04}: {}", d.index, d.divergence);
+        text += &format!("case {:04}: {}\n", d.index, d.divergence);
         if let Some(s) = &d.shrunk {
-            println!(
-                "  shrunk in {} steps ({} evals) to {} LM states, {} AM states, {} frames",
+            text += &format!(
+                "  shrunk in {} steps ({} evals) to {} LM states, {} AM states, {} frames\n",
                 s.steps, s.evals, s.lm_states, s.am_states, s.frames
             );
-            println!("  minimized: {}", s.divergence);
+            text += &format!("  minimized: {}\n", s.divergence);
         }
         if let Some(p) = &d.repro_path {
-            println!(
-                "  repro: {} (replay: unfold-cli verify --repro {0})",
+            text += &format!(
+                "  repro: {} (replay: unfold-cli verify --repro {0})\n",
                 p.display()
             );
         }
     }
+    out.emit(&text);
 
-    if report.is_clean() {
+    if report.is_clean() && out.ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+/// Standard output, written through a lock. A reader that closes the
+/// pipe early (`| head -1`) ends the output but not the campaign: the
+/// exit status stays the campaign's verdict. Any other write error is
+/// reported on stderr and fails the run.
+struct Output {
+    /// The reader closed the pipe: nothing more is written.
+    closed: bool,
+    /// No write failed other than by the pipe closing.
+    ok: bool,
+}
+
+impl Output {
+    fn new() -> Self {
+        Output {
+            closed: false,
+            ok: true,
+        }
+    }
+
+    fn emit(&mut self, text: &str) {
+        if self.closed {
+            return;
+        }
+        let mut out = io::stdout().lock();
+        match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+            Err(e) => {
+                eprintln!("error: writing to stdout: {e}");
+                self.closed = true;
+                self.ok = false;
+            }
+        }
     }
 }
