@@ -80,6 +80,11 @@ impl<L: LmSource + ?Sized> LmSource for BiasedLm<'_, L> {
         self.base.backoff(s)
     }
 
+    fn max_backoff_hops(&self) -> u32 {
+        // Back-off arcs are the base LM's, verbatim.
+        self.base.max_backoff_hops()
+    }
+
     fn prefetch_state(&self, s: StateId) {
         let (base, _) = self.packing.split(s);
         self.base.prefetch_state(base);

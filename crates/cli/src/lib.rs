@@ -4,14 +4,15 @@
 //!
 //! Subcommands:
 //!
-//! * `build`    — build a task's models and write the compressed
-//!   `.unfa`/`.unfl` files plus an ARPA dump of the LM,
 //! * `pack`     — build a task's models and write one `.unfb` bundle
-//!   (AM + one or more named LMs + symbols + metadata),
+//!   (AM + one or more named LMs + symbols + metadata), plus the
+//!   default LM's ARPA text next to it,
 //! * `inspect`  — print a bundle's section table and metadata after
-//!   verifying every checksum,
-//! * `decode`   — load compressed models and decode synthesized test
-//!   utterances, printing transcripts and WER,
+//!   verifying every checksum and binding its models (the structural
+//!   walk),
+//! * `decode`   — decode synthesized test utterances against the task's
+//!   generated models or a packed bundle, printing transcripts and
+//!   WER,
 //! * `simulate` — run the accelerator model (UNFOLD or the baseline)
 //!   over a task and print the performance/energy summary,
 //! * `profile`  — decode with telemetry enabled and print the stage
@@ -44,7 +45,7 @@ use unfold::experiments::{
     run_unfold_traced_jobs, SystemRun,
 };
 use unfold::{decode_batch_recorded, pack_system, AmModel, LmModel, Models, System, TaskSpec};
-use unfold_compress::{load_am, load_lm, save_am, save_lm, Bundle};
+use unfold_compress::Bundle;
 use unfold_decoder::{
     nbest_list, wer, DecodeConfig, DecodeResult, DecodeScratch, MetricsSink, NullSink, OtfDecoder,
     TraceSink, WerReport, WordLattice,
@@ -60,12 +61,13 @@ pub const USAGE: &str = "\
 usage: unfold-cli <command> [options]
 
 commands:
-  build    --task <name> --out <dir>        build models, write .unfa/.unfl/.arpa
   pack     --task <name> --out <file>       build models, write one .unfb bundle
            [--lm-variants N]                ... with N extra domain-variant LMs
-  inspect  --bundle <file> [--mmap]         verify + print a bundle's section table
+                                                (and the LM's ARPA text beside it,
+                                                <file> with extension .arpa)
+  inspect  --bundle <file> [--mmap]         verify + bind a bundle, print its
+                                                section table
   decode   --task <name> [--utterances N]   decode test utterances (WER report)
-           [--am <file> --lm <file>]        ... using previously saved models
            [--bundle <file> [--mmap]]       ... using a packed bundle (zero-copy
            [--model <lm-name>]                  with --mmap), picking a bundled LM
            [--nbest K]                      ... printing K-best hypotheses
@@ -279,7 +281,6 @@ pub fn run(args: &[String]) -> Result<String, Error> {
         .split_first()
         .ok_or_else(|| Error::Usage("no command given".into()))?;
     match cmd.as_str() {
-        "build" => cmd_build(rest),
         "pack" => cmd_pack(rest),
         "inspect" => cmd_inspect(rest),
         "decode" => cmd_decode(rest),
@@ -305,36 +306,6 @@ fn resolve_jobs(n: usize) -> usize {
     }
 }
 
-fn cmd_build(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &[])?;
-    let spec = task_by_name(flags.require("task")?)?;
-    let out = PathBuf::from(flags.require("out")?);
-    std::fs::create_dir_all(&out)?;
-    let system = System::build(&spec);
-    let am_path = out.join(format!("{}.unfa", spec.name));
-    let lm_path = out.join(format!("{}.unfl", spec.name));
-    let arpa_path = out.join(format!("{}.arpa", spec.name));
-    save_am(&system.am_comp, &am_path)?;
-    save_lm(&system.lm_comp, &lm_path)?;
-    std::fs::write(&arpa_path, unfold_lm::to_arpa(&system.lm_model))?;
-    let mut s = String::new();
-    let _ = writeln!(s, "task: {}", spec.name);
-    let _ = writeln!(
-        s,
-        "AM:   {} ({} bytes)",
-        am_path.display(),
-        system.am_comp.size_bytes()
-    );
-    let _ = writeln!(
-        s,
-        "LM:   {} ({} bytes)",
-        lm_path.display(),
-        system.lm_comp.size_bytes()
-    );
-    let _ = writeln!(s, "ARPA: {}", arpa_path.display());
-    Ok(s)
-}
-
 fn cmd_pack(args: &[String]) -> Result<String, Error> {
     let flags = Flags::parse(args, &[])?;
     let spec = task_by_name(flags.require("task")?)?;
@@ -351,6 +322,8 @@ fn cmd_pack(args: &[String]) -> Result<String, Error> {
         }
     }
     std::fs::write(&out, &bytes)?;
+    let arpa = out.with_extension("arpa");
+    std::fs::write(&arpa, unfold_lm::to_arpa(&system.lm_model))?;
     let bundle = Bundle::from_bytes(bytes)?;
     let mut s = String::new();
     let _ = writeln!(s, "task:   {}", spec.name);
@@ -362,6 +335,7 @@ fn cmd_pack(args: &[String]) -> Result<String, Error> {
         bundle.sections().len()
     );
     let _ = writeln!(s, "LMs:    {}", bundle.lm_names().join(", "));
+    let _ = writeln!(s, "ARPA:   {}", arpa.display());
     Ok(s)
 }
 
@@ -430,10 +404,15 @@ fn cmd_inspect(args: &[String]) -> Result<String, Error> {
         Bundle::open(path.as_ref())?
     };
     // `inspect` is the integrity check, so verify everything eagerly
-    // even on a lazily-checked mmap open.
+    // even on a lazily-checked mmap open, then bind the models: a
+    // bundle sealed with valid checksums can still be structurally
+    // bad, and binding is what walks the arcs.
     bundle.verify_all()?;
-    let mut s = bundle_report(&bundle, path);
+    let models = Models::from_bundle(bundle)?;
+    let bundle = models.bundle().expect("bound from a bundle");
+    let mut s = bundle_report(bundle, path);
     let _ = writeln!(s, "checksums: all sections verified");
+    let _ = writeln!(s, "models: AM and {} LM(s) bound", models.lm_names().len());
     Ok(s)
 }
 
@@ -460,27 +439,16 @@ fn export_metrics(metrics: &MetricsSink, path: &str) -> Result<String, Error> {
     ))
 }
 
-/// Resolves the models a `decode` invocation runs against — packed
-/// bundle (owned or mmap), saved `.unfa`/`.unfl` pair, or the task's
-/// generated models — always through the [`Models`] facade so every
-/// origin decodes through one code path.
+/// Resolves the models a `decode` invocation runs against — a packed
+/// bundle (owned or mmap) or the task's generated models — always
+/// through the [`Models`] facade so every origin decodes through one
+/// code path.
 fn decode_models(flags: &Flags, system: &System) -> Result<Models, Error> {
-    match (flags.get("bundle"), flags.get("am"), flags.get("lm")) {
-        (Some(path), None, None) => Ok(if flags.has("mmap") {
-            Models::open_mmap(path.as_ref())?
-        } else {
-            Models::open(path.as_ref())?
-        }),
-        (Some(_), _, _) => Err(Error::Usage(
-            "--bundle replaces --am/--lm; give one or the other".into(),
-        )),
-        (None, Some(a), Some(l)) => Ok(Models::from_parts(
-            load_am(a.as_ref())?,
-            vec![(unfold::DEFAULT_LM.to_string(), load_lm(l.as_ref())?)],
-        )),
-        (None, None, None) => Ok(Models::from_system(system)),
-        _ => Err(Error::Usage("--am and --lm must be given together".into())),
-    }
+    Ok(match flags.get("bundle") {
+        Some(path) if flags.has("mmap") => Models::open_mmap(path.as_ref())?,
+        Some(path) => Models::open(path.as_ref())?,
+        None => Models::from_system(system),
+    })
 }
 
 fn cmd_decode(args: &[String]) -> Result<String, Error> {
@@ -1104,8 +1072,8 @@ mod tests {
     fn missing_flags_are_reported() {
         let err = run(&sv(&["sizes"])).unwrap_err();
         assert!(err.to_string().contains("--task"));
-        let err = run(&sv(&["decode", "--task", "tiny", "--am", "x"])).unwrap_err();
-        assert!(err.to_string().contains("together"));
+        let err = run(&sv(&["pack", "--task", "tiny"])).unwrap_err();
+        assert!(err.to_string().contains("--out"));
     }
 
     #[test]
@@ -1297,31 +1265,29 @@ mod tests {
     }
 
     #[test]
-    fn build_then_decode_from_files() {
+    fn pack_writes_the_arpa_text_then_decode_reads_the_bundle() {
         let dir = std::env::temp_dir().join(format!("unfold-cli-{}", std::process::id()));
+        let bundle = dir.join("tiny.unfb");
         let out = run(&sv(&[
-            "build",
+            "pack",
             "--task",
             "tiny",
             "--out",
-            dir.to_str().unwrap(),
+            bundle.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(out.contains(".unfa") || out.contains("AM:"));
-        let am = dir.join("tiny.unfa");
-        let lm = dir.join("tiny.unfl");
-        assert!(am.exists() && lm.exists());
-        assert!(dir.join("tiny.arpa").exists());
+        let arpa = dir.join("tiny.arpa");
+        assert!(out.contains(arpa.to_str().unwrap()), "in:\n{out}");
+        let text = std::fs::read_to_string(&arpa).unwrap();
+        assert!(text.starts_with("\\data\\"), "not ARPA:\n{text}");
         let decoded = run(&sv(&[
             "decode",
             "--task",
             "tiny",
             "--utterances",
             "1",
-            "--am",
-            am.to_str().unwrap(),
-            "--lm",
-            lm.to_str().unwrap(),
+            "--bundle",
+            bundle.to_str().unwrap(),
         ]))
         .unwrap();
         assert!(decoded.contains("WER:"));
@@ -1349,6 +1315,10 @@ mod tests {
         let inspected = run(&sv(&["inspect", "--bundle", bundle.to_str().unwrap()])).unwrap();
         assert!(inspected.contains("meta.task: tiny"), "in:\n{inspected}");
         assert!(inspected.contains("all sections verified"));
+        assert!(
+            inspected.contains("models: AM and 2 LM(s) bound"),
+            "in:\n{inspected}"
+        );
         assert!(inspected.contains("default"), "in:\n{inspected}");
         let mapped = run(&sv(&[
             "inspect",
@@ -1417,20 +1387,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("variant-1"), "got: {err}");
-        // Conflicting model sources are refused.
-        let err = run(&sv(&[
-            "decode",
-            "--task",
-            "tiny",
-            "--bundle",
-            bundle.to_str().unwrap(),
-            "--am",
-            "x.unfa",
-            "--lm",
-            "x.unfl",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, Error::Usage(_)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1461,6 +1417,62 @@ mod tests {
             "bundle errors keep their cause chain"
         );
         assert_eq!(Error::Usage("x".into()).exit_code(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn inspect_binds_the_models_and_refuses_a_structurally_bad_bundle() {
+        use unfold_compress::{crc64, BundleError, ModelIoError, SectionKind};
+        let dir = std::env::temp_dir().join(format!("unfold-walk-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bundle = dir.join("tiny.unfb");
+        run(&sv(&[
+            "pack",
+            "--task",
+            "tiny",
+            "--out",
+            bundle.to_str().unwrap(),
+        ]))
+        .unwrap();
+        // Re-tag state 0's first arc (the first two bits of the AM's
+        // arc stream) as a -1 arc, then re-seal the section checksum
+        // and the table checksum: every CRC holds, the structure does
+        // not.
+        let mut bytes = std::fs::read(&bundle).unwrap();
+        let clean = Bundle::from_bytes(bytes.clone()).unwrap();
+        let am = clean
+            .sections()
+            .iter()
+            .find(|s| s.kind == SectionKind::Am)
+            .unwrap();
+        let stream = am.offset + am.len - clean.am_layout().unwrap().arc_stream_bytes();
+        bytes[stream] = (bytes[stream] & !0b11) | 0b01;
+        let table_end = 16 + u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let at = bytes[..table_end]
+            .windows(8)
+            .position(|w| w == am.crc.to_le_bytes())
+            .unwrap();
+        let crc = crc64(&bytes[am.offset..am.offset + am.len]);
+        bytes[at..at + 8].copy_from_slice(&crc.to_le_bytes());
+        let crc = crc64(&bytes[..table_end]);
+        bytes[table_end..table_end + 8].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&bundle, &bytes).unwrap();
+
+        for mmap in [false, true] {
+            let mut args = sv(&["inspect", "--bundle", bundle.to_str().unwrap()]);
+            if mmap {
+                args.push("--mmap".into());
+            }
+            let err = run(&args).unwrap_err();
+            assert_eq!(err.exit_code(), 1);
+            match err {
+                Error::Bundle(BundleError::Model { section, err }) => {
+                    assert_eq!(section, "am");
+                    assert_eq!(err, ModelIoError::Corrupt("-1 arc from state 0"));
+                }
+                other => panic!("mmap {mmap}: {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

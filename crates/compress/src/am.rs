@@ -48,15 +48,16 @@ pub struct AmLayout {
     normal_arcs: u64,
     quant: WeightQuantizer,
     extents: Extents,
+    /// Largest PDF id on any arc, recorded by the structural walk (0
+    /// in a header-only parse).
+    max_pdf: u32,
 }
 
 impl AmLayout {
     /// Parses the header of a serialized AM, validating counts, the
-    /// codebook, section bounds, and state-record sanity (monotone
-    /// offsets within the stream). O(states); the arc stream is not
-    /// read — binding a bundle section relies on its checksum for the
-    /// payload, while [`CompressedAm::from_bytes`] adds the full
-    /// structural walk.
+    /// codebook and section bounds. Neither the state table nor the arc
+    /// stream is read: binding a model ([`CompressedAm::from_bundle`])
+    /// adds the structural walk over both.
     ///
     /// # Errors
     /// Returns [`ModelIoError`] on bad magic/version, truncation, or a
@@ -72,26 +73,6 @@ impl AmLayout {
         let normal_arcs = r.u64()?;
         let quant = r.codebook()?;
         let extents = r.extents(num_states, STATE_REC_BYTES)?;
-        // Cheap state-table sweep: offsets monotone and every block's
-        // minimum extent (20 bits/arc) inside the stream.
-        let (states, _) = extents.split(bytes);
-        let len_bits = extents.len_bits();
-        let mut prev = 0u64;
-        for i in 0..num_states {
-            let off = rd_u64(states, i * STATE_REC_BYTES);
-            let narcs = u64::from(rd_u32(states, i * STATE_REC_BYTES + 8));
-            if off < prev || off > len_bits {
-                return Err(ModelIoError::Corrupt("state offsets not monotone"));
-            }
-            if narcs
-                .checked_mul(u64::from(SHORT_ARC_BITS))
-                .and_then(|n| n.checked_add(off))
-                .is_none_or(|end| end > len_bits)
-            {
-                return Err(ModelIoError::Corrupt("arc block past end of stream"));
-            }
-            prev = off;
-        }
         Ok(AmLayout {
             num_states,
             start,
@@ -99,7 +80,26 @@ impl AmLayout {
             normal_arcs,
             quant,
             extents,
+            max_pdf: 0,
         })
+    }
+
+    /// `bytes`, the section this layout was parsed from, read through
+    /// it.
+    #[inline]
+    fn view<'a>(&'a self, bytes: &'a [u8]) -> View<'a> {
+        let (states, bits) = self.extents.split(bytes);
+        View {
+            layout: self,
+            states,
+            bits,
+        }
+    }
+
+    /// The structural walk [`AmLayout::parse`] skips, over `bytes`, the
+    /// section this layout was parsed from; returns the largest PDF id.
+    pub(crate) fn walk(&self, bytes: &[u8]) -> Result<u32, ModelIoError> {
+        self.view(bytes).walk()
     }
 
     /// Number of states.
@@ -163,17 +163,9 @@ impl View<'_> {
             off += u64::from(SHORT_ARC_BITS);
             let (olabel, dest, width) = match tag {
                 TAG_SELF => (EPSILON, s, SHORT_ARC_BITS),
-                TAG_NEXT => {
-                    assert!(
-                        (s as usize) + 1 < self.layout.num_states,
-                        "corrupt AM stream: +1 arc from last state {s}"
-                    );
-                    (EPSILON, s + 1, SHORT_ARC_BITS)
-                }
-                TAG_PREV => {
-                    assert!(s != 0, "corrupt AM stream: -1 arc from state 0");
-                    (EPSILON, s - 1, SHORT_ARC_BITS)
-                }
+                // The walk proved ±1 arcs stay inside the state range.
+                TAG_NEXT => (EPSILON, s + 1, SHORT_ARC_BITS),
+                TAG_PREV => (EPSILON, s - 1, SHORT_ARC_BITS),
                 _ => {
                     let word = self.bits.read(off, WORD_BITS) as u32;
                     let dest = self.bits.read(off + u64::from(WORD_BITS), AM_DEST_BITS) as u32;
@@ -185,18 +177,38 @@ impl View<'_> {
         }
     }
 
-    /// The full structural walk [`AmLayout::parse`] skips — arc tags,
-    /// destinations, block contiguity. O(arcs).
-    fn validate(&self) -> Result<(), ModelIoError> {
+    /// The structural walk [`AmLayout::parse`] skips — state offsets,
+    /// arc tags, destinations, weight indices, block contiguity —
+    /// proving every read [`View::for_each_arc`] makes. Returns the
+    /// largest PDF id on any arc. O(states + arcs).
+    fn walk(&self) -> Result<u32, ModelIoError> {
         let len = self.bits.len_bits();
         let n = self.layout.num_states as u32;
+        // Any 6-bit index names a centroid of a full codebook, so only
+        // a smaller one costs a read per arc.
+        let clusters = self.layout.quant.num_clusters() as u64;
+        let check_weights = clusters < 1 << WEIGHT_BITS;
+        let bad_weight = |off: u64| check_weights && self.bits.read(off, WEIGHT_BITS) >= clusters;
+        let mut max_pdf = 0u32;
         for i in 0..n {
             let (mut off, narcs, _, _) = self.rec(i);
+            // Bounded offsets keep the sums below from overflowing; each
+            // block ending where the next begins (checked below) keeps
+            // them in order.
+            if off > len {
+                return Err(ModelIoError::Corrupt("arc past end of stream"));
+            }
             for _ in 0..narcs {
                 if off + u64::from(SHORT_ARC_BITS) > len {
                     return Err(ModelIoError::Corrupt("arc past end of stream"));
                 }
-                let tag = self.bits.read(off, TAG_BITS);
+                // The tag and the PDF id are adjacent: one read.
+                let head = self.bits.read(off, TAG_BITS + PDF_BITS);
+                let tag = head & ((1 << TAG_BITS) - 1);
+                max_pdf = max_pdf.max((head >> TAG_BITS) as u32);
+                if bad_weight(off + u64::from(TAG_BITS + PDF_BITS)) {
+                    return Err(ModelIoError::Corrupt("weight index past the codebook"));
+                }
                 let width = u64::from(if tag == TAG_NORMAL {
                     FULL_ARC_BITS
                 } else {
@@ -227,7 +239,7 @@ impl View<'_> {
                 return Err(ModelIoError::Corrupt("arc blocks not contiguous"));
             }
         }
-        Ok(())
+        Ok(max_pdf)
     }
 }
 
@@ -310,42 +322,34 @@ impl CompressedAm {
         out.codebook(&quant);
         out.out.extend(recs.out);
         out.arc_stream(&w.finish());
-        let layout = AmLayout::parse(&out.out).expect("a freshly compressed AM parses");
+        let mut layout = AmLayout::parse(&out.out).expect("a freshly compressed AM parses");
+        layout.max_pdf = layout
+            .walk(&out.out)
+            .expect("a freshly compressed AM is well formed");
         CompressedAm {
             bytes: SectionBytes::Owned(out.out.into()),
             layout,
         }
     }
 
-    /// Deserializes from the `UNFA` container, validating structure
-    /// (offsets, arc bounds, destinations) before returning.
-    ///
-    /// # Errors
-    /// Returns [`ModelIoError`] on bad magic/version, truncation, or
-    /// structurally invalid content.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
-        let am = CompressedAm {
-            layout: AmLayout::parse(bytes)?,
-            bytes: SectionBytes::Owned(bytes.into()),
-        };
-        am.view().validate()?;
-        Ok(am)
-    }
-
     /// Binds the AM section of a shared bundle without copying it:
-    /// verifies the section checksum (once per bundle, memoized) and
-    /// parses its header, O(states). The checksum pass runs here, not
-    /// per decode, because every later decode is infallible: a corrupt
-    /// payload must surface as this typed error, never as a mid-decode
-    /// panic. Holding the model keeps the bundle (and any mapping)
-    /// alive.
+    /// verifies the section checksum, parses its header, and walks
+    /// every arc once — tags, destinations, weight indices, block
+    /// contiguity — recording the largest PDF id. The checksum and the
+    /// walk each run once per bundle (memoized), here rather than per
+    /// decode, because every later decode is infallible: a corrupt or
+    /// structurally bad payload must surface as this typed error,
+    /// never as a mid-decode panic. Holding the model keeps the bundle
+    /// (and any mapping) alive.
     ///
     /// # Errors
-    /// [`BundleError::ChecksumMismatch`] on a corrupt payload, plus
+    /// [`BundleError::ChecksumMismatch`] on a corrupt payload,
+    /// [`BundleError::Model`] on a structurally invalid one, plus
     /// anything from [`Bundle::am_layout`].
     pub fn from_bundle(bundle: std::sync::Arc<Bundle>) -> Result<Self, BundleError> {
         let range = bundle.verified_range(SectionKind::Am, "am")?;
-        let layout = bundle.am_layout()?;
+        let mut layout = bundle.am_layout()?;
+        layout.max_pdf = bundle.walked(SectionKind::Am, "am", |bytes| layout.walk(bytes))?;
         Ok(CompressedAm {
             bytes: SectionBytes::Bundle(bundle, range),
             layout,
@@ -354,17 +358,19 @@ impl CompressedAm {
 
     #[inline]
     fn view(&self) -> View<'_> {
-        let (states, bits) = self.layout.extents.split(self.bytes.get());
-        View {
-            layout: &self.layout,
-            states,
-            bits,
-        }
+        self.layout.view(self.bytes.get())
     }
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
         self.layout.num_states
+    }
+
+    /// Largest PDF id on any arc (0 if every arc is ε-input): the
+    /// narrowest score row this AM decodes. Recorded by the structural
+    /// walk at bind or compression, so reading it is O(1).
+    pub fn max_pdf(&self) -> u32 {
+        self.layout.max_pdf
     }
 
     /// Number of arcs stored in the 20-bit short format.
@@ -410,11 +416,8 @@ impl CompressedAm {
     /// for the current arc, or the 20 bits for the next arc", §3.4).
     ///
     /// # Panics
-    /// Panics if `s` is out of range. A bundle-bound model's bytes are
-    /// checksum-verified but not walked, so a structurally invalid
-    /// stream (one a buggy packer sealed with a valid CRC) panics with
-    /// a diagnostic — in release builds too, never a silent index wrap.
-    /// [`CompressedAm::from_bytes`] rejects such streams up front.
+    /// Panics if `s` is out of range. Every model was walked at bind or
+    /// compression, so its arc stream is well formed.
     pub fn for_each_arc(&self, s: StateId, f: impl FnMut(Arc, u64, u32)) {
         self.view().for_each_arc(s, f);
     }
@@ -430,7 +433,7 @@ impl CompressedAm {
         out
     }
 
-    /// Serializes to the `UNFA` container (see [`crate::io`]): a copy of
+    /// Serializes to an `UNFA` section (see [`crate::io`]): a copy of
     /// the section bytes the model reads from.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.bytes.get().to_vec()
@@ -464,6 +467,49 @@ mod tests {
 
     fn am_fst() -> Wfst {
         build_am(&Lexicon::generate(200, 30, 5), HmmTopology::Kaldi3State).fst
+    }
+
+    /// The checks binding a bundle section runs (header parse, then the
+    /// structural walk), over bare section bytes.
+    fn load(bytes: &[u8]) -> Result<CompressedAm, ModelIoError> {
+        let mut layout = AmLayout::parse(bytes)?;
+        layout.max_pdf = layout.walk(bytes)?;
+        Ok(CompressedAm {
+            bytes: SectionBytes::Owned(bytes.into()),
+            layout,
+        })
+    }
+
+    #[test]
+    fn the_walk_records_the_largest_pdf_id() {
+        let fst = am_fst();
+        let want = fst
+            .states()
+            .flat_map(|s| fst.arcs(s).iter().map(|a| a.ilabel))
+            .max()
+            .unwrap();
+        let comp = CompressedAm::compress(&fst, 64, 0);
+        assert_eq!(comp.max_pdf(), want);
+        assert_eq!(load(&comp.to_bytes()).unwrap().max_pdf(), want);
+        assert_eq!(AmLayout::parse(&comp.to_bytes()).unwrap().max_pdf, 0);
+    }
+
+    #[test]
+    fn the_walk_rejects_weight_indices_past_a_small_codebook() {
+        // Four centroids: index 4..=63 names none. Raise state 0's
+        // first arc's weight index to 63.
+        let comp = CompressedAm::compress(&am_fst(), 4, 0);
+        let mut bytes = comp.to_bytes();
+        let stream = bytes.len() - comp.layout.arc_stream_bytes();
+        let off = comp.state_bit_offset(0) + u64::from(TAG_BITS + PDF_BITS);
+        for b in off..off + u64::from(WEIGHT_BITS) {
+            bytes[stream + (b / 8) as usize] |= 1 << (b % 8);
+        }
+        assert!(AmLayout::parse(&bytes).is_ok());
+        assert_eq!(
+            load(&bytes).unwrap_err(),
+            ModelIoError::Corrupt("weight index past the codebook")
+        );
     }
 
     #[test]
@@ -561,7 +607,7 @@ mod tests {
         let fst = am_fst();
         let comp = CompressedAm::compress(&fst, 64, 0);
         let bytes = comp.to_bytes();
-        let back = CompressedAm::from_bytes(&bytes).expect("valid container");
+        let back = load(&bytes).expect("valid section");
         assert_eq!(back.num_states(), comp.num_states());
         assert_eq!(back.short_arcs(), comp.short_arcs());
         for s in (0..comp.num_states() as StateId).step_by(17) {
@@ -573,20 +619,16 @@ mod tests {
 
     #[test]
     fn corrupt_bytes_are_rejected_not_panicked() {
-        use crate::io::ModelIoError;
         let comp = CompressedAm::compress(&am_fst(), 64, 0);
         let good = comp.to_bytes();
         // Bad magic.
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert_eq!(
-            CompressedAm::from_bytes(&bad).unwrap_err(),
-            ModelIoError::BadMagic
-        );
+        assert_eq!(load(&bad).unwrap_err(), ModelIoError::BadMagic);
         assert_eq!(AmLayout::parse(&bad).unwrap_err(), ModelIoError::BadMagic);
         // Truncated.
         assert_eq!(
-            CompressedAm::from_bytes(&good[..good.len() / 2]).unwrap_err(),
+            load(&good[..good.len() / 2]).unwrap_err(),
             ModelIoError::Truncated
         );
         assert_eq!(
@@ -602,14 +644,14 @@ mod tests {
         let k = u32::from_le_bytes(good[32..36].try_into().unwrap()) as usize;
         let state1_offset = 36 + k * 4 + 20;
         flipped[state1_offset] ^= 0xFF;
-        assert!(CompressedAm::from_bytes(&flipped).is_err());
+        assert!(load(&flipped).is_err());
     }
 
     #[test]
     fn full_load_also_checks_what_the_header_parse_defers() {
         // Re-tag state 0's first arc as "-1": the state table is
-        // untouched, so the header parse accepts the bytes, but the one
-        // deep validator `from_bytes` runs rejects them.
+        // untouched, so the header parse accepts the bytes, but the
+        // structural walk rejects them.
         let comp = CompressedAm::compress(&am_fst(), 64, 0);
         let mut bytes = comp.to_bytes();
         let stream = bytes.len() - comp.layout.arc_stream_bytes();
@@ -621,7 +663,7 @@ mod tests {
         }
         assert!(AmLayout::parse(&bytes).is_ok());
         assert_eq!(
-            CompressedAm::from_bytes(&bytes).unwrap_err(),
+            load(&bytes).unwrap_err(),
             ModelIoError::Corrupt("-1 arc from state 0")
         );
     }

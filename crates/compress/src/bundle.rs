@@ -2,7 +2,8 @@
 //!
 //! UNFOLD deploys as "tens of megabytes instead of a gigabyte" (§5.3);
 //! operationally that should be *one artifact*, not a scatter of
-//! `.unfa`/`.unfl` files that can drift apart. A bundle is a single
+//! per-model files that can drift apart. A bundle is the only on-disk
+//! form of the compressed models: a single
 //! versioned container holding a compressed AM, one or more *named*
 //! compressed LMs (the multi-LM serving workload of Liu et al.'s
 //! personalized-LM decoder), optional symbol tables, and metadata:
@@ -30,8 +31,13 @@
 //! or bound to a model ([`CompressedAm::from_bundle`] /
 //! [`CompressedLm::from_bundle`]). Opening a mapped bundle therefore
 //! never copies or hashes the arc bit streams; *binding* a model
-//! streams one CRC pass over its (mapped, page-cache backed) section so
-//! every later infallible decode reads verified bytes.
+//! streams one CRC pass over its (mapped, page-cache backed) section
+//! and then one structural walk over its arcs, both memoized per
+//! section, so every later infallible decode reads verified,
+//! well-formed bytes. A checksum is only as good as its producer: the
+//! walk is what turns a packer bug or a hostile file sealed with valid
+//! CRCs into a typed [`BundleError::Model`] instead of a mid-decode
+//! panic.
 
 use std::ops::Range;
 use std::path::Path;
@@ -349,6 +355,10 @@ pub struct Bundle {
     sections: Vec<SectionInfo>,
     /// Per-section payload-CRC verification memo (lazy on mmap opens).
     verified: Vec<AtomicBool>,
+    /// Per-section structural-walk memo: the fact a passing walk
+    /// records (the AM's largest PDF id, an LM's longest back-off
+    /// chain), set the first time a model binds the section.
+    walked: Vec<OnceLock<u32>>,
 }
 
 impl std::fmt::Debug for Bundle {
@@ -371,6 +381,7 @@ impl Bundle {
         let sections = parse_table(&bytes)?;
         let bundle = Bundle {
             verified: sections.iter().map(|_| AtomicBool::new(false)).collect(),
+            walked: sections.iter().map(|_| OnceLock::new()).collect(),
             sections,
             data: BundleData::Owned(bytes),
         };
@@ -401,6 +412,7 @@ impl Bundle {
         let sections = parse_table(mapped.as_bytes())?;
         Ok(Bundle {
             verified: sections.iter().map(|_| AtomicBool::new(false)).collect(),
+            walked: sections.iter().map(|_| OnceLock::new()).collect(),
             sections,
             data: BundleData::Mapped(mapped),
         })
@@ -464,14 +476,44 @@ impl Bundle {
         Ok(range)
     }
 
+    /// Runs `walk`, a model's structural walk, over the payload of
+    /// section (`kind`, `name`) the first time a model binds it, and
+    /// memoizes the fact it returns: a bundle is walked once however
+    /// many models bind it. Callers pass the checksum first
+    /// ([`Bundle::verified_range`]), so the section exists.
+    ///
+    /// # Errors
+    /// [`BundleError::Model`] carrying the walk's error (not memoized).
+    pub(crate) fn walked(
+        &self,
+        kind: SectionKind,
+        name: &str,
+        walk: impl FnOnce(&[u8]) -> Result<u32, ModelIoError>,
+    ) -> Result<u32, BundleError> {
+        let idx = self
+            .index_of(kind, name)
+            .expect("a verified section exists");
+        if let Some(&fact) = self.walked[idx].get() {
+            return Ok(fact);
+        }
+        let info = &self.sections[idx];
+        let fact = walk(&self.bytes()[info.offset..info.offset + info.len]).map_err(|err| {
+            BundleError::Model {
+                section: name.into(),
+                err,
+            }
+        })?;
+        Ok(*self.walked[idx].get_or_init(|| fact))
+    }
+
     /// Payload bytes *without* the checksum pass — for layout parsing
     /// only, which reads a section's fixed-size header (a total,
     /// fuzz-pinned parse that returns typed errors on any input). On
     /// owned opens every payload was already verified eagerly; on
     /// mapped opens this is exactly the path that must not fault in
     /// the arc bit streams. Anything that will *decode* the payload
-    /// (`from_bundle`) verifies the checksum first, so no decode path
-    /// ever runs on checksum-unverified bytes.
+    /// (`from_bundle`) verifies the checksum and walks the arcs first,
+    /// so no decode path ever runs on unverified bytes.
     ///
     /// # Errors
     /// [`BundleError::MissingSection`].
@@ -523,8 +565,8 @@ impl Bundle {
     }
 
     /// Parses the AM section header. Reads only the header bytes — no
-    /// arc-stream copy, and (on mapped bundles) no checksum pass over
-    /// the payload.
+    /// arc-stream copy, and (on mapped bundles) no checksum pass or
+    /// structural walk over the payload.
     ///
     /// # Errors
     /// Missing section or model-parse failures.

@@ -1,12 +1,13 @@
-//! Binary container format for the compressed models.
+//! Section formats of the compressed models.
 //!
 //! UNFOLD's deployment story is "ship tens of megabytes instead of a
 //! gigabyte" (§5.3: wearables with ≤1 GB of memory); that needs the
-//! compressed AM/LM to exist as *files*. This module defines a small
-//! little-endian container: magic + version, the state table, the
-//! K-means codebook, and the raw arc bit stream. Round-trips are exact
-//! (bit-for-bit), and loading validates structure rather than trusting
-//! the bytes.
+//! compressed AM/LM to exist as bytes on disk. They do so as the `UNFA`
+//! and `UNFL` sections of one `.unfb` bundle ([`crate::bundle`]). This
+//! module defines a section's little-endian layout: magic + version,
+//! the state table, the K-means codebook, and the raw arc bit stream.
+//! Round-trips are exact (bit-for-bit), and binding a section checks
+//! its structure rather than trusting the bytes.
 //!
 //! The serialized bytes *are* the in-memory model: a compressed model
 //! is its section bytes plus a parsed header, reading every field in
@@ -15,17 +16,15 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::am::CompressedAm;
 use crate::bits::{BitBuf, BitSlice};
 use crate::bundle::Bundle;
-use crate::lm::CompressedLm;
 use crate::quant::WeightQuantizer;
 
-/// Magic for serialized compressed AMs.
+/// Magic of a compressed-AM section.
 pub const AM_MAGIC: [u8; 4] = *b"UNFA";
-/// Magic for serialized compressed LMs.
+/// Magic of a compressed-LM section.
 pub const LM_MAGIC: [u8; 4] = *b"UNFL";
-/// Container format version.
+/// Section format version.
 pub const FORMAT_VERSION: u32 = 1;
 
 // Arc-record field widths of the §3.4 formats, each spelled once.
@@ -43,7 +42,7 @@ pub(crate) const AM_DEST_BITS: u32 = 20;
 pub(crate) const LM_DEST_BITS: u32 = 21;
 
 /// Where a compressed model's serialized section lives: a buffer of
-/// its own (`compress`, `from_bytes`), or a range of a ref-counted
+/// its own (`compress`), or a range of a ref-counted
 /// bundle whose bytes may be a read-only file mapping (`from_bundle`).
 /// Cloning shares the bytes.
 #[derive(Clone)]
@@ -86,7 +85,7 @@ pub(crate) fn rd_f32(b: &[u8], off: usize) -> f32 {
     f32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
 }
 
-/// Errors from loading a serialized model.
+/// Errors from parsing or walking a serialized model section.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelIoError {
     /// The magic bytes did not match.
@@ -292,42 +291,6 @@ impl ByteWriter {
     }
 }
 
-/// Convenience: write a compressed AM to a file.
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn save_am(am: &CompressedAm, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, am.to_bytes())
-}
-
-/// Convenience: load a compressed AM from a file.
-///
-/// # Errors
-/// Propagates I/O errors; corrupt files map to `InvalidData`.
-pub fn load_am(path: &std::path::Path) -> std::io::Result<CompressedAm> {
-    let bytes = std::fs::read(path)?;
-    CompressedAm::from_bytes(&bytes)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-/// Convenience: write a compressed LM to a file.
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn save_lm(lm: &CompressedLm, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, lm.to_bytes())
-}
-
-/// Convenience: load a compressed LM from a file.
-///
-/// # Errors
-/// Propagates I/O errors; corrupt files map to `InvalidData`.
-pub fn load_lm(path: &std::path::Path) -> std::io::Result<CompressedLm> {
-    let bytes = std::fs::read(path)?;
-    CompressedLm::from_bytes(&bytes)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,20 +322,25 @@ mod tests {
     }
 
     mod fuzz {
-        use crate::{AmLayout, CompressedAm, CompressedLm, LmLayout};
+        use crate::{AmLayout, LmLayout};
         use proptest::prelude::*;
+
+        /// What binding a section runs on its bytes: the header parse,
+        /// then the structural walk.
+        fn check(bytes: &[u8]) {
+            let _ = AmLayout::parse(bytes).and_then(|l| l.walk(bytes));
+            let _ = LmLayout::parse(bytes).and_then(|l| l.walk(bytes));
+        }
 
         proptest! {
             /// Arbitrary bytes must produce an error, never a panic or a
             /// structurally unsound model.
             #[test]
             fn random_bytes_never_panic_loaders(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
-                let _ = CompressedAm::from_bytes(&bytes);
-                let _ = CompressedLm::from_bytes(&bytes);
+                check(&bytes);
             }
 
-            /// The same for the parse-only path a bundle binding runs
-            /// (`from_bundle` parses the header, no deep walk).
+            /// The same for the header parse alone.
             #[test]
             fn random_bytes_never_panic_layout_parsers(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
                 let _ = AmLayout::parse(&bytes);
@@ -385,11 +353,11 @@ mod tests {
                 let mut am = super::AM_MAGIC.to_vec();
                 am.extend_from_slice(&1u32.to_le_bytes());
                 am.extend_from_slice(&bytes);
-                let _ = CompressedAm::from_bytes(&am);
+                check(&am);
                 let mut lm = super::LM_MAGIC.to_vec();
                 lm.extend_from_slice(&1u32.to_le_bytes());
                 lm.extend_from_slice(&bytes);
-                let _ = CompressedLm::from_bytes(&lm);
+                check(&lm);
             }
 
             #[test]

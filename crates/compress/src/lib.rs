@@ -17,16 +17,17 @@
 //!   and destination are implied by position, 45-bit regular arcs
 //!   supporting random access (binary search), 27-bit back-off arcs
 //!   stored last,
-//! * [`io`] — the `UNFA`/`UNFL` containers. A compressed model *is* its
-//!   serialized section bytes plus a parsed header, decoded in place
-//!   through one reader; a private storage handle holds the bytes,
-//!   either in a buffer of the model's own (`compress`, `from_bytes`)
-//!   or as a range of a shared bundle, owned or mapped
-//!   (`from_bundle`),
+//! * [`io`] — the `UNFA`/`UNFL` section formats. A compressed model
+//!   *is* its serialized section bytes plus a parsed header, decoded in
+//!   place through one reader; a private storage handle holds the
+//!   bytes, either in a buffer of the model's own (`compress`) or as a
+//!   range of a shared bundle, owned or mapped (`from_bundle`, which
+//!   walks every arc once before any decode reads it),
 //! * [`composed`] — the Price-et-al-style compression of the *composed*
 //!   WFST used as the paper's "Fully-Composed+Comp" comparator
 //!   (Table 2, Figure 8),
-//! * [`bundle`] — the `.unfb` single-file model bundle (versioned
+//! * [`bundle`] — the `.unfb` single-file model bundle, the models'
+//!   only on-disk form (versioned
 //!   section table, CRC-64 checksums, one AM + named LMs + symbol
 //!   tables + metadata) with owned and mmap-backed opens,
 //! * [`mmap`] — dependency-free read-only file mapping (raw syscalls on
@@ -62,7 +63,7 @@ pub use bundle::{
     BUNDLE_VERSION,
 };
 pub use composed::CompressedComposed;
-pub use io::{load_am, load_lm, save_am, save_lm, ModelIoError};
-pub use lm::{CompressedLm, LmLayout, LmLookup};
+pub use io::ModelIoError;
+pub use lm::{CompressedLm, LmLayout, LmLookup, MAX_BACKOFF_HOPS};
 pub use mmap::Mapped;
 pub use quant::WeightQuantizer;

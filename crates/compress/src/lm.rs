@@ -33,6 +33,11 @@ pub const UNIGRAM_ARC_BITS: u64 = WEIGHT_BITS as u64;
 /// excluding the back-off arc), back-off flag (u32).
 const STATE_REC_BYTES: usize = 16;
 
+/// Longest back-off chain a well-formed LM may have. Binding a model
+/// refuses a longer (or cyclic) chain, and the decoder's hot path
+/// assumes the bound.
+pub const MAX_BACKOFF_HOPS: u32 = 8;
+
 /// Result of looking up a word at an LM state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LmLookup {
@@ -50,15 +55,19 @@ pub struct LmLayout {
     num_states: usize,
     quant: WeightQuantizer,
     extents: Extents,
+    /// Longest back-off chain from any state, recorded by the
+    /// structural walk (0 in a header-only parse).
+    max_backoff_hops: u32,
 }
 
 impl LmLayout {
     /// Parses the header of a serialized LM. O(states): because LM arc
     /// records are fixed-width, the sweep verifies full block
     /// contiguity (root positional block, per-state word arcs, trailing
-    /// back-off) without decoding a single arc. Word-arc sortedness and
-    /// destination bounds are left to [`CompressedLm::from_bytes`]'s
-    /// full walk.
+    /// back-off) without decoding a single arc. Word-arc sortedness,
+    /// destination bounds and back-off chains are left to the
+    /// structural walk binding a model ([`CompressedLm::from_bundle`])
+    /// adds.
     ///
     /// # Errors
     /// Returns [`ModelIoError`] on bad magic/version, truncation, or a
@@ -106,7 +115,27 @@ impl LmLayout {
             num_states,
             quant,
             extents,
+            max_backoff_hops: 0,
         })
+    }
+
+    /// `bytes`, the section this layout was parsed from, read through
+    /// it.
+    #[inline]
+    fn view<'a>(&'a self, bytes: &'a [u8]) -> View<'a> {
+        let (states, bits) = self.extents.split(bytes);
+        View {
+            layout: self,
+            states,
+            bits,
+        }
+    }
+
+    /// The structural walk [`LmLayout::parse`] skips, over `bytes`, the
+    /// section this layout was parsed from; returns the longest
+    /// back-off chain.
+    pub(crate) fn walk(&self, bytes: &[u8]) -> Result<u32, ModelIoError> {
+        self.view(bytes).walk()
     }
 
     /// Number of states.
@@ -223,28 +252,75 @@ impl View<'_> {
         None
     }
 
-    /// Word-arc sortedness and destination bounds — the part of the
-    /// structural check [`LmLayout::parse`] defers. O(arcs).
-    fn validate(&self) -> Result<(), ModelIoError> {
+    /// The back-off destination of `s` and the arc's bit offset, if it
+    /// has one; reads no weight.
+    #[inline]
+    fn backoff_dest(&self, s: StateId) -> Option<(StateId, u64)> {
+        let (base, narcs, has_backoff) = self.rec(s);
+        let off = base + u64::from(narcs) * REGULAR_ARC_BITS;
+        has_backoff.then(|| (self.bits.read(off, LM_DEST_BITS) as StateId, off))
+    }
+
+    /// The part of the structural check [`LmLayout::parse`] defers:
+    /// unigram destinations, word-arc sortedness, destination bounds,
+    /// weight indices, and back-off chains that end within
+    /// [`MAX_BACKOFF_HOPS`]. Returns the longest chain. Reads each
+    /// arc's word and destination, and its weight only when the
+    /// codebook is smaller than the index space. O(arcs).
+    fn walk(&self) -> Result<u32, ModelIoError> {
         let n = self.layout.num_states as u32;
+        let clusters = self.layout.quant.num_clusters() as u64;
+        let check_weights = clusters < 1 << WEIGHT_BITS;
+        let bad_weight = |off: u64| check_weights && self.bits.read(off, WEIGHT_BITS) >= clusters;
+        // Root arc i is word i + 1 into state i + 1.
+        let (base, narcs, _) = self.rec(0);
+        if narcs >= n {
+            return Err(ModelIoError::Corrupt("unigram destination out of range"));
+        }
+        if check_weights && (0..u64::from(narcs)).any(|i| bad_weight(base + i * UNIGRAM_ARC_BITS)) {
+            return Err(ModelIoError::Corrupt("weight index past the codebook"));
+        }
         for s in 1..n {
             let (base, narcs, _) = self.rec(s);
             let mut prev_word = 0u32;
             for i in 0..narcs {
-                let (a, _) = self.word_arc_at(s, base, i);
-                if a.ilabel <= prev_word {
+                let off = base + u64::from(i) * REGULAR_ARC_BITS;
+                // Word and destination are adjacent: one read.
+                let fields = self.bits.read(off, WORD_BITS + LM_DEST_BITS);
+                let word = (fields & ((1 << WORD_BITS) - 1)) as u32;
+                if word <= prev_word {
                     return Err(ModelIoError::Corrupt("word arcs not sorted"));
                 }
-                prev_word = a.ilabel;
-                if a.nextstate >= n {
+                prev_word = word;
+                if (fields >> WORD_BITS) as u32 >= n {
                     return Err(ModelIoError::Corrupt("destination out of range"));
                 }
+                if bad_weight(off + u64::from(WORD_BITS + LM_DEST_BITS)) {
+                    return Err(ModelIoError::Corrupt("weight index past the codebook"));
+                }
             }
-            if self.backoff(s).is_some_and(|(back, _)| back.nextstate >= n) {
-                return Err(ModelIoError::Corrupt("back-off destination out of range"));
+            if let Some((dest, off)) = self.backoff_dest(s) {
+                if dest >= n {
+                    return Err(ModelIoError::Corrupt("back-off destination out of range"));
+                }
+                if bad_weight(off + u64::from(LM_DEST_BITS)) {
+                    return Err(ModelIoError::Corrupt("weight index past the codebook"));
+                }
             }
         }
-        Ok(())
+        // Every back-off destination is in range now, so the chains can
+        // be followed; a cycle shows as a chain past the bound.
+        let mut longest = 0u32;
+        for s in 1..n {
+            let hops = std::iter::successors(self.backoff_dest(s), |&(d, _)| self.backoff_dest(d))
+                .take(MAX_BACKOFF_HOPS as usize + 1)
+                .count() as u32;
+            if hops > MAX_BACKOFF_HOPS {
+                return Err(ModelIoError::Corrupt("back-off chain too long or cyclic"));
+            }
+            longest = longest.max(hops);
+        }
+        Ok(longest)
     }
 }
 
@@ -255,7 +331,8 @@ impl CompressedLm {
     /// Panics if the machine violates the layout invariants: root arcs
     /// not in word order with `dest == word == index + 1`, arcs not
     /// ilabel-sorted, more than one epsilon arc per state, epsilon arcs
-    /// not last, or fields exceeding their bit budgets.
+    /// not last, a back-off chain longer than [`MAX_BACKOFF_HOPS`], or
+    /// fields exceeding their bit budgets.
     pub fn compress(fst: &Wfst, k: usize, seed: u64) -> Self {
         assert!(fst.num_states() > 0, "compress: empty LM");
         assert_eq!(fst.start(), 0, "compress: LM root must be state 0");
@@ -336,39 +413,34 @@ impl CompressedLm {
         out.codebook(&quant);
         out.out.extend(recs.out);
         out.arc_stream(&w.finish());
-        let layout = LmLayout::parse(&out.out).expect("a freshly compressed LM parses");
+        let mut layout = LmLayout::parse(&out.out).expect("a freshly compressed LM parses");
+        layout.max_backoff_hops = layout
+            .walk(&out.out)
+            .expect("a freshly compressed LM is well formed");
         CompressedLm {
             bytes: SectionBytes::Owned(out.out.into()),
             layout,
         }
     }
 
-    /// Deserializes from the `UNFL` container, validating structure
-    /// before returning.
+    /// Binds LM section `name` of a shared bundle without copying it:
+    /// verifies the section checksum, parses its header, and walks it
+    /// once — word-arc order, destinations, weight indices, back-off
+    /// chains — recording the longest chain. See
+    /// [`crate::CompressedAm::from_bundle`] for why both run here.
+    /// Sessions holding a clone keep the bundle alive even after a
+    /// registry retires the name.
     ///
     /// # Errors
-    /// Returns [`ModelIoError`] on bad magic/version, truncation, or
-    /// structurally invalid content.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
-        let lm = CompressedLm {
-            layout: LmLayout::parse(bytes)?,
-            bytes: SectionBytes::Owned(bytes.into()),
-        };
-        lm.view().validate()?;
-        Ok(lm)
-    }
-
-    /// Binds LM section `name` of a shared bundle without copying it;
-    /// see [`crate::CompressedAm::from_bundle`] for why the checksum is
-    /// verified here. Sessions holding a clone keep the bundle alive
-    /// even after a registry retires the name.
-    ///
-    /// # Errors
-    /// [`BundleError::ChecksumMismatch`] on a corrupt payload, plus
-    /// anything from [`Bundle::lm_layout`].
+    /// [`BundleError::ChecksumMismatch`] on a corrupt payload,
+    /// [`BundleError::Model`] on a structurally invalid one (a cyclic
+    /// or over-long back-off chain included), plus anything from
+    /// [`Bundle::lm_layout`].
     pub fn from_bundle(bundle: std::sync::Arc<Bundle>, name: &str) -> Result<Self, BundleError> {
         let range = bundle.verified_range(SectionKind::Lm, name)?;
-        let layout = bundle.lm_layout(name)?;
+        let mut layout = bundle.lm_layout(name)?;
+        layout.max_backoff_hops =
+            bundle.walked(SectionKind::Lm, name, |bytes| layout.walk(bytes))?;
         Ok(CompressedLm {
             bytes: SectionBytes::Bundle(bundle, range),
             layout,
@@ -377,17 +449,19 @@ impl CompressedLm {
 
     #[inline]
     fn view(&self) -> View<'_> {
-        let (states, bits) = self.layout.extents.split(self.bytes.get());
-        View {
-            layout: &self.layout,
-            states,
-            bits,
-        }
+        self.layout.view(self.bytes.get())
     }
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
         self.layout.num_states
+    }
+
+    /// Longest back-off chain from any state (at most
+    /// [`MAX_BACKOFF_HOPS`]). Recorded by the structural walk at bind
+    /// or compression, so reading it is O(1).
+    pub fn max_backoff_hops(&self) -> u32 {
+        self.layout.max_backoff_hops
     }
 
     /// Number of word-labelled arcs at `s`.
@@ -472,11 +546,11 @@ impl CompressedLm {
             cost += back.weight;
             state = back.nextstate;
             hops += 1;
-            assert!(hops <= 8, "resolve: back-off chain too long");
+            assert!(hops <= MAX_BACKOFF_HOPS, "resolve: back-off chain too long");
         }
     }
 
-    /// Serializes to the `UNFL` container (see [`crate::io`]): a copy of
+    /// Serializes to an `UNFL` section (see [`crate::io`]): a copy of
     /// the section bytes the model reads from.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.bytes.get().to_vec()
@@ -520,6 +594,94 @@ mod tests {
         let corpus = spec.generate(77);
         let model = NGramModel::train(&corpus, 120, DiscountConfig::default());
         lm_to_wfst(&model)
+    }
+
+    /// The checks binding a bundle section runs (header parse, then the
+    /// structural walk), over bare section bytes.
+    fn load(bytes: &[u8]) -> Result<CompressedLm, ModelIoError> {
+        let mut layout = LmLayout::parse(bytes)?;
+        layout.max_backoff_hops = layout.walk(bytes)?;
+        Ok(CompressedLm {
+            bytes: SectionBytes::Owned(bytes.into()),
+            layout,
+        })
+    }
+
+    /// Overwrites the `width`-bit field at bit `off` of the arc stream.
+    fn poke(comp: &CompressedLm, bytes: &mut [u8], off: u64, width: u32, value: u64) {
+        let stream = bytes.len() - comp.layout.arc_stream_bytes();
+        for b in off..off + u64::from(width) {
+            let bit = ((value >> (b - off)) & 1) as u8;
+            let byte = &mut bytes[stream + (b / 8) as usize];
+            *byte = (*byte & !(1 << (b % 8))) | (bit << (b % 8));
+        }
+    }
+
+    #[test]
+    fn the_walk_records_the_longest_backoff_chain() {
+        let fst = lm_fst();
+        let want = (0..fst.num_states() as StateId)
+            .map(|s| {
+                let (mut state, mut hops) = (s, 0);
+                while let Some(back) = fst.arcs(state).iter().find(|a| a.ilabel == EPSILON) {
+                    state = back.nextstate;
+                    hops += 1;
+                }
+                hops
+            })
+            .max()
+            .unwrap();
+        assert!(want >= 1);
+        let comp = CompressedLm::compress(&fst, 64, 0);
+        assert_eq!(comp.max_backoff_hops(), want);
+        assert_eq!(load(&comp.to_bytes()).unwrap().max_backoff_hops(), want);
+    }
+
+    #[test]
+    fn the_walk_rejects_cycles_bad_weights_and_bad_unigram_blocks() {
+        let comp = CompressedLm::compress(&lm_fst(), 64, 0);
+        // A state backing off to itself.
+        let s = (1..comp.num_states() as StateId)
+            .find(|&s| comp.backoff_arc(s).is_some())
+            .unwrap();
+        let mut bytes = comp.to_bytes();
+        let (_, off) = comp.backoff_arc(s).unwrap();
+        poke(&comp, &mut bytes, off, LM_DEST_BITS, u64::from(s));
+        assert!(LmLayout::parse(&bytes).is_ok());
+        assert_eq!(
+            load(&bytes).unwrap_err(),
+            ModelIoError::Corrupt("back-off chain too long or cyclic")
+        );
+        // Four centroids: a regular arc's weight index of 63 names none.
+        let small = CompressedLm::compress(&lm_fst(), 4, 0);
+        let s = (1..small.num_states() as StateId)
+            .find(|&s| small.num_word_arcs(s) >= 1)
+            .unwrap();
+        let off = small.word_arc_bit_offset(s, 0) + u64::from(WORD_BITS + LM_DEST_BITS);
+        let mut bytes = small.to_bytes();
+        poke(&small, &mut bytes, off, WEIGHT_BITS, 63);
+        assert_eq!(
+            load(&bytes).unwrap_err(),
+            ModelIoError::Corrupt("weight index past the codebook")
+        );
+        // A one-state LM whose root holds one unigram arc: word 1 would
+        // lead to state 1, past the state table.
+        let mut w = ByteWriter::default();
+        w.out.extend_from_slice(&LM_MAGIC);
+        w.u32(FORMAT_VERSION);
+        w.u32(1);
+        w.codebook(&WeightQuantizer::from_centroids(vec![0.0]));
+        w.u64(0);
+        w.u32(1);
+        w.u32(0);
+        let mut arcs = BitWriter::new();
+        arcs.push(0, WEIGHT_BITS);
+        w.arc_stream(&arcs.finish());
+        assert!(LmLayout::parse(&w.out).is_ok());
+        assert_eq!(
+            load(&w.out).unwrap_err(),
+            ModelIoError::Corrupt("unigram destination out of range")
+        );
     }
 
     #[test]
@@ -611,7 +773,7 @@ mod tests {
     fn byte_serialization_roundtrips_exactly() {
         let comp = CompressedLm::compress(&lm_fst(), 64, 0);
         let bytes = comp.to_bytes();
-        let back = CompressedLm::from_bytes(&bytes).expect("valid container");
+        let back = load(&bytes).expect("valid section");
         assert_eq!(back.num_states(), comp.num_states());
         for s in (0..comp.num_states() as StateId).step_by(13) {
             for w in (1..=120u32).step_by(11) {
@@ -624,31 +786,24 @@ mod tests {
 
     #[test]
     fn corrupt_lm_bytes_are_rejected() {
-        use crate::io::ModelIoError;
         let comp = CompressedLm::compress(&lm_fst(), 64, 0);
         let good = comp.to_bytes();
         let mut bad = good.clone();
         bad[1] = b'?';
-        assert_eq!(
-            CompressedLm::from_bytes(&bad).unwrap_err(),
-            ModelIoError::BadMagic
-        );
-        assert_eq!(
-            CompressedLm::from_bytes(&good[..20]).unwrap_err(),
-            ModelIoError::Truncated
-        );
+        assert_eq!(load(&bad).unwrap_err(), ModelIoError::BadMagic);
+        assert_eq!(load(&good[..20]).unwrap_err(), ModelIoError::Truncated);
         // Corrupt a state-record bit offset: header = 16 bytes,
         // codebook = 64 * 4; records are 16 bytes each, offset first.
         let mut flipped = good.clone();
         let state3_offset = 16 + 64 * 4 + 3 * 16;
         flipped[state3_offset] ^= 0x5A;
-        assert!(CompressedLm::from_bytes(&flipped).is_err());
+        assert!(load(&flipped).is_err());
     }
 
     #[test]
     fn layout_parse_rejects_corrupt_headers() {
-        // The header parse alone — all a bundle binding runs — rejects
-        // what the full loader does at the header; the LM's fixed-width
+        // The header parse alone rejects what the full load does at
+        // the header; the LM's fixed-width
         // sweep even catches a flipped state offset without decoding an
         // arc.
         let good = CompressedLm::compress(&lm_fst(), 64, 0).to_bytes();
@@ -668,28 +823,20 @@ mod tests {
     fn full_load_also_checks_what_the_header_parse_defers() {
         // Swap two word arcs of a state: every block still sits where
         // the state table says, so the header parse accepts the bytes,
-        // but the one deep validator `from_bytes` runs finds them
-        // unsorted.
+        // but the structural walk finds them unsorted.
         let comp = CompressedLm::compress(&lm_fst(), 64, 0);
         let s = (1..comp.num_states() as StateId)
             .find(|&s| comp.num_word_arcs(s) >= 2)
             .expect("some state has two word arcs");
         let (a0, a1) = (comp.word_arc(s, 0), comp.word_arc(s, 1));
         let mut bytes = comp.to_bytes();
-        let stream = bytes.len() - comp.layout.arc_stream_bytes();
-        let mut poke = |i: u32, word: u32| {
+        for (i, word) in [(0, a1.ilabel), (1, a0.ilabel)] {
             let off = comp.word_arc_bit_offset(s, i);
-            for b in off..off + u64::from(WORD_BITS) {
-                let bit = ((word >> (b - off)) & 1) as u8;
-                let byte = &mut bytes[stream + (b / 8) as usize];
-                *byte = (*byte & !(1 << (b % 8))) | (bit << (b % 8));
-            }
-        };
-        poke(0, a1.ilabel);
-        poke(1, a0.ilabel);
+            poke(&comp, &mut bytes, off, WORD_BITS, u64::from(word));
+        }
         assert!(LmLayout::parse(&bytes).is_ok());
         assert_eq!(
-            CompressedLm::from_bytes(&bytes).unwrap_err(),
+            load(&bytes).unwrap_err(),
             ModelIoError::Corrupt("word arcs not sorted")
         );
     }

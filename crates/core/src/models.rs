@@ -1,9 +1,9 @@
 //! The unified model API: one way to obtain decodable models.
 //!
-//! Decodable AM/LM pairs historically came from three unrelated places
-//! — built in memory by [`System::build`], loaded from loose
-//! `.unfa`/`.unfl` files, or (for serving) wrapped in `Arc`s by hand.
-//! [`Models`] is the single facade over all of them:
+//! Decodable AM/LM pairs come from two places: built in memory by
+//! [`System::build`], or read from a packed `.unfb` bundle, the one
+//! on-disk form of the models. [`Models`] is the single facade over
+//! both:
 //!
 //! * [`Models::from_task`] / [`Models::from_system`] — generators and
 //!   presets (owned, in memory),
@@ -14,6 +14,11 @@
 //!   straight out of the mapped file, nothing is deserialized (section
 //!   checksums are still verified — one streaming pass over the mapped
 //!   bytes per model section, no copy).
+//!
+//! Both opens bind every model section with one structural walk over
+//! its arcs, so a bundle whose checksums hold but whose structure does
+//! not is a typed [`BundleError::Model`] here, never a panic in a
+//! decode.
 //!
 //! Whatever the origin, the facade hands out one model type per format
 //! — a `CompressedAm` / `CompressedLm` over its own bytes or over the
@@ -81,11 +86,13 @@ impl Models {
     }
 
     /// Opens a `.unfb` bundle fully into memory, verifying every
-    /// section checksum eagerly.
+    /// section checksum eagerly, and binds its models (one structural
+    /// walk per model section).
     ///
     /// # Errors
     /// [`BundleError`] on I/O failure, malformed container, checksum
-    /// mismatch, or malformed model sections.
+    /// mismatch, or malformed model sections
+    /// ([`BundleError::Model`]).
     pub fn open(path: &Path) -> Result<Models, BundleError> {
         Models::from_bundle(Bundle::open(path)?)
     }
@@ -107,12 +114,12 @@ impl Models {
 
     /// Wraps an already-opened bundle; the AM and every LM section are
     /// bound zero-copy (`from_bundle`: the section checksum, memoized
-    /// and a no-op after an eager open, plus an O(states) header parse;
-    /// no pass over the arcs).
+    /// and a no-op after an eager open, a header parse, and
+    /// one structural walk over the arcs, memoized per section).
     ///
     /// # Errors
-    /// [`BundleError`] if any model section fails its checksum or
-    /// layout validation.
+    /// [`BundleError`] if any model section fails its checksum, its
+    /// header parse or its structural walk.
     pub fn from_bundle(bundle: Bundle) -> Result<Models, BundleError> {
         let bundle = Arc::new(bundle);
         let am = CompressedAm::from_bundle(Arc::clone(&bundle))?;

@@ -20,6 +20,12 @@ pub struct DecodeConfig {
     /// never changes decode output — only how many LM arc fetches the
     /// binary searches cost — so it defaults to off to keep simulator
     /// traces identical to the unmemoized decoder.
+    ///
+    /// Read only where a decode sizes its own scratch
+    /// (`DecodeScratch::begin`, so `OtfDecoder::decode*`). A
+    /// `StreamSession` ignores it: the `WorkScratch` lent to each push
+    /// is sized by its owner with `WorkScratch::configure_olt`, which
+    /// in serve takes `ServeConfig::olt_entries`.
     pub olt_entries: usize,
     /// Capacity of the per-session dynamic memo layer caching
     /// *composite* `(biased LM state, word)` resolutions when decoding

@@ -15,29 +15,7 @@ use unfold_obs::{
 };
 use unfold_wfst::{Label, StateId};
 
-use crate::trace::{DecodeStage, KernelPhase, TraceSink};
-
-/// Running totals MetricsSink keeps as plain fields (hash-free event
-/// handling; they become registry counters only at export).
-#[derive(Debug, Default, Clone, Copy)]
-struct Totals {
-    frames: u64,
-    state_fetches: u64,
-    am_arc_fetches: u64,
-    am_arc_bytes: u64,
-    lm_lookups: u64,
-    lm_arc_fetches: u64,
-    lm_arc_bytes: u64,
-    backoff_hops: u64,
-    acoustic_fetches: u64,
-    hash_inserts: u64,
-    lattice_bytes: u64,
-    preemptive_prunes: u64,
-    olt_probes: u64,
-    olt_hits: u64,
-    olt_installs: u64,
-    olt_evictions: u64,
-}
+use crate::trace::{CountingSink, DecodeStage, KernelPhase, TraceSink};
 
 /// Lane names for the kernel-phase accumulator, in
 /// [`KernelPhase::index`] order.
@@ -52,18 +30,14 @@ const KERNEL_PHASE_NAMES: [&str; KernelPhase::ALL.len()] = {
 };
 
 /// State of the frame currently being decoded.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct OpenFrame {
     frame: usize,
     active_in: usize,
     /// Raw clock ticks at frame start (see [`unfold_obs::raw_ticks`]).
     started_ticks: u64,
-    /// Per-frame-delta counters snapshotted at frame start.
-    lm_lookups: u64,
-    backoff_hops: u64,
-    preemptive_prunes: u64,
-    olt_probes: u64,
-    olt_hits: u64,
+    /// The event totals at frame start, for the per-frame deltas.
+    counts: CountingSink,
 }
 
 /// A [`TraceSink`] that aggregates the event stream into decode-time
@@ -78,7 +52,9 @@ pub struct MetricsSink {
     frames: FrameRing,
     frame_ns: Histogram,
     active_tokens: Histogram,
-    totals: Totals,
+    /// Event totals, kept as plain fields (hash-free event handling;
+    /// they become registry counters only at export).
+    counts: CountingSink,
     kernel_phases: PhaseAccum,
     seq: u64,
     open: Option<OpenFrame>,
@@ -112,7 +88,7 @@ impl MetricsSink {
             frames: FrameRing::with_capacity(frame_capacity),
             frame_ns: Histogram::new(),
             active_tokens: Histogram::new(),
-            totals: Totals::default(),
+            counts: CountingSink::default(),
             kernel_phases: PhaseAccum::new(&KERNEL_PHASE_NAMES),
             seq: 0,
             open: None,
@@ -139,18 +115,18 @@ impl MetricsSink {
 
     fn registry(&self) -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
-        let t = &self.totals;
-        r.counter("frames").add(t.frames);
+        let t = &self.counts;
+        r.counter("frames").add(t.frames as u64);
         r.counter("state_fetches").add(t.state_fetches);
         r.counter("am_arc_fetches").add(t.am_arc_fetches);
         r.counter("am_arc_bytes").add(t.am_arc_bytes);
         r.counter("lm_lookups").add(t.lm_lookups);
         r.counter("lm_arc_fetches").add(t.lm_arc_fetches);
         r.counter("lm_arc_bytes").add(t.lm_arc_bytes);
-        r.counter("backoff_hops").add(t.backoff_hops);
+        r.counter("backoff_hops").add(t.total_backoff_hops);
         r.counter("acoustic_fetches").add(t.acoustic_fetches);
         r.counter("hash_inserts").add(t.hash_inserts);
-        r.counter("lattice_bytes").add(t.lattice_bytes);
+        r.counter("lattice_bytes").add(t.token_bytes);
         r.counter("preemptive_prunes").add(t.preemptive_prunes);
         r.counter("olt_probes").add(t.olt_probes);
         r.counter("olt_hits").add(t.olt_hits);
@@ -211,7 +187,7 @@ impl TraceSink for MetricsSink {
     // itself. In streaming use, time the caller spends between `push`
     // calls lands on the next frame's wall time.
     fn frame_start(&mut self, frame: usize, active: usize) {
-        self.totals.frames += 1;
+        self.counts.frame_start(frame, active);
         let started_ticks = if frame == 0 {
             raw_ticks()
         } else {
@@ -221,11 +197,7 @@ impl TraceSink for MetricsSink {
             frame,
             active_in: active,
             started_ticks,
-            lm_lookups: self.totals.lm_lookups,
-            backoff_hops: self.totals.backoff_hops,
-            preemptive_prunes: self.totals.preemptive_prunes,
-            olt_probes: self.totals.olt_probes,
-            olt_hits: self.totals.olt_hits,
+            counts: self.counts.clone(),
         });
     }
 
@@ -240,7 +212,7 @@ impl TraceSink for MetricsSink {
             (end_ticks.saturating_sub(open.started_ticks) as f64 * self.ns_per_tick) as u64;
         self.frame_ns.record(wall_ns);
         self.active_tokens.record(active as u64);
-        let t = &self.totals;
+        let (t, t0) = (&self.counts, &open.counts);
         self.frames.push(FrameTelemetry {
             seq: self.seq,
             frame,
@@ -248,11 +220,11 @@ impl TraceSink for MetricsSink {
             active_out: active,
             best_cost,
             worst_cost,
-            lm_lookups: t.lm_lookups - open.lm_lookups,
-            backoff_hops: t.backoff_hops - open.backoff_hops,
-            preemptive_prunes: t.preemptive_prunes - open.preemptive_prunes,
-            olt_probes: t.olt_probes - open.olt_probes,
-            olt_hits: t.olt_hits - open.olt_hits,
+            lm_lookups: t.lm_lookups - t0.lm_lookups,
+            backoff_hops: t.total_backoff_hops - t0.total_backoff_hops,
+            preemptive_prunes: t.preemptive_prunes - t0.preemptive_prunes,
+            olt_probes: t.olt_probes - t0.olt_probes,
+            olt_hits: t.olt_hits - t0.olt_hits,
             wall_ns,
             cache: None,
         });
@@ -272,56 +244,48 @@ impl TraceSink for MetricsSink {
             .switch_id(self.stage_ids[from.index()], self.stage_ids[to.index()]);
     }
 
-    fn state_fetch(&mut self, _addr: u64) {
-        self.totals.state_fetches += 1;
+    fn state_fetch(&mut self, addr: u64) {
+        self.counts.state_fetch(addr);
     }
 
-    fn am_arc_fetch(&mut self, _addr: u64, bytes: u32) {
-        self.totals.am_arc_fetches += 1;
-        self.totals.am_arc_bytes += u64::from(bytes);
+    fn am_arc_fetch(&mut self, addr: u64, bytes: u32) {
+        self.counts.am_arc_fetch(addr, bytes);
     }
 
-    fn lm_lookup(&mut self, _lm_state: StateId, _word: Label) {
-        self.totals.lm_lookups += 1;
+    fn lm_lookup(&mut self, lm_state: StateId, word: Label) {
+        self.counts.lm_lookup(lm_state, word);
     }
 
-    fn lm_arc_fetch(&mut self, _addr: u64, bytes: u32) {
-        self.totals.lm_arc_fetches += 1;
-        self.totals.lm_arc_bytes += u64::from(bytes);
+    fn lm_arc_fetch(&mut self, addr: u64, bytes: u32) {
+        self.counts.lm_arc_fetch(addr, bytes);
     }
 
-    fn lm_resolved(&mut self, _lm_state: StateId, _word: Label, backoff_hops: u32) {
-        self.totals.backoff_hops += u64::from(backoff_hops);
+    fn lm_resolved(&mut self, lm_state: StateId, word: Label, backoff_hops: u32) {
+        self.counts.lm_resolved(lm_state, word, backoff_hops);
     }
 
-    fn acoustic_fetch(&mut self, _frame: usize, _pdf: Label) {
-        self.totals.acoustic_fetches += 1;
+    fn acoustic_fetch(&mut self, frame: usize, pdf: Label) {
+        self.counts.acoustic_fetch(frame, pdf);
     }
 
-    fn hash_insert(&mut self, _key: u64) {
-        self.totals.hash_inserts += 1;
+    fn hash_insert(&mut self, key: u64) {
+        self.counts.hash_insert(key);
     }
 
-    fn token_store(&mut self, _addr: u64, bytes: u32) {
-        self.totals.lattice_bytes += u64::from(bytes);
+    fn token_store(&mut self, addr: u64, bytes: u32) {
+        self.counts.token_store(addr, bytes);
     }
 
     fn preemptive_prune(&mut self) {
-        self.totals.preemptive_prunes += 1;
+        self.counts.preemptive_prune();
     }
 
-    fn olt_probe(&mut self, _lm_state: StateId, _word: Label, hit: bool) {
-        self.totals.olt_probes += 1;
-        if hit {
-            self.totals.olt_hits += 1;
-        }
+    fn olt_probe(&mut self, lm_state: StateId, word: Label, hit: bool) {
+        self.counts.olt_probe(lm_state, word, hit);
     }
 
     fn olt_install(&mut self, evicted: bool) {
-        self.totals.olt_installs += 1;
-        if evicted {
-            self.totals.olt_evictions += 1;
-        }
+        self.counts.olt_install(evicted);
     }
 
     fn wants_kernel_timing(&self) -> bool {

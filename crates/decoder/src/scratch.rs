@@ -250,7 +250,9 @@ impl WorkScratch {
 
     /// Validates `(am, lm)` once per scratch (keyed by address
     /// identity and score-row width): the checks the hot path demotes
-    /// to `debug_assert!` run here instead, in one O(model) sweep.
+    /// to `debug_assert!` run here instead ([`validate_models`]: two
+    /// comparisons for compressed models, an O(model) sweep for other
+    /// sources, which is what the memo saves).
     pub(crate) fn ensure_validated<A: AmSource + ?Sized, L: LmSource + ?Sized>(
         &mut self,
         am: &A,
@@ -259,8 +261,8 @@ impl WorkScratch {
     ) {
         // The LM side keys by `validation_addr`, not the wrapper's own
         // address: a biasing adapter constructed fresh each quantum
-        // forwards its pinned base LM's address, so the O(model) sweep
-        // still runs once per model pair instead of once per quantum.
+        // forwards its pinned base LM's address, so the check still
+        // runs once per model pair instead of once per quantum.
         let key = (
             (am as *const A).cast::<u8>() as usize,
             lm.validation_addr(),
@@ -574,38 +576,29 @@ impl DecodeScratch {
     }
 }
 
-/// One-time model sweep backing the hot path's `debug_assert!`s: every
+/// One-time model check backing the hot path's `debug_assert!`s: every
 /// emitting AM arc's PDF id must fit the score row, and every LM
 /// state's back-off chain must terminate within [`MAX_BACKOFF_HOPS`].
+/// Two comparisons over [`AmSource::max_pdf`] and
+/// [`LmSource::max_backoff_hops`]: compressed models answer both from
+/// the walk they passed at bind, other sources sweep the model.
 ///
 /// # Panics
-/// Panics with a diagnostic on the first violation.
+/// Panics with a diagnostic on either violation.
 pub fn validate_models<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     am: &A,
     lm: &L,
     num_pdfs: usize,
 ) {
-    for s in 0..am.num_states() as unfold_wfst::StateId {
-        am.for_each_arc(s, &mut |v| {
-            assert!(
-                v.arc.ilabel == EPSILON || (v.arc.ilabel as usize) <= num_pdfs,
-                "AM state {s}: pdf {} beyond the {num_pdfs}-wide score row",
-                v.arc.ilabel,
-            );
-        });
-    }
-    for s in 0..lm.num_states() as unfold_wfst::StateId {
-        let mut state = s;
-        let mut hops = 0u32;
-        while let Some((back, _)) = lm.backoff(state) {
-            hops += 1;
-            assert!(
-                hops <= MAX_BACKOFF_HOPS,
-                "LM state {s}: back-off chain exceeds {MAX_BACKOFF_HOPS} hops"
-            );
-            state = back.nextstate;
-        }
-    }
+    let max_pdf = am.max_pdf();
+    assert!(
+        max_pdf <= num_pdfs,
+        "AM pdf {max_pdf} beyond the {num_pdfs}-wide score row"
+    );
+    assert!(
+        lm.max_backoff_hops() <= MAX_BACKOFF_HOPS,
+        "LM back-off chain exceeds {MAX_BACKOFF_HOPS} hops"
+    );
 }
 
 #[cfg(test)]

@@ -50,9 +50,10 @@ pub struct ArcVisit {
 pub type Fetch = (u64, u32);
 
 /// Longest back-off chain a well-formed LM may have; enforced once per
-/// model by [`crate::scratch::validate_models`] and assumed (via
-/// `debug_assert!`) by the decoder's hot path.
-pub const MAX_BACKOFF_HOPS: u32 = 8;
+/// model by [`crate::scratch::validate_models`] (for a compressed LM,
+/// already at bind) and assumed (via `debug_assert!`) by the decoder's
+/// hot path.
+pub use unfold_compress::MAX_BACKOFF_HOPS;
 
 /// The AM side of decoding: sequential arc exploration.
 pub trait AmSource {
@@ -71,6 +72,17 @@ pub trait AmSource {
     /// panics. The SoA kernel issues these over its batched probe
     /// buffer before expansion; default is a no-op.
     fn prefetch_state(&self, _s: StateId) {}
+    /// The largest PDF id on any arc (0 if none emits): the narrowest
+    /// score row this AM decodes. The default sweeps every arc, O(model)
+    /// a call; a compressed AM answers from the fact its bind-time walk
+    /// recorded, which is what lets serve read it at every ingest.
+    fn max_pdf(&self) -> usize {
+        let mut max = 0;
+        for s in 0..self.num_states() as StateId {
+            self.for_each_arc(s, &mut |v| max = max.max(v.arc.ilabel as usize));
+        }
+        max
+    }
 }
 
 /// Result of a single-state LM word lookup.
@@ -139,6 +151,21 @@ pub trait LmSource {
     /// on unbiased decodes.
     fn has_memo_ctx(&self) -> bool {
         false
+    }
+
+    /// The longest back-off chain from any state, counted up to
+    /// `MAX_BACKOFF_HOPS + 1` (so a cyclic chain reads as one past the
+    /// bound). The default follows every state's chain; a compressed
+    /// LM answers from the fact its bind-time walk recorded.
+    fn max_backoff_hops(&self) -> u32 {
+        (0..self.num_states() as StateId)
+            .map(|s| {
+                std::iter::successors(self.backoff(s), |(back, _)| self.backoff(back.nextstate))
+                    .take(MAX_BACKOFF_HOPS as usize + 1)
+                    .count() as u32
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// Stable address identifying the *validated* model. Composing
@@ -370,6 +397,10 @@ impl AmSource for CompressedAm {
             });
         });
     }
+
+    fn max_pdf(&self) -> usize {
+        CompressedAm::max_pdf(self) as usize
+    }
 }
 
 impl LmSource for CompressedLm {
@@ -397,6 +428,10 @@ impl LmSource for CompressedLm {
     fn backoff(&self, s: StateId) -> Option<(Arc, Fetch)> {
         let (back, off) = self.backoff_arc(s)?;
         Some((back, (addr::LM_ARC_BASE + off / 8, 4)))
+    }
+
+    fn max_backoff_hops(&self) -> u32 {
+        CompressedLm::max_backoff_hops(self)
     }
 }
 

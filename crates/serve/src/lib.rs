@@ -102,6 +102,9 @@ pub struct ServeConfig {
     /// Per-worker software-OLT capacity (entries, 0 disables). The OLT
     /// memoizes LM lookups against the shared LM, so sharing one table
     /// across the sessions a worker serves never changes transcripts.
+    /// The only OLT size serve reads: each worker sizes its scratch
+    /// from it (`WorkScratch::configure_olt`), and `base.olt_entries`
+    /// is ignored, as it is by every `StreamSession`.
     pub olt_entries: usize,
     /// Beam configuration for sessions admitted at low pressure; the
     /// degradation ladder tightens it as pressure rises.

@@ -220,16 +220,6 @@ impl<L: LmSource + ?Sized> Lease<L> {
     }
 }
 
-/// The largest PDF id on any of `am`'s arcs (0 for an AM with no
-/// emitting arc).
-fn largest_pdf<A: AmSource + ?Sized>(am: &A) -> usize {
-    let mut max = 0;
-    for s in 0..am.num_states() as u32 {
-        am.for_each_arc(s, &mut |v| max = max.max(v.arc.ilabel as usize));
-    }
-    max
-}
-
 /// One model-registry entry: a named LM plus its generation stamp —
 /// unique for the core's whole lifetime, never reused. Workers key
 /// their per-LM OLT memo by the stamp, so a model added after a retire
@@ -286,12 +276,6 @@ pub struct ServeCore<A: AmSource + ?Sized, L: LmSource + ?Sized> {
     /// passthrough: precomputed score rows are forwarded verbatim and
     /// feature frames are refused.
     scorer: Option<Arc<dyn AcousticScorer>>,
-    /// The AM's largest PDF id: the narrowest score row a session can
-    /// decode. Narrower rows are refused at ingest instead of
-    /// panicking the worker that leases them. Found by one sweep over
-    /// the AM's arcs at the first ingest, so building a core stays
-    /// O(1) in the model.
-    max_pdf: Option<usize>,
     /// The `serve.stage_search_occupancy` gauge, set by the threaded
     /// server from its workers' busy clocks; NaN (the deterministic
     /// core has no wall time) renders as `-` in the stats table.
@@ -401,7 +385,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             .collect();
         ServeCore {
             config,
-            max_pdf: None,
             am,
             lms,
             biases: Vec::new(),
@@ -758,8 +741,10 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             self.recycle(std::iter::once(buf));
             return Err(ServeError::Finished(id));
         }
-        let am = &*self.am;
-        let max_pdf = *self.max_pdf.get_or_insert_with(|| largest_pdf(am));
+        // The narrowest row a session can decode: narrower rows are
+        // refused here instead of panicking the worker that leases
+        // them. A compressed AM answers from its bind-time walk.
+        let max_pdf = self.am.max_pdf();
         if buf.len() < max_pdf {
             let e = ScoreError::WidthMismatch {
                 expected: max_pdf,

@@ -7,17 +7,16 @@
 //! stream (every fetch address, probe and OLT event).
 //!
 //! Each decode runs through three origins — the in-memory system
-//! (`Models::from_system`), loose `.unfa`/`.unfl` files
-//! (`Models::from_parts` over `load_am`/`load_lm`) and the mapped
-//! bundle (`Models::open_mmap`) — which must agree with each other
+//! (`Models::from_system`), the bundle read into memory
+//! (`Models::open`) and the mapped bundle (`Models::open_mmap`) —
+//! which must agree with each other
 //! before the digest is compared. On a mismatch the failure prints the
 //! whole table as computed, ready to paste over `GOLDEN`: only do that
 //! for a change that is *meant* to alter the formats or the search.
 
 use std::fmt::Write as _;
 
-use unfold::{pack_system, Models, System, TaskSpec, DEFAULT_LM};
-use unfold_compress::{load_am, load_lm, save_am, save_lm};
+use unfold::{pack_system, Models, System, TaskSpec};
 use unfold_decoder::{DecodeConfig, OtfDecoder, TraceRecorder};
 
 const UTTS: usize = 3;
@@ -113,20 +112,11 @@ fn bundles_and_decodes_match_the_golden_digests() {
         h.bytes(&bytes);
         let bundle_digest = h.0;
 
-        let (am_path, lm_path, bundle_path) =
-            (dir.join("m.unfa"), dir.join("m.unfl"), dir.join("m.unfb"));
-        save_am(&system.am_comp, &am_path).unwrap();
-        save_lm(&system.lm_comp, &lm_path).unwrap();
+        let bundle_path = dir.join("m.unfb");
         std::fs::write(&bundle_path, &bytes).unwrap();
         let origins = [
             ("system", Models::from_system(&system)),
-            (
-                "loose files",
-                Models::from_parts(
-                    load_am(&am_path).unwrap(),
-                    vec![(DEFAULT_LM.to_string(), load_lm(&lm_path).unwrap())],
-                ),
-            ),
+            ("owned bundle", Models::open(&bundle_path).unwrap()),
             ("mmap bundle", Models::open_mmap(&bundle_path).unwrap()),
         ];
 

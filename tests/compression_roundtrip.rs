@@ -137,25 +137,23 @@ fn regression_k65_seed0_is_rejected_at_the_format_boundary() {
 
 #[test]
 fn saved_models_decode_identically_after_reload() {
-    // The deployment flow: compress once, write the UNFA/UNFL files,
-    // load them elsewhere, decode — results must be bit-identical.
-    use unfold_compress::{load_am, load_lm, save_am, save_lm};
+    // The deployment flow: compress once, pack and write the bundle,
+    // open it elsewhere, decode — results must be bit-identical.
+    use unfold::{pack_system, Models};
     use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder};
 
     let s = system();
     let dir = std::env::temp_dir().join(format!("unfold-io-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let am_path = dir.join("task.unfa");
-    let lm_path = dir.join("task.unfl");
-    save_am(&s.am_comp, &am_path).expect("write AM");
-    save_lm(&s.lm_comp, &lm_path).expect("write LM");
+    let path = dir.join("task.unfb");
+    std::fs::write(&path, pack_system(&s, &[]).expect("pack")).expect("write bundle");
 
-    let am = load_am(&am_path).expect("read AM");
-    let lm = load_lm(&lm_path).expect("read LM");
+    let models = Models::open(&path).expect("open bundle");
+    let (am, lm) = (models.am(), models.default_lm());
     let dec = OtfDecoder::new(DecodeConfig::default());
     for utt in s.test_utterances(3) {
         let a = dec.decode(&s.am_comp, &s.lm_comp, &utt.scores, &mut NullSink);
-        let b = dec.decode(&am, &lm, &utt.scores, &mut NullSink);
+        let b = dec.decode(am, lm, &utt.scores, &mut NullSink);
         assert_eq!(a.words, b.words);
         assert_eq!(a.cost, b.cost);
     }
