@@ -56,68 +56,185 @@ use unfold_serve::{
 };
 use unfold_sim::AcceleratorConfig;
 
-/// Usage text printed on argument errors.
-pub const USAGE: &str = "\
-usage: unfold-cli <command> [options]
+/// One flag a command accepts: its name (without `--`), the
+/// placeholder of its value (`None` for a switch), and its usage text
+/// (`\n` starts a continuation line).
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+    /// Shown on the command's first line, unbracketed: the command
+    /// refuses to run without it.
+    required: bool,
+    help: &'static str,
+}
 
-commands:
-  pack     --task <name> --out <file>       build models, write one .unfb bundle
-           [--lm-variants N]                ... with N extra domain-variant LMs
-                                                (and the LM's ARPA text beside it,
-                                                <file> with extension .arpa)
-  inspect  --bundle <file> [--mmap]         verify + bind a bundle, print its
-                                                section table
-  decode   --task <name> [--utterances N]   decode test utterances (WER report)
-           [--bundle <file> [--mmap]]       ... using a packed bundle (zero-copy
-           [--model <lm-name>]                  with --mmap), picking a bundled LM
-           [--nbest K]                      ... printing K-best hypotheses
-           [--lattice-beam B]               ... word-lattice pruning beam for
-                                                --nbest/--confidence (default 8)
-           [--confidence]                   ... per-word time spans + lattice
-                                                posterior confidences
-           [--jobs N]                       ... on N parallel workers (same output;
-                                                0 = one per available core)
-           [--metrics <file>]               ... exporting telemetry as JSONL
-  simulate --task <name> [--utterances N]   accelerator performance/energy summary
-           [--baseline]                     ... on the Reza et al. baseline instead
-           [--jobs N]                       ... decode on N workers (0 = all cores),
-                                                replay serially
-           [--metrics <file>]               ... exporting telemetry as JSONL
-  profile  --task <name> [--utterances N]   stage breakdown + frame latency percentiles
-           [--baseline] [--metrics <file>]
-  sizes    --task <name>                    dataset size table
-  verify   --repro <file>                   replay an unfold-verify repro file
-  serve    --task <name> [--port N]         multi-session streaming decode server;
-           [--bundle <file> [--mmap]]       ... hosting a packed bundle's models
-                                                (every bundled LM is selectable
-                                                per session by name)
-           [--port-file <file>]             ... write the bound port to a file
-           [--workers N] [--capacity N]     ... decode threads (0 = all cores) and
-           [--quantum N] [--deadline-ms N]      session slots / scheduler knobs
-           [--idle-timeout-ms N] [--olt N]      runs until a client sends Shutdown
-  loadgen  --task <name>                    closed-loop load test against `serve`
-           --addr <ip:port> | --port N | --port-file <file>
-           [--sessions N] [--concurrency N]
-           [--chunk N] [--utterances N]     ... frames per message, distinct utts
-           [--scrape-every N]               ... poll live stats every N ms mid-run
-                                                (checks counters stay monotonic and
-                                                the frame ledger reconciles)
-           [--flight-out <file>]            ... write the flight-recorder dump
-           [--bias-users N]                 ... mint N distinct per-user biasing
-                                                models, register them over the
-                                                wire, and open every session
-                                                personalized (round-robin)
-           [--out <file>] [--shutdown]      ... report path (default
-                                                BENCH_serve.json), stop the server
-  stats    --addr <ip:port> | --port N | --port-file <file>
-           [--json]                         live server metrics as a text table
-                                                (or the raw run-record JSONL)
-           [--dump]                         ... append flight + span JSONL
-           [--shutdown]                     ... stop the server after scraping
+/// A subcommand: what it does, the flags it accepts, and the function
+/// that runs it. [`Flags::parse`] refuses any flag not in `flags`, and
+/// [`usage`] prints the same table.
+struct Command {
+    name: &'static str,
+    does: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Flags<'_>) -> Result<String, Error>,
+}
 
-tasks: tedlium | librispeech | voxforge | eesen | tiny
-exit status: 0 success, 1 runtime failure (i/o, corrupt bundle, ...), 2 usage
-";
+const fn req(name: &'static str, value: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        required: true,
+        help: "",
+    }
+}
+
+const fn opt(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        required: false,
+        help,
+    }
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value: None,
+        required: false,
+        help,
+    }
+}
+
+const TASK: Flag = req("task", "<name>");
+const MMAP: Flag = switch("mmap", "... mapping the bundle (zero-copy)");
+const METRICS: Flag = opt("metrics", "<file>", "... exporting telemetry as JSONL");
+const UTTERANCES: Flag = opt("utterances", "N", "... on N test utterances");
+const ADDR: Flag = opt("addr", "<ip:port>", "the server's address, or");
+const PORT: Flag = opt("port", "N", "... its port on localhost, or");
+const PORT_FILE: Flag = opt("port-file", "<file>", "... a file holding that port");
+const BASELINE: Flag = switch("baseline", "... on the Reza et al. baseline instead");
+
+/// Every subcommand, in usage order. One flag a line, so the table reads
+/// like the usage text it renders.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "pack", does: "build models, write one .unfb bundle", run: cmd_pack, flags: &[
+        TASK,
+        req("out", "<file>"),
+        opt("lm-variants", "N", "... with N extra domain-variant LMs\n(and the LM's ARPA text beside it,\n<file> with extension .arpa)"),
+    ] },
+    Command { name: "inspect", does: "verify + bind a bundle, print its\nsection table and state records", run: cmd_inspect, flags: &[
+        req("bundle", "<file>"),
+        MMAP,
+    ] },
+    Command { name: "decode", does: "decode test utterances (WER report)", run: cmd_decode, flags: &[
+        TASK,
+        UTTERANCES,
+        opt("bundle", "<file>", "... using a packed bundle"),
+        MMAP,
+        opt("model", "<lm-name>", "... picking a bundled LM"),
+        opt("nbest", "K", "... printing K-best hypotheses"),
+        opt("lattice-beam", "B", "... word-lattice pruning beam for\n--nbest/--confidence (default 8)"),
+        switch("confidence", "... per-word time spans + lattice\nposterior confidences"),
+        opt("jobs", "N", "... on N parallel workers (same output;\n0 = one per available core)"),
+        METRICS,
+    ] },
+    Command { name: "simulate", does: "accelerator performance/energy summary", run: cmd_simulate, flags: &[
+        TASK,
+        UTTERANCES,
+        BASELINE,
+        opt("jobs", "N", "... decode on N workers (0 = all cores),\nreplay serially"),
+        METRICS,
+    ] },
+    Command { name: "profile", does: "stage breakdown + frame latency percentiles", run: cmd_profile, flags: &[
+        TASK,
+        UTTERANCES,
+        BASELINE,
+        METRICS,
+    ] },
+    Command { name: "sizes", does: "dataset size table", run: cmd_sizes, flags: &[TASK] },
+    Command { name: "verify", does: "replay an unfold-verify repro file", run: cmd_verify, flags: &[
+        req("repro", "<file>"),
+    ] },
+    Command { name: "serve", does: "multi-session streaming decode server;\nruns until a client sends Shutdown", run: cmd_serve, flags: &[
+        TASK,
+        opt("port", "N", "... on TCP port N (0 = any free port)"),
+        opt("bundle", "<file>", "... hosting a packed bundle's models\n(every bundled LM is selectable\nper session by name)"),
+        MMAP,
+        opt("port-file", "<file>", "... write the bound port to a file"),
+        opt("workers", "N", "... decode threads (0 = all cores)"),
+        opt("capacity", "N", "... session slots"),
+        opt("quantum", "N", "... scheduler quantum in frames"),
+        opt("deadline-ms", "N", "... per-quantum deadline"),
+        opt("idle-timeout-ms", "N", "... close silent connections"),
+        opt("olt", "N", "... OLT entries per worker"),
+    ] },
+    Command { name: "loadgen", does: "closed-loop load test against `serve`", run: cmd_loadgen, flags: &[
+        TASK,
+        ADDR,
+        PORT,
+        PORT_FILE,
+        opt("sessions", "N", "... sessions to run"),
+        opt("concurrency", "N", "... client threads"),
+        opt("chunk", "N", "... frames per message"),
+        opt("utterances", "N", "... distinct utterances"),
+        opt("scrape-every", "N", "... poll live stats every N ms mid-run\n(checks counters stay monotonic and\nthe frame ledger reconciles)"),
+        opt("flight-out", "<file>", "... write the flight-recorder dump"),
+        opt("bias-users", "N", "... mint N distinct per-user biasing\nmodels, register them over the\nwire, and open every session\npersonalized (round-robin)"),
+        opt("out", "<file>", "... report path (default BENCH_serve.json)"),
+        switch("shutdown", "... stop the server afterwards"),
+    ] },
+    Command { name: "stats", does: "live server metrics as a text table", run: cmd_stats, flags: &[
+        ADDR,
+        PORT,
+        PORT_FILE,
+        switch("json", "... or the raw run-record JSONL"),
+        switch("dump", "... append flight + span JSONL"),
+        switch("shutdown", "... stop the server after scraping"),
+    ] },
+];
+
+/// Column where a usage line's description starts.
+const USAGE_HELP_COL: usize = 44;
+
+/// Usage text printed on argument errors, rendered from the same
+/// per-command flag tables the parser reads.
+pub fn usage() -> String {
+    let mut s = String::from("usage: unfold-cli <command> [options]\n\ncommands:\n");
+    let line = |s: &mut String, head: String, help: &str| {
+        let mut lines = help.split('\n');
+        let first = lines.next().unwrap_or("");
+        let _ = writeln!(s, "{head:<w$} {first}", w = USAGE_HELP_COL - 1);
+        for more in lines {
+            let _ = writeln!(s, "{:w$}{more}", "", w = USAGE_HELP_COL + 4);
+        }
+    };
+    for cmd in COMMANDS {
+        let required: Vec<String> = cmd
+            .flags
+            .iter()
+            .filter(|f| f.required)
+            .map(|f| format!("--{} {}", f.name, f.value.unwrap_or_default()))
+            .collect();
+        line(
+            &mut s,
+            format!("  {:<8} {}", cmd.name, required.join(" ")),
+            cmd.does,
+        );
+        for f in cmd.flags.iter().filter(|f| !f.required) {
+            let flag = match f.value {
+                Some(v) => format!("[--{} {v}]", f.name),
+                None => format!("[--{}]", f.name),
+            };
+            line(&mut s, format!("{:11}{flag}", ""), f.help);
+        }
+    }
+    s.push_str(
+        "\ntasks: tedlium | librispeech | voxforge | eesen | tiny\n\
+         exit status: 0 success, 1 runtime failure (i/o, corrupt bundle, ...), 2 usage\n",
+    );
+    s
+}
 
 /// The CLI's top-level error: every failure a subcommand can hit,
 /// with the underlying cause preserved through
@@ -210,20 +327,33 @@ fn task_by_name(name: &str) -> Result<TaskSpec, Error> {
     }
 }
 
-/// Minimal flag parser: `--key value` pairs plus boolean switches.
+/// Minimal flag parser: `--key value` pairs plus boolean switches,
+/// each one a flag of the command's table.
 struct Flags<'a> {
     pairs: Vec<(&'a str, Option<&'a str>)>,
+    /// The command's flag table, which every key read must be in.
+    accepts: &'static [Flag],
 }
 
 impl<'a> Flags<'a> {
-    fn parse(args: &'a [String], switches: &[&str]) -> Result<Self, Error> {
+    /// Parses `args` against `cmd`'s flag table.
+    ///
+    /// # Errors
+    /// [`Error::Usage`] on a flag `cmd` does not accept, or a flag
+    /// missing its value.
+    fn parse(args: &'a [String], cmd: &'static Command) -> Result<Self, Error> {
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let key = args[i]
                 .strip_prefix("--")
                 .ok_or_else(|| Error::Usage(format!("expected a flag, got '{}'", args[i])))?;
-            if switches.contains(&key) {
+            let flag = cmd
+                .flags
+                .iter()
+                .find(|f| f.name == key)
+                .ok_or_else(|| Error::Usage(format!("{} does not take --{key}", cmd.name)))?;
+            if flag.value.is_none() {
                 pairs.push((key, None));
                 i += 1;
             } else {
@@ -234,10 +364,17 @@ impl<'a> Flags<'a> {
                 i += 2;
             }
         }
-        Ok(Flags { pairs })
+        Ok(Flags {
+            pairs,
+            accepts: cmd.flags,
+        })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(
+            self.accepts.iter().any(|f| f.name == key),
+            "--{key} is read but not in the command's flag table"
+        );
         self.pairs
             .iter()
             .find(|(k, _)| *k == key)
@@ -245,6 +382,12 @@ impl<'a> Flags<'a> {
     }
 
     fn has(&self, key: &str) -> bool {
+        debug_assert!(
+            self.accepts
+                .iter()
+                .any(|f| f.name == key && f.value.is_none()),
+            "--{key} is read as a switch but not one in the command's flag table"
+        );
         self.pairs.iter().any(|(k, _)| *k == key)
     }
 
@@ -277,22 +420,14 @@ impl<'a> Flags<'a> {
 /// # Errors
 /// Returns [`Error`] on bad arguments or filesystem failures.
 pub fn run(args: &[String]) -> Result<String, Error> {
-    let (cmd, rest) = args
+    let (name, rest) = args
         .split_first()
         .ok_or_else(|| Error::Usage("no command given".into()))?;
-    match cmd.as_str() {
-        "pack" => cmd_pack(rest),
-        "inspect" => cmd_inspect(rest),
-        "decode" => cmd_decode(rest),
-        "simulate" => cmd_simulate(rest),
-        "profile" => cmd_profile(rest),
-        "sizes" => cmd_sizes(rest),
-        "verify" => cmd_verify(rest),
-        "serve" => cmd_serve(rest),
-        "loadgen" => cmd_loadgen(rest),
-        "stats" => cmd_stats(rest),
-        other => Err(Error::Usage(format!("unknown command '{other}'"))),
-    }
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| Error::Usage(format!("unknown command '{name}'")))?;
+    (cmd.run)(&Flags::parse(rest, cmd)?)
 }
 
 /// Resolves a `--jobs`/`--workers` count: `0` means one worker per
@@ -306,8 +441,7 @@ fn resolve_jobs(n: usize) -> usize {
     }
 }
 
-fn cmd_pack(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &[])?;
+fn cmd_pack(flags: &Flags<'_>) -> Result<String, Error> {
     let spec = task_by_name(flags.require("task")?)?;
     let out = PathBuf::from(flags.require("out")?);
     let variants = flags.usize_or("lm-variants", 0)?;
@@ -395,8 +529,7 @@ fn bundle_report(bundle: &Bundle, path: &str) -> String {
     s
 }
 
-fn cmd_inspect(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &["mmap"])?;
+fn cmd_inspect(flags: &Flags<'_>) -> Result<String, Error> {
     let path = flags.require("bundle")?;
     let bundle = if flags.has("mmap") {
         Bundle::open_mmap(path.as_ref())?
@@ -413,6 +546,32 @@ fn cmd_inspect(args: &[String]) -> Result<String, Error> {
     let mut s = bundle_report(bundle, path);
     let _ = writeln!(s, "checksums: all sections verified");
     let _ = writeln!(s, "models: AM and {} LM(s) bound", models.lm_names().len());
+    // One line per model section: what its state table holds.
+    let am = bundle.am_layout()?;
+    let mut rows = vec![(
+        "am",
+        "am",
+        am.num_states(),
+        am.state_table_bytes(),
+        am.arc_stream_bytes(),
+    )];
+    for name in bundle.lm_names() {
+        let lm = bundle.lm_layout(name)?;
+        rows.push((
+            "lm",
+            name,
+            lm.num_states(),
+            lm.state_table_bytes(),
+            lm.arc_stream_bytes(),
+        ));
+    }
+    for (kind, name, states, table, arcs) in rows {
+        let _ = writeln!(
+            s,
+            "model {kind} {name}: {states} states, {}-byte records ({table} bytes), arc stream {arcs} bytes",
+            table / states
+        );
+    }
     Ok(s)
 }
 
@@ -451,8 +610,7 @@ fn decode_models(flags: &Flags, system: &System) -> Result<Models, Error> {
     })
 }
 
-fn cmd_decode(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &["mmap", "confidence"])?;
+fn cmd_decode(flags: &Flags<'_>) -> Result<String, Error> {
     let spec = task_by_name(flags.require("task")?)?;
     let n = flags.usize_or("utterances", 5)?;
     let system = System::build(&spec);
@@ -466,7 +624,7 @@ fn cmd_decode(args: &[String]) -> Result<String, Error> {
     let decoder = OtfDecoder::new(config);
     let mut s = String::new();
     let mut report = WerReport::default();
-    let models = decode_models(&flags, &system)?;
+    let models = decode_models(flags, &system)?;
     let lm = match flags.get("model") {
         None => models.default_lm(),
         Some(name) => models.lm(name).ok_or_else(|| {
@@ -594,8 +752,7 @@ fn run_simulated(
     }
 }
 
-fn cmd_simulate(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &["baseline"])?;
+fn cmd_simulate(flags: &Flags<'_>) -> Result<String, Error> {
     let spec = task_by_name(flags.require("task")?)?;
     let n = flags.usize_or("utterances", 5)?;
     let jobs = resolve_jobs(flags.usize_or("jobs", 1)?);
@@ -663,8 +820,7 @@ fn cmd_simulate(args: &[String]) -> Result<String, Error> {
     Ok(s)
 }
 
-fn cmd_profile(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &["baseline"])?;
+fn cmd_profile(flags: &Flags<'_>) -> Result<String, Error> {
     let spec = task_by_name(flags.require("task")?)?;
     let n = flags.usize_or("utterances", 5)?;
     let system = System::build(&spec);
@@ -698,8 +854,7 @@ fn cmd_profile(args: &[String]) -> Result<String, Error> {
     Ok(s)
 }
 
-fn cmd_sizes(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &[])?;
+fn cmd_sizes(flags: &Flags<'_>) -> Result<String, Error> {
     let spec = task_by_name(flags.require("task")?)?;
     let system = System::build(&spec);
     let t = system.sizes();
@@ -733,8 +888,7 @@ fn cmd_sizes(args: &[String]) -> Result<String, Error> {
     Ok(s)
 }
 
-fn cmd_verify(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &[])?;
+fn cmd_verify(flags: &Flags<'_>) -> Result<String, Error> {
     let path = flags.require("repro")?;
     let text = std::fs::read_to_string(path)?;
     let repro = unfold_verify::ReproCase::from_text(&text)
@@ -771,8 +925,7 @@ fn cmd_verify(args: &[String]) -> Result<String, Error> {
     Ok(s)
 }
 
-fn cmd_serve(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &["mmap"])?;
+fn cmd_serve(flags: &Flags<'_>) -> Result<String, Error> {
     let spec = task_by_name(flags.require("task")?)?;
     let port = flags.usize_or("port", 0)?;
     let port = u16::try_from(port)
@@ -854,10 +1007,9 @@ fn loadgen_addr(flags: &Flags) -> Result<SocketAddr, Error> {
     Ok(SocketAddr::from(([127, 0, 0, 1], port)))
 }
 
-fn cmd_loadgen(args: &[String]) -> Result<String, Error> {
-    let flags = Flags::parse(args, &["shutdown"])?;
+fn cmd_loadgen(flags: &Flags<'_>) -> Result<String, Error> {
     let spec = task_by_name(flags.require("task")?)?;
-    let addr = loadgen_addr(&flags)?;
+    let addr = loadgen_addr(flags)?;
     let cfg = LoadgenConfig {
         sessions: flags.usize_or("sessions", 16)?,
         concurrency: flags.usize_or("concurrency", 4)?,
@@ -960,10 +1112,9 @@ fn cmd_loadgen(args: &[String]) -> Result<String, Error> {
 /// prints the raw run-record JSONL instead of the text table; `--dump`
 /// appends the flight-recorder and session-span JSONL; `--shutdown`
 /// asks the server to stop after the scrape.
-fn cmd_stats(args: &[String]) -> Result<String, Error> {
+fn cmd_stats(flags: &Flags<'_>) -> Result<String, Error> {
     use unfold_serve::wire::{read_server, write_client};
-    let flags = Flags::parse(args, &["json", "dump", "shutdown"])?;
-    let addr = loadgen_addr(&flags)?;
+    let addr = loadgen_addr(flags)?;
     let stream = std::net::TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     let mut rd = std::io::BufReader::new(stream.try_clone()?);
@@ -1066,6 +1217,61 @@ mod tests {
     fn no_command_is_usage_error() {
         assert!(matches!(run(&[]), Err(Error::Usage(_))));
         assert!(matches!(run(&sv(&["frobnicate"])), Err(Error::Usage(_))));
+    }
+
+    #[test]
+    fn removed_and_mistyped_flags_are_refused() {
+        // The loose-model flags and the `build` command are gone; a
+        // typo is not silently ignored either.
+        for args in [
+            &[
+                "decode",
+                "--task",
+                "tiny",
+                "--utterances",
+                "1",
+                "--am",
+                "x",
+                "--lm",
+                "y",
+            ][..],
+            &["decode", "--task", "tiny", "--am", "x"],
+            &["decode", "--task", "tiny", "--lm", "y"],
+            &["decode", "--task", "tiny", "--utterance", "1"],
+            &["serve", "--task", "tiny", "--am", "x"],
+            &["build", "--task", "tiny", "--out", "models"],
+        ] {
+            let err = run(&sv(args)).unwrap_err();
+            assert!(matches!(err, Error::Usage(_)), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+        }
+        let err = run(&sv(&["decode", "--task", "tiny", "--am", "x"])).unwrap_err();
+        assert_eq!(err.to_string(), "decode does not take --am");
+    }
+
+    #[test]
+    fn every_command_refuses_a_flag_outside_its_table_and_lists_its_own() {
+        let text = usage();
+        for cmd in COMMANDS {
+            let err = run(&sv(&[cmd.name, "--no-such-flag", "1"])).unwrap_err();
+            assert!(matches!(err, Error::Usage(_)), "{}: {err}", cmd.name);
+            assert!(
+                text.contains(&format!("  {:<8} ", cmd.name)),
+                "{}",
+                cmd.name
+            );
+            for f in cmd.flags {
+                assert!(
+                    text.contains(&format!("--{} ", f.name))
+                        || text.contains(&format!("--{}]", f.name))
+                );
+            }
+        }
+        // A switch takes no value; a valued flag needs one.
+        assert!(matches!(
+            run(&sv(&["inspect", "--bundle"])),
+            Err(Error::Usage(m)) if m.contains("needs a value")
+        ));
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn main() {
                 cause = c.source();
             }
             if matches!(e, unfold_cli::Error::Usage(_)) {
-                eprintln!("{}", unfold_cli::USAGE);
+                eprintln!("{}", unfold_cli::usage());
             }
             std::process::exit(e.exit_code());
         }

@@ -11,14 +11,25 @@
 //! explores a state's AM arcs in order, so variable-length records cost
 //! nothing), with the state table providing the bit offset of each
 //! state's first arc.
+//!
+//! A state record is the paper's 8 bytes (§3.4, the scheme of its
+//! reference 34): a u32 first-arc bit offset, a u16 arc count and a
+//! u16 slot. The slot's low 15 bits index an exact f32 final-weight
+//! table in the section header (`0x7FFF` for a non-final state); its
+//! top bit says whether the state has an ε-input arc, which the
+//! decoder's ε-closure reads instead of scanning the arcs.
+
+use std::collections::HashMap;
+use std::ops::Range;
 
 use unfold_wfst::{Arc, StateId, Wfst, WfstBuilder, EPSILON};
 
 use crate::bits::{BitSlice, BitWriter};
 use crate::bundle::{Bundle, BundleError, SectionKind};
 use crate::io::{
-    rd_f32, rd_u32, rd_u64, ByteReader, ByteWriter, Extents, ModelIoError, SectionBytes,
-    AM_DEST_BITS, AM_MAGIC, FORMAT_VERSION, PDF_BITS, TAG_BITS, WEIGHT_BITS, WORD_BITS,
+    rd_f32, rd_rec, rec_count, rec_offset, ByteReader, ByteWriter, Extents, ModelIoError,
+    SectionBytes, AM_DEST_BITS, AM_MAGIC, AM_WIDTHS, FORMAT_VERSION, PDF_BITS, TAG_BITS,
+    WEIGHT_BITS, WORD_BITS,
 };
 use crate::quant::WeightQuantizer;
 
@@ -33,10 +44,11 @@ pub(crate) const SHORT_ARC_BITS: u32 = TAG_BITS + PDF_BITS + WEIGHT_BITS;
 /// (58 bits).
 pub(crate) const FULL_ARC_BITS: u32 = SHORT_ARC_BITS + WORD_BITS + AM_DEST_BITS;
 
-/// Serialized state record: bit offset (u64), arc count (u32), final
-/// flag (u32), final weight (f32). Size accounting models it at 8
-/// bytes (the "bandwidth reduction scheme" state record of [34]).
-const STATE_REC_BYTES: usize = 20;
+/// Slot value of a non-final state; also the final-weight table's
+/// length bound, so every index below it fits the slot's 15 bits.
+const NOT_FINAL: u16 = 0x7FFF;
+/// Slot bit set when the state has an ε-input arc.
+const EPS_BIT: u16 = 0x8000;
 
 /// Parsed header of a serialized `UNFA` section: everything needed to
 /// decode arcs in place except the bytes themselves.
@@ -47,6 +59,9 @@ pub struct AmLayout {
     short_arcs: u64,
     normal_arcs: u64,
     quant: WeightQuantizer,
+    /// Byte range of the final-weight table: one exact f32 per slot
+    /// index.
+    finals: Range<usize>,
     extents: Extents,
     /// Largest PDF id on any arc, recorded by the structural walk (0
     /// in a header-only parse).
@@ -65,6 +80,7 @@ impl AmLayout {
     pub fn parse(bytes: &[u8]) -> Result<AmLayout, ModelIoError> {
         let mut r = ByteReader::new(bytes);
         let num_states = r.model_head(AM_MAGIC, AM_DEST_BITS)?;
+        r.widths(&AM_WIDTHS)?;
         let start = r.u32()?;
         if start as usize >= num_states {
             return Err(ModelIoError::Corrupt("start state out of range"));
@@ -72,13 +88,19 @@ impl AmLayout {
         let short_arcs = r.u64()?;
         let normal_arcs = r.u64()?;
         let quant = r.codebook()?;
-        let extents = r.extents(num_states, STATE_REC_BYTES)?;
+        let num_finals = r.u32()? as usize;
+        if num_finals > usize::from(NOT_FINAL) {
+            return Err(ModelIoError::Corrupt("final-weight table too long"));
+        }
+        let finals = r.span(num_finals * 4)?;
+        let extents = r.extents(num_states)?;
         Ok(AmLayout {
             num_states,
             start,
             short_arcs,
             normal_arcs,
             quant,
+            finals,
             extents,
             max_pdf: 0,
         })
@@ -92,6 +114,7 @@ impl AmLayout {
         View {
             layout: self,
             states,
+            finals: &bytes[self.finals.clone()],
             bits,
         }
     }
@@ -107,16 +130,23 @@ impl AmLayout {
         self.num_states
     }
 
-    /// Arc-stream payload size in bytes (what mmap loading avoids
+    /// Arc-stream payload size in bytes, its zero tail padding
+    /// included: the section's last bytes (what mmap loading avoids
     /// copying).
     pub fn arc_stream_bytes(&self) -> usize {
         self.extents.arc_stream_bytes()
     }
 
-    /// State-table size in bytes — the part of the section the header
-    /// sweep *does* read at parse time.
+    /// State-table size in bytes: [`crate::STATE_RECORD_BYTES`] a
+    /// state.
     pub fn state_table_bytes(&self) -> usize {
         self.extents.state_table_bytes()
+    }
+
+    /// Entries of the final-weight table (one per distinct final
+    /// weight).
+    pub fn num_final_weights(&self) -> usize {
+        self.finals.len() / 4
     }
 }
 
@@ -130,28 +160,32 @@ pub struct CompressedAm {
     layout: AmLayout,
 }
 
-/// The per-call borrowed view: the state table and the arc stream.
+/// The per-call borrowed view: the state table, the final-weight
+/// table and the arc stream.
 struct View<'a> {
     layout: &'a AmLayout,
     states: &'a [u8],
+    finals: &'a [u8],
     bits: BitSlice<'a>,
 }
 
 impl View<'_> {
-    /// `(bit offset, arc count, is final, final weight)` of `s`.
+    /// `(bit offset, arc count, slot)` of `s`.
     #[inline]
-    fn rec(&self, s: StateId) -> (u64, u32, bool, f32) {
-        let base = s as usize * STATE_REC_BYTES;
-        (
-            rd_u64(self.states, base),
-            rd_u32(self.states, base + 8),
-            rd_u32(self.states, base + 12) != 0,
-            rd_f32(self.states, base + 16),
-        )
+    fn rec(&self, s: StateId) -> (u64, u32, u16) {
+        let (off, narcs, slot) = rd_rec(self.states, s);
+        (u64::from(off), u32::from(narcs), slot)
+    }
+
+    /// The final weight a slot names, or `None` for [`NOT_FINAL`].
+    #[inline]
+    fn final_weight(&self, slot: u16) -> Option<f32> {
+        let index = slot & !EPS_BIT;
+        (index != NOT_FINAL).then(|| rd_f32(self.finals, usize::from(index) * 4))
     }
 
     fn for_each_arc(&self, s: StateId, mut f: impl FnMut(Arc, u64, u32)) {
-        let (mut off, narcs, _, _) = self.rec(s);
+        let (mut off, narcs, _) = self.rec(s);
         for _ in 0..narcs {
             let start_off = off;
             let tag = self.bits.read(off, TAG_BITS);
@@ -178,9 +212,11 @@ impl View<'_> {
     }
 
     /// The structural walk [`AmLayout::parse`] skips — state offsets,
-    /// arc tags, destinations, weight indices, block contiguity —
-    /// proving every read [`View::for_each_arc`] makes. Returns the
-    /// largest PDF id on any arc. O(states + arcs).
+    /// arc tags, destinations, weight indices, block contiguity, final
+    /// slots inside the final-weight table, and ε bits that match the
+    /// arcs — proving every read [`View::for_each_arc`] and
+    /// [`View::final_weight`] make. Returns the largest PDF id on any
+    /// arc. O(states + arcs).
     fn walk(&self) -> Result<u32, ModelIoError> {
         let len = self.bits.len_bits();
         let n = self.layout.num_states as u32;
@@ -189,9 +225,17 @@ impl View<'_> {
         let clusters = self.layout.quant.num_clusters() as u64;
         let check_weights = clusters < 1 << WEIGHT_BITS;
         let bad_weight = |off: u64| check_weights && self.bits.read(off, WEIGHT_BITS) >= clusters;
+        let num_finals = (self.finals.len() / 4) as u16;
         let mut max_pdf = 0u32;
         for i in 0..n {
-            let (mut off, narcs, _, _) = self.rec(i);
+            let (mut off, narcs, slot) = self.rec(i);
+            let index = slot & !EPS_BIT;
+            if index >= num_finals && index != NOT_FINAL {
+                return Err(ModelIoError::Corrupt(
+                    "final slot past the final-weight table",
+                ));
+            }
+            let mut has_eps = false;
             // Bounded offsets keep the sums below from overflowing; each
             // block ending where the next begins (checked below) keeps
             // them in order.
@@ -205,7 +249,9 @@ impl View<'_> {
                 // The tag and the PDF id are adjacent: one read.
                 let head = self.bits.read(off, TAG_BITS + PDF_BITS);
                 let tag = head & ((1 << TAG_BITS) - 1);
-                max_pdf = max_pdf.max((head >> TAG_BITS) as u32);
+                let pdf = (head >> TAG_BITS) as u32;
+                max_pdf = max_pdf.max(pdf);
+                has_eps |= pdf == EPSILON;
                 if bad_weight(off + u64::from(TAG_BITS + PDF_BITS)) {
                     return Err(ModelIoError::Corrupt("weight index past the codebook"));
                 }
@@ -238,6 +284,19 @@ impl View<'_> {
             if off != next_off {
                 return Err(ModelIoError::Corrupt("arc blocks not contiguous"));
             }
+            match (has_eps, slot & EPS_BIT != 0) {
+                (false, true) => {
+                    return Err(ModelIoError::Corrupt(
+                        "epsilon bit set on a state without epsilon arcs",
+                    ));
+                }
+                (true, false) => {
+                    return Err(ModelIoError::Corrupt(
+                        "epsilon bit clear on a state with an epsilon arc",
+                    ));
+                }
+                _ => {}
+            }
         }
         Ok(max_pdf)
     }
@@ -249,7 +308,10 @@ impl CompressedAm {
     /// # Panics
     /// Panics if any field exceeds its bit budget: PDF ids ≥ 2^12, word
     /// ids ≥ 2^18, states ≥ 2^20 (the paper's formats; our synthetic
-    /// tasks respect them), or if `fst` has no states.
+    /// tasks respect them), a state with more than 65 535 arcs (the
+    /// record's u16 count), an arc stream past 2^32 bits (its u32
+    /// offset), or more than 32 767 distinct final weights (its 15-bit
+    /// slot); or if `fst` has no states.
     pub fn compress(fst: &Wfst, k: usize, seed: u64) -> Self {
         assert!(fst.num_states() > 0, "compress: empty AM");
         assert!(
@@ -270,14 +332,26 @@ impl CompressedAm {
 
         let mut w = BitWriter::new();
         let mut recs = ByteWriter::default();
+        let mut finals = Vec::new();
+        let mut slots = HashMap::new();
         let mut short_arcs = 0u64;
         let mut normal_arcs = 0u64;
         for s in fst.states() {
             let arcs = fst.arcs(s);
-            recs.u64(w.len_bits());
-            recs.u32(arcs.len() as u32);
-            recs.u32(u32::from(fst.final_weight(s).is_some()));
-            recs.f32(fst.final_weight(s).unwrap_or(f32::INFINITY));
+            let mut slot = fst.final_weight(s).map_or(NOT_FINAL, |weight| {
+                *slots.entry(weight.to_bits()).or_insert_with(|| {
+                    assert!(
+                        finals.len() < usize::from(NOT_FINAL),
+                        "compress: more than {NOT_FINAL} distinct final weights, past the 15-bit slot"
+                    );
+                    finals.push(weight);
+                    finals.len() as u16 - 1
+                })
+            });
+            if arcs.iter().any(|a| a.ilabel == EPSILON) {
+                slot |= EPS_BIT;
+            }
+            recs.rec(rec_offset(w.len_bits(), s), rec_count(arcs.len(), s), slot);
             for a in arcs {
                 assert!(
                     a.ilabel < (1 << PDF_BITS),
@@ -316,10 +390,15 @@ impl CompressedAm {
         out.out.extend_from_slice(&AM_MAGIC);
         out.u32(FORMAT_VERSION);
         out.u32(fst.num_states() as u32);
+        out.widths(&AM_WIDTHS);
         out.u32(fst.start());
         out.u64(short_arcs);
         out.u64(normal_arcs);
         out.codebook(&quant);
+        out.u32(finals.len() as u32);
+        for &weight in &finals {
+            out.f32(weight);
+        }
         out.out.extend(recs.out);
         out.arc_stream(&w.finish());
         let mut layout = AmLayout::parse(&out.out).expect("a freshly compressed AM parses");
@@ -388,12 +467,25 @@ impl CompressedAm {
         self.view().rec(s).0
     }
 
-    /// Total compressed size in bytes: arc bit stream + 8-byte state
-    /// records + the K-means centroid table.
+    /// Total compressed size in bytes, as the paper counts it: the
+    /// state table of 8-byte records, the arc bit stream rounded up to
+    /// whole bytes, and the K-means centroid table. The section adds its
+    /// header, the final-weight table, the stream's word rounding and
+    /// its tail padding.
     pub fn size_bytes(&self) -> u64 {
-        self.layout.extents.len_bits().div_ceil(8)
-            + self.layout.num_states as u64 * 8
-            + self.layout.quant.table_bytes()
+        self.layout
+            .extents
+            .size_bytes(self.layout.quant.table_bytes())
+    }
+
+    /// Whether each state, in state order, has an ε-input arc: the
+    /// records' ε bits, which the structural walk proved against the
+    /// arcs. One pass over the state table.
+    pub fn eps_flags(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        let (states, _) = self.layout.extents.split(self.bytes.get());
+        states
+            .chunks_exact(crate::STATE_RECORD_BYTES)
+            .map(|rec| rd_rec(rec, 0).2 & EPS_BIT != 0)
     }
 
     /// Start state of the original machine.
@@ -406,8 +498,8 @@ impl CompressedAm {
     /// # Panics
     /// Panics if `s` is out of range.
     pub fn final_weight(&self, s: StateId) -> Option<f32> {
-        let (_, _, is_final, w) = self.view().rec(s);
-        is_final.then_some(w)
+        let v = self.view();
+        v.final_weight(v.rec(s).2)
     }
 
     /// Visits each arc of `s` with its bit offset and encoded width —
@@ -448,7 +540,7 @@ impl CompressedAm {
         let mut b = WfstBuilder::with_states(n);
         b.set_start(self.start());
         for s in 0..n as StateId {
-            if let (_, _, true, w) = v.rec(s) {
+            if let Some(w) = v.final_weight(v.rec(s).2) {
                 b.set_final(s, w);
             }
         }
@@ -636,15 +728,17 @@ mod tests {
             ModelIoError::Truncated
         );
         // Flip a state record's bit offset: contiguity validation must
-        // surface a structural error, never a panic.
-        // Header = 36 bytes with the cluster count k at bytes 32..36;
-        // codebook = k * 4; state records are 20 bytes each, offset
-        // first.
+        // surface a structural error, never a panic. The state table
+        // sits right before the stream's bit length (u64) and word
+        // count (u32); records are 8 bytes each, offset first.
         let mut flipped = good.clone();
-        let k = u32::from_le_bytes(good[32..36].try_into().unwrap()) as usize;
-        let state1_offset = 36 + k * 4 + 20;
-        flipped[state1_offset] ^= 0xFF;
-        assert!(load(&flipped).is_err());
+        let table =
+            good.len() - comp.layout.arc_stream_bytes() - 12 - comp.layout.state_table_bytes();
+        flipped[table + crate::STATE_RECORD_BYTES] ^= 0xFF;
+        assert_eq!(
+            load(&flipped).unwrap_err(),
+            ModelIoError::Corrupt("arc blocks not contiguous")
+        );
     }
 
     #[test]
@@ -666,6 +760,62 @@ mod tests {
             load(&bytes).unwrap_err(),
             ModelIoError::Corrupt("-1 arc from state 0")
         );
+    }
+
+    #[test]
+    fn final_weights_and_eps_bits_come_from_the_records() {
+        let fst = am_fst();
+        let comp = CompressedAm::compress(&fst, 64, 0);
+        let layout = AmLayout::parse(&comp.to_bytes()).unwrap();
+        assert_eq!(layout.num_final_weights(), 1);
+        assert_eq!(
+            layout.state_table_bytes(),
+            comp.num_states() * crate::STATE_RECORD_BYTES
+        );
+        assert_eq!(comp.eps_flags().len(), fst.num_states());
+        for (s, flag) in fst.states().zip(comp.eps_flags()) {
+            assert_eq!(comp.final_weight(s), fst.final_weight(s), "state {s}");
+            let eps = fst.arcs(s).iter().any(|a| a.ilabel == EPSILON);
+            assert_eq!(flag, eps, "state {s}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "compress: state 0 has 65536 arcs, past the 16-bit count")]
+    fn compress_refuses_a_count_past_16_bits() {
+        let mut b = WfstBuilder::with_states(1);
+        b.set_start(0);
+        for _ in 0..=u16::MAX as usize {
+            b.add_arc(0, Arc::new(1, EPSILON, 0.5, 0));
+        }
+        CompressedAm::compress(&b.build(), 4, 0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "compress: more than 32767 distinct final weights, past the 15-bit slot"
+    )]
+    fn compress_refuses_more_final_weights_than_the_slot_indexes() {
+        let n = usize::from(NOT_FINAL) + 1;
+        let mut b = WfstBuilder::with_states(n);
+        b.set_start(0);
+        for s in 0..n as StateId {
+            b.set_final(s, s as f32);
+        }
+        CompressedAm::compress(&b.build(), 4, 0);
+    }
+
+    #[test]
+    fn as_many_final_weights_as_the_slot_indexes_still_compress() {
+        let n = usize::from(NOT_FINAL);
+        let mut b = WfstBuilder::with_states(n);
+        b.set_start(0);
+        for s in 0..n as StateId {
+            b.set_final(s, s as f32);
+        }
+        let comp = CompressedAm::compress(&b.build(), 4, 0);
+        let last = n as StateId - 1;
+        assert_eq!(comp.final_weight(last), Some(last as f32));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "UNFB"
-//! 4       4     version (LE u32, currently 1)
+//! 4       4     version (LE u32, currently 2)
 //! 8       4     section count
 //! 12      4     section-table length in bytes
 //! 16      ...   section table: per section
@@ -51,8 +51,10 @@ use crate::mmap::Mapped;
 
 /// Magic bytes of a `.unfb` bundle.
 pub const BUNDLE_MAGIC: [u8; 4] = *b"UNFB";
-/// Bundle container version.
-pub const BUNDLE_VERSION: u32 = 1;
+/// Bundle container version. Version 2 carries version-2 model
+/// sections ([`crate::io::FORMAT_VERSION`]); a version-1 bundle is refused
+/// with [`BundleError::BadVersion`].
+pub const BUNDLE_VERSION: u32 = 2;
 /// Hard cap on section count (a hostile header must not drive huge
 /// allocations).
 const MAX_SECTIONS: usize = 4096;

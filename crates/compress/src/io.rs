@@ -5,9 +5,11 @@
 //! compressed AM/LM to exist as bytes on disk. They do so as the `UNFA`
 //! and `UNFL` sections of one `.unfb` bundle ([`crate::bundle`]). This
 //! module defines a section's little-endian layout: magic + version,
-//! the state table, the K-means codebook, and the raw arc bit stream.
-//! Round-trips are exact (bit-for-bit), and binding a section checks
-//! its structure rather than trusting the bytes.
+//! the arc-field widths, the K-means codebook, the state table of
+//! [`STATE_RECORD_BYTES`]-byte records, and the raw arc bit stream
+//! with its zero tail padding. Round-trips are exact (bit-for-bit),
+//! and binding a section checks its structure rather than trusting
+//! the bytes.
 //!
 //! The serialized bytes *are* the in-memory model: a compressed model
 //! is its section bytes plus a parsed header, reading every field in
@@ -24,8 +26,25 @@ use crate::quant::WeightQuantizer;
 pub const AM_MAGIC: [u8; 4] = *b"UNFA";
 /// Magic of a compressed-LM section.
 pub const LM_MAGIC: [u8; 4] = *b"UNFL";
-/// Section format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Section format version. Version 2 stores the paper's 8-byte state
+/// records, records the arc-field widths in each header, and pads the
+/// arc stream's tail; a version-1 section is refused.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Bytes of one serialized state record, AM and LM alike: the paper's
+/// record (§3.4, the bandwidth-reduction scheme of its reference 34),
+/// a 32-bit first-arc bit offset, a 16-bit arc count and a 16-bit slot
+/// whose meaning is the section's. `size_bytes()` counts it, and the
+/// simulator's address model fetches it.
+pub const STATE_RECORD_BYTES: usize = 8;
+
+/// Zero bytes after every arc stream's last word, so that a 16-byte
+/// window at any arc's byte offset is in bounds.
+pub(crate) const ARC_TAIL_PAD_BYTES: usize = 16;
+
+/// Bytes of the arc-field width block in a section header: one byte a
+/// width, zero-filled.
+const WIDTH_BLOCK_BYTES: usize = 8;
 
 // Arc-record field widths of the §3.4 formats, each spelled once.
 /// K-means weight index (64 clusters).
@@ -40,6 +59,24 @@ pub(crate) const TAG_BITS: u32 = 2;
 pub(crate) const AM_DEST_BITS: u32 = 20;
 /// LM destination state.
 pub(crate) const LM_DEST_BITS: u32 = 21;
+
+/// The arc-field widths an `UNFA` header records, in order, each with
+/// the error that names it: tag, PDF, weight, word, destination.
+pub(crate) const AM_WIDTHS: [(u32, &str); 5] = [
+    (TAG_BITS, "tag width is not the format's"),
+    (PDF_BITS, "pdf width is not the format's"),
+    (WEIGHT_BITS, "weight width is not the format's"),
+    (WORD_BITS, "word width is not the format's"),
+    (AM_DEST_BITS, "destination width is not the format's"),
+];
+
+/// The arc-field widths an `UNFL` header records, in order: weight,
+/// word, destination.
+pub(crate) const LM_WIDTHS: [(u32, &str); 3] = [
+    (WEIGHT_BITS, "weight width is not the format's"),
+    (WORD_BITS, "word width is not the format's"),
+    (LM_DEST_BITS, "destination width is not the format's"),
+];
 
 /// Where a compressed model's serialized section lives: a buffer of
 /// its own (`compress`), or a range of a ref-counted
@@ -70,14 +107,37 @@ impl std::fmt::Debug for SectionBytes {
     }
 }
 
+/// State record `s` of `states`, a state table: `(first-arc bit
+/// offset, arc count, slot)`, read with one 8-byte load.
 #[inline]
-pub(crate) fn rd_u64(b: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
+pub(crate) fn rd_rec(states: &[u8], s: u32) -> (u32, u16, u16) {
+    let base = s as usize * STATE_RECORD_BYTES;
+    let rec = u64::from_le_bytes(
+        states[base..base + STATE_RECORD_BYTES]
+            .try_into()
+            .expect("8 bytes"),
+    );
+    (rec as u32, (rec >> 32) as u16, (rec >> 48) as u16)
 }
 
-#[inline]
-pub(crate) fn rd_u32(b: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
+/// The first-arc offset of state `s`, whose arcs start at bit `bits`
+/// of the stream, as its record stores it.
+///
+/// # Panics
+/// Panics if `bits` does not fit the record's 32-bit offset.
+pub(crate) fn rec_offset(bits: u64, s: u32) -> u32 {
+    u32::try_from(bits).unwrap_or_else(|_| {
+        panic!("compress: state {s} starts at bit {bits}, past the 32-bit state offset")
+    })
+}
+
+/// The arc count of state `s` as its record stores it.
+///
+/// # Panics
+/// Panics if `n` does not fit the record's 16-bit count.
+pub(crate) fn rec_count(n: usize, s: u32) -> u16 {
+    u16::try_from(n)
+        .unwrap_or_else(|_| panic!("compress: state {s} has {n} arcs, past the 16-bit count"))
 }
 
 #[inline]
@@ -122,6 +182,13 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
+    /// The next `n` bytes' range in the buffer, skipped.
+    pub(crate) fn span(&mut self, n: usize) -> Result<Range<usize>, ModelIoError> {
+        let start = self.pos;
+        self.take(n)?;
+        Ok(start..self.pos)
+    }
+
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ModelIoError> {
         if self.pos + n > self.buf.len() {
             return Err(ModelIoError::Truncated);
@@ -151,6 +218,22 @@ impl<'a> ByteReader<'a> {
 
     pub(crate) fn done(&self) -> bool {
         self.pos == self.buf.len()
+    }
+
+    /// The arc-field width block: each of `want`'s widths in order, then
+    /// zeros. A width other than the format's is refused with the error
+    /// naming its field.
+    pub(crate) fn widths(&mut self, want: &[(u32, &'static str)]) -> Result<(), ModelIoError> {
+        let block = self.take(WIDTH_BLOCK_BYTES)?;
+        for (&got, &(width, field)) in block.iter().zip(want) {
+            if u32::from(got) != width {
+                return Err(ModelIoError::Corrupt(field));
+            }
+        }
+        if block[want.len()..].iter().any(|&b| b != 0) {
+            return Err(ModelIoError::Corrupt("reserved width bytes not zero"));
+        }
+        Ok(())
     }
 
     /// Magic, version, and a state count in `1..2^dest_bits` — the head
@@ -190,22 +273,17 @@ impl<'a> ByteReader<'a> {
         Ok(WeightQuantizer::from_centroids(centroids))
     }
 
-    /// The tail every model section ends with: `num_states` records of
-    /// `rec_bytes` each, then the arc stream (bit length, word count,
-    /// little-endian words), then nothing. Locates both without
-    /// reading them.
-    pub(crate) fn extents(
-        &mut self,
-        num_states: usize,
-        rec_bytes: usize,
-    ) -> Result<Extents, ModelIoError> {
-        let start = self.pos;
-        self.take(
+    /// The tail every model section ends with: `num_states` state
+    /// records, then the arc stream (bit length, word count,
+    /// little-endian words, [`ARC_TAIL_PAD_BYTES`] zero bytes), then
+    /// nothing. Locates both without reading them; only the padding is
+    /// read, to check it is there and zero.
+    pub(crate) fn extents(&mut self, num_states: usize) -> Result<Extents, ModelIoError> {
+        let states = self.span(
             num_states
-                .checked_mul(rec_bytes)
+                .checked_mul(STATE_RECORD_BYTES)
                 .ok_or(ModelIoError::Truncated)?,
         )?;
-        let states = start..self.pos;
         let len_bits = self.u64()?;
         let num_words = self.u32()? as usize;
         if len_bits > num_words as u64 * 64 {
@@ -213,6 +291,12 @@ impl<'a> ByteReader<'a> {
         }
         let start = self.pos;
         self.take(num_words.checked_mul(8).ok_or(ModelIoError::Truncated)?)?;
+        let pad = self
+            .take(ARC_TAIL_PAD_BYTES)
+            .map_err(|_| ModelIoError::Corrupt("arc stream tail padding missing"))?;
+        if pad.iter().any(|&b| b != 0) {
+            return Err(ModelIoError::Corrupt("arc stream tail padding not zero"));
+        }
         if !self.done() {
             return Err(ModelIoError::Corrupt("trailing bytes"));
         }
@@ -224,7 +308,8 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Byte ranges of a parsed section's state table and arc stream.
+/// Byte ranges of a parsed section's state table and arc stream (its
+/// tail padding included).
 #[derive(Debug, Clone)]
 pub(crate) struct Extents {
     states: Range<usize>,
@@ -254,6 +339,13 @@ impl Extents {
     pub(crate) fn len_bits(&self) -> u64 {
         self.len_bits
     }
+
+    /// What the paper counts of a section (`size_bytes()`): the state
+    /// table, the arc stream's bits rounded up to whole bytes, and
+    /// `codebook_bytes` of centroids.
+    pub(crate) fn size_bytes(&self, codebook_bytes: u64) -> u64 {
+        self.states.len() as u64 + self.len_bits.div_ceil(8) + codebook_bytes
+    }
 }
 
 /// Little-endian byte sink used by the model writers.
@@ -275,6 +367,22 @@ impl ByteWriter {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// One state record, as [`rd_rec`] reads it.
+    pub(crate) fn rec(&mut self, offset: u32, count: u16, slot: u16) {
+        self.u32(offset);
+        self.out.extend_from_slice(&count.to_le_bytes());
+        self.out.extend_from_slice(&slot.to_le_bytes());
+    }
+
+    /// Inverse of [`ByteReader::widths`].
+    pub(crate) fn widths(&mut self, widths: &[(u32, &str)]) {
+        let mut block = [0u8; WIDTH_BLOCK_BYTES];
+        for (b, &(width, _)) in block.iter_mut().zip(widths) {
+            *b = width as u8;
+        }
+        self.out.extend_from_slice(&block);
+    }
+
     /// Inverse of [`ByteReader::codebook`].
     pub(crate) fn codebook(&mut self, quant: &WeightQuantizer) {
         self.u32(quant.num_clusters() as u32);
@@ -283,11 +391,13 @@ impl ByteWriter {
         }
     }
 
-    /// The arc stream as [`ByteReader::extents`] expects it.
+    /// The arc stream as [`ByteReader::extents`] expects it, tail
+    /// padding included.
     pub(crate) fn arc_stream(&mut self, bits: &BitBuf) {
         self.u64(bits.len_bits());
         self.u32(bits.words().len() as u32);
         self.out.extend(bits.to_bytes());
+        self.out.extend_from_slice(&[0; ARC_TAIL_PAD_BYTES]);
     }
 }
 
@@ -315,6 +425,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(
+        expected = "compress: state 9 starts at bit 4294967296, past the 32-bit state offset"
+    )]
+    fn a_state_offset_past_32_bits_is_refused() {
+        // Both models' `compress` store offsets through this check; an
+        // arc stream of 2^32 bits is 512 MiB, so it is driven directly.
+        rec_offset(1 << 32, 9);
+    }
+
+    #[test]
+    fn records_round_trip() {
+        let mut w = ByteWriter::default();
+        w.rec(0xDEAD_BEEF, 0xABCD, 0x8001);
+        assert_eq!(w.out.len(), STATE_RECORD_BYTES);
+        assert_eq!(rd_rec(&w.out, 0), (0xDEAD_BEEF, 0xABCD, 0x8001));
+    }
+
+    #[test]
     fn error_messages() {
         assert!(ModelIoError::BadMagic.to_string().contains("magic"));
         assert!(ModelIoError::BadVersion(9).to_string().contains('9'));
@@ -332,6 +460,20 @@ mod tests {
             let _ = LmLayout::parse(bytes).and_then(|l| l.walk(bytes));
         }
 
+        /// `magic`, the current version, the first four bytes of
+        /// `garbage` as the state count, the section's width block, then
+        /// the rest of `garbage`.
+        fn headed(magic: [u8; 4], widths: &[(u32, &str)], garbage: &[u8]) -> Vec<u8> {
+            let mut w = super::ByteWriter::default();
+            w.out.extend_from_slice(&magic);
+            w.u32(super::FORMAT_VERSION);
+            let (count, rest) = garbage.split_at(garbage.len().min(4));
+            w.out.extend_from_slice(count);
+            w.widths(widths);
+            w.out.extend_from_slice(rest);
+            w.out
+        }
+
         proptest! {
             /// Arbitrary bytes must produce an error, never a panic or a
             /// structurally unsound model.
@@ -347,29 +489,18 @@ mod tests {
                 let _ = LmLayout::parse(&bytes);
             }
 
-            /// Same with a valid magic prefix (reaches deeper code paths).
+            /// Same with a valid magic, version and width block around
+            /// the garbage state count (reaches deeper code paths).
             #[test]
             fn magic_prefixed_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-                let mut am = super::AM_MAGIC.to_vec();
-                am.extend_from_slice(&1u32.to_le_bytes());
-                am.extend_from_slice(&bytes);
-                check(&am);
-                let mut lm = super::LM_MAGIC.to_vec();
-                lm.extend_from_slice(&1u32.to_le_bytes());
-                lm.extend_from_slice(&bytes);
-                check(&lm);
+                check(&headed(super::AM_MAGIC, &super::AM_WIDTHS, &bytes));
+                check(&headed(super::LM_MAGIC, &super::LM_WIDTHS, &bytes));
             }
 
             #[test]
             fn magic_prefixed_garbage_never_panics_layout_parsers(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-                let mut am = super::AM_MAGIC.to_vec();
-                am.extend_from_slice(&1u32.to_le_bytes());
-                am.extend_from_slice(&bytes);
-                let _ = AmLayout::parse(&am);
-                let mut lm = super::LM_MAGIC.to_vec();
-                lm.extend_from_slice(&1u32.to_le_bytes());
-                lm.extend_from_slice(&bytes);
-                let _ = LmLayout::parse(&lm);
+                let _ = AmLayout::parse(&headed(super::AM_MAGIC, &super::AM_WIDTHS, &bytes));
+                let _ = LmLayout::parse(&headed(super::LM_MAGIC, &super::LM_WIDTHS, &bytes));
             }
         }
     }

@@ -63,7 +63,7 @@ pub use bundle::{
     BUNDLE_VERSION,
 };
 pub use composed::CompressedComposed;
-pub use io::ModelIoError;
+pub use io::{ModelIoError, STATE_RECORD_BYTES};
 pub use lm::{CompressedLm, LmLayout, LmLookup, MAX_BACKOFF_HOPS};
 pub use mmap::Mapped;
 pub use quant::WeightQuantizer;

@@ -11,14 +11,21 @@
 //! * **Regular arcs**: 45 bits (18-bit word id + 21-bit destination +
 //!   6-bit weight), fixed-width so the *i*-th arc of a state sits at a
 //!   computable bit offset — the random access the binary search needs.
+//!
+//! A state record is the paper's 8 bytes: a u32 first-arc bit offset,
+//! a u16 word-arc count (the back-off arc excluded) and a u16 of flags,
+//! bit 0 meaning "has a back-off arc". The root's count lives in the
+//! section header instead, because one positional arc per word passes
+//! u16 at the paper's 200 k words; the root record's count and flags
+//! are 0.
 
 use unfold_wfst::{Arc, Label, StateId, Wfst, WfstBuilder, EPSILON};
 
 use crate::bits::{BitSlice, BitWriter};
 use crate::bundle::{Bundle, BundleError, SectionKind};
 use crate::io::{
-    rd_u32, rd_u64, ByteReader, ByteWriter, Extents, ModelIoError, SectionBytes, FORMAT_VERSION,
-    LM_DEST_BITS, LM_MAGIC, WEIGHT_BITS, WORD_BITS,
+    rd_rec, rec_count, rec_offset, ByteReader, ByteWriter, Extents, ModelIoError, SectionBytes,
+    FORMAT_VERSION, LM_DEST_BITS, LM_MAGIC, LM_WIDTHS, WEIGHT_BITS, WORD_BITS,
 };
 use crate::quant::WeightQuantizer;
 
@@ -29,9 +36,9 @@ pub const BACKOFF_ARC_BITS: u64 = (LM_DEST_BITS + WEIGHT_BITS) as u64;
 /// Unigram arc width: weight only.
 pub const UNIGRAM_ARC_BITS: u64 = WEIGHT_BITS as u64;
 
-/// Serialized state record: bit offset (u64), word-arc count (u32,
-/// excluding the back-off arc), back-off flag (u32).
-const STATE_REC_BYTES: usize = 16;
+/// State-record flag: the state has a back-off arc. Every other flag
+/// bit is reserved and 0.
+const BACKOFF_FLAG: u16 = 1;
 
 /// Longest back-off chain a well-formed LM may have. Binding a model
 /// refuses a longer (or cyclic) chain, and the decoder's hot path
@@ -53,6 +60,8 @@ pub struct LmLookup {
 #[derive(Debug, Clone)]
 pub struct LmLayout {
     num_states: usize,
+    /// The root's positional arc count, one per word.
+    root_arcs: u32,
     quant: WeightQuantizer,
     extents: Extents,
     /// Longest back-off chain from any state, recorded by the
@@ -75,32 +84,34 @@ impl LmLayout {
     pub fn parse(bytes: &[u8]) -> Result<LmLayout, ModelIoError> {
         let mut r = ByteReader::new(bytes);
         let num_states = r.model_head(LM_MAGIC, LM_DEST_BITS)?;
+        r.widths(&LM_WIDTHS)?;
+        let root_arcs = r.u32()?;
         let quant = r.codebook()?;
-        let extents = r.extents(num_states, STATE_REC_BYTES)?;
+        let extents = r.extents(num_states)?;
         let (states, _) = extents.split(bytes);
         let len_bits = extents.len_bits();
-        if rd_u32(states, 12) != 0 {
-            return Err(ModelIoError::Corrupt("root state has a back-off arc"));
+        let (_, root_count, root_flags) = rd_rec(states, 0);
+        if root_count != 0 || root_flags != 0 {
+            return Err(ModelIoError::Corrupt("root record has a count or flags"));
         }
         let mut expect = 0u64;
-        for i in 0..num_states {
-            let base = i * STATE_REC_BYTES;
-            let off = rd_u64(states, base);
-            let narcs = u64::from(rd_u32(states, base + 8));
-            let has_backoff = rd_u32(states, base + 12) != 0;
-            if off != expect {
+        for i in 0..num_states as StateId {
+            let (off, count, flags) = rd_rec(states, i);
+            if flags & !BACKOFF_FLAG != 0 {
+                return Err(ModelIoError::Corrupt("reserved flag bits set"));
+            }
+            if u64::from(off) != expect {
                 return Err(ModelIoError::Corrupt("arc blocks not contiguous"));
             }
-            let width = if i == 0 {
-                UNIGRAM_ARC_BITS
-            } else {
-                REGULAR_ARC_BITS
-            };
-            let mut end = narcs
-                .checked_mul(width)
-                .and_then(|n| n.checked_add(off))
-                .ok_or(ModelIoError::Corrupt("offset overflow"))?;
-            if has_backoff {
+            // A u32 offset plus a u32 count of at most 45-bit arcs
+            // cannot overflow.
+            let mut end = u64::from(off)
+                + if i == 0 {
+                    u64::from(root_arcs) * UNIGRAM_ARC_BITS
+                } else {
+                    u64::from(count) * REGULAR_ARC_BITS
+                };
+            if flags & BACKOFF_FLAG != 0 {
                 end += BACKOFF_ARC_BITS;
             }
             if end > len_bits {
@@ -113,6 +124,7 @@ impl LmLayout {
         }
         Ok(LmLayout {
             num_states,
+            root_arcs,
             quant,
             extents,
             max_backoff_hops: 0,
@@ -143,13 +155,15 @@ impl LmLayout {
         self.num_states
     }
 
-    /// Arc-stream payload size in bytes.
+    /// Arc-stream payload size in bytes, its zero tail padding
+    /// included: the section's last bytes.
     pub fn arc_stream_bytes(&self) -> usize {
         self.extents.arc_stream_bytes()
     }
 
-    /// State-table size in bytes — the part of the section the header
-    /// sweep *does* read at parse time.
+    /// State-table size in bytes ([`crate::STATE_RECORD_BYTES`] a
+    /// state) — the part of the section the header sweep *does* read
+    /// at parse time.
     pub fn state_table_bytes(&self) -> usize {
         self.extents.state_table_bytes()
     }
@@ -173,15 +187,17 @@ struct View<'a> {
 }
 
 impl View<'_> {
-    /// `(bit offset, word-arc count, has back-off)` of `s`.
+    /// `(bit offset, word-arc count, has back-off)` of `s`; the root's
+    /// count comes from the header.
     #[inline]
     fn rec(&self, s: StateId) -> (u64, u32, bool) {
-        let base = s as usize * STATE_REC_BYTES;
-        (
-            rd_u64(self.states, base),
-            rd_u32(self.states, base + 8),
-            rd_u32(self.states, base + 12) != 0,
-        )
+        let (off, count, flags) = rd_rec(self.states, s);
+        let count = if s == 0 {
+            self.layout.root_arcs
+        } else {
+            u32::from(count)
+        };
+        (u64::from(off), count, flags & BACKOFF_FLAG != 0)
     }
 
     /// Word arc `i` of `s`, whose block starts at bit `base`, and the
@@ -332,7 +348,9 @@ impl CompressedLm {
     /// not in word order with `dest == word == index + 1`, arcs not
     /// ilabel-sorted, more than one epsilon arc per state, epsilon arcs
     /// not last, a back-off chain longer than [`MAX_BACKOFF_HOPS`], or
-    /// fields exceeding their bit budgets.
+    /// fields exceeding their bit budgets (a non-root state with more
+    /// than 65 535 word arcs, the record's u16 count; an arc stream
+    /// past 2^32 bits, its u32 offset).
     pub fn compress(fst: &Wfst, k: usize, seed: u64) -> Self {
         assert!(fst.num_states() > 0, "compress: empty LM");
         assert_eq!(fst.start(), 0, "compress: LM root must be state 0");
@@ -371,9 +389,9 @@ impl CompressedLm {
                 "root arc {i} breaks the dest invariant"
             );
         }
-        recs.u64(0);
-        recs.u32(root_arcs.len() as u32);
-        recs.u32(0);
+        // The root's count goes in the header; its record is all zero
+        // but the (zero) offset.
+        recs.rec(0, 0, 0);
         for a in root_arcs {
             w.push(u64::from(quant.encode(a.weight)), WEIGHT_BITS);
         }
@@ -385,9 +403,11 @@ impl CompressedLm {
             assert!(eps_count <= 1, "state {s}: multiple back-off arcs");
             let has_backoff = eps_count == 1;
             let num_word_arcs = arcs.len() - eps_count;
-            recs.u64(w.len_bits());
-            recs.u32(num_word_arcs as u32);
-            recs.u32(u32::from(has_backoff));
+            recs.rec(
+                rec_offset(w.len_bits(), s),
+                rec_count(num_word_arcs, s),
+                if has_backoff { BACKOFF_FLAG } else { 0 },
+            );
             for a in &arcs[..num_word_arcs] {
                 assert!(
                     a.ilabel < (1 << WORD_BITS),
@@ -410,6 +430,8 @@ impl CompressedLm {
         out.out.extend_from_slice(&LM_MAGIC);
         out.u32(FORMAT_VERSION);
         out.u32(fst.num_states() as u32);
+        out.widths(&LM_WIDTHS);
+        out.u32(root_arcs.len() as u32);
         out.codebook(&quant);
         out.out.extend(recs.out);
         out.arc_stream(&w.finish());
@@ -469,12 +491,14 @@ impl CompressedLm {
         self.view().rec(s).1
     }
 
-    /// Total compressed size in bytes (bit stream + 8-byte state records
-    /// + centroid table).
+    /// Total compressed size in bytes, as the paper counts it: the
+    /// state table of 8-byte records, the bit stream rounded up to
+    /// whole bytes, and the centroid table. The section adds its
+    /// header, the stream's word rounding and its tail padding.
     pub fn size_bytes(&self) -> u64 {
-        self.layout.extents.len_bits().div_ceil(8)
-            + self.layout.num_states as u64 * 8
-            + self.layout.quant.table_bytes()
+        self.layout
+            .extents
+            .size_bytes(self.layout.quant.table_bytes())
     }
 
     /// Decodes the `i`-th word arc of `s`.
@@ -607,6 +631,15 @@ mod tests {
         })
     }
 
+    /// Byte offset of state `s`'s record in `comp`'s section: the state
+    /// table sits right before the stream's bit length (u64) and word
+    /// count (u32).
+    fn state_record(comp: &CompressedLm, s: usize) -> usize {
+        let layout = &comp.layout;
+        comp.to_bytes().len() - layout.arc_stream_bytes() - 12 - layout.state_table_bytes()
+            + s * crate::STATE_RECORD_BYTES
+    }
+
     /// Overwrites the `width`-bit field at bit `off` of the arc stream.
     fn poke(comp: &CompressedLm, bytes: &mut [u8], off: u64, width: u32, value: u64) {
         let stream = bytes.len() - comp.layout.arc_stream_bytes();
@@ -670,10 +703,10 @@ mod tests {
         w.out.extend_from_slice(&LM_MAGIC);
         w.u32(FORMAT_VERSION);
         w.u32(1);
-        w.codebook(&WeightQuantizer::from_centroids(vec![0.0]));
-        w.u64(0);
+        w.widths(&LM_WIDTHS);
         w.u32(1);
-        w.u32(0);
+        w.codebook(&WeightQuantizer::from_centroids(vec![0.0]));
+        w.rec(0, 0, 0);
         let mut arcs = BitWriter::new();
         arcs.push(0, WEIGHT_BITS);
         w.arc_stream(&arcs.finish());
@@ -792,11 +825,10 @@ mod tests {
         bad[1] = b'?';
         assert_eq!(load(&bad).unwrap_err(), ModelIoError::BadMagic);
         assert_eq!(load(&good[..20]).unwrap_err(), ModelIoError::Truncated);
-        // Corrupt a state-record bit offset: header = 16 bytes,
-        // codebook = 64 * 4; records are 16 bytes each, offset first.
+        // Corrupt a state-record bit offset; records are 8 bytes each,
+        // offset first.
         let mut flipped = good.clone();
-        let state3_offset = 16 + 64 * 4 + 3 * 16;
-        flipped[state3_offset] ^= 0x5A;
+        flipped[state_record(&comp, 3)] ^= 0x5A;
         assert!(load(&flipped).is_err());
     }
 
@@ -806,7 +838,8 @@ mod tests {
         // the header; the LM's fixed-width
         // sweep even catches a flipped state offset without decoding an
         // arc.
-        let good = CompressedLm::compress(&lm_fst(), 64, 0).to_bytes();
+        let comp = CompressedLm::compress(&lm_fst(), 64, 0);
+        let good = comp.to_bytes();
         let mut bad = good.clone();
         bad[1] = b'?';
         assert_eq!(LmLayout::parse(&bad).unwrap_err(), ModelIoError::BadMagic);
@@ -815,8 +848,11 @@ mod tests {
             ModelIoError::Truncated
         );
         let mut flipped = good.clone();
-        flipped[16 + 64 * 4 + 3 * 16] ^= 0x5A;
-        assert!(LmLayout::parse(&flipped).is_err());
+        flipped[state_record(&comp, 3)] ^= 0x5A;
+        assert_eq!(
+            LmLayout::parse(&flipped).unwrap_err(),
+            ModelIoError::Corrupt("arc blocks not contiguous")
+        );
     }
 
     #[test]
@@ -839,6 +875,33 @@ mod tests {
             load(&bytes).unwrap_err(),
             ModelIoError::Corrupt("word arcs not sorted")
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "compress: state 1 has 65536 arcs, past the 16-bit count")]
+    fn compress_refuses_a_word_arc_count_past_16_bits() {
+        // Root: one positional arc per word. State 1 holds an arc for
+        // every word but the last.
+        let words = u16::MAX as u32 + 2;
+        let mut b = WfstBuilder::with_states(words as usize + 1);
+        b.set_start(0);
+        for w in 1..=words {
+            b.add_arc(0, Arc::new(w, w, 1.0, w));
+        }
+        for w in 1..words {
+            b.add_arc(1, Arc::new(w, w, 2.0, 2));
+        }
+        CompressedLm::compress(&b.build(), 4, 0);
+    }
+
+    #[test]
+    fn the_root_count_lives_in_the_header() {
+        let fst = lm_fst();
+        let comp = CompressedLm::compress(&fst, 64, 0);
+        assert_eq!(comp.num_word_arcs(0) as usize, fst.arcs(0).len());
+        let bytes = comp.to_bytes();
+        let root = state_record(&comp, 0);
+        assert_eq!(bytes[root..root + crate::STATE_RECORD_BYTES], [0; 8]);
     }
 
     #[test]

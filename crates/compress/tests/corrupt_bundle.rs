@@ -15,7 +15,7 @@ use std::sync::Arc;
 use unfold_am::{build_am, HmmTopology, Lexicon};
 use unfold_compress::{
     crc64, Bundle, BundleError, BundleWriter, CompressedAm, CompressedLm, ModelIoError,
-    SectionInfo, SectionKind,
+    SectionInfo, SectionKind, STATE_RECORD_BYTES,
 };
 use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
 
@@ -240,18 +240,50 @@ const AM_TAG_BITS: u32 = 2;
 const AM_DEST_BITS: u32 = 20;
 /// Bits before an AM full arc's destination: tag, PDF, weight, word.
 const AM_DEST_AT: u64 = 2 + 12 + 6 + 18;
-const AM_STATE_REC_BYTES: usize = 20;
 const LM_WORD_BITS: u32 = 18;
 const LM_DEST_BITS: u32 = 21;
 
-/// The bundle, its section table, and where each model's arc stream
-/// starts in the file.
+/// Byte offsets of a state record's fields (the paper's 8-byte
+/// record): u32 first-arc bit offset, u16 arc count, u16 slot (AM) or
+/// flags (LM).
+const REC_COUNT: usize = 4;
+const REC_SLOT: usize = 6;
+/// The AM slot's ε bit and its "not final" index.
+const AM_EPS_BIT: u16 = 0x8000;
+const AM_NOT_FINAL: u16 = 0x7FFF;
+/// Bytes between a state table and its arc stream's words: the
+/// stream's bit length (u64) and word count (u32).
+const STREAM_HEAD_BYTES: usize = 12;
+/// Zero bytes after each arc stream.
+const TAIL_PAD_BYTES: usize = 16;
+
+/// The bundle, its section table, and where each model's state table
+/// and arc stream start in the file.
 struct Packed {
     bytes: Vec<u8>,
     am: SectionInfo,
     lm: SectionInfo,
+    am_table: usize,
+    lm_table: usize,
     am_stream: usize,
     lm_stream: usize,
+}
+
+impl Packed {
+    /// Byte offset in the file of field `at` of state `s`'s record in
+    /// the state table starting at `table`.
+    fn field(table: usize, s: u32, at: usize) -> usize {
+        table + s as usize * STATE_RECORD_BYTES + at
+    }
+
+    fn u16_at(&self, at: usize) -> u16 {
+        u16::from_le_bytes(self.bytes[at..at + 2].try_into().unwrap())
+    }
+}
+
+/// Overwrites the little-endian u16 at byte `at`.
+fn put_u16(bytes: &mut [u8], at: usize, v: u16) {
+    bytes[at..at + 2].copy_from_slice(&v.to_le_bytes());
 }
 
 fn packed() -> Packed {
@@ -265,12 +297,21 @@ fn packed() -> Packed {
             .clone()
     };
     let (am, lm) = (find(SectionKind::Am), find(SectionKind::Lm));
-    let am_stream = am.offset + am.len - b.am_layout().unwrap().arc_stream_bytes();
-    let lm_stream = lm.offset + lm.len - b.lm_layout(&lm.name).unwrap().arc_stream_bytes();
+    let (am_layout, lm_layout) = (b.am_layout().unwrap(), b.lm_layout(&lm.name).unwrap());
+    let am_stream = am.offset + am.len - am_layout.arc_stream_bytes();
+    let lm_stream = lm.offset + lm.len - lm_layout.arc_stream_bytes();
+    let am_table = am_stream - STREAM_HEAD_BYTES - am_layout.state_table_bytes();
+    let lm_table = lm_stream - STREAM_HEAD_BYTES - lm_layout.state_table_bytes();
+    assert_eq!(
+        am_layout.state_table_bytes(),
+        am_layout.num_states() * STATE_RECORD_BYTES
+    );
     Packed {
         bytes,
         am,
         lm,
+        am_table,
+        lm_table,
         am_stream,
         lm_stream,
     }
@@ -287,15 +328,29 @@ fn poke(bytes: &mut [u8], stream: usize, off: u64, width: u32, value: u64) {
 }
 
 /// Re-seals `section`'s payload checksum and then the table checksum,
-/// so every CRC in the file holds again.
+/// so every CRC in the file holds again. The table entry's length (the
+/// u64 before its CRC) is rewritten to `section.len`, so a section can
+/// be shortened.
 fn reseal(bytes: &mut [u8], section: &SectionInfo) {
-    let table_end = HEADER_BYTES + u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let at = bytes[..table_end]
-        .windows(8)
-        .position(|w| w == section.crc.to_le_bytes())
-        .expect("the section's CRC is in the table");
+    let at = table_crc_at(bytes, section);
+    bytes[at - 8..at].copy_from_slice(&(section.len as u64).to_le_bytes());
     let crc = crc64(&bytes[section.offset..section.offset + section.len]);
     bytes[at..at + 8].copy_from_slice(&crc.to_le_bytes());
+    reseal_table(bytes);
+}
+
+/// Where `section`'s payload CRC sits in the section table.
+fn table_crc_at(bytes: &[u8], section: &SectionInfo) -> usize {
+    let table_end = HEADER_BYTES + u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    bytes[..table_end]
+        .windows(8)
+        .position(|w| w == section.crc.to_le_bytes())
+        .expect("the section's CRC is in the table")
+}
+
+/// Re-seals the checksum over the header and the section table.
+fn reseal_table(bytes: &mut [u8]) {
+    let table_end = HEADER_BYTES + u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
     let crc = crc64(&bytes[..table_end]);
     bytes[table_end..table_end + 8].copy_from_slice(&crc.to_le_bytes());
 }
@@ -311,20 +366,28 @@ fn bind(bundle: Bundle) -> Result<(), BundleError> {
 /// Re-seals `section` of `bytes`, then asserts the owned and the mapped
 /// open both pass every checksum and refuse to bind with
 /// [`BundleError::Model`] naming the section and `want`.
-fn assert_refused_at_bind(mut bytes: Vec<u8>, section: &SectionInfo, want: &'static str) {
+fn assert_refused_at_bind(bytes: Vec<u8>, section: &SectionInfo, want: &'static str) {
+    assert_refused_with(bytes, section, ModelIoError::Corrupt(want));
+}
+
+/// [`assert_refused_at_bind`] for any model error.
+fn assert_refused_with(mut bytes: Vec<u8>, section: &SectionInfo, want: ModelIoError) {
     reseal(&mut bytes, section);
     let owned = Bundle::from_bytes(bytes.clone()).expect("every checksum holds");
-    let path = tmp(&format!("walk-{}", want.replace(' ', "-")));
+    let path = tmp(&format!(
+        "walk-{}",
+        format!("{want:?}").replace([' ', '"'], "-")
+    ));
     std::fs::write(&path, &bytes).unwrap();
     let mapped = Bundle::open_mmap(&path).unwrap();
     mapped.verify_all().expect("every checksum holds");
     for (open, bundle) in [("owned", owned), ("mmap", mapped)] {
         match bind(bundle) {
             Err(BundleError::Model { section: name, err }) => {
-                assert_eq!(name, section.name, "{open}: {want}");
-                assert_eq!(err, ModelIoError::Corrupt(want), "{open}");
+                assert_eq!(name, section.name, "{open}: {want:?}");
+                assert_eq!(err, want, "{open}");
             }
-            other => panic!("{open} open of a bundle with {want}: {other:?}"),
+            other => panic!("{open} open of a bundle with {want:?}: {other:?}"),
         }
     }
     std::fs::remove_file(&path).ok();
@@ -398,22 +461,176 @@ fn a_minus_one_arc_from_am_state_zero_is_refused_at_bind() {
 #[test]
 fn non_contiguous_am_blocks_are_refused_at_bind() {
     // State 0 claims one arc fewer than it has: its block ends short of
-    // where state 1's begins. The state table sits right before the
-    // stream's bit length (u64) and word count (u32).
+    // where state 1's begins.
+    let p = packed();
+    let count = Packed::field(p.am_table, 0, REC_COUNT);
+    let narcs = p.u16_at(count);
+    assert!(narcs >= 1);
+    let mut bytes = p.bytes.clone();
+    put_u16(&mut bytes, count, narcs - 1);
+    assert_refused_at_bind(bytes, &p.am, "arc blocks not contiguous");
+}
+
+#[test]
+fn an_am_count_running_past_the_next_state_is_refused_at_bind() {
+    // State 0 claims one arc more than it has: its block runs into
+    // state 1's.
+    let p = packed();
+    let count = Packed::field(p.am_table, 0, REC_COUNT);
+    let mut bytes = p.bytes.clone();
+    put_u16(&mut bytes, count, p.u16_at(count) + 1);
+    assert_refused_at_bind(bytes, &p.am, "arc blocks not contiguous");
+}
+
+#[test]
+fn an_lm_count_running_past_the_next_state_is_refused_at_bind() {
+    let p = packed();
+    let count = Packed::field(p.lm_table, 1, REC_COUNT);
+    let mut bytes = p.bytes.clone();
+    put_u16(&mut bytes, count, p.u16_at(count) + 1);
+    assert_refused_at_bind(bytes, &p.lm, "arc blocks not contiguous");
+}
+
+#[test]
+fn a_final_slot_past_the_final_table_is_refused_at_bind() {
+    // Every AM has one final weight, so slot 1 names nothing. Keep the
+    // state's ε bit as it is.
     let (am, _) = small_models();
     let p = packed();
     let b = Bundle::from_bytes(p.bytes.clone()).unwrap();
-    let table = p.am_stream - 12 - b.am_layout().unwrap().state_table_bytes();
-    assert_eq!(
-        table + am.num_states() * AM_STATE_REC_BYTES,
-        p.am_stream - 12
-    );
+    let num_finals = b.am_layout().unwrap().num_final_weights() as u16;
+    assert_eq!(num_finals, 1);
+    let s = (0..am.num_states() as u32)
+        .find(|&s| am.final_weight(s).is_none())
+        .unwrap();
+    let slot = Packed::field(p.am_table, s, REC_SLOT);
+    assert_eq!(p.u16_at(slot) & !AM_EPS_BIT, AM_NOT_FINAL);
     let mut bytes = p.bytes.clone();
-    let count = table + 8;
-    let narcs = u32::from_le_bytes(bytes[count..count + 4].try_into().unwrap());
-    assert!(narcs >= 1);
-    bytes[count..count + 4].copy_from_slice(&(narcs - 1).to_le_bytes());
-    assert_refused_at_bind(bytes, &p.am, "arc blocks not contiguous");
+    put_u16(&mut bytes, slot, (p.u16_at(slot) & AM_EPS_BIT) | num_finals);
+    assert_refused_at_bind(bytes, &p.am, "final slot past the final-weight table");
+}
+
+#[test]
+fn an_epsilon_bit_on_an_epsilon_free_state_is_refused_at_bind() {
+    let (am, _) = small_models();
+    let p = packed();
+    let s = am.eps_flags().position(|eps| !eps).unwrap() as u32;
+    let slot = Packed::field(p.am_table, s, REC_SLOT);
+    let mut bytes = p.bytes.clone();
+    put_u16(&mut bytes, slot, p.u16_at(slot) | AM_EPS_BIT);
+    assert_refused_at_bind(
+        bytes,
+        &p.am,
+        "epsilon bit set on a state without epsilon arcs",
+    );
+}
+
+#[test]
+fn a_cleared_epsilon_bit_on_a_word_end_state_is_refused_at_bind() {
+    let (am, _) = small_models();
+    let p = packed();
+    let s = (0..am.num_states() as u32)
+        .find(|&s| am.decode_arcs(s).iter().any(|a| a.ilabel == 0))
+        .expect("a word-end state has an ε arc");
+    assert!(am.eps_flags().nth(s as usize).unwrap());
+    let slot = Packed::field(p.am_table, s, REC_SLOT);
+    let mut bytes = p.bytes.clone();
+    put_u16(&mut bytes, slot, p.u16_at(slot) & !AM_EPS_BIT);
+    assert_refused_at_bind(
+        bytes,
+        &p.am,
+        "epsilon bit clear on a state with an epsilon arc",
+    );
+}
+
+#[test]
+fn an_lm_root_record_with_a_count_or_flags_is_refused_at_bind() {
+    // The root's count lives in the header; its record's count and
+    // flags are 0.
+    let p = packed();
+    for at in [REC_COUNT, REC_SLOT] {
+        let mut bytes = p.bytes.clone();
+        put_u16(&mut bytes, Packed::field(p.lm_table, 0, at), 1);
+        assert_refused_at_bind(bytes, &p.lm, "root record has a count or flags");
+    }
+}
+
+#[test]
+fn reserved_lm_flag_bits_are_refused_at_bind() {
+    let p = packed();
+    let flags = Packed::field(p.lm_table, 1, REC_SLOT);
+    let mut bytes = p.bytes.clone();
+    put_u16(&mut bytes, flags, p.u16_at(flags) | 0x8000);
+    assert_refused_at_bind(bytes, &p.lm, "reserved flag bits set");
+}
+
+#[test]
+fn missing_or_dirty_tail_padding_is_refused_at_bind() {
+    let p = packed();
+    for section in [&p.am, &p.lm] {
+        // The section cut before its padding.
+        let short = SectionInfo {
+            len: section.len - TAIL_PAD_BYTES,
+            ..section.clone()
+        };
+        let mut bytes = p.bytes.clone();
+        reseal(&mut bytes, &short);
+        let mut cut = short.clone();
+        cut.crc = crc64(&bytes[short.offset..short.offset + short.len]);
+        assert_refused_at_bind(bytes, &cut, "arc stream tail padding missing");
+        // A non-zero padding byte.
+        let mut bytes = p.bytes.clone();
+        bytes[section.offset + section.len - 1] = 1;
+        assert_refused_at_bind(bytes, section, "arc stream tail padding not zero");
+    }
+}
+
+#[test]
+fn a_width_other_than_the_formats_is_refused_at_bind() {
+    // The width block follows magic, version and state count: AM tag,
+    // PDF, weight, word, destination; LM weight, word, destination.
+    let p = packed();
+    for (section, at, want) in [
+        (&p.am, 0, "tag width is not the format's"),
+        (&p.am, 3, "word width is not the format's"),
+        (&p.am, 4, "destination width is not the format's"),
+        (&p.lm, 2, "destination width is not the format's"),
+    ] {
+        let mut bytes = p.bytes.clone();
+        bytes[section.offset + 12 + at] -= 1;
+        assert_refused_at_bind(bytes, section, want);
+    }
+    let mut bytes = p.bytes.clone();
+    bytes[p.lm.offset + 12 + 7] = 1;
+    assert_refused_at_bind(bytes, &p.lm, "reserved width bytes not zero");
+}
+
+#[test]
+fn a_version_one_section_is_refused_at_bind() {
+    let p = packed();
+    for section in [&p.am, &p.lm] {
+        let mut bytes = p.bytes.clone();
+        bytes[section.offset + 4..section.offset + 8].copy_from_slice(&1u32.to_le_bytes());
+        assert_refused_with(bytes, section, ModelIoError::BadVersion(1));
+    }
+}
+
+#[test]
+fn a_version_one_bundle_is_refused_on_both_opens() {
+    let mut bytes = packed().bytes;
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    reseal_table(&mut bytes);
+    assert!(matches!(
+        Bundle::from_bytes(bytes.clone()),
+        Err(BundleError::BadVersion(1))
+    ));
+    let path = tmp("version-1");
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(
+        Bundle::open_mmap(&path),
+        Err(BundleError::BadVersion(1))
+    ));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -34,12 +34,12 @@
 //! * **Closure** — the epsilon worklist holds dense entry indices
 //!   (`u32`) instead of keys, so a pop re-reads a token with a lane
 //!   load instead of a hash walk. Expansion seeds it: a new entry goes
-//!   on the list only if its state may have an ε-input arc, so tokens
-//!   in states the staging arena flagged as ε-free — every state but a
-//!   word end — are never popped at all. A popped state the arena
-//!   flags as ε-free is still skipped right after the beam test; for
-//!   the rest, the epsilon filter scans the staged slice rather than
-//!   re-decoding the state's arcs.
+//!   on the list only if its state has an ε-input arc (the AM record's
+//!   ε bit, which the staging arena holds for every state), so tokens
+//!   in ε-free states — every state but a word end — are never popped
+//!   at all. A popped ε-free state is still skipped right after the
+//!   beam test; for the rest, the epsilon filter scans the staged
+//!   slice rather than re-decoding the state's arcs.
 //!
 //! Every [`TraceSink`] event and every [`DecodeStats`] counter is
 //! emitted at exactly the same point as in the scalar loop — the two
@@ -253,8 +253,8 @@ pub(crate) fn expand_frame_soa<
                     .plus(TropicalWeight::from_cost(next_best))
                     .value();
                 // A relaxation into the store's old length created a
-                // new entry. It becomes a closure seed unless its state
-                // is staged without ε-input arcs.
+                // new entry. It becomes a closure seed if its state has
+                // an ε-input arc.
                 let fresh = next.len() as u32;
                 let (dst, _) = relax_soa(
                     next,
@@ -267,7 +267,7 @@ pub(crate) fn expand_frame_soa<
                     sink,
                 );
                 lattice.record(e, dst, word, cost);
-                if dst == fresh && eps.may_have_eps(arc.nextstate) {
+                if dst == fresh && eps.has_eps(arc.nextstate) {
                     seeds.push(fresh);
                 }
             }
@@ -315,9 +315,9 @@ pub(crate) fn expand_frame_soa<
 /// improved) token with a lane load instead of a hash walk.
 ///
 /// The caller hands in the initial worklist: the ascending entries of
-/// `tokens` whose state may have an ε-input arc. The scalar closure
-/// starts from every entry, but a pop of a state the arc stage has
-/// staged as ε-free does nothing: no event, no counter, no staging.
+/// `tokens` whose state has an ε-input arc. The scalar closure starts
+/// from every entry, but a pop of an ε-free state does nothing: no
+/// event, no counter (and here, no staging).
 /// Leaving those entries out keeps every other entry in the same
 /// relative order, so the LIFO pops that do work — and therefore the
 /// event stream — match the scalar closure token for token. Entry
@@ -667,9 +667,9 @@ mod tests {
 
     /// The arc stage past its cap, which no test model reaches at the
     /// real `ARENA_CAP` of 2^20 visits. Capped at a few visits, nearly
-    /// every state decodes through the transient buffer and, having no
-    /// span, seeds the ε-closure as "may have ε": the decode must still
-    /// be bit-identical to the uncapped one on both topologies.
+    /// every state decodes through the transient buffer, with no span
+    /// but its seeded ε flag: the decode must still be bit-identical to
+    /// the uncapped one on both topologies.
     #[test]
     fn over_cap_arc_stage_decodes_identically_on_both_topologies() {
         let lex = &models().0;

@@ -291,7 +291,7 @@ impl WorkScratch {
     pub(crate) fn bind_arc_stage<A: AmSource + ?Sized>(&mut self, am: &A, observe: bool) {
         let key = ((am as *const A).cast::<u8>() as usize, am.num_states());
         if self.stage_am != Some(key) || (observe && !self.arc_stage.observing) {
-            self.arc_stage.reset(am.num_states(), observe);
+            self.arc_stage.reset(am, observe);
             self.stage_am = Some(key);
         }
     }
@@ -329,19 +329,20 @@ impl WorkScratch {
 /// It is (re)bound to an AM via [`WorkScratch::bind_arc_stage`] and
 /// persists across utterances.
 ///
-/// Staging also records, in the top bit of the span's `len` word,
-/// whether the state has any ε-input arc. In both HMM topologies only
-/// word-end states do, so [`ArcStage::eps_arcs`] lets the ε-closure
-/// skip every other state without scanning its arcs, and
-/// [`EpsFlags`] lets expansion leave such states out of the closure's
-/// worklist altogether.
+/// The top bit of every span's `len` word says whether the state has
+/// an ε-input arc. [`ArcStage::reset`] seeds it for every state from
+/// [`AmSource::eps_flags`] (a compressed AM's record bits, proved at
+/// bind), staged or not. In both HMM topologies only word-end states
+/// have one, so [`ArcStage::eps_arcs`] lets the ε-closure skip every
+/// other state without staging or scanning it, and [`EpsFlags`] lets
+/// expansion leave such states out of the closure's worklist
+/// altogether.
 ///
 /// The arena is soft-capped at [`ArcStage::ARENA_CAP`] visits; states
 /// first seen after the cap decode through a transient buffer (with
 /// its own footprint lane) instead of staging: bounded memory on
 /// pathologically large models, at the cost of losing the memo for the
-/// tail. Such states have no span and so no flag: they count as "may
-/// have ε" and are scanned.
+/// tail. Their spans stay unstaged but keep the seeded flag.
 ///
 /// A lookup of a staged state is the hot path and inlines into the
 /// kernel; staging and the over-cap decode run out of line.
@@ -349,7 +350,8 @@ impl WorkScratch {
 pub(crate) struct ArcStage {
     /// Per-state `(start, len)` into `arena`; `start == UNSTAGED`
     /// means the state has not been decoded yet. `len` carries
-    /// [`ArcStage::EPS_FLAG`] when the state has an ε-input arc.
+    /// [`ArcStage::EPS_FLAG`] when the state has an ε-input arc, from
+    /// the reset on, staged or not.
     spans: Vec<(u32, u32)>,
     /// Flat decoded-arc storage, appended in first-visit order.
     arena: Vec<Arc>,
@@ -380,13 +382,11 @@ pub(crate) type Replay<'a> = (&'a [Arc], &'a [Fetch]);
 pub(crate) struct EpsFlags<'a>(&'a [(u32, u32)]);
 
 impl EpsFlags<'_> {
-    /// Whether the ε-closure has to look at state `s`: it is staged
-    /// with an ε-input arc, or it is not staged (not yet visited, or
-    /// past the arena cap), so nothing is known about its arcs.
+    /// Whether the ε-closure has to look at state `s`: it has an
+    /// ε-input arc. One bit test, staged or not.
     #[inline(always)]
-    pub(crate) fn may_have_eps(self, s: StateId) -> bool {
-        let (start, packed) = self.0[s as usize];
-        start == ArcStage::UNSTAGED || packed & ArcStage::EPS_FLAG != 0
+    pub(crate) fn has_eps(self, s: StateId) -> bool {
+        self.0[s as usize].1 & ArcStage::EPS_FLAG != 0
     }
 }
 
@@ -398,12 +398,18 @@ impl ArcStage {
     /// twice that in observing mode with the footprint lane).
     pub(crate) const ARENA_CAP: usize = 1 << 20;
 
-    /// Drops every staged span and resizes the span table for a model
-    /// with `num_states` AM states. `observe` switches observing mode
-    /// on; nothing switches it off.
-    pub(crate) fn reset(&mut self, num_states: usize, observe: bool) {
+    /// Drops every staged span and sizes the span table for `am`,
+    /// seeding each state's ε flag from [`AmSource::eps_flags`].
+    /// `observe` switches observing mode on; nothing switches it off.
+    pub(crate) fn reset<A: AmSource + ?Sized>(&mut self, am: &A, observe: bool) {
         self.spans.clear();
-        self.spans.resize(num_states, (Self::UNSTAGED, 0));
+        let flags = am.eps_flags();
+        debug_assert_eq!(flags.len(), am.num_states());
+        self.spans.extend(
+            flags
+                .into_iter()
+                .map(|eps| (Self::UNSTAGED, if eps { Self::EPS_FLAG } else { 0 })),
+        );
         self.arena.clear();
         self.footprints.clear();
         self.observing |= observe;
@@ -422,13 +428,12 @@ impl ArcStage {
         observe: bool,
     ) -> (Replay<'_>, EpsFlags<'_>) {
         let this = self.lookup(am, s);
-        (this.replay(s, observe).1, EpsFlags(&this.spans))
+        (this.replay(s, observe), EpsFlags(&this.spans))
     }
 
     /// The decoded arcs of `s` (with their footprints when `observe`)
     /// for the ε-closure: `None` when `s` has no ε-input arc, so the
-    /// caller can skip it without a scan. A state beyond the arena cap
-    /// always yields its arcs.
+    /// caller can skip it without staging or scanning it.
     #[inline]
     pub(crate) fn eps_arcs<A: AmSource + ?Sized>(
         &mut self,
@@ -436,8 +441,10 @@ impl ArcStage {
         s: StateId,
         observe: bool,
     ) -> Option<Replay<'_>> {
-        let (may_have_eps, replay) = self.lookup(am, s).replay(s, observe);
-        may_have_eps.then_some(replay)
+        if self.spans[s as usize].1 & Self::EPS_FLAG == 0 {
+            return None;
+        }
+        Some(self.lookup(am, s).replay(s, observe))
     }
 
     /// Makes state `s` replayable: staged already (the hot path), or
@@ -450,18 +457,18 @@ impl ArcStage {
         self
     }
 
-    /// `(may have an ε-input arc, replay)` of a state
-    /// [`ArcStage::lookup`] just made replayable: its span, or the
-    /// transient buffer when it lies past the cap. The footprints are
-    /// read only when `observe`, and an observing decode's bind put
-    /// the stage in observing mode, so they are there.
+    /// The replay of a state [`ArcStage::lookup`] just made
+    /// replayable: its span, or the transient buffer when it lies past
+    /// the cap. The footprints are read only when `observe`, and an
+    /// observing decode's bind put the stage in observing mode, so they
+    /// are there.
     #[inline(always)]
-    fn replay(&self, s: StateId, observe: bool) -> (bool, Replay<'_>) {
+    fn replay(&self, s: StateId, observe: bool) -> Replay<'_> {
         debug_assert!(!observe || self.observing, "observed replay, blind stage");
         let (start, packed) = self.spans[s as usize];
         if start == Self::UNSTAGED {
             let footprints: &[Fetch] = if observe { &self.tmp_footprints } else { &[] };
-            return (true, (&self.tmp, footprints));
+            return (&self.tmp, footprints);
         }
         let (start, len) = (start as usize, (packed & !Self::EPS_FLAG) as usize);
         let span = start..start + len;
@@ -470,10 +477,7 @@ impl ArcStage {
         } else {
             &[]
         };
-        (
-            packed & Self::EPS_FLAG != 0,
-            (&self.arena[span], footprints),
-        )
+        (&self.arena[span], footprints)
     }
 
     /// First visit to state `s`: decodes its arcs into the arena and
@@ -483,19 +487,21 @@ impl ArcStage {
     #[inline(never)]
     fn stage<A: AmSource + ?Sized>(&mut self, am: &A, s: StateId) {
         let observing = self.observing;
+        let flag = self.spans[s as usize].1 & Self::EPS_FLAG;
         if self.arena.len() < self.cap() {
             let start = self.arena.len();
             let footprints = observing.then_some(&mut self.footprints);
             let eps = unpack(am, s, &mut self.arena, footprints);
+            debug_assert_eq!(eps, flag != 0, "state {s}: seeded ε flag");
             let len = (self.arena.len() - start) as u32;
             debug_assert!(len < Self::EPS_FLAG, "state {s}: {len} arcs");
-            let flag = if eps { Self::EPS_FLAG } else { 0 };
             self.spans[s as usize] = (start as u32, len | flag);
         } else {
             self.tmp.clear();
             self.tmp_footprints.clear();
             let footprints = observing.then_some(&mut self.tmp_footprints);
-            unpack(am, s, &mut self.tmp, footprints);
+            let eps = unpack(am, s, &mut self.tmp, footprints);
+            debug_assert_eq!(eps, flag != 0, "state {s}: seeded ε flag");
         }
     }
 
@@ -698,7 +704,7 @@ mod tests {
         let footprints: Vec<Fetch> = direct.iter().map(|v| (v.addr, v.bytes)).collect();
         for observe in [false, true] {
             let mut stage = ArcStage::default();
-            stage.reset(am.num_states(), observe);
+            stage.reset(&am, observe);
             let want: (&[Arc], &[Fetch]) = (&arcs, if observe { &footprints } else { &[] });
             assert_eq!(
                 stage.arcs_and_eps(&am, s, observe).0,
@@ -755,25 +761,36 @@ mod tests {
         let lex = Lexicon::generate(40, 18, 3);
         for topology in [HmmTopology::Kaldi3State, HmmTopology::Ctc] {
             let am = build_am(&lex, topology).fst;
-            let mut stage = ArcStage::default();
-            stage.reset(am.num_states(), false);
-            let mut flagged = 0;
-            for s in 0..am.num_states() as StateId {
-                let mut eps_arcs = 0;
-                am.for_each_arc(s, &mut |v| eps_arcs += usize::from(v.arc.ilabel == EPSILON));
-                // First visit stages the state; the second reads the
-                // flag back from its span.
-                for visit in ["staging", "replay"] {
-                    let got = stage.eps_arcs(&am, s, false).is_some();
-                    assert_eq!(got, eps_arcs > 0, "{topology:?} state {s} ({visit})");
+            let compressed = unfold_compress::CompressedAm::compress(&am, 64, 0);
+            let sources: [&dyn AmSource; 2] = [&am, &compressed];
+            for (source, cap) in sources.into_iter().zip([None, Some(0)]) {
+                let mut stage = ArcStage::default();
+                if let Some(cap) = cap {
+                    stage.set_cap(cap);
                 }
-                flagged += usize::from(eps_arcs > 0);
+                stage.reset(source, false);
+                let mut flagged = 0;
+                for s in 0..am.num_states() as StateId {
+                    let mut eps_arcs = 0;
+                    am.for_each_arc(s, &mut |v| eps_arcs += usize::from(v.arc.ilabel == EPSILON));
+                    // The flag is seeded before any visit; an ε-free
+                    // state is skipped without being staged.
+                    let staged = stage.staged_visits();
+                    for visit in ["first", "second"] {
+                        let got = stage.eps_arcs(source, s, false).is_some();
+                        assert_eq!(got, eps_arcs > 0, "{topology:?} state {s} ({visit})");
+                    }
+                    if eps_arcs == 0 {
+                        assert_eq!(stage.staged_visits(), staged, "state {s} staged");
+                    }
+                    flagged += usize::from(eps_arcs > 0);
+                }
+                assert!(flagged > 0, "{topology:?}: no state has an ε arc");
+                assert!(
+                    flagged < am.num_states(),
+                    "{topology:?}: every state flagged"
+                );
             }
-            assert!(flagged > 0, "{topology:?}: no state has an ε arc");
-            assert!(
-                flagged < am.num_states(),
-                "{topology:?}: every state flagged"
-            );
         }
     }
 

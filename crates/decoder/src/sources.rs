@@ -31,8 +31,9 @@ pub mod addr {
     pub const LM_ARC_BASE: u64 = 0xC000_0000;
     /// Token / word-lattice writes (sequential).
     pub const TOKEN_BASE: u64 = 0x1_0000_0000;
-    /// Bytes per state record (uncompressed and compressed layouts).
-    pub const STATE_RECORD_BYTES: u64 = 8;
+    /// Bytes per state record (uncompressed and compressed layouts):
+    /// the record the compressed sections store.
+    pub const STATE_RECORD_BYTES: u64 = unfold_compress::STATE_RECORD_BYTES as u64;
 }
 
 /// One arc visit: the decoded arc plus where its bytes live.
@@ -67,6 +68,18 @@ pub trait AmSource {
     fn state_addr(&self, s: StateId) -> u64;
     /// Visits every outgoing arc of `s` in storage order.
     fn for_each_arc(&self, s: StateId, f: &mut dyn FnMut(ArcVisit));
+    /// Whether each state, in state order, has an ε-input arc. The
+    /// default scans every arc; a compressed AM reads the bits its
+    /// state records carry.
+    fn eps_flags(&self) -> Vec<bool> {
+        (0..self.num_states() as StateId)
+            .map(|s| {
+                let mut eps = false;
+                self.for_each_arc(s, &mut |v| eps |= v.arc.ilabel == EPSILON);
+                eps
+            })
+            .collect()
+    }
     /// Best-effort cache hint that `s`'s arcs are about to be walked.
     /// A pure hint: no trace events, no effect on decode output, never
     /// panics. The SoA kernel issues these over its batched probe
@@ -396,6 +409,10 @@ impl AmSource for CompressedAm {
                 bytes: width.div_ceil(8),
             });
         });
+    }
+
+    fn eps_flags(&self) -> Vec<bool> {
+        CompressedAm::eps_flags(self).collect()
     }
 
     fn max_pdf(&self) -> usize {

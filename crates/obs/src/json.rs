@@ -8,7 +8,8 @@
 //! * `flight` — one [`FlightEvent`] per flight-recorder entry;
 //! * `run`    — flattened registry totals for the whole run.
 //!
-//! The writer and parser are hand-rolled over `std` (the workspace has
+//! The writer ([`JsonWriter`], also the serve load generator's report
+//! writer) and the parser are hand-rolled over `std` (the workspace has
 //! no serde). Floats print with Rust's shortest-round-trip `Display`,
 //! so `parse_line(to_json(r)) == r` exactly; non-finite floats encode
 //! as the strings `"inf"`, `"-inf"`, `"nan"` since JSON has no literal
@@ -67,50 +68,133 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-struct ObjWriter {
+/// How a [`JsonWriter`] lays out an object's members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `{"k":v,"k":v}`: the JSONL records.
+    Compact,
+    /// `{"k": v, "k": v}`: one line, spaced.
+    Inline,
+    /// One `"k": v` member a line, indented two spaces a level.
+    Block,
+}
+
+/// The one JSON object writer: the JSONL records and the reports built
+/// on this crate (the serve load generator's) both write through it.
+/// Keys are escaped, floats print shortest-round-trip, and members come
+/// out in call order.
+#[derive(Debug)]
+pub struct JsonWriter {
     out: String,
+    layout: Layout,
+    depth: usize,
     first: bool,
 }
 
-impl ObjWriter {
-    fn new(kind: &str) -> Self {
-        let mut w = ObjWriter {
-            out: String::from("{\"type\":"),
-            first: false,
-        };
-        push_str_value(&mut w.out, kind);
-        w
+impl JsonWriter {
+    /// An empty top-level object laid out as `layout`.
+    pub fn new(layout: Layout) -> Self {
+        JsonWriter {
+            out: String::from("{"),
+            layout,
+            depth: 0,
+            first: true,
+        }
     }
 
     fn key(&mut self, k: &str) {
-        if self.first {
-            self.first = false;
-        } else {
+        if !self.first {
             self.out.push(',');
         }
+        match self.layout {
+            Layout::Compact => {}
+            Layout::Inline if self.first => {}
+            Layout::Inline => self.out.push(' '),
+            Layout::Block => {
+                self.out.push('\n');
+                self.indent(self.depth + 1);
+            }
+        }
+        self.first = false;
         push_str_value(&mut self.out, k);
         self.out.push(':');
+        if self.layout != Layout::Compact {
+            self.out.push(' ');
+        }
     }
 
-    fn uint(&mut self, k: &str, v: u64) {
+    fn indent(&mut self, depth: usize) {
+        for _ in 0..depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// An unsigned integer member.
+    pub fn uint(&mut self, k: &str, v: u64) {
         self.key(k);
         self.out.push_str(&v.to_string());
     }
 
-    fn float(&mut self, k: &str, v: f64) {
+    /// A float member; a non-finite value is the string `"inf"`,
+    /// `"-inf"` or `"nan"`, so [`ObsRecord::parse_line`] reads it back.
+    pub fn float(&mut self, k: &str, v: f64) {
         self.key(k);
         push_f64(&mut self.out, v);
     }
 
-    fn string(&mut self, k: &str, v: &str) {
+    /// A float member; a non-finite value is `null`.
+    pub fn float_or_null(&mut self, k: &str, v: f64) {
+        if v.is_finite() {
+            self.float(k, v);
+        } else {
+            self.key(k);
+            self.out.push_str("null");
+        }
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, k: &str, v: bool) {
+        self.key(k);
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    /// A string member.
+    pub fn string(&mut self, k: &str, v: &str) {
         self.key(k);
         push_str_value(&mut self.out, v);
     }
 
-    fn finish(mut self) -> String {
+    /// A nested object member laid out as `layout`, whose members
+    /// `fill` writes.
+    pub fn object(&mut self, k: &str, layout: Layout, fill: impl FnOnce(&mut JsonWriter)) {
+        self.key(k);
+        let mut inner = JsonWriter {
+            out: std::mem::take(&mut self.out),
+            layout,
+            depth: self.depth + 1,
+            first: true,
+        };
+        inner.out.push('{');
+        fill(&mut inner);
+        self.out = inner.finish();
+    }
+
+    /// Closes the object and returns its text (no trailing newline).
+    pub fn finish(mut self) -> String {
+        if self.layout == Layout::Block && !self.first {
+            self.out.push('\n');
+            self.indent(self.depth);
+        }
         self.out.push('}');
         self.out
     }
+}
+
+/// A compact record writer with its `"type"` discriminator written.
+fn record(kind: &str) -> JsonWriter {
+    let mut w = JsonWriter::new(Layout::Compact);
+    w.string("type", kind);
+    w
 }
 
 impl ObsRecord {
@@ -118,7 +202,7 @@ impl ObsRecord {
     pub fn to_json(&self) -> String {
         match self {
             ObsRecord::Frame(f) => {
-                let mut w = ObjWriter::new("frame");
+                let mut w = record("frame");
                 w.uint("seq", f.seq);
                 w.uint("frame", f.frame as u64);
                 w.uint("active_in", f.active_in as u64);
@@ -141,35 +225,29 @@ impl ObsRecord {
                 w.finish()
             }
             ObsRecord::Span(s) => {
-                let mut w = ObjWriter::new("span");
+                let mut w = record("span");
                 w.string("stage", &s.name);
                 w.uint("count", s.count);
                 w.uint("self_ns", s.self_nanos);
                 w.finish()
             }
             ObsRecord::SessionSpan(s) => {
-                let mut w = ObjWriter::new("sspan");
+                let mut w = record("sspan");
                 w.uint("id", s.id);
                 w.uint("parent", s.parent);
                 w.string("stage", &s.stage);
                 w.uint("session", s.session);
                 w.uint("start_ms", s.start_ms);
                 w.uint("end_ms", s.end_ms);
-                w.key("attrs");
-                w.out.push('{');
-                for (i, (name, v)) in s.attrs.iter().enumerate() {
-                    if i > 0 {
-                        w.out.push(',');
+                w.object("attrs", Layout::Compact, |o| {
+                    for (name, v) in &s.attrs {
+                        o.float(name, *v);
                     }
-                    push_str_value(&mut w.out, name);
-                    w.out.push(':');
-                    push_f64(&mut w.out, *v);
-                }
-                w.out.push('}');
+                });
                 w.finish()
             }
             ObsRecord::Flight(e) => {
-                let mut w = ObjWriter::new("flight");
+                let mut w = record("flight");
                 w.uint("seq", e.seq);
                 w.uint("now_ms", e.now_ms);
                 w.uint("session", e.session);
@@ -179,18 +257,12 @@ impl ObsRecord {
                 w.finish()
             }
             ObsRecord::Run(metrics) => {
-                let mut w = ObjWriter::new("run");
-                w.key("metrics");
-                w.out.push('{');
-                for (i, (name, v)) in metrics.iter().enumerate() {
-                    if i > 0 {
-                        w.out.push(',');
+                let mut w = record("run");
+                w.object("metrics", Layout::Compact, |o| {
+                    for (name, v) in metrics {
+                        o.float(name, *v);
                     }
-                    push_str_value(&mut w.out, name);
-                    w.out.push(':');
-                    push_f64(&mut w.out, *v);
-                }
-                w.out.push('}');
+                });
                 w.finish()
             }
         }

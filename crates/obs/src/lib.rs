@@ -35,7 +35,7 @@ pub mod stage;
 
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use frame::{CacheRates, FrameRing, FrameTelemetry};
-pub use json::ObsRecord;
+pub use json::{JsonWriter, Layout, ObsRecord};
 pub use loghist::LogHistogram;
 pub use phase::{PhaseAccum, PhaseStat};
 pub use pool::PoolTelemetry;

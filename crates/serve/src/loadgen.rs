@@ -33,7 +33,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use unfold_obs::{LogHistogram, ObsRecord, Summary};
+use unfold_obs::{JsonWriter, Layout, LogHistogram, ObsRecord, Summary};
 
 use crate::wire::{read_server, write_client, ClientMsg, ServerMsg};
 use crate::FrameInput;
@@ -125,27 +125,15 @@ impl LatencyMs {
     }
 }
 
-/// JSON number, with non-finite values mapped to `null`.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// One latency summary as a JSON object.
-fn summary(s: &LatencyMs) -> String {
-    format!(
-        "{{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"min\": {}, \"max\": {}}}",
-        s.count,
-        num(s.mean),
-        num(s.p50),
-        num(s.p95),
-        num(s.p99),
-        num(s.min),
-        num(s.max)
-    )
+/// One latency summary's members.
+fn summary(w: &mut JsonWriter, s: &LatencyMs) {
+    w.uint("count", s.count);
+    w.float_or_null("mean", s.mean);
+    w.float_or_null("p50", s.p50);
+    w.float_or_null("p95", s.p95);
+    w.float_or_null("p99", s.p99);
+    w.float_or_null("min", s.min);
+    w.float_or_null("max", s.max);
 }
 
 /// What a load-generation run measured.
@@ -201,67 +189,42 @@ impl LoadgenReport {
     /// personalized-bias A/B block (see [`run_bias_compare`]) when
     /// `bias` is given.
     pub fn to_json(&self, bias: Option<&BiasCompare>) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"sessions_requested\": {},\n",
-            self.sessions_requested
-        ));
-        out.push_str(&format!(
-            "  \"sessions_completed\": {},\n",
-            self.sessions_completed
-        ));
-        out.push_str(&format!(
-            "  \"sessions_rejected\": {},\n",
-            self.sessions_rejected
-        ));
-        out.push_str(&format!("  \"errors\": {},\n", self.errors));
-        out.push_str(&format!("  \"elapsed_ms\": {},\n", num(self.elapsed_ms)));
-        out.push_str(&format!(
-            "  \"sessions_per_sec\": {},\n",
-            num(self.sessions_per_sec)
-        ));
-        out.push_str(&format!("  \"scrapes\": {},\n", self.scrapes));
-        out.push_str(&format!(
-            "  \"scrape_failures\": {},\n",
-            self.scrape_failures
-        ));
-        out.push_str(&format!("  \"reconciled\": {},\n", self.reconciled));
-        out.push_str(&format!(
-            "  \"server_session_spans\": {},\n",
-            self.server_session_spans
-        ));
-        out.push_str(&format!(
-            "  \"first_partial_ms\": {},\n",
-            summary(&self.first_partial_ms)
-        ));
-        out.push_str(&format!("  \"final_ms\": {},\n", summary(&self.final_ms)));
+        let mut w = JsonWriter::new(Layout::Block);
+        w.uint("sessions_requested", self.sessions_requested as u64);
+        w.uint("sessions_completed", self.sessions_completed);
+        w.uint("sessions_rejected", self.sessions_rejected);
+        w.uint("errors", self.errors);
+        w.float_or_null("elapsed_ms", self.elapsed_ms);
+        w.float_or_null("sessions_per_sec", self.sessions_per_sec);
+        w.uint("scrapes", self.scrapes);
+        w.uint("scrape_failures", self.scrape_failures);
+        w.bool("reconciled", self.reconciled);
+        w.uint("server_session_spans", self.server_session_spans);
+        w.object("first_partial_ms", Layout::Inline, |o| {
+            summary(o, &self.first_partial_ms);
+        });
+        w.object("final_ms", Layout::Inline, |o| summary(o, &self.final_ms));
         if let Some(b) = bias {
-            out.push_str(&format!(
-                "  \"bias\": {{\"users\": {}, \"sessions\": {}, \"completed\": {}, \"errors\": {}, \"unbiased_p99_final_ms\": {}, \"p99_final_ms\": {}, \"deadline_miss_delta\": {}, \"unbiased_vm_rss_kb\": {}, \"vm_rss_kb\": {}, \"marginal_rss_kb_per_user\": {}}},\n",
-                b.users,
-                b.sessions,
-                b.completed,
-                b.errors,
-                num(b.unbiased_p99_final_ms),
-                num(b.biased_p99_final_ms),
-                num(b.deadline_miss_delta),
-                num(b.unbiased_vm_rss_kb),
-                num(b.biased_vm_rss_kb),
-                num(b.marginal_rss_kb_per_user),
-            ));
+            w.object("bias", Layout::Inline, |o| {
+                o.uint("users", b.users as u64);
+                o.uint("sessions", b.sessions as u64);
+                o.uint("completed", b.completed);
+                o.uint("errors", b.errors);
+                o.float_or_null("unbiased_p99_final_ms", b.unbiased_p99_final_ms);
+                o.float_or_null("p99_final_ms", b.biased_p99_final_ms);
+                o.float_or_null("deadline_miss_delta", b.deadline_miss_delta);
+                o.float_or_null("unbiased_vm_rss_kb", b.unbiased_vm_rss_kb);
+                o.float_or_null("vm_rss_kb", b.biased_vm_rss_kb);
+                o.float_or_null("marginal_rss_kb_per_user", b.marginal_rss_kb_per_user);
+            });
         }
-        out.push_str("  \"server\": {");
-        for (i, (name, v)) in self.server.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        w.object("server", Layout::Block, |o| {
+            for (name, v) in &self.server {
+                o.float_or_null(name, *v);
             }
-            out.push_str(&format!("\n    \"{name}\": {}", num(*v)));
-        }
-        if !self.server.is_empty() {
-            out.push('\n');
-            out.push_str("  ");
-        }
-        out.push_str("}\n}\n");
+        });
+        let mut out = w.finish();
+        out.push('\n');
         out
     }
 }
@@ -943,5 +906,75 @@ mod tests {
             report.elapsed_ms
         );
         assert!(report.sessions_per_sec > 4.0 / DUMP_DELAY.as_secs_f64());
+    }
+    /// The report's layout, to the byte: the CI smoke job greps it and
+    /// a script parses its `bias` block.
+    #[test]
+    fn report_json_is_laid_out_byte_for_byte() {
+        let lat = |base: f64| LatencyMs {
+            count: 3,
+            mean: base + 0.5,
+            p50: base,
+            p95: base * 2.0,
+            p99: f64::NAN,
+            min: 0.125,
+            max: base * 4.0,
+        };
+        let mut report = LoadgenReport {
+            sessions_requested: 8,
+            sessions_completed: 8,
+            sessions_rejected: 0,
+            errors: 0,
+            first_partial_ms: lat(1.25),
+            final_ms: lat(3.0),
+            elapsed_ms: 812.5,
+            sessions_per_sec: f64::INFINITY,
+            scrapes: 2,
+            scrape_failures: 0,
+            reconciled: true,
+            server_session_spans: 8,
+            flight_jsonl: "ignored".into(),
+            server: vec![
+                ("serve.deadline_misses".into(), 0.0),
+                ("serve.vm_rss_kb".into(), 1234.5),
+            ],
+        };
+        let bias = BiasCompare {
+            users: 3,
+            sessions: 6,
+            completed: 6,
+            errors: 0,
+            unbiased_p99_final_ms: 2.5,
+            biased_p99_final_ms: 2.75,
+            deadline_miss_delta: 0.0,
+            unbiased_vm_rss_kb: f64::NAN,
+            biased_vm_rss_kb: 10.0,
+            marginal_rss_kb_per_user: -1.5,
+        };
+        assert_eq!(
+            report.to_json(Some(&bias)),
+            r#"{
+  "sessions_requested": 8,
+  "sessions_completed": 8,
+  "sessions_rejected": 0,
+  "errors": 0,
+  "elapsed_ms": 812.5,
+  "sessions_per_sec": null,
+  "scrapes": 2,
+  "scrape_failures": 0,
+  "reconciled": true,
+  "server_session_spans": 8,
+  "first_partial_ms": {"count": 3, "mean": 1.75, "p50": 1.25, "p95": 2.5, "p99": null, "min": 0.125, "max": 5},
+  "final_ms": {"count": 3, "mean": 3.5, "p50": 3, "p95": 6, "p99": null, "min": 0.125, "max": 12},
+  "bias": {"users": 3, "sessions": 6, "completed": 6, "errors": 0, "unbiased_p99_final_ms": 2.5, "p99_final_ms": 2.75, "deadline_miss_delta": 0, "unbiased_vm_rss_kb": null, "vm_rss_kb": 10, "marginal_rss_kb_per_user": -1.5},
+  "server": {
+    "serve.deadline_misses": 0,
+    "serve.vm_rss_kb": 1234.5
+  }
+}
+"#
+        );
+        report.server.clear();
+        assert!(report.to_json(None).ends_with("\n  \"server\": {}\n}\n"));
     }
 }

@@ -2,11 +2,67 @@
 
 use proptest::prelude::*;
 use unfold::{System, TaskSpec};
-use unfold_compress::{CompressedAm, CompressedLm, WeightQuantizer};
+use unfold_compress::{
+    AmLayout, CompressedAm, CompressedLm, LmLayout, WeightQuantizer, STATE_RECORD_BYTES,
+};
 use unfold_wfst::SizeModel;
 
 fn system() -> System {
     System::build(&TaskSpec::tiny())
+}
+
+/// The stream's bit length, read from a section's bytes: the u64 right
+/// before its word count, which precedes the arc stream.
+fn stream_bits(section: &[u8], arc_stream_bytes: usize) -> u64 {
+    let at = section.len() - arc_stream_bytes - 12;
+    u64::from_le_bytes(section[at..at + 8].try_into().unwrap())
+}
+
+/// A section is what the paper counts (`size_bytes()`) plus what only
+/// the file needs: on every preset, section length less `size_bytes()`
+/// is the header (fields, width block, codebook count), the AM's
+/// final-weight table, the stream head (bit length, word count), the
+/// tail padding and the stream's rounding up to whole words; and the
+/// state table is exactly the paper's 8 bytes a state.
+#[test]
+fn sections_are_the_paper_count_plus_headers_on_every_preset() {
+    // Magic, version, state count, widths, start, short and full arc
+    // counts, codebook count / magic, version, state count, widths,
+    // root count, codebook count.
+    const AM_HEAD: u64 = 4 + 4 + 4 + 8 + 4 + 8 + 8 + 4;
+    const LM_HEAD: u64 = 4 + 4 + 4 + 8 + 4 + 4;
+    const STREAM_HEAD: u64 = 8 + 4;
+    const PAD: u64 = 16;
+    assert_eq!(STATE_RECORD_BYTES, 8);
+    assert_eq!(unfold_decoder::addr::STATE_RECORD_BYTES, 8);
+    let mut specs = TaskSpec::all_paper_tasks();
+    specs.push(TaskSpec::tiny());
+    for spec in specs {
+        let s = System::build(&spec);
+        let am = s.am_comp.to_bytes();
+        let layout = AmLayout::parse(&am).unwrap();
+        assert_eq!(layout.state_table_bytes(), 8 * layout.num_states());
+        let stream = layout.arc_stream_bytes() as u64 - PAD;
+        let rounding = stream - stream_bits(&am, layout.arc_stream_bytes()).div_ceil(8);
+        let finals = 4 + 4 * layout.num_final_weights() as u64;
+        assert_eq!(
+            am.len() as u64 - s.am_comp.size_bytes(),
+            AM_HEAD + finals + STREAM_HEAD + PAD + rounding,
+            "{} AM",
+            spec.name
+        );
+        let lm = s.lm_comp.to_bytes();
+        let layout = LmLayout::parse(&lm).unwrap();
+        assert_eq!(layout.state_table_bytes(), 8 * layout.num_states());
+        let stream = layout.arc_stream_bytes() as u64 - PAD;
+        let rounding = stream - stream_bits(&lm, layout.arc_stream_bytes()).div_ceil(8);
+        assert_eq!(
+            lm.len() as u64 - s.lm_comp.size_bytes(),
+            LM_HEAD + STREAM_HEAD + PAD + rounding,
+            "{} LM",
+            spec.name
+        );
+    }
 }
 
 #[test]
