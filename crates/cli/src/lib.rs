@@ -339,10 +339,10 @@ impl<'a> Flags<'a> {
     /// Parses `args` against `cmd`'s flag table.
     ///
     /// # Errors
-    /// [`Error::Usage`] on a flag `cmd` does not accept, or a flag
-    /// missing its value.
+    /// [`Error::Usage`] on a flag `cmd` does not accept, a flag given
+    /// twice, or a flag missing its value.
     fn parse(args: &'a [String], cmd: &'static Command) -> Result<Self, Error> {
-        let mut pairs = Vec::new();
+        let mut pairs: Vec<(&'a str, Option<&'a str>)> = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let key = args[i]
@@ -353,6 +353,11 @@ impl<'a> Flags<'a> {
                 .iter()
                 .find(|f| f.name == key)
                 .ok_or_else(|| Error::Usage(format!("{} does not take --{key}", cmd.name)))?;
+            // `get` reads the first occurrence, so a second one would be
+            // silently ignored.
+            if pairs.iter().any(|(k, _)| *k == key) {
+                return Err(Error::Usage(format!("--{key} given twice")));
+            }
             if flag.value.is_none() {
                 pairs.push((key, None));
                 i += 1;
@@ -1272,6 +1277,37 @@ mod tests {
             run(&sv(&["inspect", "--bundle"])),
             Err(Error::Usage(m)) if m.contains("needs a value")
         ));
+    }
+
+    #[test]
+    fn a_repeated_flag_is_refused() {
+        for args in [
+            &[
+                "decode",
+                "--task",
+                "tiny",
+                "--utterances",
+                "1",
+                "--utterances",
+                "3",
+            ][..],
+            &["inspect", "--bundle", "a.unfb", "--mmap", "--mmap"],
+        ] {
+            let err = run(&sv(args)).unwrap_err();
+            assert!(matches!(err, Error::Usage(_)), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+        }
+        let err = run(&sv(&[
+            "decode",
+            "--task",
+            "tiny",
+            "--utterances",
+            "1",
+            "--utterances",
+            "3",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.to_string(), "--utterances given twice");
     }
 
     #[test]

@@ -282,6 +282,10 @@ pub struct ServeCore<A: AmSource + ?Sized, L: LmSource + ?Sized> {
     search_occupancy: f64,
     next_id: SessionId,
     next_seq: u64,
+    /// A lower bound on every session's idle expiry
+    /// (`last_activity_ms + idle_timeout_ms`), `u64::MAX` when there is
+    /// none: [`ServeCore::evict_idle`] returns at once below it.
+    idle_floor_ms: u64,
     /// Total queued frames across sessions (the backlog bound).
     backlog: usize,
     /// Frames currently out with running leases: accepted, no longer
@@ -395,6 +399,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             search_occupancy: f64::NAN,
             next_id: 1,
             next_seq: 0,
+            idle_floor_ms: u64::MAX,
             backlog: 0,
             inflight: 0,
             row_pool: Vec::new(),
@@ -668,6 +673,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         let mut s = Session::new(StreamSession::new(cfg), lm, lm_gen, bias, now_ms, level);
         s.root_span = self.spans.open("session", id, 0, now_ms);
         self.sessions.insert(id, s);
+        self.lower_idle_floor(now_ms);
         self.stats.opened += 1;
         self.flight
             .record(FlightKind::Admit, now_ms, id, 0.0, f64::from(level));
@@ -737,6 +743,10 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
             return Err(ServeError::UnknownSession(id));
         };
         s.last_activity_ms = now_ms;
+        // `lower_idle_floor`, inline: `s` still borrows the table.
+        self.idle_floor_ms = self
+            .idle_floor_ms
+            .min(now_ms.saturating_add(self.config.idle_timeout_ms));
         if s.phase != SessionPhase::Open {
             self.recycle(std::iter::once(buf));
             return Err(ServeError::Finished(id));
@@ -780,6 +790,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
         if s.phase == SessionPhase::Open {
             s.phase = SessionPhase::Finishing;
         }
+        self.lower_idle_floor(now_ms);
         self.arm(id, now_ms);
         Ok(())
     }
@@ -789,21 +800,38 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
     /// ids in ascending order. Uncollected results are dropped —
     /// eviction is how abandoned sessions stop holding slots and
     /// lattice memory.
+    ///
+    /// O(1) until a session can have expired: the core keeps a lower
+    /// bound on every session's expiry, lowered by each client stamp
+    /// and reset by the sweep to the earliest expiry among the
+    /// survivors, leased ones included, and returns at once while
+    /// `now_ms` is below it. Below the bound no session meets the
+    /// eviction test, so every call evicts exactly what a full sweep
+    /// would, in any call order and on a clock that moves backwards.
     pub fn evict_idle(&mut self, now_ms: u64) -> Vec<SessionId> {
-        if self.config.idle_timeout_ms == 0 {
+        let timeout = self.config.idle_timeout_ms;
+        if timeout == 0 || now_ms < self.idle_floor_ms {
             return Vec::new();
         }
-        let mut expired: Vec<SessionId> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| {
-                !s.leased
-                    && now_ms.saturating_sub(s.last_activity_ms) >= self.config.idle_timeout_ms
-            })
-            .map(|(&id, _)| id)
-            .collect();
+        let mut floor = u64::MAX;
+        let mut expired = Vec::new();
+        for (&id, s) in &self.sessions {
+            if !s.leased && now_ms.saturating_sub(s.last_activity_ms) >= timeout {
+                expired.push(id);
+            } else {
+                floor = floor.min(s.last_activity_ms.saturating_add(timeout));
+            }
+        }
+        self.idle_floor_ms = floor;
         expired.sort_unstable();
-        for &id in &expired {
+        self.evict(&expired, now_ms);
+        expired
+    }
+
+    /// Removes `ids` from the table as idle evictions: their queued
+    /// frames move to the dropped column and their spans close.
+    fn evict(&mut self, ids: &[SessionId], now_ms: u64) {
+        for &id in ids {
             if let Some(s) = self.sessions.remove(&id) {
                 let dropped = s.queue.len() as u64;
                 self.backlog -= s.queue.len();
@@ -825,10 +853,18 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
                     .record(FlightKind::Evict, now_ms, id, 0.0, dropped as f64);
             }
         }
-        if !expired.is_empty() {
+        if !ids.is_empty() {
             self.sample_load();
         }
-        expired
+    }
+
+    /// Lowers the idle-expiry bound for a client stamp at `now_ms`. A
+    /// stamp usually raises its session's expiry, which keeps the bound
+    /// valid on its own; lowering it also covers admission and a clock
+    /// that moved backwards.
+    fn lower_idle_floor(&mut self, now_ms: u64) {
+        let expiry = now_ms.saturating_add(self.config.idle_timeout_ms);
+        self.idle_floor_ms = self.idle_floor_ms.min(expiry);
     }
 
     /// Claims the ready session with the earliest deadline, moving its
@@ -1016,20 +1052,19 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
     }
 
     /// The longest word prefix all of `id`'s live hypotheses agree on —
-    /// the non-flickering partial transcript. While the session is
-    /// leased out, returns the prefix cached at its last quantum.
+    /// the non-flickering partial transcript. Served from the prefix
+    /// [`ServeCore::complete_lease`] caches at each quantum: nothing
+    /// else touches a parked session's search state, so the cache is
+    /// what a fresh computation would return, and while the session is
+    /// leased out it is the prefix as of its last quantum.
     ///
     /// # Errors
     /// [`ServeError::UnknownSession`] when `id` does not exist.
     pub fn stable_partial(&self, id: SessionId) -> Result<Vec<WordId>, ServeError> {
-        let s = self
-            .sessions
+        self.sessions
             .get(&id)
-            .ok_or(ServeError::UnknownSession(id))?;
-        Ok(match &s.decode {
-            Some(d) => d.partial_stable_prefix(),
-            None => s.last_partial.clone(),
-        })
+            .map(|s| s.last_partial.clone())
+            .ok_or(ServeError::UnknownSession(id))
     }
 
     /// A snapshot of `id`'s scheduling state.
@@ -1128,6 +1163,29 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeCore<A, L> {
     /// run has been clean.
     pub fn flight_frozen(&self) -> Option<(&'static str, &str)> {
         Some((self.flight.frozen_reason()?, self.flight.frozen_dump()?))
+    }
+
+    /// Sessions armed into the ready queue over the core's lifetime. A
+    /// caller that compares it across [`ServeCore::ingest_frame`] or
+    /// [`ServeCore::finish`] learns whether the call made a session
+    /// leasable, which is when the threaded server wakes a worker.
+    pub fn armed_total(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// The lock-free histogram registered under `name` in the core's
+    /// metrics registry, created on first use and exported with the
+    /// core's other metrics. For timings taken outside the core, such
+    /// as the threaded server's lock and wake clocks.
+    pub fn log_histogram(&mut self, name: &str) -> Arc<LogHistogram> {
+        self.obs.log_histogram(name)
+    }
+
+    /// Adds `n` to the counter registered under `name` in the core's
+    /// metrics registry (created on first use), for events counted
+    /// outside the core, such as the threaded server's notifies.
+    pub fn count(&mut self, name: &str, n: u64) {
+        self.obs.counter(name).add(n);
     }
 
     /// The shared worker-side decode-time histogram (µs per quantum);
@@ -2422,6 +2480,270 @@ mod tests {
                 prev: std::sync::Mutex::new(None),
             })),
             "a scorer leaking the previous call's row must change a transcript"
+        );
+    }
+
+    /// The full idle sweep `evict_idle` ran before the expiry floor,
+    /// kept as the oracle the floor is checked against: every
+    /// non-leased session past its timeout, with no early return.
+    fn evict_idle_sweep(core: &mut ServeCore<Wfst, Wfst>, now_ms: u64) -> Vec<SessionId> {
+        if core.config.idle_timeout_ms == 0 {
+            return Vec::new();
+        }
+        let mut expired: Vec<SessionId> = core
+            .sessions
+            .iter()
+            .filter(|(_, s)| {
+                !s.leased
+                    && now_ms.saturating_sub(s.last_activity_ms) >= core.config.idle_timeout_ms
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        expired.sort_unstable();
+        core.evict(&expired, now_ms);
+        expired
+    }
+
+    /// What a model run met, summed over seeds, so a campaign can show
+    /// it reached the cases it exists for.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        evicted: usize,
+        /// `evict_idle` calls that passed over a leased session already
+        /// past its timeout.
+        expired_while_leased: usize,
+        backward_jumps: usize,
+        out_of_order_completions: usize,
+        finals: usize,
+        /// Checks of a parked session whose stable prefix held a word.
+        nonempty_partials: usize,
+    }
+
+    /// A seeded operation sequence driven through two cores in
+    /// lockstep: `fast` evicts through [`ServeCore::evict_idle`],
+    /// `oracle` through [`evict_idle_sweep`]. Ops: open, ingest, finish,
+    /// lease, complete out of order, evict, collect, and clock moves
+    /// forward, past the timeout and backwards. After every step the
+    /// evicted ids, `stats()` and the frames ledger must agree, and
+    /// every parked session's `stable_partial` must equal a fresh
+    /// `partial_stable_prefix()`. `skip_admission_floor` plants a bug:
+    /// admission leaves the expiry floor where it was.
+    ///
+    /// Returns the 1-based step of the first divergence with what
+    /// diverged; ops come off one random stream, so that step is also
+    /// the shortest failing prefix of the seed's sequence.
+    fn run_serve_model(
+        seed: u64,
+        steps: usize,
+        skip_admission_floor: bool,
+        cov: &mut Coverage,
+    ) -> Result<(), (usize, String)> {
+        const TIMEOUT: u64 = 100;
+        let (lex, am, lm) = setup();
+        let utts = [
+            utt(&lex, &[3, 9], 5),
+            utt(&lex, &[7, 11, 4], 6),
+            utt(&lex, &[22], 7),
+        ];
+        let config = ServeConfig {
+            capacity: 6,
+            quantum_frames: 4,
+            idle_timeout_ms: TIMEOUT,
+            olt_entries: 0,
+            ..Default::default()
+        };
+        let mut fast = core_with(&am, &lm, config.clone());
+        let mut oracle = core_with(&am, &lm, config);
+        let (mut work_fast, mut work_oracle) = (WorkScratch::new(), WorkScratch::new());
+        work_fast.configure_olt(0);
+        work_oracle.configure_olt(0);
+        let mut leases: Vec<(Lease<Wfst>, Lease<Wfst>)> = Vec::new();
+        // Every id ever admitted, with the frames pushed to it: ops on
+        // evicted or collected ids must fail the same way on both.
+        let mut ids: Vec<(SessionId, usize)> = Vec::new();
+        let mut now = 0u64;
+        let mut rng = seed.wrapping_mul(0xD1B5_4A32_D192_ED03);
+        let mut next = move |n: u64| {
+            // SplitMix64.
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        for step in 1..=steps {
+            let fail = |what: String| Err((step, what));
+            let pick = |r: u64, ids: &[(SessionId, usize)]| r as usize % ids.len().max(1);
+            match next(20) {
+                0..=1 => {
+                    let floor = fast.idle_floor_ms;
+                    let a = fast.open(now);
+                    if skip_admission_floor {
+                        fast.idle_floor_ms = floor;
+                    }
+                    let b = oracle.open(now);
+                    if a != b {
+                        return fail(format!("open at {now}: {a:?} vs {b:?}"));
+                    }
+                    if let Ok(id) = a {
+                        ids.push((id, 0));
+                    }
+                }
+                2..=6 if !ids.is_empty() => {
+                    let i = pick(next(64), &ids);
+                    let (id, pushed) = ids[i];
+                    let u = &utts[id as usize % utts.len()];
+                    let burst = 1 + next(16) as usize;
+                    for t in pushed..pushed + burst {
+                        let frame = score_row(u, t % u.scores.num_frames());
+                        let a = fast.ingest_frame(id, frame.clone(), now);
+                        let b = oracle.ingest_frame(id, frame, now);
+                        if a != b {
+                            return fail(format!("ingest {id}: {a:?} vs {b:?}"));
+                        }
+                    }
+                    ids[i].1 += burst;
+                }
+                7 if !ids.is_empty() => {
+                    let id = ids[pick(next(64), &ids)].0;
+                    let (a, b) = (fast.finish(id, now), oracle.finish(id, now));
+                    if a != b {
+                        return fail(format!("finish {id}: {a:?} vs {b:?}"));
+                    }
+                }
+                8..=10 => match (fast.lease_next(now), oracle.lease_next(now)) {
+                    (Some(a), Some(b)) if a.session() == b.session() => leases.push((a, b)),
+                    (None, None) => {}
+                    (a, b) => {
+                        let (a, b) = (a.map(|l| l.session()), b.map(|l| l.session()));
+                        return fail(format!("lease: {a:?} vs {b:?}"));
+                    }
+                },
+                11..=13 if !leases.is_empty() => {
+                    let i = next(leases.len() as u64) as usize;
+                    if i + 1 < leases.len() {
+                        cov.out_of_order_completions += 1;
+                    }
+                    let (mut a, mut b) = leases.remove(i);
+                    a.run(&*am, &mut work_fast, &mut NullSink);
+                    b.run(&*am, &mut work_oracle, &mut NullSink);
+                    fast.complete_lease(a, now);
+                    oracle.complete_lease(b, now);
+                }
+                14..=15 => {
+                    cov.expired_while_leased += fast
+                        .sessions
+                        .values()
+                        .filter(|s| s.leased && now.saturating_sub(s.last_activity_ms) >= TIMEOUT)
+                        .count();
+                    let (a, b) = (fast.evict_idle(now), evict_idle_sweep(&mut oracle, now));
+                    if a != b {
+                        return fail(format!("evict_idle({now}): {a:?}, the sweep {b:?}"));
+                    }
+                    cov.evicted += a.len();
+                }
+                16 if !ids.is_empty() => {
+                    let id = ids[pick(next(64), &ids)].0;
+                    let (a, b) = (fast.take_result(id), oracle.take_result(id));
+                    let words = |r: &Result<Option<DecodeResult>, ServeError>| {
+                        r.clone().map(|o| o.map(|r| r.words))
+                    };
+                    if words(&a) != words(&b) {
+                        return fail(format!(
+                            "take_result {id}: {:?} vs {:?}",
+                            words(&a),
+                            words(&b)
+                        ));
+                    }
+                    cov.finals += usize::from(matches!(a, Ok(Some(_))));
+                }
+                17 => now += TIMEOUT + next(TIMEOUT / 4),
+                18 => {
+                    cov.backward_jumps += 1;
+                    now = now.saturating_sub(next(2 * TIMEOUT));
+                }
+                _ => now += next(TIMEOUT / 2),
+            }
+            if fast.stats() != oracle.stats() {
+                return fail(format!("stats {:?} vs {:?}", fast.stats(), oracle.stats()));
+            }
+            let ledger = |c: &ServeCore<Wfst, Wfst>| (c.backlog, c.inflight, c.sessions.len());
+            if ledger(&fast) != ledger(&oracle) {
+                return fail(format!(
+                    "ledger {:?} vs {:?}",
+                    ledger(&fast),
+                    ledger(&oracle)
+                ));
+            }
+            let st = fast.stats();
+            let (backlog, inflight, _) = ledger(&fast);
+            if st.frames_accepted
+                != st.frames_decoded + backlog as u64 + inflight + st.frames_dropped
+            {
+                return fail(format!("ledger does not reconcile: {st:?}"));
+            }
+            for (&id, s) in &fast.sessions {
+                if let Some(d) = &s.decode {
+                    let fresh = d.partial_stable_prefix();
+                    cov.nonempty_partials += usize::from(!fresh.is_empty());
+                    let cached = fast.stable_partial(id).expect("live");
+                    if cached != fresh {
+                        return fail(format!("stable_partial({id}): {cached:?}, fresh {fresh:?}"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The expiry floor is exact: across seeded op sequences with
+    /// clock jumps both ways, out-of-order completions and sessions
+    /// that expire while leased, `evict_idle` evicts what the full
+    /// sweep evicts at every call, and the cached partial is always
+    /// the fresh one.
+    #[test]
+    fn idle_eviction_and_cached_partials_match_their_oracles() {
+        let mut cov = Coverage::default();
+        for seed in 0..32 {
+            if let Err((step, what)) = run_serve_model(seed, 200, false, &mut cov) {
+                panic!("seed {seed}, step {step}: {what}");
+            }
+        }
+        assert!(cov.evicted > 0, "{cov:?}");
+        assert!(cov.expired_while_leased > 0, "{cov:?}");
+        assert!(cov.backward_jumps > 0, "{cov:?}");
+        assert!(cov.out_of_order_completions > 0, "{cov:?}");
+        assert!(cov.finals > 0, "{cov:?}");
+        assert!(cov.nonempty_partials > 0, "{cov:?}");
+    }
+
+    /// The planted bug — admission leaves the expiry floor where it
+    /// was — is caught, and the shortest failing prefix over the first
+    /// seeds is a handful of operations (open, clock past the timeout,
+    /// evict).
+    #[test]
+    fn admission_that_does_not_lower_the_floor_is_caught() {
+        let mut cov = Coverage::default();
+        let caught: Vec<(u64, usize, String)> = (0..16)
+            .filter_map(|seed| {
+                let err = run_serve_model(seed, 400, true, &mut cov).err()?;
+                Some((seed, err.0, err.1))
+            })
+            .collect();
+        assert!(
+            caught.len() >= 8,
+            "the planted floor bug went unnoticed: {caught:?}"
+        );
+        for (seed, step, what) in &caught {
+            assert!(
+                what.contains("evict_idle"),
+                "seed {seed}, step {step}: {what}"
+            );
+        }
+        let (seed, step, what) = caught.iter().min_by_key(|c| c.1).expect("caught");
+        assert!(
+            *step <= 8,
+            "shortest repro: seed {seed}, step {step}: {what}"
         );
     }
 }

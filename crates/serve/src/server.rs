@@ -8,9 +8,36 @@
 //! whole life), relock, return the lease. The mutex therefore guards
 //! only queue surgery — decode time, which dominates, runs unlocked on
 //! every worker in parallel.
+//!
+//! # Wakes
+//!
+//! Two condvars, each with a count of its waiters kept under the core
+//! lock, so a notify is issued only when it has someone to wake:
+//!
+//! * `work`: idle workers park here. An ingest or finish that *arms* a
+//!   session (puts it in the ready queue) wakes one parked worker. A
+//!   session armed while every worker is busy needs no wake: a worker
+//!   calls `lease_next` under the lock before it parks, so it finds the
+//!   session then. A worker that completes a quantum leases the next
+//!   one itself, so completion wakes no worker.
+//! * `progress`: `wait_drained` and `wait_result` wait here. A
+//!   completed or aborted quantum, or an idle eviction, wakes them all.
+//!
+//! Shutdown wakes both. `IDLE_POLL` bounds every park, so a lost wake
+//! would cost latency, never liveness.
+//!
+//! # Clocks
+//!
+//! Workers time their own lock traffic into the core's registry, so a
+//! `stats` scrape shows it (nanoseconds, log₂ histograms):
+//! `serve.lock.complete_wait_ns` and `serve.lock.complete_hold_ns` for
+//! returning a quantum, `serve.lock.lease_hold_ns` for the idle check
+//! and `lease_next`, and `serve.wake_to_run_ns` from a `work` notify
+//! to the woken worker holding the lock. `serve.notify_work` and
+//! `serve.notify_progress` count the notifies issued.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -18,21 +45,36 @@ use unfold_decoder::{
     AcousticScorer, AmSource, DecodeResult, FrameInput, LmSource, NullSink, WorkScratch,
 };
 use unfold_lm::WordId;
+use unfold_obs::LogHistogram;
 
 use crate::sched::{ServeCore, ServeStats};
 use crate::session::{SessionId, SessionView};
 use crate::{RejectReason, ServeConfig, ServeError};
 
-/// How long an idle worker sleeps before re-checking for work and
-/// running the idle-eviction sweep. Purely a liveness bound — workers
-/// are woken eagerly whenever work arrives.
+/// How long an idle worker parks before re-checking for work and
+/// running the idle-eviction check. Purely a liveness bound — a worker
+/// is woken whenever a session is armed while it is parked.
 const IDLE_POLL: Duration = Duration::from_millis(20);
+
+/// Counter of notifies issued on the `work` condvar.
+const NOTIFY_WORK: &str = "serve.notify_work";
+/// Counter of notifies issued on the `progress` condvar.
+const NOTIFY_PROGRESS: &str = "serve.notify_progress";
 
 struct Shared<A: AmSource + ?Sized, L: LmSource + ?Sized> {
     core: Mutex<ServeCore<A, L>>,
-    /// Signals both "work available" (to workers) and "progress made"
-    /// (to result waiters); waiters recheck their predicate.
-    cv: Condvar,
+    /// Idle workers park here (see the module docs).
+    work: Condvar,
+    /// Result and drain waiters wait here (see the module docs).
+    progress: Condvar,
+    /// Workers parked on `work`, and callers waiting on `progress`.
+    /// Both change only under the core lock, so a notifier that reads
+    /// them under the lock sees every waiter that has released it.
+    parked_workers: AtomicUsize,
+    progress_waiters: AtomicUsize,
+    /// [`Shared::now_ns`] at the latest `work` notify (wake-to-run's
+    /// start).
+    work_notified_at: AtomicU64,
     shutdown: AtomicBool,
     epoch: Instant,
     /// Microseconds workers have spent decoding (unlocked), and the
@@ -47,6 +89,10 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> Shared<A, L> {
         self.epoch.elapsed().as_millis() as u64
     }
 
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
     /// Worker occupancy: decode busy-time per worker thread over wall
     /// time since start, in `[0, 1]`.
     fn search_occupancy(&self) -> f64 {
@@ -54,6 +100,83 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> Shared<A, L> {
         self.search_busy_us.load(Ordering::Relaxed) as f64
             / (elapsed_us * self.search_workers as f64)
     }
+
+    /// Releases `core` after a client call, waking one parked worker if
+    /// the call armed a session (`armed_before` is
+    /// [`ServeCore::armed_total`] from before it). The decision is taken
+    /// under the lock and the notify issued after it is released.
+    fn release_and_wake(&self, mut core: MutexGuard<'_, ServeCore<A, L>>, armed_before: u64) {
+        let wake =
+            core.armed_total() != armed_before && self.parked_workers.load(Ordering::Relaxed) > 0;
+        if wake {
+            core.count(NOTIFY_WORK, 1);
+        }
+        drop(core);
+        if wake {
+            self.work_notified_at
+                .store(self.now_ns(), Ordering::Relaxed);
+            self.work.notify_one();
+        }
+    }
+
+    /// Wakes every progress waiter, if there is one; called under the
+    /// lock after an event that can satisfy a waiter.
+    fn wake_progress(&self, core: &mut ServeCore<A, L>) {
+        if self.progress_waiters.load(Ordering::Relaxed) > 0 {
+            core.count(NOTIFY_PROGRESS, 1);
+            self.progress.notify_all();
+        }
+    }
+
+    fn wake_all(&self) {
+        self.work.notify_all();
+        self.progress.notify_all();
+    }
+}
+
+/// The workers' lock and wake clocks (see the module docs), shared
+/// through the core's registry.
+#[derive(Clone)]
+struct WorkerClocks {
+    complete_wait: Arc<LogHistogram>,
+    complete_hold: Arc<LogHistogram>,
+    lease_hold: Arc<LogHistogram>,
+    wake_to_run: Arc<LogHistogram>,
+}
+
+impl WorkerClocks {
+    /// Registers the clocks and the notify counters, so they export in
+    /// a fixed order from the first scrape on.
+    fn register<A: AmSource + ?Sized, L: LmSource + ?Sized>(core: &mut ServeCore<A, L>) -> Self {
+        let clocks = WorkerClocks {
+            complete_wait: core.log_histogram("serve.lock.complete_wait_ns"),
+            complete_hold: core.log_histogram("serve.lock.complete_hold_ns"),
+            lease_hold: core.log_histogram("serve.lock.lease_hold_ns"),
+            wake_to_run: core.log_histogram("serve.wake_to_run_ns"),
+        };
+        core.count(NOTIFY_WORK, 0);
+        core.count(NOTIFY_PROGRESS, 0);
+        clocks
+    }
+}
+
+/// Waits on `cv` for at most `timeout`, counted in `waiters` while the
+/// lock is released. Returns the guard and whether the wait timed out.
+fn park<'a, T>(
+    cv: &Condvar,
+    waiters: &AtomicUsize,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> (MutexGuard<'a, T>, bool) {
+    waiters.fetch_add(1, Ordering::Relaxed);
+    let (guard, waited) = cv.wait_timeout(guard, timeout).expect("serve lock");
+    waiters.fetch_sub(1, Ordering::Relaxed);
+    (guard, waited.timed_out())
+}
+
+/// Records the nanoseconds since `from` into `h`.
+fn record_since(h: &LogHistogram, from: Instant) {
+    h.record(from.elapsed().as_nanos() as u64);
 }
 
 /// A multi-session streaming decode server. Owns `workers` OS threads
@@ -107,9 +230,14 @@ where
         if let Some(scorer) = scorer {
             core.set_scorer(scorer);
         }
+        let clocks = WorkerClocks::register(&mut core);
         let shared = Arc::new(Shared {
             core: Mutex::new(core),
-            cv: Condvar::new(),
+            work: Condvar::new(),
+            progress: Condvar::new(),
+            parked_workers: AtomicUsize::new(0),
+            progress_waiters: AtomicUsize::new(0),
+            work_notified_at: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             epoch: Instant::now(),
             search_busy_us: AtomicU64::new(0),
@@ -118,9 +246,10 @@ where
         let handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                let clocks = clocks.clone();
                 std::thread::Builder::new()
                     .name(format!("unfold-serve-{i}"))
-                    .spawn(move || worker_loop(&shared, olt_entries))
+                    .spawn(move || worker_loop(&shared, olt_entries, &clocks))
                     .expect("spawn decode worker")
             })
             .collect();
@@ -145,7 +274,7 @@ where
 
     fn stop_workers(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
+        self.shared.wake_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -162,7 +291,7 @@ where
     }
 }
 
-fn worker_loop<A, L>(shared: &Shared<A, L>, olt_entries: usize)
+fn worker_loop<A, L>(shared: &Shared<A, L>, olt_entries: usize, clocks: &WorkerClocks)
 where
     A: AmSource + Send + Sync + 'static + ?Sized,
     L: LmSource + Send + Sync + 'static + ?Sized,
@@ -177,8 +306,14 @@ where
             return;
         }
         let now = shared.now_ms();
-        core.evict_idle(now);
-        match core.lease_next(now) {
+        let leasing = Instant::now();
+        if !core.evict_idle(now).is_empty() {
+            // A waiter on an evicted session learns it is gone.
+            shared.wake_progress(&mut core);
+        }
+        let lease = core.lease_next(now);
+        record_since(&clocks.lease_hold, leasing);
+        match lease {
             Some(mut lease) => {
                 // The lease carries its session's own LM; only the
                 // shared AM comes from the core.
@@ -200,7 +335,10 @@ where
                 shared
                     .search_busy_us
                     .fetch_add(spent.as_micros() as u64, Ordering::Relaxed);
+                let asked = Instant::now();
                 core = shared.core.lock().expect("serve lock");
+                record_since(&clocks.complete_wait, asked);
+                let holding = Instant::now();
                 match outcome {
                     Ok(lease) => {
                         decode_us.record(spent.as_micros() as u64);
@@ -210,12 +348,19 @@ where
                     // the slot and account the lost frames.
                     Err(_) => core.abort_lease(id, span, granted, shared.now_ms()),
                 }
-                shared.cv.notify_all();
+                shared.wake_progress(&mut core);
+                record_since(&clocks.complete_hold, holding);
             }
             None => {
-                let (guard, _timeout) =
-                    shared.cv.wait_timeout(core, IDLE_POLL).expect("serve lock");
+                let (guard, timed_out) =
+                    park(&shared.work, &shared.parked_workers, core, IDLE_POLL);
                 core = guard;
+                if !timed_out && !shared.shutdown.load(Ordering::SeqCst) {
+                    let notified = shared.work_notified_at.load(Ordering::Relaxed);
+                    clocks
+                        .wake_to_run
+                        .record(shared.now_ns().saturating_sub(notified));
+                }
             }
         }
     }
@@ -320,17 +465,18 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
         self.lock().retire_bias(name)
     }
 
-    /// Queues one [`FrameInput`] for `id` and wakes a worker:
-    /// precomputed score rows and raw feature frames take the same
-    /// path, scored inline before they are queued.
+    /// Queues one [`FrameInput`] for `id`, waking a parked worker if
+    /// the frame made the session leasable: precomputed score rows and
+    /// raw feature frames take the same path, scored inline before they
+    /// are queued.
     ///
     /// # Errors
     /// See [`ServeCore::ingest_frame`].
     pub fn ingest_frame(&self, id: SessionId, frame: FrameInput) -> Result<(), ServeError> {
-        let r = self.lock().ingest_frame(id, frame, self.shared.now_ms());
-        if r.is_ok() {
-            self.shared.cv.notify_all();
-        }
+        let mut core = self.lock();
+        let armed = core.armed_total();
+        let r = core.ingest_frame(id, frame, self.shared.now_ms());
+        self.shared.release_and_wake(core, armed);
         r
     }
 
@@ -346,10 +492,10 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
     /// # Errors
     /// See [`ServeCore::finish`].
     pub fn finish(&self, id: SessionId) -> Result<(), ServeError> {
-        let r = self.lock().finish(id, self.shared.now_ms());
-        if r.is_ok() {
-            self.shared.cv.notify_all();
-        }
+        let mut core = self.lock();
+        let armed = core.armed_total();
+        let r = core.finish(id, self.shared.now_ms());
+        self.shared.release_and_wake(core, armed);
         r
     }
 
@@ -384,12 +530,14 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
             if now >= deadline {
                 return false;
             }
-            let (guard, _) = self
-                .shared
-                .cv
-                .wait_timeout(core, deadline - now)
-                .expect("serve lock");
-            core = guard;
+            let shared = &*self.shared;
+            core = park(
+                &shared.progress,
+                &shared.progress_waiters,
+                core,
+                deadline - now,
+            )
+            .0;
         }
     }
 
@@ -414,12 +562,14 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
             if now >= deadline {
                 return Ok(None);
             }
-            let (guard, _) = self
-                .shared
-                .cv
-                .wait_timeout(core, deadline - now)
-                .expect("serve lock");
-            core = guard;
+            let shared = &*self.shared;
+            core = park(
+                &shared.progress,
+                &shared.progress_waiters,
+                core,
+                deadline - now,
+            )
+            .0;
         }
     }
 
@@ -490,7 +640,7 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
     /// Asks the server (and any front ends polling this flag) to stop.
     pub fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
+        self.shared.wake_all();
     }
 
     /// Whether shutdown has been requested.
@@ -763,6 +913,70 @@ mod tests {
             .expect("stage_search_occupancy missing from scrape");
         assert!(!line.contains("NaN"), "occupancy must be a number: {line}");
         server.shutdown();
+    }
+
+    /// No wake is lost. One client runs many short sessions back to
+    /// back on one and on two workers: each session's first frame finds
+    /// the workers parked, and its later frames arrive while a worker is
+    /// mid-lease. Every final arrives, the ledger balances, and the run
+    /// stays far below the `IDLE_POLL` per session that a lost `work`
+    /// wake would cost (a lost `progress` wake costs a whole
+    /// `wait_result` timeout). The worker clocks and notify counters
+    /// reach the scrape.
+    #[test]
+    fn sessions_armed_mid_lease_are_never_left_waiting_for_the_poll() {
+        const SESSIONS: u32 = 60;
+        let budget = IDLE_POLL * SESSIONS / 2;
+        let (lex, am, lm) = setup();
+        let u = utt(&lex, &[3, 9], 11);
+        for workers in [1, 2] {
+            let server = Server::start(
+                ServeConfig {
+                    workers,
+                    quantum_frames: 1,
+                    olt_entries: 0,
+                    ..Default::default()
+                },
+                Arc::clone(&am),
+                Arc::clone(&lm),
+            );
+            let handle = server.handle();
+            let started = Instant::now();
+            for session in 0..SESSIONS {
+                let id = handle.open().expect("admit");
+                for t in 0..4 {
+                    handle.ingest_frame(id, score_row(&u, t)).expect("push");
+                }
+                handle.finish(id).expect("finish");
+                handle
+                    .wait_result(id, budget)
+                    .expect("known")
+                    .expect("every final arrives");
+                let wall = started.elapsed();
+                assert!(
+                    wall < budget,
+                    "{workers} worker(s): {} sessions took {wall:?}",
+                    session + 1
+                );
+            }
+            let stats = handle.stats();
+            assert_eq!(stats.finals, u64::from(SESSIONS), "{workers} worker(s)");
+            assert_eq!(stats.frames_accepted, stats.frames_decoded);
+            assert_eq!(stats.frames_dropped, 0);
+            assert_eq!(handle.active_sessions(), 0);
+            let md = handle.obs_markdown();
+            for name in [
+                "serve.lock.complete_wait_ns",
+                "serve.lock.complete_hold_ns",
+                "serve.lock.lease_hold_ns",
+                "serve.wake_to_run_ns",
+                "serve.notify_work",
+                "serve.notify_progress",
+            ] {
+                assert!(md.contains(name), "{name} missing from the scrape");
+            }
+            server.shutdown();
+        }
     }
 
     #[test]

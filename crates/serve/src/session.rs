@@ -91,8 +91,10 @@ pub(crate) struct Session<L: LmSource + ?Sized> {
     pub result: Option<DecodeResult>,
     pub frames_accepted: u64,
     pub frames_decoded: u64,
-    /// Stable prefix cached at the last lease completion, served while
-    /// the decode state is out with a worker.
+    /// Stable prefix cached at the last lease completion, from the
+    /// state that then parks unchanged in `decode`; empty, like an
+    /// unseeded session's prefix, before the first. The only source
+    /// `stable_partial` serves, parked or leased.
     pub last_partial: Vec<WordId>,
     pub degrade_level: u8,
     /// The session's root lifecycle span, open from admission until
